@@ -1,0 +1,74 @@
+"""Pinned output bytes and exit codes of small CLI runs.
+
+Every rep's generator is consumed in a fixed order (README, "Seed
+contract"), whatever the engine does to run reps together, so these bytes
+may change only with a deliberate change of the random streams, which must
+say so and re-pin them.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from batchband.cli import main
+
+SIM = ["--threads", "1"]
+DELAYED = ["--policy", "ucb", "--env", "env1,env3", "--n", "600", "--b", "1,10",
+           "--reps", "5", "--seed", "8", *SIM]
+
+CASES = {
+    "plain": (
+        ["simulate", "--env", "env1,env6", "--policy", "ucb,ts,uniform,two_phase",
+         "--n", "120", "--b", "1,3,8", "--reps", "6", "--seed", "5", *SIM],
+        0,
+        {"results.csv": "4a7fcfd3422f2d9d665c87bfded3aae2be38489f959d398832310157bb70aab9",
+         "curves.csv": "063c595d3fae6aed0741212bfec47c5f11c677b6cd473290c08326999ebd9cd5"},
+    ),
+    "delayed_start": (
+        ["simulate", "--mode", "delayed_start", *DELAYED],
+        0,
+        {"results.csv": "6e03bc3fc46c497b42591818d51257ce07bfd2e9afe739a56d409ad186d8d7c0",
+         "curves.csv": "17fdc3b2fc9ca9bcb3896c783fd8f6b13555c0c3395390ff55a5b0e25a0bfa21"},
+    ),
+    "approx_delayed_start": (
+        ["simulate", "--mode", "approx_delayed_start", *DELAYED],
+        0,
+        {"results.csv": "04828ef2b82b28c15ffd370fd21457bc2a123371c8461a808efe0dd84d6fb868",
+         "curves.csv": "741c452e040e09d37cc77360972a435fe0f26de7ac24ac8ba59be71c80843f15"},
+    ),
+}
+BOUNDS = {
+    "ucb": "198d2a463cef6f8719925c48ad7118877c450c3f54c61c4b389553f320e965da",
+    "ts": "1fa0984385aea7596b38db688a5f43e1b0e0bbe1040766cf768605345468e75c",
+}
+for _policy, _digest in BOUNDS.items():
+    for _threads in ("1", "2"):
+        CASES[f"bounds-{_policy}-threads{_threads}"] = (
+            ["check-bounds", "--policy", _policy, "--env", "env1", "--n", "200",
+             "--b", "5", "--reps", "24", "--seed", "4", "--threads", _threads],
+            0,
+            {"bounds.csv": _digest},
+        )
+# regret curves, the envelope check (ucb only) and the b-fold reversal
+ASSUMPTIONS = {
+    "ucb": (0, "82273a0baba2f043f1b717b9cc37e147c31a1d47f4d0a43fe7081d10a5150829"),
+    "ts": (1, "e65e4ff92d83db3057239d009ed10a2c9b6c9e08d1dea52dfd6911987ff9b1a5"),
+}
+for _policy, (_code, _digest) in ASSUMPTIONS.items():
+    CASES[f"assumptions-{_policy}"] = (
+        ["check-assumptions", "--policy", _policy, "--env", "env6", "--n", "160",
+         "--b", "8", "--reps", "12", "--seed", "3"],
+        _code,
+        {"assumptions.csv": _digest},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_bytes_are_pinned(name, tmp_path):
+    argv, code, digests = CASES[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == code
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    assert got == digests
