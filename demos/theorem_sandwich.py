@@ -63,7 +63,7 @@ def main() -> None:
         "env2",
         n=20,
         b=5,
-        reps=1,
+        reps=2,  # deterministic policy: both reps agree, so the stderr is 0
         master_seed=7,
         policy_params={"switch_t": 8},
     )

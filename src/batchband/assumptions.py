@@ -188,27 +188,23 @@ def check_negated_sublinearity(
     Batch size 1 is a degenerate identity and is reported as boundary
     without simulation.
     """
-    if reps < 1:
-        raise ValueError("need at least one rep")
+    if reps < 2:
+        raise ValueError("need at least 2 reps for a standard error")
     if grid.b == 1:
         return NegationReport(
             holds=False, verdict="boundary", d=0.0, stderr=0.0,
             mean_n=float("nan"), mean_m=float("nan"), b=1,
         )
-    finals_n = np.empty(reps)
-    finals_m = np.empty(reps)
-    for i in range(reps):
-        rec_n = run_online(policy, env, grid.n, derive_seed(master_seed, "neg_n", i))
-        rec_m = run_online(policy, env, grid.M, derive_seed(master_seed, "neg_m", i))
-        finals_n[i] = rec_n.final_regret
-        finals_m[i] = rec_m.final_regret
+    finals_n = run_online(
+        policy, env, grid.n, [derive_seed(master_seed, "neg_n", i) for i in range(reps)]
+    ).final_regret
+    finals_m = run_online(
+        policy, env, grid.M, [derive_seed(master_seed, "neg_m", i) for i in range(reps)]
+    ).final_regret
     mean_n = float(finals_n.mean())
     mean_m = float(finals_m.mean())
-    if reps > 1:
-        se_n = finals_n.std(ddof=1) / np.sqrt(reps)
-        se_m = finals_m.std(ddof=1) / np.sqrt(reps)
-    else:
-        se_n = se_m = 0.0
+    se_n = finals_n.std(ddof=1) / np.sqrt(reps)
+    se_m = finals_m.std(ddof=1) / np.sqrt(reps)
     d = mean_n - grid.b * mean_m
     se = float(np.hypot(se_n, grid.b * se_m))
     if se == 0.0:
@@ -337,14 +333,14 @@ def check_monotone_envelope(
         raise ValueError("need at least 2 reps")
     per_arm = bound.per_arm(np.arange(1, t_max + 1))  # (t_max, k)
     ts = np.arange(1, t_max + 1, dtype=float)
-    frac_sum = np.zeros((t_max, env.k))
-    frac_sq = np.zeros((t_max, env.k))
-    for i in range(reps):
-        rec = run_online(policy, env, t_max, derive_seed(master_seed, "envelope", i))
-        for a in range(env.k):
-            frac = np.cumsum(rec.actions == a) / ts
-            frac_sum[:, a] += frac
-            frac_sq[:, a] += frac * frac
+    seeds = [derive_seed(master_seed, "envelope", i) for i in range(reps)]
+    actions = run_online(policy, env, t_max, seeds).actions
+    frac_sum = np.empty((t_max, env.k))
+    frac_sq = np.empty((t_max, env.k))
+    for a in range(env.k):
+        frac = np.cumsum(actions == a, axis=1) / ts  # (reps, t_max)
+        frac_sum[:, a] = frac.sum(axis=0)
+        frac_sq[:, a] = (frac * frac).sum(axis=0)
     mean = frac_sum / reps
     var = np.clip(frac_sq / reps - mean**2, 0.0, None) * reps / (reps - 1)
     lower = mean - Z_ONE_SIDED_95 * np.sqrt(var / reps)

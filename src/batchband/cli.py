@@ -301,6 +301,8 @@ def cmd_check_assumptions(args) -> int:
     if name == "two_phase" and "switch_t" not in params:
         params = dict(params, switch_t=opts["n"] // 2)
     n, reps, seed = opts["n"], opts["reps"], opts["seed"]
+    if reps < 2:
+        raise ConfigError("check-assumptions needs --reps >= 2 for standard errors")
 
     def mk():
         return make_policy(name, env.k, params=params, env_means=env.means)

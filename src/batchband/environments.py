@@ -17,6 +17,7 @@ and the logging policy's probability for that action.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ class BernoulliEnv:
         arr = np.asarray(self.means, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise DimensionMismatchError("need a 1-D vector of at least 2 means")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("Bernoulli means must lie in [0, 1]")
         arr.flags.writeable = False
         object.__setattr__(self, "means", arr)
@@ -212,6 +213,10 @@ class LoggedRecord:
         ctx = np.asarray(self.context, dtype=float)
         if ctx.ndim != 1:
             raise DataError("context must be a 1-D vector (possibly empty)")
+        if ctx.size and not np.all(np.isfinite(ctx)):
+            raise DataError("context must be finite")
+        if not math.isfinite(self.reward):
+            raise DataError(f"reward {self.reward} is not finite")
         if not 0.0 < self.logging_prob <= 1.0:
             raise DataError(f"logging_prob {self.logging_prob} outside (0, 1]")
         ctx.flags.writeable = False

@@ -192,68 +192,58 @@ def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_fro
 
 
 def _run_cell(payload):
-    """One cell's repetitions; module-level so process pools can pickle it."""
+    """One cell's repetitions as one lockstep engine call; module-level so
+    process pools can pickle it."""
     (env_spec, policy_name, params, n, b, reps, master_seed, mode, delta, bound_from) = payload
     env = parse_env(env_spec)
     if policy_name == "two_phase" and "switch_t" not in params:
         params = dict(params, switch_t=n // 2)
     grid = make_grid(n, b)
     key = _cell_key(env_spec, policy_name, mode, n, b, delta, bound_from)
+    seeds = [derive_seed(master_seed, key, i) for i in range(reps)]
+    policy = make_policy(policy_name, env.k, params=params, env_means=env.means)
+    if mode == "plain":
+        run = run_batch(policy, env, grid, seeds, env_label=env_spec)
+    elif mode == "delayed_start":
+        run = delayed_start_run(
+            policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid,
+            seeds, env_label=env_spec,
+        )
+    else:
+        run = approx_delayed_start_run(
+            policy, env, grid, delta, seeds, bound_from=bound_from,
+            env_label=env_spec,
+        )
 
-    finals = np.empty(reps)
-    opt_fracs = np.empty(reps)
-    pulls = np.zeros(env.k)
-    curve_sum = np.zeros(grid.n)
-    curve_sq = np.zeros(grid.n)
-    taus = []
-    none_count = 0
-    label = None
-    spec = None
-    for i in range(reps):
-        seed = derive_seed(master_seed, key, i)
-        policy = make_policy(policy_name, env.k, params=params, env_means=env.means)
-        if mode == "plain":
-            rec = run_batch(policy, env, grid, seed, env_label=env_spec)
-        elif mode == "delayed_start":
-            rec = delayed_start_run(
-                policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid,
-                seed, env_label=env_spec,
-            )
-        else:
-            rec = approx_delayed_start_run(
-                policy, env, grid, delta, seed, bound_from=bound_from,
-                env_label=env_spec,
-            )
-        finals[i] = rec.final_regret
-        opt_fracs[i] = rec.optimal_pulls / grid.n
-        pulls += rec.pull_counts
-        curve_sum += rec.pseudo_regret
-        curve_sq += rec.pseudo_regret**2
-        if rec.phase is not None:
-            if rec.phase.tau_hat is None:
-                none_count += 1
-            else:
-                taus.append(rec.phase.tau_hat)
-        label = rec.policy
-        spec = rec.spec
-
+    finals = run.final_regret
     mean_final = float(finals.mean())
     stderr_final = float(finals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    curve_mean = curve_sum / reps
-    if reps > 1:
-        var = np.clip(curve_sq / reps - curve_mean**2, 0.0, None) * reps / (reps - 1)
-        curve_stderr = np.sqrt(var / reps)
-    else:
-        curve_stderr = np.zeros_like(curve_mean)
-    tau_mean = float(np.mean(taus)) if taus else None
-    tau_none = none_count if mode != "plain" else None
+    curve_mean, curve_stderr = _curve_stats(run.pseudo_regret)
+    taus = [] if run.phases is None else [p.tau_hat for p in run.phases]
+    done = [t for t in taus if t is not None]
     return CellResult(
-        env=env_spec, policy=label, spec=spec, b=b, n=grid.n, reps=reps,
+        env=env_spec, policy=run.policy, spec=run.spec, b=b, n=grid.n, reps=reps,
         mean_final=mean_final, stderr_final=stderr_final,
-        opt_frac=float(opt_fracs.mean()), mean_pull_counts=pulls / reps,
-        tau_mean=tau_mean, tau_none=tau_none,
+        opt_frac=float((run.optimal_pulls / grid.n).mean()),
+        mean_pull_counts=run.pull_counts.sum(axis=0) / reps,
+        tau_mean=float(np.mean(done)) if done else None,
+        tau_none=len(taus) - len(done) if mode != "plain" else None,
         curve_mean=curve_mean, curve_stderr=curve_stderr,
     )
+
+
+def _curve_stats(trajectories):
+    """Pointwise mean and stderr of (reps, n) regret trajectories.
+
+    Rows are added in rep order, the arithmetic of a running sum over reps.
+    """
+    reps = trajectories.shape[0]
+    mean = trajectories.sum(axis=0) / reps
+    if reps > 1:
+        sq = (trajectories**2).sum(axis=0)
+        var = np.clip(sq / reps - mean**2, 0.0, None) * reps / (reps - 1)
+        return mean, np.sqrt(var / reps)
+    return mean, np.zeros_like(mean)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
@@ -340,6 +330,8 @@ def check_theorem_bounds(
     """
     if b < 2:
         raise ConfigError("bound check needs b >= 2; at b=1 the sandwich collapses")
+    if reps < 2:
+        raise ConfigError("bound check needs reps >= 2 for a standard error")
     env = parse_env(env_spec)
     params = dict(policy_params or {})
     if policy_name == "two_phase" and "switch_t" not in params:
@@ -347,33 +339,18 @@ def check_theorem_bounds(
     grid = make_grid(n, b)
     n, m = grid.n, grid.M
 
-    def one_rep(i):
-        pol = make_policy(policy_name, env.k, params=params, env_means=env.means)
-        key = f"thm|{env_spec}|{policy_name}|{n}|{b}"
-        r_on = run_online(pol, env, n, derive_seed(master_seed, key, "online", i))
-        pol2 = make_policy(policy_name, env.k, params=params, env_means=env.means)
-        r_b = run_batch(pol2, env, grid, derive_seed(master_seed, key, "batch", i))
-        pol3 = make_policy(policy_name, env.k, params=params, env_means=env.means)
-        r_m = run_online(pol3, env, m, derive_seed(master_seed, key, "short", i))
-        return r_on.final_regret, r_b.final_regret, r_m.final_regret
-
-    chunks = _split_reps(reps, threads)
-    if threads <= 1 or len(chunks) == 1:
-        triples = [one_rep(i) for i in range(reps)]
+    payloads = [
+        (policy_name, env_spec, params, n, b, master_seed, lo, hi)
+        for lo, hi in _split_reps(reps, threads)
+    ]
+    if len(payloads) == 1:
+        parts = [_bound_chunk(payloads[0])]
     else:
-        payloads = [
-            (policy_name, env_spec, params, n, b, master_seed, lo, hi)
-            for lo, hi in chunks
-        ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_bound_chunk, payloads))
-        triples = [t for part in parts for t in part]
-    arr = np.array(triples)
+    arr = np.concatenate(parts)
     means = arr.mean(axis=0)
-    if reps > 1:
-        ses = arr.std(axis=0, ddof=1) / np.sqrt(reps)
-    else:
-        ses = np.zeros(3)
+    ses = arr.std(axis=0, ddof=1) / np.sqrt(reps)
     mean_on, mean_b, mean_m = (float(x) for x in means)
     se_on, se_b, se_m = (float(x) for x in ses)
 
@@ -401,27 +378,29 @@ def check_theorem_bounds(
 
 
 def _split_reps(reps: int, threads: int):
-    if threads <= 1:
-        return [(0, reps)]
-    per = max(1, reps // (threads * 4))
+    """One contiguous chunk of reps per worker: an engine call costs mostly
+    per batch, whatever its rep count, so fewer and larger chunks are
+    cheaper."""
+    per = -(-reps // max(threads, 1))
     return [(lo, min(lo + per, reps)) for lo in range(0, reps, per)]
 
 
 def _bound_chunk(payload):
+    """Final regrets of reps ``lo..hi-1`` as a (reps, 3) array: online over
+    n, batch b over n, online over M; one lockstep engine call each."""
     policy_name, env_spec, params, n, b, master_seed, lo, hi = payload
     env = parse_env(env_spec)
     grid = make_grid(n, b)
     key = f"thm|{env_spec}|{policy_name}|{n}|{b}"
-    out = []
-    for i in range(lo, hi):
-        pol = make_policy(policy_name, env.k, params=params, env_means=env.means)
-        r_on = run_online(pol, env, n, derive_seed(master_seed, key, "online", i))
-        pol2 = make_policy(policy_name, env.k, params=params, env_means=env.means)
-        r_b = run_batch(pol2, env, grid, derive_seed(master_seed, key, "batch", i))
-        pol3 = make_policy(policy_name, env.k, params=params, env_means=env.means)
-        r_m = run_online(pol3, env, grid.M, derive_seed(master_seed, key, "short", i))
-        out.append((r_on.final_regret, r_b.final_regret, r_m.final_regret))
-    return out
+    policy = make_policy(policy_name, env.k, params=params, env_means=env.means)
+
+    def seeds(tag):
+        return [derive_seed(master_seed, key, tag, i) for i in range(lo, hi)]
+
+    r_on = run_online(policy, env, n, seeds("online"))
+    r_b = run_batch(policy, env, grid, seeds("batch"))
+    r_m = run_online(policy, env, grid.M, seeds("short"))
+    return np.column_stack([r_on.final_regret, r_b.final_regret, r_m.final_regret])
 
 
 def regret_curve(
@@ -430,22 +409,12 @@ def regret_curve(
     """Pointwise mean and stderr of cumulative pseudo-regret over reps."""
     if spec not in ("online", "batch", "short"):
         raise ConfigError("spec must be online, batch, or short")
-    s = np.zeros(grid.n)
-    sq = np.zeros(grid.n)
-    for i in range(reps):
-        seed = derive_seed(master_seed, "curve", spec, grid.n, grid.b, i)
-        if spec == "online":
-            rec = run_online(policy, env, grid.n, seed)
-        elif spec == "batch":
-            rec = run_batch(policy, env, grid, seed)
-        else:
-            rec = run_short(policy, env, grid, seed)
-        s += rec.pseudo_regret
-        sq += rec.pseudo_regret**2
-    mean = s / reps
-    if reps > 1:
-        var = np.clip(sq / reps - mean**2, 0.0, None) * reps / (reps - 1)
-        stderr = np.sqrt(var / reps)
+    seeds = [derive_seed(master_seed, "curve", spec, grid.n, grid.b, i) for i in range(reps)]
+    if spec == "online":
+        run = run_online(policy, env, grid.n, seeds)
+    elif spec == "batch":
+        run = run_batch(policy, env, grid, seeds)
     else:
-        stderr = np.zeros_like(mean)
+        run = run_short(policy, env, grid, seeds)
+    mean, stderr = _curve_stats(run.pseudo_regret)
     return RegretCurve(mean, stderr, reps)

@@ -30,7 +30,7 @@ import numpy as np
 from .core import BatchGrid
 from .environments import BernoulliEnv
 from .policies import UniformPolicy
-from .specifications import RunRecord
+from .specifications import run_lockstep, seed_list
 
 
 class InsufficientDataError(ValueError):
@@ -72,12 +72,7 @@ class MonotoneBound:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 1):
             raise ValueError("bound defined for t >= 1")
-        gaps = self.theta.max() - self.theta
-        out = np.zeros(t_arr.shape + (self.k,))
-        tt = t_arr[..., None]
-        sub = gaps > 0
-        out[..., sub] = 4.0 * np.log(tt + 1.0) / (tt * gaps[sub] ** 2) + 8.0 / tt
-        return np.clip(out, 0.0, 1.0)
+        return _terms(self.theta.max() - self.theta, t_arr[..., None])
 
     def aggregate(self, t):
         """The bound ``max(0, 1 - sum of per-arm terms)`` at time(s) ``t``."""
@@ -87,6 +82,23 @@ class MonotoneBound:
 
     def __call__(self, t):
         return self.aggregate(t)
+
+
+def _terms(gaps, tt) -> np.ndarray:
+    """Clamped per-arm bound terms for gaps broadcast against times ``tt``."""
+    with np.errstate(divide="ignore"):
+        raw = 4.0 * np.log(tt + 1.0) / (tt * gaps**2) + 8.0 / tt
+    return np.clip(np.where(gaps > 0, raw, 0.0), 0.0, 1.0)
+
+
+def _stays(theta, t: int, k: int, delta: float):
+    """Tail of the certification on instances ``theta`` (..., k) with a
+    unique best arm: stay while their bound at ``t`` does not beat uniform
+    play or the failure budget ``2k/t^2`` is not below ``delta``."""
+    gaps = theta.max(axis=-1, keepdims=True) - theta
+    total = _terms(gaps, np.asarray(t, dtype=float)[..., None]).sum(axis=-1)
+    bound = np.clip(1.0 - total, 0.0, 1.0)
+    return (bound <= 1.0 / k) | (2.0 * k / (t * t) >= delta)
 
 
 def monotone_bound(theta, t):
@@ -114,46 +126,47 @@ def pessimistic_instance(counts, means, t: int) -> np.ndarray:
 
     The empirical leader is shrunk by its interval width
     ``sqrt(ln t / pulls)`` and every other arm is inflated by its own width.
+    ``counts`` and ``means`` are one instance (k,) or one per row (R, k).
     """
     counts = np.asarray(counts, dtype=float)
     means = np.asarray(means, dtype=float)
-    if counts.shape != means.shape or counts.ndim != 1:
-        raise ValueError("counts and means must be matching 1-D vectors")
+    if counts.shape != means.shape or counts.ndim not in (1, 2):
+        raise ValueError("counts and means must be matching 1-D or 2-D arrays")
     if np.any(counts < 1):
         raise InsufficientDataError("every arm needs at least one pull")
     if t < 2:
         raise ValueError("certification needs t >= 2")
     widths = np.sqrt(math.log(t) / counts)
-    leader = int(np.argmax(means))
+    leader = np.argmax(means, axis=-1)[..., None]
     theta_hat = means + widths
-    theta_hat[leader] = means[leader] - widths[leader]
+    np.put_along_axis(
+        theta_hat, leader, np.take_along_axis(means - widths, leader, axis=-1), axis=-1
+    )
     return theta_hat
 
 
-def check_phase(counts, means, t: int, k: int, delta: float, bound_cls=MonotoneBound) -> bool:
+def check_phase(counts, means, t: int, k: int, delta: float):
     """One certification check; True means "stay in phase 1".
 
     The check passes (returns False) only when the pessimistic instance
     still has the empirical leader on top, its bound at ``t`` beats uniform
-    play, and the failure probability ``2k/t^2`` is below ``delta``.
+    play, and the failure probability ``2k/t^2`` is below ``delta``.  Rows
+    of (R, k) inputs are checked independently into a boolean array.
     """
     counts = np.asarray(counts, dtype=float)
     means = np.asarray(means, dtype=float)
-    if counts.size != k or means.size != k:
+    if counts.shape[-1] != k or means.shape[-1] != k:
         raise ValueError(f"expected {k} arms")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     theta_hat = pessimistic_instance(counts, means, t)
-    leader = int(np.argmax(means))
-    others = np.delete(theta_hat, leader)
-    if theta_hat[leader] <= others.max():
-        return True  # intervals still overlap: ordering uncertified
-    bound = bound_cls(theta_hat)
-    if bound.aggregate(t) <= 1.0 / k:
-        return True
-    if 2.0 * k / (t * t) >= delta:
-        return True
-    return False
+    leader = np.argmax(means, axis=-1)[..., None]
+    top = np.take_along_axis(theta_hat, leader, axis=-1)[..., 0]
+    others = theta_hat.copy()
+    np.put_along_axis(others, leader, -np.inf, axis=-1)
+    # where intervals still overlap the ordering is uncertified
+    stay = (top <= others.max(axis=-1)) | _stays(theta_hat, t, k, delta)
+    return bool(stay) if stay.ndim == 0 else stay
 
 
 @dataclass(eq=False)
@@ -178,91 +191,40 @@ def _require_bernoulli(env) -> None:
         raise TypeError("delayed-start runners support finite-armed environments only")
 
 
-def _finish_record(
-    spec, policy_label, env_label, grid, seed, actions, deltas, phase, k
-) -> RunRecord:
-    opt = deltas == 0.0
-    return RunRecord(
-        spec=spec,
-        policy=policy_label,
-        env=env_label,
-        n=grid.n,
-        b=grid.b,
-        seed=seed,
-        actions=actions,
-        pseudo_regret=np.cumsum(deltas),
-        optimal_hits=np.cumsum(opt),
-        pull_counts=np.bincount(actions, minlength=k),
-        phase=phase,
-    )
-
-
 def delayed_start_run(
     candidate,
     naive,
     bound,
     env: BernoulliEnv,
     grid: BatchGrid,
-    seed: int,
+    seed,
     policy_label: str | None = None,
     env_label: str = "custom",
-) -> RunRecord:
+):
     """Oracle delayed start: switch at the first epoch where ``bound > 0``.
 
     ``bound`` is any callable mapping a timestep to a real number, normally
     a ``MonotoneBound`` built from the true instance.  The naive policy
     plays (and history accrues on the batch schedule) before the switch;
     the candidate then takes over with the full accumulated history.
+    ``seed`` is one integer, for a ``RunRecord``, or a sequence of per-rep
+    seeds, for a ``RunSet`` of lockstep reps.
     """
     _require_bernoulli(env)
-    n, b, M = grid.n, grid.b, grid.M
-    switch_j = None
-    for j in range(1, M + 1):
-        if bound(grid.epoch_start(j)) > 0.0:
-            switch_j = j
-            break
+    seeds, single = seed_list(seed)
 
-    rng = np.random.default_rng(seed)
-    gap_vec = env.gap_vector()
-    actions = np.empty(n, dtype=np.int64)
-    deltas = np.empty(n)
-    naive_state = naive.init_state()
-    cand_state = None
-    past_actions: list[np.ndarray] = []
-    past_rewards: list[np.ndarray] = []
+    def gate(t, counts, sums, rows):
+        # the epoch starting at step t + 1; the bound is the same for every rep
+        return np.full(rows.size, t < grid.n and bound(t + 1) > 0.0)
 
-    for j in range(1, M + 1):
-        lo, hi = (j - 1) * b, j * b
-        if switch_j is not None and j >= switch_j:
-            if cand_state is None:
-                cand_state = candidate.init_state()
-                if past_actions:
-                    cand_state = candidate.update_arrays(
-                        cand_state,
-                        np.concatenate(past_actions),
-                        np.concatenate(past_rewards),
-                    )
-            acts = candidate.act_batch(cand_state, b, rng)
-            rews = env.sample_rewards(acts, rng)
-            cand_state = candidate.update_arrays(cand_state, acts, rews)
-        else:
-            acts = naive.act_batch(naive_state, b, rng)
-            rews = env.sample_rewards(acts, rng)
-            naive_state = naive.update_arrays(naive_state, acts, rews)
-            past_actions.append(acts)
-            past_rewards.append(rews)
-        actions[lo:hi] = acts
-        deltas[lo:hi] = gap_vec[acts]
-
-    phase = PhaseState(
-        phase1=switch_j is None,
-        tau_hat=None if switch_j is None else (switch_j - 1) * b,
-    )
-    label = policy_label or f"delayed_start({candidate.name})"
-    return _finish_record(
-        "batch" if b > 1 else "online", label, env_label, grid, seed,
-        actions, deltas, phase, env.k,
-    )
+    run = run_lockstep(candidate, env, grid, seeds, naive=naive, gate=gate,
+                       env_label=env_label)
+    run.phases = [
+        PhaseState(phase1=tau < 0, tau_hat=None if tau < 0 else tau)
+        for tau in run.tau.tolist()
+    ]
+    run.policy = policy_label or f"delayed_start({candidate.name})"
+    return run.record(0) if single else run
 
 
 def approx_delayed_start_run(
@@ -270,88 +232,63 @@ def approx_delayed_start_run(
     env: BernoulliEnv,
     grid: BatchGrid,
     delta: float,
-    seed: int,
+    seed,
     naive=None,
     bound_from: str = "instance",
     policy_label: str | None = None,
     env_label: str = "custom",
-) -> RunRecord:
+):
     """Estimated delayed start: certify the switch from data at batch ends.
 
     At each phase-1 boundary ``t = jb`` the check needs every arm pulled at
     least once; otherwise it simply stays in phase 1.  ``bound_from`` picks
     what feeds the bound: ``"instance"`` uses the pessimistic estimate (the
     real algorithm), ``"oracle"`` substitutes the true means, a diagnostic
-    that isolates estimation error.
+    that isolates estimation error.  ``seed`` is one integer or a sequence,
+    as for ``delayed_start_run``; each boundary is checked once for all
+    phase-1 reps together.
     """
     _require_bernoulli(env)
     if bound_from not in ("instance", "oracle"):
         raise ValueError("bound_from must be 'instance' or 'oracle'")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    seeds, single = seed_list(seed)
     naive = naive if naive is not None else UniformPolicy(env.k)
-    n, b, M = grid.n, grid.b, grid.M
     k = env.k
-    rng = np.random.default_rng(seed)
-    gap_vec = env.gap_vector()
-    actions = np.empty(n, dtype=np.int64)
-    deltas = np.empty(n)
-    rewards_all = np.empty(n)
-    naive_state = naive.init_state()
-    cand_state = None
-    phase = PhaseState(phase1=True, tau_hat=None, delta=delta)
+    truth = env.means
+    truth_unique = int((truth == truth.max()).sum()) == 1
+    switched = {}  # rep -> (counts, means, theta_hat) at its switch
 
-    for j in range(1, M + 1):
-        lo, hi = (j - 1) * b, j * b
-        if not phase.phase1:
-            acts = candidate.act_batch(cand_state, b, rng)
-            rews = env.sample_rewards(acts, rng)
-            cand_state = candidate.update_arrays(cand_state, acts, rews)
+    def gate(t, counts, sums, rows):
+        switch = np.zeros(rows.size, dtype=bool)
+        ready = counts.min(axis=1) >= 1
+        if t < 2 or not ready.any():
+            return switch
+        counts, means = counts[ready], sums[ready] / counts[ready]
+        if bound_from == "oracle":
+            oracle_stays = not truth_unique or bool(_stays(truth, t, k, delta))
+            passed = np.full(len(counts), not oracle_stays)
         else:
-            acts = naive.act_batch(naive_state, b, rng)
-            rews = env.sample_rewards(acts, rng)
-            naive_state = naive.update_arrays(naive_state, acts, rews)
-        actions[lo:hi] = acts
-        deltas[lo:hi] = gap_vec[acts]
-        rewards_all[lo:hi] = rews
+            passed = ~check_phase(counts, means, t, k, delta)
+        if passed.any():
+            switch[ready] = passed
+            counts, means = counts[passed], means[passed]
+            if bound_from == "oracle":
+                thetas = np.broadcast_to(truth, counts.shape)
+            else:
+                thetas = pessimistic_instance(counts, means, t)
+            for r, c, m, th in zip(rows[switch], counts, means, thetas):
+                switched[int(r)] = (c.copy(), m.copy(), th.copy())
+        return switch
 
-        if phase.phase1:
-            t = hi
-            counts = np.bincount(actions[:t], minlength=k)
-            if t >= 2 and counts.min() >= 1:
-                sums = np.bincount(actions[:t], weights=rewards_all[:t], minlength=k)
-                means = sums / counts
-                if bound_from == "oracle":
-                    staying = _oracle_check(env.means, t, k, delta)
-                    theta_used = env.means.copy()
-                else:
-                    staying = check_phase(counts, means, t, k, delta)
-                    theta_used = pessimistic_instance(counts, means, t)
-                if not staying:
-                    phase.phase1 = False
-                    phase.tau_hat = t
-                    phase.counts = counts.copy()
-                    phase.means = means.copy()
-                    phase.theta_hat = theta_used
-                    cand_state = candidate.update_arrays(
-                        candidate.init_state(), actions[:t], rewards_all[:t]
-                    )
-
-    label = policy_label or f"approx_delayed_start({candidate.name})"
-    return _finish_record(
-        "batch" if b > 1 else "online", label, env_label, grid, seed,
-        actions, deltas, phase, env.k,
-    )
-
-
-def _oracle_check(theta, t, k, delta) -> bool:
-    """Certification with the true means standing in for the estimate."""
-    try:
-        bound = MonotoneBound(np.asarray(theta, dtype=float))
-    except ValueError:
-        return True
-    if bound.aggregate(t) <= 1.0 / k:
-        return True
-    if 2.0 * k / (t * t) >= delta:
-        return True
-    return False
+    run = run_lockstep(candidate, env, grid, seeds, naive=naive, gate=gate,
+                       env_label=env_label)
+    run.phases = [
+        PhaseState(phase1=True, tau_hat=None, delta=delta)
+        if tau < 0 else
+        PhaseState(False, tau, delta, *switched[r])
+        for r, tau in enumerate(run.tau.tolist())
+    ]
+    run.policy = policy_label or f"approx_delayed_start({candidate.name})"
+    return run.record(0) if single else run

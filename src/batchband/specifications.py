@@ -12,6 +12,13 @@ differ only in what feedback the policy sees and when:
 
 Decisions inside a batch are made from the frozen pre-batch state, so the
 played rule is constant within a batch for every policy in this package.
+
+``run_lockstep`` is the one run loop.  It advances all reps of a
+configuration together, batch by batch, with per-rep state held as arrays,
+while every rep consumes its own generator exactly as a lone run would.
+``run_online``, ``run_batch`` and ``run_short`` call it with one seed or
+many; the delayed-start runners in ``meta`` add a naive first phase and a
+per-rep hand-over gate.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BatchGrid, History, HistoryEntry, make_grid
-from .environments import BernoulliEnv, LinearContextualEnv
+from .environments import LinearContextualEnv
+from .policies import rep_bincount
 
 OPT_TOL = 1e-12
 
@@ -58,104 +66,252 @@ class RunRecord:
         return int(self.optimal_hits[-1])
 
 
+@dataclass(eq=False)
+class RunSet:
+    """Lockstep runs of one configuration, one row per seed.
+
+    The array fields of ``RunRecord`` with a leading rep axis: ``actions``,
+    ``pseudo_regret`` and ``optimal_hits`` are ``(R, n)``, ``pull_counts``
+    is ``(R, k)``.  ``rewards`` holds every realised reward and, for a
+    contextual run, ``features`` every chosen feature vector.  ``tau`` is
+    the step at which each rep left phase 1 of a two-phase run (-1 when it
+    never did); ``phases`` is filled by the delayed-start runners.
+    """
+
+    spec: str
+    policy: str
+    env: str
+    n: int
+    b: int
+    seeds: list
+    actions: np.ndarray
+    rewards: np.ndarray
+    pseudo_regret: np.ndarray
+    optimal_hits: np.ndarray
+    pull_counts: np.ndarray
+    tau: np.ndarray
+    features: np.ndarray | None = None
+    phases: list | None = None
+
+    @property
+    def final_regret(self) -> np.ndarray:
+        return self.pseudo_regret[:, -1].copy()
+
+    @property
+    def optimal_pulls(self) -> np.ndarray:
+        return self.optimal_hits[:, -1].copy()
+
+    def record(self, i: int) -> RunRecord:
+        """Rep ``i`` as a single-run record."""
+        return RunRecord(
+            spec=self.spec, policy=self.policy, env=self.env, n=self.n, b=self.b,
+            seed=self.seeds[i], actions=self.actions[i],
+            pseudo_regret=self.pseudo_regret[i], optimal_hits=self.optimal_hits[i],
+            pull_counts=self.pull_counts[i],
+            phase=None if self.phases is None else self.phases[i],
+        )
+
+
+def seed_list(seed) -> tuple[list, bool]:
+    """(seeds, single): a lone integer seed, or a sequence of per-rep seeds."""
+    if isinstance(seed, (int, np.integer)):
+        return [int(seed)], True
+    return [int(s) for s in seed], False
+
+
 def _spec_tag(visibility: str, b: int) -> str:
     if visibility == "short":
         return "short"
     return "online" if b == 1 else "batch"
 
 
-def _run(
+def run_lockstep(
     policy,
     env,
     grid: BatchGrid,
-    seed: int,
-    visibility: str,
+    seeds,
+    visibility: str = "batch",
     policy_label: str | None = None,
     env_label: str = "custom",
-    collect_history: bool = False,
-) -> RunRecord:
+    naive=None,
+    gate=None,
+) -> RunSet:
+    """Run one rep per seed, all reps advancing batch by batch together.
+
+    Rep ``i`` owns ``default_rng(seeds[i])`` and consumes it exactly as a
+    lone run would: per batch the policy's draws (contexts first, for a
+    contextual environment), then one uniform per step for the rewards.
+    A policy that draws nothing (``draws`` false) leaves only the uniforms,
+    so they are drawn up front as one ``random(n)`` call per rep, the same
+    stream.  Output therefore never depends on which reps share a call.
+
+    With ``naive`` every rep starts in phase 1, where ``naive`` plays.  At
+    each boundary ``t`` (0, b, ..., n) ``gate(t, counts, sums, rows)`` gets
+    the pull counts and reward sums of the phase-1 reps ``rows`` and
+    returns which of them hand over to ``policy``; that happens to a rep
+    at most once.  ``policy`` first plays a rep's next batch with the
+    rep's whole history absorbed.  Two-phase runs use batch feedback.
+    """
     if visibility not in ("batch", "short"):
         raise ValueError(f"unknown visibility {visibility!r}")
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    reps = len(rngs)
     n, b, M = grid.n, grid.b, grid.M
+    k = env.k
     contextual = isinstance(env, LinearContextualEnv)
-    actions = np.empty(n, dtype=np.int64)
-    deltas = np.empty(n)
-    opt = np.empty(n, dtype=bool)
-    history = History() if collect_history else None
-    state = policy.init_state()
-    if not contextual:
-        gap_vec = env.gap_vector()
+    actions = np.empty((reps, n), dtype=np.int64)
+    rewards = np.empty((reps, n))
+    if contextual:
+        deltas = np.empty((reps, n))
+        opt = np.empty((reps, n), dtype=bool)
+        chosen = np.empty((reps, n, env.dim))
+    else:
+        uniforms = np.empty((reps, n))
+    all_rows = np.arange(reps)
+    phase1 = np.full(reps, naive is not None)
+    n_phase1 = reps if naive is not None else 0
+    tau = np.full(reps, -1)
+    naive_state = naive.init_reps(reps) if naive is not None else None
+    state = policy.init_reps(reps) if naive is None else None
+    counts = np.zeros((reps, k), dtype=np.int64)
+    sums = np.zeros((reps, k))
+    # reps whose reward uniforms are drawn batch by batch
+    live = list(range(reps))
+    if naive is None and not contextual and not policy.draws:
+        for r in live:
+            rngs[r].random(out=uniforms[r])
+        live = []
 
-    for j in range(M):
-        lo = j * b
-        hi = lo + b
+    for j in range(M + 1):
+        lo, hi = j * b, (j + 1) * b
+        if gate is not None and n_phase1:
+            rows = np.flatnonzero(phase1)
+            switch = rows[gate(lo, counts[rows], sums[rows], rows)]
+            if switch.size:
+                if state is None:
+                    state = policy.init_reps(reps)
+                    if lo:
+                        state = policy.update_reps(state, actions[:, :lo], rewards[:, :lo])
+                phase1[switch] = False
+                n_phase1 -= switch.size
+                tau[switch] = lo
+                if not policy.draws:
+                    for r in switch:
+                        rngs[r].random(out=uniforms[r, lo:])
+                    live = [r for r in live if phase1[r]]
+        if j == M:
+            break
+
         if contextual:
-            ctx = env.sample_contexts(rng, b)
-            feats = env.features_batch(ctx)
-            acts = policy.act_batch(state, b, rng, feature_sets=feats)
-            rows = np.arange(b)
-            chosen = feats[rows, acts]
-            rews = env.sample_rewards(chosen, rng)
-            mm = env.mean_matrix(ctx)
-            best = mm.max(axis=1)
-            step_means = mm[rows, acts]
-            deltas[lo:hi] = best - step_means
-            opt[lo:hi] = step_means >= best - OPT_TOL
-            feed_actions = chosen
+            for r in all_rows:
+                g = rngs[r]
+                ctx = env.sample_contexts(g, b)
+                feats = env.features_batch(ctx)
+                acts = policy.act_batch(state[r], b, g, feature_sets=feats)
+                steps = np.arange(b)
+                chosen[r, lo:hi] = feats[steps, acts]
+                rewards[r, lo:hi] = env.sample_rewards(chosen[r, lo:hi], g)
+                mm = env.mean_matrix(ctx)
+                best = mm.max(axis=1)
+                step_means = mm[steps, acts]
+                deltas[r, lo:hi] = best - step_means
+                opt[r, lo:hi] = step_means >= best - OPT_TOL
+                actions[r, lo:hi] = acts
+            acts, rews = chosen[:, lo:hi], rewards[:, lo:hi]
         else:
-            acts = policy.act_batch(state, b, rng)
-            rews = env.sample_rewards(acts, rng)
-            deltas[lo:hi] = gap_vec[acts]
-            feed_actions = acts
-        actions[lo:hi] = acts
+            if not n_phase1:
+                acts = policy.act_reps(state, b, rngs, all_rows)
+            else:
+                acts = np.empty((reps, b), dtype=np.int64)
+                rows = np.flatnonzero(phase1)
+                acts[rows] = naive.act_reps(naive_state, b, rngs, rows)
+                if n_phase1 < reps:
+                    rows = np.flatnonzero(~phase1)
+                    acts[rows] = policy.act_reps(state, b, rngs, rows)
+            for r in live:
+                rngs[r].random(out=uniforms[r, lo:hi])
+            rews = (uniforms[:, lo:hi] < env.means[acts]).astype(float)
+            actions[:, lo:hi] = acts
+            rewards[:, lo:hi] = rews
 
         if visibility == "short":
-            feed_actions = feed_actions[:1]
-            feed_rewards = rews[:1]
-        else:
-            feed_rewards = rews
-        if history is not None:
-            if visibility == "short":
-                entry_action = chosen[0] if contextual else int(acts[0])
-                history.append(HistoryEntry(lo + 1, entry_action, float(rews[0])))
-            else:
-                for i in range(b):
-                    entry_action = chosen[i] if contextual else int(acts[i])
-                    history.append(
-                        HistoryEntry(lo + 1 + i, entry_action, float(rews[i]))
-                    )
-            history.release_all()
-        state = policy.update_arrays(state, feed_actions, feed_rewards)
+            acts, rews = acts[:, :1], rews[:, :1]
+        if n_phase1:
+            naive_state = naive.update_reps(naive_state, acts, rews)
+            counts += rep_bincount(acts, k)
+            sums += rep_bincount(acts, k, rews)
+        if state is not None:
+            state = policy.update_reps(state, acts, rews)
 
     if not contextual:
+        deltas = env.gap_vector()[actions]
         opt = deltas == 0.0
-    return RunRecord(
+    return RunSet(
         spec=_spec_tag(visibility, b),
         policy=policy_label if policy_label is not None else policy.name,
         env=env_label,
         n=n,
         b=b,
-        seed=seed,
+        seeds=list(seeds),
         actions=actions,
-        pseudo_regret=np.cumsum(deltas),
-        optimal_hits=np.cumsum(opt),
-        pull_counts=np.bincount(actions, minlength=env.k),
-        history=history,
+        rewards=rewards,
+        pseudo_regret=np.cumsum(deltas, axis=1),
+        optimal_hits=np.cumsum(opt, axis=1),
+        pull_counts=rep_bincount(actions, k),
+        tau=tau,
+        features=chosen if contextual else None,
     )
 
 
-def run_online(policy, env, n: int, seed: int, **kwargs) -> RunRecord:
-    """Run with every step's feedback visible immediately (batch size 1)."""
+def _history(run: RunSet, visibility: str) -> History:
+    """The feedback a lone run released: every step, or each batch's first."""
+    history = History()
+    step = run.b if visibility == "short" else 1
+    for t in range(0, run.n, step):
+        action = int(run.actions[0, t]) if run.features is None else run.features[0, t]
+        history.append(HistoryEntry(t + 1, action, float(run.rewards[0, t])))
+    history.release_all()
+    return history
+
+
+def _run(
+    policy,
+    env,
+    grid: BatchGrid,
+    seed,
+    visibility: str,
+    policy_label: str | None = None,
+    env_label: str = "custom",
+    collect_history: bool = False,
+):
+    seeds, single = seed_list(seed)
+    if collect_history and not single:
+        raise ValueError("collect_history needs a single seed")
+    run = run_lockstep(policy, env, grid, seeds, visibility, policy_label, env_label)
+    if not single:
+        return run
+    rec = run.record(0)
+    if collect_history:
+        rec.history = _history(run, visibility)
+    return rec
+
+
+def run_online(policy, env, n: int, seed, **kwargs):
+    """Run with every step's feedback visible immediately (batch size 1).
+
+    ``seed`` is one integer, for a ``RunRecord``, or a sequence of per-rep
+    seeds, run in lockstep into a ``RunSet``; the same holds for
+    ``run_batch`` and ``run_short``.
+    """
     return _run(policy, env, make_grid(n, 1), seed, "batch", **kwargs)
 
 
-def run_batch(policy, env, grid: BatchGrid, seed: int, **kwargs) -> RunRecord:
+def run_batch(policy, env, grid: BatchGrid, seed, **kwargs):
     """Run with feedback released once per batch boundary."""
     return _run(policy, env, grid, seed, "batch", **kwargs)
 
 
-def run_short(policy, env, grid: BatchGrid, seed: int, **kwargs) -> RunRecord:
+def run_short(policy, env, grid: BatchGrid, seed, **kwargs):
     """Run releasing only the first entry of each batch."""
     return _run(policy, env, grid, seed, "short", **kwargs)
 

@@ -158,6 +158,13 @@ def test_negation_b1_boundary_excluded():
     assert rep.verdict == "boundary" and not rep.holds
 
 
+def test_negation_rejects_single_rep():
+    env = preset("env1")
+    for b in (1, 5):
+        with pytest.raises(ValueError, match="reps"):
+            check_negated_sublinearity(UcbPolicy(2), env, make_grid(50, b), reps=1)
+
+
 def test_negation_learning_policy_fails_to_negate():
     env = preset("env3")
     rep = check_negated_sublinearity(

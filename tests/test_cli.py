@@ -111,6 +111,18 @@ class TestCheckBounds:
         assert lines[0].startswith("inequality,")
         assert len(lines) == 3
 
+    def test_single_rep_exits_2(self, tmp_path):
+        # one rep has no standard error, so no verdict can be gated on it
+        rc = main(["check-bounds", "--n", "100", "--b", "5", "--reps", "1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_non_finite_env_exits_2(self, tmp_path):
+        rc = main(["check-bounds", "--env", "nan,0.5", "--n", "100", "--b", "5",
+                   "--reps", "4", "--out-dir", str(tmp_path)])
+        assert rc == 2
+
     def test_batch_one_exits_2(self, tmp_path):
         assert main(["check-bounds", "--b", "1", "--out-dir", str(tmp_path)]) == 2
 
@@ -132,6 +144,11 @@ class TestCheckAssumptions:
         assert lines[0] == "check,subject,verdict,statistic,ci_low,ci_high"
         checks = {line.split(",")[0] for line in lines[1:]}
         assert {"sublinearity", "informativeness", "monotone-envelope"} <= checks
+
+    def test_single_rep_exits_2_before_any_check(self, tmp_path):
+        rc = main(["check-assumptions", "--reps", "1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "assumptions.csv").exists()
 
     def test_linear_regret_policy_exits_1(self, tmp_path):
         rc = main(["check-assumptions", "--policy", "two_phase", "--env", "env2",
@@ -167,6 +184,12 @@ class TestReplay:
         rc = main(["replay", "--data", str(path), "--policy", "linucb",
                    "--b", "4", "--out-dir", str(tmp_path)])
         assert rc == 0
+
+    def test_non_finite_reward_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("action,reward,logging_prob\n0,1.0,0.5\n1,nan,0.5\n")
+        assert main(["replay", "--data", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_missing_data_exits_2(self, tmp_path):
         assert main(["replay", "--data", str(tmp_path / "no.csv")]) == 2

@@ -62,6 +62,12 @@ def test_bernoulli_validation():
         BernoulliEnv(np.array([0.5]))
 
 
+@pytest.mark.parametrize("spec", ["nan,0.5", "0.7,nan", "inf,0.5", "0.5,-inf"])
+def test_non_finite_means_rejected(spec):
+    with pytest.raises(ValueError, match="must lie in"):
+        parse_env(spec)
+
+
 def test_bernoulli_sample_mean_matches():
     env = preset("env1")
     rng = np.random.default_rng(42)
@@ -139,6 +145,10 @@ def test_logged_record_validation():
         LoggedRecord(np.zeros(0), 0, 1.0, 0.0)
     with pytest.raises(DataError):
         LoggedRecord(np.zeros(0), 0, 1.0, 1.5)
+    with pytest.raises(DataError):
+        LoggedRecord(np.zeros(0), 0, float("nan"), 0.5)
+    with pytest.raises(DataError):
+        LoggedRecord(np.array([0.1, np.inf]), 0, 1.0, 0.5)
 
 
 def test_logged_csv_roundtrip_no_context(tmp_path):
@@ -176,4 +186,22 @@ def test_read_logged_csv_reports_line_numbers(tmp_path):
         read_logged_csv(path)
     path.write_text("wrong,header\n")
     with pytest.raises(DataError, match="header"):
+        read_logged_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "action,reward,logging_prob\n0,1.0,0.5\n1,nan,0.5\n",
+        "action,reward,logging_prob\n0,1.0,0.5\n1,inf,0.5\n",
+        "action,reward,logging_prob\n0,1.0,0.5\n1,-inf,0.5\n",
+        "action,reward,logging_prob\n0,1.0,0.5\n1,1.0,nan\n",
+        "context_0,action,reward,logging_prob\n0.5,0,1.0,0.5\nnan,1,1.0,0.5\n",
+        "context_0,action,reward,logging_prob\n0.5,0,1.0,0.5\ninf,1,1.0,0.5\n",
+    ],
+)
+def test_read_logged_csv_rejects_non_finite_values(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match="line 3"):
         read_logged_csv(path)

@@ -266,6 +266,10 @@ class TestCheckTheoremBounds:
         for iq in report.inequalities:
             assert iq.verdict in ("holds", "inconclusive", "boundary")
 
+    def test_single_rep_rejected(self):
+        with pytest.raises(ConfigError, match="reps"):
+            check_theorem_bounds("ucb", "env1", n=100, b=5, reps=1)
+
     def test_threads_do_not_change_estimates(self):
         r1 = check_theorem_bounds("ucb", "env2", n=60, b=6, reps=8,
                                   master_seed=3, threads=1)

@@ -153,6 +153,21 @@ def test_check_phase_overlapping_intervals_stay():
     assert check_phase([10, 10], [0.55, 0.45], 100, 2, 0.01) is True
 
 
+def test_check_phase_rows_match_single_checks():
+    rng = np.random.default_rng(0)
+    counts = rng.integers(1, 400, size=(300, 3))
+    means = rng.random((300, 3))
+    for t in (50, 1600):
+        rows = check_phase(counts, means, t, 3, 0.01)
+        singles = [check_phase(c, m, t, 3, 0.01) for c, m in zip(counts, means)]
+        assert rows.tolist() == singles
+        assert np.array_equal(
+            pessimistic_instance(counts, means, t),
+            np.stack([pessimistic_instance(c, m, t) for c, m in zip(counts, means)]),
+        )
+    assert 0 < (~rows).sum() < rows.size
+
+
 def test_check_phase_errors():
     with pytest.raises(InsufficientDataError):
         check_phase([5, 0], [0.5, 0.5], 100, 2, 0.01)
