@@ -10,9 +10,19 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from batchband.cli import main
+from batchband.core import make_grid
+from batchband.environments import (
+    make_linear_env,
+    preset,
+    synth_logged_dataset,
+    write_logged_csv,
+)
+from batchband.policies import LinTsPolicy, LinUcbPolicy
+from batchband.specifications import run_batch
 
 SIM = ["--threads", "1"]
 DELAYED = ["--policy", "ucb", "--env", "env1,env3", "--n", "600", "--b", "1,10",
@@ -51,10 +61,13 @@ for _policy, _digest in BOUNDS.items():
             0,
             {"bounds.csv": _digest},
         )
-# regret curves, the envelope check (ucb only) and the b-fold reversal
+# regret curves, rule traces, the informativeness probe, the envelope check
+# (ucb only) and the b-fold reversal
 ASSUMPTIONS = {
     "ucb": (0, "82273a0baba2f043f1b717b9cc37e147c31a1d47f4d0a43fe7081d10a5150829"),
     "ts": (1, "e65e4ff92d83db3057239d009ed10a2c9b6c9e08d1dea52dfd6911987ff9b1a5"),
+    "uniform": (0, "10bcc6d74eba712ef92289a038724c651de3f6d8608b00a58f2e08cd966b3906"),
+    "two_phase": (1, "2e4a900224a55cb0ba7f2d0198b3233c5371653d03735faca991bb09455d17f5"),
 }
 for _policy, (_code, _digest) in ASSUMPTIONS.items():
     CASES[f"assumptions-{_policy}"] = (
@@ -72,3 +85,56 @@ def test_cli_output_bytes_are_pinned(name, tmp_path):
         assert main(argv + ["--out-dir", str(tmp_path)]) == code
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
     assert got == digests
+
+
+# logged data synthesised in the test: (log, replay policies, batch sizes, digest)
+REPLAY = {
+    "env1": ("env1", "ucb,ts,uniform", "1,3,50",
+             "e88fb00771ed3726a5fb70714a69db01d1ed3a199b66bf98a5091674fbcb94de"),
+    "linear": ("linear", "linucb,lints", "1,50",
+               "eb5d546c4b31985b3b62709f2a388f654fa837c91a23c01a6ee34b48a2c71a22"),
+}
+
+
+def _write_log(kind, path):
+    if kind == "env1":
+        env, rows = preset("env1"), 3000
+    else:
+        env, rows = make_linear_env(4, 5, seed=2), 1200
+    write_logged_csv(synth_logged_dataset(env, rows, seed=19), path)
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY))
+def test_replay_output_bytes_are_pinned(name, tmp_path):
+    kind, policies, batches, digest = REPLAY[name]
+    log = tmp_path / "log.csv"
+    _write_log(kind, log)
+    argv = ["replay", "--data", str(log), "--policy", policies, "--b", batches,
+            "--seed", "6", "--out-dir", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "replay.csv").read_bytes()).hexdigest() == digest
+
+
+# lone contextual runs of the library API, online and batched, several seeds
+LINEAR_RUNS = {
+    "linucb": (LinUcbPolicy, "f74be1498d1ce64c2c507287abbd19fbe08a79396bad28fd881aec63c0721b22"),
+    "lints": (LinTsPolicy, "1c79c1698d345efcb8ee68749a00c059cea27b7f4f9476cd7ebd2e55629f5a7f"),
+}
+
+
+def linear_runs_digest(policy_cls):
+    env = make_linear_env(3, 2, seed=7)
+    h = hashlib.sha256()
+    for b in (1, 5):
+        for seed in range(4):
+            rec = run_batch(policy_cls(3, 2), env, make_grid(40, b), seed)
+            for arr in (rec.actions, rec.pseudo_regret, rec.optimal_hits):
+                h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_RUNS))
+def test_contextual_library_runs_are_pinned(name):
+    policy_cls, digest = LINEAR_RUNS[name]
+    assert linear_runs_digest(policy_cls) == digest
