@@ -66,7 +66,7 @@ def main() -> None:
 
     rev = check_negated_sublinearity(ucb, env, make_grid(N, 8), reps=40, master_seed=12)
     print(f"b-fold reversal probe (is R_n > b * R_M?): {rev.verdict}")
-    print(f"  ('fails' is the healthy outcome: d = {rev.d:+.1f}, no reversal)\n")
+    print(f"  ('violated' is the healthy outcome: d = {rev.d:+.1f}, no reversal)\n")
 
     print("-- two-phase switcher (good arm until t=40, then bad arm) --")
     two_phase = TwoPhaseSwitchPolicy(env.k, good_arm=0, bad_arm=1, switch_t=40)

@@ -11,7 +11,10 @@ follow one scheme:
 * ``inconclusive``: the noise swamped the comparison.
 
 Monte-Carlo checks derive per-rep seeds with ``derive_seed`` so results are
-reproducible and extendable.
+reproducible and extendable, run their reps in lockstep through the
+policies' rep-batched protocol, and share one reduction (``_mean_se``,
+``_curve_stats``) and one two-standard-error verdict (``_verdict``) with
+the harness.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from .core import PROB_TOL, DecisionRule, derive_seed, rule_value
 from .environments import BernoulliEnv
+from .policies import UniformPolicy
 from .specifications import run_online
 
 Z_ONE_SIDED_95 = 1.645
@@ -29,6 +33,41 @@ Z_ONE_SIDED_95 = 1.645
 
 class UnsupportedPolicyError(TypeError):
     """Raised when a check has no registered bound for the given policy."""
+
+
+def _mean_se(samples, axis=0):
+    """Mean and standard error ``std(ddof=1) / sqrt(R)`` over the rep axis;
+    the error is zero for a single rep."""
+    reps = samples.shape[axis]
+    mean = samples.mean(axis=axis)
+    if reps < 2:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=axis, ddof=1) / np.sqrt(reps)
+
+
+def _curve_stats(trajectories):
+    """Pointwise mean and stderr of (reps, n) trajectories.
+
+    Rows are added in rep order, the arithmetic of a running sum over reps.
+    """
+    reps = trajectories.shape[0]
+    mean = trajectories.sum(axis=0) / reps
+    if reps > 1:
+        sq = (trajectories**2).sum(axis=0)
+        var = np.clip(sq / reps - mean**2, 0.0, None) * reps / (reps - 1)
+        return mean, np.sqrt(var / reps)
+    return mean, np.zeros_like(mean)
+
+
+def _verdict(diff: float, se: float) -> str:
+    """Two-standard-error verdict on ``diff > 0``; with no noise, the sign."""
+    if se == 0.0:
+        return "holds" if diff > 0 else ("boundary" if diff == 0.0 else "violated")
+    if diff > 2 * se:
+        return "holds"
+    if diff < -2 * se:
+        return "violated"
+    return "inconclusive"
 
 
 @dataclass(eq=False)
@@ -55,13 +94,7 @@ class RegretCurve:
         arr = np.asarray(per_run_regret, dtype=float)
         if arr.ndim != 2:
             raise ValueError("need a (reps, n) matrix")
-        reps = arr.shape[0]
-        mean = arr.mean(axis=0)
-        if reps > 1:
-            se = arr.std(axis=0, ddof=1) / np.sqrt(reps)
-        else:
-            se = np.zeros_like(mean)
-        return RegretCurve(mean, se, reps)
+        return RegretCurve(*_mean_se(arr), arr.shape[0])
 
 
 @dataclass(eq=False)
@@ -134,6 +167,18 @@ def check_lemma31(rules, instance) -> Lemma31Report:
     )
 
 
+def _rep_rules(policy, states, rngs):
+    """Each rep's realised rule for its next step, shape ``(R, k)``: a point
+    mass on the arm ``act_reps`` plays, or the flat rule of uniform play."""
+    reps, k = len(rngs), policy.k
+    if isinstance(policy, UniformPolicy):
+        return np.full((reps, k), 1.0 / k)
+    rows = np.arange(reps)
+    probs = np.zeros((reps, k))
+    probs[rows, policy.act_reps(states, 1, rngs, rows)[:, 0]] = 1.0
+    return probs
+
+
 def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
     """Per-step decision rules of an online run, averaged over repetitions.
 
@@ -149,18 +194,17 @@ def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
     k = env.k
+    rngs = [
+        np.random.default_rng(derive_seed(master_seed, "trace", i)) for i in range(reps)
+    ]
+    states = policy.init_reps(reps)
     probs_sum = np.zeros((n, k))
-    for i in range(reps):
-        rng = np.random.default_rng(derive_seed(master_seed, "trace", i))
-        state = policy.init_state()
-        for t in range(1, n + 1):
-            rule = policy.decide(state, t, rng)
-            probs_sum[t - 1] += rule.probs
-            action = int(rng.choice(k, p=rule.probs))
-            reward = env.sample_rewards(np.array([action]), rng)[0]
-            state = policy.update_arrays(
-                state, np.array([action]), np.array([reward])
-            )
+    for t in range(n):
+        probs = _rep_rules(policy, states, rngs)
+        probs_sum[t] = probs.sum(axis=0)
+        actions = np.array([[g.choice(k, p=p)] for g, p in zip(rngs, probs)])
+        rewards = np.array([env.sample_rewards(a, g) for g, a in zip(rngs, actions)])
+        states = policy.update_reps(states, actions, rewards)
     return [DecisionRule(probs_sum[t] / reps) for t in range(n)]
 
 
@@ -195,26 +239,16 @@ def check_negated_sublinearity(
             holds=False, verdict="boundary", d=0.0, stderr=0.0,
             mean_n=float("nan"), mean_m=float("nan"), b=1,
         )
-    finals_n = run_online(
+    mean_n, se_n = _mean_se(run_online(
         policy, env, grid.n, [derive_seed(master_seed, "neg_n", i) for i in range(reps)]
-    ).final_regret
-    finals_m = run_online(
+    ).final_regret)
+    mean_m, se_m = _mean_se(run_online(
         policy, env, grid.M, [derive_seed(master_seed, "neg_m", i) for i in range(reps)]
-    ).final_regret
-    mean_n = float(finals_n.mean())
-    mean_m = float(finals_m.mean())
-    se_n = finals_n.std(ddof=1) / np.sqrt(reps)
-    se_m = finals_m.std(ddof=1) / np.sqrt(reps)
+    ).final_regret)
+    mean_n, mean_m = float(mean_n), float(mean_m)
     d = mean_n - grid.b * mean_m
     se = float(np.hypot(se_n, grid.b * se_m))
-    if se == 0.0:
-        verdict = "holds" if d > 0 else ("boundary" if d == 0.0 else "fails")
-    elif d > 2 * se:
-        verdict = "holds"
-    elif d < -2 * se:
-        verdict = "fails"
-    else:
-        verdict = "inconclusive"
+    verdict = _verdict(d, se)
     return NegationReport(
         holds=verdict == "holds", verdict=verdict, d=float(d), stderr=se,
         mean_n=mean_n, mean_m=mean_m, b=grid.b,
@@ -258,7 +292,6 @@ def probe_informativeness(
     k_prime = int(round(0.2 * t)) if k_prime is None else int(k_prime)
     if not 0 <= k_prime <= k <= t:
         raise ValueError("need 0 <= k_prime <= k <= t")
-    inst = env.instance()
     opt = env.optimal_arm
     others = [a for a in range(env.k) if a != opt]
 
@@ -268,22 +301,19 @@ def probe_informativeness(
         acts[n_opt:] = fill
         return acts
 
-    acts_hi = actions_with(k)
-    acts_lo = actions_with(k_prime)
-    diffs = np.empty(reps)
-    for i in range(reps):
-        rng = np.random.default_rng(derive_seed(master_seed, "informativeness", i))
-        st_hi = policy.update_arrays(
-            policy.init_state(), acts_hi, env.sample_rewards(acts_hi, rng)
-        )
-        st_lo = policy.update_arrays(
-            policy.init_state(), acts_lo, env.sample_rewards(acts_lo, rng)
-        )
-        v_hi = rule_value(policy.decide(st_hi, t + 1, rng), inst)
-        v_lo = rule_value(policy.decide(st_lo, t + 1, rng), inst)
-        diffs[i] = v_hi - v_lo
-    mean = float(diffs.mean())
-    se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+    rngs = [
+        np.random.default_rng(derive_seed(master_seed, "informativeness", i))
+        for i in range(reps)
+    ]
+    states = []
+    for acts in (actions_with(k), actions_with(k_prime)):
+        acts = np.broadcast_to(acts, (reps, t))
+        states.append(policy.update_reps(
+            policy.init_reps(reps), acts,
+            np.array([env.sample_rewards(a, g) for g, a in zip(rngs, acts)]),
+        ))
+    v_hi, v_lo = (_rep_rules(policy, st, rngs) @ env.means for st in states)
+    mean, se = (float(x) for x in _mean_se(v_hi - v_lo))
     lo, hi = mean - 2 * se, mean + 2 * se
     verdict = "violated" if hi < 0 else "consistent"
     return InformativenessReport(mean, se, lo, hi, verdict, k, k_prime)
@@ -335,15 +365,12 @@ def check_monotone_envelope(
     ts = np.arange(1, t_max + 1, dtype=float)
     seeds = [derive_seed(master_seed, "envelope", i) for i in range(reps)]
     actions = run_online(policy, env, t_max, seeds).actions
-    frac_sum = np.empty((t_max, env.k))
-    frac_sq = np.empty((t_max, env.k))
+    mean = np.empty((t_max, env.k))
+    lower = np.empty((t_max, env.k))
     for a in range(env.k):
         frac = np.cumsum(actions == a, axis=1) / ts  # (reps, t_max)
-        frac_sum[:, a] = frac.sum(axis=0)
-        frac_sq[:, a] = (frac * frac).sum(axis=0)
-    mean = frac_sum / reps
-    var = np.clip(frac_sq / reps - mean**2, 0.0, None) * reps / (reps - 1)
-    lower = mean - Z_ONE_SIDED_95 * np.sqrt(var / reps)
+        mean[:, a], se = _curve_stats(frac)
+        lower[:, a] = mean[:, a] - Z_ONE_SIDED_95 * se
     evaluated_from = env.k + 1
     violations = []
     sub = np.nonzero(env.gap_vector() > 0)[0]

@@ -43,7 +43,7 @@ from .assumptions import (
     probe_informativeness,
 )
 from .core import derive_seed, make_grid
-from .environments import PRESETS, DataError, gaps, parse_env, read_logged_csv
+from .environments import PRESETS, DataError, parse_env, read_logged_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -62,11 +62,23 @@ BOUNDS_CSV_HEADER = [
 ]
 
 
-def _strs(s: str):
-    out = tuple(x.strip() for x in s.split(",") if x.strip())
+def _strs(s: str, sep: str = ","):
+    out = tuple(x.strip() for x in s.split(sep) if x.strip())
     if not out:
         raise ConfigError(f"empty list value {s!r}")
     return out
+
+
+def _envs(s: str):
+    """Environment list: ';' separates envs, each a preset or inline means.
+
+    Without a ';', a comma list made only of presets is a preset list and
+    anything else is one inline mean vector.
+    """
+    if ";" in s:
+        return _strs(s, ";")
+    names = _strs(s)
+    return names if all(x in PRESETS for x in names) else (s.strip(),)
 
 
 def _ints(s: str):
@@ -124,7 +136,9 @@ class Field:
 
 
 SIMULATE_FIELDS = [
-    Field("env", _strs, ("env1",), "comma-separated presets or inline means"),
+    Field("env", _envs, ("env1",),
+          "presets separated by ',' (env1,env6), or envs separated by ';', "
+          "each a preset or inline means (0.7,0.5;env3)"),
     Field("policy", _strs, ("ucb",), f"comma-separated policies from {', '.join(POLICY_NAMES)}"),
     Field("n", _int, 2000, "horizon before grid truncation"),
     Field("b", _ints, (1, 2, 4, 8, 16, 32, 64), "comma-separated batch sizes"),
@@ -211,7 +225,8 @@ def _resolve(args, fields, section: str) -> dict:
     for f in fields:
         val = resolved[f.name]
         if isinstance(val, tuple):
-            val = ",".join(str(v) for v in val)
+            items = [str(v) for v in val]
+            val = (";" if any("," in v for v in items) else ",").join(items)
         print(f"# {f.name} = {val}")
     return resolved
 
@@ -444,7 +459,7 @@ def cmd_replay(args) -> int:
 def cmd_presets(args) -> int:
     for name, means in PRESETS.items():
         env = parse_env(name)
-        gap = gaps(env)
+        gap = env.gap_vector()
         means_s = ",".join(repr(float(m)) for m in means)
         gaps_s = ",".join(repr(float(g)) for g in gap)
         print(f"{name}: means=[{means_s}] gaps=[{gaps_s}] optimal_arm={env.optimal_arm}")

@@ -1,4 +1,4 @@
-"""Shared primitives: batch grids, decision rules, history bookkeeping.
+"""Shared primitives: seed derivation, batch grids, decision rules.
 
 Everything downstream (policies, runners, verifiers) speaks in terms of the
 types defined here.  A run over horizon ``n`` is partitioned into ``M``
@@ -9,7 +9,7 @@ feedback released at earlier batch boundaries.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,13 +94,6 @@ def make_grid(n_raw: int, b: int) -> BatchGrid:
     return BatchGrid(n=m * b, b=b, M=m)
 
 
-def batch_index(t: int, grid: BatchGrid) -> int:
-    """1-based index of the batch containing timestep ``t``."""
-    if not 1 <= t <= grid.n:
-        raise GridError(f"timestep {t} outside 1..{grid.n}")
-    return (t - 1) // grid.b + 1
-
-
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Mean-parameter vector of an environment (arm means or a weight vector)."""
@@ -163,62 +156,6 @@ class DecisionRule:
         return DecisionRule(np.full(k, 1.0 / k))
 
 
-@dataclass(frozen=True, slots=True)
-class HistoryEntry:
-    """One observed (timestep, action, reward) triple.
-
-    ``action`` is an arm index for finite-armed runs and the chosen feature
-    vector for linear-contextual runs.
-    """
-
-    t: int
-    action: object
-    reward: float
-
-
-class History:
-    """Feedback log with a visibility cursor.
-
-    ``entries`` holds everything the policy will ever be allowed to see, in
-    timestep order; ``visible_len`` marks how much has been released.  The
-    three feedback schedules differ only in when entries are appended and
-    when the cursor advances.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list[HistoryEntry] = []
-        self.visible_len: int = 0
-
-    @property
-    def total(self) -> int:
-        return len(self.entries)
-
-    def append(self, entry: HistoryEntry) -> None:
-        if self.entries and entry.t <= self.entries[-1].t:
-            raise ValueError(
-                f"entry timestep {entry.t} not after {self.entries[-1].t}"
-            )
-        self.entries.append(entry)
-
-    def extend(self, entries) -> None:
-        for e in entries:
-            self.append(e)
-
-    def release_all(self) -> None:
-        self.visible_len = len(self.entries)
-
-    def release_to(self, m: int) -> None:
-        if not self.visible_len <= m <= len(self.entries):
-            raise ValueError(
-                f"cannot move cursor to {m} (visible {self.visible_len}, "
-                f"total {len(self.entries)})"
-            )
-        self.visible_len = m
-
-    def visible(self) -> list[HistoryEntry]:
-        return self.entries[: self.visible_len]
-
-
 def rule_value(rule: DecisionRule, instance: Instance) -> float:
     """Expected one-step mean reward of ``rule`` under ``instance``.
 
@@ -231,32 +168,3 @@ def rule_value(rule: DecisionRule, instance: Instance) -> float:
             f"rule has {rule.k} arms, instance has {instance.dim}"
         )
     return float(rule.probs @ instance.theta)
-
-
-def compare_rules(a: DecisionRule, b: DecisionRule, instance: Instance) -> str:
-    """Order two rules by value under ``instance``.
-
-    Returns
-    -------
-    str
-        ``"better"`` if ``a`` is strictly more valuable than ``b``,
-        ``"worse"`` if strictly less, ``"equal"`` within ``PROB_TOL``.
-    """
-    va = rule_value(a, instance)
-    vb = rule_value(b, instance)
-    if abs(va - vb) <= PROB_TOL:
-        return "equal"
-    return "better" if va > vb else "worse"
-
-
-def average_rule(rules) -> DecisionRule:
-    """Pointwise average of a non-empty sequence of same-dimension rules."""
-    rules = list(rules)
-    if not rules:
-        raise ValueError("cannot average zero rules")
-    k = rules[0].k
-    for r in rules:
-        if r.k != k:
-            raise DimensionMismatchError("rules have mixed dimensions")
-    stacked = np.stack([r.probs for r in rules])
-    return DecisionRule(stacked.mean(axis=0))

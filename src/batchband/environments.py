@@ -97,11 +97,6 @@ def parse_env(spec: str) -> BernoulliEnv:
     return BernoulliEnv(means)
 
 
-def gaps(env: BernoulliEnv) -> np.ndarray:
-    """Suboptimality gaps of a Bernoulli environment."""
-    return env.gap_vector()
-
-
 def block_features(context: np.ndarray, k: int) -> np.ndarray:
     """Disjoint-arm feature matrix: context copied into arm ``a``'s block.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assumptions import RegretCurve
+from .assumptions import RegretCurve, _curve_stats, _mean_se, _verdict
 from .core import derive_seed, make_grid
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
@@ -215,9 +215,7 @@ def _run_cell(payload):
             env_label=env_spec,
         )
 
-    finals = run.final_regret
-    mean_final = float(finals.mean())
-    stderr_final = float(finals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+    mean_final, stderr_final = (float(x) for x in _mean_se(run.final_regret))
     curve_mean, curve_stderr = _curve_stats(run.pseudo_regret)
     taus = [] if run.phases is None else [p.tau_hat for p in run.phases]
     done = [t for t in taus if t is not None]
@@ -230,20 +228,6 @@ def _run_cell(payload):
         tau_none=len(taus) - len(done) if mode != "plain" else None,
         curve_mean=curve_mean, curve_stderr=curve_stderr,
     )
-
-
-def _curve_stats(trajectories):
-    """Pointwise mean and stderr of (reps, n) regret trajectories.
-
-    Rows are added in rep order, the arithmetic of a running sum over reps.
-    """
-    reps = trajectories.shape[0]
-    mean = trajectories.sum(axis=0) / reps
-    if reps > 1:
-        sq = (trajectories**2).sum(axis=0)
-        var = np.clip(sq / reps - mean**2, 0.0, None) * reps / (reps - 1)
-        return mean, np.sqrt(var / reps)
-    return mean, np.zeros_like(mean)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
@@ -301,16 +285,6 @@ class BoundReport:
         return all(iq.gate_pass for iq in self.inequalities)
 
 
-def _verdict(diff: float, se: float) -> str:
-    if se == 0.0:
-        return "holds" if diff > 0 else ("boundary" if diff == 0.0 else "violated")
-    if diff > 2 * se:
-        return "holds"
-    if diff < -2 * se:
-        return "violated"
-    return "inconclusive"
-
-
 def check_theorem_bounds(
     policy_name: str,
     env_spec: str,
@@ -348,9 +322,7 @@ def check_theorem_bounds(
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_bound_chunk, payloads))
-    arr = np.concatenate(parts)
-    means = arr.mean(axis=0)
-    ses = arr.std(axis=0, ddof=1) / np.sqrt(reps)
+    means, ses = _mean_se(np.concatenate(parts))
     mean_on, mean_b, mean_m = (float(x) for x in means)
     se_on, se_b, se_m = (float(x) for x in ses)
 

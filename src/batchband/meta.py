@@ -101,12 +101,6 @@ def _stays(theta, t: int, k: int, delta: float):
     return (bound <= 1.0 / k) | (2.0 * k / (t * t) >= delta)
 
 
-def monotone_bound(theta, t):
-    """One-shot evaluation: returns ``(aggregate, per_arm)`` at time ``t``."""
-    mb = MonotoneBound(np.asarray(theta, dtype=float))
-    return mb.aggregate(t), mb.per_arm(t)
-
-
 def tau_instance(theta, t_max: int) -> int | None:
     """Earliest ``t`` at which the bound beats uniform play (``> 1/k``).
 

@@ -8,6 +8,10 @@ batch, and the policy's history advances only once every ``b`` matched
 records, so the effective horizon is the matched count, not the raw
 record count.  Unmatched records are skipped without touching history,
 which keeps the estimate unbiased under uniform logging.
+
+The policy runs as one rep of the rep-batched protocol, proposing for up to
+the rest of the pending batch in one ``act_reps`` call; its generator is
+consumed as by one proposal per record, in record order.
 """
 
 from __future__ import annotations
@@ -72,36 +76,60 @@ def replay_evaluate(
     if b < 1:
         raise DataError(f"batch size {b} must be >= 1")
     k = policy.k
+    logged = np.array([rec.action for rec in dataset])
+    bad = np.flatnonzero((logged < 0) | (logged >= k))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"line {i + 2}: action {logged[i]} out of range for k={k}")
+    actions = logged.tolist()
+    rewards = [rec.reward for rec in dataset]
     contextual = hasattr(policy, "dim")
-    rng = np.random.default_rng(seed)
-    state = policy.init_state()
-    matched = 0
-    successes = 0
-    pending_keys: list = []
-    pending_rewards: list = []
-    for i, rec in enumerate(dataset):
-        if not 0 <= rec.action < k:
-            raise DataError(
-                f"line {i + 2}: action {rec.action} out of range for k={k}"
-            )
-        if contextual:
-            feats = block_features(rec.context, k)
-            proposal = policy.act(state, rng, feature_set=feats)
+    # a policy that draws nothing proposes one arm until its next update
+    constant = not (policy.draws or contextual)
+    if constant:
+        positions = [np.flatnonzero(logged == a) for a in range(k)]
+    rngs = [np.random.default_rng(seed)]
+    rows = np.zeros(1, dtype=np.int64)
+    state = policy.init_reps(1)
+    n = len(dataset)
+    matched = successes = 0
+    pending, pending_keys = [], []
+    i = 0
+    while i < n:
+        # a record matches at most once, so the next ``need`` records can
+        # never take the history past its next update
+        need = b - len(pending)
+        if constant:
+            arm = int(policy.act_reps(state, 1, rngs, rows)[0, 0])
+            at = positions[arm]
+            lo = np.searchsorted(at, i)
+            hits = at[lo : lo + need].tolist()
+            i = hits[-1] + 1 if len(hits) == need else n
         else:
-            proposal = policy.act(state, rng)
-        if proposal != rec.action:
-            continue
-        matched += 1
-        if rec.reward >= SUCCESS_THRESHOLD:
-            successes += 1
-        pending_keys.append(feats[rec.action] if contextual else rec.action)
-        pending_rewards.append(rec.reward)
-        if len(pending_rewards) == b:
-            state = policy.update_arrays(
-                state, np.asarray(pending_keys), np.asarray(pending_rewards)
-            )
+            m = min(need, n - i)
+            if contextual:
+                feats = np.stack(
+                    [block_features(rec.context, k) for rec in dataset[i : i + m]]
+                )
+                proposals = policy.act_reps(state, m, rngs, rows, feats[None])[0]
+            else:
+                proposals = policy.act_reps(state, m, rngs, rows)[0]
+            if m == 1:  # one record: Python scalars cost less than array bookkeeping
+                hits = [i] if proposals[0] == actions[i] else []
+            else:
+                hits = (np.flatnonzero(proposals == logged[i : i + m]) + i).tolist()
+            if contextual:
+                pending_keys.extend(feats[j - i, actions[j]] for j in hits)
+            i += m
+        matched += len(hits)
+        successes += sum(rewards[j] >= SUCCESS_THRESHOLD for j in hits)
+        pending.extend(hits)
+        if len(pending) == b:
+            keys = np.asarray(pending_keys) if contextual else logged[pending]
+            fed = np.array([rewards[j] for j in pending])
+            state = policy.update_reps(state, keys[None], fed[None])
+            pending.clear()
             pending_keys.clear()
-            pending_rewards.clear()
     cr = successes / matched if matched else None
     label = policy_label or getattr(policy, "name", type(policy).__name__)
     return ReplayResult(

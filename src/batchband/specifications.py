@@ -23,12 +23,11 @@ per-rep hand-over gate.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchGrid, History, HistoryEntry, make_grid
+from .core import BatchGrid, make_grid
 from .environments import LinearContextualEnv
 from .policies import rep_bincount
 
@@ -41,7 +40,7 @@ class RunRecord:
 
     ``pseudo_regret`` and ``optimal_hits`` are cumulative per step;
     ``pull_counts`` is indexed by arm.  ``phase`` is filled by the
-    delayed-start runners, ``history`` only when requested.
+    delayed-start runners.
     """
 
     spec: str
@@ -55,7 +54,6 @@ class RunRecord:
     optimal_hits: np.ndarray
     pull_counts: np.ndarray
     phase: object | None = None
-    history: History | None = field(default=None, repr=False)
 
     @property
     def final_regret(self) -> float:
@@ -203,20 +201,19 @@ def run_lockstep(
             break
 
         if contextual:
+            ctx = [env.sample_contexts(rngs[r], b) for r in all_rows]
+            feats = np.stack([env.features_batch(c) for c in ctx])
+            acts = policy.act_reps(state, b, rngs, all_rows, feats)
+            steps = np.arange(b)
             for r in all_rows:
-                g = rngs[r]
-                ctx = env.sample_contexts(g, b)
-                feats = env.features_batch(ctx)
-                acts = policy.act_batch(state[r], b, g, feature_sets=feats)
-                steps = np.arange(b)
-                chosen[r, lo:hi] = feats[steps, acts]
-                rewards[r, lo:hi] = env.sample_rewards(chosen[r, lo:hi], g)
-                mm = env.mean_matrix(ctx)
+                chosen[r, lo:hi] = feats[r, steps, acts[r]]
+                rewards[r, lo:hi] = env.sample_rewards(chosen[r, lo:hi], rngs[r])
+                mm = env.mean_matrix(ctx[r])
                 best = mm.max(axis=1)
-                step_means = mm[steps, acts]
+                step_means = mm[steps, acts[r]]
                 deltas[r, lo:hi] = best - step_means
                 opt[r, lo:hi] = step_means >= best - OPT_TOL
-                actions[r, lo:hi] = acts
+            actions[:, lo:hi] = acts
             acts, rews = chosen[:, lo:hi], rewards[:, lo:hi]
         else:
             if not n_phase1:
@@ -263,17 +260,6 @@ def run_lockstep(
     )
 
 
-def _history(run: RunSet, visibility: str) -> History:
-    """The feedback a lone run released: every step, or each batch's first."""
-    history = History()
-    step = run.b if visibility == "short" else 1
-    for t in range(0, run.n, step):
-        action = int(run.actions[0, t]) if run.features is None else run.features[0, t]
-        history.append(HistoryEntry(t + 1, action, float(run.rewards[0, t])))
-    history.release_all()
-    return history
-
-
 def _run(
     policy,
     env,
@@ -282,18 +268,10 @@ def _run(
     visibility: str,
     policy_label: str | None = None,
     env_label: str = "custom",
-    collect_history: bool = False,
 ):
     seeds, single = seed_list(seed)
-    if collect_history and not single:
-        raise ValueError("collect_history needs a single seed")
     run = run_lockstep(policy, env, grid, seeds, visibility, policy_label, env_label)
-    if not single:
-        return run
-    rec = run.record(0)
-    if collect_history:
-        rec.history = _history(run, visibility)
-    return rec
+    return run.record(0) if single else run
 
 
 def run_online(policy, env, n: int, seed, **kwargs):
@@ -314,35 +292,3 @@ def run_batch(policy, env, grid: BatchGrid, seed, **kwargs):
 def run_short(policy, env, grid: BatchGrid, seed, **kwargs):
     """Run releasing only the first entry of each batch."""
     return _run(policy, env, grid, seed, "short", **kwargs)
-
-
-RUN_CSV_HEADER = [
-    "spec",
-    "policy",
-    "env",
-    "n",
-    "b",
-    "seed",
-    "final_regret",
-    "optimal_pulls",
-]
-
-
-def records_to_csv(records, path) -> None:
-    """Write one CSV row per run record with the standard header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.spec,
-                    r.policy,
-                    r.env,
-                    str(r.n),
-                    str(r.b),
-                    str(r.seed),
-                    repr(r.final_regret),
-                    str(r.optimal_pulls),
-                ]
-            )

@@ -22,7 +22,6 @@ from batchband.cli import main as cli_main
 from batchband.core import (
     DecisionRule,
     Instance,
-    average_rule,
     derive_seed,
     make_grid,
     rule_value,
@@ -30,7 +29,6 @@ from batchband.core import (
 from batchband.environments import (
     PRESETS,
     BernoulliEnv,
-    gaps,
     preset,
     synth_logged_dataset,
     write_logged_csv,
@@ -226,16 +224,16 @@ class _Spy(BasePolicy):
         self.seen = []
         self.update_sizes = []
 
-    def init_state(self):
-        return UniformPolicy(self.k).init_state()
+    def init_reps(self, reps):
+        return UniformPolicy(self.k).init_reps(reps)
 
-    def act_batch(self, state, b, rng, feature_sets=None):
-        self.seen.append(state.t_seen)
-        return rng.integers(0, self.k, size=b)
+    def act_reps(self, states, b, rngs, rows):
+        self.seen.append(states.t_seen)
+        return UniformPolicy(self.k).act_reps(states, b, rngs, rows)
 
-    def update_arrays(self, state, actions, rewards):
-        self.update_sizes.append(int(np.asarray(actions).shape[0]))
-        return UniformPolicy(self.k).update_arrays(state, actions, rewards)
+    def update_reps(self, states, actions, rewards):
+        self.update_sizes.append(actions.shape[1])
+        return UniformPolicy(self.k).update_reps(states, actions, rewards)
 
 
 def test_criterion_7_invariant_suites():
@@ -258,7 +256,7 @@ def test_criterion_7_invariant_suites():
         for _ in range(int(rng.integers(2, 6))):
             raw = rng.random(k) + 1e-3
             rules.append(DecisionRule(raw / raw.sum()))
-        avg = average_rule(rules)
+        avg = DecisionRule(np.mean([r.probs for r in rules], axis=0))
         theta = Instance(rng.random(k))
         direct = float(np.mean([rule_value(r, theta) for r in rules]))
         assert abs(rule_value(avg, theta) - direct) < 1e-12
@@ -287,7 +285,7 @@ def test_criterion_7_invariant_suites():
         agg = bound.aggregate(ts)
         assert np.all(np.diff(agg) >= -1e-12), f"time monotonicity broke on {name}"
         widened_means = e.means.copy()
-        mask = gaps(e) > 0
+        mask = e.gap_vector() > 0
         widened_means[mask] -= 0.05
         wide = MonotoneBound(BernoulliEnv(widened_means).means)
         assert np.all(wide.aggregate(ts) >= agg - 1e-12), (
@@ -300,7 +298,7 @@ def test_criterion_7_invariant_suites():
         batch_sizes=(1, 5), reps=10, master_seed=3,
     )
     for row in run_experiment(cfg).rows:
-        gap = gaps(preset(row.env))
+        gap = preset(row.env).gap_vector()
         assert abs(float(gap @ row.mean_pull_counts) - row.mean_final) < 1e-9
 
     # negative control: linear-regret policy fails sublinearity

@@ -145,7 +145,7 @@ def test_negation_constant_worst_equality_fails_strictness():
     pol = FixedArmPolicy(2, arm=1)
     rep = check_negated_sublinearity(pol, env, grid, reps=3)
     # R_n = 0.2 n exactly: d = 0.2*100 - 5*0.2*20 = 0
-    assert rep.verdict == "fails"
+    assert rep.verdict == "violated"
     assert not rep.holds
     assert rep.d == pytest.approx(0.0, abs=1e-12)
 
@@ -170,7 +170,7 @@ def test_negation_learning_policy_fails_to_negate():
     rep = check_negated_sublinearity(
         UcbPolicy(2), env, make_grid(400, 20), reps=30, master_seed=4
     )
-    assert rep.verdict in ("fails", "inconclusive")
+    assert rep.verdict in ("violated", "inconclusive")
     assert not rep.holds
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from batchband.cli import main
@@ -67,6 +69,27 @@ class TestSimulate:
         assert row[1] == "approx_delayed_start(ucb)"
         assert row[-1] != ""
 
+    @pytest.mark.parametrize("value,envs", [
+        ("0.7,0.5", ["0.7,0.5"]),
+        ("0.7,0.5;env3", ["0.7,0.5", "env3"]),
+        ("env1,env6", ["env1", "env6"]),
+        ("env3; 0.9,0.1,0.5 ;", ["env3", "0.9,0.1,0.5"]),
+    ])
+    def test_env_list_syntax(self, tmp_path, capsys, value, envs):
+        rc = main(["simulate", "--env", value, "--n", "20", "--b", "5",
+                   "--reps", "2", "--threads", "1", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            assert [row[0] for row in list(csv.reader(fh))[1:]] == envs
+        sep = ";" if any("," in e for e in envs) else ","
+        assert f"# env = {sep.join(envs)}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["env1,0.5", "0.7,0.5;envX", ";", "0.7"])
+    def test_bad_env_list_exits_2(self, tmp_path, value):
+        rc = main(["simulate", "--env", value, "--n", "20", "--b", "5",
+                   "--reps", "2", "--out-dir", str(tmp_path)])
+        assert rc == 2
+
     def test_echoes_resolved_config(self, tmp_path, capsys):
         main(["simulate", "--env", "env1", "--policy", "ucb", "--n", "20",
               "--b", "1", "--reps", "1", "--out-dir", str(tmp_path)])
@@ -91,6 +114,15 @@ class TestConfigFile:
         row = lines[1].split(",")
         assert row[0] == "env2"
         assert row[4] == "20"
+
+    def test_env_list_from_file(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[simulate]\nenv = 0.7,0.5;env3\nn = 20\nb = 5\nreps = 2\n")
+        d = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--threads", "1",
+                     "--out-dir", str(d)]) == 0
+        with open(d / "results.csv", newline="") as fh:
+            assert [row[0] for row in list(csv.reader(fh))[1:]] == ["0.7,0.5", "env3"]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -5,12 +5,7 @@ from batchband.core import (
     DecisionRule,
     DimensionMismatchError,
     GridError,
-    History,
-    HistoryEntry,
     Instance,
-    average_rule,
-    batch_index,
-    compare_rules,
     make_grid,
     rule_value,
 )
@@ -50,27 +45,6 @@ def test_epoch_boundaries():
         g.epoch_start(4)
 
 
-def test_batch_index_partitions_horizon():
-    g = make_grid(12, 4)
-    idx = [batch_index(t, g) for t in range(1, 13)]
-    assert idx == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
-    with pytest.raises(GridError):
-        batch_index(0, g)
-    with pytest.raises(GridError):
-        batch_index(13, g)
-
-
-def test_batch_index_covers_every_step_property():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        b = int(rng.integers(1, 9))
-        m = int(rng.integers(1, 9))
-        g = make_grid(b * m, b)
-        for t in range(1, g.n + 1):
-            j = batch_index(t, g)
-            assert g.epoch_start(j) <= t <= g.batch_end(j)
-
-
 def test_rule_value_fifty_fifty():
     inst = Instance(np.array([0.7, 0.5]))
     rule = DecisionRule(np.array([0.5, 0.5]))
@@ -81,67 +55,6 @@ def test_rule_value_dimension_mismatch():
     inst = Instance(np.array([0.7, 0.5, 0.3]))
     with pytest.raises(DimensionMismatchError):
         rule_value(DecisionRule.uniform(2), inst)
-
-
-def test_compare_rules_ordering():
-    inst = Instance(np.array([0.7, 0.1]))
-    a = DecisionRule(np.array([0.6, 0.4]))  # value 0.46
-    b = DecisionRule(np.array([0.4, 0.6]))  # value 0.34
-    assert compare_rules(a, b, inst) == "better"
-    assert compare_rules(b, a, inst) == "worse"
-    assert compare_rules(a, a, inst) == "equal"
-
-
-def test_compare_rules_transitive_on_random_triples():
-    rng = np.random.default_rng(11)
-    inst = Instance(rng.uniform(0.0, 1.0, size=3))
-    order = {"worse": -1, "equal": 0, "better": 1}
-    for _ in range(200):
-        raw = rng.uniform(0.0, 1.0, size=(3, 3))
-        rules = [DecisionRule(row / row.sum()) for row in raw]
-        a, b, c = rules
-        ab = order[compare_rules(a, b, inst)]
-        bc = order[compare_rules(b, c, inst)]
-        ac = order[compare_rules(a, c, inst)]
-        if ab >= 0 and bc >= 0:
-            assert ac >= min(ab, bc) - 0  # a >= b >= c implies a >= c
-        if ab == 1 and bc == 1:
-            assert ac == 1
-        # consistency with rule_value ordering
-        va, vb = rule_value(a, inst), rule_value(b, inst)
-        if ab == 1:
-            assert va > vb
-        elif ab == -1:
-            assert va < vb
-
-
-def test_average_rule_matches_hand_value():
-    rules = [
-        DecisionRule(np.array([0.2, 0.8])),
-        DecisionRule(np.array([0.4, 0.6])),
-        DecisionRule(np.array([0.6, 0.4])),
-    ]
-    avg = average_rule(rules)
-    assert np.allclose(avg.probs, [0.4, 0.6], atol=1e-12)
-
-
-def test_average_rule_is_valid_rule_property():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        k = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 8))
-        raw = rng.uniform(size=(m, k)) + 1e-9
-        rules = [DecisionRule(row / row.sum()) for row in raw]
-        avg = average_rule(rules)
-        assert avg.probs.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(avg.probs >= 0)
-
-
-def test_average_rule_rejects_empty_and_mixed():
-    with pytest.raises(ValueError):
-        average_rule([])
-    with pytest.raises(DimensionMismatchError):
-        average_rule([DecisionRule.uniform(2), DecisionRule.uniform(3)])
 
 
 def test_decision_rule_validation():
@@ -164,38 +77,3 @@ def test_instance_validation():
     assert inst.dim == 2
     with pytest.raises(ValueError):
         inst.theta[0] = 0.0  # frozen storage
-
-
-def test_history_cursor_semantics():
-    h = History()
-    assert h.total == 0 and h.visible_len == 0
-    h.append(HistoryEntry(1, 0, 1.0))
-    h.append(HistoryEntry(2, 1, 0.0))
-    assert h.total == 2 and h.visible_len == 0
-    assert h.visible() == []
-    h.release_all()
-    assert h.visible_len == 2
-    assert [e.t for e in h.visible()] == [1, 2]
-
-
-def test_history_rejects_nonincreasing_timesteps():
-    h = History()
-    h.append(HistoryEntry(3, 0, 1.0))
-    with pytest.raises(ValueError):
-        h.append(HistoryEntry(3, 0, 1.0))
-    with pytest.raises(ValueError):
-        h.append(HistoryEntry(2, 0, 1.0))
-    h.append(HistoryEntry(5, 1, 0.0))  # gaps are fine (sparse release)
-    assert h.total == 2
-
-
-def test_history_cursor_never_retreats_or_overruns():
-    h = History()
-    h.extend([HistoryEntry(t, 0, 0.0) for t in (1, 2, 3)])
-    h.release_to(2)
-    with pytest.raises(ValueError):
-        h.release_to(1)
-    with pytest.raises(ValueError):
-        h.release_to(4)
-    h.release_to(3)
-    assert h.visible_len == h.total

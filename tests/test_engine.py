@@ -5,10 +5,12 @@ import pytest
 from reference_runner import reference_run
 
 from batchband.core import derive_seed, make_grid
-from batchband.environments import preset
+from batchband.environments import make_linear_env, preset
 from batchband.meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from batchband.policies import (
     FixedArmPolicy,
+    LinTsPolicy,
+    LinUcbPolicy,
     ThompsonBetaPolicy,
     TwoPhaseSwitchPolicy,
     UcbPolicy,
@@ -72,6 +74,19 @@ def test_rep_i_of_a_lockstep_call_equals_its_lone_run(name):
             assert np.array_equal(run.pull_counts[i], lone[i].pull_counts)
 
 
+@pytest.mark.parametrize("policy", [LinUcbPolicy(3, 2), LinTsPolicy(3, 2)])
+@pytest.mark.parametrize("b", [1, 5])
+def test_contextual_rep_i_of_a_lockstep_call_equals_its_lone_run(policy, b):
+    env = make_linear_env(3, 2, seed=7)
+    grid = make_grid(40, b)
+    seeds = [derive_seed(13, "linear", i) for i in range(6)]
+    run = run_batch(policy, env, grid, seeds)
+    for i, seed in enumerate(seeds):
+        lone = run_batch(policy, env, grid, [seed])
+        for field in ("actions", "rewards", "features", "pseudo_regret", "optimal_hits"):
+            assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
+
+
 @pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2)])
 def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
     # env3 at b=10: some reps certify early, some late, some never
@@ -100,8 +115,3 @@ def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
                 x, y = getattr(a, field), getattr(b, field)
                 assert (x is None and y is None) or np.array_equal(x, y)
 
-
-def test_multi_seed_history_is_rejected():
-    env = preset("env1")
-    with pytest.raises(ValueError):
-        run_batch(UcbPolicy(2), env, make_grid(8, 4), [1, 2], collect_history=True)

@@ -7,7 +7,6 @@ from batchband.environments import (
     LinearContextualEnv,
     LoggedRecord,
     PRESETS,
-    gaps,
     make_linear_env,
     parse_env,
     preset,
@@ -40,9 +39,9 @@ def test_parse_env_inline_means():
 
 
 def test_gaps_values():
-    assert np.allclose(gaps(preset("env1")), [0.0, 0.2])
-    assert np.allclose(gaps(preset("env3")), [0.0, 0.6])
-    assert np.allclose(gaps(preset("env4")), [0.26, 0.43, 0.14, 0.0])
+    assert np.allclose(preset("env1").gap_vector(), [0.0, 0.2])
+    assert np.allclose(preset("env3").gap_vector(), [0.0, 0.6])
+    assert np.allclose(preset("env4").gap_vector(), [0.26, 0.43, 0.14, 0.0])
 
 
 def test_gaps_nonnegative_zero_at_optimum_property():
@@ -50,7 +49,7 @@ def test_gaps_nonnegative_zero_at_optimum_property():
     for _ in range(30):
         k = int(rng.integers(2, 7))
         env = BernoulliEnv(rng.uniform(size=k))
-        g = gaps(env)
+        g = env.gap_vector()
         assert np.all(g >= 0)
         assert g[env.optimal_arm] == 0.0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from batchband.core import derive_seed, make_grid
-from batchband.environments import gaps, preset
+from batchband.environments import preset
 from batchband.harness import (
     ConfigError,
     ExperimentConfig,
@@ -159,7 +159,7 @@ class TestRunExperiment:
         cfg = small_config(envs=("env4",), policies=("ucb", "ts"),
                            batch_sizes=(1, 5), n=100, reps=5)
         table = run_experiment(cfg)
-        gap = gaps(preset("env4"))
+        gap = preset("env4").gap_vector()
         for row in table.rows:
             implied = float(gap @ row.mean_pull_counts)
             assert abs(implied - row.mean_final) < 1e-9

@@ -12,7 +12,6 @@ from batchband.meta import (
     approx_delayed_start_run,
     check_phase,
     delayed_start_run,
-    monotone_bound,
     pessimistic_instance,
     tau_instance,
 )
@@ -25,11 +24,17 @@ def bound_term(t, gap):
     return min(1.0, 4.0 * math.log(t + 1.0) / (t * gap * gap) + 8.0 / t)
 
 
+def bound_at(theta, t):
+    """(aggregate, per_arm) of the bound of instance ``theta`` at time ``t``."""
+    mb = MonotoneBound(np.asarray(theta, dtype=float))
+    return mb.aggregate(t), mb.per_arm(t)
+
+
 # ---------------------------------------------------------------- bound
 
 
 def test_bound_env3_at_100():
-    f, per = monotone_bound(ENV3, 100)
+    f, per = bound_at(ENV3, 100)
     expected = bound_term(100, 0.6)
     assert per[0] == 0.0
     assert per[1] == pytest.approx(expected, abs=1e-12)
@@ -39,13 +44,13 @@ def test_bound_env3_at_100():
 
 
 def test_bound_env3_at_1000():
-    f, per = monotone_bound(ENV3, 1000)
+    f, per = bound_at(ENV3, 1000)
     assert per[1] == pytest.approx(0.0848, abs=5e-5)
     assert f == pytest.approx(0.9152, abs=5e-5)
 
 
 def test_bound_clamps_at_small_t():
-    f, per = monotone_bound(ENV3, 1)
+    f, per = bound_at(ENV3, 1)
     assert per[1] == 1.0
     assert f == 0.0
 
@@ -88,7 +93,7 @@ def test_bound_rejects_tied_best():
     with pytest.raises(ValueError):
         MonotoneBound(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        monotone_bound([0.3, 0.7, 0.7], 10)
+        bound_at([0.3, 0.7, 0.7], 10)
 
 
 def test_bound_rejects_bad_time():
@@ -132,13 +137,13 @@ def test_pessimistic_instance_hand_case():
 def test_check_phase_stays_when_bound_weak():
     # pessimistic gap 0.14: bound at t=2000 is ~0.221, below 1/2
     assert check_phase([1800, 200], [0.7, 0.3], 2000, 2, 0.01) is True
-    f, _ = monotone_bound(pessimistic_instance([1800, 200], [0.7, 0.3], 2000), 2000)
+    f, _ = bound_at(pessimistic_instance([1800, 200], [0.7, 0.3], 2000), 2000)
     assert f == pytest.approx(0.2211, abs=5e-5)
 
 
 def test_check_phase_certifies_clear_separation():
     assert check_phase([5000, 5000], [0.9, 0.1], 10_000, 2, 0.01) is False
-    f, _ = monotone_bound(
+    f, _ = bound_at(
         pessimistic_instance([5000, 5000], [0.9, 0.1], 10_000), 10_000
     )
     assert f == pytest.approx(0.9920, abs=5e-5)
@@ -186,7 +191,7 @@ class NeverCalled(BasePolicy):
     def __init__(self, k):
         self.k = k
 
-    def init_state(self):
+    def init_reps(self, reps):
         raise AssertionError("candidate consulted although bound never fired")
 
 

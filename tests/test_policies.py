@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from batchband.core import HistoryEntry
 from batchband.policies import (
     FixedArmPolicy,
     LinTsPolicy,
@@ -16,9 +15,22 @@ from batchband.policies import (
     make_policy,
 )
 
+ONE = np.zeros(1, dtype=np.int64)
 
-def entries(pairs, start_t=1):
-    return [HistoryEntry(start_t + i, a, r) for i, (a, r) in enumerate(pairs)]
+
+def fed(pol, pairs, states=None):
+    """One rep's state after absorbing (action, reward) pairs in one release."""
+    states = pol.init_reps(1) if states is None else states
+    acts = np.array([[a for a, _ in pairs]])
+    rews = np.array([[r for _, r in pairs]], dtype=float)
+    return pol.update_reps(states, acts, rews)
+
+
+def act(pol, states, b=1, seed=0, features=None):
+    """The lone rep's ``b`` actions, from a fresh generator."""
+    rngs = [np.random.default_rng(seed)]
+    extra = () if features is None else (features[None],)
+    return pol.act_reps(states, b, rngs, ONE, *extra)[0]
 
 
 # ---------------------------------------------------------------- ucb
@@ -26,80 +38,93 @@ def entries(pairs, start_t=1):
 
 def test_ucb_forced_initialisation_order():
     pol = UcbPolicy(3)
-    st = pol.init_state()
-    rng = np.random.default_rng(0)
-    assert pol.act(st, rng) == 0
-    st = pol.update(st, entries([(0, 1.0)]))
-    assert pol.act(st, rng) == 1
-    st = pol.update(st, entries([(1, 0.0)], start_t=2))
-    assert pol.act(st, rng) == 2
+    st = pol.init_reps(1)
+    assert act(pol, st).tolist() == [0]
+    st = fed(pol, [(0, 1.0)], st)
+    assert act(pol, st).tolist() == [1]
+    st = fed(pol, [(1, 0.0)], st)
+    assert act(pol, st).tolist() == [2]
 
 
 def test_ucb_index_after_one_pull_each():
-    # one pull per arm, rewards (1, 0): index_0 = 1 + sqrt(2 ln 3)
-    pol = UcbPolicy(2)
-    st = pol.update(pol.init_state(), entries([(0, 1.0), (1, 0.0)]))
-    idx = pol.indices(st)
-    assert idx[0] == pytest.approx(1.0 + math.sqrt(2 * math.log(3)), abs=1e-12)
-    assert idx[1] == pytest.approx(math.sqrt(2 * math.log(3)), abs=1e-12)
-    rule = pol.decide(st, 3, np.random.default_rng(0))
-    assert rule.probs.tolist() == [1.0, 0.0]
+    # counts (4, 1), means (0.75, 0.1), t = 6: the index of arm 0 is
+    # 0.75 + c sqrt(2 ln 6 / 4), of arm 1 0.1 + c sqrt(2 ln 6); a larger c
+    # moves the choice from the better mean to the wider interval
+    pairs = [(0, 1.0)] * 3 + [(0, 0.0)] + [(1, 0.1)]
+    for c, arm in ((0.5, 0), (1.0, 1), (2.0, 1)):
+        bonus = 2 * math.log(6)
+        idx = [0.75 + c * math.sqrt(bonus / 4), 0.1 + c * math.sqrt(bonus)]
+        assert idx.index(max(idx)) == arm
+        pol = UcbPolicy(2, c=c)
+        assert act(pol, fed(pol, pairs)).tolist() == [arm]
 
 
 def test_ucb_tie_breaks_to_lowest_index():
     pol = UcbPolicy(3)
-    st = pol.update(pol.init_state(), entries([(0, 1.0), (1, 1.0), (2, 1.0)]))
-    assert pol.act(st, np.random.default_rng(0)) == 0
+    st = fed(pol, [(0, 1.0), (1, 1.0), (2, 1.0)])
+    assert act(pol, st).tolist() == [0]
 
 
 def test_ucb_rule_pure_function_of_state():
-    # same state, any wall-clock t, any rng: same rule (within-batch stasis)
+    # same state, any generator: the same arm for the whole batch, and no
+    # generator draws (within-batch stasis)
     pol = UcbPolicy(2)
-    st = pol.update(pol.init_state(), entries([(0, 1.0), (1, 1.0), (0, 0.0)]))
-    rules = {
-        tuple(pol.decide(st, t, np.random.default_rng(s)).probs)
-        for t, s in [(4, 0), (50, 1), (7, 2)]
-    }
-    assert len(rules) == 1
-    acts = pol.act_batch(st, 16, np.random.default_rng(3))
-    assert len(set(acts.tolist())) == 1
+    st = fed(pol, [(0, 1.0), (1, 1.0), (0, 0.0)])
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    before = [g.bit_generator.state for g in rngs]
+    acts = pol.act_reps(st, 16, rngs, ONE)
+    assert not pol.draws
+    assert len(set(acts[0].tolist())) == 1
+    assert {int(act(pol, st, seed=s)[0]) for s in range(3)} == set(acts[0].tolist())
+    assert [g.bit_generator.state for g in rngs] == before
 
 
 def test_ucb_exploration_constant_zero_is_greedy():
     pol = UcbPolicy(2, c=0.0)
-    st = pol.update(pol.init_state(), entries([(0, 0.0), (1, 1.0)]))
-    assert pol.act(st, np.random.default_rng(0)) == 1
+    st = fed(pol, [(0, 0.0), (1, 1.0)])
+    assert act(pol, st).tolist() == [1]
 
 
 def test_ucb_update_entries_matches_arrays():
+    # one release of five pairs: counts and sums per arm, t_seen by steps
     pol = UcbPolicy(4)
-    pairs = [(0, 1.0), (3, 0.0), (3, 1.0), (2, 1.0), (0, 0.0)]
-    st_entries = pol.update(pol.init_state(), entries(pairs))
-    acts = np.array([p[0] for p in pairs])
-    rews = np.array([p[1] for p in pairs])
-    st_arrays = pol.update_arrays(pol.init_state(), acts, rews)
-    assert st_entries == st_arrays
-    assert st_entries.counts == (2, 0, 1, 2)
-    assert st_entries.sums == (1.0, 0.0, 1.0, 1.0)
-    assert st_entries.t_seen == 5
+    st = fed(pol, [(0, 1.0), (3, 0.0), (3, 1.0), (2, 1.0), (0, 0.0)])
+    assert st.counts.tolist() == [[2, 0, 1, 2]]
+    assert st.sums.tolist() == [[1.0, 0.0, 1.0, 1.0]]
+    assert st.t_seen == 5
 
 
 def test_ucb_update_order_within_release_is_irrelevant():
     pol = UcbPolicy(3)
     pairs = [(0, 1.0), (1, 0.0), (2, 1.0), (0, 0.0)]
-    fwd = pol.update(pol.init_state(), entries(pairs))
-    rev = pol.update(pol.init_state(), entries(list(reversed(pairs))))
-    assert fwd == rev
+    fwd = fed(pol, pairs)
+    rev = fed(pol, list(reversed(pairs)))
+    assert np.array_equal(fwd.counts, rev.counts)
+    assert np.array_equal(fwd.sums, rev.sums)
+    assert fwd.t_seen == rev.t_seen
 
 
 def test_ucb_incremental_equals_bulk_update():
     pol = UcbPolicy(2)
     pairs = [(0, 1.0), (1, 0.0), (0, 1.0), (1, 1.0)]
-    bulk = pol.update(pol.init_state(), entries(pairs))
-    st = pol.init_state()
-    for i, p in enumerate(pairs):
-        st = pol.update(st, entries([p], start_t=i + 1))
-    assert st == bulk
+    bulk = fed(pol, pairs)
+    st = pol.init_reps(1)
+    for p in pairs:
+        st = fed(pol, [p], st)
+    assert np.array_equal(st.counts, bulk.counts)
+    assert np.array_equal(st.sums, bulk.sums)
+    assert st.t_seen == bulk.t_seen
+
+
+def test_rep_rows_are_independent():
+    # reps held in one state act and update as if each were alone
+    pol = UcbPolicy(2)
+    st = pol.init_reps(3)
+    st = pol.update_reps(st, np.array([[0, 1], [0, 1], [0, 1]]),
+                         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    rngs = [np.random.default_rng(0)] * 3
+    assert pol.act_reps(st, 2, rngs, np.arange(3)).tolist() == [[0, 0], [1, 1], [0, 0]]
+    assert pol.act_reps(st, 1, rngs, np.array([1])).tolist() == [[1]]
 
 
 # ---------------------------------------------------------------- ts
@@ -107,35 +132,36 @@ def test_ucb_incremental_equals_bulk_update():
 
 def test_ts_prior_is_flat():
     pol = ThompsonBetaPolicy(2)
-    st = pol.init_state()
-    assert st.alpha.tolist() == [1.0, 1.0] and st.beta.tolist() == [1.0, 1.0]
-    acts = pol.act_batch(st, 20_000, np.random.default_rng(1))
+    st = pol.init_reps(1)
+    assert st.alpha.tolist() == [[1.0, 1.0]] and st.beta.tolist() == [[1.0, 1.0]]
+    acts = act(pol, st, b=20_000, seed=1)
     assert abs((acts == 0).mean() - 0.5) < 0.01
 
 
 def test_ts_posterior_update():
     pol = ThompsonBetaPolicy(2)
-    st = pol.update(pol.init_state(), entries([(0, 1.0), (0, 1.0), (1, 0.0)]))
-    assert st.alpha.tolist() == [3.0, 1.0]
-    assert st.beta.tolist() == [1.0, 2.0]
+    st = fed(pol, [(0, 1.0), (0, 1.0), (1, 0.0)])
+    assert st.alpha.tolist() == [[3.0, 1.0]]
+    assert st.beta.tolist() == [[1.0, 2.0]]
     assert st.t_seen == 3
 
 
 def test_ts_act_batch_first_row_matches_decide():
+    # scalar Beta draws (b * k <= 12) and one array draw consume a
+    # generator alike: the first steps of a longer batch are the short batch
     pol = ThompsonBetaPolicy(3)
-    st = pol.update(
-        pol.init_state(), entries([(0, 1.0), (1, 0.0), (2, 1.0), (0, 1.0)])
-    )
-    a = pol.act_batch(st, 1, np.random.default_rng(7))[0]
-    rule = pol.decide(st, 5, np.random.default_rng(7))
-    assert rule.probs[a] == 1.0
+    st = fed(pol, [(0, 1.0), (1, 0.0), (2, 1.0), (0, 1.0)])
+    short = act(pol, st, b=4, seed=7)
+    long = act(pol, st, b=9, seed=7)
+    assert short.tolist() == long[:4].tolist()
+    assert act(pol, st, b=1, seed=7).tolist() == short[:1].tolist()
 
 
 def test_ts_concentrates_on_better_arm():
     pol = ThompsonBetaPolicy(2)
     pairs = [(0, 1.0)] * 80 + [(0, 0.0)] * 20 + [(1, 1.0)] * 20 + [(1, 0.0)] * 80
-    st = pol.update(pol.init_state(), entries(pairs))
-    acts = pol.act_batch(st, 2000, np.random.default_rng(2))
+    st = fed(pol, pairs)
+    acts = act(pol, st, b=2000, seed=2)
     assert (acts == 0).mean() > 0.95
 
 
@@ -144,94 +170,90 @@ def test_ts_concentrates_on_better_arm():
 
 def test_uniform_rule_and_actions():
     pol = UniformPolicy(4)
-    st = pol.init_state()
-    rule = pol.decide(st, 1, np.random.default_rng(0))
-    assert np.allclose(rule.probs, 0.25)
-    acts = pol.act_batch(st, 40_000, np.random.default_rng(3))
+    st = pol.init_reps(1)
+    acts = act(pol, st, b=40_000, seed=3)
     freqs = np.bincount(acts, minlength=4) / 40_000
     assert np.all(np.abs(freqs - 0.25) < 0.01)
-    st2 = pol.update(st, entries([(0, 1.0)]))
+    st2 = fed(pol, [(0, 1.0)], st)
     assert st2.t_seen == 1  # feedback acknowledged, rule unchanged
-    assert np.allclose(pol.decide(st2, 2, np.random.default_rng(0)).probs, 0.25)
+    assert act(pol, st2, b=8, seed=3).tolist() == acts[:8].tolist()
 
 
 def test_fixed_arm_policy():
     pol = FixedArmPolicy(3, arm=2)
-    st = pol.init_state()
-    assert pol.act_batch(st, 5, np.random.default_rng(0)).tolist() == [2] * 5
+    st = pol.init_reps(1)
+    assert act(pol, st, b=5).tolist() == [2] * 5
     with pytest.raises(PolicyError):
         FixedArmPolicy(3, arm=3)
 
 
 def test_two_phase_switches_on_visible_length():
     pol = TwoPhaseSwitchPolicy(2, good_arm=0, bad_arm=1, switch_t=3)
-    st = pol.init_state()
-    rng = np.random.default_rng(0)
+    st = pol.init_reps(1)
     seen = []
-    for t in range(1, 7):
-        a = pol.act(st, rng)
+    for _ in range(6):
+        a = int(act(pol, st)[0])
         seen.append(a)
-        st = pol.update(st, entries([(a, 0.0)], start_t=t))
+        st = fed(pol, [(a, 0.0)], st)
     assert seen == [0, 0, 0, 1, 1, 1]
 
 
 def test_two_phase_batch_switch_lands_on_boundary():
     pol = TwoPhaseSwitchPolicy(2, good_arm=0, bad_arm=1, switch_t=3)
-    st = pol.init_state()
-    rng = np.random.default_rng(0)
-    first = pol.act_batch(st, 4, rng)  # t_seen 0 < 3: good arm all batch
+    st = pol.init_reps(1)
+    first = act(pol, st, b=4)  # t_seen 0 < 3: good arm all batch
     assert first.tolist() == [0, 0, 0, 0]
-    st = pol.update_arrays(st, first, np.zeros(4))
-    second = pol.act_batch(st, 4, rng)  # t_seen 4 >= 3: bad arm
+    st = fed(pol, [(a, 0.0) for a in first], st)
+    second = act(pol, st, b=4)  # t_seen 4 >= 3: bad arm
     assert second.tolist() == [1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------- linear
 
 
+def lin_fed(pol, feats, rewards, states=None):
+    states = pol.init_reps(1) if states is None else states
+    return pol.update_reps(states, np.asarray(feats, dtype=float)[None],
+                           np.asarray(rewards, dtype=float)[None])
+
+
 def test_linucb_ridge_update_identity_case():
     pol = LinUcbPolicy(k=2, context_dim=2)
-    st = pol.init_state()
-    assert np.allclose(st.V, np.eye(4))
-    psi = np.array([[1.0, 0.0, 0.0, 0.0]])
-    st = pol.update_arrays(st, psi, np.array([1.0]))
-    assert np.allclose(st.V, np.diag([2.0, 1.0, 1.0, 1.0]))
-    assert np.allclose(st.z, [1.0, 0.0, 0.0, 0.0])
+    st = pol.init_reps(1)
+    assert np.allclose(st.V[0], np.eye(4))
+    st = lin_fed(pol, [[1.0, 0.0, 0.0, 0.0]], [1.0], st)
+    assert np.allclose(st.V[0], np.diag([2.0, 1.0, 1.0, 1.0]))
+    assert np.allclose(st.z[0], [1.0, 0.0, 0.0, 0.0])
     assert st.t_seen == 1
 
 
 def test_linucb_update_from_entries():
+    # two chosen feature vectors released together
     pol = LinUcbPolicy(k=2, context_dim=1)
-    e = [HistoryEntry(1, np.array([1.0, 0.0]), 1.0), HistoryEntry(2, np.array([0.0, 1.0]), 0.5)]
-    st = pol.update(pol.init_state(), e)
-    assert np.allclose(st.V, np.diag([2.0, 2.0]))
-    assert np.allclose(st.z, [1.0, 0.5])
+    st = lin_fed(pol, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.5])
+    assert np.allclose(st.V[0], np.diag([2.0, 2.0]))
+    assert np.allclose(st.z[0], [1.0, 0.5])
+    with pytest.raises(ValueError):
+        pol.update_reps(st, np.zeros((1, 2, 3)), np.zeros((1, 2)))
 
 
 def test_linucb_scores_hand_case():
     # d = 2, one observation psi = e_1, X = 1; context 1.0 for both arms
     pol = LinUcbPolicy(k=2, context_dim=1, alpha=1.0)
-    st = pol.update_arrays(
-        pol.init_state(), np.array([[1.0, 0.0]]), np.array([1.0])
-    )
-    fs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    rule = pol.decide(st, 2, np.random.default_rng(0), feature_set=fs)
+    st = lin_fed(pol, [[1.0, 0.0]], [1.0])
+    fs = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     # theta_hat = (0.5, 0); score_0 = 0.5 + sqrt(1/2) > score_1 = 0 + 1
-    assert rule.probs.tolist() == [1.0, 0.0]
+    assert act(pol, st, features=fs).tolist() == [0]
 
 
 def test_linucb_act_batch_matches_decide_point_masses():
+    # a batch of feature sets is scored step by step from the frozen state
     pol = LinUcbPolicy(k=3, context_dim=2)
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((5, 3, 6))
-    st = pol.update_arrays(
-        pol.init_state(), rng.standard_normal((8, 6)) * 0.3, rng.standard_normal(8)
-    )
-    batch = pol.act_batch(st, 5, np.random.default_rng(0), feature_sets=feats)
-    singles = [
-        int(np.argmax(pol.decide(st, 1, np.random.default_rng(0), feature_set=feats[i]).probs))
-        for i in range(5)
-    ]
+    st = lin_fed(pol, rng.standard_normal((8, 6)) * 0.3, rng.standard_normal(8))
+    batch = act(pol, st, b=5, features=feats)
+    singles = [int(act(pol, st, features=feats[i : i + 1])[0]) for i in range(5)]
     assert batch.tolist() == singles
 
 
@@ -242,17 +264,18 @@ def test_lints_posterior_concentrates():
     feats[:200, 0] = 1.0
     feats[200:, 1] = 1.0
     rewards = np.concatenate([np.ones(200), np.zeros(200)])
-    st = pol.update_arrays(pol.init_state(), feats, rewards)
-    fs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    rng = np.random.default_rng(9)
-    acts = [pol.act(st, rng, feature_set=fs) for _ in range(200)]
-    assert np.mean(np.array(acts) == 0) > 0.95
+    st = lin_fed(pol, feats, rewards)
+    fs = np.tile(np.array([[1.0, 0.0], [0.0, 1.0]]), (200, 1, 1))
+    acts = act(pol, st, b=200, seed=9, features=fs)
+    assert np.mean(acts == 0) > 0.95
 
 
 def test_lints_requires_features():
     pol = LinTsPolicy(k=2, context_dim=1)
     with pytest.raises(PolicyError):
-        pol.act_batch(pol.init_state(), 2, np.random.default_rng(0))
+        act(pol, pol.init_reps(1), b=2)
+    with pytest.raises(ValueError):
+        act(pol, pol.init_reps(1), b=2, features=np.zeros((3, 2, 2)))
 
 
 # ---------------------------------------------------------------- registry

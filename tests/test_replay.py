@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_runner import reference_replay
 
 from batchband.environments import (
     DataError,
@@ -123,6 +124,20 @@ class TestDeterminism:
         b = replay_evaluate(pol, dataset, b=8, seed=1)
         assert a == b
         assert a.matched > 0
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("b", [1, 3, 50])
+    @pytest.mark.parametrize("name", ["ucb", "ts", "uniform"])
+    def test_matches_naive_per_record_replay(self, name, b):
+        for env_name, rows in (("env1", 2000), ("env6", 3000)):
+            env = preset(env_name)
+            dataset = synth_logged_dataset(env, rows, seed=31)
+            policy = {"ucb": UcbPolicy, "ts": ThompsonBetaPolicy, "uniform": UniformPolicy}
+            result = replay_evaluate(policy[name](env.k), dataset, b=b, seed=17)
+            assert (result.matched, result.successes) == reference_replay(
+                name, env.k, dataset, b, seed=17
+            )
 
 
 class TestContextualTrend:

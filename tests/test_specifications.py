@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -13,13 +11,7 @@ from batchband.policies import (
     UcbPolicy,
     UniformPolicy,
 )
-from batchband.specifications import (
-    RUN_CSV_HEADER,
-    records_to_csv,
-    run_batch,
-    run_online,
-    run_short,
-)
+from batchband.specifications import run_batch, run_online, run_short
 
 
 class SpyPolicy(BasePolicy):
@@ -32,16 +24,16 @@ class SpyPolicy(BasePolicy):
         self.seen_at_decision = []
         self.update_sizes = []
 
-    def init_state(self):
-        return UniformPolicy(self.k).init_state()
+    def init_reps(self, reps):
+        return UniformPolicy(self.k).init_reps(reps)
 
-    def act_batch(self, state, b, rng, feature_sets=None):
-        self.seen_at_decision.append(state.t_seen)
-        return rng.integers(0, self.k, size=b)
+    def act_reps(self, states, b, rngs, rows):
+        self.seen_at_decision.append(states.t_seen)
+        return UniformPolicy(self.k).act_reps(states, b, rngs, rows)
 
-    def update_arrays(self, state, actions, rewards):
-        self.update_sizes.append(int(np.asarray(actions).shape[0]))
-        return UniformPolicy(self.k).update_arrays(state, actions, rewards)
+    def update_reps(self, states, actions, rewards):
+        self.update_sizes.append(actions.shape[1])
+        return UniformPolicy(self.k).update_reps(states, actions, rewards)
 
 
 def test_point_mass_on_worst_regret_is_linear():
@@ -128,24 +120,6 @@ def test_short_visibility_law():
     assert spy.update_sizes == [1, 1, 1]
 
 
-def test_history_collection_batch():
-    env = preset("env1")
-    rec = run_batch(UcbPolicy(2), env, make_grid(12, 4), seed=2, collect_history=True)
-    h = rec.history
-    assert h.total == 12 and h.visible_len == 12
-    assert [e.t for e in h.entries] == list(range(1, 13))
-    assert [e.action for e in h.entries] == rec.actions.tolist()
-
-
-def test_history_collection_short_keeps_first_of_each_batch():
-    env = preset("env1")
-    rec = run_short(UcbPolicy(2), env, make_grid(12, 4), seed=2, collect_history=True)
-    h = rec.history
-    assert h.total == 3
-    assert [e.t for e in h.entries] == [1, 5, 9]
-    assert [e.action for e in h.entries] == rec.actions[[0, 4, 8]].tolist()
-
-
 def test_ucb_batch_rule_constant_within_batches():
     env = preset("env3")
     rec = run_batch(UcbPolicy(2), env, make_grid(40, 8), seed=4)
@@ -182,26 +156,14 @@ def test_contextual_run_smoke():
 
 
 def test_contextual_history_stores_feature_vectors():
+    # a contextual run keeps every chosen feature vector: arm a's block of
+    # the step's context, in the disjoint-arm layout
     env = make_linear_env(k=2, context_dim=2, seed=1)
-    rec = run_batch(
-        LinUcbPolicy(2, 2), env, make_grid(8, 4), seed=3, collect_history=True
-    )
-    entry = rec.history.entries[0]
-    assert np.asarray(entry.action).shape == (4,)
-
-
-def test_records_to_csv_format(tmp_path):
-    env = preset("env1")
-    recs = [
-        run_online(UcbPolicy(2), env, 10, seed=0, env_label="env1"),
-        run_batch(UcbPolicy(2), env, make_grid(10, 5), seed=1, env_label="env1"),
-    ]
-    path = tmp_path / "runs.csv"
-    records_to_csv(recs, path)
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == RUN_CSV_HEADER
-    assert rows[1][0] == "online" and rows[2][0] == "batch"
-    assert rows[1][1] == "ucb" and rows[1][2] == "env1"
-    assert rows[2][4] == "5"
-    float(rows[1][6])  # final_regret parses
-    int(rows[1][7])
+    run = run_batch(LinUcbPolicy(2, 2), env, make_grid(8, 4), [3, 4])
+    assert run.features.shape == (2, 8, 4)
+    for r in range(2):
+        for t in range(8):
+            a = run.actions[r, t]
+            block = run.features[r, t].reshape(2, 2)
+            assert np.all(block[1 - a] == 0.0)
+            assert np.linalg.norm(block[a]) == pytest.approx(1.0)
