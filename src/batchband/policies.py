@@ -200,7 +200,7 @@ class ThompsonBetaPolicy(BasePolicy):
             draws = np.stack(
                 [rngs[r].beta(states.alpha[r], states.beta[r], size=(b, k)) for r in rows]
             )
-        return np.argmax(draws, axis=2)
+        return draws.argmax(axis=2)
 
     def update_reps(self, states, actions, rewards):
         succ = rep_bincount(actions, self.k, rewards)

@@ -121,6 +121,8 @@ def replay_evaluate(
             if contextual:
                 pending_keys.extend(feats[j - i, actions[j]] for j in hits)
             i += m
+        if not hits:
+            continue
         matched += len(hits)
         successes += sum(rewards[j] >= SUCCESS_THRESHOLD for j in hits)
         pending.extend(hits)

@@ -137,9 +137,10 @@ def run_lockstep(
     """Run one rep per seed, all reps advancing batch by batch together.
 
     Rep ``i`` owns ``default_rng(seeds[i])`` and consumes it exactly as a
-    lone run would: per batch the policy's draws (contexts first, for a
-    contextual environment), then one uniform per step for the rewards.
-    A policy that draws nothing (``draws`` false) leaves only the uniforms,
+    lone run would: per batch the policy's draws, then one uniform per step
+    for the rewards; a contextual environment draws the batch's contexts
+    first and Gaussian reward noise last.  A policy that draws nothing
+    (``draws`` false) on a Bernoulli environment leaves only the uniforms,
     so they are drawn up front as one ``random(n)`` call per rep, the same
     stream.  Output therefore never depends on which reps share a call.
 
