@@ -43,7 +43,7 @@ from .assumptions import (
     probe_informativeness,
 )
 from .core import derive_seed, make_grid
-from .environments import PRESETS, DataError, parse_env, read_logged_csv
+from .environments import PRESETS, parse_env, read_logged_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
