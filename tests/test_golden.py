@@ -31,10 +31,11 @@ DELAYED = ["--policy", "ucb", "--env", "env1,env3", "--n", "600", "--b", "1,10",
 CASES = {
     "plain": (
         ["simulate", "--env", "env1,env6", "--policy", "ucb,ts,uniform,two_phase",
-         "--n", "120", "--b", "1,3,8", "--reps", "6", "--seed", "5", *SIM],
+         "--n", "120", "--b", "1,3,8", "--reps", "6", "--seed", "5", "--plot", *SIM],
         0,
         {"results.csv": "4a7fcfd3422f2d9d665c87bfded3aae2be38489f959d398832310157bb70aab9",
-         "curves.csv": "063c595d3fae6aed0741212bfec47c5f11c677b6cd473290c08326999ebd9cd5"},
+         "curves.csv": "063c595d3fae6aed0741212bfec47c5f11c677b6cd473290c08326999ebd9cd5",
+         "plot.svg": "73ffa52273540f1a912b4ddba19cdc8a299a2f7e0000ab5bec98139dd3f2ce62"},
     ),
     "delayed_start": (
         ["simulate", "--mode", "delayed_start", *DELAYED],
@@ -87,11 +88,14 @@ def test_cli_output_bytes_are_pinned(name, tmp_path):
     assert got == digests
 
 
-# logged data synthesised in the test: (log, replay policies, batch sizes, digest)
+# logged data synthesised in the test: (log, replay policies, batch sizes,
+# log.csv digest, replay.csv digest)
 REPLAY = {
     "env1": ("env1", "ucb,ts,uniform", "1,3,50",
+             "3e71572573313c95a82e46034cf6bca9077f72984418e0888185a304f601a17a",
              "e88fb00771ed3726a5fb70714a69db01d1ed3a199b66bf98a5091674fbcb94de"),
     "linear": ("linear", "linucb,lints", "1,50",
+               "e45d2a4031f15f5f2cc8233b31349db5bbf376d73cf13f4c8a4548ddf5109612",
                "eb5d546c4b31985b3b62709f2a388f654fa837c91a23c01a6ee34b48a2c71a22"),
 }
 
@@ -106,9 +110,10 @@ def _write_log(kind, path):
 
 @pytest.mark.parametrize("name", sorted(REPLAY))
 def test_replay_output_bytes_are_pinned(name, tmp_path):
-    kind, policies, batches, digest = REPLAY[name]
+    kind, policies, batches, log_digest, digest = REPLAY[name]
     log = tmp_path / "log.csv"
     _write_log(kind, log)
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == log_digest
     argv = ["replay", "--data", str(log), "--policy", policies, "--b", batches,
             "--seed", "6", "--out-dir", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()):
