@@ -34,7 +34,6 @@ from .meta import (
     approx_delayed_start_run,
     check_phase,
     delayed_start_run,
-    tau_instance,
 )
 from .policies import (
     FixedArmPolicy,
@@ -94,7 +93,6 @@ __all__ = [
     "run_online",
     "run_short",
     "synth_logged_dataset",
-    "tau_instance",
     "write_logged_csv",
     "__version__",
 ]

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import PROB_TOL, DecisionRule, derive_seed, rule_value
 from .environments import BernoulliEnv
+from .meta import MonotoneBound
 from .policies import UniformPolicy
 from .specifications import run_online
 
@@ -349,8 +350,6 @@ def check_monotone_envelope(
     forced-initialisation window (t <= k) are not evaluated and
     ``evaluated_from`` records where evaluation starts.
     """
-    from .meta import MonotoneBound  # local import to keep modules acyclic
-
     if not isinstance(env, BernoulliEnv):
         raise UnsupportedPolicyError("envelope check supports finite-armed environments")
     if bound is None:

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import os
 import sys
+from dataclasses import dataclass, replace
 
 from .assumptions import (
     UnsupportedPolicyError,
@@ -42,11 +42,12 @@ from .assumptions import (
     mean_rule_trace,
     probe_informativeness,
 )
-from .core import derive_seed, make_grid
+from .core import derive_seed, make_grid, write_csv
 from .environments import PRESETS, parse_env, read_logged_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    _cell_policy,
     check_theorem_bounds,
     regret_curve,
     resolve_threads,
@@ -54,7 +55,7 @@ from .harness import (
 )
 from .plotting import curves_csv_to_plot_data, table_to_plot_data, write_plot_svg
 from .policies import POLICY_NAMES, make_policy
-from .replay import replay_evaluate, with_relative, write_replay_csv
+from .replay import relative_cr, replay_evaluate, write_replay_csv
 
 ASSUMPTIONS_CSV_HEADER = ["check", "subject", "verdict", "statistic", "ci_low", "ci_high"]
 BOUNDS_CSV_HEADER = [
@@ -111,15 +112,14 @@ def _float(s: str) -> float:
         raise ConfigError(f"bad number {s!r}") from exc
 
 
+@dataclass(frozen=True)
 class Field:
     """One resolvable option: flag value > config-file value > default."""
 
-    def __init__(self, name, conv, default, help_text, flag=True):
-        self.name = name
-        self.conv = conv
-        self.default = default
-        self.help_text = help_text
-        self.flag = flag
+    name: str
+    conv: object
+    default: object
+    help_text: str
 
     def add_to(self, parser):
         option = "--" + self.name.replace("_", "-")
@@ -231,6 +231,14 @@ def _resolve(args, fields, section: str) -> dict:
     return resolved
 
 
+def _write(out_dir: str, name: str, write) -> None:
+    """Write ``out_dir/name`` with ``write(path)`` and say so on stdout."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    write(path)
+    print(f"wrote {path}")
+
+
 def _hyper_params(opts: dict) -> dict:
     params: dict = {}
     if opts.get("ucb_c") is not None:
@@ -258,17 +266,11 @@ def cmd_simulate(args) -> int:
     threads = resolve_threads(opts["threads"])
     print(f"# threads_resolved = {threads}")
     table = run_experiment(cfg, threads=threads)
-    os.makedirs(opts["out_dir"], exist_ok=True)
-    results_path = os.path.join(opts["out_dir"], "results.csv")
-    curves_path = os.path.join(opts["out_dir"], "curves.csv")
-    table.to_results_csv(results_path)
-    table.to_curves_csv(curves_path)
-    print(f"wrote {results_path}")
-    print(f"wrote {curves_path}")
+    _write(opts["out_dir"], "results.csv", table.to_results_csv)
+    _write(opts["out_dir"], "curves.csv", table.to_curves_csv)
     if opts["plot"]:
-        plot_path = os.path.join(opts["out_dir"], "plot.svg")
-        write_plot_svg(table_to_plot_data(table), plot_path)
-        print(f"wrote {plot_path}")
+        _write(opts["out_dir"], "plot.svg",
+               lambda path: write_plot_svg(table_to_plot_data(table), path))
     return 0
 
 
@@ -281,25 +283,17 @@ def cmd_check_bounds(args) -> int:
         opts["policy"], opts["env"], opts["n"], opts["b"], opts["reps"],
         master_seed=opts["seed"], policy_params=params, threads=threads,
     )
-    os.makedirs(opts["out_dir"], exist_ok=True)
-    path = os.path.join(opts["out_dir"], "bounds.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(BOUNDS_CSV_HEADER)
-        for iq in report.inequalities:
-            w.writerow(
-                [
-                    iq.name, iq.lhs_label, iq.rhs_label, repr(iq.lhs), repr(iq.rhs),
-                    repr(iq.stderr), iq.verdict, "pass" if iq.gate_pass else "fail",
-                ]
-            )
+    rows = []
     for iq in report.inequalities:
+        gate = "pass" if iq.gate_pass else "fail"
         print(
             f"{iq.name}: {iq.lhs_label} = {iq.lhs:.4f} <= {iq.rhs_label} = "
-            f"{iq.rhs:.4f} | verdict {iq.verdict} | gate "
-            f"{'pass' if iq.gate_pass else 'fail'}"
+            f"{iq.rhs:.4f} | verdict {iq.verdict} | gate {gate}"
         )
-    print(f"wrote {path}")
+        rows.append([iq.name, iq.lhs_label, iq.rhs_label, iq.lhs, iq.rhs, iq.stderr,
+                     iq.verdict, gate])
+    _write(opts["out_dir"], "bounds.csv",
+           lambda path: write_csv(path, BOUNDS_CSV_HEADER, rows))
     return 0 if report.gate_pass else 1
 
 
@@ -313,93 +307,76 @@ def cmd_check_assumptions(args) -> int:
     env = parse_env(env_spec)
     name = opts["policy"]
     params = _hyper_params(opts).get(name, {})
-    if name == "two_phase" and "switch_t" not in params:
-        params = dict(params, switch_t=opts["n"] // 2)
     n, reps, seed = opts["n"], opts["reps"], opts["seed"]
     if reps < 2:
         raise ConfigError("check-assumptions needs --reps >= 2 for standard errors")
-
-    def mk():
-        return make_policy(name, env.k, params=params, env_means=env.means)
-
+    policy = _cell_policy(name, env, n, params)
     rows = []
-    gated_violation = False
 
-    curve = regret_curve(mk(), env, "online", make_grid(n, 1), reps, master_seed=seed)
+    curve = regret_curve(policy, env, "online", make_grid(n, 1), reps, master_seed=seed)
     sub = check_sublinearity(curve, min_t=opts["min_t"])
     verdict = "consistent" if sub.holds else "violated"
-    gated_violation |= not sub.holds
     rate = float(curve.values[-1] / n)
     rate_se = float(curve.stderr[-1] / n)
     rows.append(
         ("sublinearity", f"{name}|{env_spec}|online|n={n}|t>={opts['min_t']}",
-         verdict, repr(rate), repr(rate - 2 * rate_se), repr(rate + 2 * rate_se))
+         verdict, rate, rate - 2 * rate_se, rate + 2 * rate_se)
     )
 
     trace_n = min(n, 200)
-    rules = mean_rule_trace(mk(), env, trace_n, reps, derive_seed(seed, "trace"))
+    rules = mean_rule_trace(policy, env, trace_n, reps, derive_seed(seed, "trace"))
     lem = check_lemma31(rules[env.k :], env.instance())
     final_prefix = float(lem.prefix_values[-1])
     rows.append(
         ("averaging-prefix", f"{name}|{env_spec}|online|n={trace_n}|t>{env.k}",
-         _norm_verdict(lem.prefix_verdict), repr(final_prefix), "", "")
+         _norm_verdict(lem.prefix_verdict), final_prefix, None, None)
     )
     rows.append(
         ("averaging-pointwise", f"{name}|{env_spec}|online|n={trace_n}|t>{env.k}",
-         _norm_verdict(lem.pointwise_verdict), repr(float(lem.values[-1])), "", "")
+         _norm_verdict(lem.pointwise_verdict), float(lem.values[-1]), None, None)
     )
 
     probe = probe_informativeness(
-        mk(), env, t=opts["probe_t"], reps=max(reps, 200),
+        policy, env, t=opts["probe_t"], reps=max(reps, 200),
         master_seed=derive_seed(seed, "probe"),
     )
-    verdict = "violated" if probe.verdict == "violated" else "consistent"
-    # the probe's direction is only a stated property for posterior-sampling
-    # policies; index policies can reverse it through the exploration bonus,
-    # so for them the row is advisory
-    probe_gates = name == "ts"
-    gated_violation |= probe_gates and probe.verdict == "violated"
     rows.append(
         ("informativeness", f"{name}|{env_spec}|t={opts['probe_t']}",
-         verdict, repr(probe.mean_diff), repr(probe.ci_low), repr(probe.ci_high))
+         probe.verdict, probe.mean_diff, probe.ci_low, probe.ci_high)
     )
 
     if name == "ucb":
         envl = check_monotone_envelope(
-            mk(), env, reps=max(reps, 100), t_max=min(n, 500),
+            policy, env, reps=max(reps, 100), t_max=min(n, 500),
             master_seed=derive_seed(seed, "envelope"),
         )
-        verdict = "violated" if envl.verdict == "violated" else "consistent"
-        gated_violation |= envl.verdict == "violated"
         rows.append(
             ("monotone-envelope", f"{name}|{env_spec}|t<={envl.t_max}",
-             verdict, str(len(envl.violations)), "", "")
+             envl.verdict, len(envl.violations), None, None)
         )
 
     grid = make_grid(n, opts["b"])
     neg = check_negated_sublinearity(
-        mk(), env, grid, reps=min(reps, 60), master_seed=derive_seed(seed, "neg")
+        policy, env, grid, reps=min(reps, 60), master_seed=derive_seed(seed, "neg")
     )
     rows.append(
         ("sublinearity-reversal", f"{name}|{env_spec}|b={opts['b']}",
-         _norm_verdict(neg.verdict), repr(neg.d),
-         repr(neg.d - 2 * neg.stderr), repr(neg.d + 2 * neg.stderr))
+         _norm_verdict(neg.verdict), neg.d,
+         neg.d - 2 * neg.stderr, neg.d + 2 * neg.stderr)
     )
 
-    os.makedirs(opts["out_dir"], exist_ok=True)
-    path = os.path.join(opts["out_dir"], "assumptions.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ASSUMPTIONS_CSV_HEADER)
-        w.writerows(rows)
     gated = {"sublinearity", "monotone-envelope"}
-    if probe_gates:
+    # the probe's direction is only a stated property for posterior-sampling
+    # policies; index policies can reverse it through the exploration bonus,
+    # so for them the row is advisory
+    if name == "ts":
         gated.add("informativeness")
     for row in rows:
         marker = "gated" if row[0] in gated else "advisory"
         print(f"{row[0]}: {row[2]} [{marker}] ({row[1]})")
-    print(f"wrote {path}")
-    return 1 if gated_violation else 0
+    _write(opts["out_dir"], "assumptions.csv",
+           lambda path: write_csv(path, ASSUMPTIONS_CSV_HEADER, rows))
+    return int(any(row[0] in gated and row[2] == "violated" for row in rows))
 
 
 def cmd_replay(args) -> int:
@@ -435,7 +412,7 @@ def cmd_replay(args) -> int:
             policy_label=f"baseline({opts['baseline']})",
         )
         if base.defined and base.cr > 0:
-            base = with_relative(base, base)
+            base = replace(base, relative_cr=relative_cr(base, base))
         results.append(base)
     for name in opts["policy"]:
         for b in opts["b"]:
@@ -443,16 +420,13 @@ def cmd_replay(args) -> int:
                 mk(name), records, b, derive_seed(opts["seed"], "replay", name, b),
             )
             if base is not None and res.defined and base.defined and base.cr > 0:
-                res = with_relative(res, base)
+                res = replace(res, relative_cr=relative_cr(res, base))
             results.append(res)
-    os.makedirs(opts["out_dir"], exist_ok=True)
-    path = os.path.join(opts["out_dir"], "replay.csv")
-    write_replay_csv(results, path)
     for r in results:
         cr = "undefined" if r.cr is None else f"{r.cr:.4f}"
         rel = "" if r.relative_cr is None else f" relative={r.relative_cr:.4f}"
         print(f"{r.policy} b={r.b}: matched={r.matched} cr={cr}{rel}")
-    print(f"wrote {path}")
+    _write(opts["out_dir"], "replay.csv", lambda path: write_replay_csv(results, path))
     return 0
 
 

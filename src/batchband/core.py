@@ -1,4 +1,4 @@
-"""Shared primitives: seed derivation, batch grids, decision rules.
+"""Shared primitives: seed derivation, batch grids, decision rules, CSV.
 
 Everything downstream (policies, runners, verifiers) speaks in terms of the
 types defined here.  A run over horizon ``n`` is partitioned into ``M``
@@ -8,6 +8,7 @@ feedback released at earlier batch boundaries.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 from dataclasses import dataclass
 
@@ -26,6 +27,19 @@ def derive_seed(master_seed: int, *parts) -> int:
     key = "|".join([str(master_seed), *(str(p) for p in parts)])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path``; every CSV here is written so.
+
+    The cell format is the csv module's own: a float (numpy's float64 too)
+    as ``repr(float(x))``, which reads back exactly; an int or a string as
+    ``str(x)``; None as an empty cell.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class GridError(ValueError):
@@ -53,18 +67,6 @@ class BatchGrid:
     n: int
     b: int
     M: int
-
-    def epoch_start(self, j: int) -> int:
-        """First timestep of batch ``j`` (1-based)."""
-        if not 1 <= j <= self.M:
-            raise GridError(f"batch index {j} outside 1..{self.M}")
-        return (j - 1) * self.b + 1
-
-    def batch_end(self, j: int) -> int:
-        """Last timestep of batch ``j``; feedback is released after it."""
-        if not 1 <= j <= self.M:
-            raise GridError(f"batch index {j} outside 1..{self.M}")
-        return j * self.b
 
 
 def make_grid(n_raw: int, b: int) -> BatchGrid:
@@ -142,18 +144,6 @@ class DecisionRule:
     @property
     def k(self) -> int:
         return int(self.probs.size)
-
-    @staticmethod
-    def point_mass(arm: int, k: int) -> "DecisionRule":
-        if not 0 <= arm < k:
-            raise DimensionMismatchError(f"arm {arm} outside 0..{k - 1}")
-        p = np.zeros(k)
-        p[arm] = 1.0
-        return DecisionRule(p)
-
-    @staticmethod
-    def uniform(k: int) -> "DecisionRule":
-        return DecisionRule(np.full(k, 1.0 / k))
 
 
 def rule_value(rule: DecisionRule, instance: Instance) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, Instance
+from .core import DimensionMismatchError, Instance, write_csv
 
 NORM_TOL = 1e-9
 
@@ -97,19 +97,19 @@ def parse_env(spec: str) -> BernoulliEnv:
     return BernoulliEnv(means)
 
 
-def block_features(context: np.ndarray, k: int) -> np.ndarray:
-    """Disjoint-arm feature matrix: context copied into arm ``a``'s block.
+def block_features(contexts: np.ndarray, k: int) -> np.ndarray:
+    """Disjoint-arm features of ``m`` contexts, shape ``(m, k, k * p)``.
 
-    Returns shape ``(k, k * p)`` where ``p = len(context)``; row ``a`` is
-    zero except for the context in columns ``[a*p, (a+1)*p)``.
+    ``contexts`` is ``(m, p)``.  Arm ``a``'s feature vector for context
+    ``i`` is zero except for that context in columns ``[a*p, (a+1)*p)``.
     """
-    context = np.asarray(context, dtype=float)
-    if context.ndim != 1 or context.size == 0:
-        raise DimensionMismatchError("context must be a non-empty 1-D vector")
-    p = context.size
-    out = np.zeros((k, k * p))
+    contexts = np.asarray(contexts, dtype=float)
+    if contexts.ndim != 2 or contexts.shape[1] == 0:
+        raise DimensionMismatchError("contexts must be a 2-D (m, p) array with p >= 1")
+    m, p = contexts.shape
+    out = np.zeros((m, k, k * p))
     for a in range(k):
-        out[a, a * p : (a + 1) * p] = context
+        out[:, a, a * p : (a + 1) * p] = contexts
     return out
 
 
@@ -146,33 +146,12 @@ class LinearContextualEnv:
     def dim(self) -> int:
         return int(self.theta.size)
 
-    def instance(self) -> Instance:
-        return Instance(self.theta)
-
     def sample_contexts(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """Draw ``m`` contexts uniformly on the unit sphere, shape (m, p)."""
         raw = rng.standard_normal((m, self.context_dim))
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         return raw / norms
-
-    def features(self, context: np.ndarray) -> np.ndarray:
-        """Per-arm feature matrix for one context, shape (k, dim)."""
-        context = np.asarray(context, dtype=float)
-        if context.shape != (self.context_dim,):
-            raise DimensionMismatchError(
-                f"context must have shape ({self.context_dim},)"
-            )
-        return block_features(context, self.k)
-
-    def features_batch(self, contexts: np.ndarray) -> np.ndarray:
-        """Feature tensors for a batch of contexts, shape (m, k, dim)."""
-        contexts = np.asarray(contexts, dtype=float)
-        m = contexts.shape[0]
-        out = np.zeros((m, self.k, self.dim))
-        for a in range(self.k):
-            out[:, a, a * self.context_dim : (a + 1) * self.context_dim] = contexts
-        return out
 
     def mean_matrix(self, contexts: np.ndarray) -> np.ndarray:
         """Mean reward of every arm for each context, shape (m, k)."""
@@ -222,40 +201,26 @@ def synth_logged_dataset(
     env: BernoulliEnv | LinearContextualEnv,
     n_records: int,
     seed: int,
-    logging_probs: np.ndarray | None = None,
 ) -> list[LoggedRecord]:
-    """Generate a uniformly-logged dataset from an environment.
+    """Generate a dataset logged by uniform play over the arms.
 
-    The logging policy is uniform over arms unless ``logging_probs`` is
-    given.  Contextual environments draw a fresh context per record.
+    Contextual environments draw a fresh context per record.
     """
     rng = np.random.default_rng(seed)
     k = env.k
-    if logging_probs is None:
-        probs = np.full(k, 1.0 / k)
-    else:
-        probs = np.asarray(logging_probs, dtype=float)
-        if probs.shape != (k,) or abs(probs.sum() - 1.0) > 1e-9 or np.any(probs <= 0):
-            raise DataError("logging_probs must be a positive probability vector")
+    probs = np.full(k, 1.0 / k)
     actions = rng.choice(k, size=n_records, p=probs)
-    records: list[LoggedRecord] = []
     if isinstance(env, LinearContextualEnv):
         contexts = env.sample_contexts(rng, n_records)
-        feats = env.features_batch(contexts)
-        chosen = feats[np.arange(n_records), actions]
+        chosen = block_features(contexts, k)[np.arange(n_records), actions]
         rewards = env.sample_rewards(chosen, rng)
-        for i in range(n_records):
-            records.append(
-                LoggedRecord(contexts[i], int(actions[i]), float(rewards[i]), float(probs[actions[i]]))
-            )
     else:
+        contexts = np.zeros((n_records, 0))
         rewards = env.sample_rewards(actions, rng)
-        empty = np.zeros(0)
-        for i in range(n_records):
-            records.append(
-                LoggedRecord(empty, int(actions[i]), float(rewards[i]), float(probs[actions[i]]))
-            )
-    return records
+    return [
+        LoggedRecord(ctx, int(a), float(r), float(probs[a]))
+        for ctx, a, r in zip(contexts, actions, rewards)
+    ]
 
 
 def _csv_header(context_dim: int) -> list[str]:
@@ -272,15 +237,12 @@ def write_logged_csv(records, path) -> None:
     if not records:
         raise DataError("refusing to write an empty dataset")
     p = records[0].context.size
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(p))
-        for rec in records:
-            if rec.context.size != p:
-                raise DataError("mixed context dimensions in dataset")
-            row = [repr(float(x)) for x in rec.context]
-            row += [str(rec.action), repr(float(rec.reward)), repr(float(rec.logging_prob))]
-            writer.writerow(row)
+    if any(rec.context.size != p for rec in records):
+        raise DataError("mixed context dimensions in dataset")
+    write_csv(path, _csv_header(p), (
+        [*rec.context.tolist(), rec.action, float(rec.reward), float(rec.logging_prob)]
+        for rec in records
+    ))
 
 
 def read_logged_csv(path) -> list[LoggedRecord]:

@@ -17,18 +17,18 @@ non-strict lower bound.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .assumptions import RegretCurve, _curve_stats, _mean_se, _verdict
-from .core import derive_seed, make_grid
+from .core import derive_seed, make_grid, write_csv
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
-from .policies import POLICY_NAMES, UniformPolicy, make_policy
+from .policies import POLICY_NAMES, PolicyError, UniformPolicy, make_policy
 from .specifications import run_batch, run_online, run_short
 
 MODES = ("plain", "delayed_start", "approx_delayed_start")
@@ -84,6 +84,7 @@ class ExperimentConfig:
         object.__setattr__(self, "policy_params", dict(self.policy_params))
 
     def validate(self) -> None:
+        """Reject, before any cell runs, a configuration some cell cannot run."""
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         if not self.envs or not self.policies or not self.batch_sizes:
@@ -94,11 +95,6 @@ class ExperimentConfig:
             raise ConfigError("delta must lie in (0, 1)")
         if self.bound_from not in ("instance", "oracle"):
             raise ConfigError("bound_from must be 'instance' or 'oracle'")
-        for e in self.envs:
-            try:
-                parse_env(e)
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"bad env {e!r}: {exc}") from exc
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
@@ -112,6 +108,18 @@ class ExperimentConfig:
                 raise ConfigError(f"batch size {b} must be >= 1")
             if self.n < b:
                 raise ConfigError(f"horizon {self.n} shorter than batch {b}")
+        for e in self.envs:
+            try:
+                env = parse_env(e)
+                if self.mode == "delayed_start":
+                    MonotoneBound(env.means)
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"bad env {e!r}: {exc}") from exc
+            for p in self.policies:
+                try:
+                    _cell_policy(p, env, self.n, self.policy_params.get(p, {}))
+                except PolicyError as exc:
+                    raise ConfigError(f"policy {p!r} on env {e!r}: {exc}") from exc
 
     def cells(self):
         """Cell tuples in deterministic configured order."""
@@ -146,43 +154,49 @@ class RegretTable:
     rows: list
     config: ExperimentConfig
 
-    def row(self, env: str, policy_label: str, b: int) -> CellResult:
+    def row(self, env: str, policy: str, b: int) -> CellResult:
         for r in self.rows:
-            if r.env == env and r.policy == policy_label and r.b == b:
+            if r.env == env and r.policy == policy and r.b == b:
                 return r
-        raise KeyError(f"no cell ({env}, {policy_label}, b={b})")
+        raise KeyError(f"no cell ({env}, {policy}, b={b})")
 
     def to_results_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                [
-                    "env", "policy", "spec", "b", "n", "reps",
-                    "mean_final_regret", "stderr_final_regret",
-                    "mean_optimal_fraction", "tau_hat_mean", "tau_hat_none",
-                ]
-            )
-            for r in self.rows:
-                w.writerow(
-                    [
-                        r.env, r.policy, r.spec, str(r.b), str(r.n), str(r.reps),
-                        repr(r.mean_final), repr(r.stderr_final), repr(r.opt_frac),
-                        "" if r.tau_mean is None else repr(r.tau_mean),
-                        "" if r.tau_none is None else str(r.tau_none),
-                    ]
-                )
+        header = [
+            "env", "policy", "spec", "b", "n", "reps", "mean_final_regret",
+            "stderr_final_regret", "mean_optimal_fraction", "tau_hat_mean", "tau_hat_none",
+        ]
+        write_csv(path, header, (
+            [r.env, r.policy, r.spec, r.b, r.n, r.reps, r.mean_final,
+             r.stderr_final, r.opt_frac, r.tau_mean, r.tau_none]
+            for r in self.rows
+        ))
 
     def to_curves_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cell", "t", "mean", "stderr"])
-            for r in self.rows:
-                cell = f"{r.env}|{r.policy}|{r.spec}|{r.b}"
-                for t in range(r.n):
-                    w.writerow(
-                        [cell, str(t + 1), repr(float(r.curve_mean[t])),
-                         repr(float(r.curve_stderr[t]))]
-                    )
+        write_csv(path, ["cell", "t", "mean", "stderr"], (
+            row
+            for r in self.rows
+            for row in zip(
+                repeat(f"{r.env}|{r.policy}|{r.spec}|{r.b}"), range(1, r.n + 1),
+                r.curve_mean.tolist(), r.curve_stderr.tolist(),
+            )
+        ))
+
+
+def _cell_policy(name: str, env, n: int, params: dict):
+    """Policy ``name`` for ``env`` over horizon ``n``; two_phase switches at
+    ``n // 2`` unless ``params`` sets ``switch_t``."""
+    if name == "two_phase":
+        params = {"switch_t": n // 2, **params}
+    return make_policy(name, env.k, params=params, env_means=env.means)
+
+
+def _map(fn, payloads, threads: int) -> list:
+    """``[fn(p) for p in payloads]``, in a pool of ``threads`` processes
+    when there is more than one of each."""
+    if threads <= 1 or len(payloads) == 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, payloads))
 
 
 def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_from) -> str:
@@ -196,23 +210,19 @@ def _run_cell(payload):
     process pools can pickle it."""
     (env_spec, policy_name, params, n, b, reps, master_seed, mode, delta, bound_from) = payload
     env = parse_env(env_spec)
-    if policy_name == "two_phase" and "switch_t" not in params:
-        params = dict(params, switch_t=n // 2)
     grid = make_grid(n, b)
     key = _cell_key(env_spec, policy_name, mode, n, b, delta, bound_from)
     seeds = [derive_seed(master_seed, key, i) for i in range(reps)]
-    policy = make_policy(policy_name, env.k, params=params, env_means=env.means)
+    policy = _cell_policy(policy_name, env, n, params)
     if mode == "plain":
-        run = run_batch(policy, env, grid, seeds, env_label=env_spec)
+        run = run_batch(policy, env, grid, seeds)
     elif mode == "delayed_start":
         run = delayed_start_run(
-            policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid,
-            seeds, env_label=env_spec,
+            policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid, seeds,
         )
     else:
         run = approx_delayed_start_run(
             policy, env, grid, delta, seeds, bound_from=bound_from,
-            env_label=env_spec,
         )
 
     mean_final, stderr_final = (float(x) for x in _mean_se(run.final_regret))
@@ -240,12 +250,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
         )
         for (e, p, b) in config.cells()
     ]
-    if threads <= 1 or len(payloads) == 1:
-        rows = [_run_cell(pl) for pl in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_run_cell, payloads))
-    return RegretTable(rows=rows, config=config)
+    return RegretTable(rows=_map(_run_cell, payloads, threads), config=config)
 
 
 @dataclass(eq=False)
@@ -307,21 +312,15 @@ def check_theorem_bounds(
     if reps < 2:
         raise ConfigError("bound check needs reps >= 2 for a standard error")
     env = parse_env(env_spec)
-    params = dict(policy_params or {})
-    if policy_name == "two_phase" and "switch_t" not in params:
-        params["switch_t"] = n // 2
+    policy = _cell_policy(policy_name, env, n, policy_params or {})
     grid = make_grid(n, b)
     n, m = grid.n, grid.M
 
     payloads = [
-        (policy_name, env_spec, params, n, b, master_seed, lo, hi)
+        (policy_name, env_spec, policy, n, b, master_seed, lo, hi)
         for lo, hi in _split_reps(reps, threads)
     ]
-    if len(payloads) == 1:
-        parts = [_bound_chunk(payloads[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_bound_chunk, payloads))
+    parts = _map(_bound_chunk, payloads, threads)
     means, ses = _mean_se(np.concatenate(parts))
     mean_on, mean_b, mean_m = (float(x) for x in means)
     se_on, se_b, se_m = (float(x) for x in ses)
@@ -360,11 +359,10 @@ def _split_reps(reps: int, threads: int):
 def _bound_chunk(payload):
     """Final regrets of reps ``lo..hi-1`` as a (reps, 3) array: online over
     n, batch b over n, online over M; one lockstep engine call each."""
-    policy_name, env_spec, params, n, b, master_seed, lo, hi = payload
+    policy_name, env_spec, policy, n, b, master_seed, lo, hi = payload
     env = parse_env(env_spec)
     grid = make_grid(n, b)
     key = f"thm|{env_spec}|{policy_name}|{n}|{b}"
-    policy = make_policy(policy_name, env.k, params=params, env_means=env.means)
 
     def seeds(tag):
         return [derive_seed(master_seed, key, tag, i) for i in range(lo, hi)]

@@ -59,14 +59,6 @@ class MonotoneBound:
         arr.flags.writeable = False
         object.__setattr__(self, "theta", arr)
 
-    @property
-    def k(self) -> int:
-        return int(self.theta.size)
-
-    @property
-    def best_arm(self) -> int:
-        return int(np.argmax(self.theta))
-
     def per_arm(self, t) -> np.ndarray:
         """Clamped per-arm terms, shape (..., k); zero at the best arm."""
         t_arr = np.asarray(t, dtype=float)
@@ -99,20 +91,6 @@ def _stays(theta, t: int, k: int, delta: float):
     total = _terms(gaps, np.asarray(t, dtype=float)[..., None]).sum(axis=-1)
     bound = np.clip(1.0 - total, 0.0, 1.0)
     return (bound <= 1.0 / k) | (2.0 * k / (t * t) >= delta)
-
-
-def tau_instance(theta, t_max: int) -> int | None:
-    """Earliest ``t`` at which the bound beats uniform play (``> 1/k``).
-
-    Returns None when no ``t <= t_max`` qualifies.
-    """
-    mb = MonotoneBound(np.asarray(theta, dtype=float))
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    ts = np.arange(1, t_max + 1)
-    vals = mb.aggregate(ts)
-    hits = np.nonzero(vals > 1.0 / mb.k)[0]
-    return int(hits[0] + 1) if hits.size else None
 
 
 def pessimistic_instance(counts, means, t: int) -> np.ndarray:
@@ -192,8 +170,6 @@ def delayed_start_run(
     env: BernoulliEnv,
     grid: BatchGrid,
     seed,
-    policy_label: str | None = None,
-    env_label: str = "custom",
 ):
     """Oracle delayed start: switch at the first epoch where ``bound > 0``.
 
@@ -211,13 +187,12 @@ def delayed_start_run(
         # the epoch starting at step t + 1; the bound is the same for every rep
         return np.full(rows.size, t < grid.n and bound(t + 1) > 0.0)
 
-    run = run_lockstep(candidate, env, grid, seeds, naive=naive, gate=gate,
-                       env_label=env_label)
+    run = run_lockstep(candidate, env, grid, seeds, naive=naive, gate=gate)
     run.phases = [
         PhaseState(phase1=tau < 0, tau_hat=None if tau < 0 else tau)
         for tau in run.tau.tolist()
     ]
-    run.policy = policy_label or f"delayed_start({candidate.name})"
+    run.policy = f"delayed_start({candidate.name})"
     return run.record(0) if single else run
 
 
@@ -227,15 +202,13 @@ def approx_delayed_start_run(
     grid: BatchGrid,
     delta: float,
     seed,
-    naive=None,
     bound_from: str = "instance",
-    policy_label: str | None = None,
-    env_label: str = "custom",
 ):
     """Estimated delayed start: certify the switch from data at batch ends.
 
-    At each phase-1 boundary ``t = jb`` the check needs every arm pulled at
-    least once; otherwise it simply stays in phase 1.  ``bound_from`` picks
+    Uniform play runs phase 1.  At each phase-1 boundary ``t = jb`` the
+    check needs every arm pulled at least once; otherwise it simply stays in
+    phase 1.  ``bound_from`` picks
     what feeds the bound: ``"instance"`` uses the pessimistic estimate (the
     real algorithm), ``"oracle"`` substitutes the true means, a diagnostic
     that isolates estimation error.  ``seed`` is one integer or a sequence,
@@ -248,7 +221,6 @@ def approx_delayed_start_run(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     seeds, single = seed_list(seed)
-    naive = naive if naive is not None else UniformPolicy(env.k)
     k = env.k
     truth = env.means
     truth_unique = int((truth == truth.max()).sum()) == 1
@@ -276,13 +248,12 @@ def approx_delayed_start_run(
                 switched[int(r)] = (c.copy(), m.copy(), th.copy())
         return switch
 
-    run = run_lockstep(candidate, env, grid, seeds, naive=naive, gate=gate,
-                       env_label=env_label)
+    run = run_lockstep(candidate, env, grid, seeds, naive=UniformPolicy(k), gate=gate)
     run.phases = [
         PhaseState(phase1=True, tau_hat=None, delta=delta)
         if tau < 0 else
         PhaseState(False, tau, delta, *switched[r])
         for r, tau in enumerate(run.tau.tolist())
     ]
-    run.policy = policy_label or f"approx_delayed_start({candidate.name})"
+    run.policy = f"approx_delayed_start({candidate.name})"
     return run.record(0) if single else run

@@ -30,16 +30,24 @@ class PlotPoint:
     stderr: float
 
 
+def _group(points):
+    """env -> policy -> points sorted by ``b``, from ``(env, policy, point)``
+    triples; envs and policies keep their first-seen order."""
+    groups: dict = {}
+    for env, policy, point in points:
+        groups.setdefault(env, {}).setdefault(policy, []).append(point)
+    for series in groups.values():
+        for policy, pts in series.items():
+            series[policy] = sorted(pts, key=lambda p: p.b)
+    return groups
+
+
 def table_to_plot_data(table):
     """Group a RegretTable into env -> policy -> sorted points."""
-    groups: dict = {}
-    for row in table.rows:
-        series = groups.setdefault(row.env, {}).setdefault(row.policy, [])
-        series.append(PlotPoint(row.b, row.mean_final, row.stderr_final))
-    for env in groups:
-        for policy in groups[env]:
-            groups[env][policy] = sorted(groups[env][policy], key=lambda p: p.b)
-    return groups
+    return _group(
+        (r.env, r.policy, PlotPoint(r.b, r.mean_final, r.stderr_final))
+        for r in table.rows
+    )
 
 
 def curves_csv_to_plot_data(path):
@@ -77,15 +85,10 @@ def curves_csv_to_plot_data(path):
                 finals[key] = (t, mean, stderr)
     if not finals:
         raise DataError("row 2: no data rows")
-    groups: dict = {}
-    for (env, policy, b), (_t, mean, stderr) in finals.items():
-        groups.setdefault(env, {}).setdefault(policy, []).append(
-            PlotPoint(b, mean, stderr)
-        )
-    for env in groups:
-        for policy in groups[env]:
-            groups[env][policy] = sorted(groups[env][policy], key=lambda p: p.b)
-    return groups
+    return _group(
+        (env, policy, PlotPoint(b, mean, stderr))
+        for (env, policy, b), (_t, mean, stderr) in finals.items()
+    )
 
 
 def _fmt(x: float) -> str:

@@ -16,11 +16,11 @@ consumed as by one proposal per record, in record order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import write_csv
 from .environments import DataError, block_features
 
 SUCCESS_THRESHOLD = 0.5
@@ -88,6 +88,8 @@ def replay_evaluate(
     constant = not (policy.draws or contextual)
     if constant:
         positions = [np.flatnonzero(logged == a) for a in range(k)]
+    if contextual:
+        contexts = np.stack([rec.context for rec in dataset])
     rngs = [np.random.default_rng(seed)]
     rows = np.zeros(1, dtype=np.int64)
     state = policy.init_reps(1)
@@ -108,9 +110,7 @@ def replay_evaluate(
         else:
             m = min(need, n - i)
             if contextual:
-                feats = np.stack(
-                    [block_features(rec.context, k) for rec in dataset[i : i + m]]
-                )
+                feats = block_features(contexts[i : i + m], k)
                 proposals = policy.act_reps(state, m, rngs, rows, feats[None])[0]
             else:
                 proposals = policy.act_reps(state, m, rngs, rows)[0]
@@ -148,34 +148,11 @@ def relative_cr(result: ReplayResult, baseline: ReplayResult) -> float:
     return result.cr / baseline.cr
 
 
-def with_relative(result: ReplayResult, baseline: ReplayResult) -> ReplayResult:
-    """Copy of ``result`` with ``relative_cr`` filled in."""
-    return ReplayResult(
-        policy=result.policy,
-        b=result.b,
-        matched=result.matched,
-        successes=result.successes,
-        cr=result.cr,
-        relative_cr=relative_cr(result, baseline),
-    )
-
-
 REPLAY_CSV_HEADER = ["policy", "b", "matched", "successes", "cr", "relative_cr"]
 
 
 def write_replay_csv(results, path) -> None:
     """Write replay results, one row per (policy, b) configuration."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPLAY_CSV_HEADER)
-        for r in results:
-            w.writerow(
-                [
-                    r.policy,
-                    str(r.b),
-                    str(r.matched),
-                    str(r.successes),
-                    "" if r.cr is None else repr(r.cr),
-                    "" if r.relative_cr is None else repr(r.relative_cr),
-                ]
-            )
+    write_csv(path, REPLAY_CSV_HEADER, (
+        [r.policy, r.b, r.matched, r.successes, r.cr, r.relative_cr] for r in results
+    ))

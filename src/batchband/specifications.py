@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BatchGrid, make_grid
-from .environments import LinearContextualEnv
+from .environments import LinearContextualEnv, block_features
 from .policies import rep_bincount
 
 OPT_TOL = 1e-12
@@ -45,7 +45,6 @@ class RunRecord:
 
     spec: str
     policy: str
-    env: str
     n: int
     b: int
     seed: int
@@ -70,20 +69,18 @@ class RunSet:
 
     The array fields of ``RunRecord`` with a leading rep axis: ``actions``,
     ``pseudo_regret`` and ``optimal_hits`` are ``(R, n)``, ``pull_counts``
-    is ``(R, k)``.  ``rewards`` holds every realised reward and, for a
-    contextual run, ``features`` every chosen feature vector.  ``tau`` is
-    the step at which each rep left phase 1 of a two-phase run (-1 when it
-    never did); ``phases`` is filled by the delayed-start runners.
+    is ``(R, k)``.  For a contextual run ``features`` holds every chosen
+    feature vector.  ``tau`` is the step at which each rep left phase 1 of
+    a two-phase run (-1 when it never did); ``phases`` is filled by the
+    delayed-start runners.
     """
 
     spec: str
     policy: str
-    env: str
     n: int
     b: int
     seeds: list
     actions: np.ndarray
-    rewards: np.ndarray
     pseudo_regret: np.ndarray
     optimal_hits: np.ndarray
     pull_counts: np.ndarray
@@ -102,7 +99,7 @@ class RunSet:
     def record(self, i: int) -> RunRecord:
         """Rep ``i`` as a single-run record."""
         return RunRecord(
-            spec=self.spec, policy=self.policy, env=self.env, n=self.n, b=self.b,
+            spec=self.spec, policy=self.policy, n=self.n, b=self.b,
             seed=self.seeds[i], actions=self.actions[i],
             pseudo_regret=self.pseudo_regret[i], optimal_hits=self.optimal_hits[i],
             pull_counts=self.pull_counts[i],
@@ -129,8 +126,6 @@ def run_lockstep(
     grid: BatchGrid,
     seeds,
     visibility: str = "batch",
-    policy_label: str | None = None,
-    env_label: str = "custom",
     naive=None,
     gate=None,
 ) -> RunSet:
@@ -203,7 +198,7 @@ def run_lockstep(
 
         if contextual:
             ctx = [env.sample_contexts(rngs[r], b) for r in all_rows]
-            feats = np.stack([env.features_batch(c) for c in ctx])
+            feats = block_features(np.concatenate(ctx), k).reshape(reps, b, k, -1)
             acts = policy.act_reps(state, b, rngs, all_rows, feats)
             steps = np.arange(b)
             for r in all_rows:
@@ -246,13 +241,11 @@ def run_lockstep(
         opt = deltas == 0.0
     return RunSet(
         spec=_spec_tag(visibility, b),
-        policy=policy_label if policy_label is not None else policy.name,
-        env=env_label,
+        policy=policy.name,
         n=n,
         b=b,
         seeds=list(seeds),
         actions=actions,
-        rewards=rewards,
         pseudo_regret=np.cumsum(deltas, axis=1),
         optimal_hits=np.cumsum(opt, axis=1),
         pull_counts=rep_bincount(actions, k),
@@ -261,35 +254,27 @@ def run_lockstep(
     )
 
 
-def _run(
-    policy,
-    env,
-    grid: BatchGrid,
-    seed,
-    visibility: str,
-    policy_label: str | None = None,
-    env_label: str = "custom",
-):
+def _run(policy, env, grid: BatchGrid, seed, visibility: str):
     seeds, single = seed_list(seed)
-    run = run_lockstep(policy, env, grid, seeds, visibility, policy_label, env_label)
+    run = run_lockstep(policy, env, grid, seeds, visibility)
     return run.record(0) if single else run
 
 
-def run_online(policy, env, n: int, seed, **kwargs):
+def run_online(policy, env, n: int, seed):
     """Run with every step's feedback visible immediately (batch size 1).
 
     ``seed`` is one integer, for a ``RunRecord``, or a sequence of per-rep
     seeds, run in lockstep into a ``RunSet``; the same holds for
     ``run_batch`` and ``run_short``.
     """
-    return _run(policy, env, make_grid(n, 1), seed, "batch", **kwargs)
+    return _run(policy, env, make_grid(n, 1), seed, "batch")
 
 
-def run_batch(policy, env, grid: BatchGrid, seed, **kwargs):
+def run_batch(policy, env, grid: BatchGrid, seed):
     """Run with feedback released once per batch boundary."""
-    return _run(policy, env, grid, seed, "batch", **kwargs)
+    return _run(policy, env, grid, seed, "batch")
 
 
-def run_short(policy, env, grid: BatchGrid, seed, **kwargs):
+def run_short(policy, env, grid: BatchGrid, seed):
     """Run releasing only the first entry of each batch."""
-    return _run(policy, env, grid, seed, "short", **kwargs)
+    return _run(policy, env, grid, seed, "short")

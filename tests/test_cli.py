@@ -6,6 +6,7 @@ import csv
 
 import pytest
 
+from batchband import harness
 from batchband.cli import main
 from batchband.environments import (
     make_linear_env,
@@ -89,6 +90,21 @@ class TestSimulate:
         rc = main(["simulate", "--env", value, "--n", "20", "--b", "5",
                    "--reps", "2", "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--policy", "ucb,fixed"], "fixed needs fixed_arm"),
+        (["--mode", "delayed_start", "--env", "0.5,0.5"], "unique best arm"),
+    ])
+    def test_unrunnable_cell_exits_2_before_any_cell_runs(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        ran = []
+        monkeypatch.setattr(harness, "_run_cell", ran.append)
+        rc = main(["simulate", *flags, "--n", "20", "--b", "5", "--reps", "2",
+                   "--threads", "1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert ran == [] and not list(tmp_path.glob("*.csv"))
 
     def test_echoes_resolved_config(self, tmp_path, capsys):
         main(["simulate", "--env", "env1", "--policy", "ucb", "--n", "20",

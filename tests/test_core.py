@@ -8,6 +8,7 @@ from batchband.core import (
     Instance,
     make_grid,
     rule_value,
+    write_csv,
 )
 
 
@@ -37,12 +38,10 @@ def test_make_grid_rejects_bad_parameters():
         make_grid(0, 1)
 
 
-def test_epoch_boundaries():
-    g = make_grid(12, 4)
-    assert [g.epoch_start(j) for j in (1, 2, 3)] == [1, 5, 9]
-    assert [g.batch_end(j) for j in (1, 2, 3)] == [4, 8, 12]
-    with pytest.raises(GridError):
-        g.epoch_start(4)
+def test_write_csv_cell_format(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a", "b"], [[0.1, np.float64(1 / 3)], [None, 3], [np.int64(4), "x,y"]])
+    assert path.read_bytes() == b'a,b\r\n0.1,0.3333333333333333\r\n,3\r\n4,"x,y"\r\n'
 
 
 def test_rule_value_fifty_fifty():
@@ -54,7 +53,7 @@ def test_rule_value_fifty_fifty():
 def test_rule_value_dimension_mismatch():
     inst = Instance(np.array([0.7, 0.5, 0.3]))
     with pytest.raises(DimensionMismatchError):
-        rule_value(DecisionRule.uniform(2), inst)
+        rule_value(DecisionRule(np.array([0.5, 0.5])), inst)
 
 
 def test_decision_rule_validation():
@@ -64,7 +63,7 @@ def test_decision_rule_validation():
         DecisionRule(np.array([-0.1, 1.1]))
     with pytest.raises(DimensionMismatchError):
         DecisionRule(np.array([]))
-    pm = DecisionRule.point_mass(1, 3)
+    pm = DecisionRule(np.array([0.0, 1.0, 0.0]))
     assert pm.probs.tolist() == [0.0, 1.0, 0.0]
 
 

@@ -83,7 +83,7 @@ def test_contextual_rep_i_of_a_lockstep_call_equals_its_lone_run(policy, b):
     run = run_batch(policy, env, grid, seeds)
     for i, seed in enumerate(seeds):
         lone = run_batch(policy, env, grid, [seed])
-        for field in ("actions", "rewards", "features", "pseudo_regret", "optimal_hits"):
+        for field in ("actions", "features", "pseudo_regret", "optimal_hits"):
             assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
 
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from batchband.core import DimensionMismatchError
 from batchband.environments import (
     BernoulliEnv,
     DataError,
     LinearContextualEnv,
     LoggedRecord,
     PRESETS,
+    block_features,
     make_linear_env,
     parse_env,
     preset,
@@ -98,14 +102,13 @@ def test_linear_contexts_on_unit_sphere():
 
 
 def test_linear_features_block_layout():
-    env = LinearContextualEnv(np.array([0.1, 0.2, 0.3, 0.4]), k=2, context_dim=2)
-    f = env.features(np.array([1.0, 0.0]))
-    assert f.shape == (2, 4)
-    assert f[0].tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert f[1].tolist() == [0.0, 0.0, 1.0, 0.0]
-    fb = env.features_batch(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    fb = block_features(np.array([[1.0, 0.0], [0.0, 2.0]]), 2)
     assert fb.shape == (2, 2, 4)
+    assert fb[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert fb[0, 1].tolist() == [0.0, 0.0, 1.0, 0.0]
     assert fb[1, 1].tolist() == [0.0, 0.0, 0.0, 2.0]
+    with pytest.raises(DimensionMismatchError):
+        block_features(np.array([1.0, 0.0]), 2)
 
 
 def test_linear_mean_matrix_agrees_with_features():
@@ -113,7 +116,7 @@ def test_linear_mean_matrix_agrees_with_features():
     rng = np.random.default_rng(4)
     ctx = env.sample_contexts(rng, 10)
     mm = env.mean_matrix(ctx)
-    feats = env.features_batch(ctx)
+    feats = block_features(ctx, env.k)
     assert np.allclose(mm, feats @ env.theta, atol=1e-12)
 
 
@@ -121,7 +124,7 @@ def test_linear_rewards_noise_unit_variance():
     env = make_linear_env(k=2, context_dim=3, seed=5)
     rng = np.random.default_rng(6)
     ctx = env.sample_contexts(rng, 20000)
-    feats = env.features_batch(ctx)[:, 0, :]
+    feats = block_features(ctx, env.k)[:, 0, :]
     rewards = env.sample_rewards(feats, rng)
     noise = rewards - feats @ env.theta
     assert abs(noise.mean()) < 0.02
@@ -176,6 +179,35 @@ def test_logged_csv_roundtrip_with_context(tmp_path):
         np.stack([r.context for r in records]),
         atol=0,
     )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def logged_records(draw):
+    p = draw(st.integers(0, 3))
+    return [
+        LoggedRecord(
+            np.array(draw(st.lists(FINITE, min_size=p, max_size=p)), dtype=float),
+            draw(st.integers(0, 9)),
+            draw(FINITE),
+            draw(st.floats(0.0, 1.0, exclude_min=True)),
+        )
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=logged_records())
+def test_logged_csv_write_read_round_trips_exactly(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_logged_csv(records, path)
+    back = read_logged_csv(path)
+    assert len(back) == len(records)
+    for a, b in zip(records, back):
+        assert a.context.tolist() == b.context.tolist()
+        assert (a.action, a.reward, a.logging_prob) == (b.action, b.reward, b.logging_prob)
 
 
 def test_read_logged_csv_reports_line_numbers(tmp_path):

@@ -13,7 +13,6 @@ from batchband.meta import (
     check_phase,
     delayed_start_run,
     pessimistic_instance,
-    tau_instance,
 )
 from batchband.specifications import run_batch
 
@@ -100,25 +99,6 @@ def test_bound_rejects_bad_time():
     mb = MonotoneBound(ENV3)
     with pytest.raises(ValueError):
         mb.aggregate(0)
-
-
-# ---------------------------------------------------------------- tau
-
-
-def test_tau_instance_env3_matches_scan_oracle():
-    tau = tau_instance(ENV3, 10_000)
-    expected = None
-    for t in range(1, 10_001):
-        f = max(0.0, 1.0 - bound_term(t, 0.6))
-        if f > 0.5:
-            expected = t
-            break
-    assert tau == expected
-    assert 100 < tau < 1000
-
-
-def test_tau_instance_none_when_horizon_short():
-    assert tau_instance(np.array([0.7, 0.5]), 50) is None
 
 
 # ---------------------------------------------------------------- certification

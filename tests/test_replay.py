@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from reference_runner import reference_replay
@@ -25,7 +27,6 @@ from batchband.replay import (
     ReplayResult,
     relative_cr,
     replay_evaluate,
-    with_relative,
     write_replay_csv,
 )
 
@@ -185,7 +186,7 @@ class TestRelativeCr:
     def test_with_relative_fills_field(self):
         r = ReplayResult("a", 1, 100, 12, 0.12)
         base = ReplayResult("b", 1, 100, 10, 0.10)
-        assert with_relative(r, base).relative_cr == pytest.approx(1.2)
+        assert replace(r, relative_cr=relative_cr(r, base)).relative_cr == pytest.approx(1.2)
 
 
 class TestCsv:
