@@ -401,23 +401,27 @@ def cmd_replay(args) -> int:
             params=hyper.get(name, {}),
         )
 
+    # every policy is built before the first replay, so one that cannot be
+    # built in replay fails before any work is done
+    if opts["baseline"] != "none" and opts["baseline"] not in POLICY_NAMES:
+        raise ConfigError(f"unknown baseline policy {opts['baseline']!r}")
+    baseline = None if opts["baseline"] == "none" else mk(opts["baseline"])
+    targets = [(name, mk(name)) for name in opts["policy"]]
     results = []
     base = None
-    if opts["baseline"] != "none":
-        if opts["baseline"] not in POLICY_NAMES:
-            raise ConfigError(f"unknown baseline policy {opts['baseline']!r}")
+    if baseline is not None:
         base = replay_evaluate(
-            mk(opts["baseline"]), records, 1,
+            baseline, records, 1,
             derive_seed(opts["seed"], "replay", opts["baseline"], 1),
             policy_label=f"baseline({opts['baseline']})",
         )
         if base.defined and base.cr > 0:
             base = replace(base, relative_cr=relative_cr(base, base))
         results.append(base)
-    for name in opts["policy"]:
+    for name, policy in targets:
         for b in opts["b"]:
             res = replay_evaluate(
-                mk(name), records, b, derive_seed(opts["seed"], "replay", name, b),
+                policy, records, b, derive_seed(opts["seed"], "replay", name, b),
             )
             if base is not None and res.defined and base.defined and base.cr > 0:
                 res = replace(res, relative_cr=relative_cr(res, base))

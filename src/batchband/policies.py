@@ -14,14 +14,17 @@ A policy runs ``R`` reps in lockstep through three operations:
 
 Every rep has seen the same amount of feedback, ``t_seen``.  ``draws``
 says whether ``act_reps`` consumes the generators; a policy that draws
-nothing plays a pure function of its state and features.  State is
-frozen within a batch, so the played rule is constant inside it.
+nothing plays a pure function of its state and features.  ``adaptive``
+says whether ``act_reps`` reads the state at all; a policy that is not
+adaptive (uniform and fixed-arm play) ignores feedback, so ``b`` steps from
+any state are ``b`` steps from the initial one.  State is frozen within a
+batch, so the played rule is constant inside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,11 +76,17 @@ class RepBeta:
 @dataclass(eq=False, slots=True)
 class RepRidge:
     """Ridge statistics of ``R`` lockstep reps: design matrices ``V``
-    ``(R, d, d)`` and response vectors ``z`` ``(R, d)``."""
+    ``(R, d, d)`` and response vectors ``z`` ``(R, d)``.
+
+    ``factors`` maps a rep to what its policy derived from that rep's
+    ``V`` and ``z``; ``update_reps`` clears it, so a frozen state is
+    factored once however often it is asked to act.
+    """
 
     V: np.ndarray
     z: np.ndarray
     t_seen: int
+    factors: dict = field(default_factory=dict)
 
 
 class BasePolicy:
@@ -85,6 +94,7 @@ class BasePolicy:
 
     name = "base"
     draws = True
+    adaptive = True
 
     def init_reps(self, reps: int):
         raise NotImplementedError
@@ -216,6 +226,7 @@ class UniformPolicy(_CountPolicy):
 
     k: int
     name = "uniform"
+    adaptive = False
 
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
         return np.array([rngs[r].integers(0, self.k, size=b) for r in rows])
@@ -229,6 +240,7 @@ class FixedArmPolicy(_CountPolicy):
     arm: int
     name = "fixed"
     draws = False
+    adaptive = False
 
     def __post_init__(self):
         if not 0 <= self.arm < self.k:
@@ -309,7 +321,14 @@ class _LinearBase(BasePolicy):
             states.V[r] += f.T @ f
             states.z[r] += f.T @ rewards[r]
         states.t_seen += feats.shape[1]
+        states.factors.clear()
         return states
+
+    def _factors(self, states, r):
+        got = states.factors.get(r)
+        if got is None:
+            got = states.factors[r] = self._factor(states.V[r], states.z[r])
+        return got
 
 
 @dataclass(frozen=True)
@@ -327,12 +346,15 @@ class LinUcbPolicy(_LinearBase):
     name = "linucb"
     draws = False
 
+    @staticmethod
+    def _factor(V, z):
+        return np.linalg.solve(V, z), np.linalg.inv(V)
+
     def act_reps(self, states, b, rngs, rows, features=None) -> np.ndarray:
         fs = self._features(features, rows, b)
         out = np.empty((len(rows), b), dtype=np.int64)
         for i, r in enumerate(rows):
-            theta_hat = np.linalg.solve(states.V[r], states.z[r])
-            Vinv = np.linalg.inv(states.V[r])
+            theta_hat, Vinv = self._factors(states, r)
             widths = np.sqrt(np.einsum("bkd,de,bke->bk", fs[i], Vinv, fs[i]))
             out[i] = np.argmax(fs[i] @ theta_hat + self.alpha * widths, axis=1)
         return out
@@ -347,13 +369,16 @@ class LinTsPolicy(_LinearBase):
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
     name = "lints"
 
+    @staticmethod
+    def _factor(V, z):
+        Vinv = np.linalg.inv(V)
+        return Vinv @ z, np.linalg.cholesky(Vinv)
+
     def act_reps(self, states, b, rngs, rows, features=None) -> np.ndarray:
         fs = self._features(features, rows, b)
         out = np.empty((len(rows), b), dtype=np.int64)
         for i, r in enumerate(rows):
-            Vinv = np.linalg.inv(states.V[r])
-            mean = Vinv @ states.z[r]
-            chol = np.linalg.cholesky(Vinv)
+            mean, chol = self._factors(states, r)
             draws = mean + rngs[r].standard_normal((b, self.dim)) @ chol.T
             out[i] = np.argmax(np.einsum("bkd,bd->bk", fs[i], draws), axis=1)
         return out

@@ -9,9 +9,19 @@ records, so the effective horizon is the matched count, not the raw
 record count.  Unmatched records are skipped without touching history,
 which keeps the estimate unbiased under uniform logging.
 
-The policy runs as one rep of the rep-batched protocol, proposing for up to
-the rest of the pending batch in one ``act_reps`` call; its generator is
-consumed as by one proposal per record, in record order.
+The policy runs as one rep of the rep-batched protocol, and its generator
+is consumed as by one proposal per record, in record order.  Between two
+history updates its state is frozen, so each frozen state is asked only as
+often as the stream requires:
+
+* a policy that is not ``adaptive`` proposes for the whole log in one call
+  and is never updated;
+* a policy that ``draws`` nothing proposes for a look-ahead window of
+  ``2 * k * need`` records, where ``need`` is what the pending batch still
+  lacks, keeps its first ``need`` matches and drops the rest, with nothing
+  drawn to rewind;
+* a drawing policy proposes for up to ``need`` records, which can never
+  take the history past its next update.
 """
 
 from __future__ import annotations
@@ -81,48 +91,47 @@ def replay_evaluate(
     if bad.size:
         i = int(bad[0])
         raise DataError(f"line {i + 2}: action {logged[i]} out of range for k={k}")
-    actions = logged.tolist()
     rewards = [rec.reward for rec in dataset]
     contextual = hasattr(policy, "dim")
-    # a policy that draws nothing proposes one arm until its next update
-    constant = not (policy.draws or contextual)
-    if constant:
-        positions = [np.flatnonzero(logged == a) for a in range(k)]
     if contextual:
         contexts = np.stack([rec.context for rec in dataset])
     rngs = [np.random.default_rng(seed)]
     rows = np.zeros(1, dtype=np.int64)
     state = policy.init_reps(1)
     n = len(dataset)
+
+    def propose(i, m):
+        """Proposals for records ``[i, i + m)`` from the frozen state, and
+        their features when the policy reads them."""
+        if not contextual:
+            return policy.act_reps(state, m, rngs, rows)[0], None
+        feats = block_features(contexts[i : i + m], k)
+        return policy.act_reps(state, m, rngs, rows, feats[None])[0], feats
+
+    if not policy.adaptive:
+        # the state is never read, so the whole log is one proposal call
+        hits = np.flatnonzero(propose(0, n)[0] == logged)
+        successes = sum(rewards[j] >= SUCCESS_THRESHOLD for j in hits.tolist())
+        return _result(policy, policy_label, b, hits.size, successes)
+
+    actions = logged.tolist()
     matched = successes = 0
     pending, pending_keys = [], []
     i = 0
     while i < n:
-        # a record matches at most once, so the next ``need`` records can
-        # never take the history past its next update
         need = b - len(pending)
-        if constant:
-            arm = int(policy.act_reps(state, 1, rngs, rows)[0, 0])
-            at = positions[arm]
-            lo = np.searchsorted(at, i)
-            hits = at[lo : lo + need].tolist()
-            i = hits[-1] + 1 if len(hits) == need else n
+        m = min(need if policy.draws else 2 * k * need, n - i)
+        lo = i
+        proposals, feats = propose(lo, m)
+        if m == 1:  # one record: Python scalars cost less than array bookkeeping
+            hits = [lo] if proposals[0] == actions[lo] else []
         else:
-            m = min(need, n - i)
-            if contextual:
-                feats = block_features(contexts[i : i + m], k)
-                proposals = policy.act_reps(state, m, rngs, rows, feats[None])[0]
-            else:
-                proposals = policy.act_reps(state, m, rngs, rows)[0]
-            if m == 1:  # one record: Python scalars cost less than array bookkeeping
-                hits = [i] if proposals[0] == actions[i] else []
-            else:
-                hits = (np.flatnonzero(proposals == logged[i : i + m]) + i).tolist()
-            if contextual:
-                pending_keys.extend(feats[j - i, actions[j]] for j in hits)
-            i += m
+            hits = ((proposals == logged[lo : lo + m]).nonzero()[0][:need] + lo).tolist()
+        i = hits[-1] + 1 if len(hits) == need else lo + m
         if not hits:
             continue
+        if contextual:
+            pending_keys.extend(feats[j - lo, actions[j]] for j in hits)
         matched += len(hits)
         successes += sum(rewards[j] >= SUCCESS_THRESHOLD for j in hits)
         pending.extend(hits)
@@ -132,8 +141,12 @@ def replay_evaluate(
             state = policy.update_reps(state, keys[None], fed[None])
             pending.clear()
             pending_keys.clear()
+    return _result(policy, policy_label, b, matched, successes)
+
+
+def _result(policy, label, b, matched, successes) -> ReplayResult:
     cr = successes / matched if matched else None
-    label = policy_label or getattr(policy, "name", type(policy).__name__)
+    label = label or getattr(policy, "name", type(policy).__name__)
     return ReplayResult(
         policy=label, b=b, matched=matched, successes=successes, cr=cr
     )

@@ -1,11 +1,13 @@
 """Naive per-step references for the finite-armed run engine and replay.
 
 Written from the policies' definitions, one step at a time, with no numpy
-beyond the generator: the engine and the replay evaluator must reproduce
-them bit for bit.  Per batch a run draws the policy's randomness (TS: one
+beyond the generator and the linear policies' ridge algebra: the engine and
+the replay evaluator must reproduce them bit for bit.  Per batch a run draws the policy's randomness (TS: one
 Beta draw per arm and step, in step-then-arm order; uniform:
 ``integers(0, k, size=b)``), then one uniform per step for the Bernoulli
-rewards.  Replay makes one proposal per logged record, in record order.
+rewards.  Replay makes one proposal per logged record, in record order;
+the linear policies factor their ridge statistics afresh for every
+proposal.
 """
 
 import math
@@ -63,33 +65,70 @@ def reference_run(name, means, n, b, seed, short=False, c=1.0, arm=0, switch_t=0
     return actions, regret
 
 
-def reference_replay(name, k, records, b, seed, c=1.0):
+def _ridge_arm(name, feats, V, z, rng, alpha):
+    """LinUCB or LinTS proposal from a fresh factoring of ``V``."""
+    if name == "linucb":
+        theta_hat = np.linalg.solve(V, z)
+        Vinv = np.linalg.inv(V)
+        widths = np.sqrt(np.einsum("kd,de,ke->k", feats, Vinv, feats))
+        scores = feats @ theta_hat + alpha * widths
+    else:
+        Vinv = np.linalg.inv(V)
+        chol = np.linalg.cholesky(Vinv)
+        draw = Vinv @ z + rng.standard_normal((1, len(z))) @ chol.T
+        scores = feats @ draw[0]
+    return int(np.argmax(scores))
+
+
+def reference_replay(name, k, records, b, seed, c=1.0, arm=0, good=0, bad=1,
+                     switch_t=0, alpha=1.0, ridge_lambda=1.0):
     """(matched, successes) of replaying ``records`` with ``name`` at batch
     size ``b``: a record matches when the proposal equals its logged action,
-    and every ``b`` matches are fed back together."""
+    and every ``b`` matches are fed back together.  ``arm`` is the fixed
+    arm; ``good``, ``bad`` and ``switch_t`` configure two-phase play; the
+    linear policies place record ``i``'s context in arm ``a``'s block of a
+    ``k * p`` feature vector."""
     rng = np.random.default_rng(seed)
     counts, sums = [0] * k, [0.0] * k
-    alpha, beta = [1.0] * k, [1.0] * k
+    alpha_post, beta_post = [1.0] * k, [1.0] * k
+    linear = name in ("linucb", "lints")
+    if linear:
+        p = records[0].context.size
+        V, z = ridge_lambda * np.eye(k * p), np.zeros(k * p)
     seen = matched = successes = 0
     pending = []
     for rec in records:
-        if name == "ucb":
+        if linear:
+            feats = np.zeros((k, k * p))
+            for a in range(k):
+                feats[a, a * p : (a + 1) * p] = rec.context
+            proposal = _ridge_arm(name, feats, V, z, rng, alpha)
+        elif name == "ucb":
             proposal = _ucb_arm(counts, sums, seen, c)
         elif name == "ts":
-            proposal = _ts_arm(alpha, beta, rng)
+            proposal = _ts_arm(alpha_post, beta_post, rng)
+        elif name == "fixed":
+            proposal = arm
+        elif name == "two_phase":
+            proposal = good if seen + 1 <= switch_t else bad
         else:
             proposal = int(rng.integers(0, k))
         if proposal != rec.action:
             continue
         matched += 1
         successes += rec.reward >= 0.5
-        pending.append((rec.action, rec.reward))
+        pending.append((feats[rec.action] if linear else rec.action, rec.reward))
         if len(pending) == b:
-            for a, reward in pending:
-                counts[a] += 1
-                sums[a] += reward
-                alpha[a] += reward
-                beta[a] += 1.0 - reward
+            if linear:
+                F = np.array([f for f, _ in pending])
+                V += F.T @ F
+                z += F.T @ np.array([r for _, r in pending])
+            else:
+                for a, reward in pending:
+                    counts[a] += 1
+                    sums[a] += reward
+                    alpha_post[a] += reward
+                    beta_post[a] += 1.0 - reward
             seen += b
             pending = []
     return matched, successes

@@ -6,7 +6,7 @@ import csv
 
 import pytest
 
-from batchband import harness
+from batchband import cli, harness
 from batchband.cli import main
 from batchband.environments import (
     make_linear_env,
@@ -244,6 +244,21 @@ class TestReplay:
 
     def test_unknown_policy_exits_2(self, tmp_path, logs):
         assert main(["replay", "--data", str(logs), "--policy", "bogus"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--policy", "ucb,fixed"], "fixed needs fixed_arm"),
+        (["--policy", "ucb", "--baseline", "two_phase"], "two_phase needs environment means"),
+    ])
+    def test_unbuildable_policy_exits_2_before_any_replay(
+        self, tmp_path, logs, monkeypatch, capsys, flags, message
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "replay_evaluate", lambda *a, **kw: calls.append(a))
+        rc = main(["replay", "--data", str(logs), *flags, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "replay.csv").exists()
 
     def test_reruns_byte_identical(self, tmp_path, logs):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -8,6 +8,7 @@ from batchband.policies import (
     LinTsPolicy,
     LinUcbPolicy,
     PolicyError,
+    RepRidge,
     ThompsonBetaPolicy,
     TwoPhaseSwitchPolicy,
     UcbPolicy,
@@ -276,6 +277,39 @@ def test_lints_requires_features():
         act(pol, pol.init_reps(1), b=2)
     with pytest.raises(ValueError):
         act(pol, pol.init_reps(1), b=2, features=np.zeros((3, 2, 2)))
+
+
+@pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
+def test_ridge_factors_are_refreshed_by_update(cls):
+    # act, update, act: the second act must see the updated V and z, as a
+    # fresh state built from them does
+    pol = cls(k=3, context_dim=2)
+    rng = np.random.default_rng(8)
+    feats = rng.standard_normal((6, 3, 6))
+    st = pol.init_reps(1)
+    act(pol, st, b=6, seed=3, features=feats)
+    st = lin_fed(pol, rng.standard_normal((5, 6)), rng.standard_normal(5), st)
+    fresh = RepRidge(st.V.copy(), st.z.copy(), st.t_seen)
+    assert (act(pol, st, b=6, seed=3, features=feats).tolist()
+            == act(pol, fresh, b=6, seed=3, features=feats).tolist())
+
+
+@pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
+def test_ridge_factors_are_kept_per_rep(cls):
+    # three reps with different statistics, asked twice: every answer
+    # matches that rep's own lone state
+    pol = cls(k=3, context_dim=2)
+    rng = np.random.default_rng(5)
+    st = pol.init_reps(3)
+    st = pol.update_reps(st, rng.standard_normal((3, 4, 6)), rng.standard_normal((3, 4)))
+    feats = rng.standard_normal((3, 5, 3, 6))
+    rows = np.arange(3)
+    for _ in range(2):
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        got = pol.act_reps(st, 5, rngs, rows, feats)
+        for r in rows:
+            lone = RepRidge(st.V[r : r + 1].copy(), st.z[r : r + 1].copy(), st.t_seen)
+            assert got[r].tolist() == act(pol, lone, b=5, seed=r + 1, features=feats[r]).tolist()
 
 
 # ---------------------------------------------------------------- registry

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_runner import reference_replay
 
 from batchband.environments import (
@@ -17,8 +19,10 @@ from batchband.environments import (
 )
 from batchband.policies import (
     FixedArmPolicy,
+    LinTsPolicy,
     LinUcbPolicy,
     ThompsonBetaPolicy,
+    TwoPhaseSwitchPolicy,
     UcbPolicy,
     UniformPolicy,
 )
@@ -127,18 +131,83 @@ class TestDeterminism:
         assert a.matched > 0
 
 
+# every replay policy, built in the library, with the reference's settings
+POLICIES = {
+    "ucb": lambda k, p: UcbPolicy(k),
+    "ts": lambda k, p: ThompsonBetaPolicy(k),
+    "uniform": lambda k, p: UniformPolicy(k),
+    "fixed": lambda k, p: FixedArmPolicy(k, 1),
+    "two_phase": lambda k, p: TwoPhaseSwitchPolicy(k, good_arm=0, bad_arm=1, switch_t=40),
+    "linucb": lambda k, p: LinUcbPolicy(k, p),
+    "lints": lambda k, p: LinTsPolicy(k, p),
+}
+SETTINGS = dict(arm=1, good=0, bad=1, switch_t=40)
+
+
+def logs(linear):
+    """Logs to replay: full logs of lengths that no window divides, and a
+    log in which arm 1 never appears, so a policy stuck on it scans the
+    rest of the log without a hit."""
+    if linear:
+        full = synth_logged_dataset(make_linear_env(4, 3, seed=5), 1201, seed=31)
+        return [full, [r for r in full if r.action != 1]]
+    env1 = synth_logged_dataset(preset("env1"), 2001, seed=31)
+    env6 = synth_logged_dataset(preset("env6"), 2999, seed=31)
+    return [env1, env6, [r for r in env6 if r.action != 1]]
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("b", [1, 3, 50])
-    @pytest.mark.parametrize("name", ["ucb", "ts", "uniform"])
+    @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_matches_naive_per_record_replay(self, name, b):
-        for env_name, rows in (("env1", 2000), ("env6", 3000)):
-            env = preset(env_name)
-            dataset = synth_logged_dataset(env, rows, seed=31)
-            policy = {"ucb": UcbPolicy, "ts": ThompsonBetaPolicy, "uniform": UniformPolicy}
-            result = replay_evaluate(policy[name](env.k), dataset, b=b, seed=17)
+        linear = name.startswith("lin")
+        for dataset in logs(linear):
+            k = 4 if linear else max(r.action for r in dataset) + 1
+            policy = POLICIES[name](k, dataset[0].context.size)
+            result = replay_evaluate(policy, dataset, b=b, seed=17)
             assert (result.matched, result.successes) == reference_replay(
-                name, env.k, dataset, b, seed=17
+                name, k, dataset, b, seed=17, **SETTINGS
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(2, 4),
+        b=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        name=st.sampled_from(["ucb", "ts", "uniform", "fixed"]),
+        data=st.data(),
+    )
+    def test_random_small_logs_match_reference(self, k, b, seed, name, data):
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, k - 1), st.sampled_from([0.0, 1.0])),
+            min_size=1, max_size=200,
+        ))
+        dataset = [rec(a, r) for a, r in pairs]
+        result = replay_evaluate(POLICIES[name](k, 0), dataset, b=b, seed=seed)
+        assert (result.matched, result.successes) == reference_replay(
+            name, k, dataset, b, seed=seed, **SETTINGS
+        )
+
+
+class TestProposalCalls:
+    @pytest.mark.parametrize("policy", [UniformPolicy(4), FixedArmPolicy(4, 2)])
+    def test_feedback_free_policy_proposes_once_and_never_updates(
+        self, monkeypatch, policy
+    ):
+        calls = []
+        cls = type(policy)
+        act_reps = cls.act_reps
+
+        def spy(self, states, b, rngs, rows):
+            calls.append(b)
+            return act_reps(self, states, b, rngs, rows)
+
+        monkeypatch.setattr(cls, "act_reps", spy)
+        monkeypatch.setattr(cls, "update_reps", lambda *a: pytest.fail("update called"))
+        dataset = synth_logged_dataset(preset("env6"), 999, seed=2)
+        result = replay_evaluate(policy, dataset, b=3, seed=4)
+        assert calls == [999]
+        assert result.matched > 0
 
 
 class TestContextualTrend:
