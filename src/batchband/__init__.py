@@ -13,7 +13,7 @@ from .core import (
 from .environments import (
     BernoulliEnv,
     LinearContextualEnv,
-    LoggedRecord,
+    LoggedData,
     make_linear_env,
     parse_env,
     preset,
@@ -62,7 +62,7 @@ __all__ = [
     "LinTsPolicy",
     "LinUcbPolicy",
     "LinearContextualEnv",
-    "LoggedRecord",
+    "LoggedData",
     "MonotoneBound",
     "PROB_TOL",
     "RegretTable",

@@ -43,7 +43,7 @@ from .assumptions import (
     probe_informativeness,
 )
 from .core import derive_seed, make_grid, write_csv
-from .environments import PRESETS, parse_env, read_logged_csv
+from .environments import PRESETS, DataError, parse_env, read_logged_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -55,7 +55,7 @@ from .harness import (
 )
 from .plotting import curves_csv_to_plot_data, table_to_plot_data, write_plot_svg
 from .policies import POLICY_NAMES, make_policy
-from .replay import relative_cr, replay_evaluate, write_replay_csv
+from .replay import check_uniform_log, relative_cr, replay_evaluate, write_replay_csv
 
 ASSUMPTIONS_CSV_HEADER = ["check", "subject", "verdict", "statistic", "ci_low", "ci_high"]
 BOUNDS_CSV_HEADER = [
@@ -186,7 +186,6 @@ REPLAY_FIELDS = [
     Field("policy", _strs, ("ucb",), "comma-separated target policies"),
     Field("b", _ints, (1,), "comma-separated batch sizes"),
     Field("seed", _int, 0, "master seed"),
-    Field("k", _int, None, "arm count (default: inferred from logged actions)"),
     Field("baseline", str, "uniform", "baseline policy for relative CR, or 'none'"),
     Field("ucb_c", _float, None, "UCB exploration constant override"),
     Field("out_dir", str, ".", "output directory for replay.csv"),
@@ -262,7 +261,6 @@ def cmd_simulate(args) -> int:
         bound_from=opts["bound"],
         policy_params=_hyper_params(opts),
     )
-    cfg.validate()
     threads = resolve_threads(opts["threads"])
     print(f"# threads_resolved = {threads}")
     table = run_experiment(cfg, threads=threads)
@@ -383,49 +381,34 @@ def cmd_replay(args) -> int:
     opts = _resolve(args, REPLAY_FIELDS, "replay")
     if not opts["data"]:
         raise ConfigError("replay needs --data pointing at a logged-data CSV")
-    records = read_logged_csv(opts["data"])
-    context_dim = records[0].context.size
-    k = opts["k"]
-    if k is None:
-        k = max(r.action for r in records) + 1
+    data = read_logged_csv(opts["data"])
+    # a uniform log over k arms logs every action with probability 1/k
+    k = round(1.0 / data.probs[0])
     if k < 2:
-        raise ConfigError(f"inferred k={k}; logged data needs at least 2 arms")
-    for name in opts["policy"]:
-        if name not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}")
+        raise DataError(f"line 2: logging_prob {data.probs[0]} is not 1/k for any k >= 2")
     hyper = _hyper_params(opts)
 
     def mk(name):
-        return make_policy(
-            name, k, context_dim=context_dim or None,
-            params=hyper.get(name, {}),
-        )
+        policy = make_policy(name, k, data.contexts.shape[1] or None, hyper.get(name, {}))
+        check_uniform_log(data, policy)
+        return policy
 
-    # every policy is built before the first replay, so one that cannot be
-    # built in replay fails before any work is done
-    if opts["baseline"] != "none" and opts["baseline"] not in POLICY_NAMES:
-        raise ConfigError(f"unknown baseline policy {opts['baseline']!r}")
-    baseline = None if opts["baseline"] == "none" else mk(opts["baseline"])
-    targets = [(name, mk(name)) for name in opts["policy"]]
-    results = []
-    base = None
-    if baseline is not None:
-        base = replay_evaluate(
-            baseline, records, 1,
-            derive_seed(opts["seed"], "replay", opts["baseline"], 1),
-            policy_label=f"baseline({opts['baseline']})",
-        )
+    # every policy is built and checked against the log before the first
+    # replay, so a policy or log that cannot be replayed fails before any work
+    base_name = opts["baseline"]
+    runs = [] if base_name == "none" else [(base_name, 1, mk(base_name))]
+    for name in opts["policy"]:
+        policy = mk(name)
+        runs += [(name, b, policy) for b in opts["b"]]
+    results = [
+        replay_evaluate(policy, data, b, derive_seed(opts["seed"], "replay", name, b))
+        for name, b, policy in runs
+    ]
+    if base_name != "none":
+        base = results[0] = replace(results[0], policy=f"baseline({base_name})")
         if base.defined and base.cr > 0:
-            base = replace(base, relative_cr=relative_cr(base, base))
-        results.append(base)
-    for name, policy in targets:
-        for b in opts["b"]:
-            res = replay_evaluate(
-                policy, records, b, derive_seed(opts["seed"], "replay", name, b),
-            )
-            if base is not None and res.defined and base.defined and base.cr > 0:
-                res = replace(res, relative_cr=relative_cr(res, base))
-            results.append(res)
+            results = [replace(r, relative_cr=relative_cr(r, base)) if r.defined else r
+                       for r in results]
     for r in results:
         cr = "undefined" if r.cr is None else f"{r.cr:.4f}"
         rel = "" if r.relative_cr is None else f" relative={r.relative_cr:.4f}"

@@ -17,7 +17,6 @@ and the logging policy's probability for that action.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,34 +173,55 @@ def make_linear_env(k: int, context_dim: int, seed: int = 0) -> LinearContextual
     return LinearContextualEnv(raw / np.linalg.norm(raw), k=k, context_dim=context_dim)
 
 
-@dataclass(frozen=True, eq=False)
-class LoggedRecord:
-    """One logged interaction: context (possibly empty), action, reward, prob."""
+def _reject_rows(bad: np.ndarray, values: np.ndarray, what: str) -> None:
+    """Reject the first row flagged in ``bad``; row ``i`` is CSV line ``i + 2``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        i = int(rows[0])
+        raise DataError(f"line {i + 2}: {what}: {values[i].tolist()}")
 
-    context: np.ndarray
-    action: int
-    reward: float
-    logging_prob: float
+
+@dataclass(frozen=True, eq=False)
+class LoggedData:
+    """A logged dataset: one read-only column per field, one row per round.
+
+    ``contexts`` is ``(n, p)`` float (``p = 0`` without contexts),
+    ``actions`` ``(n,)`` int64, ``rewards`` ``(n,)`` float and ``probs``
+    ``(n,)`` float, the logging policy's probability of each logged action.
+    Construction is the one validation of a log: n >= 1, every value
+    finite, every action non-negative and every prob in (0, 1].
+    """
+
+    contexts: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self) -> None:
-        ctx = np.asarray(self.context, dtype=float)
-        if ctx.ndim != 1:
-            raise DataError("context must be a 1-D vector (possibly empty)")
-        if ctx.size and not np.all(np.isfinite(ctx)):
-            raise DataError("context must be finite")
-        if not math.isfinite(self.reward):
-            raise DataError(f"reward {self.reward} is not finite")
-        if not 0.0 < self.logging_prob <= 1.0:
-            raise DataError(f"logging_prob {self.logging_prob} outside (0, 1]")
-        ctx.flags.writeable = False
-        object.__setattr__(self, "context", ctx)
+        contexts = np.array(self.contexts, dtype=float, order="C")
+        actions = np.array(self.actions).astype(np.int64, casting="same_kind")
+        rewards = np.array(self.rewards, dtype=float)
+        probs = np.array(self.probs, dtype=float)
+        n = contexts.shape[0] if contexts.ndim == 2 else -1
+        if any(c.shape != (n,) for c in (actions, rewards, probs)):
+            raise DataError("columns must be contexts (n, p) and actions, rewards, probs (n,)")
+        if n == 0:
+            raise DataError("empty logged dataset")
+        _reject_rows(~np.isfinite(contexts).all(axis=1), contexts, "context is not finite")
+        _reject_rows(~np.isfinite(rewards), rewards, "reward is not finite")
+        _reject_rows(~((probs > 0.0) & (probs <= 1.0)), probs, "logging_prob outside (0, 1]")
+        _reject_rows(actions < 0, actions, "action is negative")
+        for name, col in zip(("contexts", "actions", "rewards", "probs"),
+                             (contexts, actions, rewards, probs)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
 
 def synth_logged_dataset(
     env: BernoulliEnv | LinearContextualEnv,
     n_records: int,
     seed: int,
-) -> list[LoggedRecord]:
+) -> LoggedData:
     """Generate a dataset logged by uniform play over the arms.
 
     Contextual environments draw a fresh context per record.
@@ -217,63 +237,54 @@ def synth_logged_dataset(
     else:
         contexts = np.zeros((n_records, 0))
         rewards = env.sample_rewards(actions, rng)
-    return [
-        LoggedRecord(ctx, int(a), float(r), float(probs[a]))
-        for ctx, a, r in zip(contexts, actions, rewards)
-    ]
+    return LoggedData(contexts, actions, rewards, probs[actions])
 
 
 def _csv_header(context_dim: int) -> list[str]:
-    return [f"context_{i}" for i in range(context_dim)] + [
-        "action",
-        "reward",
-        "logging_prob",
-    ]
+    return [f"context_{i}" for i in range(context_dim)] + ["action", "reward", "logging_prob"]
 
 
-def write_logged_csv(records, path) -> None:
-    """Write logged records to CSV with the standard header."""
-    records = list(records)
-    if not records:
-        raise DataError("refusing to write an empty dataset")
-    p = records[0].context.size
-    if any(rec.context.size != p for rec in records):
-        raise DataError("mixed context dimensions in dataset")
-    write_csv(path, _csv_header(p), (
-        [*rec.context.tolist(), rec.action, float(rec.reward), float(rec.logging_prob)]
-        for rec in records
-    ))
+def write_logged_csv(data: LoggedData, path) -> None:
+    """Write a logged dataset to CSV with the standard header."""
+    columns = (data.contexts, data.actions, data.rewards, data.probs)
+    write_csv(path, _csv_header(data.contexts.shape[1]),
+              ([*c, a, r, q] for c, a, r, q in zip(*(col.tolist() for col in columns))))
 
 
-def read_logged_csv(path) -> list[LoggedRecord]:
+def read_logged_csv(path) -> LoggedData:
     """Read a logged-data CSV, validating the header and every row.
 
     Raises
     ------
     DataError
-        With a 1-based line number for any malformed row.
+        With the 1-based line number of the first malformed row; data row
+        ``i`` is line ``i + 2``, blank lines included.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise DataError("empty logged-data file")
         p = len(header) - 3
         if p < 0 or header != _csv_header(p):
             raise DataError(f"unexpected header {header!r}")
-        records: list[LoggedRecord] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 3:
-                raise DataError(f"line {lineno}: expected {p + 3} fields, got {len(row)}")
+        rows = list(reader)
+
+    def parse(rows):
+        ragged = [len(row) for row in rows if len(row) != p + 3]
+        if ragged:
+            raise ValueError(f"expected {p + 3} fields, got {ragged[0]}")
+        cols = list(zip(*rows)) or [()] * (p + 3)
+        return [np.fromiter(map(t, c), np.int64 if t is int else float)
+                for t, c in zip([float] * p + [int, float, float], cols)]
+
+    try:
+        cols = parse(rows)
+    except (ValueError, OverflowError):
+        for i, row in enumerate(rows):  # name the line at fault
             try:
-                ctx = np.array([float(x) for x in row[:p]])
-                action = int(row[p])
-                reward = float(row[p + 1])
-                prob = float(row[p + 2])
-                records.append(LoggedRecord(ctx, action, reward, prob))
-            except (ValueError, DataError) as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-    return records
+                parse([row])
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"line {i + 2}: {exc}") from exc
+        raise
+    return LoggedData(np.array(cols[:p]).reshape(p, len(rows)).T, *cols[p:])

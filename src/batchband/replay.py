@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import write_csv
-from .environments import DataError, block_features
+from .core import PROB_TOL, write_csv
+from .environments import DataError, LoggedData, _reject_rows, block_features
+from .policies import ThompsonBetaPolicy
 
 SUCCESS_THRESHOLD = 0.5
 
@@ -56,14 +57,27 @@ class ReplayResult:
         return self.matched > 0
 
 
+def check_uniform_log(data: LoggedData, policy) -> None:
+    """Raise ``DataError`` naming the first line of ``data`` that ``policy``
+    cannot replay.  Replay is unbiased only on a uniform log (Li et al.
+    2011): every action in ``[0, k)``, every logging_prob ``1/k``.
+    Beta-Bernoulli Thompson sampling also needs rewards in [0, 1]."""
+    k = policy.k
+    _reject_rows(data.actions >= k, data.actions, f"action out of range for k={k}")
+    _reject_rows(np.abs(data.probs - 1.0 / k) > PROB_TOL, data.probs,
+                 f"logging_prob is not 1/k for a uniform log over k={k} arms")
+    if isinstance(policy, ThompsonBetaPolicy):
+        _reject_rows((data.rewards < 0.0) | (data.rewards > 1.0), data.rewards,
+                     "ts needs rewards in [0, 1]")
+
+
 def replay_evaluate(
     policy,
-    dataset,
+    dataset: LoggedData,
     b: int,
     seed: int,
-    policy_label: str | None = None,
 ) -> ReplayResult:
-    """Score ``policy`` on logged records under a batch-``b`` constraint.
+    """Score ``policy`` on a logged dataset under a batch-``b`` constraint.
 
     Parameters
     ----------
@@ -71,8 +85,9 @@ def replay_evaluate(
         Policy object; linear policies read each record's context, finite
         armed policies ignore it.
     dataset
-        Sequence of ``LoggedRecord``; line numbers in errors count the CSV
-        header as line 1, so record ``i`` is line ``i + 2``.
+        A uniform log, as ``check_uniform_log`` requires; line numbers in
+        errors count the CSV header as line 1, so record ``i`` is line
+        ``i + 2``.
     b
         Matched records per history update; the final partial batch is
         scored but never fed back (the stream ends first).
@@ -80,25 +95,16 @@ def replay_evaluate(
         Seeds the proposal stream, so results are reproducible given
         (dataset, policy configuration, seed).
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise DataError("dataset is empty")
+    check_uniform_log(dataset, policy)
     if b < 1:
         raise DataError(f"batch size {b} must be >= 1")
     k = policy.k
-    logged = np.array([rec.action for rec in dataset])
-    bad = np.flatnonzero((logged < 0) | (logged >= k))
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(f"line {i + 2}: action {logged[i]} out of range for k={k}")
-    rewards = [rec.reward for rec in dataset]
+    logged, contexts = dataset.actions, dataset.contexts
     contextual = hasattr(policy, "dim")
-    if contextual:
-        contexts = np.stack([rec.context for rec in dataset])
     rngs = [np.random.default_rng(seed)]
     rows = np.zeros(1, dtype=np.int64)
     state = policy.init_reps(1)
-    n = len(dataset)
+    n = logged.size
 
     def propose(i, m):
         """Proposals for records ``[i, i + m)`` from the frozen state, and
@@ -110,11 +116,11 @@ def replay_evaluate(
 
     if not policy.adaptive:
         # the state is never read, so the whole log is one proposal call
-        hits = np.flatnonzero(propose(0, n)[0] == logged)
-        successes = sum(rewards[j] >= SUCCESS_THRESHOLD for j in hits.tolist())
-        return _result(policy, policy_label, b, hits.size, successes)
+        hits = propose(0, n)[0] == logged
+        successes = int(np.count_nonzero(dataset.rewards[hits] >= SUCCESS_THRESHOLD))
+        return _result(policy, b, int(np.count_nonzero(hits)), successes)
 
-    actions = logged.tolist()
+    actions, rewards = logged.tolist(), dataset.rewards.tolist()
     matched = successes = 0
     pending, pending_keys = [], []
     i = 0
@@ -137,16 +143,15 @@ def replay_evaluate(
         pending.extend(hits)
         if len(pending) == b:
             keys = np.asarray(pending_keys) if contextual else logged[pending]
-            fed = np.array([rewards[j] for j in pending])
-            state = policy.update_reps(state, keys[None], fed[None])
+            state = policy.update_reps(state, keys[None], dataset.rewards[pending][None])
             pending.clear()
             pending_keys.clear()
-    return _result(policy, policy_label, b, matched, successes)
+    return _result(policy, b, matched, successes)
 
 
-def _result(policy, label, b, matched, successes) -> ReplayResult:
+def _result(policy, b, matched, successes) -> ReplayResult:
     cr = successes / matched if matched else None
-    label = label or getattr(policy, "name", type(policy).__name__)
+    label = getattr(policy, "name", type(policy).__name__)
     return ReplayResult(
         policy=label, b=b, matched=matched, successes=successes, cr=cr
     )

@@ -80,9 +80,9 @@ def _ridge_arm(name, feats, V, z, rng, alpha):
     return int(np.argmax(scores))
 
 
-def reference_replay(name, k, records, b, seed, c=1.0, arm=0, good=0, bad=1,
+def reference_replay(name, k, data, b, seed, c=1.0, arm=0, good=0, bad=1,
                      switch_t=0, alpha=1.0, ridge_lambda=1.0):
-    """(matched, successes) of replaying ``records`` with ``name`` at batch
+    """(matched, successes) of replaying ``data`` with ``name`` at batch
     size ``b``: a record matches when the proposal equals its logged action,
     and every ``b`` matches are fed back together.  ``arm`` is the fixed
     arm; ``good``, ``bad`` and ``switch_t`` configure two-phase play; the
@@ -93,15 +93,17 @@ def reference_replay(name, k, records, b, seed, c=1.0, arm=0, good=0, bad=1,
     alpha_post, beta_post = [1.0] * k, [1.0] * k
     linear = name in ("linucb", "lints")
     if linear:
-        p = records[0].context.size
+        p = data.contexts.shape[1]
         V, z = ridge_lambda * np.eye(k * p), np.zeros(k * p)
     seen = matched = successes = 0
     pending = []
-    for rec in records:
+    for context, action, reward in zip(
+        data.contexts, data.actions.tolist(), data.rewards.tolist()
+    ):
         if linear:
             feats = np.zeros((k, k * p))
             for a in range(k):
-                feats[a, a * p : (a + 1) * p] = rec.context
+                feats[a, a * p : (a + 1) * p] = context
             proposal = _ridge_arm(name, feats, V, z, rng, alpha)
         elif name == "ucb":
             proposal = _ucb_arm(counts, sums, seen, c)
@@ -113,11 +115,11 @@ def reference_replay(name, k, records, b, seed, c=1.0, arm=0, good=0, bad=1,
             proposal = good if seen + 1 <= switch_t else bad
         else:
             proposal = int(rng.integers(0, k))
-        if proposal != rec.action:
+        if proposal != action:
             continue
         matched += 1
-        successes += rec.reward >= 0.5
-        pending.append((feats[rec.action] if linear else rec.action, rec.reward))
+        successes += reward >= 0.5
+        pending.append((feats[action] if linear else action, reward))
         if len(pending) == b:
             if linear:
                 F = np.array([f for f, _ in pending])

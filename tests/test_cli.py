@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 
+import numpy as np
 import pytest
 
 from batchband import cli, harness
 from batchband.cli import main
 from batchband.environments import (
+    LoggedData,
     make_linear_env,
     preset,
     synth_logged_dataset,
@@ -57,6 +59,26 @@ class TestSimulate:
     def test_bad_env_exits_2(self, tmp_path):
         rc = main(["simulate", "--env", "envX", "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_config_is_validated_once_after_the_threads_echo(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        validate = harness.ExperimentConfig.validate
+
+        def spy(cfg):
+            calls.append(capsys.readouterr().out)
+            return validate(cfg)
+
+        monkeypatch.setattr(harness.ExperimentConfig, "validate", spy)
+        assert main(["simulate", "--n", "20", "--b", "5", "--reps", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        assert "# threads_resolved = " in calls[0]
+        # a config error now comes after the echo
+        assert main(["simulate", "--env", "envX", "--out-dir", str(tmp_path)]) == 2
+        assert len(calls) == 2
+        assert "# threads_resolved = " in calls[1]
 
     def test_approx_mode_fills_tau_columns(self, tmp_path):
         rc = main(
@@ -238,6 +260,70 @@ class TestReplay:
         path.write_text("action,reward,logging_prob\n0,1.0,0.5\n1,nan,0.5\n")
         assert main(["replay", "--data", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("action,reward,logging_prob\n", [], "empty logged dataset"),
+        ("action,reward,logging_prob\n0,1.0,0.5\n\n1,0.0,0.5\n5,1.0,0.5\n", [],
+         "line 3: expected 3 fields, got 0"),
+        ("action,reward,logging_prob\n0,1.0,0.5\n1,0.0,0.5\n5,1.0,0.5\n", [],
+         "line 4: action out of range for k=2"),
+        ("action,reward,logging_prob\n0,1.0,0.9\n1,0.0,0.1\n", [],
+         "line 2: logging_prob 0.9 is not 1/k for any k >= 2"),
+        ("action,reward,logging_prob\n1,1.0,0.1\n0,0.0,0.9\n", [],
+         "line 3: logging_prob is not 1/k"),
+        ("action,reward,logging_prob\n0,1.0,0.5\n1,1.5,0.5\n", ["--baseline", "ts"],
+         "line 3: ts needs rewards in [0, 1]"),
+        ("action,reward,logging_prob\n0,1.0,0.5\n1,1.5,0.5\n", ["--policy", "ucb,ts"],
+         "line 3: ts needs rewards in [0, 1]"),
+    ])
+    def test_bad_log_exits_2_before_any_replay(
+        self, tmp_path, monkeypatch, capsys, text, flags, message
+    ):
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        calls = []
+        monkeypatch.setattr(cli, "replay_evaluate", lambda *a, **kw: calls.append(a))
+        rc = main(["replay", "--data", str(path), *flags, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "replay.csv").exists()
+
+    def test_non_uniform_log_exits_2_before_any_replay(self, tmp_path, monkeypatch, capsys):
+        # logged 90/10; replaying it as if uniform reports the logging mix
+        rng = np.random.default_rng(3)
+        actions = (rng.random(4000) < 0.1).astype(np.int64)
+        rewards = (rng.random(4000) < np.where(actions == 0, 0.7, 0.5)).astype(float)
+        path = tmp_path / "skewed.csv"
+        write_logged_csv(LoggedData(np.zeros((4000, 0)), actions, rewards,
+                                    np.where(actions == 0, 0.9, 0.1)), path)
+        calls = []
+        monkeypatch.setattr(cli, "replay_evaluate", lambda *a, **kw: calls.append(a))
+        rc = main(["replay", "--data", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "logging_prob" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "replay.csv").exists()
+
+    def test_ts_baseline_on_gaussian_rewards_exits_2_before_any_replay(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "ctx.csv"
+        write_logged_csv(
+            synth_logged_dataset(make_linear_env(3, 4, seed=1), 600, seed=6), path
+        )
+        calls = []
+        monkeypatch.setattr(cli, "replay_evaluate", lambda *a, **kw: calls.append(a))
+        rc = main(["replay", "--data", str(path), "--policy", "linucb",
+                   "--baseline", "ts", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "ts needs rewards in [0, 1]" in capsys.readouterr().err
+        assert calls == []
+
+    def test_k_option_is_gone(self, tmp_path, logs, capsys):
+        assert main(["replay", "--data", str(logs), "--k", "2",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --k 2" in capsys.readouterr().err
 
     def test_missing_data_exits_2(self, tmp_path):
         assert main(["replay", "--data", str(tmp_path / "no.csv")]) == 2

@@ -8,7 +8,7 @@ from batchband.environments import (
     BernoulliEnv,
     DataError,
     LinearContextualEnv,
-    LoggedRecord,
+    LoggedData,
     PRESETS,
     block_features,
     make_linear_env,
@@ -133,81 +133,109 @@ def test_linear_rewards_noise_unit_variance():
 
 def test_synth_logged_dataset_uniform_logging():
     env = preset("env1")
-    records = synth_logged_dataset(env, 50_000, seed=7)
-    assert len(records) == 50_000
-    acts = np.array([r.action for r in records])
-    assert abs((acts == 0).mean() - 0.5) < 0.01
-    arm0 = np.array([r.reward for r in records if r.action == 0])
-    assert abs(arm0.mean() - 0.7) < 0.01
-    assert all(r.logging_prob == 0.5 for r in records[:100])
+    data = synth_logged_dataset(env, 50_000, seed=7)
+    assert data.actions.shape == (50_000,)
+    assert data.contexts.shape == (50_000, 0)
+    assert abs((data.actions == 0).mean() - 0.5) < 0.01
+    assert abs(data.rewards[data.actions == 0].mean() - 0.7) < 0.01
+    assert (data.probs == 0.5).all()
+
+
+def log(contexts=((),), actions=(0,), rewards=(1.0,), probs=(0.5,)):
+    return LoggedData(np.array(contexts, dtype=float), np.array(actions), rewards, probs)
 
 
 def test_logged_record_validation():
     with pytest.raises(DataError):
-        LoggedRecord(np.zeros(0), 0, 1.0, 0.0)
+        log(probs=(0.0,))
     with pytest.raises(DataError):
-        LoggedRecord(np.zeros(0), 0, 1.0, 1.5)
+        log(probs=(1.5,))
     with pytest.raises(DataError):
-        LoggedRecord(np.zeros(0), 0, float("nan"), 0.5)
+        log(rewards=(float("nan"),))
     with pytest.raises(DataError):
-        LoggedRecord(np.array([0.1, np.inf]), 0, 1.0, 0.5)
+        log(contexts=((0.1, np.inf),))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(contexts=np.zeros((0, 0)), actions=np.zeros(0, int), rewards=(), probs=()), "empty"),
+    (dict(actions=(0, 1)), "columns"),
+    (dict(contexts=np.zeros(1)), "columns"),
+    (dict(contexts=((), ()), actions=(0, -1), rewards=(1.0, 1.0), probs=(0.5, 0.5)),
+     "line 3: action is negative"),
+    (dict(contexts=((), (), ()), actions=(0, 1, 0), rewards=(1.0, 0.0, 1.0),
+          probs=(0.5, 0.5, -0.5)), "line 4: logging_prob outside"),
+    (dict(contexts=((0.0,), (np.nan,)), actions=(0, 1), rewards=(1.0, 1.0),
+          probs=(0.5, 0.5)), "line 3: context is not finite"),
+])
+def test_logged_data_rejects_bad_columns_naming_the_line(kwargs, message):
+    with pytest.raises(DataError, match=message):
+        log(**kwargs)
+
+
+def test_logged_data_rejects_non_integer_actions():
+    with pytest.raises(TypeError):
+        log(actions=(0.5,))
+
+
+def test_logged_data_columns_are_read_only_copies():
+    actions = np.array([0, 1])
+    data = log(contexts=((), ()), actions=actions, rewards=(1.0, 0.0), probs=(0.5, 0.5))
+    actions[0] = 1
+    assert data.actions.tolist() == [0, 1]
+    assert data.actions.dtype == np.int64
+    with pytest.raises(ValueError):
+        data.rewards[0] = 0.0
 
 
 def test_logged_csv_roundtrip_no_context(tmp_path):
     env = preset("env2")
-    records = synth_logged_dataset(env, 200, seed=1)
+    data = synth_logged_dataset(env, 200, seed=1)
     path = tmp_path / "log.csv"
-    write_logged_csv(records, path)
+    write_logged_csv(data, path)
     header = path.read_text().splitlines()[0]
     assert header == "action,reward,logging_prob"
     back = read_logged_csv(path)
-    assert len(back) == 200
-    assert all(a.action == b.action for a, b in zip(records, back))
-    assert all(a.reward == b.reward for a, b in zip(records, back))
+    assert back.actions.shape == (200,)
+    assert back.actions.tolist() == data.actions.tolist()
+    assert back.rewards.tolist() == data.rewards.tolist()
 
 
 def test_logged_csv_roundtrip_with_context(tmp_path):
     env = make_linear_env(k=2, context_dim=3, seed=8)
-    records = synth_logged_dataset(env, 50, seed=2)
+    data = synth_logged_dataset(env, 50, seed=2)
     path = tmp_path / "ctx.csv"
-    write_logged_csv(records, path)
+    write_logged_csv(data, path)
     header = path.read_text().splitlines()[0]
     assert header == "context_0,context_1,context_2,action,reward,logging_prob"
     back = read_logged_csv(path)
-    assert np.allclose(
-        np.stack([r.context for r in back]),
-        np.stack([r.context for r in records]),
-        atol=0,
-    )
+    assert np.allclose(back.contexts, data.contexts, atol=0)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def logged_records(draw):
+def logged_data(draw):
     p = draw(st.integers(0, 3))
-    return [
-        LoggedRecord(
-            np.array(draw(st.lists(FINITE, min_size=p, max_size=p)), dtype=float),
-            draw(st.integers(0, 9)),
-            draw(FINITE),
-            draw(st.floats(0.0, 1.0, exclude_min=True)),
-        )
-        for _ in range(draw(st.integers(1, 8)))
-    ]
+    n = draw(st.integers(1, 8))
+    return LoggedData(
+        np.array(draw(st.lists(st.lists(FINITE, min_size=p, max_size=p),
+                               min_size=n, max_size=n)), dtype=float).reshape(n, p),
+        np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))),
+        draw(st.lists(FINITE, min_size=n, max_size=n)),
+        draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n)),
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(records=logged_records())
-def test_logged_csv_write_read_round_trips_exactly(tmp_path_factory, records):
+@given(data=logged_data())
+def test_logged_csv_write_read_round_trips_exactly(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
-    write_logged_csv(records, path)
+    write_logged_csv(data, path)
     back = read_logged_csv(path)
-    assert len(back) == len(records)
-    for a, b in zip(records, back):
-        assert a.context.tolist() == b.context.tolist()
-        assert (a.action, a.reward, a.logging_prob) == (b.action, b.reward, b.logging_prob)
+    for name in ("contexts", "actions", "rewards", "probs"):
+        a, b = getattr(data, name), getattr(back, name)
+        assert (a.shape, a.dtype, a.tolist()) == (b.shape, b.dtype, b.tolist())
 
 
 def test_read_logged_csv_reports_line_numbers(tmp_path):
@@ -235,4 +263,29 @@ def test_read_logged_csv_rejects_non_finite_values(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(DataError, match="line 3"):
+        read_logged_csv(path)
+
+
+def test_blank_row_is_malformed_at_its_own_line(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("action,reward,logging_prob\n0,1.0,0.5\n\n1,0.0,0.5\n")
+    with pytest.raises(DataError, match="line 3: expected 3 fields, got 0"):
+        read_logged_csv(path)
+
+
+def test_header_only_file_is_empty(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("context_0,action,reward,logging_prob\n")
+    with pytest.raises(DataError, match="empty"):
+        read_logged_csv(path)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("1.5", "line 3: invalid literal for int"),
+    ("99999999999999999999", "line 3: Python int too large"),
+])
+def test_read_logged_csv_rejects_bad_actions_naming_the_line(tmp_path, field, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"action,reward,logging_prob\n0,1.0,0.5\n{field},1.0,0.5\n")
+    with pytest.raises(DataError, match=message):
         read_logged_csv(path)

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_runner import reference_replay
 
+from batchband.core import PROB_TOL
 from batchband.environments import (
     DataError,
-    LoggedRecord,
+    LoggedData,
     make_linear_env,
     preset,
     synth_logged_dataset,
@@ -29,21 +30,31 @@ from batchband.policies import (
 from batchband.replay import (
     REPLAY_CSV_HEADER,
     ReplayResult,
+    check_uniform_log,
     relative_cr,
     replay_evaluate,
     write_replay_csv,
 )
 
-EMPTY = np.zeros(0)
+
+def rec(pairs, k=2):
+    """A context-free log of (action, reward) pairs, logged uniformly over
+    ``k`` arms."""
+    n = len(pairs)
+    actions, rewards = zip(*pairs) if pairs else ((), ())
+    return LoggedData(np.zeros((n, 0)), np.array(actions, dtype=np.int64), rewards,
+                      np.full(n, 1.0 / k))
 
 
-def rec(action, reward):
-    return LoggedRecord(EMPTY, action, reward, 0.5)
+def without_arm(data, arm):
+    keep = data.actions != arm
+    return LoggedData(data.contexts[keep], data.actions[keep], data.rewards[keep],
+                      data.probs[keep])
 
 
 class TestHandExamples:
     def test_point_mass_four_records(self):
-        dataset = [rec(0, 1.0), rec(1, 0.0), rec(0, 0.0), rec(1, 1.0)]
+        dataset = rec([(0, 1.0), (1, 0.0), (0, 0.0), (1, 1.0)])
         result = replay_evaluate(FixedArmPolicy(2, 0), dataset, b=1, seed=0)
         assert result.matched == 2
         assert result.successes == 1
@@ -51,7 +62,7 @@ class TestHandExamples:
         assert result.defined
 
     def test_no_matches_flagged_undefined(self):
-        dataset = [rec(0, 1.0), rec(0, 0.0)]
+        dataset = rec([(0, 1.0), (0, 0.0)])
         result = replay_evaluate(FixedArmPolicy(2, 1), dataset, b=1, seed=0)
         assert result.matched == 0
         assert result.successes == 0
@@ -60,23 +71,47 @@ class TestHandExamples:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            replay_evaluate(FixedArmPolicy(2, 0), [], b=1, seed=0)
+            rec([])
 
     def test_bad_batch_rejected(self):
         with pytest.raises(DataError, match="batch"):
-            replay_evaluate(FixedArmPolicy(2, 0), [rec(0, 1.0)], b=0, seed=0)
+            replay_evaluate(FixedArmPolicy(2, 0), rec([(0, 1.0)]), b=0, seed=0)
 
     def test_out_of_range_action_reports_line(self):
-        dataset = [rec(0, 1.0), rec(3, 1.0)]
-        with pytest.raises(DataError, match="line 3"):
+        dataset = rec([(0, 1.0), (3, 1.0)])
+        with pytest.raises(DataError, match="line 3: action out of range"):
             replay_evaluate(FixedArmPolicy(2, 0), dataset, b=1, seed=0)
+
+
+class TestUniformLoggingContract:
+    def test_prob_other_than_one_over_k_reports_line(self):
+        dataset = LoggedData(np.zeros((3, 0)), np.array([0, 1, 0]), [1.0, 0.0, 1.0],
+                             [0.5, 0.5, 0.9])
+        for policy in (UniformPolicy(2), UcbPolicy(2), FixedArmPolicy(2, 0)):
+            with pytest.raises(DataError, match="line 4: logging_prob is not 1/k"):
+                replay_evaluate(policy, dataset, b=1, seed=0)
+
+    def test_prob_must_match_the_policys_k(self):
+        with pytest.raises(DataError, match="line 2: logging_prob"):
+            replay_evaluate(UcbPolicy(3), rec([(0, 1.0), (1, 0.0)], k=2), b=1, seed=0)
+        check_uniform_log(rec([(0, 1.0), (1, 0.0)], k=3), UcbPolicy(3))
+
+    def test_prob_within_tolerance_of_one_over_k_is_accepted(self):
+        dataset = LoggedData(np.zeros((2, 0)), np.array([0, 2]), [1.0, 0.0],
+                             [1 / 3 + 0.5 * PROB_TOL, 1 / 3 - 0.5 * PROB_TOL])
+        check_uniform_log(dataset, UniformPolicy(3))
+
+    @pytest.mark.parametrize("reward", [1.5, -0.25])
+    def test_ts_needs_rewards_in_unit_interval(self, reward):
+        dataset = rec([(0, 1.0), (1, 0.0), (1, reward)])
+        with pytest.raises(DataError, match="line 4: ts needs rewards in"):
+            replay_evaluate(ThompsonBetaPolicy(2), dataset, b=1, seed=0)
+        replay_evaluate(UcbPolicy(2), dataset, b=1, seed=0)
 
 
 class TestBatchSemantics:
     def test_history_advances_only_per_matched_batch(self):
-        dataset = [
-            rec(0, 1.0), rec(0, 0.0), rec(1, 0.0), rec(1, 1.0), rec(0, 1.0),
-        ]
+        dataset = rec([(0, 1.0), (0, 0.0), (1, 0.0), (1, 1.0), (0, 1.0)])
         r2 = replay_evaluate(UcbPolicy(2), dataset, b=2, seed=0)
         assert (r2.matched, r2.successes) == (5, 3)
         assert r2.cr == pytest.approx(0.6)
@@ -84,14 +119,14 @@ class TestBatchSemantics:
         assert (r1.matched, r1.successes) == (3, 2)
 
     def test_final_partial_batch_never_fed_back(self):
-        dataset = [rec(0, 1.0)] * 10
+        dataset = rec([(0, 1.0)] * 10)
         wide = replay_evaluate(UcbPolicy(2), dataset, b=100, seed=0)
         assert wide.matched == 10
         online = replay_evaluate(UcbPolicy(2), dataset, b=1, seed=0)
         assert online.matched == 1
 
     def test_unmatched_records_do_not_touch_history(self):
-        dataset = [rec(1, 1.0)] * 6 + [rec(0, 1.0)]
+        dataset = rec([(1, 1.0)] * 6 + [(0, 1.0)])
         result = replay_evaluate(FixedArmPolicy(2, 0), dataset, b=1, seed=0)
         assert result.matched == 1
         assert result.cr == 1.0
@@ -150,10 +185,10 @@ def logs(linear):
     rest of the log without a hit."""
     if linear:
         full = synth_logged_dataset(make_linear_env(4, 3, seed=5), 1201, seed=31)
-        return [full, [r for r in full if r.action != 1]]
+        return [full, without_arm(full, 1)]
     env1 = synth_logged_dataset(preset("env1"), 2001, seed=31)
     env6 = synth_logged_dataset(preset("env6"), 2999, seed=31)
-    return [env1, env6, [r for r in env6 if r.action != 1]]
+    return [env1, env6, without_arm(env6, 1)]
 
 
 class TestAgainstReference:
@@ -162,8 +197,8 @@ class TestAgainstReference:
     def test_matches_naive_per_record_replay(self, name, b):
         linear = name.startswith("lin")
         for dataset in logs(linear):
-            k = 4 if linear else max(r.action for r in dataset) + 1
-            policy = POLICIES[name](k, dataset[0].context.size)
+            k = round(1 / dataset.probs[0])
+            policy = POLICIES[name](k, dataset.contexts.shape[1])
             result = replay_evaluate(policy, dataset, b=b, seed=17)
             assert (result.matched, result.successes) == reference_replay(
                 name, k, dataset, b, seed=17, **SETTINGS
@@ -182,7 +217,7 @@ class TestAgainstReference:
             st.tuples(st.integers(0, k - 1), st.sampled_from([0.0, 1.0])),
             min_size=1, max_size=200,
         ))
-        dataset = [rec(a, r) for a, r in pairs]
+        dataset = rec(pairs, k)
         result = replay_evaluate(POLICIES[name](k, 0), dataset, b=b, seed=seed)
         assert (result.matched, result.successes) == reference_replay(
             name, k, dataset, b, seed=seed, **SETTINGS
