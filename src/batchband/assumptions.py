@@ -95,7 +95,7 @@ class RegretCurve:
         arr = np.asarray(per_run_regret, dtype=float)
         if arr.ndim != 2:
             raise ValueError("need a (reps, n) matrix")
-        return RegretCurve(*_mean_se(arr), arr.shape[0])
+        return RegretCurve(*_curve_stats(arr), arr.shape[0])
 
 
 @dataclass(eq=False)

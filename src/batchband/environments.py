@@ -153,7 +153,7 @@ class LinearContextualEnv:
         return raw / norms
 
     def mean_matrix(self, contexts: np.ndarray) -> np.ndarray:
-        """Mean reward of every arm for each context, shape (m, k)."""
+        """Mean reward of every arm for contexts (..., m, p), shape (..., m, k)."""
         blocks = self.theta.reshape(self.k, self.context_dim)
         return np.asarray(contexts, dtype=float) @ blocks.T
 

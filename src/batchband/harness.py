@@ -386,5 +386,4 @@ def regret_curve(
         run = run_batch(policy, env, grid, seeds)
     else:
         run = run_short(policy, env, grid, seeds)
-    mean, stderr = _curve_stats(run.pseudo_regret)
-    return RegretCurve(mean, stderr, reps)
+    return RegretCurve.from_runs(run.pseudo_regret)

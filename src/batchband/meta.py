@@ -183,7 +183,7 @@ def delayed_start_run(
     _require_bernoulli(env)
     seeds, single = seed_list(seed)
 
-    def gate(t, counts, sums, rows):
+    def gate(t, naive_state, rows):
         # the epoch starting at step t + 1; the bound is the same for every rep
         return np.full(rows.size, t < grid.n and bound(t + 1) > 0.0)
 
@@ -226,12 +226,13 @@ def approx_delayed_start_run(
     truth_unique = int((truth == truth.max()).sum()) == 1
     switched = {}  # rep -> (counts, means, theta_hat) at its switch
 
-    def gate(t, counts, sums, rows):
+    def gate(t, naive_state, rows):
         switch = np.zeros(rows.size, dtype=bool)
+        counts = naive_state.counts[rows]
         ready = counts.min(axis=1) >= 1
         if t < 2 or not ready.any():
             return switch
-        counts, means = counts[ready], sums[ready] / counts[ready]
+        counts, means = counts[ready], naive_state.sums[rows][ready] / counts[ready]
         if bound_from == "oracle":
             oracle_stays = not truth_unique or bool(_stays(truth, t, k, delta))
             passed = np.full(len(counts), not oracle_stays)

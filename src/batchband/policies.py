@@ -24,7 +24,7 @@ batch, so the played rule is constant inside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,15 +78,15 @@ class RepRidge:
     """Ridge statistics of ``R`` lockstep reps: design matrices ``V``
     ``(R, d, d)`` and response vectors ``z`` ``(R, d)``.
 
-    ``factors`` maps a rep to what its policy derived from that rep's
-    ``V`` and ``z``; ``update_reps`` clears it, so a frozen state is
-    factored once however often it is asked to act.
+    ``factors`` holds what the policy derives from every rep's ``V`` and
+    ``z``, stacked, or None; ``update_reps`` clears it, so a frozen state
+    is factored once however often it is asked to act.
     """
 
     V: np.ndarray
     z: np.ndarray
     t_seen: int
-    factors: dict = field(default_factory=dict)
+    factors: tuple | None = None
 
 
 class BasePolicy:
@@ -109,8 +109,8 @@ class BasePolicy:
 class _CountPolicy(BasePolicy):
     """Finite-armed policy whose state is pull counts and reward sums.
 
-    These updates only advance ``t_seen``, all that uniform, fixed-arm and
-    two-phase play read; the index policy overrides them.
+    Every update absorbs the released pulls.  The index policy reads the
+    counts and sums, and so does the delayed-start gate of its uniform phase.
     """
 
     def __post_init__(self):
@@ -122,6 +122,8 @@ class _CountPolicy(BasePolicy):
         return RepCounts(np.zeros((reps, k), dtype=np.int64), np.zeros((reps, k)), 0)
 
     def update_reps(self, states, actions, rewards):
+        states.counts += rep_bincount(actions, self.k)
+        states.sums += rep_bincount(actions, self.k, rewards)
         states.t_seen += actions.shape[1]
         return states
 
@@ -161,12 +163,6 @@ class UcbPolicy(_CountPolicy):
                 idx = states.sums / counts + self.c * np.sqrt(bonus / counts)
             idx[counts == 0] = math.inf
         return idx.argmax(axis=1)[rows, None].repeat(b, axis=1)
-
-    def update_reps(self, states, actions, rewards):
-        states.counts += rep_bincount(actions, self.k)
-        states.sums += rep_bincount(actions, self.k, rewards)
-        states.t_seen += actions.shape[1]
-        return states
 
 
 # Below this many draws per rep and batch, k*b scalar ``Generator.beta``
@@ -281,9 +277,9 @@ class TwoPhaseSwitchPolicy(_CountPolicy):
 class _LinearBase(BasePolicy):
     """Shared ridge bookkeeping for the linear policies.
 
-    Each rep's statistics are updated and read one rep at a time, with the
-    same array operations as a lone run, so a rep never depends on the
-    others in its call.
+    Every rep's statistics are updated and factored at once, as stacked
+    arrays; each stacked ``matmul``, ``solve``, ``inv`` and ``cholesky``
+    computes a rep's slice as a lone run would, bit for bit.
     """
 
     def __post_init__(self):
@@ -317,18 +313,17 @@ class _LinearBase(BasePolicy):
             raise DimensionMismatchError(
                 "linear policies update from chosen feature vectors"
             )
-        for r, f in enumerate(feats):
-            states.V[r] += f.T @ f
-            states.z[r] += f.T @ rewards[r]
+        feats_t = feats.transpose(0, 2, 1)
+        states.V += feats_t @ feats
+        states.z += (feats_t @ rewards[..., None])[..., 0]
         states.t_seen += feats.shape[1]
-        states.factors.clear()
+        states.factors = None
         return states
 
-    def _factors(self, states, r):
-        got = states.factors.get(r)
-        if got is None:
-            got = states.factors[r] = self._factor(states.V[r], states.z[r])
-        return got
+    def _factors(self, states, rows):
+        if states.factors is None:
+            states.factors = self._factor(states.V, states.z[..., None])
+        return [f.take(rows, axis=0) for f in states.factors]
 
 
 @dataclass(frozen=True)
@@ -348,16 +343,14 @@ class LinUcbPolicy(_LinearBase):
 
     @staticmethod
     def _factor(V, z):
-        return np.linalg.solve(V, z), np.linalg.inv(V)
+        return np.linalg.solve(V, z)[..., 0], np.linalg.inv(V)
 
     def act_reps(self, states, b, rngs, rows, features=None) -> np.ndarray:
         fs = self._features(features, rows, b)
-        out = np.empty((len(rows), b), dtype=np.int64)
-        for i, r in enumerate(rows):
-            theta_hat, Vinv = self._factors(states, r)
-            widths = np.sqrt(np.einsum("bkd,de,bke->bk", fs[i], Vinv, fs[i]))
-            out[i] = np.argmax(fs[i] @ theta_hat + self.alpha * widths, axis=1)
-        return out
+        theta_hat, Vinv = self._factors(states, rows)
+        widths = np.sqrt(np.einsum("rbkd,rde,rbke->rbk", fs, Vinv, fs))
+        scores = (fs @ theta_hat[:, None, :, None])[..., 0]
+        return np.argmax(scores + self.alpha * widths, axis=2)
 
 
 @dataclass(frozen=True)
@@ -372,16 +365,16 @@ class LinTsPolicy(_LinearBase):
     @staticmethod
     def _factor(V, z):
         Vinv = np.linalg.inv(V)
-        return Vinv @ z, np.linalg.cholesky(Vinv)
+        return (Vinv @ z)[..., 0], np.linalg.cholesky(Vinv)
 
     def act_reps(self, states, b, rngs, rows, features=None) -> np.ndarray:
         fs = self._features(features, rows, b)
-        out = np.empty((len(rows), b), dtype=np.int64)
-        for i, r in enumerate(rows):
-            mean, chol = self._factors(states, r)
-            draws = mean + rngs[r].standard_normal((b, self.dim)) @ chol.T
-            out[i] = np.argmax(np.einsum("bkd,bd->bk", fs[i], draws), axis=1)
-        return out
+        mean, chol = self._factors(states, rows)
+        noise = np.empty((len(rows), b, self.dim))
+        for i, r in enumerate(rows.tolist()):
+            rngs[r].standard_normal(out=noise[i])
+        draws = mean[:, None] + noise @ chol.transpose(0, 2, 1)
+        return np.argmax(np.einsum("rbkd,rbd->rbk", fs, draws), axis=2)
 
 
 POLICY_NAMES = ("ucb", "ts", "linucb", "lints", "uniform", "two_phase", "fixed")
@@ -397,47 +390,52 @@ def make_policy(
     """Build a policy from its registry name and hyperparameter dict.
 
     Recognised keys: ``ucb_c``, ``ridge_lambda``, ``linucb_alpha``,
-    ``switch_t``, ``fixed_arm``.  The two-phase probe needs ``env_means``
-    to locate its good and bad arms.
+    ``switch_t``, ``fixed_arm``; a key the named policy does not take
+    raises ``PolicyError``.  The two-phase probe needs ``env_means`` to
+    locate its good and bad arms.
     """
     p = dict(params or {})
     if name == "ucb":
-        return UcbPolicy(k, c=float(p.pop("ucb_c", DEFAULT_UCB_C)))
-    if name == "ts":
-        return ThompsonBetaPolicy(k)
-    if name == "uniform":
-        return UniformPolicy(k)
-    if name == "linucb":
+        policy = UcbPolicy(k, c=float(p.pop("ucb_c", DEFAULT_UCB_C)))
+    elif name == "ts":
+        policy = ThompsonBetaPolicy(k)
+    elif name == "uniform":
+        policy = UniformPolicy(k)
+    elif name == "linucb":
         if context_dim is None:
             raise PolicyError("linucb needs a context dimension")
-        return LinUcbPolicy(
+        policy = LinUcbPolicy(
             k,
             context_dim,
             alpha=float(p.pop("linucb_alpha", DEFAULT_LINUCB_ALPHA)),
             ridge_lambda=float(p.pop("ridge_lambda", DEFAULT_RIDGE_LAMBDA)),
         )
-    if name == "lints":
+    elif name == "lints":
         if context_dim is None:
             raise PolicyError("lints needs a context dimension")
-        return LinTsPolicy(
+        policy = LinTsPolicy(
             k,
             context_dim,
             ridge_lambda=float(p.pop("ridge_lambda", DEFAULT_RIDGE_LAMBDA)),
         )
-    if name == "two_phase":
+    elif name == "two_phase":
         if env_means is None:
             raise PolicyError("two_phase needs environment means")
         if "switch_t" not in p:
             raise PolicyError("two_phase needs switch_t")
         means = np.asarray(env_means, dtype=float)
-        return TwoPhaseSwitchPolicy(
+        policy = TwoPhaseSwitchPolicy(
             k,
             good_arm=int(np.argmax(means)),
             bad_arm=int(np.argmin(means)),
             switch_t=int(p.pop("switch_t")),
         )
-    if name == "fixed":
+    elif name == "fixed":
         if "fixed_arm" not in p:
             raise PolicyError("fixed needs fixed_arm")
-        return FixedArmPolicy(k, arm=int(p.pop("fixed_arm")))
-    raise PolicyError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+        policy = FixedArmPolicy(k, arm=int(p.pop("fixed_arm")))
+    else:
+        raise PolicyError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+    if p:
+        raise PolicyError(f"{name} takes no parameter {', '.join(map(repr, sorted(p)))}")
+    return policy

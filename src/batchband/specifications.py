@@ -140,10 +140,10 @@ def run_lockstep(
     stream.  Output therefore never depends on which reps share a call.
 
     With ``naive`` every rep starts in phase 1, where ``naive`` plays.  At
-    each boundary ``t`` (0, b, ..., n) ``gate(t, counts, sums, rows)`` gets
-    the pull counts and reward sums of the phase-1 reps ``rows`` and
-    returns which of them hand over to ``policy``; that happens to a rep
-    at most once.  ``policy`` first plays a rep's next batch with the
+    each boundary ``t`` (0, b, ..., n) ``gate(t, naive_state, rows)`` gets
+    the naive policy's state and the phase-1 reps ``rows`` and returns
+    which of them hand over to ``policy``; that happens to a rep at most
+    once.  ``policy`` first plays a rep's next batch with the
     rep's whole history absorbed.  Two-phase runs use batch feedback.
     """
     if visibility not in ("batch", "short"):
@@ -156,8 +156,7 @@ def run_lockstep(
     actions = np.empty((reps, n), dtype=np.int64)
     rewards = np.empty((reps, n))
     if contextual:
-        deltas = np.empty((reps, n))
-        opt = np.empty((reps, n), dtype=bool)
+        contexts = np.empty((reps, n, env.context_dim))
         chosen = np.empty((reps, n, env.dim))
     else:
         uniforms = np.empty((reps, n))
@@ -167,8 +166,6 @@ def run_lockstep(
     tau = np.full(reps, -1)
     naive_state = naive.init_reps(reps) if naive is not None else None
     state = policy.init_reps(reps) if naive is None else None
-    counts = np.zeros((reps, k), dtype=np.int64)
-    sums = np.zeros((reps, k))
     # reps whose reward uniforms are drawn batch by batch
     live = list(range(reps))
     if naive is None and not contextual and not policy.draws:
@@ -180,7 +177,7 @@ def run_lockstep(
         lo, hi = j * b, (j + 1) * b
         if gate is not None and n_phase1:
             rows = np.flatnonzero(phase1)
-            switch = rows[gate(lo, counts[rows], sums[rows], rows)]
+            switch = rows[gate(lo, naive_state, rows)]
             if switch.size:
                 if state is None:
                     state = policy.init_reps(reps)
@@ -197,18 +194,14 @@ def run_lockstep(
             break
 
         if contextual:
-            ctx = [env.sample_contexts(rngs[r], b) for r in all_rows]
-            feats = block_features(np.concatenate(ctx), k).reshape(reps, b, k, -1)
-            acts = policy.act_reps(state, b, rngs, all_rows, feats)
-            steps = np.arange(b)
             for r in all_rows:
-                chosen[r, lo:hi] = feats[r, steps, acts[r]]
+                contexts[r, lo:hi] = env.sample_contexts(rngs[r], b)
+            ctx = contexts[:, lo:hi].reshape(reps * b, -1)
+            feats = block_features(ctx, k).reshape(reps, b, k, -1)
+            acts = policy.act_reps(state, b, rngs, all_rows, feats)
+            chosen[:, lo:hi] = feats[all_rows[:, None], np.arange(b), acts]
+            for r in all_rows:
                 rewards[r, lo:hi] = env.sample_rewards(chosen[r, lo:hi], rngs[r])
-                mm = env.mean_matrix(ctx[r])
-                best = mm.max(axis=1)
-                step_means = mm[steps, acts[r]]
-                deltas[r, lo:hi] = best - step_means
-                opt[r, lo:hi] = step_means >= best - OPT_TOL
             actions[:, lo:hi] = acts
             acts, rews = chosen[:, lo:hi], rewards[:, lo:hi]
         else:
@@ -231,12 +224,18 @@ def run_lockstep(
             acts, rews = acts[:, :1], rews[:, :1]
         if n_phase1:
             naive_state = naive.update_reps(naive_state, acts, rews)
-            counts += rep_bincount(acts, k)
-            sums += rep_bincount(acts, k, rews)
         if state is not None:
             state = policy.update_reps(state, acts, rews)
 
-    if not contextual:
+    if contextual:
+        # one (b, p) @ (p, k) product per batch: BLAS may round a product
+        # differently when its shape changes
+        means = env.mean_matrix(contexts.reshape(reps, M, b, -1)).reshape(reps, n, k)
+        best = means.max(axis=2)
+        played = np.take_along_axis(means, actions[..., None], axis=2)[..., 0]
+        deltas = best - played
+        opt = played >= best - OPT_TOL
+    else:
         deltas = env.gap_vector()[actions]
         opt = deltas == 0.0
     return RunSet(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from batchband.core import DecisionRule, Instance, make_grid
+from batchband.core import DecisionRule, Instance, derive_seed, make_grid
 from batchband.environments import preset
 from batchband.policies import (
     FixedArmPolicy,
@@ -21,6 +21,7 @@ from batchband.assumptions import (
     mean_rule_trace,
     probe_informativeness,
 )
+from batchband.harness import regret_curve
 from batchband.specifications import run_online
 
 
@@ -35,6 +36,19 @@ def test_regret_curve_from_runs():
     assert np.all(c.stderr > 0)
     single = RegretCurve.from_runs(runs[:1])
     assert np.all(single.stderr == 0.0)
+
+
+def test_regret_curve_from_runs_equals_regret_curve():
+    # one reduction: the same trajectories give the same bits either way
+    env = preset("env6")
+    grid = make_grid(300, 1)
+    seeds = [derive_seed(4, "curve", "online", grid.n, grid.b, i) for i in range(50)]
+    runs = run_online(UcbPolicy(4), env, grid.n, seeds).pseudo_regret
+    got = RegretCurve.from_runs(runs)
+    want = regret_curve(UcbPolicy(4), env, "online", grid, 50, master_seed=4)
+    assert got.reps == want.reps == 50
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.stderr.tobytes() == want.stderr.tobytes()
 
 
 # ---------------------------------------------------------------- sublinearity

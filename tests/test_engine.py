@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_runner import reference_run
 
 from batchband.core import derive_seed, make_grid
@@ -84,6 +86,31 @@ def test_contextual_rep_i_of_a_lockstep_call_equals_its_lone_run(policy, b):
     for i, seed in enumerate(seeds):
         lone = run_batch(policy, env, grid, [seed])
         for field in ("actions", "features", "pseudo_regret", "optimal_hits"):
+            assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["ucb", "ts", "uniform", "linucb", "lints"]),
+    reps=st.integers(1, 12),
+    b=st.sampled_from([1, 2, 5]),
+    master=st.integers(0, 2**32 - 1),
+)
+def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, b, master):
+    if name in ("linucb", "lints"):
+        env = make_linear_env(3, 2, seed=master % 7)
+        policy = (LinUcbPolicy if name == "linucb" else LinTsPolicy)(3, 2)
+        fields = ("actions", "features", "pseudo_regret", "optimal_hits", "pull_counts")
+    else:
+        env = preset("env6")
+        policy = make(name, env)
+        fields = ("actions", "pseudo_regret", "optimal_hits", "pull_counts")
+    grid = make_grid(30, b)
+    seeds = [derive_seed(master, "lockstep", i) for i in range(reps)]
+    run = run_batch(policy, env, grid, seeds)
+    for i, seed in enumerate(seeds):
+        lone = run_batch(policy, env, grid, [seed])
+        for field in fields:
             assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
 
 

@@ -70,6 +70,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
+    def test_unknown_policy_parameter_rejected_before_any_cell(self, monkeypatch):
+        import batchband.harness as harness
+
+        monkeypatch.setattr(harness, "_run_cell", lambda p: pytest.fail("cell ran"))
+        cfg = small_config(policy_params={"ucb": {"c": 5.0}})
+        with pytest.raises(ConfigError, match="takes no parameter 'c'"):
+            run_experiment(cfg)
+
     def test_cell_cardinality_three_envs_two_policies_seven_batches(self):
         cfg = ExperimentConfig(
             envs=("env1", "env2", "env3"),

@@ -14,6 +14,7 @@ from batchband.policies import (
     UcbPolicy,
     UniformPolicy,
     make_policy,
+    rep_bincount,
 )
 
 ONE = np.zeros(1, dtype=np.int64)
@@ -209,6 +210,28 @@ def test_two_phase_batch_switch_lands_on_boundary():
     assert second.tolist() == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("pol", [
+    UniformPolicy(3),
+    FixedArmPolicy(3, arm=1),
+    TwoPhaseSwitchPolicy(3, good_arm=0, bad_arm=2, switch_t=4),
+])
+def test_count_policies_absorb_counts_and_sums(pol):
+    # the delayed-start gate reads these from its uniform first phase
+    rng = np.random.default_rng(4)
+    st = pol.init_reps(5)
+    released_a, released_r = [], []
+    for m in (3, 1, 6):
+        acts = rng.integers(0, 3, size=(5, m))
+        rews = rng.integers(0, 2, size=(5, m)).astype(float)
+        st = pol.update_reps(st, acts, rews)
+        released_a.append(acts)
+        released_r.append(rews)
+    acts, rews = np.hstack(released_a), np.hstack(released_r)
+    assert np.array_equal(st.counts, rep_bincount(acts, 3))
+    assert np.array_equal(st.sums, rep_bincount(acts, 3, rews))
+    assert st.t_seen == 10
+
+
 # ---------------------------------------------------------------- linear
 
 
@@ -334,3 +357,16 @@ def test_make_policy_registry():
         make_policy("exp3", 2)
     with pytest.raises(PolicyError):
         make_policy("linucb", 2)  # missing context_dim
+
+
+@pytest.mark.parametrize("name,params", [
+    ("ucb", {"c": 5.0}),
+    ("ucb", {"ucb_c": 0.5, "switch_t": 3}),
+    ("ts", {"ucb_c": 0.5}),
+    ("uniform", {"arm": 1}),
+    ("fixed", {"fixed_arm": 1, "arm": 0}),
+    ("lints", {"linucb_alpha": 2.0}),
+])
+def test_make_policy_rejects_keys_the_policy_does_not_take(name, params):
+    with pytest.raises(PolicyError, match="takes no parameter"):
+        make_policy(name, 3, context_dim=2, params=params)
