@@ -9,6 +9,10 @@ say so and re-pin them.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,3 +147,24 @@ def linear_runs_digest(policy_cls):
 def test_contextual_library_runs_are_pinned(name):
     policy_cls, digest = LINEAR_RUNS[name]
     assert linear_runs_digest(policy_cls) == digest
+
+
+# stdout of each demo, run as a script from the repository's own sources
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = {
+    "assumption_audit": "5058e29c636a87c3e89459475eb26432bea13f603d43b2ebda12e38f7ce876d9",
+    "batch_effect": "8b35642c60533196663ccd6c70f80f53392bdb60d59ba3614a763512a7928126",
+    "delayed_start": "e8684eeb855045c8ff124e1d7a015324bef5f82e652d5a5ef2d689d046727e09",
+    "offline_replay": "54bb547fb35d12e8abfed125f3f4168667ff180030df7838fe59e98389552ecd",
+    "theorem_sandwich": "8240be822f16268c7936c41aace85a058e956d9854dd749d1d6b62300813d15e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_stdout_is_pinned(name):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, check=True,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == DEMOS[name]
