@@ -65,15 +65,6 @@ class RepCounts:
 
 
 @dataclass(eq=False, slots=True)
-class RepBeta:
-    """Beta posterior parameters of ``R`` lockstep reps, shape ``(R, k)``."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    t_seen: int
-
-
-@dataclass(eq=False, slots=True)
 class RepRidge:
     """Ridge statistics of ``R`` lockstep reps: design matrices ``V``
     ``(R, d, d)`` and response vectors ``z`` ``(R, d)``.
@@ -109,8 +100,10 @@ class BasePolicy:
 class _CountPolicy(BasePolicy):
     """Finite-armed policy whose state is pull counts and reward sums.
 
-    Every update absorbs the released pulls.  The index policy reads the
-    counts and sums, and so does the delayed-start gate of its uniform phase.
+    Every update absorbs the released pulls.  Every finite-armed policy
+    keeps this one state: UCB's index and Thompson sampling's posterior are
+    functions of it, and the delayed-start gate reads it from the uniform
+    phase.
     """
 
     def __post_init__(self):
@@ -172,48 +165,37 @@ _SCALAR_BETA_MAX = 12
 
 
 @dataclass(frozen=True)
-class ThompsonBetaPolicy(BasePolicy):
+class ThompsonBetaPolicy(_CountPolicy):
     """Beta-Bernoulli Thompson sampling from a flat Beta(1, 1) prior.
 
-    Each step samples one mean per arm from the posterior and plays the
-    argmax; under batch feedback the posterior is frozen, but every step in
-    the batch still gets a fresh draw.
+    Each arm's posterior is ``Beta(1 + sums, 1 + counts - sums)``, the
+    successes and failures read from the shared counts and sums.  Each step
+    samples one mean per arm from the posterior and plays the argmax; under
+    batch feedback the posterior is frozen, but every step in the batch
+    still gets a fresh draw.
     """
 
     k: int
     name = "ts"
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise PolicyError("need at least 2 arms")
-
-    def init_reps(self, reps: int) -> RepBeta:
-        return RepBeta(np.ones((reps, self.k)), np.ones((reps, self.k)), 0)
-
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
         k = self.k
         rows = rows.tolist()
         if b * k <= _SCALAR_BETA_MAX:
-            alpha, beta = states.alpha.tolist(), states.beta.tolist()
+            counts, sums = states.counts.tolist(), states.sums.tolist()
             flat = []
             for r in rows:
-                draw, al, be = rngs[r].beta, alpha[r], beta[r]
+                draw = rngs[r].beta
+                post = [(1.0 + s, 1.0 + n - s) for n, s in zip(counts[r], sums[r])]
                 for _ in range(b):
-                    for a in range(k):
-                        flat.append(draw(al[a], be[a]))
+                    for al, be in post:
+                        flat.append(draw(al, be))
             draws = np.array(flat).reshape(len(rows), b, k)
         else:
-            draws = np.stack(
-                [rngs[r].beta(states.alpha[r], states.beta[r], size=(b, k)) for r in rows]
-            )
+            alpha = 1.0 + states.sums
+            beta = 1.0 + states.counts - states.sums
+            draws = np.stack([rngs[r].beta(alpha[r], beta[r], size=(b, k)) for r in rows])
         return draws.argmax(axis=2)
-
-    def update_reps(self, states, actions, rewards):
-        succ = rep_bincount(actions, self.k, rewards)
-        states.alpha += succ
-        states.beta += rep_bincount(actions, self.k) - succ
-        states.t_seen += actions.shape[1]
-        return states
 
 
 @dataclass(frozen=True)

@@ -135,17 +135,23 @@ def test_rep_rows_are_independent():
 def test_ts_prior_is_flat():
     pol = ThompsonBetaPolicy(2)
     st = pol.init_reps(1)
-    assert st.alpha.tolist() == [[1.0, 1.0]] and st.beta.tolist() == [[1.0, 1.0]]
+    assert st.counts.tolist() == [[0, 0]] and st.sums.tolist() == [[0.0, 0.0]]
+    assert st.t_seen == 0
     acts = act(pol, st, b=20_000, seed=1)
     assert abs((acts == 0).mean() - 0.5) < 0.01
 
 
 def test_ts_posterior_update():
+    # two successes on arm 0 and one failure on arm 1: Beta(3, 1) and
+    # Beta(1, 2), seen through the draws on both the scalar and array paths
     pol = ThompsonBetaPolicy(2)
     st = fed(pol, [(0, 1.0), (0, 1.0), (1, 0.0)])
-    assert st.alpha.tolist() == [[3.0, 1.0]]
-    assert st.beta.tolist() == [[1.0, 2.0]]
+    assert st.counts.tolist() == [[2, 1]]
+    assert st.sums.tolist() == [[2.0, 0.0]]
     assert st.t_seen == 3
+    for b in (1, 6, 50):
+        posterior = np.random.default_rng(b).beta([3.0, 1.0], [1.0, 2.0], size=(b, 2))
+        assert act(pol, st, b=b, seed=b).tolist() == posterior.argmax(axis=1).tolist()
 
 
 def test_ts_act_batch_first_row_matches_decide():

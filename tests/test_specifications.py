@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchband.core import make_grid
-from batchband.environments import make_linear_env, preset
+from batchband.environments import BernoulliEnv, make_linear_env, preset
 from batchband.policies import (
     BasePolicy,
     FixedArmPolicy,
     LinUcbPolicy,
     ThompsonBetaPolicy,
+    TwoPhaseSwitchPolicy,
     UcbPolicy,
     UniformPolicy,
 )
@@ -93,6 +96,51 @@ def test_short_with_batch_size_one_equals_online_trajectory():
     short1 = run_short(UcbPolicy(2), env, make_grid(40, 1), seed=9)
     assert np.array_equal(online.actions, short1.actions)
     assert short1.spec == "short"
+
+
+@st.composite
+def finite_armed_runs(draw):
+    """A random Bernoulli instance, one of the five finite-armed policies,
+    a horizon and a seed."""
+    means = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5))
+    k, n = len(means), draw(st.integers(1, 80))
+    name = draw(st.sampled_from(["ucb", "ts", "uniform", "fixed", "two_phase"]))
+    if name == "ucb":
+        policy = UcbPolicy(k, c=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    elif name == "ts":
+        policy = ThompsonBetaPolicy(k)
+    elif name == "uniform":
+        policy = UniformPolicy(k)
+    elif name == "fixed":
+        policy = FixedArmPolicy(k, draw(st.integers(0, k - 1)))
+    else:
+        policy = TwoPhaseSwitchPolicy(
+            k, int(np.argmax(means)), int(np.argmin(means)), draw(st.integers(0, n)),
+        )
+    return policy, BernoulliEnv(np.array(means)), n, draw(st.integers(0, 2**32 - 1))
+
+
+RUN_FIELDS = ("actions", "pseudo_regret", "optimal_hits", "pull_counts")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=finite_armed_runs())
+def test_batch_size_one_equals_online_on_random_instances(case):
+    policy, env, n, seed = case
+    online = run_online(policy, env, n, seed)
+    batch1 = run_batch(policy, env, make_grid(n, 1), seed)
+    for field in RUN_FIELDS:
+        assert np.array_equal(getattr(online, field), getattr(batch1, field))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=finite_armed_runs())
+def test_short_batch_size_one_equals_online_on_random_instances(case):
+    policy, env, n, seed = case
+    online = run_online(policy, env, n, seed)
+    short1 = run_short(policy, env, make_grid(n, 1), seed)
+    for field in RUN_FIELDS:
+        assert np.array_equal(getattr(online, field), getattr(short1, field))
 
 
 def test_spec_tags():
