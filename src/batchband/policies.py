@@ -137,8 +137,8 @@ class UcbPolicy(_CountPolicy):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.c < 0:
-            raise PolicyError("exploration constant must be non-negative")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise PolicyError(f"exploration constant must be finite and >= 0, got {self.c}")
 
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
         # the log is taken once with math.log because every rep shares
@@ -221,6 +221,7 @@ class FixedArmPolicy(_CountPolicy):
     adaptive = False
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 <= self.arm < self.k:
             raise PolicyError(f"arm {self.arm} outside 0..{self.k - 1}")
 
@@ -246,6 +247,7 @@ class TwoPhaseSwitchPolicy(_CountPolicy):
     draws = False
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0 <= self.good_arm < self.k and 0 <= self.bad_arm < self.k):
             raise PolicyError("arms outside range")
         if self.switch_t < 0:
@@ -267,8 +269,8 @@ class _LinearBase(BasePolicy):
     def __post_init__(self):
         if self.k < 2 or self.context_dim < 1:
             raise PolicyError("need k >= 2 and context_dim >= 1")
-        if self.ridge_lambda <= 0:
-            raise PolicyError("ridge penalty must be positive")
+        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
+            raise PolicyError(f"ridge penalty must be finite and > 0, got {self.ridge_lambda}")
 
     @property
     def dim(self) -> int:
@@ -323,6 +325,11 @@ class LinUcbPolicy(_LinearBase):
     name = "linucb"
     draws = False
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise PolicyError(f"width multiplier must be finite and >= 0, got {self.alpha}")
+
     @staticmethod
     def _factor(V, z):
         return np.linalg.solve(V, z)[..., 0], np.linalg.inv(V)
@@ -359,6 +366,19 @@ class LinTsPolicy(_LinearBase):
         return np.argmax(np.einsum("rbkd,rbd->rbk", fs, draws), axis=2)
 
 
+def _pop_number(params: dict, key: str, default=None, integral: bool = False):
+    """Pop ``key`` as a float, or as an int when ``integral``; a value that
+    does not convert, or is not integral when it must be, raises ``PolicyError``."""
+    value = params.pop(key, default)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise PolicyError(f"{key} must be a number, got {value!r}") from None
+    if integral and not x.is_integer():
+        raise PolicyError(f"{key} must be an integer, got {value!r}")
+    return int(x) if integral else x
+
+
 POLICY_NAMES = ("ucb", "ts", "linucb", "lints", "uniform", "two_phase", "fixed")
 
 
@@ -372,13 +392,14 @@ def make_policy(
     """Build a policy from its registry name and hyperparameter dict.
 
     Recognised keys: ``ucb_c``, ``ridge_lambda``, ``linucb_alpha``,
-    ``switch_t``, ``fixed_arm``; a key the named policy does not take
-    raises ``PolicyError``.  The two-phase probe needs ``env_means`` to
+    ``switch_t``, ``fixed_arm``.  A key the named policy does not take, a
+    value that is not a number, and a ``switch_t`` or ``fixed_arm`` that is
+    not integral raise ``PolicyError``.  The two-phase probe needs ``env_means`` to
     locate its good and bad arms.
     """
     p = dict(params or {})
     if name == "ucb":
-        policy = UcbPolicy(k, c=float(p.pop("ucb_c", DEFAULT_UCB_C)))
+        policy = UcbPolicy(k, c=_pop_number(p, "ucb_c", DEFAULT_UCB_C))
     elif name == "ts":
         policy = ThompsonBetaPolicy(k)
     elif name == "uniform":
@@ -389,8 +410,8 @@ def make_policy(
         policy = LinUcbPolicy(
             k,
             context_dim,
-            alpha=float(p.pop("linucb_alpha", DEFAULT_LINUCB_ALPHA)),
-            ridge_lambda=float(p.pop("ridge_lambda", DEFAULT_RIDGE_LAMBDA)),
+            alpha=_pop_number(p, "linucb_alpha", DEFAULT_LINUCB_ALPHA),
+            ridge_lambda=_pop_number(p, "ridge_lambda", DEFAULT_RIDGE_LAMBDA),
         )
     elif name == "lints":
         if context_dim is None:
@@ -398,7 +419,7 @@ def make_policy(
         policy = LinTsPolicy(
             k,
             context_dim,
-            ridge_lambda=float(p.pop("ridge_lambda", DEFAULT_RIDGE_LAMBDA)),
+            ridge_lambda=_pop_number(p, "ridge_lambda", DEFAULT_RIDGE_LAMBDA),
         )
     elif name == "two_phase":
         if env_means is None:
@@ -410,12 +431,12 @@ def make_policy(
             k,
             good_arm=int(np.argmax(means)),
             bad_arm=int(np.argmin(means)),
-            switch_t=int(p.pop("switch_t")),
+            switch_t=_pop_number(p, "switch_t", integral=True),
         )
     elif name == "fixed":
         if "fixed_arm" not in p:
             raise PolicyError("fixed needs fixed_arm")
-        policy = FixedArmPolicy(k, arm=int(p.pop("fixed_arm")))
+        policy = FixedArmPolicy(k, arm=_pop_number(p, "fixed_arm", integral=True))
     else:
         raise PolicyError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
     if p:

@@ -116,6 +116,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flags,message", [
         (["--policy", "ucb,fixed"], "fixed needs fixed_arm"),
         (["--mode", "delayed_start", "--env", "0.5,0.5"], "unique best arm"),
+        (["--policy", "ucb", "--ucb-c", "nan"], "exploration constant"),
+        (["--policy", "ucb", "--ucb-c", "inf"], "exploration constant"),
     ])
     def test_unrunnable_cell_exits_2_before_any_cell_runs(
         self, tmp_path, capsys, monkeypatch, flags, message

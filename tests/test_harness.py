@@ -78,6 +78,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="takes no parameter 'c'"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("params,message", [
+        ({"ucb": {"ucb_c": "abc"}}, "ucb_c must be a number"),
+        ({"ucb": {"ucb_c": float("nan")}}, "exploration constant"),
+        ({"two_phase": {"switch_t": 2.7}}, "switch_t must be an integer"),
+    ])
+    def test_bad_policy_parameter_value_rejected(self, params, message):
+        cfg = small_config(policies=("ucb", "two_phase"), policy_params=params)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+
     def test_cell_cardinality_three_envs_two_policies_seven_batches(self):
         cfg = ExperimentConfig(
             envs=("env1", "env2", "env3"),

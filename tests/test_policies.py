@@ -365,6 +365,31 @@ def test_make_policy_registry():
         make_policy("linucb", 2)  # missing context_dim
 
 
+@pytest.mark.parametrize("build", [
+    lambda: UcbPolicy(2, c=math.nan),
+    lambda: UcbPolicy(2, c=math.inf),
+    lambda: LinUcbPolicy(2, 3, alpha=-5.0),
+    lambda: LinUcbPolicy(2, 3, alpha=math.nan),
+    lambda: LinTsPolicy(2, 3, ridge_lambda=math.nan),
+    lambda: FixedArmPolicy(1, 0),
+    lambda: TwoPhaseSwitchPolicy(1, 0, 0, 5),
+], ids=["ucb-c-nan", "ucb-c-inf", "linucb-alpha-negative", "linucb-alpha-nan",
+        "lints-ridge-nan", "fixed-one-arm", "two-phase-one-arm"])
+def test_policies_reject_bad_hyperparameters(build):
+    with pytest.raises(PolicyError):
+        build()
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("ucb", {"ucb_c": "abc"}, "ucb_c must be a number"),
+    ("two_phase", {"switch_t": 2.7}, "switch_t must be an integer"),
+    ("fixed", {"fixed_arm": 1.5}, "fixed_arm must be an integer"),
+])
+def test_make_policy_rejects_values_that_do_not_convert(name, params, message):
+    with pytest.raises(PolicyError, match=message):
+        make_policy(name, 3, params=params, env_means=np.array([0.7, 0.5, 0.3]))
+
+
 @pytest.mark.parametrize("name,params", [
     ("ucb", {"c": 5.0}),
     ("ucb", {"ucb_c": 0.5, "switch_t": 3}),
