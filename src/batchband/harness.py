@@ -225,13 +225,12 @@ def _run_cell(payload):
             policy, env, grid, delta, seeds, bound_from=bound_from,
         )
 
-    mean_final, stderr_final = (float(x) for x in _mean_se(run.final_regret))
     curve_mean, curve_stderr = _curve_stats(run.pseudo_regret)
     taus = [] if run.phases is None else [p.tau_hat for p in run.phases]
     done = [t for t in taus if t is not None]
     return CellResult(
         env=env_spec, policy=run.policy, spec=run.spec, b=b, n=grid.n, reps=reps,
-        mean_final=mean_final, stderr_final=stderr_final,
+        mean_final=float(curve_mean[-1]), stderr_final=float(curve_stderr[-1]),
         opt_frac=float((run.optimal_pulls / grid.n).mean()),
         mean_pull_counts=run.pull_counts.sum(axis=0) / reps,
         tau_mean=float(np.mean(done)) if done else None,

@@ -2,8 +2,8 @@
 
 Every rep's generator is consumed in a fixed order (README, "Seed
 contract"), whatever the engine does to run reps together, so these bytes
-may change only with a deliberate change of the random streams, which must
-say so and re-pin them.
+may change only with a deliberate change of the random streams or of a
+reduction, which must say so and re-pin them.
 """
 
 import contextlib
@@ -37,20 +37,20 @@ CASES = {
         ["simulate", "--env", "env1,env6", "--policy", "ucb,ts,uniform,two_phase",
          "--n", "120", "--b", "1,3,8", "--reps", "6", "--seed", "5", "--plot", *SIM],
         0,
-        {"results.csv": "4a7fcfd3422f2d9d665c87bfded3aae2be38489f959d398832310157bb70aab9",
+        {"results.csv": "a88df586a08defd423ab350c5c0b85ead7798c183030a37220ecb2c079be5566",
          "curves.csv": "063c595d3fae6aed0741212bfec47c5f11c677b6cd473290c08326999ebd9cd5",
          "plot.svg": "73ffa52273540f1a912b4ddba19cdc8a299a2f7e0000ab5bec98139dd3f2ce62"},
     ),
     "delayed_start": (
         ["simulate", "--mode", "delayed_start", *DELAYED],
         0,
-        {"results.csv": "6e03bc3fc46c497b42591818d51257ce07bfd2e9afe739a56d409ad186d8d7c0",
+        {"results.csv": "9ac1bb9c68d662b57d1ccb6b0c3070b103d9f47cf9a2685d91f7b2b265787cc1",
          "curves.csv": "17fdc3b2fc9ca9bcb3896c783fd8f6b13555c0c3395390ff55a5b0e25a0bfa21"},
     ),
     "approx_delayed_start": (
         ["simulate", "--mode", "approx_delayed_start", *DELAYED],
         0,
-        {"results.csv": "04828ef2b82b28c15ffd370fd21457bc2a123371c8461a808efe0dd84d6fb868",
+        {"results.csv": "71d497f5ca1e09860d0b9f36a97acabc98ebafacdefc7b9dfe0a8b467a4c7fe7",
          "curves.csv": "741c452e040e09d37cc77360972a435fe0f26de7ac24ac8ba59be71c80843f15"},
     ),
 }
