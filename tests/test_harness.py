@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,28 @@ class TestCsvOutputs:
         last = lines[-1].split(",")
         assert last[0] == "env1|ucb|batch|4"
         assert last[1] == "12"
+
+    @pytest.mark.parametrize("mode", ["plain", "delayed_start", "approx_delayed_start"])
+    def test_results_rows_equal_last_curve_rows(self, tmp_path, mode):
+        # one reduction per cell: the final mean and stderr are the last
+        # point of the cell's curve, as written strings
+        cfg = small_config(envs=("env1", "env6"), policies=("ucb", "ts"), n=120,
+                           batch_sizes=(1, 3, 8), reps=6, mode=mode)
+        table = run_experiment(cfg)
+        table.to_results_csv(tmp_path / "results.csv")
+        table.to_curves_csv(tmp_path / "curves.csv")
+        with open(tmp_path / "results.csv", newline="") as fh:
+            results = list(csv.DictReader(fh))
+        last = {}
+        with open(tmp_path / "curves.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                last[row["cell"]] = row
+        assert len(results) == len(last) == 12
+        for row in results:
+            curve = last[f"{row['env']}|{row['policy']}|{row['spec']}|{row['b']}"]
+            assert curve["t"] == row["n"]
+            assert (row["mean_final_regret"], row["stderr_final_regret"]) == (
+                curve["mean"], curve["stderr"])
 
 
 class TestCheckTheoremBounds:
