@@ -100,10 +100,9 @@ class BasePolicy:
 class _CountPolicy(BasePolicy):
     """Finite-armed policy whose state is pull counts and reward sums.
 
-    Every update absorbs the released pulls.  Every finite-armed policy
-    keeps this one state: UCB's index and Thompson sampling's posterior are
-    functions of it, and the delayed-start gate reads it from the uniform
-    phase.
+    Every update absorbs the released pulls.  Every finite-armed policy reads
+    its rule from this one state, and the delayed-start gate reads its uniform
+    phase's counts and sums.
     """
 
     def __post_init__(self):
@@ -367,8 +366,7 @@ class LinTsPolicy(_LinearBase):
 
 
 def _pop_number(params: dict, key: str, default=None, integral: bool = False):
-    """Pop ``key`` as a float, or as an int when ``integral``; a value that
-    does not convert, or is not integral when it must be, raises ``PolicyError``."""
+    """Pop ``key`` as a float, or as an int when ``integral``, or raise ``PolicyError``."""
     value = params.pop(key, default)
     try:
         x = float(value)
@@ -392,10 +390,9 @@ def make_policy(
     """Build a policy from its registry name and hyperparameter dict.
 
     Recognised keys: ``ucb_c``, ``ridge_lambda``, ``linucb_alpha``,
-    ``switch_t``, ``fixed_arm``.  A key the named policy does not take, a
-    value that is not a number, and a ``switch_t`` or ``fixed_arm`` that is
-    not integral raise ``PolicyError``.  The two-phase probe needs ``env_means`` to
-    locate its good and bad arms.
+    ``switch_t``, ``fixed_arm``.  A key the policy does not take, a value
+    that is not a number and a non-integral ``switch_t`` or ``fixed_arm``
+    raise ``PolicyError``.  The two-phase probe needs ``env_means``.
     """
     p = dict(params or {})
     if name == "ucb":
