@@ -184,11 +184,10 @@ class ThompsonBetaPolicy(_CountPolicy):
             counts, sums = states.counts.tolist(), states.sums.tolist()
             flat = []
             for r in rows:
-                draw = rngs[r].beta
-                post = [(1.0 + s, 1.0 + n - s) for n, s in zip(counts[r], sums[r])]
+                draw, n, s = rngs[r].beta, counts[r], sums[r]
                 for _ in range(b):
-                    for al, be in post:
-                        flat.append(draw(al, be))
+                    for a in range(k):
+                        flat.append(draw(1.0 + s[a], 1.0 + n[a] - s[a]))
             draws = np.array(flat).reshape(len(rows), b, k)
         else:
             alpha = 1.0 + states.sums

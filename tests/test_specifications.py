@@ -120,27 +120,15 @@ def finite_armed_runs(draw):
     return policy, BernoulliEnv(np.array(means)), n, draw(st.integers(0, 2**32 - 1))
 
 
-RUN_FIELDS = ("actions", "pseudo_regret", "optimal_hits", "pull_counts")
-
-
+@pytest.mark.parametrize("runner", [run_batch, run_short], ids=["batch", "short"])
 @settings(max_examples=60, deadline=None)
 @given(case=finite_armed_runs())
-def test_batch_size_one_equals_online_on_random_instances(case):
+def test_batch_size_one_equals_online_on_random_instances(runner, case):
     policy, env, n, seed = case
     online = run_online(policy, env, n, seed)
-    batch1 = run_batch(policy, env, make_grid(n, 1), seed)
-    for field in RUN_FIELDS:
-        assert np.array_equal(getattr(online, field), getattr(batch1, field))
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=finite_armed_runs())
-def test_short_batch_size_one_equals_online_on_random_instances(case):
-    policy, env, n, seed = case
-    online = run_online(policy, env, n, seed)
-    short1 = run_short(policy, env, make_grid(n, 1), seed)
-    for field in RUN_FIELDS:
-        assert np.array_equal(getattr(online, field), getattr(short1, field))
+    other = runner(policy, env, make_grid(n, 1), seed)
+    for field in ("actions", "pseudo_regret", "optimal_hits", "pull_counts"):
+        assert np.array_equal(getattr(online, field), getattr(other, field))
 
 
 def test_spec_tags():
