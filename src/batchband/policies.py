@@ -39,27 +39,26 @@ class PolicyError(ValueError):
     """Raised for invalid policy configuration or misuse."""
 
 
-def rep_bincount(actions, k, weights=None):
-    """Per-rep ``bincount`` of an ``(R, m)`` action array, shape ``(R, k)``.
-
-    Each cell sums its rep's entries in step order, like ``np.bincount`` on
-    that rep alone.
-    """
+def rep_bincount(actions, k):
+    """Per-rep ``bincount`` of an ``(R, m)`` action array, shape ``(R, k)``."""
     reps = actions.shape[0]
     flat = (actions + np.arange(0, reps * k, k)[:, None]).ravel()
-    w = None if weights is None else weights.ravel()
-    return np.bincount(flat, weights=w, minlength=reps * k).reshape(reps, k)
+    return np.bincount(flat, minlength=reps * k).reshape(reps, k)
 
 
 @dataclass(eq=False, slots=True)
 class RepCounts:
     """Pull counts and reward sums of ``R`` lockstep reps, shape ``(R, k)``.
 
-    ``unpulled`` stays true until no count is zero any more.
+    Counts are float64, exact below 2**53, so indices divide float by float.
+    ``offsets`` ``(R, 1)`` holds ``r * k``, the start of rep ``r``'s row in
+    the flattened arrays.  ``unpulled`` stays true until no count is zero
+    any more.
     """
 
     counts: np.ndarray
     sums: np.ndarray
+    offsets: np.ndarray
     t_seen: int
     unpulled: bool = True
 
@@ -111,11 +110,15 @@ class _CountPolicy(BasePolicy):
 
     def init_reps(self, reps: int) -> RepCounts:
         k = self.k
-        return RepCounts(np.zeros((reps, k), dtype=np.int64), np.zeros((reps, k)), 0)
+        offsets = np.arange(0, reps * k, k)[:, None]
+        return RepCounts(np.zeros((reps, k)), np.zeros((reps, k)), offsets, 0)
 
     def update_reps(self, states, actions, rewards):
-        states.counts += rep_bincount(actions, self.k)
-        states.sums += rep_bincount(actions, self.k, rewards)
+        # one unbuffered scatter per array adds each release to its cell in
+        # step order, as a per-step loop would
+        flat = (actions + states.offsets).ravel()
+        np.add.at(states.counts.ravel(), flat, 1.0)
+        np.add.at(states.sums.ravel(), flat, rewards.ravel())
         states.t_seen += actions.shape[1]
         return states
 
@@ -154,13 +157,19 @@ class UcbPolicy(_CountPolicy):
             with np.errstate(divide="ignore", invalid="ignore"):
                 idx = states.sums / counts + self.c * np.sqrt(bonus / counts)
             idx[counts == 0] = math.inf
-        return idx.argmax(axis=1)[rows, None].repeat(b, axis=1)
+        arms = idx.argmax(axis=1)
+        if rows.size < arms.size:
+            arms = arms[rows]
+        return arms[:, None].repeat(b, axis=1)
 
 
-# Below this many draws per rep and batch, k*b scalar ``Generator.beta``
-# calls (about 1.3 us each) beat one array call (about 16 us); both consume
-# the generator identically, in C order.
+# Up to this many draws per rep and batch, scalar generator calls beat one
+# array call, which consumes the generator identically, in C order: k*b
+# scalar ``Generator.beta`` calls cost about 1.3 us each against about 16 us
+# for the array call, and b scalar ``integers(k)`` calls about 2.2 us each
+# against about 7.5 us for ``integers(0, k, size=b)``.
 _SCALAR_BETA_MAX = 12
+_SCALAR_INTEGERS_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,12 @@ class UniformPolicy(_CountPolicy):
     adaptive = False
 
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
-        return np.array([rngs[r].integers(0, self.k, size=b) for r in rows])
+        k = self.k
+        if b <= _SCALAR_INTEGERS_MAX:
+            ints = [rngs[r].integers for r in rows.tolist()]
+            flat = [draw(k) for draw in ints for _ in range(b)]
+            return np.array(flat, dtype=np.int64).reshape(len(ints), b)
+        return np.array([rngs[r].integers(0, k, size=b) for r in rows])
 
 
 @dataclass(frozen=True)

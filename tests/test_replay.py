@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_runner import reference_replay
 
@@ -191,6 +191,28 @@ def logs(linear):
     return [env1, env6, without_arm(env6, 1)]
 
 
+@st.composite
+def small_logs(draw):
+    """(k, pairs): up to 200 (action, reward) pairs over 2-4 arms, rewards in
+    tenths of [0, 1], whose sums round differently when added in another
+    order."""
+    k = draw(st.integers(2, 4))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, 10).map(lambda x: x / 10)),
+        min_size=1, max_size=200,
+    ))
+    return k, pairs
+
+
+def fractional_log(seed, rows):
+    """(k, pairs): ``rows`` uniform pulls of 2 or 3 arms with rewards in
+    tenths, drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    actions = rng.integers(0, k, rows).tolist()
+    return k, list(zip(actions, np.round(rng.random(rows), 1).tolist()))
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("b", [1, 3, 50])
     @pytest.mark.parametrize("name", sorted(POLICIES))
@@ -206,17 +228,16 @@ class TestAgainstReference:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        k=st.integers(2, 4),
+        log=small_logs(),
         b=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         name=st.sampled_from(["ucb", "ts", "uniform", "fixed"]),
-        data=st.data(),
     )
-    def test_random_small_logs_match_reference(self, k, b, seed, name, data):
-        pairs = data.draw(st.lists(
-            st.tuples(st.integers(0, k - 1), st.sampled_from([0.0, 1.0])),
-            min_size=1, max_size=200,
-        ))
+    # summing each released batch before adding it to the running sums
+    # played (192, 99) here, against the reference's (190, 102)
+    @example(log=fractional_log(7, 600), b=2, seed=7, name="ucb")
+    def test_random_small_logs_match_reference(self, log, b, seed, name):
+        k, pairs = log
         dataset = rec(pairs, k)
         result = replay_evaluate(POLICIES[name](k, 0), dataset, b=b, seed=seed)
         assert (result.matched, result.successes) == reference_replay(
