@@ -1,18 +1,22 @@
 """Naive per-step references for the finite-armed run engine and replay.
 
 Written from the policies' definitions, one step at a time, with no numpy
-beyond the generator and the linear policies' ridge algebra: the engine and
-the replay evaluator must reproduce them bit for bit.  Per batch a run draws the policy's randomness (TS: one
+beyond the generator, the linear policies' ridge algebra and the
+certification check: the engine and the replay evaluator must reproduce
+them bit for bit.  Per batch a run draws the policy's randomness (TS: one
 Beta draw per arm and step, in step-then-arm order; uniform:
 ``integers(0, k, size=b)``), then one uniform per step for the Bernoulli
 rewards.  Replay makes one proposal per logged record, in record order;
 the linear policies factor their ridge statistics afresh for every
-proposal.
+proposal.  The estimated delayed start checks one rep's 1-D counts and
+means at each boundary.
 """
 
 import math
 
 import numpy as np
+
+from batchband.meta import check_phase
 
 
 def _ucb_arm(counts, sums, seen, c):
@@ -63,6 +67,36 @@ def reference_run(name, means, n, b, seed, short=False, c=1.0, arm=0, switch_t=0
                 beta[a] += 1.0 - reward
         seen += fed
     return actions, regret
+
+
+def reference_approx_delayed_start(means, n, b, seed, delta, c=1.0):
+    """(tau, actions) of one rep of the estimated delayed start of UCB.
+
+    Uniform play, ``integers(0, k, size=b)`` then ``random(b)`` per batch,
+    until the first boundary ``t`` (0, b, ..., n) with ``t >= 2``, every
+    arm pulled and ``check_phase`` passing on the rep's counts and means;
+    from there UCB plays on the whole history.  ``tau`` is that ``t``, or
+    None when phase 1 never ends."""
+    rng = np.random.default_rng(seed)
+    k = len(means)
+    counts, sums = [0] * k, [0.0] * k
+    tau, actions = None, []
+    for t in range(0, n + 1, b):
+        if tau is None and t >= 2 and min(counts) >= 1:
+            mean_hat = [s / m for s, m in zip(sums, counts)]
+            if not check_phase(np.array(counts, dtype=float), np.array(mean_hat), t, k, delta):
+                tau = t
+        if t == n:
+            break
+        if tau is None:
+            batch = [int(a) for a in rng.integers(0, k, size=b)]
+        else:
+            batch = [_ucb_arm(counts, sums, t, c)] * b
+        for a, u in zip(batch, rng.random(b)):
+            actions.append(a)
+            counts[a] += 1
+            sums[a] += 1.0 if u < means[a] else 0.0
+    return tau, actions
 
 
 def _ridge_arm(name, feats, V, z, rng, alpha):

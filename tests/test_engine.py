@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_runner import reference_run
+from reference_runner import reference_approx_delayed_start, reference_run
 
 from batchband.core import derive_seed, make_grid
 from batchband.environments import make_linear_env, preset
@@ -142,3 +142,19 @@ def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
                 x, y = getattr(a, field), getattr(b, field)
                 assert (x is None and y is None) or np.array_equal(x, y)
 
+
+@pytest.mark.parametrize("b", [1, 3, 10])
+@pytest.mark.parametrize("env_name", ["env1", "env3", "env6"])
+def test_approx_delayed_start_matches_naive_reference(env_name, b):
+    # lockstep reps leave phase 1 at different boundaries, so the gate sees
+    # every rep, a subset, and reps not yet ready
+    env = preset(env_name)
+    grid = make_grid(600, b)
+    seeds = [derive_seed(9, "approx", env_name, b, i) for i in range(6)]
+    run = approx_delayed_start_run(UcbPolicy(env.k), env, grid, 0.05, seeds)
+    for i, seed in enumerate(seeds):
+        tau, actions = reference_approx_delayed_start(
+            env.means.tolist(), grid.n, b, seed, 0.05
+        )
+        assert run.phases[i].tau_hat == tau
+        assert run.actions[i].tolist() == actions
