@@ -12,9 +12,8 @@ follow one scheme:
 
 Monte-Carlo checks derive per-rep seeds with ``derive_seed`` so results are
 reproducible and extendable, run their reps in lockstep through the
-policies' rep-batched protocol, and share one reduction (``_mean_se``,
-``_curve_stats``) and one two-standard-error verdict (``_verdict``) with
-the harness.
+policies' rep-batched protocol, and share one reduction (``_mean_se``)
+and one two-standard-error verdict (``_verdict``) with the harness.
 """
 
 from __future__ import annotations
@@ -44,20 +43,6 @@ def _mean_se(samples, axis=0):
     if reps < 2:
         return mean, np.zeros_like(mean)
     return mean, samples.std(axis=axis, ddof=1) / np.sqrt(reps)
-
-
-def _curve_stats(trajectories):
-    """Pointwise mean and stderr of (reps, n) trajectories.
-
-    Rows are added in rep order, the arithmetic of a running sum over reps.
-    """
-    reps = trajectories.shape[0]
-    mean = trajectories.sum(axis=0) / reps
-    if reps > 1:
-        sq = (trajectories**2).sum(axis=0)
-        var = np.clip(sq / reps - mean**2, 0.0, None) * reps / (reps - 1)
-        return mean, np.sqrt(var / reps)
-    return mean, np.zeros_like(mean)
 
 
 def _verdict(diff: float, se: float) -> str:
@@ -95,7 +80,7 @@ class RegretCurve:
         arr = np.asarray(per_run_regret, dtype=float)
         if arr.ndim != 2:
             raise ValueError("need a (reps, n) matrix")
-        return RegretCurve(*_curve_stats(arr), arr.shape[0])
+        return RegretCurve(*_mean_se(arr, axis=0), arr.shape[0])
 
 
 @dataclass(eq=False)
@@ -368,7 +353,7 @@ def check_monotone_envelope(
     lower = np.empty((t_max, env.k))
     for a in range(env.k):
         frac = np.cumsum(actions == a, axis=1) / ts  # (reps, t_max)
-        mean[:, a], se = _curve_stats(frac)
+        mean[:, a], se = _mean_se(frac, axis=0)
         lower[:, a] = mean[:, a] - Z_ONE_SIDED_95 * se
     evaluated_from = env.k + 1
     violations = []

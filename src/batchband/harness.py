@@ -24,7 +24,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .assumptions import RegretCurve, _curve_stats, _mean_se, _verdict
+from .assumptions import RegretCurve, _mean_se, _verdict
 from .core import derive_seed, make_grid, write_csv
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
@@ -225,7 +225,7 @@ def _run_cell(payload):
             policy, env, grid, delta, seeds, bound_from=bound_from,
         )
 
-    curve_mean, curve_stderr = _curve_stats(run.pseudo_regret)
+    curve_mean, curve_stderr = _mean_se(run.pseudo_regret, axis=0)
     taus = [] if run.phases is None else [p.tau_hat for p in run.phases]
     done = [t for t in taus if t is not None]
     return CellResult(

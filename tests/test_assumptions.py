@@ -51,6 +51,15 @@ def test_regret_curve_from_runs_equals_regret_curve():
     assert got.stderr.tobytes() == want.stderr.tobytes()
 
 
+def test_regret_curve_of_identical_reps_has_no_spread():
+    # every rep of a fixed arm has the same regret; a one-pass variance
+    # (sum of squares minus squared sum) cancelled to stderrs up to 2.9e-6
+    runs = run_online(FixedArmPolicy(4, 1), preset("env6"), 2000, list(range(500)))
+    assert (runs.pseudo_regret == runs.pseudo_regret[0]).all()
+    c = RegretCurve.from_runs(runs.pseudo_regret)
+    assert c.stderr.max() < 1e-12
+
+
 # ---------------------------------------------------------------- sublinearity
 
 

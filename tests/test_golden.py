@@ -37,21 +37,21 @@ CASES = {
         ["simulate", "--env", "env1,env6", "--policy", "ucb,ts,uniform,two_phase",
          "--n", "120", "--b", "1,3,8", "--reps", "6", "--seed", "5", "--plot", *SIM],
         0,
-        {"results.csv": "a88df586a08defd423ab350c5c0b85ead7798c183030a37220ecb2c079be5566",
-         "curves.csv": "063c595d3fae6aed0741212bfec47c5f11c677b6cd473290c08326999ebd9cd5",
+        {"results.csv": "4a7fcfd3422f2d9d665c87bfded3aae2be38489f959d398832310157bb70aab9",
+         "curves.csv": "8ffb3117d27b40d3ec2537fb121f53d82d0b71ae87bd8d2cf31621011f082fdc",
          "plot.svg": "73ffa52273540f1a912b4ddba19cdc8a299a2f7e0000ab5bec98139dd3f2ce62"},
     ),
     "delayed_start": (
         ["simulate", "--mode", "delayed_start", *DELAYED],
         0,
-        {"results.csv": "9ac1bb9c68d662b57d1ccb6b0c3070b103d9f47cf9a2685d91f7b2b265787cc1",
-         "curves.csv": "17fdc3b2fc9ca9bcb3896c783fd8f6b13555c0c3395390ff55a5b0e25a0bfa21"},
+        {"results.csv": "6e03bc3fc46c497b42591818d51257ce07bfd2e9afe739a56d409ad186d8d7c0",
+         "curves.csv": "fbac78673dcb8cf81f212a62e6be51f23d8255c9b589f8e7a8e415cef097b108"},
     ),
     "approx_delayed_start": (
         ["simulate", "--mode", "approx_delayed_start", *DELAYED],
         0,
-        {"results.csv": "71d497f5ca1e09860d0b9f36a97acabc98ebafacdefc7b9dfe0a8b467a4c7fe7",
-         "curves.csv": "741c452e040e09d37cc77360972a435fe0f26de7ac24ac8ba59be71c80843f15"},
+        {"results.csv": "04828ef2b82b28c15ffd370fd21457bc2a123371c8461a808efe0dd84d6fb868",
+         "curves.csv": "e248a04af1f5274a56d43849d496507a3c079e55fe6499fae3089529f2c7f355"},
     ),
 }
 BOUNDS = {
@@ -69,10 +69,10 @@ for _policy, _digest in BOUNDS.items():
 # regret curves, rule traces, the informativeness probe, the envelope check
 # (ucb only) and the b-fold reversal
 ASSUMPTIONS = {
-    "ucb": (0, "82273a0baba2f043f1b717b9cc37e147c31a1d47f4d0a43fe7081d10a5150829"),
-    "ts": (1, "e65e4ff92d83db3057239d009ed10a2c9b6c9e08d1dea52dfd6911987ff9b1a5"),
-    "uniform": (0, "10bcc6d74eba712ef92289a038724c651de3f6d8608b00a58f2e08cd966b3906"),
-    "two_phase": (1, "2e4a900224a55cb0ba7f2d0198b3233c5371653d03735faca991bb09455d17f5"),
+    "ucb": (0, "6436607f2b42ffe92eac335697e26f51bfc735d2a07174397343a5a671ba6b23"),
+    "ts": (1, "8b8d1d98ac261adb4098964851612493a923a4dde65573397c2f113de2b182be"),
+    "uniform": (0, "74f6d51c80335f2963811f96c2e38577407961ce062ab63fa7e33dd3dc9da70a"),
+    "two_phase": (1, "a201d85060755196743cc158a9da8fa23b1a77e89c4696eae4756a399c4a4e21"),
 }
 for _policy, (_code, _digest) in ASSUMPTIONS.items():
     CASES[f"assumptions-{_policy}"] = (
