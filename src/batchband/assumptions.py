@@ -26,7 +26,7 @@ from .core import PROB_TOL, DecisionRule, derive_seed, rule_value
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
 from .policies import UniformPolicy
-from .specifications import run_online
+from .specifications import block_streams, run_online, whole_blocks
 
 Z_ONE_SIDED_95 = 1.645
 
@@ -153,16 +153,24 @@ def check_lemma31(rules, instance) -> Lemma31Report:
     )
 
 
-def _rep_rules(policy, states, rngs):
+def _rep_rules(policy, states, streams):
     """Each rep's realised rule for its next step, shape ``(R, k)``: a point
-    mass on the arm ``act_reps`` plays, or the flat rule of uniform play."""
-    reps, k = len(rngs), policy.k
+    mass on the arm ``act_reps`` plays from the block ``streams``, or the
+    flat rule of uniform play."""
+    reps, k = len(states.counts), policy.k
     if isinstance(policy, UniformPolicy):
         return np.full((reps, k), 1.0 / k)
     rows = np.arange(reps)
     probs = np.zeros((reps, k))
-    probs[rows, policy.act_reps(states, 1, rngs, rows)[:, 0]] = 1.0
+    probs[rows, policy.act_reps(states, 1, streams, rows)[:, 0]] = 1.0
     return probs
+
+
+def _sim_seeds(policy, reps: int, *key) -> list:
+    """Seeds ``derive_seed(*key, i)`` of the reps to simulate for ``reps``
+    results: whole blocks when ``policy`` draws."""
+    sim = whole_blocks(reps) if policy.draws else reps
+    return [derive_seed(*key, i) for i in range(sim)]
 
 
 def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
@@ -180,14 +188,14 @@ def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
     k = env.k
-    rngs = [
-        np.random.default_rng(derive_seed(master_seed, "trace", i)) for i in range(reps)
-    ]
-    states = policy.init_reps(reps)
+    seeds = _sim_seeds(policy, reps, master_seed, "trace")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    streams = block_streams(seeds)
+    states = policy.init_reps(len(seeds))
     probs_sum = np.zeros((n, k))
     for t in range(n):
-        probs = _rep_rules(policy, states, rngs)
-        probs_sum[t] = probs.sum(axis=0)
+        probs = _rep_rules(policy, states, streams)
+        probs_sum[t] = probs[:reps].sum(axis=0)
         actions = np.array([[g.choice(k, p=p)] for g, p in zip(rngs, probs)])
         rewards = np.array([env.sample_rewards(a, g) for g, a in zip(rngs, actions)])
         states = policy.update_reps(states, actions, rewards)
@@ -226,11 +234,11 @@ def check_negated_sublinearity(
             mean_n=float("nan"), mean_m=float("nan"), b=1,
         )
     mean_n, se_n = _mean_se(run_online(
-        policy, env, grid.n, [derive_seed(master_seed, "neg_n", i) for i in range(reps)]
-    ).final_regret)
+        policy, env, grid.n, _sim_seeds(policy, reps, master_seed, "neg_n")
+    ).final_regret[:reps])
     mean_m, se_m = _mean_se(run_online(
-        policy, env, grid.M, [derive_seed(master_seed, "neg_m", i) for i in range(reps)]
-    ).final_regret)
+        policy, env, grid.M, _sim_seeds(policy, reps, master_seed, "neg_m")
+    ).final_regret[:reps])
     mean_n, mean_m = float(mean_n), float(mean_m)
     d = mean_n - grid.b * mean_m
     se = float(np.hypot(se_n, grid.b * se_m))
@@ -287,18 +295,17 @@ def probe_informativeness(
         acts[n_opt:] = fill
         return acts
 
-    rngs = [
-        np.random.default_rng(derive_seed(master_seed, "informativeness", i))
-        for i in range(reps)
-    ]
+    seeds = _sim_seeds(policy, reps, master_seed, "informativeness")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    streams = block_streams(seeds)
     states = []
     for acts in (actions_with(k), actions_with(k_prime)):
-        acts = np.broadcast_to(acts, (reps, t))
+        acts = np.broadcast_to(acts, (len(seeds), t))
         states.append(policy.update_reps(
-            policy.init_reps(reps), acts,
+            policy.init_reps(len(seeds)), acts,
             np.array([env.sample_rewards(a, g) for g, a in zip(rngs, acts)]),
         ))
-    v_hi, v_lo = (_rep_rules(policy, st, rngs) @ env.means for st in states)
+    v_hi, v_lo = (_rep_rules(policy, st, streams)[:reps] @ env.means for st in states)
     mean, se = (float(x) for x in _mean_se(v_hi - v_lo))
     lo, hi = mean - 2 * se, mean + 2 * se
     verdict = "violated" if hi < 0 else "consistent"
@@ -347,8 +354,8 @@ def check_monotone_envelope(
         raise ValueError("need at least 2 reps")
     per_arm = bound.per_arm(np.arange(1, t_max + 1))  # (t_max, k)
     ts = np.arange(1, t_max + 1, dtype=float)
-    seeds = [derive_seed(master_seed, "envelope", i) for i in range(reps)]
-    actions = run_online(policy, env, t_max, seeds).actions
+    seeds = _sim_seeds(policy, reps, master_seed, "envelope")
+    actions = run_online(policy, env, t_max, seeds).actions[:reps]
     mean = np.empty((t_max, env.k))
     lower = np.empty((t_max, env.k))
     for a in range(env.k):

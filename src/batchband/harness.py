@@ -3,7 +3,9 @@
 ``run_experiment`` sweeps (environment x policy x batch size) cells, runs
 ``reps`` independent trajectories per cell with seeds derived from
 ``(master_seed, cell key, rep index)``, and aggregates into a
-``RegretTable``.  Work is split per cell; any thread count produces
+``RegretTable``.  Where a policy draws, a cell simulates whole blocks of
+reps and drops the surplus, so its first ``reps`` trajectories do not
+depend on ``reps``.  Work is split per cell; any thread count produces
 byte-identical output because seeds never depend on scheduling and the
 reduction walks cells in configured order.
 
@@ -29,7 +31,7 @@ from .core import derive_seed, make_grid, write_csv
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from .policies import POLICY_NAMES, PolicyError, UniformPolicy, make_policy
-from .specifications import run_batch, run_online, run_short
+from .specifications import BLOCK_REPS, run_batch, run_online, run_short, whole_blocks
 
 MODES = ("plain", "delayed_start", "approx_delayed_start")
 
@@ -191,11 +193,13 @@ def _cell_policy(name: str, env, n: int, params: dict):
 
 
 def _map(fn, payloads, threads: int) -> list:
-    """``[fn(p) for p in payloads]``, in a pool of ``threads`` processes
-    when there is more than one of each."""
-    if threads <= 1 or len(payloads) == 1:
+    """``[fn(p) for p in payloads]``, in a pool of at most ``threads``
+    processes, and never more than there are payloads, when there is more
+    than one of each."""
+    workers = min(threads, len(payloads))
+    if workers <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 
 
@@ -212,8 +216,10 @@ def _run_cell(payload):
     env = parse_env(env_spec)
     grid = make_grid(n, b)
     key = _cell_key(env_spec, policy_name, mode, n, b, delta, bound_from)
-    seeds = [derive_seed(master_seed, key, i) for i in range(reps)]
     policy = _cell_policy(policy_name, env, n, params)
+    # the delayed starts' first phase is uniform play, which draws
+    sim = whole_blocks(reps) if policy.draws or mode != "plain" else reps
+    seeds = [derive_seed(master_seed, key, i) for i in range(sim)]
     if mode == "plain":
         run = run_batch(policy, env, grid, seeds)
     elif mode == "delayed_start":
@@ -225,14 +231,14 @@ def _run_cell(payload):
             policy, env, grid, delta, seeds, bound_from=bound_from,
         )
 
-    curve_mean, curve_stderr = _mean_se(run.pseudo_regret, axis=0)
-    taus = [] if run.phases is None else [p.tau_hat for p in run.phases]
+    curve_mean, curve_stderr = _mean_se(run.pseudo_regret[:reps], axis=0)
+    taus = [] if run.phases is None else [p.tau_hat for p in run.phases[:reps]]
     done = [t for t in taus if t is not None]
     return CellResult(
         env=env_spec, policy=run.policy, spec=run.spec, b=b, n=grid.n, reps=reps,
         mean_final=float(curve_mean[-1]), stderr_final=float(curve_stderr[-1]),
-        opt_frac=float((run.optimal_pulls / grid.n).mean()),
-        mean_pull_counts=run.pull_counts.sum(axis=0) / reps,
+        opt_frac=float((run.optimal_pulls[:reps] / grid.n).mean()),
+        mean_pull_counts=run.pull_counts[:reps].sum(axis=0) / reps,
         tau_mean=float(np.mean(done)) if done else None,
         tau_none=len(taus) - len(done) if mode != "plain" else None,
         curve_mean=curve_mean, curve_stderr=curve_stderr,
@@ -348,28 +354,33 @@ def check_theorem_bounds(
 
 
 def _split_reps(reps: int, threads: int):
-    """One contiguous chunk of reps per worker: an engine call costs mostly
-    per batch, whatever its rep count, so fewer and larger chunks are
-    cheaper."""
-    per = -(-reps // max(threads, 1))
+    """Contiguous chunks ``(lo, hi)`` of whole blocks of reps, at most one
+    per worker and per block: an engine call costs mostly per batch,
+    whatever its rep count, so fewer and larger chunks are cheaper, and a
+    chunk of whole blocks draws what one call over every rep would."""
+    blocks = -(-reps // BLOCK_REPS)
+    per = -(-blocks // max(min(threads, blocks), 1)) * BLOCK_REPS
     return [(lo, min(lo + per, reps)) for lo in range(0, reps, per)]
 
 
 def _bound_chunk(payload):
     """Final regrets of reps ``lo..hi-1`` as a (reps, 3) array: online over
-    n, batch b over n, online over M; one lockstep engine call each."""
+    n, batch b over n, online over M; one lockstep engine call each, over
+    whole blocks from ``lo`` when the policy draws."""
     policy_name, env_spec, policy, n, b, master_seed, lo, hi = payload
     env = parse_env(env_spec)
     grid = make_grid(n, b)
     key = f"thm|{env_spec}|{policy_name}|{n}|{b}"
+    end = lo + whole_blocks(hi - lo) if policy.draws else hi
 
     def seeds(tag):
-        return [derive_seed(master_seed, key, tag, i) for i in range(lo, hi)]
+        return [derive_seed(master_seed, key, tag, i) for i in range(lo, end)]
 
     r_on = run_online(policy, env, n, seeds("online"))
     r_b = run_batch(policy, env, grid, seeds("batch"))
     r_m = run_online(policy, env, grid.M, seeds("short"))
-    return np.column_stack([r_on.final_regret, r_b.final_regret, r_m.final_regret])
+    finals = np.column_stack([r_on.final_regret, r_b.final_regret, r_m.final_regret])
+    return finals[: hi - lo]
 
 
 def regret_curve(
@@ -378,11 +389,12 @@ def regret_curve(
     """Pointwise mean and stderr of cumulative pseudo-regret over reps."""
     if spec not in ("online", "batch", "short"):
         raise ConfigError("spec must be online, batch, or short")
-    seeds = [derive_seed(master_seed, "curve", spec, grid.n, grid.b, i) for i in range(reps)]
+    sim = whole_blocks(reps) if policy.draws else reps
+    seeds = [derive_seed(master_seed, "curve", spec, grid.n, grid.b, i) for i in range(sim)]
     if spec == "online":
         run = run_online(policy, env, grid.n, seeds)
     elif spec == "batch":
         run = run_batch(policy, env, grid, seeds)
     else:
         run = run_short(policy, env, grid, seeds)
-    return RegretCurve.from_runs(run.pseudo_regret)
+    return RegretCurve.from_runs(run.pseudo_regret[:reps])

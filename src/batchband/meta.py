@@ -18,6 +18,10 @@ Two meta-runners wrap a candidate policy:
   certifies the switch only when the bound of that pessimistic instance
   beats uniform play and the failure probability ``2K/t^2`` is below the
   requested ``delta``.
+
+Both run their reps in lockstep; the uniform first phase draws from the
+engine's block streams, so a caller reporting ``reps`` results simulates
+whole blocks and drops the surplus (``specifications.whole_blocks``).
 """
 
 from __future__ import annotations

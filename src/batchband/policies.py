@@ -6,8 +6,13 @@ A policy runs ``R`` reps in lockstep through three operations:
   with a leading rep axis.
 * ``act_reps(states, b, rngs, rows[, features])``: ``(len(rows), b)``
   actions for the reps ``rows``, each rep playing ``b`` steps from its
-  frozen state and drawing from its own generator ``rngs[r]``.  The linear
-  policies read ``features``, one ``(b, k, dim)`` feature tensor per row.
+  frozen state.  The finite-armed policies draw from block streams:
+  ``rngs[i]`` is the one generator of block ``i``, the reps ``i * BLOCK_REPS``
+  up to ``(i + 1) * BLOCK_REPS`` (the last block may be short), and a
+  drawing policy makes one draw for every rep of each block that holds any
+  of ``rows``, whatever its other reps are doing.  The linear policies draw
+  from ``rngs[r]``, one generator per rep, and read ``features``, one
+  ``(b, k, dim)`` feature tensor per row.
 * ``update_reps(states, actions, rewards)``: absorb ``(R, m)`` released
   actions and rewards in place and return the states; the linear policies
   take the chosen feature vectors, ``(R, m, dim)``, as actions.
@@ -33,6 +38,11 @@ from .core import DimensionMismatchError
 DEFAULT_UCB_C = 1.0
 DEFAULT_RIDGE_LAMBDA = 1.0
 DEFAULT_LINUCB_ALPHA = 1.0
+
+# Reps per policy stream block.  One array draw per block and batch costs
+# little more than one rep's own draw, while a larger block makes the
+# surplus reps of a padded run cost more.
+BLOCK_REPS = 16
 
 
 class PolicyError(ValueError):
@@ -163,13 +173,19 @@ class UcbPolicy(_CountPolicy):
         return arms[:, None].repeat(b, axis=1)
 
 
-# Up to this many draws per rep and batch, scalar generator calls beat one
-# array call, which consumes the generator identically, in C order: k*b
-# scalar ``Generator.beta`` calls cost about 1.3 us each against about 16 us
-# for the array call, and b scalar ``integers(k)`` calls about 2.2 us each
-# against about 7.5 us for ``integers(0, k, size=b)``.
+def _blocks(rows, reps):
+    """Index ``(i, lo, hi)`` of each block of ``reps`` reps holding any of ``rows``."""
+    if len(rows) == reps:
+        blocks = range(-(-reps // BLOCK_REPS))
+    else:
+        blocks = np.unique(rows // BLOCK_REPS).tolist()
+    return [(i, i * BLOCK_REPS, min((i + 1) * BLOCK_REPS, reps)) for i in blocks]
+
+
+# Up to this many draws, k*b scalar ``Generator.beta`` calls (about 1.3 us
+# each) beat one array call (about 16 us), which consumes the generator
+# identically, in C order.
 _SCALAR_BETA_MAX = 12
-_SCALAR_INTEGERS_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -180,7 +196,10 @@ class ThompsonBetaPolicy(_CountPolicy):
     successes and failures read from the shared counts and sums.  Each step
     samples one mean per arm from the posterior and plays the argmax; under
     batch feedback the posterior is frozen, but every step in the batch
-    still gets a fresh draw.
+    still gets a fresh draw.  A block draws its reps' ``(reps, b, k)``
+    posterior samples in one call, rep by rep, step by step, arm by arm, so
+    a rep's draws depend on its block's other posteriors too: the Beta
+    sampler rejects a varying number of candidates.
     """
 
     k: int
@@ -188,38 +207,36 @@ class ThompsonBetaPolicy(_CountPolicy):
 
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
         k = self.k
-        rows = rows.tolist()
-        if b * k <= _SCALAR_BETA_MAX:
-            counts, sums = states.counts.tolist(), states.sums.tolist()
-            flat = []
-            for r in rows:
-                draw, n, s = rngs[r].beta, counts[r], sums[r]
-                for _ in range(b):
-                    for a in range(k):
-                        flat.append(draw(1.0 + s[a], 1.0 + n[a] - s[a]))
-            draws = np.array(flat).reshape(len(rows), b, k)
-        else:
-            alpha = 1.0 + states.sums
-            beta = 1.0 + states.counts - states.sums
-            draws = np.stack([rngs[r].beta(alpha[r], beta[r], size=(b, k)) for r in rows])
-        return draws.argmax(axis=2)
+        reps = len(states.counts)
+        if reps == 1 and b * k <= _SCALAR_BETA_MAX:
+            draw = rngs[0].beta
+            n, s = states.counts[0].tolist(), states.sums[0].tolist()
+            flat = [draw(1.0 + s[a], 1.0 + n[a] - s[a]) for _ in range(b) for a in range(k)]
+            return np.array(flat).reshape(1, b, k).argmax(axis=2)
+        alpha = (1.0 + states.sums)[:, None]
+        beta = (1.0 + states.counts - states.sums)[:, None]
+        acts = np.empty((reps, b), dtype=np.int64)
+        for i, lo, hi in _blocks(rows, reps):
+            draws = rngs[i].beta(alpha[lo:hi], beta[lo:hi], size=(hi - lo, b, k))
+            acts[lo:hi] = draws.argmax(axis=2)
+        return acts if len(rows) == reps else acts[rows]
 
 
 @dataclass(frozen=True)
 class UniformPolicy(_CountPolicy):
-    """Plays every arm with equal probability, ignoring feedback."""
+    """Plays every arm with equal probability, ignoring feedback; a block
+    draws its reps' actions as one ``integers(0, k, size=(reps, b))``."""
 
     k: int
     name = "uniform"
     adaptive = False
 
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
-        k = self.k
-        if b <= _SCALAR_INTEGERS_MAX:
-            ints = [rngs[r].integers for r in rows.tolist()]
-            flat = [draw(k) for draw in ints for _ in range(b)]
-            return np.array(flat, dtype=np.int64).reshape(len(ints), b)
-        return np.array([rngs[r].integers(0, k, size=b) for r in rows])
+        reps = len(states.counts)
+        acts = np.empty((reps, b), dtype=np.int64)
+        for i, lo, hi in _blocks(rows, reps):
+            acts[lo:hi] = rngs[i].integers(0, self.k, size=(hi - lo, b))
+        return acts if len(rows) == reps else acts[rows]
 
 
 @dataclass(frozen=True)

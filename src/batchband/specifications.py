@@ -14,11 +14,16 @@ Decisions inside a batch are made from the frozen pre-batch state, so the
 played rule is constant within a batch for every policy in this package.
 
 ``run_lockstep`` is the one run loop.  It advances all reps of a
-configuration together, batch by batch, with per-rep state held as arrays,
-while every rep consumes its own generator exactly as a lone run would.
-``run_online``, ``run_batch`` and ``run_short`` call it with one seed or
-many; the delayed-start runners in ``meta`` add a naive first phase and a
-per-rep hand-over gate.
+configuration together, batch by batch, with per-rep state held as arrays.
+Each rep owns its reward generator; on a Bernoulli environment the
+finite-armed policies draw from block streams, one generator per block of
+``BLOCK_REPS`` consecutive reps (``block_streams``), so a rep's trajectory
+depends on the other reps of its block, never on reps outside it.
+Callers that report ``reps`` results from a drawing policy therefore
+simulate ``whole_blocks(reps)`` reps and drop the surplus.
+``run_online``, ``run_batch`` and ``run_short`` call the engine with one
+seed or many; the delayed-start runners in ``meta`` add a naive first
+phase and a per-rep hand-over gate.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchGrid, make_grid
+from .core import BatchGrid, derive_seed, make_grid
 from .environments import LinearContextualEnv, block_features
-from .policies import rep_bincount
+from .policies import BLOCK_REPS, rep_bincount
 
 OPT_TOL = 1e-12
 
@@ -114,6 +119,20 @@ def seed_list(seed) -> tuple[list, bool]:
     return [int(s) for s in seed], False
 
 
+def block_streams(seeds) -> list:
+    """One policy generator per block of ``BLOCK_REPS`` consecutive seeds,
+    seeded from that block's own seeds only."""
+    return [
+        np.random.default_rng(derive_seed("policy", *seeds[lo : lo + BLOCK_REPS]))
+        for lo in range(0, len(seeds), BLOCK_REPS)
+    ]
+
+
+def whole_blocks(reps: int) -> int:
+    """``reps`` rounded up to whole blocks of ``BLOCK_REPS``."""
+    return -(-reps // BLOCK_REPS) * BLOCK_REPS
+
+
 def _spec_tag(visibility: str, b: int) -> str:
     if visibility == "short":
         return "short"
@@ -131,13 +150,16 @@ def run_lockstep(
 ) -> RunSet:
     """Run one rep per seed, all reps advancing batch by batch together.
 
-    Rep ``i`` owns ``default_rng(seeds[i])`` and consumes it exactly as a
-    lone run would: per batch the policy's draws, then one uniform per step
-    for the rewards; a contextual environment draws the batch's contexts
-    first and Gaussian reward noise last.  A policy that draws nothing
-    (``draws`` false) on a Bernoulli environment leaves only the uniforms,
-    so they are drawn up front as one ``random(n)`` call per rep, the same
-    stream.  Output therefore never depends on which reps share a call.
+    Rep ``i`` owns ``default_rng(seeds[i])``.  On a Bernoulli environment
+    it draws its reward uniforms up front, one ``random(n)`` call, and the
+    policies draw from ``block_streams(seeds)``: per batch, each block that
+    holds a rep in phase 1 makes the naive policy's draw for all its reps,
+    then each block that holds a rep past phase 1 makes the policy's.  A
+    contextual environment draws per batch and rep, on the rep's own
+    generator, the batch's contexts, the policy's draws and then Gaussian
+    reward noise.  So a rep's trajectory depends only on the seeds of its
+    block: it is the same in every call whose block of that rep holds the
+    same seeds.
 
     With ``naive`` every rep starts in phase 1, where ``naive`` plays.  At
     each boundary ``t`` (0, b, ..., n) ``gate(t, naive_state, rows)`` gets
@@ -160,18 +182,16 @@ def run_lockstep(
         chosen = np.empty((reps, n, env.dim))
     else:
         uniforms = np.empty((reps, n))
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row)
+        drawing = policy.draws or (naive is not None and naive.draws)
+        streams = block_streams(seeds) if drawing else None
     all_rows = np.arange(reps)
     phase1 = np.full(reps, naive is not None)
     n_phase1 = reps if naive is not None else 0
     tau = np.full(reps, -1)
     naive_state = naive.init_reps(reps) if naive is not None else None
     state = policy.init_reps(reps) if naive is None else None
-    # reps whose reward uniforms are drawn batch by batch
-    live = list(range(reps))
-    if naive is None and not contextual and not policy.draws:
-        for r in live:
-            rngs[r].random(out=uniforms[r])
-        live = []
 
     for j in range(M + 1):
         lo, hi = j * b, (j + 1) * b
@@ -186,10 +206,6 @@ def run_lockstep(
                 phase1[switch] = False
                 n_phase1 -= switch.size
                 tau[switch] = lo
-                if not policy.draws:
-                    for r in switch:
-                        rngs[r].random(out=uniforms[r, lo:])
-                    live = [r for r in live if phase1[r]]
         if j == M:
             break
 
@@ -206,16 +222,14 @@ def run_lockstep(
             acts, rews = chosen[:, lo:hi], rewards[:, lo:hi]
         else:
             if not n_phase1:
-                acts = policy.act_reps(state, b, rngs, all_rows)
+                acts = policy.act_reps(state, b, streams, all_rows)
             else:
                 acts = np.empty((reps, b), dtype=np.int64)
                 rows = np.flatnonzero(phase1)
-                acts[rows] = naive.act_reps(naive_state, b, rngs, rows)
+                acts[rows] = naive.act_reps(naive_state, b, streams, rows)
                 if n_phase1 < reps:
                     rows = np.flatnonzero(~phase1)
-                    acts[rows] = policy.act_reps(state, b, rngs, rows)
-            for r in live:
-                rngs[r].random(out=uniforms[r, lo:hi])
+                    acts[rows] = policy.act_reps(state, b, streams, rows)
             rews = (uniforms[:, lo:hi] < env.means[acts]).astype(float)
             actions[:, lo:hi] = acts
             rewards[:, lo:hi] = rews

@@ -1,22 +1,36 @@
 """Naive per-step references for the finite-armed run engine and replay.
 
 Written from the policies' definitions, one step at a time, with no numpy
-beyond the generator, the linear policies' ridge algebra and the
+beyond the generators, the linear policies' ridge algebra and the
 certification check: the engine and the replay evaluator must reproduce
-them bit for bit.  Per batch a run draws the policy's randomness (TS: one
-Beta draw per arm and step, in step-then-arm order; uniform:
-``integers(0, k, size=b)``), then one uniform per step for the Bernoulli
-rewards.  Replay makes one proposal per logged record, in record order;
-the linear policies factor their ridge statistics afresh for every
-proposal.  The estimated delayed start checks one rep's 1-D counts and
-means at each boundary.
+them bit for bit.  A run's reps form blocks of ``BLOCK`` consecutive seeds.
+Each rep draws its reward uniforms from ``default_rng(seed)``, one per
+step.  The policies draw from the block's generator,
+``default_rng(derive_seed("policy", *block_seeds))``: per batch, for every
+rep of the block in rep order, TS draws one Beta per step and arm, in
+step-then-arm order, and uniform play one ``integers(0, k)`` per step.
+Replay makes one proposal per logged record, in record order, on one
+generator; the linear policies factor their ridge statistics afresh for
+every proposal.  The estimated delayed start checks one rep's 1-D counts
+and means at each boundary.
 """
 
 import math
 
 import numpy as np
 
+from batchband.core import derive_seed
 from batchband.meta import check_phase
+
+BLOCK = 16
+
+
+def _blocks(seeds):
+    """(block generator, rep generators) of each block of ``seeds``."""
+    for lo in range(0, len(seeds), BLOCK):
+        block = seeds[lo : lo + BLOCK]
+        gen = np.random.default_rng(derive_seed("policy", *block))
+        yield gen, [np.random.default_rng(s) for s in block]
 
 
 def _ucb_arm(counts, sums, seen, c):
@@ -33,70 +47,89 @@ def _ts_arm(alpha, beta, rng):
     return draws.index(max(draws))
 
 
-def reference_run(name, means, n, b, seed, short=False, c=1.0, arm=0, switch_t=0):
-    rng = np.random.default_rng(seed)
+def reference_run(name, means, n, b, seeds, short=False, c=1.0, arm=0, switch_t=0):
+    """[(actions, regret)] of each rep of a run over ``seeds``."""
     k, best = len(means), max(means)
-    counts, sums = [0] * k, [0.0] * k
-    alpha, beta = [1.0] * k, [1.0] * k
-    seen, total = 0, 0.0
-    actions, regret = [], []
-    for _ in range(n // b):
-        if name == "ts":
-            batch = [_ts_arm(alpha, beta, rng) for _ in range(b)]
-        elif name == "uniform":
-            batch = [int(a) for a in rng.integers(0, k, size=b)]
-        else:
-            if name == "ucb":
-                pick = _ucb_arm(counts, sums, seen, c)
-            elif name == "two_phase":
-                good, bad = means.index(best), means.index(min(means))
-                pick = good if seen + 1 <= switch_t else bad
-            else:
-                pick = arm
-            batch = [pick] * b
-        fed = 1 if short else b
-        for i, (a, u) in enumerate(zip(batch, rng.random(b))):
-            reward = 1.0 if u < means[a] else 0.0
-            total += best - means[a]
-            actions.append(a)
-            regret.append(total)
-            if i < fed:
-                counts[a] += 1
-                sums[a] += reward
-                alpha[a] += reward
-                beta[a] += 1.0 - reward
-        seen += fed
-    return actions, regret
+    out = []
+    for gen, rngs in _blocks(seeds):
+        reps = len(rngs)
+        counts, sums = [[0] * k for _ in rngs], [[0.0] * k for _ in rngs]
+        alpha, beta = [[1.0] * k for _ in rngs], [[1.0] * k for _ in rngs]
+        totals = [0.0] * reps
+        runs = [([], []) for _ in rngs]
+        seen = 0
+        for _ in range(n // b):
+            batches = []
+            for r in range(reps):
+                if name == "ts":
+                    batch = [_ts_arm(alpha[r], beta[r], gen) for _ in range(b)]
+                elif name == "uniform":
+                    batch = [int(gen.integers(0, k)) for _ in range(b)]
+                else:
+                    if name == "ucb":
+                        pick = _ucb_arm(counts[r], sums[r], seen, c)
+                    elif name == "two_phase":
+                        good, bad = means.index(best), means.index(min(means))
+                        pick = good if seen + 1 <= switch_t else bad
+                    else:
+                        pick = arm
+                    batch = [pick] * b
+                batches.append(batch)
+            fed = 1 if short else b
+            for r, batch in enumerate(batches):
+                actions, regret = runs[r]
+                for i, (a, u) in enumerate(zip(batch, rngs[r].random(b))):
+                    reward = 1.0 if u < means[a] else 0.0
+                    totals[r] += best - means[a]
+                    actions.append(a)
+                    regret.append(totals[r])
+                    if i < fed:
+                        counts[r][a] += 1
+                        sums[r][a] += reward
+                        alpha[r][a] += reward
+                        beta[r][a] += 1.0 - reward
+            seen += fed
+        out.extend(runs)
+    return out
 
 
-def reference_approx_delayed_start(means, n, b, seed, delta, c=1.0):
-    """(tau, actions) of one rep of the estimated delayed start of UCB.
+def reference_approx_delayed_start(means, n, b, seeds, delta, c=1.0):
+    """[(tau, actions)] of each rep of the estimated delayed start of UCB.
 
-    Uniform play, ``integers(0, k, size=b)`` then ``random(b)`` per batch,
-    until the first boundary ``t`` (0, b, ..., n) with ``t >= 2``, every
-    arm pulled and ``check_phase`` passing on the rep's counts and means;
-    from there UCB plays on the whole history.  ``tau`` is that ``t``, or
-    None when phase 1 never ends."""
-    rng = np.random.default_rng(seed)
+    A rep plays uniformly until the first boundary ``t`` (0, b, ..., n)
+    with ``t >= 2``, every arm pulled and ``check_phase`` passing on its
+    counts and means; from there UCB plays on the whole history.  ``tau``
+    is that ``t``, or None when phase 1 never ends.  Per batch, while any
+    rep of a block is in phase 1, the block draws uniform play for all its
+    reps."""
     k = len(means)
-    counts, sums = [0] * k, [0.0] * k
-    tau, actions = None, []
-    for t in range(0, n + 1, b):
-        if tau is None and t >= 2 and min(counts) >= 1:
-            mean_hat = [s / m for s, m in zip(sums, counts)]
-            if not check_phase(np.array(counts, dtype=float), np.array(mean_hat), t, k, delta):
-                tau = t
-        if t == n:
-            break
-        if tau is None:
-            batch = [int(a) for a in rng.integers(0, k, size=b)]
-        else:
-            batch = [_ucb_arm(counts, sums, t, c)] * b
-        for a, u in zip(batch, rng.random(b)):
-            actions.append(a)
-            counts[a] += 1
-            sums[a] += 1.0 if u < means[a] else 0.0
-    return tau, actions
+    out = []
+    for gen, rngs in _blocks(seeds):
+        reps = len(rngs)
+        counts, sums = [[0] * k for _ in rngs], [[0.0] * k for _ in rngs]
+        taus, runs = [None] * reps, [[] for _ in rngs]
+        for t in range(0, n + 1, b):
+            for r in range(reps):
+                if taus[r] is None and t >= 2 and min(counts[r]) >= 1:
+                    mean_hat = [s / m for s, m in zip(sums[r], counts[r])]
+                    if not check_phase(np.array(counts[r], dtype=float),
+                                       np.array(mean_hat), t, k, delta):
+                        taus[r] = t
+            if t == n:
+                break
+            if None in taus:
+                draws = [[int(gen.integers(0, k)) for _ in range(b)] for _ in rngs]
+            for r in range(reps):
+                if taus[r] is None:
+                    batch = draws[r]
+                else:
+                    batch = [_ucb_arm(counts[r], sums[r], t, c)] * b
+                for a, u in zip(batch, rngs[r].random(b)):
+                    runs[r].append(a)
+                    counts[r][a] += 1
+                    sums[r][a] += 1.0 if u < means[a] else 0.0
+        out.extend(zip(taus, runs))
+    return out
 
 
 def _ridge_arm(name, feats, V, z, rng, alpha):

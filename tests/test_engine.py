@@ -1,4 +1,12 @@
-"""The lockstep run engine against a naive per-step reference and itself."""
+"""The lockstep run engine against a naive per-step reference and itself.
+
+Policies that draw nothing (ucb, fixed, two_phase, linucb) and LinTS, which
+draws from each rep's own generator, make every rep of a lockstep call
+equal its lone run.  TS and uniform play, and the uniform first phase of
+the delayed starts, draw from one stream per block of ``BLOCK_REPS`` reps,
+so for them a rep equals its row in any call that holds its whole block:
+a call over more reps, or over its block and the blocks after it.
+"""
 
 import numpy as np
 import pytest
@@ -18,7 +26,7 @@ from batchband.policies import (
     UcbPolicy,
     UniformPolicy,
 )
-from batchband.specifications import run_batch, run_online, run_short
+from batchband.specifications import BLOCK_REPS, run_batch, run_online, run_short
 
 N = 96
 SWITCH_T = 40
@@ -48,26 +56,32 @@ def engine_run(policy, env, spec, b, seeds):
 @pytest.mark.parametrize("spec,b", [("online", 1), ("batch", 3), ("batch", 8), ("short", 4)])
 @pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "fixed", "two_phase"])
 def test_engine_matches_naive_reference(name, spec, b):
+    # a whole block and a short one
     for env_name in ("env1", "env6"):
         env = preset(env_name)
-        seeds = [derive_seed(3, name, spec, b, env_name, i) for i in range(4)]
+        seeds = [derive_seed(3, name, spec, b, env_name, i) for i in range(BLOCK_REPS + 4)]
         run = engine_run(make(name, env), env, spec, b, seeds)
-        for i, seed in enumerate(seeds):
-            actions, regret = reference_run(
-                name, env.means.tolist(), N, b, seed, short=spec == "short",
-                arm=1, switch_t=SWITCH_T,
-            )
+        ref = reference_run(name, env.means.tolist(), N, b, seeds, short=spec == "short",
+                            arm=1, switch_t=SWITCH_T)
+        for i, (actions, regret) in enumerate(ref):
             assert run.actions[i].tolist() == actions
             assert run.pseudo_regret[i].tolist() == regret
 
 
 @pytest.mark.parametrize("name", ["ucb", "ts", "uniform"])
 def test_rep_i_of_a_lockstep_call_equals_its_lone_run(name):
+    # for ts and uniform, "lone" is the rep's row in a call over all 64 seeds
     env = preset("env6")
     grid = make_grid(60, 4)
     seeds = [derive_seed(11, "prefix", i) for i in range(64)]
-    lone = [run_batch(make(name, env), env, grid, s) for s in seeds]
-    for reps in (1, 7, 64):
+    if name == "ucb":
+        lone = [run_batch(make(name, env), env, grid, s) for s in seeds]
+        counts = (1, 7, 64)
+    else:
+        full = run_batch(make(name, env), env, grid, seeds)
+        lone = [full.record(i) for i in range(64)]
+        counts = (16, 32, 48)
+    for reps in counts:
         run = run_batch(make(name, env), env, grid, seeds[:reps])
         assert len(run.seeds) == reps
         for i in range(reps):
@@ -93,10 +107,11 @@ def test_contextual_rep_i_of_a_lockstep_call_equals_its_lone_run(policy, b):
 @given(
     name=st.sampled_from(["ucb", "ts", "uniform", "linucb", "lints"]),
     reps=st.integers(1, 12),
+    blocks=st.integers(1, 2),
     b=st.sampled_from([1, 2, 5]),
     master=st.integers(0, 2**32 - 1),
 )
-def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, b, master):
+def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, blocks, b, master):
     if name in ("linucb", "lints"):
         env = make_linear_env(3, 2, seed=master % 7)
         policy = (LinUcbPolicy if name == "linucb" else LinTsPolicy)(3, 2)
@@ -106,30 +121,45 @@ def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, b, master):
         policy = make(name, env)
         fields = ("actions", "pseudo_regret", "optimal_hits", "pull_counts")
     grid = make_grid(30, b)
-    seeds = [derive_seed(master, "lockstep", i) for i in range(reps)]
+    if name not in ("ts", "uniform"):
+        seeds = [derive_seed(master, "lockstep", i) for i in range(reps)]
+        run = run_batch(policy, env, grid, seeds)
+        for i, seed in enumerate(seeds):
+            lone = run_batch(policy, env, grid, [seed])
+            for field in fields:
+                assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
+        return
+    # block streams: ``blocks`` whole blocks, then ``reps`` more reps; the
+    # whole blocks alone, and the blocks after the first alone, give the
+    # same rows as the longer call
+    whole = blocks * BLOCK_REPS
+    seeds = [derive_seed(master, "lockstep", i) for i in range(whole + reps)]
     run = run_batch(policy, env, grid, seeds)
-    for i, seed in enumerate(seeds):
-        lone = run_batch(policy, env, grid, [seed])
-        for field in fields:
-            assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
+    head = run_batch(policy, env, grid, seeds[:whole])
+    tail = run_batch(policy, env, grid, seeds[BLOCK_REPS:])
+    for field in fields:
+        assert np.array_equal(getattr(head, field), getattr(run, field)[:whole])
+        assert np.array_equal(getattr(tail, field), getattr(run, field)[BLOCK_REPS:])
 
 
 @pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2)])
 def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
-    # env3 at b=10: some reps certify early, some late, some never
+    # env3 at b=10: some reps certify early, some late, some never.  The
+    # uniform first phase draws from block streams, so "lone" is the rep's
+    # row in a call over its whole block and more reps.
     env = preset("env3")
     grid = make_grid(600, 10)
-    seeds = [derive_seed(5, "meta", i) for i in range(12)]
-    runs = [
-        approx_delayed_start_run(candidate, env, grid, 0.01, seeds),
-        delayed_start_run(candidate, UniformPolicy(2), MonotoneBound(env.means),
-                          env, grid, seeds),
-    ]
-    lone = [
-        [approx_delayed_start_run(candidate, env, grid, 0.01, s) for s in seeds],
-        [delayed_start_run(candidate, UniformPolicy(2), MonotoneBound(env.means),
-                           env, grid, s) for s in seeds],
-    ]
+    seeds = [derive_seed(5, "meta", i) for i in range(BLOCK_REPS + 8)]
+
+    def both(seeds):
+        return [
+            approx_delayed_start_run(candidate, env, grid, 0.01, seeds),
+            delayed_start_run(candidate, UniformPolicy(2), MonotoneBound(env.means),
+                              env, grid, seeds),
+        ]
+
+    runs = both(seeds[:BLOCK_REPS])
+    lone = [[run.record(i) for i in range(BLOCK_REPS)] for run in both(seeds)]
     taus = {p.tau_hat for p in runs[0].phases}
     assert None in taus and len(taus) > 2
     for run, recs in zip(runs, lone):
@@ -150,11 +180,9 @@ def test_approx_delayed_start_matches_naive_reference(env_name, b):
     # every rep, a subset, and reps not yet ready
     env = preset(env_name)
     grid = make_grid(600, b)
-    seeds = [derive_seed(9, "approx", env_name, b, i) for i in range(6)]
+    seeds = [derive_seed(9, "approx", env_name, b, i) for i in range(BLOCK_REPS + 2)]
     run = approx_delayed_start_run(UcbPolicy(env.k), env, grid, 0.05, seeds)
-    for i, seed in enumerate(seeds):
-        tau, actions = reference_approx_delayed_start(
-            env.means.tolist(), grid.n, b, seed, 0.05
-        )
+    ref = reference_approx_delayed_start(env.means.tolist(), grid.n, b, seeds, 0.05)
+    for i, (tau, actions) in enumerate(ref):
         assert run.phases[i].tau_hat == tau
         assert run.actions[i].tolist() == actions

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchband.core import make_grid
+from batchband.core import derive_seed, make_grid
 from batchband.environments import BernoulliEnv, make_linear_env, preset
 from batchband.policies import (
     BasePolicy,
@@ -165,11 +165,12 @@ def test_ucb_batch_rule_constant_within_batches():
 
 
 def test_ts_single_batch_draws_from_prior():
-    # one batch covering the horizon: every draw comes from Beta(1,1)
+    # one batch covering the horizon: every draw comes from Beta(1,1), on
+    # the stream of the lone rep's block
     env = preset("env1")
     n = 64
     rec = run_batch(ThompsonBetaPolicy(2), env, make_grid(n, n), seed=21)
-    rng = np.random.default_rng(21)
+    rng = np.random.default_rng(derive_seed("policy", 21))
     expected = np.argmax(rng.beta(np.ones(2), np.ones(2), size=(n, 2)), axis=1)
     assert np.array_equal(rec.actions, expected)
 
