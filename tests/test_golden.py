@@ -1,9 +1,10 @@
 """Pinned output bytes and exit codes of small CLI runs.
 
-Every rep's generator is consumed in a fixed order (README, "Seed
-contract"), whatever the engine does to run reps together, so these bytes
-may change only with a deliberate change of the random streams or of a
-reduction, which must say so and re-pin them.
+Every generator, each rep's own and each block's policy stream, is
+consumed in a fixed order (README, "Seed contract"), whatever the engine
+does to run reps together, so these bytes may change only with a
+deliberate change of the random streams or of a reduction, which must say
+so and re-pin them.
 """
 
 import contextlib
@@ -37,26 +38,26 @@ CASES = {
         ["simulate", "--env", "env1,env6", "--policy", "ucb,ts,uniform,two_phase",
          "--n", "120", "--b", "1,3,8", "--reps", "6", "--seed", "5", "--plot", *SIM],
         0,
-        {"results.csv": "4a7fcfd3422f2d9d665c87bfded3aae2be38489f959d398832310157bb70aab9",
-         "curves.csv": "8ffb3117d27b40d3ec2537fb121f53d82d0b71ae87bd8d2cf31621011f082fdc",
-         "plot.svg": "73ffa52273540f1a912b4ddba19cdc8a299a2f7e0000ab5bec98139dd3f2ce62"},
+        {"results.csv": "192b25bc8712c5f8fb71a1a8ff632ffdd9f5e07d32411967c6f4ca52462ad8db",
+         "curves.csv": "2743a6385c7a405a454a1177aa96965fe996d7b1a68d664999cf0815a844fe5b",
+         "plot.svg": "b6abaea8dc9e2ad7865d22d9bfc26b9d32ece4bea96ff450411ebaaf738378d8"},
     ),
     "delayed_start": (
         ["simulate", "--mode", "delayed_start", *DELAYED],
         0,
-        {"results.csv": "6e03bc3fc46c497b42591818d51257ce07bfd2e9afe739a56d409ad186d8d7c0",
-         "curves.csv": "fbac78673dcb8cf81f212a62e6be51f23d8255c9b589f8e7a8e415cef097b108"},
+        {"results.csv": "44c873055200bf1205384ae462d454b42caf0f7f481639881d86a9b4d89379a0",
+         "curves.csv": "f4727f4a95d54760e9d4b54b4e423e4b27b0a956399393436df450eddd365e6f"},
     ),
     "approx_delayed_start": (
         ["simulate", "--mode", "approx_delayed_start", *DELAYED],
         0,
-        {"results.csv": "04828ef2b82b28c15ffd370fd21457bc2a123371c8461a808efe0dd84d6fb868",
-         "curves.csv": "e248a04af1f5274a56d43849d496507a3c079e55fe6499fae3089529f2c7f355"},
+        {"results.csv": "3da3b37246bc1c3f3526e63eac6ae0544644172130a365b56afab248c0181310",
+         "curves.csv": "21cd2180838b7ca6b736ea9557b6741f542c58f9fb66d2a7aa9523388b5b1b05"},
     ),
 }
 BOUNDS = {
     "ucb": "198d2a463cef6f8719925c48ad7118877c450c3f54c61c4b389553f320e965da",
-    "ts": "1fa0984385aea7596b38db688a5f43e1b0e0bbe1040766cf768605345468e75c",
+    "ts": "5f0ceafd9b7a1d03efbaa188ffbaf2a6e9ffdd48ef6475e43523d65fb6fbf964",
 }
 for _policy, _digest in BOUNDS.items():
     for _threads in ("1", "2"):
@@ -70,8 +71,8 @@ for _policy, _digest in BOUNDS.items():
 # (ucb only) and the b-fold reversal
 ASSUMPTIONS = {
     "ucb": (0, "6436607f2b42ffe92eac335697e26f51bfc735d2a07174397343a5a671ba6b23"),
-    "ts": (1, "8b8d1d98ac261adb4098964851612493a923a4dde65573397c2f113de2b182be"),
-    "uniform": (0, "74f6d51c80335f2963811f96c2e38577407961ce062ab63fa7e33dd3dc9da70a"),
+    "ts": (1, "10e77e2fd97f6a29664b0fe7fa203c7b6913838e6ae81d352f505e7e53f5f68b"),
+    "uniform": (0, "6adf527a2caa3813c34221fb583144c8182057e0329b889077ff7b17e9086614"),
     "two_phase": (1, "a201d85060755196743cc158a9da8fa23b1a77e89c4696eae4756a399c4a4e21"),
 }
 for _policy, (_code, _digest) in ASSUMPTIONS.items():
@@ -153,8 +154,8 @@ def test_contextual_library_runs_are_pinned(name):
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = {
     "assumption_audit": "5058e29c636a87c3e89459475eb26432bea13f603d43b2ebda12e38f7ce876d9",
-    "batch_effect": "8b35642c60533196663ccd6c70f80f53392bdb60d59ba3614a763512a7928126",
-    "delayed_start": "e8684eeb855045c8ff124e1d7a015324bef5f82e652d5a5ef2d689d046727e09",
+    "batch_effect": "d053f9253706810b812b14d5aea72dd643c45cf7ba39e2e4e72f13d13839ca3d",
+    "delayed_start": "799c1db83b70161d44e4886d4f098328c1773c4d5151bfe7d3192f7942366355",
     "offline_replay": "54bb547fb35d12e8abfed125f3f4168667ff180030df7838fe59e98389552ecd",
     "theorem_sandwich": "8240be822f16268c7936c41aace85a058e956d9854dd749d1d6b62300813d15e",
 }
