@@ -48,6 +48,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     _cell_policy,
+    _reject_repeats,
     check_theorem_bounds,
     regret_curve,
     resolve_threads,
@@ -387,6 +388,8 @@ def cmd_replay(args) -> int:
     if k < 2:
         raise DataError(f"line 2: logging_prob {data.probs[0]} is not 1/k for any k >= 2")
     hyper = _hyper_params(opts)
+    _reject_repeats("policy", opts["policy"])
+    _reject_repeats("batch size", opts["b"])
 
     def mk(name):
         policy = make_policy(name, k, data.contexts.shape[1] or None, hyper.get(name, {}))

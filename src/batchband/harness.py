@@ -58,6 +58,14 @@ def resolve_threads(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+def _reject_repeats(label: str, values) -> None:
+    """Raise ``ConfigError`` for an entry of ``values`` given twice, which
+    would run, and write, the same cells twice."""
+    for v in values:
+        if values.count(v) > 1:
+            raise ConfigError(f"{label} {v!r} is given twice")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative sweep description.
@@ -91,6 +99,9 @@ class ExperimentConfig:
             raise ConfigError("reps must be >= 1")
         if not self.envs or not self.policies or not self.batch_sizes:
             raise ConfigError("envs, policies, and batch_sizes must be non-empty")
+        _reject_repeats("env", self.envs)
+        _reject_repeats("policy", self.policies)
+        _reject_repeats("batch size", self.batch_sizes)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if not 0.0 < self.delta < 1.0:

@@ -130,6 +130,22 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert ran == [] and not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--env", "env1,env1", "--policy", "ucb", "--b", "5"], "env 'env1' is given twice"),
+        (["--env", "env1", "--policy", "ucb,ts,ucb", "--b", "5"], "policy 'ucb' is given twice"),
+        (["--env", "env1", "--policy", "ucb", "--b", "1,1"], "batch size 1 is given twice"),
+    ])
+    def test_repeated_entry_exits_2_before_any_cell_runs(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        ran = []
+        monkeypatch.setattr(harness, "_run_cell", ran.append)
+        rc = main(["simulate", *flags, "--n", "20", "--reps", "2", "--threads", "1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert ran == [] and not list(tmp_path.glob("*.csv"))
+
     def test_echoes_resolved_config(self, tmp_path, capsys):
         main(["simulate", "--env", "env1", "--policy", "ucb", "--n", "20",
               "--b", "1", "--reps", "1", "--out-dir", str(tmp_path)])
@@ -338,6 +354,21 @@ class TestReplay:
         (["--policy", "ucb", "--baseline", "two_phase"], "two_phase needs environment means"),
     ])
     def test_unbuildable_policy_exits_2_before_any_replay(
+        self, tmp_path, logs, monkeypatch, capsys, flags, message
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "replay_evaluate", lambda *a, **kw: calls.append(a))
+        rc = main(["replay", "--data", str(logs), *flags, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "replay.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--policy", "ucb,ucb", "--b", "1"], "policy 'ucb' is given twice"),
+        (["--policy", "ucb", "--b", "1,3,1"], "batch size 1 is given twice"),
+    ])
+    def test_repeated_entry_exits_2_before_any_replay(
         self, tmp_path, logs, monkeypatch, capsys, flags, message
     ):
         calls = []

@@ -6,13 +6,18 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import batchband.harness as harness
 from batchband.core import derive_seed, make_grid
 from batchband.environments import preset
 from batchband.harness import (
+    MODES,
     ConfigError,
     ExperimentConfig,
     _cell_key,
+    _split_reps,
     check_theorem_bounds,
     regret_curve,
     resolve_threads,
@@ -66,6 +71,15 @@ class TestConfigValidation:
     def test_zero_reps_rejected(self):
         with pytest.raises(ConfigError, match="reps"):
             small_config(reps=0).validate()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"envs": ("env1", "env2", "env1")}, "env 'env1' is given twice"),
+        ({"policies": ("ucb", "ucb")}, "policy 'ucb' is given twice"),
+        ({"batch_sizes": (1, 4, 1)}, "batch size 1 is given twice"),
+    ])
+    def test_repeated_entries_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**overrides).validate()
 
     def test_validation_happens_before_any_run(self):
         cfg = small_config(envs=("env1", "env99"))
@@ -320,6 +334,79 @@ class TestCheckTheoremBounds:
         assert r1.mean_online == r2.mean_online
         assert r1.mean_batch == r2.mean_batch
         assert r1.mean_m == r2.mean_m
+
+
+class _SpyPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so no worker starts."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+class TestWorkerCount:
+    def test_chunks_are_whole_blocks_at_most_one_per_worker(self):
+        assert _split_reps(1000, 10_000) == [
+            (lo, min(lo + 16, 1000)) for lo in range(0, 1000, 16)
+        ]
+        assert _split_reps(100, 2) == [(0, 64), (64, 100)]
+        assert _split_reps(48, 2) == [(0, 32), (32, 48)]
+        assert _split_reps(24, 1) == [(0, 24)]
+        assert _split_reps(10, 3) == [(0, 10)]
+
+    def test_pool_starts_no_more_workers_than_payloads(self, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _SpyPool)
+        monkeypatch.setattr(_SpyPool, "workers", [])
+        check_theorem_bounds("ucb", "env1", n=20, b=5, reps=1000, threads=10_000)
+        run_experiment(small_config(), threads=10_000)
+        check_theorem_bounds("ucb", "env1", n=20, b=5, reps=10, threads=10_000)
+        assert _SpyPool.workers == [63, 2]
+
+
+def _table_outputs(table):
+    return [
+        (r.env, r.policy, r.b, r.mean_final, r.stderr_final, r.opt_frac, r.tau_mean,
+         r.tau_none, r.mean_pull_counts.tolist(), r.curve_mean.tobytes(),
+         r.curve_stderr.tobytes())
+        for r in table.rows
+    ]
+
+
+def _bound_outputs(report):
+    return [report.mean_online, report.se_online, report.mean_batch, report.se_batch,
+            report.mean_m, report.se_m]
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    policy=st.sampled_from(["ts", "uniform"]),
+    mode=st.sampled_from(MODES),
+    reps=st.integers(2, 40).filter(lambda r: r % 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_outputs_do_not_depend_on_threads(policy, mode, reps, seed):
+    # every example starts pools; rep counts that are not whole blocks make
+    # the last chunk pad its block
+    cfg = small_config(policies=(policy, "ucb"), mode=mode, reps=reps, master_seed=seed)
+    tables = [_table_outputs(run_experiment(cfg, threads=t)) for t in (1, 2, 3)]
+    assert tables[0] == tables[1] == tables[2]
+    bounds = [
+        _bound_outputs(check_theorem_bounds(policy, "env2", n=30, b=3, reps=reps,
+                                            master_seed=seed, threads=t))
+        for t in (1, 2, 3)
+    ]
+    assert bounds[0] == bounds[1] == bounds[2]
 
 
 class TestRegretCurve:
