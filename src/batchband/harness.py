@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .assumptions import RegretCurve, _mean_se, _verdict
+from .assumptions import RegretCurve, _mean_se, _sim_seeds, _verdict
 from .core import derive_seed, make_grid, write_csv
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
@@ -400,8 +400,7 @@ def regret_curve(
     """Pointwise mean and stderr of cumulative pseudo-regret over reps."""
     if spec not in ("online", "batch", "short"):
         raise ConfigError("spec must be online, batch, or short")
-    sim = whole_blocks(reps) if policy.draws else reps
-    seeds = [derive_seed(master_seed, "curve", spec, grid.n, grid.b, i) for i in range(sim)]
+    seeds = _sim_seeds(policy, reps, master_seed, "curve", spec, grid.n, grid.b)
     if spec == "online":
         run = run_online(policy, env, grid.n, seeds)
     elif spec == "batch":
