@@ -54,6 +54,14 @@ CASES = {
         {"results.csv": "3da3b37246bc1c3f3526e63eac6ae0544644172130a365b56afab248c0181310",
          "curves.csv": "21cd2180838b7ca6b736ea9557b6741f542c58f9fb66d2a7aa9523388b5b1b05"},
     ),
+    # an inline env's label holds a comma, so the csv module quotes it
+    "quoted_label": (
+        ["simulate", "--env", "0.7,0.5;env3", "--policy", "ucb,ts", "--n", "60",
+         "--b", "1,4", "--reps", "5", "--seed", "2", *SIM],
+        0,
+        {"results.csv": "1782591169cd6acd031cf80bbd766177210e7dc5b48b948d9610a7855eeeaaee",
+         "curves.csv": "b8f67ac1a22ea12c26fe9e31f53c12968eaf06b3a43c0addce0a92de17bb9a3d"},
+    ),
 }
 BOUNDS = {
     "ucb": "198d2a463cef6f8719925c48ad7118877c450c3f54c61c4b389553f320e965da",
