@@ -292,7 +292,7 @@ def cmd_check_bounds(args) -> int:
         rows.append([iq.name, iq.lhs_label, iq.rhs_label, iq.lhs, iq.rhs, iq.stderr,
                      iq.verdict, gate])
     _write(opts["out_dir"], "bounds.csv",
-           lambda path: write_csv(path, BOUNDS_CSV_HEADER, rows))
+           lambda path: write_csv(path, BOUNDS_CSV_HEADER, [zip(*rows)]))
     return 0 if report.gate_pass else 1
 
 
@@ -374,7 +374,7 @@ def cmd_check_assumptions(args) -> int:
         marker = "gated" if row[0] in gated else "advisory"
         print(f"{row[0]}: {row[2]} [{marker}] ({row[1]})")
     _write(opts["out_dir"], "assumptions.csv",
-           lambda path: write_csv(path, ASSUMPTIONS_CSV_HEADER, rows))
+           lambda path: write_csv(path, ASSUMPTIONS_CSV_HEADER, [zip(*rows)]))
     return int(any(row[0] in gated and row[2] == "violated" for row in rows))
 
 

@@ -8,9 +8,10 @@ feedback released at earlier batch boundaries.
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,17 +30,51 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` to ``path``; every CSV here is written so.
+def write_csv(path, header, blocks) -> None:
+    """Write ``header``, then each block of ``blocks``, to ``path``.
 
-    The cell format is the csv module's own: a float (numpy's float64 too)
-    as ``repr(float(x))``, which reads back exactly; an int or a string as
-    ``str(x)``; None as an empty cell.
+    Every CSV here is written so.  A block is a tuple of equal-length
+    columns, each a numpy array, a ``range`` or a sequence of cells, and
+    one block is formatted and written before the next is built, so only
+    one block is held in memory at a time.  The bytes are what
+    ``csv.writer`` writes for the same rows: a float as ``repr``, which
+    reads back exactly; an int or a string as ``str``; None as an empty
+    cell; and a cell holding ``,``, ``"``, CR or LF quoted.  A float64
+    array is ``repr``'d once per run of bit-identical values, so the bytes
+    are as before and repeated values cost no formatting.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for block in chain([[[h] for h in header]], blocks):
+            cols = [_cells(col) for col in block]
+            if len({len(c) for c in cols}) > 1:
+                raise ValueError("the columns of a CSV block differ in length")
+            if len(cols) == 1:  # the csv module quotes a row's only cell when empty
+                cols[0] = [c or '""' for c in cols[0]]
+            fh.write("\r\n".join(chain(map(",".join, zip(*cols)), [""])))
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _cells(col) -> list:
+    """The text of each cell of one column, as the csv module writes it."""
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            # runs of equal bits, not of equal values: -0.0 and 0.0 differ
+            bits = col.view(np.int64)
+            new = np.ones(col.size, dtype=bool)
+            np.not_equal(bits[1:], bits[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            reprs = np.array(list(map(repr, col[starts].tolist())), dtype=object)
+            return reprs.repeat(np.diff(starts, append=col.size)).tolist()
+        if col.dtype.kind in "iu":
+            return list(map(str, col.tolist()))
+        col = col.tolist()
+    if isinstance(col, range):
+        return list(map(str, col))
+    cells = ["" if x is None else str(x) for x in col]
+    quoted = {s: '"' + s.replace('"', '""') + '"' for s in set(cells) if _NEEDS_QUOTES.search(s)}
+    return [quoted.get(s, s) for s in cells] if quoted else cells
 
 
 class GridError(ValueError):

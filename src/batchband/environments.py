@@ -246,9 +246,8 @@ def _csv_header(context_dim: int) -> list[str]:
 
 def write_logged_csv(data: LoggedData, path) -> None:
     """Write a logged dataset to CSV with the standard header."""
-    columns = (data.contexts, data.actions, data.rewards, data.probs)
     write_csv(path, _csv_header(data.contexts.shape[1]),
-              ([*c, a, r, q] for c, a, r, q in zip(*(col.tolist() for col in columns))))
+              [(*data.contexts.T, data.actions, data.rewards, data.probs)])
 
 
 def read_logged_csv(path) -> LoggedData:

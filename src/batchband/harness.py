@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -178,20 +177,18 @@ class RegretTable:
             "env", "policy", "spec", "b", "n", "reps", "mean_final_regret",
             "stderr_final_regret", "mean_optimal_fraction", "tau_hat_mean", "tau_hat_none",
         ]
-        write_csv(path, header, (
+        write_csv(path, header, [zip(*(
             [r.env, r.policy, r.spec, r.b, r.n, r.reps, r.mean_final,
              r.stderr_final, r.opt_frac, r.tau_mean, r.tau_none]
             for r in self.rows
-        ))
+        ))])
 
     def to_curves_csv(self, path) -> None:
+        """One block per cell, so one cell's rows are held at a time."""
         write_csv(path, ["cell", "t", "mean", "stderr"], (
-            row
+            ([f"{r.env}|{r.policy}|{r.spec}|{r.b}"] * r.n, range(1, r.n + 1),
+             r.curve_mean, r.curve_stderr)
             for r in self.rows
-            for row in zip(
-                repeat(f"{r.env}|{r.policy}|{r.spec}|{r.b}"), range(1, r.n + 1),
-                r.curve_mean.tolist(), r.curve_stderr.tolist(),
-            )
         ))
 
 

@@ -178,6 +178,6 @@ REPLAY_CSV_HEADER = ["policy", "b", "matched", "successes", "cr", "relative_cr"]
 
 def write_replay_csv(results, path) -> None:
     """Write replay results, one row per (policy, b) configuration."""
-    write_csv(path, REPLAY_CSV_HEADER, (
+    write_csv(path, REPLAY_CSV_HEADER, [zip(*(
         [r.policy, r.b, r.matched, r.successes, r.cr, r.relative_cr] for r in results
-    ))
+    ))])

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchband import cli, harness
 from batchband.cli import main
@@ -187,6 +193,63 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+# two or more valid texts for each simulate field; a flag --plot is always True
+SIMULATE_TEXTS = {
+    "env": ["env2", "env1,env6", "0.7,0.5;env3"],
+    "policy": ["ts", "ucb,uniform"],
+    "n": ["20", "300"],
+    "b": ["1,5", "8"],
+    "reps": ["2", "7"],
+    "seed": ["3", "11"],
+    "mode": ["plain", "delayed_start"],
+    "delta": ["0.05", "0.2"],
+    "bound": ["oracle", "instance"],
+    "ucb_c": ["0.5", "2"],
+    "switch_t": ["10", "40"],
+    "threads": ["1", "3"],
+    "out_dir": ["out_a", "out b"],
+    "plot": ["yes", "no", "true", "0"],
+}
+
+
+@st.composite
+def simulate_sources(draw):
+    """For each simulate field: where its value comes from, a file text and a flag text."""
+    return {
+        name: (draw(st.sampled_from(["flag", "file", "both", "default"])),
+               draw(st.sampled_from(texts)), draw(st.sampled_from(texts)))
+        for name, texts in SIMULATE_TEXTS.items()
+    }
+
+
+def test_simulate_texts_cover_every_field():
+    assert set(SIMULATE_TEXTS) == {f.name for f in cli.SIMULATE_FIELDS}
+
+
+@settings(max_examples=100, deadline=None)
+@given(simulate_sources())
+def test_flags_beat_file_values_and_file_values_beat_defaults(sources):
+    lines, argv, want = ["[simulate]"], ["simulate"], {}
+    for f in cli.SIMULATE_FIELDS:
+        source, file_text, flag_text = sources[f.name]
+        if source in ("file", "both"):
+            lines.append(f"{f.name} = {file_text}")
+        if source in ("flag", "both"):
+            argv += [f"--{f.name.replace('_', '-')}"] + ([] if f.name == "plot" else [flag_text])
+        if source == "default":
+            want[f.name] = f.default
+        elif source == "file":
+            want[f.name] = f.conv(file_text)
+        else:
+            want[f.name] = True if f.name == "plot" else f.conv(flag_text)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "run.ini")
+        cfg.write_text("\n".join(lines) + "\n")
+        args = cli.build_parser().parse_args(argv + ["--config", str(cfg)])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli._resolve(args, cli.SIMULATE_FIELDS, "simulate") == want
 
 
 class TestCheckBounds:
