@@ -19,9 +19,17 @@ Two meta-runners wrap a candidate policy:
   beats uniform play and the failure probability ``2K/t^2`` is below the
   requested ``delta``.
 
-Both run their reps in lockstep; the uniform first phase draws from the
-engine's block streams, so a caller reporting ``reps`` results simulates
-whole blocks and drops the surplus (``specifications.whole_blocks``).
+Phase 1 never reads the candidate, so both play it first, as a plain
+lockstep run of the naive policy on the engine's block streams: up to the
+common hand-over boundary for the oracle start, whose bound depends on
+``t`` alone, and up to ``n`` for the certified start.  The certified start
+then finds every rep's hand-over at once: it checks all boundaries of all
+reps still in phase 1, a fixed-size chunk of boundaries per
+``check_phase`` call, and stops once every rep has certified.  The
+engine replays that run as each rep's prefix and lets the candidate, which
+draws from block streams of its own, play the rest.  A caller reporting
+``reps`` results simulates whole blocks and drops the surplus
+(``specifications.whole_blocks``).
 """
 
 from __future__ import annotations
@@ -31,10 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchGrid
+from .core import BatchGrid, make_grid
 from .environments import BernoulliEnv
-from .policies import UniformPolicy
-from .specifications import run_lockstep, seed_list
+from .policies import UniformPolicy, rep_bincount
+from .specifications import check_arms, run_lockstep, seed_list
+
+# Boundaries certified per ``check_phase`` call; bounds the work arrays at
+# ``(reps, CHECK_CHUNK, k)`` whatever the horizon.
+CHECK_CHUNK = 256
 
 
 class InsufficientDataError(ValueError):
@@ -92,38 +104,51 @@ def _unit(x):
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def _stays(theta, t: int, k: int, delta: float):
+def _stays(theta, t, k: int, delta: float):
     """Tail of the certification on instances ``theta`` (..., k) with a
-    unique best arm: stay while their bound at ``t`` does not beat uniform
-    play or the failure budget ``2k/t^2`` is not below ``delta``."""
+    unique best arm: stay while their bound at ``t`` (one time, or one per
+    instance) does not beat uniform play or the failure budget ``2k/t^2`` is
+    not below ``delta``."""
     gaps = theta.max(axis=-1, keepdims=True) - theta
     total = _terms(gaps, np.asarray(t, dtype=float)[..., None]).sum(axis=-1)
     bound = _unit(1.0 - total)
     return (bound <= 1.0 / k) | (2.0 * k / (t * t) >= delta)
 
 
-def pessimistic_instance(counts, means, t: int) -> np.ndarray:
+def pessimistic_instance(counts, means, t) -> np.ndarray:
     """Confidence-box corner least favourable to the current leader.
 
     The empirical leader is shrunk by its interval width
     ``sqrt(ln t / pulls)`` and every other arm is inflated by its own width.
-    ``counts`` and ``means`` are one instance (k,) or one per row (R, k).
+    ``counts`` and ``means`` are one instance (k,) or one per row (R, k);
+    ``t`` is one time, or one per row of (R, k) inputs.
     """
     counts = np.asarray(counts, dtype=float)
     means = np.asarray(means, dtype=float)
     return _pessimistic(counts, means, t)[0]
 
 
-def _pessimistic(counts, means, t: int):
+def _log(t):
+    """``math.log`` of ``t`` or of each element of an array ``t``: numpy's
+    SIMD log need not match libm to the last bit."""
+    if np.ndim(t) == 0:
+        return math.log(t)
+    times, at = np.unique(t, return_inverse=True)
+    return np.array([math.log(x) for x in times.tolist()])[at][:, None]
+
+
+def _pessimistic(counts, means, t):
     """``pessimistic_instance`` of float arrays, and the index pair
     ``(rows, leaders)`` of each row's leader in its (R, k) view."""
     if counts.shape != means.shape or counts.ndim not in (1, 2):
         raise ValueError("counts and means must be matching 1-D or 2-D arrays")
+    if np.ndim(t) and (counts.ndim != 2 or np.shape(t) != counts.shape[:1]):
+        raise ValueError("per-row times need one time per row of 2-D counts")
     if np.any(counts < 1):
         raise InsufficientDataError("every arm needs at least one pull")
-    if t < 2:
+    if np.any(np.asarray(t) < 2):
         raise ValueError("certification needs t >= 2")
-    widths = np.sqrt(math.log(t) / counts)
+    widths = np.sqrt(_log(t) / counts)
     theta_hat = means + widths
     k = means.shape[-1]
     means, widths = means.reshape(-1, k), widths.reshape(-1, k)
@@ -132,13 +157,14 @@ def _pessimistic(counts, means, t: int):
     return theta_hat, at
 
 
-def check_phase(counts, means, t: int, k: int, delta: float):
+def check_phase(counts, means, t, k: int, delta: float):
     """One certification check; True means "stay in phase 1".
 
     The check passes (returns False) only when the pessimistic instance
     still has the empirical leader on top, its bound at ``t`` beats uniform
     play, and the failure probability ``2k/t^2`` is below ``delta``.  Rows
-    of (R, k) inputs are checked independently into a boolean array.
+    of (R, k) inputs are checked independently into a boolean array, at one
+    time ``t`` or at ``t[i]`` for row ``i``.
     """
     counts = np.asarray(counts, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -153,6 +179,53 @@ def check_phase(counts, means, t: int, k: int, delta: float):
     # where intervals still overlap the ordering is uncertified
     stay = (thetas[at] <= others.max(axis=1)) | _stays(thetas, t, k, delta)
     return bool(stay[0]) if theta_hat.ndim == 1 else stay
+
+
+def _certify(actions, rewards, b: int, k: int, delta: float, truth=None):
+    """Every rep's certified hand-over from its phase-1 play.
+
+    ``actions`` and ``rewards`` ``(R, m)`` are phase-1 play on a grid of
+    batch size ``b``.  Rep ``r`` hands over at the first boundary ``t``
+    (0, b, ..., m) with ``t >= 2``, every arm pulled and ``check_phase``
+    passing on its counts and means there; with ``truth`` the true means
+    stand in for the pessimistic instance, and a tied best arm never
+    passes.  Returns ``(tau, seen)``: ``tau[r]`` is that boundary or -1,
+    and ``seen[:, r]`` the counts, means and ``theta_hat`` the check saw.
+    """
+    reps, m = actions.shape
+    tau, seen = np.full(reps, -1), np.zeros((3, reps, k))
+    if truth is not None and int((truth == truth.max()).sum()) != 1:
+        return tau, seen
+    counts, sums = np.zeros((reps, k)), np.zeros((reps, k))
+    todo = np.arange(reps)
+    for lo in range(0, m // b, CHECK_CHUNK):
+        hi = min(lo + CHECK_CHUNK, m // b)
+        times = np.arange(lo + 1, hi + 1) * b
+        # counts and sums at each of the chunk's boundaries, per open rep
+        acts = actions[todo, lo * b : hi * b].reshape(-1, b)
+        rews = rewards[todo, lo * b : hi * b].reshape(-1, b)
+        shape = (len(todo), hi - lo, k)
+        at_c = counts[todo, None] + rep_bincount(acts, k).reshape(shape).cumsum(axis=1)
+        at_s = sums[todo, None] + rep_bincount(acts, k, rews).reshape(shape).cumsum(axis=1)
+        counts[todo], sums[todo] = at_c[:, -1], at_s[:, -1]
+        rows, cols = np.nonzero((at_c.min(axis=2) >= 1) & (times >= 2))
+        if not rows.size:
+            continue
+        c, t = at_c[rows, cols], times[cols]
+        mu = at_s[rows, cols] / c
+        stay = check_phase(c, mu, t, k, delta) if truth is None else _stays(truth, t, k, delta)
+        # each rep's first passing boundary: the pairs run rep by rep
+        hit, first = np.unique(rows[~stay], return_index=True)
+        if not hit.size:
+            continue
+        pick, r = np.flatnonzero(~stay)[first], todo[hit]
+        c, mu, t = c[pick], mu[pick], t[pick]
+        tau[r], seen[0, r], seen[1, r] = t, c, mu
+        seen[2, r] = truth if truth is not None else pessimistic_instance(c, mu, t)
+        todo = np.delete(todo, hit)
+        if not todo.size:
+            break
+    return tau, seen
 
 
 @dataclass(eq=False)
@@ -187,21 +260,33 @@ def delayed_start_run(
 ):
     """Oracle delayed start: switch at the first epoch where ``bound > 0``.
 
-    ``bound`` is any callable mapping a timestep to a real number, normally
-    a ``MonotoneBound`` built from the true instance.  The naive policy
-    plays (and history accrues on the batch schedule) before the switch;
-    the candidate then takes over with the full accumulated history.
-    ``seed`` is one integer, for a ``RunRecord``, or a sequence of per-rep
-    seeds, for a ``RunSet`` of lockstep reps.
+    ``bound`` maps an array of timesteps to an array of reals (or to one
+    real for all of them); it is normally a ``MonotoneBound`` built from the
+    true instance, and is asked for the epoch starts ``t + 1`` of the
+    boundaries ``t < n``, a chunk at a time.  The naive policy plays (and
+    history accrues on the batch schedule) before the switch; the candidate
+    then takes over with the full accumulated history.  ``seed`` is one
+    integer, for a ``RunRecord``, or a sequence of per-rep seeds, for a
+    ``RunSet`` of lockstep reps.
     """
     _require_bernoulli(env)
+    check_arms(naive, env)
     seeds, single = seed_list(seed)
-
-    def gate(t, naive_state, rows):
-        # the epoch starting at step t + 1; the bound is the same for every rep
-        return np.full(rows.size, t < grid.n and bound(t + 1) > 0.0)
-
-    run = run_lockstep(candidate, env, grid, seeds, naive=naive, gate=gate)
+    switch = -1
+    starts = np.arange(0, grid.n, grid.b)
+    for lo in range(0, grid.M, CHECK_CHUNK):
+        times = starts[lo : lo + CHECK_CHUNK]
+        fires = np.flatnonzero(np.broadcast_to(np.asarray(bound(times + 1)) > 0.0, times.shape))
+        if fires.size:
+            switch = int(times[fires[0]])
+            break
+    upto = grid.n if switch < 0 else switch
+    head = (
+        run_lockstep(naive, env, make_grid(upto, grid.b), seeds).actions if upto
+        else np.empty((len(seeds), 0), dtype=np.int64)
+    )
+    run = run_lockstep(candidate, env, grid, seeds,
+                       prefix=(head, np.full(len(seeds), switch)))
     run.phases = [
         PhaseState(phase1=tau < 0, tau_hat=None if tau < 0 else tau)
         for tau in run.tau.tolist()
@@ -226,8 +311,8 @@ def approx_delayed_start_run(
     what feeds the bound: ``"instance"`` uses the pessimistic estimate (the
     real algorithm), ``"oracle"`` substitutes the true means, a diagnostic
     that isolates estimation error.  ``seed`` is one integer or a sequence,
-    as for ``delayed_start_run``; each boundary is checked once for all
-    phase-1 reps together.
+    as for ``delayed_start_run``; every rep's boundary is found from one
+    uniform run over the whole horizon.
     """
     _require_bernoulli(env)
     if bound_from not in ("instance", "oracle"):
@@ -235,43 +320,14 @@ def approx_delayed_start_run(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     seeds, single = seed_list(seed)
-    k = env.k
-    truth = env.means
-    truth_unique = int((truth == truth.max()).sum()) == 1
-    switched = {}  # rep -> (counts, means, theta_hat) at its switch
-
-    def gate(t, naive_state, rows):
-        switch = np.zeros(rows.size, dtype=bool)
-        counts, sums = naive_state.counts, naive_state.sums
-        if rows.size < len(counts):
-            counts, sums = counts[rows], sums[rows]
-        ready = counts.min(axis=1) >= 1
-        if t < 2 or not ready.any():
-            return switch
-        if not ready.all():
-            counts, sums = counts[ready], sums[ready]
-        means = sums / counts
-        if bound_from == "oracle":
-            oracle_stays = not truth_unique or bool(_stays(truth, t, k, delta))
-            passed = np.full(len(counts), not oracle_stays)
-        else:
-            passed = ~check_phase(counts, means, t, k, delta)
-        if passed.any():
-            switch[ready] = passed
-            counts, means = counts[passed], means[passed]
-            if bound_from == "oracle":
-                thetas = np.broadcast_to(truth, counts.shape)
-            else:
-                thetas = pessimistic_instance(counts, means, t)
-            for r, c, m, th in zip(rows[switch], counts, means, thetas):
-                switched[int(r)] = (c.copy(), m.copy(), th.copy())
-        return switch
-
-    run = run_lockstep(candidate, env, grid, seeds, naive=UniformPolicy(k), gate=gate)
+    phase1 = run_lockstep(UniformPolicy(env.k), env, grid, seeds)
+    truth = env.means if bound_from == "oracle" else None
+    tau, seen = _certify(phase1.actions, phase1.rewards, grid.b, env.k, delta, truth)
+    run = run_lockstep(candidate, env, grid, seeds, prefix=(phase1.actions, tau))
     run.phases = [
         PhaseState(phase1=True, tau_hat=None, delta=delta)
         if tau < 0 else
-        PhaseState(False, tau, delta, *switched[r])
+        PhaseState(False, tau, delta, *seen[:, r])
         for r, tau in enumerate(run.tau.tolist())
     ]
     run.policy = f"approx_delayed_start({candidate.name})"

@@ -49,11 +49,14 @@ class PolicyError(ValueError):
     """Raised for invalid policy configuration or misuse."""
 
 
-def rep_bincount(actions, k):
-    """Per-rep ``bincount`` of an ``(R, m)`` action array, shape ``(R, k)``."""
+def rep_bincount(actions, k, weights=None):
+    """Per-rep ``bincount`` of an ``(R, m)`` action array, shape ``(R, k)``;
+    with ``(R, m)`` ``weights``, each rep's per-arm sums of them."""
     reps = actions.shape[0]
     flat = (actions + np.arange(0, reps * k, k)[:, None]).ravel()
-    return np.bincount(flat, minlength=reps * k).reshape(reps, k)
+    if weights is not None:
+        weights = weights.ravel()
+    return np.bincount(flat, weights, minlength=reps * k).reshape(reps, k)
 
 
 @dataclass(eq=False, slots=True)
@@ -110,8 +113,7 @@ class _CountPolicy(BasePolicy):
     """Finite-armed policy whose state is pull counts and reward sums.
 
     Every update absorbs the released pulls.  Every finite-armed policy reads
-    its rule from this one state, and the delayed-start gate reads its uniform
-    phase's counts and sums.
+    its rule from this one state.
     """
 
     def __post_init__(self):

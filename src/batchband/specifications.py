@@ -22,8 +22,10 @@ depends on the other reps of its block, never on reps outside it.
 Callers that report ``reps`` results from a drawing policy therefore
 simulate ``whole_blocks(reps)`` reps and drop the surplus.
 ``run_online``, ``run_batch`` and ``run_short`` call the engine with one
-seed or many; the delayed-start runners in ``meta`` add a naive first
-phase and a per-rep hand-over gate.
+seed or many.  The delayed-start runners in ``meta`` play their first
+phase as a plain run of the naive policy, decide each rep's hand-over
+from it, and pass the engine that run's actions as a prefix with the
+per-rep hand-over steps.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchGrid, derive_seed, make_grid
+from .core import BatchGrid, DimensionMismatchError, derive_seed, make_grid
 from .environments import LinearContextualEnv, block_features
 from .policies import BLOCK_REPS, rep_bincount
 
@@ -74,10 +76,11 @@ class RunSet:
 
     The array fields of ``RunRecord`` with a leading rep axis: ``actions``,
     ``pseudo_regret`` and ``optimal_hits`` are ``(R, n)``, ``pull_counts``
-    is ``(R, k)``.  For a contextual run ``features`` holds every chosen
-    feature vector.  ``tau`` is the step at which each rep left phase 1 of
-    a two-phase run (-1 when it never did); ``phases`` is filled by the
-    delayed-start runners.
+    is ``(R, k)``, and ``rewards`` ``(R, n)`` holds every realised reward.
+    For a contextual run ``features`` holds every chosen feature vector.
+    ``tau`` is the step at which each rep left phase 1 of a two-phase run
+    (-1 when it never did); ``phases`` is filled by the delayed-start
+    runners.
     """
 
     spec: str
@@ -89,6 +92,7 @@ class RunSet:
     pseudo_regret: np.ndarray
     optimal_hits: np.ndarray
     pull_counts: np.ndarray
+    rewards: np.ndarray
     tau: np.ndarray
     features: np.ndarray | None = None
     phases: list | None = None
@@ -119,11 +123,11 @@ def seed_list(seed) -> tuple[list, bool]:
     return [int(s) for s in seed], False
 
 
-def block_streams(seeds) -> list:
+def block_streams(seeds, tag: str = "policy") -> list:
     """One policy generator per block of ``BLOCK_REPS`` consecutive seeds,
-    seeded from that block's own seeds only."""
+    seeded from ``tag`` and that block's own seeds only."""
     return [
-        np.random.default_rng(derive_seed("policy", *seeds[lo : lo + BLOCK_REPS]))
+        np.random.default_rng(derive_seed(tag, *seeds[lo : lo + BLOCK_REPS]))
         for lo in range(0, len(seeds), BLOCK_REPS)
     ]
 
@@ -131,6 +135,14 @@ def block_streams(seeds) -> list:
 def whole_blocks(reps: int) -> int:
     """``reps`` rounded up to whole blocks of ``BLOCK_REPS``."""
     return -(-reps // BLOCK_REPS) * BLOCK_REPS
+
+
+def check_arms(policy, env) -> None:
+    """Raise ``DimensionMismatchError`` unless ``policy`` plays ``env``'s arms."""
+    if policy.k != env.k:
+        raise DimensionMismatchError(
+            f"{policy.name} plays {policy.k} arms but the environment has {env.k}"
+        )
 
 
 def _spec_tag(visibility: str, b: int) -> str:
@@ -145,36 +157,38 @@ def run_lockstep(
     grid: BatchGrid,
     seeds,
     visibility: str = "batch",
-    naive=None,
-    gate=None,
+    prefix=None,
 ) -> RunSet:
     """Run one rep per seed, all reps advancing batch by batch together.
 
     Rep ``i`` owns ``default_rng(seeds[i])``.  On a Bernoulli environment
-    it draws its reward uniforms up front, one ``random(n)`` call, and the
-    policies draw from ``block_streams(seeds)``: per batch, each block that
-    holds a rep in phase 1 makes the naive policy's draw for all its reps,
-    then each block that holds a rep past phase 1 makes the policy's.  A
-    contextual environment draws per batch and rep, on the rep's own
-    generator, the batch's contexts, the policy's draws and then Gaussian
-    reward noise.  So a rep's trajectory depends only on the seeds of its
-    block: it is the same in every call whose block of that rep holds the
-    same seeds.
+    it draws its reward uniforms up front, one ``random(n)`` call, and a
+    drawing policy draws from ``block_streams(seeds)``, per batch one draw
+    for each block that holds a rep it plays.  A contextual environment
+    draws per batch and rep, on the rep's own generator, the batch's
+    contexts, the policy's draws and then Gaussian reward noise.  So a
+    rep's trajectory depends only on the seeds of its block: it is the
+    same in every call whose block of that rep holds the same seeds.  A
+    policy that is not ``adaptive`` ignores feedback and gets none.
 
-    With ``naive`` every rep starts in phase 1, where ``naive`` plays.  At
-    each boundary ``t`` (0, b, ..., n) ``gate(t, naive_state, rows)`` gets
-    the naive policy's state and the phase-1 reps ``rows`` and returns
-    which of them hand over to ``policy``; that happens to a rep at most
-    once.  ``policy`` first plays a rep's next batch with the
-    rep's whole history absorbed.  Two-phase runs use batch feedback.
+    ``prefix`` is a two-phase run's first phase, ``(head, tau)``: rep ``i``
+    plays ``head[i]`` up to its hand-over step ``tau[i]`` (a batch
+    boundary, or -1 for none, when ``head`` covers all ``n`` steps), and
+    ``policy`` plays it from there with the rep's whole history absorbed,
+    drawing from ``block_streams(seeds, "candidate")``.  Everything before
+    the earliest hand-over is copied in one step.  Two-phase runs use batch
+    feedback on a finite-armed environment.
     """
     if visibility not in ("batch", "short"):
         raise ValueError(f"unknown visibility {visibility!r}")
+    check_arms(policy, env)
+    contextual = isinstance(env, LinearContextualEnv)
+    if prefix is not None and (contextual or visibility != "batch"):
+        raise ValueError("a two-phase run needs batch feedback on a finite-armed environment")
     rngs = [np.random.default_rng(s) for s in seeds]
     reps = len(rngs)
     n, b, M = grid.n, grid.b, grid.M
     k = env.k
-    contextual = isinstance(env, LinearContextualEnv)
     actions = np.empty((reps, n), dtype=np.int64)
     rewards = np.empty((reps, n))
     if contextual:
@@ -184,31 +198,27 @@ def run_lockstep(
         uniforms = np.empty((reps, n))
         for rng, row in zip(rngs, uniforms):
             rng.random(out=row)
-        drawing = policy.draws or (naive is not None and naive.draws)
-        streams = block_streams(seeds) if drawing else None
+        tag = "policy" if prefix is None else "candidate"
+        streams = block_streams(seeds, tag) if policy.draws else None
     all_rows = np.arange(reps)
-    phase1 = np.full(reps, naive is not None)
-    n_phase1 = reps if naive is not None else 0
-    tau = np.full(reps, -1)
-    naive_state = naive.init_reps(reps) if naive is not None else None
-    state = policy.init_reps(reps) if naive is None else None
+    if prefix is None:
+        tau, start = np.full(reps, -1), 0
+    else:
+        head, tau = prefix
+        tau = np.asarray(tau).copy()
+        # rep i plays head[i] before step until[i]: all reps do before start, none from last
+        until = np.where(tau < 0, n, tau)
+        start, last = int(until.min(initial=n)), int(until.max(initial=0))
+        actions[:, :start] = head[:, :start]
+        rewards[:, :start] = uniforms[:, :start] < env.means[actions[:, :start]]
+    state = None
+    if start < n:
+        state = policy.init_reps(reps)
+        if start and policy.adaptive:
+            state = policy.update_reps(state, actions[:, :start], rewards[:, :start])
 
-    for j in range(M + 1):
+    for j in range(start // b, M):
         lo, hi = j * b, (j + 1) * b
-        if gate is not None and n_phase1:
-            rows = np.flatnonzero(phase1)
-            switch = rows[gate(lo, naive_state, rows)]
-            if switch.size:
-                if state is None:
-                    state = policy.init_reps(reps)
-                    if lo:
-                        state = policy.update_reps(state, actions[:, :lo], rewards[:, :lo])
-                phase1[switch] = False
-                n_phase1 -= switch.size
-                tau[switch] = lo
-        if j == M:
-            break
-
         if contextual:
             for r in all_rows:
                 contexts[r, lo:hi] = env.sample_contexts(rngs[r], b)
@@ -221,25 +231,21 @@ def run_lockstep(
             actions[:, lo:hi] = acts
             acts, rews = chosen[:, lo:hi], rewards[:, lo:hi]
         else:
-            if not n_phase1:
+            if prefix is None or lo >= last:
                 acts = policy.act_reps(state, b, streams, all_rows)
             else:
-                acts = np.empty((reps, b), dtype=np.int64)
-                rows = np.flatnonzero(phase1)
-                acts[rows] = naive.act_reps(naive_state, b, streams, rows)
-                if n_phase1 < reps:
-                    rows = np.flatnonzero(~phase1)
-                    acts[rows] = policy.act_reps(state, b, streams, rows)
+                acts = head[:, lo:hi].copy()
+                rows = np.flatnonzero(until <= lo)
+                acts[rows] = policy.act_reps(state, b, streams, rows)
             rews = (uniforms[:, lo:hi] < env.means[acts]).astype(float)
             actions[:, lo:hi] = acts
             rewards[:, lo:hi] = rews
 
+        if not policy.adaptive:
+            continue
         if visibility == "short":
             acts, rews = acts[:, :1], rews[:, :1]
-        if n_phase1:
-            naive_state = naive.update_reps(naive_state, acts, rews)
-        if state is not None:
-            state = policy.update_reps(state, acts, rews)
+        state = policy.update_reps(state, acts, rews)
 
     if contextual:
         # one (b, p) @ (p, k) product per batch: BLAS may round a product
@@ -262,6 +268,7 @@ def run_lockstep(
         pseudo_regret=np.cumsum(deltas, axis=1),
         optimal_hits=np.cumsum(opt, axis=1),
         pull_counts=rep_bincount(actions, k),
+        rewards=rewards,
         tau=tau,
         features=chosen if contextual else None,
     )

@@ -99,9 +99,9 @@ def reference_approx_delayed_start(means, n, b, seeds, delta, c=1.0):
     A rep plays uniformly until the first boundary ``t`` (0, b, ..., n)
     with ``t >= 2``, every arm pulled and ``check_phase`` passing on its
     counts and means; from there UCB plays on the whole history.  ``tau``
-    is that ``t``, or None when phase 1 never ends.  Per batch, while any
-    rep of a block is in phase 1, the block draws uniform play for all its
-    reps."""
+    is that ``t``, or None when phase 1 never ends.  Phase 1 is a plain
+    uniform run: per batch the block draws uniform play for all its reps,
+    whichever of them have handed over."""
     k = len(means)
     out = []
     for gen, rngs in _blocks(seeds):
@@ -117,8 +117,7 @@ def reference_approx_delayed_start(means, n, b, seeds, delta, c=1.0):
                         taus[r] = t
             if t == n:
                 break
-            if None in taus:
-                draws = [[int(gen.integers(0, k)) for _ in range(b)] for _ in rngs]
+            draws = [[int(gen.integers(0, k)) for _ in range(b)] for _ in rngs]
             for r in range(reps):
                 if taus[r] is None:
                     batch = draws[r]

@@ -173,11 +173,34 @@ def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
                 assert (x is None and y is None) or np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2)])
+def test_delayed_starts_play_a_plain_uniform_run_before_the_hand_over(candidate):
+    # phase 1 is a plain run of the naive policy on the block streams, and
+    # the candidate draws from streams of its own, so up to its hand-over
+    # (all n steps when it never hands over) each rep plays its row of the
+    # plain uniform run, however many reps of its block have handed over
+    env = preset("env3")
+    grid = make_grid(600, 10)
+    seeds = [derive_seed(5, "meta", i) for i in range(BLOCK_REPS + 8)]
+    plain = run_batch(UniformPolicy(2), env, grid, seeds)
+    runs = [
+        approx_delayed_start_run(candidate, env, grid, 0.01, seeds),
+        delayed_start_run(candidate, UniformPolicy(2), MonotoneBound(env.means), env, grid, seeds),
+    ]
+    taus = {p.tau_hat for p in runs[0].phases}
+    assert None in taus and len(taus) > 2
+    for run in runs:
+        for i, phase in enumerate(run.phases):
+            tau = grid.n if phase.tau_hat is None else phase.tau_hat
+            assert np.array_equal(run.actions[i, :tau], plain.actions[i, :tau])
+            assert np.array_equal(run.pseudo_regret[i, :tau], plain.pseudo_regret[i, :tau])
+
+
 @pytest.mark.parametrize("b", [1, 3, 10])
 @pytest.mark.parametrize("env_name", ["env1", "env3", "env6"])
 def test_approx_delayed_start_matches_naive_reference(env_name, b):
-    # lockstep reps leave phase 1 at different boundaries, so the gate sees
-    # every rep, a subset, and reps not yet ready
+    # lockstep reps leave phase 1 at different boundaries, so the
+    # certification sees every rep, a subset, and reps not yet ready
     env = preset(env_name)
     grid = make_grid(600, b)
     seeds = [derive_seed(9, "approx", env_name, b, i) for i in range(BLOCK_REPS + 2)]

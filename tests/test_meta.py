@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from batchband.core import make_grid
-from batchband.environments import preset
+from batchband.core import DimensionMismatchError, derive_seed, make_grid
+from batchband.environments import BernoulliEnv, preset
 from batchband.policies import BasePolicy, FixedArmPolicy, UcbPolicy, UniformPolicy
 from batchband.meta import (
     InsufficientDataError,
@@ -14,7 +16,7 @@ from batchband.meta import (
     delayed_start_run,
     pessimistic_instance,
 )
-from batchband.specifications import run_batch
+from batchband.specifications import BLOCK_REPS, run_batch
 
 ENV3 = np.array([0.7, 0.1])
 
@@ -151,6 +153,26 @@ def test_check_phase_rows_match_single_checks():
             np.stack([pessimistic_instance(c, m, t) for c, m in zip(counts, means)]),
         )
     assert 0 < (~rows).sum() < rows.size
+
+
+def test_check_phase_per_row_times_match_single_checks():
+    rng = np.random.default_rng(1)
+    counts = rng.integers(1, 400, size=(200, 3))
+    means = rng.random((200, 3))
+    times = rng.integers(2, 3000, size=200)
+    rows = check_phase(counts, means, times, 3, 0.01)
+    assert rows.tolist() == [
+        check_phase(c, m, int(t), 3, 0.01) for c, m, t in zip(counts, means, times)
+    ]
+    assert 0 < (~rows).sum() < rows.size
+    assert np.array_equal(
+        pessimistic_instance(counts, means, times),
+        np.stack([pessimistic_instance(c, m, int(t)) for c, m, t in zip(counts, means, times)]),
+    )
+    with pytest.raises(ValueError):
+        check_phase(counts, means, times[:5], 3, 0.01)
+    with pytest.raises(ValueError):
+        check_phase(counts[0], means[0], times[:1], 3, 0.01)
 
 
 def test_check_phase_errors():
@@ -291,3 +313,115 @@ def test_approx_rejects_bad_arguments():
             UcbPolicy(2), env, make_grid(100, 10), delta=0.01, seed=0,
             bound_from="other",
         )
+
+
+# ---------------------------------------------------------------- arm counts
+
+
+def test_delayed_starts_reject_policies_for_other_arms():
+    env = preset("env1")  # two arms
+    grid = make_grid(100, 10)
+    with pytest.raises(DimensionMismatchError):
+        approx_delayed_start_run(UcbPolicy(4), env, grid, 0.05, 1)
+    for bound in (MonotoneBound(env.means), lambda t: 1.0):
+        with pytest.raises(DimensionMismatchError):
+            delayed_start_run(UcbPolicy(2), UniformPolicy(4), bound, env, grid, 1)
+        with pytest.raises(DimensionMismatchError):
+            delayed_start_run(UcbPolicy(3), UniformPolicy(2), bound, env, grid, [1, 2])
+
+
+# ---------------------------------------------------------------- all-boundary certification
+
+
+def scan_certification(actions, rewards, b, k, delta, truth=None):
+    """[(tau, counts, means, theta_hat)] of each rep, from one scalar check
+    per boundary: the first ``t`` (0, b, ..., m) with ``t >= 2``, every arm
+    pulled and the check passing; (None, None, None, None) when none does."""
+    out = []
+    unique = truth is None or int((truth == truth.max()).sum()) == 1
+    for acts, rews in zip(actions, rewards):
+        counts, sums = np.zeros(k), np.zeros(k)
+        found = (None, None, None, None)
+        for t in range(0, len(acts) + 1, b):
+            if t:
+                np.add.at(counts, acts[t - b : t], 1.0)
+                np.add.at(sums, acts[t - b : t], rews[t - b : t])
+            if t < 2 or counts.min() < 1 or not unique:
+                continue
+            means = sums / counts
+            if truth is None:
+                if not check_phase(counts, means, t, k, delta):
+                    found = (t, counts.copy(), means, pessimistic_instance(counts, means, t))
+                    break
+            elif MonotoneBound(truth).aggregate(t) > 1.0 / k and 2.0 * k / (t * t) < delta:
+                found = (t, counts.copy(), means, truth)
+                break
+        out.append(found)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    best=st.sampled_from([0.9, 0.95]),
+    others=st.lists(st.sampled_from([0.05, 0.1, 0.3]), min_size=1, max_size=3),
+    at=st.integers(0, 3),
+    b=st.sampled_from([1, 3, 10]),
+    n=st.sampled_from([60, 600]),
+    reps=st.integers(1, BLOCK_REPS + 4).filter(lambda r: r % BLOCK_REPS),
+    delta=st.sampled_from([1e-5, 0.01, 0.3]),
+    bound_from=st.sampled_from(["instance", "oracle"]),
+    master=st.integers(0, 2**32 - 1),
+)
+# certifications past the first chunk of boundaries
+@example(best=0.95, others=[0.05, 0.05], at=1, b=1, n=600, reps=17, delta=0.01,
+         bound_from="instance", master=0)
+@example(best=0.95, others=[0.6], at=0, b=1, n=600, reps=3, delta=0.01,
+         bound_from="oracle", master=0)
+def test_certification_matches_scalar_checks_per_boundary(
+    best, others, at, b, n, reps, delta, bound_from, master
+):
+    # at b=1 and n=600 the boundaries span three certification chunks, and
+    # most reps with a clear best arm certify in the second or third
+    means = others[:at] + [best] + others[at:]
+    env = BernoulliEnv(np.array(means))
+    k = env.k
+    grid = make_grid(n, b)
+    seeds = [derive_seed(master, "certify", i) for i in range(reps)]
+    run = approx_delayed_start_run(UcbPolicy(k), env, grid, delta, seeds, bound_from=bound_from)
+    phase1 = run_batch(UniformPolicy(k), env, grid, seeds)
+    truth = env.means if bound_from == "oracle" else None
+    ref = scan_certification(phase1.actions, phase1.rewards, b, k, delta, truth)
+    for phase, (tau, counts, mean_hat, theta_hat) in zip(run.phases, ref):
+        assert phase.tau_hat == tau
+        assert phase.phase1 is (tau is None)
+        for got, want in ((phase.counts, counts), (phase.means, mean_hat),
+                          (phase.theta_hat, theta_hat)):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_oracle_certification_never_passes_on_a_tied_best_arm():
+    env = BernoulliEnv(np.array([0.9, 0.9, 0.05]))
+    run = approx_delayed_start_run(UcbPolicy(3), env, make_grid(600, 3), 0.3, list(range(5)),
+                                   bound_from="oracle")
+    assert all(p.phase1 and p.tau_hat is None for p in run.phases)
+    assert np.array_equal(run.tau, np.full(5, -1))
+
+
+CONSTANT_BOUNDS = {"zero": lambda t: 0.0, "one": lambda t: 1.0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    means=st.lists(st.sampled_from([0.1, 0.3, 0.45, 0.5, 0.6, 0.9]), min_size=2, max_size=4,
+                   unique=True),
+    b=st.sampled_from([1, 3, 10]),
+    n=st.sampled_from([40, 300, 3000]),
+    which=st.sampled_from(["instance", "zero", "one"]),
+)
+def test_oracle_switch_matches_scalar_bound_scan(means, b, n, which):
+    env = BernoulliEnv(np.array(means))
+    bound = MonotoneBound(env.means) if which == "instance" else CONSTANT_BOUNDS[which]
+    grid = make_grid(n, b)
+    want = next((t for t in range(0, grid.n, b) if bound(t + 1) > 0.0), None)
+    rec = delayed_start_run(UcbPolicy(env.k), UniformPolicy(env.k), bound, env, grid, 4)
+    assert rec.phase.tau_hat == want

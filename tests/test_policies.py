@@ -222,7 +222,7 @@ def test_two_phase_batch_switch_lands_on_boundary():
     TwoPhaseSwitchPolicy(3, good_arm=0, bad_arm=2, switch_t=4),
 ])
 def test_count_policies_absorb_counts_and_sums(pol):
-    # the delayed-start gate reads these from its uniform first phase
+    # policies that ignore feedback keep the shared state all the same
     rng = np.random.default_rng(4)
     st = pol.init_reps(5)
     released_a, released_r = [], []

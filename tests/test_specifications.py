@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchband.core import derive_seed, make_grid
+from batchband.core import DimensionMismatchError, derive_seed, make_grid
 from batchband.environments import BernoulliEnv, make_linear_env, preset
 from batchband.policies import (
     BasePolicy,
@@ -204,3 +204,16 @@ def test_contextual_history_stores_feature_vectors():
             block = run.features[r, t].reshape(2, 2)
             assert np.all(block[1 - a] == 0.0)
             assert np.linalg.norm(block[a]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("runner", [run_batch, run_short])
+def test_runs_reject_a_policy_for_other_arms(runner):
+    # env6 has four arms: a two-armed policy would play arms 0-1 only
+    for policy in (UcbPolicy(2), ThompsonBetaPolicy(5), LinUcbPolicy(2, 2)):
+        with pytest.raises(DimensionMismatchError, match="4"):
+            runner(policy, preset("env6"), make_grid(100, 10), 1)
+    with pytest.raises(DimensionMismatchError):
+        run_online(UcbPolicy(3), preset("env1"), 20, [1, 2])
+    with pytest.raises(DimensionMismatchError):
+        run_batch(LinUcbPolicy(2, 2), make_linear_env(k=3, context_dim=2, seed=1),
+                  make_grid(8, 4), 0)
