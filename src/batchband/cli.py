@@ -150,7 +150,7 @@ SIMULATE_FIELDS = [
     Field("bound", str, "instance", "certify from 'instance' estimates or 'oracle' means"),
     Field("ucb_c", _float, None, "UCB exploration constant override"),
     Field("switch_t", _int, None, "two_phase switch step override"),
-    Field("threads", _int, None, "worker processes (or BATCHBAND_THREADS)"),
+    Field("threads", _int, None, "working processes, caller included (or BATCHBAND_THREADS)"),
     Field("out_dir", str, ".", "output directory"),
     Field("plot", _bool, False, "also write plot.svg"),
 ]
@@ -164,7 +164,7 @@ BOUNDS_FIELDS = [
     Field("seed", _int, 0, "master seed"),
     Field("ucb_c", _float, None, "UCB exploration constant override"),
     Field("switch_t", _int, None, "two_phase switch step override"),
-    Field("threads", _int, None, "worker processes (or BATCHBAND_THREADS)"),
+    Field("threads", _int, None, "working processes, caller included (or BATCHBAND_THREADS)"),
     Field("out_dir", str, ".", "output directory for bounds.csv"),
 ]
 

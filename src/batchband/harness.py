@@ -5,7 +5,8 @@
 ``(master_seed, cell key, rep index)``, and aggregates into a
 ``RegretTable``.  Where a policy draws, a cell simulates whole blocks of
 reps and drops the surplus, so its first ``reps`` trajectories do not
-depend on ``reps``.  Work is split per cell; any thread count produces
+depend on ``reps``.  Work is split per cell over ``threads`` working
+processes, the caller included (see ``_map``); any thread count produces
 byte-identical output because seeds never depend on scheduling and the
 reduction walks cells in configured order.
 
@@ -201,14 +202,33 @@ def _cell_policy(name: str, env, n: int, params: dict):
 
 
 def _map(fn, payloads, threads: int) -> list:
-    """``[fn(p) for p in payloads]``, in a pool of at most ``threads``
-    processes, and never more than there are payloads, when there is more
-    than one of each."""
+    """``[fn(p) for p in payloads]`` over ``threads`` working processes, the
+    caller included, and never more than there are payloads.
+
+    A pool of the other workers gets every payload but the last, which the
+    caller runs; the caller then works back from the end, taking each
+    payload the pool has not yet started.  Results come back in payload
+    order, whichever process ran them.  If a payload the caller runs
+    raises, the pool's unstarted payloads are cancelled before the error
+    propagates.
+    """
     workers = min(threads, len(payloads))
     if workers <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(fn, p) for p in payloads[:-1]]
+        try:
+            own = {len(futures): fn(payloads[-1])}
+            # the pool starts its payloads in order, so once one has
+            # started every earlier one has too
+            for i in reversed(range(len(futures))):
+                if not futures[i].cancel():
+                    break
+                own[i] = fn(payloads[i])
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        return [own[i] if i in own else futures[i].result() for i in range(len(payloads))]
 
 
 def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_from) -> str:
@@ -363,9 +383,10 @@ def check_theorem_bounds(
 
 def _split_reps(reps: int, threads: int):
     """Contiguous chunks ``(lo, hi)`` of whole blocks of reps, at most one
-    per worker and per block: an engine call costs mostly per batch,
-    whatever its rep count, so fewer and larger chunks are cheaper, and a
-    chunk of whole blocks draws what one call over every rep would."""
+    per working process (the caller is one) and per block: an engine call
+    costs mostly per batch, whatever its rep count, so fewer and larger
+    chunks are cheaper, and a chunk of whole blocks draws what one call
+    over every rep would."""
     blocks = -(-reps // BLOCK_REPS)
     per = -(-blocks // max(min(threads, blocks), 1)) * BLOCK_REPS
     return [(lo, min(lo + per, reps)) for lo in range(0, reps, per)]
@@ -384,10 +405,13 @@ def _bound_chunk(payload):
     def seeds(tag):
         return [derive_seed(master_seed, key, tag, i) for i in range(lo, end)]
 
-    r_on = run_online(policy, env, n, seeds("online"))
-    r_b = run_batch(policy, env, grid, seeds("batch"))
-    r_m = run_online(policy, env, grid.M, seeds("short"))
-    finals = np.column_stack([r_on.final_regret, r_b.final_regret, r_m.final_regret])
+    # only each run's final regrets are kept, so one run's arrays are
+    # alive at a time
+    finals = np.column_stack([
+        run_online(policy, env, n, seeds("online")).final_regret,
+        run_batch(policy, env, grid, seeds("batch")).final_regret,
+        run_online(policy, env, grid.M, seeds("short")).final_regret,
+    ])
     return finals[: hi - lo]
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+import os
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -337,8 +340,9 @@ class TestCheckTheoremBounds:
 
 
 class _SpyPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
-    in this process, so no worker starts."""
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and starts
+    no payload, so the caller cancels every future and runs its payload in
+    this process."""
 
     workers = []
 
@@ -351,8 +355,28 @@ class _SpyPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, payloads):
-        return map(fn, payloads)
+    def submit(self, fn, payload):
+        return Future()
+
+
+def _tag_pid(payload):
+    """A payload of the ``_map`` tests: sleeps ``delay`` s and returns
+    ``(i, pid of the process that ran it)``."""
+    i, delay = payload
+    time.sleep(delay)
+    return i, os.getpid()
+
+
+def _mark_or_fail(payload):
+    """A payload of the ``_map`` error tests: raises for ``i == fail``, else
+    leaves a file named ``i`` in ``marks``, sleeps ``delay`` s and returns
+    ``i``."""
+    i, fail, delay, marks = payload
+    if i == fail:
+        raise ValueError(f"payload {i} failed")
+    (marks / str(i)).touch()
+    time.sleep(delay)
+    return i
 
 
 class TestWorkerCount:
@@ -371,7 +395,30 @@ class TestWorkerCount:
         check_theorem_bounds("ucb", "env1", n=20, b=5, reps=1000, threads=10_000)
         run_experiment(small_config(), threads=10_000)
         check_theorem_bounds("ucb", "env1", n=20, b=5, reps=10, threads=10_000)
-        assert _SpyPool.workers == [63, 2]
+        # the caller is one of the workers, so the pool has one fewer
+        assert _SpyPool.workers == [62, 1]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_caller_runs_a_suffix_and_results_keep_payload_order(self, threads):
+        results = harness._map(_tag_pid, [(i, 0.02) for i in range(8)], threads)
+        assert [i for i, _ in results] == list(range(8))
+        mine = [pid == os.getpid() for _, pid in results]
+        assert mine[-1]
+        # the caller takes payloads from the back until one has started
+        assert mine == sorted(mine)
+
+    def test_caller_error_surfaces_and_cancels_unstarted_payloads(self, tmp_path):
+        payloads = [(i, 7, 0.2, tmp_path) for i in range(8)]
+        with pytest.raises(ValueError, match="payload 7 failed"):
+            harness._map(_mark_or_fail, payloads, 2)
+        # without the cancel the pool's one worker would run all seven
+        assert len(list(tmp_path.iterdir())) < 7
+
+    def test_worker_error_surfaces(self, tmp_path):
+        # the caller's own payload sleeps, so the worker starts payload 0
+        payloads = [(i, 0, 0.2 if i == 7 else 0.0, tmp_path) for i in range(8)]
+        with pytest.raises(ValueError, match="payload 0 failed"):
+            harness._map(_mark_or_fail, payloads, 2)
 
 
 def _table_outputs(table):
