@@ -11,9 +11,9 @@ follow one scheme:
 * ``inconclusive``: the noise swamped the comparison.
 
 Monte-Carlo checks derive per-rep seeds with ``derive_seed`` so results are
-reproducible and extendable, run their reps in lockstep through the
-policies' rep-batched protocol, and share one reduction (``_mean_se``)
-and one two-standard-error verdict (``_verdict``) with the harness.
+reproducible and extendable, simulate every trajectory with the one engine
+(``run_online``), and share one reduction (``_mean_se``) and one
+two-standard-error verdict (``_verdict``) with the harness.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from .core import PROB_TOL, DecisionRule, derive_seed, rule_value
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
-from .policies import UniformPolicy
-from .specifications import block_streams, run_online, whole_blocks
+from .policies import UniformPolicy, rep_bincount
+from .specifications import block_streams, check_arms, run_online, whole_blocks
 
 Z_ONE_SIDED_95 = 1.645
 
@@ -176,30 +176,23 @@ def _sim_seeds(policy, reps: int, *key) -> list:
 def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
     """Per-step decision rules of an online run, averaged over repetitions.
 
-    Each repetition replays an online trajectory but records the full
-    decision rule at every step; the action fed back is sampled from that
-    rule, so the trajectory distribution matches a normal run.  The mean
-    rule at step ``t`` estimates the policy's marginal action distribution
-    there, which is what the averaging diagnostics of ``check_lemma31``
-    quantify over.  Finite-armed policies only.
+    Every finite-armed policy but uniform play realises a point mass on the
+    arm it plays, so the mean rule at step ``t``, the marginal action
+    distribution that ``check_lemma31`` judges, is the arm frequency at
+    ``t`` of one ``run_online`` on the seeds ``derive_seed(master_seed,
+    "trace", i)``.  Uniform play's rule is the flat ``1/k``, unsimulated.
     """
     if not isinstance(env, BernoulliEnv):
         raise UnsupportedPolicyError("rule traces support Bernoulli environments only")
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
+    check_arms(policy, env)
     k = env.k
+    if isinstance(policy, UniformPolicy):
+        return [DecisionRule(np.full(k, 1.0 / k))] * n
     seeds = _sim_seeds(policy, reps, master_seed, "trace")
-    rngs = [np.random.default_rng(s) for s in seeds]
-    streams = block_streams(seeds)
-    states = policy.init_reps(len(seeds))
-    probs_sum = np.zeros((n, k))
-    for t in range(n):
-        probs = _rep_rules(policy, states, streams)
-        probs_sum[t] = probs[:reps].sum(axis=0)
-        actions = np.array([[g.choice(k, p=p)] for g, p in zip(rngs, probs)])
-        rewards = np.array([env.sample_rewards(a, g) for g, a in zip(rngs, actions)])
-        states = policy.update_reps(states, actions, rewards)
-    return [DecisionRule(probs_sum[t] / reps) for t in range(n)]
+    actions = run_online(policy, env, n, seeds).actions[:reps]
+    return [DecisionRule(p) for p in rep_bincount(actions.T, k) / reps]
 
 
 @dataclass(eq=False)
@@ -280,6 +273,9 @@ def probe_informativeness(
     """
     if not isinstance(env, BernoulliEnv):
         raise TypeError("informativeness probe supports finite-armed environments")
+    if reps < 2:
+        raise ValueError("need at least 2 reps for a standard error")
+    check_arms(policy, env)
     if t < 2:
         raise ValueError("need t >= 2")
     k = int(round(0.8 * t)) if k is None else int(k)
@@ -287,23 +283,17 @@ def probe_informativeness(
     if not 0 <= k_prime <= k <= t:
         raise ValueError("need 0 <= k_prime <= k <= t")
     opt = env.optimal_arm
-    others = [a for a in range(env.k) if a != opt]
-
-    def actions_with(n_opt: int) -> np.ndarray:
-        acts = np.full(t, opt, dtype=np.int64)
-        fill = [others[i % len(others)] for i in range(t - n_opt)]
-        acts[n_opt:] = fill
-        return acts
-
+    others = np.delete(np.arange(env.k), opt)
     seeds = _sim_seeds(policy, reps, master_seed, "informativeness")
-    rngs = [np.random.default_rng(s) for s in seeds]
+    # each rep's uniforms for both histories, drawn as the engine draws them
+    uniforms = np.array([np.random.default_rng(s).random(2 * t) for s in seeds])
     streams = block_streams(seeds)
     states = []
-    for acts in (actions_with(k), actions_with(k_prime)):
-        acts = np.broadcast_to(acts, (len(seeds), t))
+    for u, n_opt in zip(np.hsplit(uniforms, 2), (k, k_prime)):
+        acts = np.concatenate([np.full(n_opt, opt), np.resize(others, t - n_opt)])
         states.append(policy.update_reps(
-            policy.init_reps(len(seeds)), acts,
-            np.array([env.sample_rewards(a, g) for g, a in zip(rngs, acts)]),
+            policy.init_reps(len(seeds)), np.broadcast_to(acts, u.shape),
+            (u < env.means[acts]).astype(float),
         ))
     v_hi, v_lo = (_rep_rules(policy, st, streams)[:reps] @ env.means for st in states)
     mean, se = (float(x) for x in _mean_se(v_hi - v_lo))

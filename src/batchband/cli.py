@@ -307,8 +307,16 @@ def cmd_check_assumptions(args) -> int:
     name = opts["policy"]
     params = _hyper_params(opts).get(name, {})
     n, reps, seed = opts["n"], opts["reps"], opts["seed"]
-    if reps < 2:
-        raise ConfigError("check-assumptions needs --reps >= 2 for standard errors")
+    for flag, ok, need in (
+        ("reps", reps >= 2, ">= 2 for standard errors"),
+        ("n", n > env.k, f"above the arm count {env.k} for the averaging check"),
+        ("b", 1 <= opts["b"] <= n, f"in 1..{n}"),
+        ("min_t", 1 <= opts["min_t"] <= n, f"in 1..{n}"),
+        ("probe_t", opts["probe_t"] >= 2, ">= 2"),
+    ):
+        if not ok:
+            flag_name = "--" + flag.replace("_", "-")
+            raise ConfigError(f"check-assumptions needs {flag_name} {need}, got {opts[flag]}")
     policy = _cell_policy(name, env, n, params)
     rows = []
 

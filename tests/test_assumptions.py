@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from reference_runner import reference_run
 
-from batchband.core import DecisionRule, Instance, derive_seed, make_grid
+from batchband import assumptions
+from batchband.core import DecisionRule, DimensionMismatchError, Instance, derive_seed, make_grid
 from batchband.environments import preset
 from batchband.policies import (
     FixedArmPolicy,
@@ -317,3 +319,43 @@ def test_rule_trace_rejects_bad_args():
     env = preset("env1")
     with pytest.raises(ValueError):
         mean_rule_trace(UcbPolicy(2), env, n=0, reps=5)
+
+
+@pytest.mark.parametrize("name", ["ucb", "ts", "two_phase"])
+def test_rule_trace_is_the_per_step_reference_action_frequency(name):
+    # the mean rule of step t is the arm frequency in column t of the kept
+    # reps of the per-step reference run, on the trace seeds padded to whole
+    # blocks for a drawing policy
+    env, n, reps, master = preset("env6"), 30, 20, 11
+    policy = {"ucb": UcbPolicy(4), "ts": ThompsonBetaPolicy(4),
+              "two_phase": TwoPhaseSwitchPolicy(4, good_arm=0, bad_arm=3, switch_t=15)}[name]
+    sim = 32 if name == "ts" else reps
+    seeds = [derive_seed(master, "trace", i) for i in range(sim)]
+    runs = reference_run(name, env.means.tolist(), n, 1, seeds, switch_t=15)[:reps]
+    rules = mean_rule_trace(policy, env, n=n, reps=reps, master_seed=master)
+    assert len(rules) == n
+    for t, rule in enumerate(rules):
+        want = [sum(acts[t] == a for acts, _ in runs) / reps for a in range(4)]
+        assert rule.probs.tolist() == want
+
+
+def test_rule_trace_of_uniform_play_is_flat_and_unsimulated(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("uniform play's trace simulated")
+
+    monkeypatch.setattr(assumptions, "run_online", no_run)
+    monkeypatch.setattr(UniformPolicy, "init_reps", no_run)
+    rules = mean_rule_trace(UniformPolicy(4), preset("env6"), n=7, reps=12, master_seed=3)
+    assert len(rules) == 7
+    assert all(rule.probs.tolist() == [0.25] * 4 for rule in rules)
+
+
+@pytest.mark.parametrize("reps", [0, 1])
+def test_informativeness_rejects_fewer_than_two_reps(reps):
+    with pytest.raises(ValueError, match="reps"):
+        probe_informativeness(ThompsonBetaPolicy(2), preset("env1"), t=10, reps=reps)
+
+
+def test_informativeness_rejects_policy_for_another_arm_count():
+    with pytest.raises(DimensionMismatchError):
+        probe_informativeness(UcbPolicy(4), preset("env1"), t=10, reps=20)

@@ -301,6 +301,28 @@ class TestCheckAssumptions:
         assert rc == 2
         assert not (tmp_path / "assumptions.csv").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--b", "500"], "--b in 1..400, got 500"),
+        (["--b", "0"], "--b in 1..400, got 0"),
+        (["--min-t", "0"], "--min-t in 1..400, got 0"),
+        (["--n", "200", "--min-t", "201"], "--min-t in 1..200, got 201"),
+        (["--probe-t", "1"], "--probe-t >= 2, got 1"),
+        (["--env", "env6", "--n", "4"], "--n above the arm count 4 for the averaging check, got 4"),
+        (["--n", "2"], "--n above the arm count 2 for the averaging check, got 2"),
+        (["--reps", "1"], "--reps >= 2 for standard errors, got 1"),
+    ])
+    def test_bad_flag_exits_2_before_any_check(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "regret_curve", no_check)
+        rc = main(["check-assumptions", *flags, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "assumptions.csv").exists()
+
     def test_linear_regret_policy_exits_1(self, tmp_path):
         rc = main(["check-assumptions", "--policy", "two_phase", "--env", "env2",
                    "--n", "150", "--reps", "30", "--out-dir", str(tmp_path)])
