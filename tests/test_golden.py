@@ -78,8 +78,8 @@ for _policy, _digest in BOUNDS.items():
 # regret curves, rule traces, the informativeness probe, the envelope check
 # (ucb only) and the b-fold reversal
 ASSUMPTIONS = {
-    "ucb": (0, "6436607f2b42ffe92eac335697e26f51bfc735d2a07174397343a5a671ba6b23"),
-    "ts": (1, "10e77e2fd97f6a29664b0fe7fa203c7b6913838e6ae81d352f505e7e53f5f68b"),
+    "ucb": (0, "0df759cebaa06158eeb4b17f7ef5b507f6f7b216b6f1ee235dc62fe78ae9f422"),
+    "ts": (1, "fca47838364c89bf19373d6e7d260cd20b709efb874ce74c2620ff10e59e3fd0"),
     "uniform": (0, "6adf527a2caa3813c34221fb583144c8182057e0329b889077ff7b17e9086614"),
     "two_phase": (1, "a201d85060755196743cc158a9da8fa23b1a77e89c4696eae4756a399c4a4e21"),
 }
