@@ -22,10 +22,12 @@ Two meta-runners wrap a candidate policy:
 Phase 1 never reads the candidate, so both play it first, as a plain
 lockstep run of the naive policy on the engine's block streams: up to the
 common hand-over boundary for the oracle start, whose bound depends on
-``t`` alone, and up to ``n`` for the certified start.  The certified start
-then finds every rep's hand-over at once: it checks all boundaries of all
-reps still in phase 1, a fixed-size chunk of boundaries per
-``check_phase`` call, and stops once every rep has certified.  The
+``t`` alone, and up to ``n`` for the certified start.  Uniform play ignores
+feedback, so the engine plays that run in one policy call, one draw per
+block.  The certified start then finds every rep's hand-over at once: it
+checks all boundaries of all reps still in phase 1, a fixed-size chunk of
+boundaries per ``check_phase`` call, and stops once every rep has
+certified.  The
 engine replays that run as each rep's prefix and lets the candidate, which
 draws from block streams of its own, play the rest.  A caller reporting
 ``reps`` results simulates whole blocks and drops the surplus

@@ -12,7 +12,10 @@ A policy runs ``R`` reps in lockstep through three operations:
   drawing policy makes one draw for every rep of each block that holds any
   of ``rows``, whatever its other reps are doing.  The linear policies draw
   from ``rngs[r]``, one generator per rep, and read ``features``, one
-  ``(b, k, dim)`` feature tensor per row.
+  ``(b, k, dim)`` feature tensor per row.  Only the finite-armed policies
+  that are not adaptive take a keyword ``batches`` (default 1): one call
+  then plays ``batches`` batches and returns ``(len(rows), batches * b)``
+  actions, batch-major, the same as that many one-batch calls.
 * ``update_reps(states, actions, rewards)``: absorb ``(R, m)`` released
   actions and rewards in place and return the states; the linear policies
   take the chosen feature vectors, ``(R, m, dim)``, as actions.
@@ -226,18 +229,25 @@ class ThompsonBetaPolicy(_CountPolicy):
 
 @dataclass(frozen=True)
 class UniformPolicy(_CountPolicy):
-    """Plays every arm with equal probability, ignoring feedback; a block
-    draws its reps' actions as one ``integers(0, k, size=(reps, b))``."""
+    """Plays every arm with equal probability, ignoring feedback.
+
+    A block draws its reps' actions for ``batches`` batches as one
+    ``integers(0, k, size=(batches, reps, b))`` call, batch-major: the same
+    stream as one ``size=(reps, b)`` call per batch, since the generator
+    keeps a spare 32-bit half between calls.
+    """
 
     k: int
     name = "uniform"
     adaptive = False
 
-    def act_reps(self, states, b, rngs, rows) -> np.ndarray:
+    def act_reps(self, states, b, rngs, rows, *, batches=1) -> np.ndarray:
         reps = len(states.counts)
-        acts = np.empty((reps, b), dtype=np.int64)
+        acts = np.empty((reps, batches, b), dtype=np.int64)
         for i, lo, hi in _blocks(rows, reps):
-            acts[lo:hi] = rngs[i].integers(0, self.k, size=(hi - lo, b))
+            draws = rngs[i].integers(0, self.k, size=(batches, hi - lo, b))
+            acts[lo:hi] = draws.transpose(1, 0, 2)
+        acts = acts.reshape(reps, batches * b)
         return acts if len(rows) == reps else acts[rows]
 
 
@@ -256,8 +266,8 @@ class FixedArmPolicy(_CountPolicy):
         if not 0 <= self.arm < self.k:
             raise PolicyError(f"arm {self.arm} outside 0..{self.k - 1}")
 
-    def act_reps(self, states, b, rngs, rows) -> np.ndarray:
-        return np.full((len(rows), b), self.arm, dtype=np.int64)
+    def act_reps(self, states, b, rngs, rows, *, batches=1) -> np.ndarray:
+        return np.full((len(rows), batches * b), self.arm, dtype=np.int64)
 
 
 @dataclass(frozen=True)

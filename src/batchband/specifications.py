@@ -14,7 +14,9 @@ Decisions inside a batch are made from the frozen pre-batch state, so the
 played rule is constant within a batch for every policy in this package.
 
 ``run_lockstep`` is the one run loop.  It advances all reps of a
-configuration together, batch by batch, with per-rep state held as arrays.
+configuration together, batch by batch, with per-rep state held as arrays;
+a policy that ignores feedback plays its batches in one call instead,
+from the start, or from the last hand-over of a two-phase run.
 Each rep owns its reward generator; on a Bernoulli environment the
 finite-armed policies draw from block streams, one generator per block of
 ``BLOCK_REPS`` consecutive reps (``block_streams``), so a rep's trajectory
@@ -169,7 +171,9 @@ def run_lockstep(
     contexts, the policy's draws and then Gaussian reward noise.  So a
     rep's trajectory depends only on the seeds of its block: it is the
     same in every call whose block of that rep holds the same seeds.  A
-    policy that is not ``adaptive`` ignores feedback and gets none.
+    policy that is not ``adaptive`` ignores feedback and gets none, and
+    once every rep plays it, it plays every remaining batch in one
+    ``act_reps(..., batches=...)`` call.
 
     ``prefix`` is a two-phase run's first phase, ``(head, tau)``: rep ``i``
     plays ``head[i]`` up to its hand-over step ``tau[i]`` (a batch
@@ -202,7 +206,7 @@ def run_lockstep(
         streams = block_streams(seeds, tag) if policy.draws else None
     all_rows = np.arange(reps)
     if prefix is None:
-        tau, start = np.full(reps, -1), 0
+        tau, start, last = np.full(reps, -1), 0, 0
     else:
         head, tau = prefix
         tau = np.asarray(tau).copy()
@@ -216,8 +220,11 @@ def run_lockstep(
         state = policy.init_reps(reps)
         if start and policy.adaptive:
             state = policy.update_reps(state, actions[:, :start], rewards[:, :start])
+    # a policy that ignores feedback plays every batch after the last
+    # hand-over in one call
+    split = M if policy.adaptive or contextual else last // b
 
-    for j in range(start // b, M):
+    for j in range(start // b, split):
         lo, hi = j * b, (j + 1) * b
         if contextual:
             for r in all_rows:
@@ -231,7 +238,7 @@ def run_lockstep(
             actions[:, lo:hi] = acts
             acts, rews = chosen[:, lo:hi], rewards[:, lo:hi]
         else:
-            if prefix is None or lo >= last:
+            if lo >= last:
                 acts = policy.act_reps(state, b, streams, all_rows)
             else:
                 acts = head[:, lo:hi].copy()
@@ -246,6 +253,11 @@ def run_lockstep(
         if visibility == "short":
             acts, rews = acts[:, :1], rews[:, :1]
         state = policy.update_reps(state, acts, rews)
+    if split < M:
+        lo = split * b
+        acts = policy.act_reps(state, b, streams, all_rows, batches=M - split)
+        actions[:, lo:] = acts
+        rewards[:, lo:] = uniforms[:, lo:] < env.means[acts]
 
     if contextual:
         # one (b, p) @ (p, k) product per batch: BLAS may round a product

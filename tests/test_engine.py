@@ -142,7 +142,7 @@ def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, blocks, b, m
         assert np.array_equal(getattr(tail, field), getattr(run, field)[BLOCK_REPS:])
 
 
-@pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2)])
+@pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
 def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
     # env3 at b=10: some reps certify early, some late, some never.  The
     # uniform first phase draws from block streams, so "lone" is the rep's
@@ -173,7 +173,7 @@ def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
                 assert (x is None and y is None) or np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2)])
+@pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
 def test_delayed_starts_play_a_plain_uniform_run_before_the_hand_over(candidate):
     # phase 1 is a plain run of the naive policy on the block streams, and
     # the candidate draws from streams of its own, so up to its hand-over
@@ -194,6 +194,63 @@ def test_delayed_starts_play_a_plain_uniform_run_before_the_hand_over(candidate)
             tau = grid.n if phase.tau_hat is None else phase.tau_hat
             assert np.array_equal(run.actions[i, :tau], plain.actions[i, :tau])
             assert np.array_equal(run.pseudo_regret[i, :tau], plain.pseudo_regret[i, :tau])
+
+
+class Adaptive:
+    """``policy`` marked adaptive, so the engine asks it batch by batch."""
+
+    adaptive = True
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def __getattr__(self, name):
+        return getattr(self.policy, name)
+
+
+@pytest.mark.parametrize("b", [1, 3, 10])
+@pytest.mark.parametrize("env_name", ["env3", "env6"])
+@pytest.mark.parametrize("name", ["uniform", "fixed"])
+def test_one_call_for_non_adaptive_play_equals_per_batch_play(name, env_name, b):
+    # at n=2000 every env3 rep certifies, at its own boundary, so the
+    # certified start steps batch by batch up to the last hand-over and
+    # plays the rest in one call; the oracle start hands over at one common
+    # boundary on both envs
+    env = preset(env_name)
+    grid = make_grid(2000, b)
+    seeds = [derive_seed(17, name, env_name, b, i) for i in range(24)]
+
+    def runs(candidate, naive):
+        return [
+            run_batch(candidate, env, grid, seeds),
+            approx_delayed_start_run(candidate, env, grid, 0.01, seeds),
+            delayed_start_run(candidate, naive, MonotoneBound(env.means), env, grid, seeds),
+        ]
+
+    policy, naive = make(name, env), UniformPolicy(env.k)
+    fast, slow = runs(policy, naive), runs(Adaptive(policy), Adaptive(naive))
+    if env_name == "env3":
+        assert (fast[1].tau >= 0).all() and len(set(fast[1].tau.tolist())) > 2
+    assert (fast[2].tau >= 0).all()
+    for one, per in zip(fast, slow):
+        for field in ("actions", "rewards", "pseudo_regret", "optimal_hits", "pull_counts", "tau"):
+            assert np.array_equal(getattr(one, field), getattr(per, field))
+
+
+@pytest.mark.parametrize("M", [1, 7, 200])
+def test_plain_uniform_run_asks_the_policy_once(monkeypatch, M):
+    calls = []
+    act_reps = UniformPolicy.act_reps
+
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs.get("batches", 1))
+        return act_reps(self, *args, **kwargs)
+
+    monkeypatch.setattr(UniformPolicy, "act_reps", spy)
+    env = preset("env6")
+    seeds = [derive_seed(19, "spy", i) for i in range(2 * BLOCK_REPS + 3)]
+    run_batch(UniformPolicy(env.k), env, make_grid(3 * M, 3), seeds)
+    assert calls == [M]
 
 
 @pytest.mark.parametrize("b", [1, 3, 10])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from batchband.policies import (
+    BLOCK_REPS,
     FixedArmPolicy,
     LinTsPolicy,
     LinUcbPolicy,
@@ -193,6 +194,27 @@ def test_fixed_arm_policy():
     assert act(pol, st, b=5).tolist() == [2] * 5
     with pytest.raises(PolicyError):
         FixedArmPolicy(3, arm=3)
+
+
+@pytest.mark.parametrize("b", [1, 3, 10])
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("cls", [UniformPolicy, FixedArmPolicy])
+def test_one_call_over_batches_equals_one_call_per_batch(cls, k, b):
+    # the engine asks a policy that ignores feedback once for all remaining
+    # batches, so numpy's bounded integers must consume a block stream as
+    # one call per batch would, spare 32-bit halves included, and leave it
+    # where those calls would
+    pol = UniformPolicy(k) if cls is UniformPolicy else FixedArmPolicy(k, arm=k - 1)
+    reps = 2 * BLOCK_REPS + 5  # the last block is short
+    st = pol.init_reps(reps)
+    for rows in (np.arange(reps), np.array([3, 2 * BLOCK_REPS + 1])):
+        for m in (1, 2, 7):
+            one = [np.random.default_rng([k, b, m, i]) for i in range(3)]
+            per = [np.random.default_rng([k, b, m, i]) for i in range(3)]
+            got = pol.act_reps(st, b, one, rows, batches=m)
+            want = np.concatenate([pol.act_reps(st, b, per, rows) for _ in range(m)], axis=1)
+            assert np.array_equal(got, want)
+            assert [g.random() for g in one] == [g.random() for g in per]
 
 
 def test_two_phase_switches_on_visible_length():
