@@ -398,6 +398,8 @@ def cmd_replay(args) -> int:
     hyper = _hyper_params(opts)
     _reject_repeats("policy", opts["policy"])
     _reject_repeats("batch size", opts["b"])
+    if min(opts["b"]) < 1:
+        raise ConfigError(f"batch size {min(opts['b'])} must be >= 1")
 
     def mk(name):
         policy = make_policy(name, k, data.contexts.shape[1] or None, hyper.get(name, {}))

@@ -199,6 +199,26 @@ def test_negation_learning_policy_fails_to_negate():
     assert not rep.holds
 
 
+@pytest.mark.parametrize("policy", [UcbPolicy(4), ThompsonBetaPolicy(4), UniformPolicy(4)])
+def test_negation_is_a_paired_test_on_one_online_run(monkeypatch, policy):
+    runs = []
+    real = assumptions.run_online
+
+    def spy(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(assumptions, "run_online", spy)
+    grid = make_grid(160, 8)
+    rep = check_negated_sublinearity(policy, preset("env6"), grid, reps=12, master_seed=3)
+    assert len(runs) == 1 and runs[0].n == 160
+    regret = runs[0].pseudo_regret[:12]
+    r_n, r_m = regret[:, -1], regret[:, grid.M - 1]
+    d, se = assumptions._mean_se(r_n - 8 * r_m)
+    assert (rep.d, rep.stderr) == (d, se)
+    assert (rep.mean_n, rep.mean_m) == (r_n.mean(), r_m.mean())
+
+
 # ---------------------------------------------------------------- informativeness
 
 

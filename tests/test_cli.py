@@ -452,6 +452,7 @@ class TestReplay:
     @pytest.mark.parametrize("flags, message", [
         (["--policy", "ucb,ucb", "--b", "1"], "policy 'ucb' is given twice"),
         (["--policy", "ucb", "--b", "1,3,1"], "batch size 1 is given twice"),
+        (["--policy", "ucb", "--b", "1,0"], "must be >= 1"),
     ])
     def test_repeated_entry_exits_2_before_any_replay(
         self, tmp_path, logs, monkeypatch, capsys, flags, message

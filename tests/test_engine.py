@@ -103,6 +103,20 @@ def test_contextual_rep_i_of_a_lockstep_call_equals_its_lone_run(policy, b):
             assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
 
 
+@pytest.mark.parametrize("env_name", ["env1", "env6"])
+@pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "two_phase", "fixed"])
+def test_online_run_over_m_steps_is_the_prefix_of_the_run_over_n(name, env_name):
+    # no policy reads its horizon, so the sandwich check and the b-fold
+    # reversal read R_M(online) off the online run over n at step M
+    env = preset(env_name)
+    seeds = [derive_seed(23, "horizon", env_name, i) for i in range(2 * BLOCK_REPS + 5)]
+    full = run_online(make(name, env), env, N, seeds)
+    for m in (1, 7, SWITCH_T - 1, SWITCH_T + 1, N - 1):
+        run = run_online(make(name, env), env, m, seeds)
+        assert np.array_equal(run.actions, full.actions[:, :m])
+        assert np.array_equal(run.pseudo_regret, full.pseudo_regret[:, :m])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     name=st.sampled_from(["ucb", "ts", "uniform", "linucb", "lints"]),

@@ -338,6 +338,27 @@ class TestCheckTheoremBounds:
         assert r1.mean_batch == r2.mean_batch
         assert r1.mean_m == r2.mean_m
 
+    @pytest.mark.parametrize("name", ["ucb", "ts"])
+    def test_a_chunk_runs_online_once_and_reads_r_m_at_step_m(self, monkeypatch, name):
+        runs = []
+        for runner in ("run_online", "run_batch"):
+            monkeypatch.setattr(harness, runner, _recording(getattr(harness, runner), runs))
+        env = preset("env1")
+        policy = harness._cell_policy(name, env, 60, {})
+        # reps 16..22: a draw-free chunk runs 7 reps, a drawing one its block
+        finals = harness._bound_chunk((name, "env1", policy, 60, 5, 3, 16, 23))
+        assert [run.spec for run in runs] == ["online", "batch"]
+        online, batch = (run.pseudo_regret[:7] for run in runs)
+        assert np.array_equal(finals, np.column_stack([online[:, -1], batch[:, -1], online[:, 11]]))
+
+
+def _recording(fn, results):
+    """``fn`` that also appends each result it returns to ``results``."""
+    def spy(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+    return spy
+
 
 class _SpyPool:
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and starts
