@@ -64,8 +64,8 @@ CASES = {
     ),
 }
 BOUNDS = {
-    "ucb": "198d2a463cef6f8719925c48ad7118877c450c3f54c61c4b389553f320e965da",
-    "ts": "5f0ceafd9b7a1d03efbaa188ffbaf2a6e9ffdd48ef6475e43523d65fb6fbf964",
+    "ucb": "2480ebcda5f4ea5657c0c2e998729eaa788cf60c5da317ae0eb23bfe7d2fb257",
+    "ts": "be86d55d0e9e1118c966b7f4cab022a028c755f06fc4ad9fadb0df17d68952a1",
 }
 for _policy, _digest in BOUNDS.items():
     for _threads in ("1", "2"):
@@ -78,9 +78,9 @@ for _policy, _digest in BOUNDS.items():
 # regret curves, rule traces, the informativeness probe, the envelope check
 # (ucb only) and the b-fold reversal
 ASSUMPTIONS = {
-    "ucb": (0, "0df759cebaa06158eeb4b17f7ef5b507f6f7b216b6f1ee235dc62fe78ae9f422"),
-    "ts": (1, "fca47838364c89bf19373d6e7d260cd20b709efb874ce74c2620ff10e59e3fd0"),
-    "uniform": (0, "6adf527a2caa3813c34221fb583144c8182057e0329b889077ff7b17e9086614"),
+    "ucb": (0, "5a17b54ce38f58ffba0dff0d0e0254e9e9ca44d1e8586922bcc85c8a0b2dfc34"),
+    "ts": (1, "f03ac5a8735fd7c89c8b5530a0d29a0e5fc27ef987b76be5cc07d8e18de84214"),
+    "uniform": (0, "df99c1ff8449334d2fd663814a925df7f2917e9a613c8342eb5a288ff1c9e07d"),
     "two_phase": (1, "a201d85060755196743cc158a9da8fa23b1a77e89c4696eae4756a399c4a4e21"),
 }
 for _policy, (_code, _digest) in ASSUMPTIONS.items():
@@ -161,11 +161,11 @@ def test_contextual_library_runs_are_pinned(name):
 # stdout of each demo, run as a script from the repository's own sources
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = {
-    "assumption_audit": "5058e29c636a87c3e89459475eb26432bea13f603d43b2ebda12e38f7ce876d9",
+    "assumption_audit": "14590e6a85e463918c753fed489ee848ef869a2d3f7d3d328a538e4664aa337a",
     "batch_effect": "d053f9253706810b812b14d5aea72dd643c45cf7ba39e2e4e72f13d13839ca3d",
     "delayed_start": "799c1db83b70161d44e4886d4f098328c1773c4d5151bfe7d3192f7942366355",
     "offline_replay": "54bb547fb35d12e8abfed125f3f4168667ff180030df7838fe59e98389552ecd",
-    "theorem_sandwich": "8240be822f16268c7936c41aace85a058e956d9854dd749d1d6b62300813d15e",
+    "theorem_sandwich": "c73aba44ad689890903daa8c3b1caeec662a3a529043320a1ae4e87744a4eaf5",
 }
 
 
