@@ -320,7 +320,7 @@ def cmd_check_assumptions(args) -> int:
     policy = _cell_policy(name, env, n, params)
     rows = []
 
-    curve = regret_curve(policy, env, "online", make_grid(n, 1), reps, master_seed=seed)
+    curve = regret_curve(policy, env, make_grid(n, 1), reps, master_seed=seed)
     sub = check_sublinearity(curve, min_t=opts["min_t"])
     verdict = "consistent" if sub.holds else "violated"
     rate = float(curve.values[-1] / n)

@@ -31,7 +31,7 @@ from .core import derive_seed, make_grid, write_csv
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from .policies import POLICY_NAMES, PolicyError, UniformPolicy, make_policy
-from .specifications import BLOCK_REPS, run_batch, run_online, run_short, whole_blocks
+from .specifications import BLOCK_REPS, run_batch, run_online, whole_blocks
 
 MODES = ("plain", "delayed_start", "approx_delayed_start")
 
@@ -294,12 +294,19 @@ class BoundInequality:
     lhs: float
     rhs: float
     stderr: float
-    verdict: str
-    gate_pass: bool
 
     @property
     def diff(self) -> float:
         return self.rhs - self.lhs
+
+    @property
+    def verdict(self) -> str:
+        return _verdict(self.diff, self.stderr)
+
+    @property
+    def gate_pass(self) -> bool:
+        """The non-strict inequality within 2 standard errors."""
+        return self.verdict != "violated"
 
 
 @dataclass(eq=False)
@@ -358,21 +365,11 @@ def check_theorem_bounds(
     mean_on, mean_b, mean_m = (float(x) for x in means)
     se_on, se_b, se_m = (float(x) for x in ses)
 
-    d_low = mean_b - mean_on
-    se_low = float(np.hypot(se_b, se_on))
-    d_up = b * mean_m - mean_b
-    se_up = float(np.hypot(b * se_m, se_b))
     inequalities = [
-        BoundInequality(
-            name="lower", lhs_label="R_n(online)", rhs_label=f"R_n(b={b})",
-            lhs=mean_on, rhs=mean_b, stderr=se_low,
-            verdict=_verdict(d_low, se_low), gate_pass=d_low >= -2 * se_low,
-        ),
-        BoundInequality(
-            name="upper", lhs_label=f"R_n(b={b})", rhs_label=f"{b}*R_{m}(online)",
-            lhs=mean_b, rhs=b * mean_m, stderr=se_up,
-            verdict=_verdict(d_up, se_up), gate_pass=d_up >= -2 * se_up,
-        ),
+        BoundInequality("lower", "R_n(online)", f"R_n(b={b})",
+                        mean_on, mean_b, float(np.hypot(se_b, se_on))),
+        BoundInequality("upper", f"R_n(b={b})", f"{b}*R_{m}(online)",
+                        mean_b, b * mean_m, float(np.hypot(b * se_m, se_b))),
     ]
     return BoundReport(
         policy=policy_name, env=env_spec, n=n, b=b, m=m, reps=reps,
@@ -412,17 +409,9 @@ def _bound_chunk(payload):
     return np.column_stack([online[:, 0], batch, online[:, 1]])[: hi - lo]
 
 
-def regret_curve(
-    policy, env, spec: str, grid, reps: int, master_seed: int = 0,
-) -> RegretCurve:
-    """Pointwise mean and stderr of cumulative pseudo-regret over reps."""
-    if spec not in ("online", "batch", "short"):
-        raise ConfigError("spec must be online, batch, or short")
+def regret_curve(policy, env, grid, reps: int, master_seed: int = 0) -> RegretCurve:
+    """Pointwise mean and stderr of cumulative pseudo-regret over reps of
+    ``grid``'s schedule, which at b=1 is the online run."""
+    spec = "online" if grid.b == 1 else "batch"
     seeds = _sim_seeds(policy, reps, master_seed, "curve", spec, grid.n, grid.b)
-    if spec == "online":
-        run = run_online(policy, env, grid.n, seeds)
-    elif spec == "batch":
-        run = run_batch(policy, env, grid, seeds)
-    else:
-        run = run_short(policy, env, grid, seeds)
-    return RegretCurve.from_runs(run.pseudo_regret[:reps])
+    return RegretCurve.from_runs(run_batch(policy, env, grid, seeds).pseudo_regret[:reps])

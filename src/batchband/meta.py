@@ -106,11 +106,12 @@ def _unit(x):
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def _stays(theta, t, k: int, delta: float):
+def _stays(theta, t, delta: float):
     """Tail of the certification on instances ``theta`` (..., k) with a
     unique best arm: stay while their bound at ``t`` (one time, or one per
     instance) does not beat uniform play or the failure budget ``2k/t^2`` is
     not below ``delta``."""
+    k = theta.shape[-1]
     gaps = theta.max(axis=-1, keepdims=True) - theta
     total = _terms(gaps, np.asarray(t, dtype=float)[..., None]).sum(axis=-1)
     bound = _unit(1.0 - total)
@@ -159,27 +160,26 @@ def _pessimistic(counts, means, t):
     return theta_hat, at
 
 
-def check_phase(counts, means, t, k: int, delta: float):
+def check_phase(counts, means, t, delta: float):
     """One certification check; True means "stay in phase 1".
 
     The check passes (returns False) only when the pessimistic instance
     still has the empirical leader on top, its bound at ``t`` beats uniform
-    play, and the failure probability ``2k/t^2`` is below ``delta``.  Rows
-    of (R, k) inputs are checked independently into a boolean array, at one
-    time ``t`` or at ``t[i]`` for row ``i``.
+    play, and the failure probability ``2k/t^2`` is below ``delta``, for
+    the k arms of the last axis.  Rows of (R, k) inputs are checked
+    independently into a boolean array, at one time ``t`` or at ``t[i]``
+    for row ``i``.
     """
     counts = np.asarray(counts, dtype=float)
     means = np.asarray(means, dtype=float)
-    if counts.shape[-1] != k or means.shape[-1] != k:
-        raise ValueError(f"expected {k} arms")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     theta_hat, at = _pessimistic(counts, means, t)
-    thetas = theta_hat.reshape(-1, k)
+    thetas = theta_hat.reshape(-1, means.shape[-1])
     others = thetas.copy()
     others[at] = -np.inf
     # where intervals still overlap the ordering is uncertified
-    stay = (thetas[at] <= others.max(axis=1)) | _stays(thetas, t, k, delta)
+    stay = (thetas[at] <= others.max(axis=1)) | _stays(thetas, t, delta)
     return bool(stay[0]) if theta_hat.ndim == 1 else stay
 
 
@@ -215,7 +215,7 @@ def _certify(actions, rewards, b: int, k: int, delta: float, truth=None):
             continue
         c, t = at_c[rows, cols], times[cols]
         mu = at_s[rows, cols] / c
-        stay = check_phase(c, mu, t, k, delta) if truth is None else _stays(truth, t, k, delta)
+        stay = check_phase(c, mu, t, delta) if truth is None else _stays(truth, t, delta)
         # each rep's first passing boundary: the pairs run rep by rep
         hit, first = np.unique(rows[~stay], return_index=True)
         if not hit.size:

@@ -113,7 +113,7 @@ def reference_approx_delayed_start(means, n, b, seeds, delta, c=1.0):
                 if taus[r] is None and t >= 2 and min(counts[r]) >= 1:
                     mean_hat = [s / m for s, m in zip(sums[r], counts[r])]
                     if not check_phase(np.array(counts[r], dtype=float),
-                                       np.array(mean_hat), t, k, delta):
+                                       np.array(mean_hat), t, delta):
                         taus[r] = t
             if t == n:
                 break

@@ -47,7 +47,7 @@ def test_regret_curve_from_runs_equals_regret_curve():
     seeds = [derive_seed(4, "curve", "online", grid.n, grid.b, i) for i in range(50)]
     runs = run_online(UcbPolicy(4), env, grid.n, seeds).pseudo_regret
     got = RegretCurve.from_runs(runs)
-    want = regret_curve(UcbPolicy(4), env, "online", grid, 50, master_seed=4)
+    want = regret_curve(UcbPolicy(4), env, grid, 50, master_seed=4)
     assert got.reps == want.reps == 50
     assert got.values.tobytes() == want.values.tobytes()
     assert got.stderr.tobytes() == want.stderr.tobytes()

@@ -481,14 +481,14 @@ class TestRegretCurve:
     def test_best_fixed_arm_has_zero_curve(self):
         env = preset("env1")
         grid = make_grid(50, 5)
-        curve = regret_curve(FixedArmPolicy(2, 0), env, "batch", grid, reps=4)
+        curve = regret_curve(FixedArmPolicy(2, 0), env, grid, reps=4)
         assert np.all(curve.values == 0.0)
         assert np.all(curve.stderr == 0.0)
 
     def test_uniform_env1_rate_is_half_gap(self):
         env = preset("env1")
         grid = make_grid(400, 1)
-        curve = regret_curve(UniformPolicy(2), env, "online", grid,
+        curve = regret_curve(UniformPolicy(2), env, grid,
                              reps=400, master_seed=5)
         assert curve.values[-1] == pytest.approx(40.0, abs=0.5)
         mid = curve.values[199]
@@ -498,12 +498,7 @@ class TestRegretCurve:
         env = preset("env2")
         grid = make_grid(30, 1)
         policy = UcbPolicy(2)
-        curve = regret_curve(policy, env, "online", grid, reps=1, master_seed=9)
+        curve = regret_curve(policy, env, grid, reps=1, master_seed=9)
         seed = derive_seed(9, "curve", "online", 30, 1, 0)
         rec = run_online(UcbPolicy(2), env, 30, seed)
         assert np.array_equal(curve.values, rec.pseudo_regret)
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ConfigError):
-            regret_curve(UcbPolicy(2), preset("env1"), "sideways",
-                         make_grid(10, 1), reps=1)

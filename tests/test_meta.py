@@ -118,13 +118,13 @@ def test_pessimistic_instance_hand_case():
 
 def test_check_phase_stays_when_bound_weak():
     # pessimistic gap 0.14: bound at t=2000 is ~0.221, below 1/2
-    assert check_phase([1800, 200], [0.7, 0.3], 2000, 2, 0.01) is True
+    assert check_phase([1800, 200], [0.7, 0.3], 2000, 0.01) is True
     f, _ = bound_at(pessimistic_instance([1800, 200], [0.7, 0.3], 2000), 2000)
     assert f == pytest.approx(0.2211, abs=5e-5)
 
 
 def test_check_phase_certifies_clear_separation():
-    assert check_phase([5000, 5000], [0.9, 0.1], 10_000, 2, 0.01) is False
+    assert check_phase([5000, 5000], [0.9, 0.1], 10_000, 0.01) is False
     f, _ = bound_at(
         pessimistic_instance([5000, 5000], [0.9, 0.1], 10_000), 10_000
     )
@@ -133,11 +133,11 @@ def test_check_phase_certifies_clear_separation():
 
 def test_check_phase_delta_gate():
     # same strong separation but delta below 2k/t^2 forbids certification
-    assert check_phase([5000, 5000], [0.9, 0.1], 10_000, 2, 1e-9) is True
+    assert check_phase([5000, 5000], [0.9, 0.1], 10_000, 1e-9) is True
 
 
 def test_check_phase_overlapping_intervals_stay():
-    assert check_phase([10, 10], [0.55, 0.45], 100, 2, 0.01) is True
+    assert check_phase([10, 10], [0.55, 0.45], 100, 0.01) is True
 
 
 def test_check_phase_rows_match_single_checks():
@@ -145,8 +145,8 @@ def test_check_phase_rows_match_single_checks():
     counts = rng.integers(1, 400, size=(300, 3))
     means = rng.random((300, 3))
     for t in (50, 1600):
-        rows = check_phase(counts, means, t, 3, 0.01)
-        singles = [check_phase(c, m, t, 3, 0.01) for c, m in zip(counts, means)]
+        rows = check_phase(counts, means, t, 0.01)
+        singles = [check_phase(c, m, t, 0.01) for c, m in zip(counts, means)]
         assert rows.tolist() == singles
         assert np.array_equal(
             pessimistic_instance(counts, means, t),
@@ -160,9 +160,9 @@ def test_check_phase_per_row_times_match_single_checks():
     counts = rng.integers(1, 400, size=(200, 3))
     means = rng.random((200, 3))
     times = rng.integers(2, 3000, size=200)
-    rows = check_phase(counts, means, times, 3, 0.01)
+    rows = check_phase(counts, means, times, 0.01)
     assert rows.tolist() == [
-        check_phase(c, m, int(t), 3, 0.01) for c, m, t in zip(counts, means, times)
+        check_phase(c, m, int(t), 0.01) for c, m, t in zip(counts, means, times)
     ]
     assert 0 < (~rows).sum() < rows.size
     assert np.array_equal(
@@ -170,18 +170,23 @@ def test_check_phase_per_row_times_match_single_checks():
         np.stack([pessimistic_instance(c, m, int(t)) for c, m, t in zip(counts, means, times)]),
     )
     with pytest.raises(ValueError):
-        check_phase(counts, means, times[:5], 3, 0.01)
+        check_phase(counts, means, times[:5], 0.01)
     with pytest.raises(ValueError):
-        check_phase(counts[0], means[0], times[:1], 3, 0.01)
+        check_phase(counts[0], means[0], times[:1], 0.01)
 
 
 def test_check_phase_errors():
     with pytest.raises(InsufficientDataError):
-        check_phase([5, 0], [0.5, 0.5], 100, 2, 0.01)
+        check_phase([5, 0], [0.5, 0.5], 100, 0.01)
     with pytest.raises(ValueError):
-        check_phase([5, 5], [0.5, 0.4], 1, 2, 0.01)
+        check_phase([5, 5], [0.5, 0.4], 1, 0.01)
     with pytest.raises(ValueError):
-        check_phase([5, 5], [0.5, 0.4], 100, 2, 1.5)
+        check_phase([5, 5], [0.5, 0.4], 100, 1.5)
+
+
+def test_check_phase_rejects_counts_and_means_of_different_arm_counts():
+    with pytest.raises(ValueError, match="matching"):
+        check_phase([5, 5], [0.5, 0.4, 0.1], 100, 0.01)
 
 
 # ---------------------------------------------------------------- delayed start (oracle bound)
@@ -350,7 +355,7 @@ def scan_certification(actions, rewards, b, k, delta, truth=None):
                 continue
             means = sums / counts
             if truth is None:
-                if not check_phase(counts, means, t, k, delta):
+                if not check_phase(counts, means, t, delta):
                     found = (t, counts.copy(), means, pessimistic_instance(counts, means, t))
                     break
             elif MonotoneBound(truth).aggregate(t) > 1.0 / k and 2.0 * k / (t * t) < delta:
