@@ -232,9 +232,10 @@ def _map(fn, payloads, threads: int) -> list:
 
 
 def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_from) -> str:
-    if mode == "plain":
-        return f"{env}|{policy}|{mode}|{n}|{b}"
-    return f"{env}|{policy}|{mode}|{n}|{b}|{delta!r}|{bound_from}"
+    """Seed key of a cell: ``delta`` and ``bound_from`` enter it only in the
+    mode that reads them."""
+    key = f"{env}|{policy}|{mode}|{n}|{b}"
+    return f"{key}|{delta!r}|{bound_from}" if mode == "approx_delayed_start" else key
 
 
 def _run_cell(payload):

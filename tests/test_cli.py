@@ -98,6 +98,18 @@ class TestSimulate:
         assert row[1] == "approx_delayed_start(ucb)"
         assert row[-1] != ""
 
+    def test_delta_and_bound_leave_oracle_delayed_start_unchanged(self, tmp_path):
+        # only the certified start reads --delta and --bound
+        outs = []
+        for delta, bound in (("0.01", "instance"), ("0.05", "oracle")):
+            d = tmp_path / bound
+            assert main(["simulate", "--env", "env3", "--policy", "ucb", "--n", "400",
+                         "--b", "10", "--reps", "8", "--mode", "delayed_start",
+                         "--delta", delta, "--bound", bound, "--threads", "1",
+                         "--out-dir", str(d)]) == 0
+            outs.append([(d / f).read_bytes() for f in ("results.csv", "curves.csv")])
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("value,envs", [
         ("0.7,0.5", ["0.7,0.5"]),
         ("0.7,0.5;env3", ["0.7,0.5", "env3"]),

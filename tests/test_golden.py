@@ -45,8 +45,8 @@ CASES = {
     "delayed_start": (
         ["simulate", "--mode", "delayed_start", *DELAYED],
         0,
-        {"results.csv": "44c873055200bf1205384ae462d454b42caf0f7f481639881d86a9b4d89379a0",
-         "curves.csv": "f4727f4a95d54760e9d4b54b4e423e4b27b0a956399393436df450eddd365e6f"},
+        {"results.csv": "f2abf2f2aa34fe5a30238191fc0529a59dc0d0dbd97ae8666ebaad9006b04d3c",
+         "curves.csv": "14c728edeb507352223f197e1cd5fee8f9ab87e384db85045132ecffcb2fe3d3"},
     ),
     "approx_delayed_start": (
         ["simulate", "--mode", "approx_delayed_start", *DELAYED],
@@ -163,7 +163,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = {
     "assumption_audit": "14590e6a85e463918c753fed489ee848ef869a2d3f7d3d328a538e4664aa337a",
     "batch_effect": "d053f9253706810b812b14d5aea72dd643c45cf7ba39e2e4e72f13d13839ca3d",
-    "delayed_start": "799c1db83b70161d44e4886d4f098328c1773c4d5151bfe7d3192f7942366355",
+    "delayed_start": "216defecee31d0f04deba7c9dbd5df9814f652c8f2f4f61ce6a0f6d2b0e9cbf5",
     "offline_replay": "54bb547fb35d12e8abfed125f3f4168667ff180030df7838fe59e98389552ecd",
     "theorem_sandwich": "c73aba44ad689890903daa8c3b1caeec662a3a529043320a1ae4e87744a4eaf5",
 }
