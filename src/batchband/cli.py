@@ -54,6 +54,7 @@ from .harness import (
     resolve_threads,
     run_experiment,
 )
+from .meta import MonotoneBound
 from .plotting import curves_csv_to_plot_data, table_to_plot_data, write_plot_svg
 from .policies import POLICY_NAMES, make_policy
 from .replay import check_uniform_log, relative_cr, replay_evaluate, write_replay_csv
@@ -317,6 +318,8 @@ def cmd_check_assumptions(args) -> int:
         if not ok:
             flag_name = "--" + flag.replace("_", "-")
             raise ConfigError(f"check-assumptions needs {flag_name} {need}, got {opts[flag]}")
+    if name == "ucb":
+        MonotoneBound(env.means)  # the envelope check needs a unique best arm
     policy = _cell_policy(name, env, n, params)
     rows = []
 

@@ -14,8 +14,8 @@ reduction walks cells in configured order.
 sandwich for a batch specification: the online regret R_n, the batch
 regret R_n(b), and b times the online regret over the number of batches
 M, read off the same online run at step M.  Each inequality gets a
-2-standard-error verdict; the gate passes on the upper bound and the
-non-strict lower bound.
+2-standard-error verdict, and its gate passes unless that verdict is
+``violated``.
 """
 
 from __future__ import annotations

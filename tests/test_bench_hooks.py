@@ -2,7 +2,8 @@
 
 ``bench/spans.py`` and ``bench/run_bench.py`` replace attributes looked up
 as ``owner.__dict__[attr]``, so a refactor that renames or moves one of
-them would make every benchmark run fail with a KeyError.
+them would make every benchmark run fail with a KeyError.  Every run also
+starts with ``bench/checks.py``'s naive-UCB check, which must pass.
 """
 
 import importlib.util
@@ -25,3 +26,10 @@ def test_every_bench_hook_names_an_attribute_of_its_owner():
     points += _load("run_bench").PieceTimer._points()
     missing = [f"{getattr(o, '__name__', o)}.{a}" for o, a in points if a not in vars(o)]
     assert points and not missing
+
+
+def test_bench_correctness_check_passes():
+    # every benchmark run starts with this check; a broken lone run fails them all
+    cases = _load("run_bench").naive_cases(7, True)
+    total, failed, problems = _load("checks").check_naive_ucb(cases)
+    assert (total, failed) == (4, 0), problems

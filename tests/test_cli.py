@@ -136,14 +136,18 @@ class TestSimulate:
         (["--mode", "delayed_start", "--env", "0.5,0.5"], "unique best arm"),
         (["--policy", "ucb", "--ucb-c", "nan"], "exploration constant"),
         (["--policy", "ucb", "--ucb-c", "inf"], "exploration constant"),
+        (["--n", "abc"], "bad integer 'abc'"),
+        (["--b", "1,x"], "bad integer list '1,x'"),
+        (["--delta", "abc"], "bad number 'abc'"),
     ])
     def test_unrunnable_cell_exits_2_before_any_cell_runs(
         self, tmp_path, capsys, monkeypatch, flags, message
     ):
         ran = []
         monkeypatch.setattr(harness, "_run_cell", ran.append)
-        rc = main(["simulate", *flags, "--n", "20", "--b", "5", "--reps", "2",
-                   "--threads", "1", "--out-dir", str(tmp_path)])
+        # the case's flags come last, so they override the defaults given here
+        rc = main(["simulate", "--n", "20", "--b", "5", "--reps", "2",
+                   "--threads", "1", "--out-dir", str(tmp_path), *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert ran == [] and not list(tmp_path.glob("*.csv"))
@@ -205,6 +209,14 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    def test_bad_boolean_rejected(self, tmp_path, capsys):
+        # --plot is a switch, so only a file can give it a value to reject
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[simulate]\nplot = maybe\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "bad boolean 'maybe'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 # two or more valid texts for each simulate field; a flag --plot is always True
@@ -322,6 +334,7 @@ class TestCheckAssumptions:
         (["--env", "env6", "--n", "4"], "--n above the arm count 4 for the averaging check, got 4"),
         (["--n", "2"], "--n above the arm count 2 for the averaging check, got 2"),
         (["--reps", "1"], "--reps >= 2 for standard errors, got 1"),
+        (["--env", "0.5,0.5"], "bound needs a unique best arm"),
     ])
     def test_bad_flag_exits_2_before_any_check(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -390,6 +403,9 @@ class TestReplay:
          "line 3: ts needs rewards in [0, 1]"),
         ("action,reward,logging_prob\n0,1.0,0.5\n1,1.5,0.5\n", ["--policy", "ucb,ts"],
          "line 3: ts needs rewards in [0, 1]"),
+        # an empty --data overrides the test's own, as if none were given
+        ("action,reward,logging_prob\n0,1.0,0.5\n", ["--data", ""],
+         "replay needs --data"),
     ])
     def test_bad_log_exits_2_before_any_replay(
         self, tmp_path, monkeypatch, capsys, text, flags, message
