@@ -5,10 +5,11 @@
 ``(master_seed, cell key, rep index)``, and aggregates into a
 ``RegretTable``.  Where a policy draws, a cell simulates whole blocks of
 reps and drops the surplus, so its first ``reps`` trajectories do not
-depend on ``reps``.  Work is split per cell over ``threads`` working
-processes, the caller included (see ``_map``); any thread count produces
-byte-identical output because seeds never depend on scheduling and the
-reduction walks cells in configured order.
+depend on ``reps``.  Plain cells of one batch size and equal policies
+share an engine call, in configured order, up to ``STACK_REPS`` simulated
+reps.  Work is split per engine call over ``threads`` working processes,
+the caller included (see ``_map``); any thread count produces
+byte-identical output because seeds never depend on scheduling or stacking.
 
 ``check_theorem_bounds`` estimates the three quantities of the regret
 sandwich for a batch specification: the online regret R_n, the batch
@@ -238,19 +239,21 @@ def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_fro
     return f"{key}|{delta!r}|{bound_from}" if mode == "approx_delayed_start" else key
 
 
-def _run_cell(payload):
-    """One cell's repetitions as one lockstep engine call; module-level so
-    process pools can pickle it."""
-    (env_spec, policy_name, params, n, b, reps, master_seed, mode, delta, bound_from) = payload
-    env = parse_env(env_spec)
+def _run_cell(group):
+    """A ``CellResult`` per cell of ``group`` (one policy and batch size, so
+    one ``sim``) from one engine call; module-level so pools can pickle it."""
+    stack, seeds = [], []
+    for env_spec, policy_name, params, n, b, reps, master_seed, mode, delta, bound_from in group:
+        env = parse_env(env_spec)
+        key = _cell_key(env_spec, policy_name, mode, n, b, delta, bound_from)
+        policy = _cell_policy(policy_name, env, n, params)
+        # the delayed starts' first phase is uniform play, which draws
+        sim = whole_blocks(reps) if policy.draws or mode != "plain" else reps
+        stack.append((env, sim))
+        seeds += [derive_seed(master_seed, key, i) for i in range(sim)]
     grid = make_grid(n, b)
-    key = _cell_key(env_spec, policy_name, mode, n, b, delta, bound_from)
-    policy = _cell_policy(policy_name, env, n, params)
-    # the delayed starts' first phase is uniform play, which draws
-    sim = whole_blocks(reps) if policy.draws or mode != "plain" else reps
-    seeds = [derive_seed(master_seed, key, i) for i in range(sim)]
     if mode == "plain":
-        run = run_batch(policy, env, grid, seeds)
+        run = run_batch(policy, tuple(stack), grid, seeds)
     elif mode == "delayed_start":
         run = delayed_start_run(
             policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid, seeds,
@@ -260,31 +263,46 @@ def _run_cell(payload):
             policy, env, grid, delta, seeds, bound_from=bound_from,
         )
 
-    curve_mean, curve_stderr = _mean_se(run.pseudo_regret[:reps], axis=0)
-    taus = [] if run.phases is None else [p.tau_hat for p in run.phases[:reps]]
-    done = [t for t in taus if t is not None]
-    return CellResult(
-        env=env_spec, policy=run.policy, spec=run.spec, b=b, n=grid.n, reps=reps,
-        mean_final=float(curve_mean[-1]), stderr_final=float(curve_stderr[-1]),
-        opt_frac=float((run.optimal_pulls[:reps] / grid.n).mean()),
-        mean_pull_counts=run.pull_counts[:reps].sum(axis=0) / reps,
-        tau_mean=float(np.mean(done)) if done else None,
-        tau_none=len(taus) - len(done) if mode != "plain" else None,
-        curve_mean=curve_mean, curve_stderr=curve_stderr,
-    )
+    results, opt = [], run.optimal_pulls
+    for i, (env_spec, *_) in enumerate(group):
+        lo, hi = i * sim, i * sim + reps
+        curve_mean, curve_stderr = _mean_se(run.pseudo_regret[lo:hi], axis=0)
+        taus = [] if run.phases is None else [p.tau_hat for p in run.phases[lo:hi]]
+        done = [t for t in taus if t is not None]
+        results.append(CellResult(
+            env=env_spec, policy=run.policy, spec=run.spec, b=b, n=grid.n, reps=reps,
+            mean_final=float(curve_mean[-1]), stderr_final=float(curve_stderr[-1]),
+            opt_frac=float((opt[lo:hi] / grid.n).mean()),
+            mean_pull_counts=run.pull_counts[lo:hi].sum(axis=0) / reps,
+            tau_mean=float(np.mean(done)) if done else None,
+            tau_none=len(taus) - len(done) if mode != "plain" else None,
+            curve_mean=curve_mean, curve_stderr=curve_stderr,
+        ))
+    return results
+
+
+# An engine call costs mostly per batch up to about 128 reps, so stacking larger
+# cells saves nothing; the cap keeps a stack's memory that of one 256-rep cell.
+STACK_REPS = 16 * BLOCK_REPS
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
     """Run every configured cell and aggregate; output is thread-invariant."""
     config.validate()
-    payloads = [
-        (
-            e, p, config.policy_params.get(p, {}), config.n, b, config.reps,
-            config.master_seed, config.mode, config.delta, config.bound_from,
-        )
-        for (e, p, b) in config.cells()
-    ]
-    return RegretTable(rows=_map(_run_cell, payloads, threads), config=config)
+    stacks: dict = {}
+    for e, p, b in config.cells():
+        policy = _cell_policy(p, parse_env(e), config.n, config.policy_params.get(p, {}))
+        sim = whole_blocks(config.reps) if policy.draws else config.reps
+        per = max(1, STACK_REPS // sim) if config.mode == "plain" else 1
+        runs = stacks.setdefault((policy, b), [[]])
+        if len(runs[-1]) == per:
+            runs.append([])
+        runs[-1].append((e, p, config.policy_params.get(p, {}), config.n, b, config.reps,
+                         config.master_seed, config.mode, config.delta, config.bound_from))
+    groups = [group for runs in stacks.values() for group in runs]
+    results = _map(_run_cell, groups, threads)
+    rows = {(c[0], c[1], c[4]): r for g, rs in zip(groups, results) for c, r in zip(g, rs)}
+    return RegretTable(rows=[rows[cell] for cell in config.cells()], config=config)
 
 
 @dataclass(eq=False)

@@ -24,10 +24,10 @@ depends on the other reps of its block, never on reps outside it.
 Callers that report ``reps`` results from a drawing policy therefore
 simulate ``whole_blocks(reps)`` reps and drop the surplus.
 ``run_online``, ``run_batch`` and ``run_short`` call the engine with one
-seed or many.  The delayed-start runners in ``meta`` play their first
-phase as a plain run of the naive policy, decide each rep's hand-over
-from it, and pass the engine that run's actions as a prefix with the
-per-rep hand-over steps.
+seed or many, on one environment or a stack.  The delayed-start runners
+in ``meta`` play their first phase as a plain run of the naive policy,
+decide each rep's hand-over from it, and pass the engine that run's
+actions as a prefix with the per-rep hand-over steps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BatchGrid, DimensionMismatchError, derive_seed, make_grid
-from .environments import LinearContextualEnv, block_features
+from .environments import BernoulliEnv, LinearContextualEnv, block_features
 from .policies import BLOCK_REPS, rep_bincount
 
 OPT_TOL = 1e-12
@@ -153,6 +153,11 @@ def _spec_tag(visibility: str, b: int) -> str:
     return "online" if b == 1 else "batch"
 
 
+def _at_arms(table, acts, offsets):
+    """``table`` at each rep's arms; a stack's reps read their own rows."""
+    return table[acts] if offsets is None else table[acts + offsets]
+
+
 def run_lockstep(
     policy,
     env,
@@ -182,10 +187,20 @@ def run_lockstep(
     drawing from ``block_streams(seeds, "candidate")``.  Everything before
     the earliest hand-over is copied in one step.  Two-phase runs use batch
     feedback on a finite-armed environment.
+
+    ``env`` may also be a stack, a tuple of ``(env, reps)`` pairs of
+    Bernoulli envs of one arm count and no ``prefix``: the first ``reps``
+    seeds play the first env, and so on, each rep as in its own env's run.
     """
     if visibility not in ("batch", "short"):
         raise ValueError(f"unknown visibility {visibility!r}")
+    stack = env if isinstance(env, tuple) else ((env, len(seeds)),)
+    env = stack[0][0]
     check_arms(policy, env)
+    if len(stack) > 1 and (prefix is not None or sum(r for _, r in stack) != len(seeds) or any(
+            not isinstance(e, BernoulliEnv) or e.k != env.k for e, _ in stack)):
+        raise ValueError("a stack of environments takes Bernoulli envs of one arm count, "
+                         "one seed per rep and no prefix")
     contextual = isinstance(env, LinearContextualEnv)
     if prefix is not None and (contextual or visibility != "batch"):
         raise ValueError("a two-phase run needs batch feedback on a finite-armed environment")
@@ -199,9 +214,14 @@ def run_lockstep(
         contexts = np.empty((reps, n, env.context_dim))
         chosen = np.empty((reps, n, env.dim))
     else:
-        uniforms = np.empty((reps, n))
+        uniforms = rewards  # each uniform is read once, then overwritten by its reward
         for rng, row in zip(rngs, uniforms):
             rng.random(out=row)
+        means, gaps, offsets = env.means, env.gap_vector(), None
+        if len(stack) > 1:
+            offsets = np.arange(0, reps * k, k)[:, None]
+            means = np.concatenate([np.tile(e.means, r) for e, r in stack])
+            gaps = np.concatenate([np.tile(e.gap_vector(), r) for e, r in stack])
         tag = "policy" if prefix is None else "candidate"
         streams = block_streams(seeds, tag) if policy.draws else None
     all_rows = np.arange(reps)
@@ -244,7 +264,7 @@ def run_lockstep(
                 acts = head[:, lo:hi].copy()
                 rows = np.flatnonzero(until <= lo)
                 acts[rows] = policy.act_reps(state, b, streams, rows)
-            rews = (uniforms[:, lo:hi] < env.means[acts]).astype(float)
+            rews = (uniforms[:, lo:hi] < _at_arms(means, acts, offsets)).astype(float)
             actions[:, lo:hi] = acts
             rewards[:, lo:hi] = rews
 
@@ -257,7 +277,7 @@ def run_lockstep(
         lo = split * b
         acts = policy.act_reps(state, b, streams, all_rows, batches=M - split)
         actions[:, lo:] = acts
-        rewards[:, lo:] = uniforms[:, lo:] < env.means[acts]
+        rewards[:, lo:] = uniforms[:, lo:] < _at_arms(means, acts, offsets)
 
     if contextual:
         # one (b, p) @ (p, k) product per batch: BLAS may round a product
@@ -268,7 +288,7 @@ def run_lockstep(
         deltas = best - played
         opt = played >= best - OPT_TOL
     else:
-        deltas = env.gap_vector()[actions]
+        deltas = _at_arms(gaps, actions, offsets)
         opt = deltas == 0.0
     return RunSet(
         spec=_spec_tag(visibility, b),
@@ -277,9 +297,9 @@ def run_lockstep(
         b=b,
         seeds=list(seeds),
         actions=actions,
-        pseudo_regret=np.cumsum(deltas, axis=1),
-        optimal_hits=np.cumsum(opt, axis=1),
         pull_counts=rep_bincount(actions, k),
+        pseudo_regret=np.cumsum(deltas, axis=1, out=deltas),
+        optimal_hits=np.cumsum(opt, axis=1),
         rewards=rewards,
         tau=tau,
         features=chosen if contextual else None,

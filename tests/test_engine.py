@@ -26,7 +26,7 @@ from batchband.policies import (
     UcbPolicy,
     UniformPolicy,
 )
-from batchband.specifications import BLOCK_REPS, run_batch, run_online, run_short
+from batchband.specifications import BLOCK_REPS, run_batch, run_lockstep, run_online, run_short
 
 N = 96
 SWITCH_T = 40
@@ -154,6 +154,37 @@ def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, blocks, b, m
     for field in fields:
         assert np.array_equal(getattr(head, field), getattr(run, field)[:whole])
         assert np.array_equal(getattr(tail, field), getattr(run, field)[BLOCK_REPS:])
+
+
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("env_names", [("env1", "env2", "env3"), ("env4", "env5", "env6")])
+@pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "fixed", "two_phase"])
+def test_a_stack_of_envs_equals_lone_env_runs(name, env_names, b):
+    # whole blocks per env, so a drawing policy's blocks hold one env's reps
+    envs = [preset(e) for e in env_names]
+    sizes = (BLOCK_REPS, 2 * BLOCK_REPS, BLOCK_REPS)
+    grid = make_grid(N, b)
+    policy = make(name, envs[0])
+    seeds = [derive_seed(29, "stack", name, b, i) for i in range(sum(sizes))]
+    run = run_batch(policy, tuple(zip(envs, sizes)), grid, seeds)
+    lo = 0
+    for env, size in zip(envs, sizes):
+        lone = run_batch(policy, env, grid, seeds[lo : lo + size])
+        for field in ("actions", "rewards", "pseudo_regret", "optimal_hits", "pull_counts"):
+            assert np.array_equal(getattr(run, field)[lo : lo + size], getattr(lone, field))
+        lo += size
+
+
+@pytest.mark.parametrize("second,prefix", [
+    (preset("env2"), True),
+    (make_linear_env(2, 2, seed=1), False),
+], ids=["prefix", "contextual"])
+def test_a_stack_with_a_prefix_or_a_contextual_env_raises(second, prefix):
+    grid = make_grid(8, 4)
+    head = (np.zeros((4, 8), dtype=np.int64), np.full(4, 4)) if prefix else None
+    with pytest.raises(ValueError, match="a stack of environments takes Bernoulli envs"):
+        run_lockstep(UcbPolicy(2), ((preset("env1"), 2), (second, 2)), grid, [1, 2, 3, 4],
+                     prefix=head)
 
 
 @pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])

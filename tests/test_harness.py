@@ -6,6 +6,7 @@ import csv
 import os
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,35 @@ class TestRunExperiment:
         ]
         specs = [r.spec for r in table.rows]
         assert specs == ["online", "batch", "online", "batch"]
+
+    @pytest.mark.parametrize("reps", [10, 100])
+    def test_stacked_cells_equal_one_env_runs(self, reps):
+        # at reps=100 a stack holds two cells, so the four 2-armed envs split
+        envs = ("env1", "env2", "env3", "env4", "0.6,0.4")
+        cfg = small_config(envs=envs, policies=("ucb", "ts", "uniform", "two_phase"), reps=reps)
+        lone = [r for e in envs for r in run_experiment(replace(cfg, envs=(e,))).rows]
+        assert [_fields(r) for r in run_experiment(cfg).rows] == [_fields(r) for r in lone]
+
+    @pytest.mark.parametrize("reps,calls", [(10, 28), (300, 84)])
+    def test_cells_of_one_policy_and_batch_size_share_an_engine_call(
+        self, monkeypatch, reps, calls
+    ):
+        stacks = []
+
+        def spy(policy, env, grid, seeds):
+            stacks.append((len(env), len(seeds)))
+            return run_batch(policy, env, grid, seeds)
+
+        monkeypatch.setattr(harness, "run_batch", spy)
+        cfg = small_config(envs=("env1", "env2", "env3", "env4", "env5", "env6"),
+                           policies=("ucb", "ts"), n=64,
+                           batch_sizes=(1, 2, 4, 8, 16, 32, 64), reps=reps)
+        assert len(run_experiment(cfg).rows) == 84
+        assert len(stacks) == calls
+        if reps == 10:
+            assert all(cells == 3 and seeds <= harness.STACK_REPS for cells, seeds in stacks)
+        else:
+            assert all(cells == 1 for cells, _ in stacks)
 
     def test_results_csv_bytes_stable_across_runs(self, tmp_path):
         cfg = small_config()
@@ -451,6 +481,11 @@ def _table_outputs(table):
     ]
 
 
+def _fields(row):
+    """Every field of a ``CellResult``, arrays as their bytes."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(row).items()}
+
+
 def _bound_outputs(report):
     return [report.mean_online, report.se_online, report.mean_batch, report.se_batch,
             report.mean_m, report.se_m]
@@ -466,7 +501,9 @@ def _bound_outputs(report):
 def test_outputs_do_not_depend_on_threads(policy, mode, reps, seed):
     # every example starts pools; rep counts that are not whole blocks make
     # the last chunk pad its block
-    cfg = small_config(policies=(policy, "ucb"), mode=mode, reps=reps, master_seed=seed)
+    # env1 and env2 stack in plain mode, env4 has more arms
+    cfg = small_config(envs=("env1", "env2", "env4"), policies=(policy, "ucb"), mode=mode,
+                       reps=reps, master_seed=seed)
     tables = [_table_outputs(run_experiment(cfg, threads=t)) for t in (1, 2, 3)]
     assert tables[0] == tables[1] == tables[2]
     bounds = [
