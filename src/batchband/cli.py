@@ -240,12 +240,13 @@ def _write(out_dir: str, name: str, write) -> None:
     print(f"wrote {path}")
 
 
-def _hyper_params(opts: dict) -> dict:
+def _hyper_params(opts: dict, policies) -> dict:
     params: dict = {}
-    if opts.get("ucb_c") is not None:
-        params.setdefault("ucb", {})["ucb_c"] = opts["ucb_c"]
-    if opts.get("switch_t") is not None:
-        params.setdefault("two_phase", {})["switch_t"] = opts["switch_t"]
+    for key, name in (("ucb_c", "ucb"), ("switch_t", "two_phase")):
+        if opts.get(key) is not None:
+            if name not in policies:
+                raise ConfigError(f"--{key.replace('_', '-')} applies to {name} only")
+            params[name] = {key: opts[key]}
     return params
 
 
@@ -261,7 +262,7 @@ def cmd_simulate(args) -> int:
         mode=opts["mode"],
         delta=opts["delta"],
         bound_from=opts["bound"],
-        policy_params=_hyper_params(opts),
+        policy_params=_hyper_params(opts, opts["policy"]),
     )
     threads = resolve_threads(opts["threads"])
     print(f"# threads_resolved = {threads}")
@@ -278,7 +279,7 @@ def cmd_check_bounds(args) -> int:
     opts = _resolve(args, BOUNDS_FIELDS, "check-bounds")
     threads = resolve_threads(opts["threads"])
     print(f"# threads_resolved = {threads}")
-    params = _hyper_params(opts).get(opts["policy"], {})
+    params = _hyper_params(opts, (opts["policy"],)).get(opts["policy"], {})
     report = check_theorem_bounds(
         opts["policy"], opts["env"], opts["n"], opts["b"], opts["reps"],
         master_seed=opts["seed"], policy_params=params, threads=threads,
@@ -306,7 +307,7 @@ def cmd_check_assumptions(args) -> int:
     env_spec = opts["env"]
     env = parse_env(env_spec)
     name = opts["policy"]
-    params = _hyper_params(opts).get(name, {})
+    params = _hyper_params(opts, (name,)).get(name, {})
     n, reps, seed = opts["n"], opts["reps"], opts["seed"]
     for flag, ok, need in (
         ("reps", reps >= 2, ">= 2 for standard errors"),
@@ -398,7 +399,7 @@ def cmd_replay(args) -> int:
     k = round(1.0 / data.probs[0])
     if k < 2:
         raise DataError(f"line 2: logging_prob {data.probs[0]} is not 1/k for any k >= 2")
-    hyper = _hyper_params(opts)
+    hyper = _hyper_params(opts, (*opts["policy"], opts["baseline"]))
     _reject_repeats("policy", opts["policy"])
     _reject_repeats("batch size", opts["b"])
     if min(opts["b"]) < 1:

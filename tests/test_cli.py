@@ -139,6 +139,8 @@ class TestSimulate:
         (["--n", "abc"], "bad integer 'abc'"),
         (["--b", "1,x"], "bad integer list '1,x'"),
         (["--delta", "abc"], "bad number 'abc'"),
+        (["--policy", "ts", "--ucb-c", "5"], "--ucb-c applies to ucb"),
+        (["--policy", "ucb,ts", "--switch-t", "3"], "--switch-t applies to two_phase"),
     ])
     def test_unrunnable_cell_exits_2_before_any_cell_runs(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -201,6 +203,13 @@ class TestConfigFile:
                      "--out-dir", str(d)]) == 0
         with open(d / "results.csv", newline="") as fh:
             assert [row[0] for row in list(csv.reader(fh))[1:]] == ["0.7,0.5", "env3"]
+
+    def test_unread_option_from_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[check-bounds]\npolicy = ts\nucb_c = 2\n")
+        assert main(["check-bounds", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "--ucb-c applies to ucb" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -301,6 +310,19 @@ class TestCheckBounds:
     def test_batch_one_exits_2(self, tmp_path):
         assert main(["check-bounds", "--b", "1", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--policy", "ts", "--switch-t", "3"], "--switch-t applies to two_phase"),
+        (["--policy", "two_phase", "--ucb-c", "2"], "--ucb-c applies to ucb"),
+    ])
+    def test_unread_option_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        monkeypatch.setattr(cli, "check_theorem_bounds", lambda *a, **kw: pytest.fail("ran"))
+        rc = main(["check-bounds", *flags, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_adversarial_two_phase_exits_1(self, tmp_path):
         rc = main(["check-bounds", "--policy", "two_phase", "--env", "env2",
                    "--n", "20", "--b", "5", "--reps", "2", "--switch-t", "8",
@@ -335,6 +357,8 @@ class TestCheckAssumptions:
         (["--n", "2"], "--n above the arm count 2 for the averaging check, got 2"),
         (["--reps", "1"], "--reps >= 2 for standard errors, got 1"),
         (["--env", "0.5,0.5"], "bound needs a unique best arm"),
+        (["--policy", "ts", "--ucb-c", "5"], "--ucb-c applies to ucb"),
+        (["--switch-t", "3"], "--switch-t applies to two_phase"),
     ])
     def test_bad_flag_exits_2_before_any_check(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -365,6 +389,11 @@ class TestReplay:
         assert lines[0] == "policy,b,matched,successes,cr,relative_cr"
         assert len(lines) == 4
         assert lines[1].startswith("baseline(uniform),1,")
+
+    def test_ucb_c_reaches_a_ucb_baseline(self, tmp_path, logs):
+        rc = main(["replay", "--data", str(logs), "--policy", "ts", "--baseline", "ucb",
+                   "--ucb-c", "2", "--out-dir", str(tmp_path)])
+        assert rc == 0
 
     def test_baseline_none_skips_relative(self, tmp_path, logs):
         rc = main(["replay", "--data", str(logs), "--policy", "ucb",
@@ -465,6 +494,8 @@ class TestReplay:
     @pytest.mark.parametrize("flags, message", [
         (["--policy", "ucb,fixed"], "fixed needs fixed_arm"),
         (["--policy", "ucb", "--baseline", "two_phase"], "two_phase needs environment means"),
+        (["--policy", "ts", "--ucb-c", "2"], "--ucb-c applies to ucb"),
+        (["--policy", "ts", "--baseline", "none", "--ucb-c", "2"], "--ucb-c applies to ucb"),
     ])
     def test_unbuildable_policy_exits_2_before_any_replay(
         self, tmp_path, logs, monkeypatch, capsys, flags, message
