@@ -5,10 +5,9 @@
 ``(master_seed, cell key, rep index)``, and aggregates into a
 ``RegretTable``.  Where a policy draws, a cell simulates whole blocks of
 reps and drops the surplus, so its first ``reps`` trajectories do not
-depend on ``reps``.  Plain cells of one batch size and equal policies
-share an engine call, in configured order, up to ``STACK_REPS`` simulated
-reps.  Work is split per engine call over ``threads`` working processes,
-the caller included (see ``_map``); any thread count produces
+depend on ``reps``.  Plain cells of equal policy and batch size share
+engine calls (``STACK_REPS``), which are split over ``threads`` working
+processes, the caller included (see ``_map``); any thread count produces
 byte-identical output because seeds never depend on scheduling or stacking.
 
 ``check_theorem_bounds`` estimates the three quantities of the regret
@@ -281,8 +280,7 @@ def _run_cell(group):
     return results
 
 
-# An engine call costs mostly per batch up to about 128 reps, so stacking larger
-# cells saves nothing; the cap keeps a stack's memory that of one 256-rep cell.
+# Above about 128 reps a call costs mostly per rep; the cap bounds a stack's memory.
 STACK_REPS = 16 * BLOCK_REPS
 
 

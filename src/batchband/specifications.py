@@ -279,6 +279,8 @@ def run_lockstep(
         actions[:, lo:] = acts
         rewards[:, lo:] = uniforms[:, lo:] < _at_arms(means, acts, offsets)
 
+    # reduce in place, in the order that holds the fewest (reps, n) arrays
+    pull_counts = rep_bincount(actions, k)
     if contextual:
         # one (b, p) @ (p, k) product per batch: BLAS may round a product
         # differently when its shape changes
@@ -286,10 +288,10 @@ def run_lockstep(
         best = means.max(axis=2)
         played = np.take_along_axis(means, actions[..., None], axis=2)[..., 0]
         deltas = best - played
-        opt = played >= best - OPT_TOL
+        opt = (played >= best - OPT_TOL).astype(np.int64)
     else:
         deltas = _at_arms(gaps, actions, offsets)
-        opt = deltas == 0.0
+        opt = (deltas == 0.0).astype(np.int64)
     return RunSet(
         spec=_spec_tag(visibility, b),
         policy=policy.name,
@@ -297,9 +299,9 @@ def run_lockstep(
         b=b,
         seeds=list(seeds),
         actions=actions,
-        pull_counts=rep_bincount(actions, k),
         pseudo_regret=np.cumsum(deltas, axis=1, out=deltas),
-        optimal_hits=np.cumsum(opt, axis=1),
+        optimal_hits=np.cumsum(opt, axis=1, out=opt),
+        pull_counts=pull_counts,
         rewards=rewards,
         tau=tau,
         features=chosen if contextual else None,
