@@ -5,10 +5,11 @@
 ``(master_seed, cell key, rep index)``, and aggregates into a
 ``RegretTable``.  Where a policy draws, a cell simulates whole blocks of
 reps and drops the surplus, so its first ``reps`` trajectories do not
-depend on ``reps``.  Plain cells of equal policy and batch size share
-engine calls (``STACK_REPS``), which are split over ``threads`` working
-processes, the caller included (see ``_map``); any thread count produces
-byte-identical output because seeds never depend on scheduling or stacking.
+depend on ``reps``.  At one thread, plain cells of equal policy and batch
+size share engine calls (``STACK_STEPS``); over more, cells are split over
+``threads`` working processes, the caller included (see ``_map``).  Any
+thread count produces byte-identical output because seeds never depend on
+scheduling or stacking.
 
 ``check_theorem_bounds`` estimates the three quantities of the regret
 sandwich for a batch specification: the online regret R_n, the batch
@@ -239,20 +240,17 @@ def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_fro
 
 
 def _run_cell(group):
-    """A ``CellResult`` per cell of ``group`` (one policy and batch size, so
-    one ``sim``) from one engine call; module-level so pools can pickle it."""
-    stack, seeds = [], []
-    for env_spec, policy_name, params, n, b, reps, master_seed, mode, delta, bound_from in group:
-        env = parse_env(env_spec)
-        key = _cell_key(env_spec, policy_name, mode, n, b, delta, bound_from)
-        policy = _cell_policy(policy_name, env, n, params)
-        # the delayed starts' first phase is uniform play, which draws
-        sim = whole_blocks(reps) if policy.draws or mode != "plain" else reps
-        stack.append((env, sim))
-        seeds += [derive_seed(master_seed, key, i) for i in range(sim)]
+    """A ``CellResult`` per env of ``group``, cells of one policy, batch size
+    and simulated rep count ``sim``, from one engine call; module-level so
+    pools can pickle it."""
+    env_specs, name, policy, sim, n, b, reps, master_seed, mode, delta, bound_from = group
+    envs = [parse_env(e) for e in env_specs]
+    seeds = [derive_seed(master_seed, _cell_key(e, name, mode, n, b, delta, bound_from), i)
+             for e in env_specs for i in range(sim)]
     grid = make_grid(n, b)
+    env = envs[0]
     if mode == "plain":
-        run = run_batch(policy, tuple(stack), grid, seeds)
+        run = run_batch(policy, tuple((e, sim) for e in envs), grid, seeds)
     elif mode == "delayed_start":
         run = delayed_start_run(
             policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid, seeds,
@@ -263,7 +261,7 @@ def _run_cell(group):
         )
 
     results, opt = [], run.optimal_pulls
-    for i, (env_spec, *_) in enumerate(group):
+    for i, env_spec in enumerate(env_specs):
         lo, hi = i * sim, i * sim + reps
         curve_mean, curve_stderr = _mean_se(run.pseudo_regret[lo:hi], axis=0)
         taus = [] if run.phases is None else [p.tau_hat for p in run.phases[lo:hi]]
@@ -280,27 +278,35 @@ def _run_cell(group):
     return results
 
 
-# Above about 128 reps a call costs mostly per rep; the cap bounds a stack's memory.
-STACK_REPS = 16 * BLOCK_REPS
+# With one working process an engine call holds up to this many simulated
+# rep-steps, about 33 bytes each at its peak, unless one cell needs more.
+# Stacking gained up to 768k rep-steps a call, held even at 1.5M and lost
+# at 3M; over two processes its fewer, coarser calls lost (time_stacking.py).
+STACK_STEPS = 2**20
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
-    """Run every configured cell and aggregate; output is thread-invariant."""
+    """Run every configured cell and aggregate; output is thread-invariant.
+
+    At one thread, plain cells of equal policy and batch size are grouped,
+    in configured order, into one engine call while their simulated
+    rep-steps fit ``STACK_STEPS``; otherwise every cell is its own call."""
     config.validate()
-    stacks: dict = {}
-    for e, p, b in config.cells():
-        policy = _cell_policy(p, parse_env(e), config.n, config.policy_params.get(p, {}))
-        sim = whole_blocks(config.reps) if policy.draws else config.reps
-        per = max(1, STACK_REPS // sim) if config.mode == "plain" else 1
-        runs = stacks.setdefault((policy, b), [[]])
-        if len(runs[-1]) == per:
-            runs.append([])
-        runs[-1].append((e, p, config.policy_params.get(p, {}), config.n, b, config.reps,
-                         config.master_seed, config.mode, config.delta, config.bound_from))
-    groups = [group for runs in stacks.values() for group in runs]
+    c, groups, open_groups = config, [], {}
+    budget = STACK_STEPS if threads == 1 and c.mode == "plain" else 0
+    for e, p, b in c.cells():
+        policy = _cell_policy(p, parse_env(e), c.n, c.policy_params.get(p, {}))
+        # the delayed starts' first phase is uniform play, which draws
+        sim = whole_blocks(c.reps) if policy.draws or c.mode != "plain" else c.reps
+        group = open_groups.get((policy, b))
+        if group is None or (len(group[0]) + 1) * sim * c.n > budget:
+            group = open_groups[policy, b] = (
+                [], p, policy, sim, c.n, b, c.reps, c.master_seed, c.mode, c.delta, c.bound_from)
+            groups.append(group)
+        group[0].append(e)
     results = _map(_run_cell, groups, threads)
-    rows = {(c[0], c[1], c[4]): r for g, rs in zip(groups, results) for c, r in zip(g, rs)}
-    return RegretTable(rows=[rows[cell] for cell in config.cells()], config=config)
+    rows = {(e, g[1], g[5]): r for g, rs in zip(groups, results) for e, r in zip(g[0], rs)}
+    return RegretTable(rows=[rows[cell] for cell in c.cells()], config=c)
 
 
 @dataclass(eq=False)

@@ -153,11 +153,6 @@ def _spec_tag(visibility: str, b: int) -> str:
     return "online" if b == 1 else "batch"
 
 
-def _at_arms(table, acts, offsets):
-    """``table`` at each rep's arms; a stack's reps read their own rows."""
-    return table[acts] if offsets is None else table[acts + offsets]
-
-
 def run_lockstep(
     policy,
     env,
@@ -217,11 +212,10 @@ def run_lockstep(
         uniforms = rewards  # each uniform is read once, then overwritten by its reward
         for rng, row in zip(rngs, uniforms):
             rng.random(out=row)
-        means, gaps, offsets = env.means, env.gap_vector(), None
-        if len(stack) > 1:
-            offsets = np.arange(0, reps * k, k)[:, None]
-            means = np.concatenate([np.tile(e.means, r) for e, r in stack])
-            gaps = np.concatenate([np.tile(e.gap_vector(), r) for e, r in stack])
+        # rep i reads its own env's row of means and gaps at acts + offsets[i]
+        offsets = np.arange(0, reps * k, k)[:, None]
+        means = np.concatenate([np.tile(e.means, r) for e, r in stack])
+        gaps = np.concatenate([np.tile(e.gap_vector(), r) for e, r in stack])
         tag = "policy" if prefix is None else "candidate"
         streams = block_streams(seeds, tag) if policy.draws else None
     all_rows = np.arange(reps)
@@ -234,7 +228,7 @@ def run_lockstep(
         until = np.where(tau < 0, n, tau)
         start, last = int(until.min(initial=n)), int(until.max(initial=0))
         actions[:, :start] = head[:, :start]
-        rewards[:, :start] = uniforms[:, :start] < env.means[actions[:, :start]]
+        rewards[:, :start] = uniforms[:, :start] < means[actions[:, :start] + offsets]
     state = None
     if start < n:
         state = policy.init_reps(reps)
@@ -264,7 +258,7 @@ def run_lockstep(
                 acts = head[:, lo:hi].copy()
                 rows = np.flatnonzero(until <= lo)
                 acts[rows] = policy.act_reps(state, b, streams, rows)
-            rews = (uniforms[:, lo:hi] < _at_arms(means, acts, offsets)).astype(float)
+            rews = (uniforms[:, lo:hi] < means[acts + offsets]).astype(float)
             actions[:, lo:hi] = acts
             rewards[:, lo:hi] = rews
 
@@ -277,7 +271,7 @@ def run_lockstep(
         lo = split * b
         acts = policy.act_reps(state, b, streams, all_rows, batches=M - split)
         actions[:, lo:] = acts
-        rewards[:, lo:] = uniforms[:, lo:] < _at_arms(means, acts, offsets)
+        rewards[:, lo:] = uniforms[:, lo:] < means[acts + offsets]
 
     # reduce in place, in the order that holds the fewest (reps, n) arrays
     pull_counts = rep_bincount(actions, k)
@@ -290,7 +284,7 @@ def run_lockstep(
         deltas = best - played
         opt = (played >= best - OPT_TOL).astype(np.int64)
     else:
-        deltas = _at_arms(gaps, actions, offsets)
+        deltas = gaps[actions + offsets]
         opt = (deltas == 0.0).astype(np.int64)
     return RunSet(
         spec=_spec_tag(visibility, b),

@@ -28,7 +28,7 @@ from batchband.harness import (
     run_experiment,
 )
 from batchband.policies import FixedArmPolicy, UcbPolicy, UniformPolicy
-from batchband.specifications import run_batch, run_online
+from batchband.specifications import run_batch, run_online, whole_blocks
 
 
 def small_config(**overrides):
@@ -154,33 +154,53 @@ class TestRunExperiment:
         assert specs == ["online", "batch", "online", "batch"]
 
     @pytest.mark.parametrize("reps", [10, 100])
-    def test_stacked_cells_equal_one_env_runs(self, reps):
-        # at reps=100 a stack holds two cells, so the four 2-armed envs split
+    def test_stacked_cells_equal_one_env_runs(self, monkeypatch, reps):
+        # at reps=100 a call holds two cells' rep-steps, so the four 2-armed envs split
+        if reps == 100:
+            monkeypatch.setattr(harness, "STACK_STEPS", 2 * whole_blocks(reps) * 40)
         envs = ("env1", "env2", "env3", "env4", "0.6,0.4")
         cfg = small_config(envs=envs, policies=("ucb", "ts", "uniform", "two_phase"), reps=reps)
         lone = [r for e in envs for r in run_experiment(replace(cfg, envs=(e,))).rows]
         assert [_fields(r) for r in run_experiment(cfg).rows] == [_fields(r) for r in lone]
 
-    @pytest.mark.parametrize("reps,calls", [(10, 28), (300, 84)])
+    @pytest.mark.parametrize("reps,stack_steps,calls,cells", [
+        (10, None, 28, 3),
+        (16, 3 * 16 * 64, 28, 3),
+        (16, 3 * 16 * 64 - 1, 56, 2),
+        (16, 16 * 64 - 1, 84, 1),
+    ])
     def test_cells_of_one_policy_and_batch_size_share_an_engine_call(
-        self, monkeypatch, reps, calls
+        self, monkeypatch, reps, stack_steps, calls, cells
     ):
+        # three envs of each arm count, so three cells per policy and batch size
         stacks = []
 
         def spy(policy, env, grid, seeds):
-            stacks.append((len(env), len(seeds)))
+            stacks.append((len(env), len(seeds) * grid.n))
             return run_batch(policy, env, grid, seeds)
 
         monkeypatch.setattr(harness, "run_batch", spy)
+        if stack_steps is not None:
+            monkeypatch.setattr(harness, "STACK_STEPS", stack_steps)
         cfg = small_config(envs=("env1", "env2", "env3", "env4", "env5", "env6"),
                            policies=("ucb", "ts"), n=64,
                            batch_sizes=(1, 2, 4, 8, 16, 32, 64), reps=reps)
         assert len(run_experiment(cfg).rows) == 84
         assert len(stacks) == calls
-        if reps == 10:
-            assert all(cells == 3 and seeds <= harness.STACK_REPS for cells, seeds in stacks)
-        else:
-            assert all(cells == 1 for cells, _ in stacks)
+        assert max(c for c, _ in stacks) == cells
+        assert all(c == 1 or steps <= harness.STACK_STEPS for c, steps in stacks)
+
+    def test_cells_run_alone_over_more_than_one_thread(self, monkeypatch):
+        groups = []
+
+        def spy(fn, payloads, threads):
+            groups.extend(len(p[0]) for p in payloads)
+            return [fn(p) for p in payloads]
+
+        monkeypatch.setattr(harness, "_map", spy)
+        cfg = small_config(envs=("env1", "env2", "env3"), policies=("ucb", "ts"))
+        assert len(run_experiment(cfg, threads=2).rows) == 12
+        assert groups == [1] * 12
 
     def test_results_csv_bytes_stable_across_runs(self, tmp_path):
         cfg = small_config()
@@ -501,7 +521,7 @@ def _bound_outputs(report):
 def test_outputs_do_not_depend_on_threads(policy, mode, reps, seed):
     # every example starts pools; rep counts that are not whole blocks make
     # the last chunk pad its block
-    # env1 and env2 stack in plain mode, env4 has more arms
+    # at one thread env1 and env2 stack in plain mode, env4 has more arms
     cfg = small_config(envs=("env1", "env2", "env4"), policies=(policy, "ucb"), mode=mode,
                        reps=reps, master_seed=seed)
     tables = [_table_outputs(run_experiment(cfg, threads=t)) for t in (1, 2, 3)]
