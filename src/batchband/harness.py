@@ -280,8 +280,8 @@ def _run_cell(group):
 
 # With one working process an engine call holds up to this many simulated
 # rep-steps, about 33 bytes each at its peak, unless one cell needs more.
-# Stacking gained up to 768k rep-steps a call, held even at 1.5M and lost
-# at 3M; over two processes its fewer, coarser calls lost (time_stacking.py).
+# Stacking gained up to 768k rep-steps a call, was even at 1.5M and lost at
+# 3M; over two processes its fewer, coarser calls lost (BENCH_18.json).
 STACK_STEPS = 2**20
 
 
