@@ -295,9 +295,8 @@ def probe_informativeness(
         ))
     v_hi, v_lo = (_rep_rules(policy, st, streams)[:reps] @ env.means for st in states)
     mean, se = (float(x) for x in _mean_se(v_hi - v_lo))
-    lo, hi = mean - 2 * se, mean + 2 * se
-    verdict = "violated" if hi < 0 else "consistent"
-    return InformativenessReport(mean, se, lo, hi, verdict, k, k_prime)
+    verdict = "violated" if _verdict(mean, se) == "violated" else "consistent"
+    return InformativenessReport(mean, se, mean - 2 * se, mean + 2 * se, verdict, k, k_prime)
 
 
 @dataclass(eq=False)
@@ -351,15 +350,9 @@ def check_monotone_envelope(
         mean[:, a], se = _mean_se(frac, axis=0)
         lower[:, a] = mean[:, a] - Z_ONE_SIDED_95 * se
     evaluated_from = env.k + 1
-    violations = []
-    sub = np.nonzero(env.gap_vector() > 0)[0]
-    for a in sub:
-        bad_t = np.nonzero(lower[:, a] > per_arm[:, a])[0]
-        for ti in bad_t:
-            if ti + 1 < evaluated_from:
-                continue
-            violations.append(
-                (int(ti + 1), int(a), float(mean[ti, a]), float(per_arm[ti, a]))
-            )
+    bad = (lower > per_arm) & (env.gap_vector() > 0)
+    bad[: evaluated_from - 1] = False
+    violations = [(int(ti + 1), int(a), float(mean[ti, a]), float(per_arm[ti, a]))
+                  for a, ti in np.argwhere(bad.T)]
     verdict = "consistent" if not violations else "violated"
     return EnvelopeReport(verdict, violations, reps, t_max, evaluated_from)

@@ -240,39 +240,39 @@ def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_fro
 
 
 def _run_cell(group):
-    """A ``CellResult`` per env of ``group``, cells of one policy, batch size
-    and simulated rep count ``sim``, from one engine call; module-level so
-    pools can pickle it."""
-    env_specs, name, policy, sim, n, b, reps, master_seed, mode, delta, bound_from = group
+    """A ``CellResult`` per env of ``group``, ``(config, policy name, b,
+    policy, sim, envs)``: cells of one policy, batch size and simulated rep
+    count, from one engine call; module-level so pools can pickle it."""
+    c, p, b, policy, sim, env_specs = group
     envs = [parse_env(e) for e in env_specs]
-    seeds = [derive_seed(master_seed, _cell_key(e, name, mode, n, b, delta, bound_from), i)
+    seeds = [derive_seed(c.master_seed, _cell_key(e, p, c.mode, c.n, b, c.delta, c.bound_from), i)
              for e in env_specs for i in range(sim)]
-    grid = make_grid(n, b)
+    grid = make_grid(c.n, b)
     env = envs[0]
-    if mode == "plain":
+    if c.mode == "plain":
         run = run_batch(policy, tuple((e, sim) for e in envs), grid, seeds)
-    elif mode == "delayed_start":
+    elif c.mode == "delayed_start":
         run = delayed_start_run(
             policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid, seeds,
         )
     else:
         run = approx_delayed_start_run(
-            policy, env, grid, delta, seeds, bound_from=bound_from,
+            policy, env, grid, c.delta, seeds, bound_from=c.bound_from,
         )
 
     results, opt = [], run.optimal_pulls
     for i, env_spec in enumerate(env_specs):
-        lo, hi = i * sim, i * sim + reps
+        lo, hi = i * sim, i * sim + c.reps
         curve_mean, curve_stderr = _mean_se(run.pseudo_regret[lo:hi], axis=0)
-        taus = [] if run.phases is None else [p.tau_hat for p in run.phases[lo:hi]]
-        done = [t for t in taus if t is not None]
+        taus = run.tau[lo:hi]
+        done = taus[taus >= 0]
         results.append(CellResult(
-            env=env_spec, policy=run.policy, spec=run.spec, b=b, n=grid.n, reps=reps,
+            env=env_spec, policy=run.policy, spec=run.spec, b=b, n=grid.n, reps=c.reps,
             mean_final=float(curve_mean[-1]), stderr_final=float(curve_stderr[-1]),
             opt_frac=float((opt[lo:hi] / grid.n).mean()),
-            mean_pull_counts=run.pull_counts[lo:hi].sum(axis=0) / reps,
-            tau_mean=float(np.mean(done)) if done else None,
-            tau_none=len(taus) - len(done) if mode != "plain" else None,
+            mean_pull_counts=run.pull_counts[lo:hi].sum(axis=0) / c.reps,
+            tau_mean=float(np.mean(done)) if done.size else None,
+            tau_none=int((taus < 0).sum()) if c.mode != "plain" else None,
             curve_mean=curve_mean, curve_stderr=curve_stderr,
         ))
     return results
@@ -299,13 +299,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
         # the delayed starts' first phase is uniform play, which draws
         sim = whole_blocks(c.reps) if policy.draws or c.mode != "plain" else c.reps
         group = open_groups.get((policy, b))
-        if group is None or (len(group[0]) + 1) * sim * c.n > budget:
-            group = open_groups[policy, b] = (
-                [], p, policy, sim, c.n, b, c.reps, c.master_seed, c.mode, c.delta, c.bound_from)
+        if group is None or (len(group[-1]) + 1) * sim * c.n > budget:
+            group = open_groups[policy, b] = (c, p, b, policy, sim, [])
             groups.append(group)
-        group[0].append(e)
+        group[-1].append(e)
     results = _map(_run_cell, groups, threads)
-    rows = {(e, g[1], g[5]): r for g, rs in zip(groups, results) for e, r in zip(g[0], rs)}
+    rows = {(e, g[1], g[2]): r for g, rs in zip(groups, results) for e, r in zip(g[-1], rs)}
     return RegretTable(rows=[rows[cell] for cell in c.cells()], config=c)
 
 

@@ -87,7 +87,7 @@ class MonotoneBound:
     def aggregate(self, t):
         """The bound ``max(0, 1 - sum of per-arm terms)`` at time(s) ``t``."""
         total = self.per_arm(t).sum(axis=-1)
-        out = _unit(1.0 - total)
+        out = np.clip(1.0 - total, 0.0, 1.0)
         return float(out) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
     def __call__(self, t):
@@ -98,12 +98,7 @@ def _terms(gaps, tt) -> np.ndarray:
     """Clamped per-arm bound terms for gaps broadcast against times ``tt``."""
     with np.errstate(divide="ignore"):
         raw = 4.0 * np.log(tt + 1.0) / (tt * gaps**2) + 8.0 / tt
-    return _unit(np.where(gaps > 0, raw, 0.0))
-
-
-def _unit(x):
-    """``x`` clamped to [0, 1], as ``np.clip`` would, at less dispatch cost."""
-    return np.minimum(np.maximum(x, 0.0), 1.0)
+    return np.clip(np.where(gaps > 0, raw, 0.0), 0.0, 1.0)
 
 
 def _stays(theta, t, delta: float):
@@ -114,7 +109,7 @@ def _stays(theta, t, delta: float):
     k = theta.shape[-1]
     gaps = theta.max(axis=-1, keepdims=True) - theta
     total = _terms(gaps, np.asarray(t, dtype=float)[..., None]).sum(axis=-1)
-    bound = _unit(1.0 - total)
+    bound = np.clip(1.0 - total, 0.0, 1.0)
     return (bound <= 1.0 / k) | (2.0 * k / (t * t) >= delta)
 
 
@@ -126,8 +121,6 @@ def pessimistic_instance(counts, means, t) -> np.ndarray:
     ``counts`` and ``means`` are one instance (k,) or one per row (R, k);
     ``t`` is one time, or one per row of (R, k) inputs.
     """
-    counts = np.asarray(counts, dtype=float)
-    means = np.asarray(means, dtype=float)
     return _pessimistic(counts, means, t)[0]
 
 
@@ -141,8 +134,10 @@ def _log(t):
 
 
 def _pessimistic(counts, means, t):
-    """``pessimistic_instance`` of float arrays, and the index pair
+    """``pessimistic_instance`` as a float array, and the index pair
     ``(rows, leaders)`` of each row's leader in its (R, k) view."""
+    counts = np.asarray(counts, dtype=float)
+    means = np.asarray(means, dtype=float)
     if counts.shape != means.shape or counts.ndim not in (1, 2):
         raise ValueError("counts and means must be matching 1-D or 2-D arrays")
     if np.ndim(t) and (counts.ndim != 2 or np.shape(t) != counts.shape[:1]):
@@ -170,12 +165,10 @@ def check_phase(counts, means, t, delta: float):
     independently into a boolean array, at one time ``t`` or at ``t[i]``
     for row ``i``.
     """
-    counts = np.asarray(counts, dtype=float)
-    means = np.asarray(means, dtype=float)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     theta_hat, at = _pessimistic(counts, means, t)
-    thetas = theta_hat.reshape(-1, means.shape[-1])
+    thetas = theta_hat.reshape(-1, theta_hat.shape[-1])
     others = thetas.copy()
     others[at] = -np.inf
     # where intervals still overlap the ordering is uncertified
@@ -252,6 +245,19 @@ def _require_bernoulli(env) -> None:
         raise TypeError("delayed-start runners support finite-armed environments only")
 
 
+def _second_phase(label, candidate, env, grid, seeds, single, head, tau, delta=None, seen=None):
+    """The candidate's run from each rep's hand-over ``tau`` after phase-1 play
+    ``head``, with a ``PhaseState`` per rep from what the check ``seen``."""
+    run = run_lockstep(candidate, env, grid, seeds, prefix=(head, tau))
+    run.phases = [
+        PhaseState(True, None, delta) if tau < 0 else
+        PhaseState(False, tau, delta, *(() if seen is None else seen[:, r]))
+        for r, tau in enumerate(run.tau.tolist())
+    ]
+    run.policy = f"{label}({candidate.name})"
+    return run.record(0) if single else run
+
+
 def delayed_start_run(
     candidate,
     naive,
@@ -287,14 +293,8 @@ def delayed_start_run(
         run_lockstep(naive, env, make_grid(upto, grid.b), seeds).actions if upto
         else np.empty((len(seeds), 0), dtype=np.int64)
     )
-    run = run_lockstep(candidate, env, grid, seeds,
-                       prefix=(head, np.full(len(seeds), switch)))
-    run.phases = [
-        PhaseState(phase1=tau < 0, tau_hat=None if tau < 0 else tau)
-        for tau in run.tau.tolist()
-    ]
-    run.policy = f"delayed_start({candidate.name})"
-    return run.record(0) if single else run
+    return _second_phase("delayed_start", candidate, env, grid, seeds, single,
+                         head, np.full(len(seeds), switch))
 
 
 def approx_delayed_start_run(
@@ -325,12 +325,5 @@ def approx_delayed_start_run(
     phase1 = run_lockstep(UniformPolicy(env.k), env, grid, seeds)
     truth = env.means if bound_from == "oracle" else None
     tau, seen = _certify(phase1.actions, phase1.rewards, grid.b, env.k, delta, truth)
-    run = run_lockstep(candidate, env, grid, seeds, prefix=(phase1.actions, tau))
-    run.phases = [
-        PhaseState(phase1=True, tau_hat=None, delta=delta)
-        if tau < 0 else
-        PhaseState(False, tau, delta, *seen[:, r])
-        for r, tau in enumerate(run.tau.tolist())
-    ]
-    run.policy = f"approx_delayed_start({candidate.name})"
-    return run.record(0) if single else run
+    return _second_phase("approx_delayed_start", candidate, env, grid, seeds, single,
+                         phase1.actions, tau, delta, seen)

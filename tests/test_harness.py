@@ -194,7 +194,7 @@ class TestRunExperiment:
         groups = []
 
         def spy(fn, payloads, threads):
-            groups.extend(len(p[0]) for p in payloads)
+            groups.extend(len(p[-1]) for p in payloads)
             return [fn(p) for p in payloads]
 
         monkeypatch.setattr(harness, "_map", spy)
