@@ -138,7 +138,7 @@ class Instance:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.theta, dtype=float)
+        arr = np.array(self.theta, dtype=float)  # a copy: the caller's array stays writeable
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatchError("instance vector must be 1-D and non-empty")
         if not np.all(np.isfinite(arr)):

@@ -37,7 +37,7 @@ class BernoulliEnv:
     means: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.means, dtype=float)
+        arr = np.array(self.means, dtype=float)  # a copy: the caller's array stays writeable
         if arr.ndim != 1 or arr.size < 2:
             raise DimensionMismatchError("need a 1-D vector of at least 2 means")
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
@@ -128,7 +128,7 @@ class LinearContextualEnv:
     context_dim: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.theta, dtype=float)
+        arr = np.array(self.theta, dtype=float)  # a copy: the caller's array stays writeable
         if self.k < 2 or self.context_dim < 1:
             raise DimensionMismatchError("need k >= 2 arms and context_dim >= 1")
         if arr.ndim != 1 or arr.size != self.k * self.context_dim:

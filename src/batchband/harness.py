@@ -21,6 +21,7 @@ M, read off the same online run at step M.  Each inequality gets a
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -67,6 +68,15 @@ def _reject_repeats(label: str, values) -> None:
             raise ConfigError(f"{label} {v!r} is given twice")
 
 
+def _integer(label: str, value) -> int:
+    """``value`` as an ``int``, or ``ConfigError`` unless ``operator.index``
+    takes it: a float would be truncated, or would seed runs by its text."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{label} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative sweep description.
@@ -74,7 +84,8 @@ class ExperimentConfig:
     ``envs`` entries are preset names or inline comma-separated means;
     ``policies`` are registry names.  ``mode`` selects plain runs or one of
     the delayed-start wrappers (``delta`` and ``bound_from`` apply to the
-    approximate one).
+    approximate one).  ``n``, ``reps``, ``master_seed`` and the batch sizes
+    must be integers.
     """
 
     envs: tuple
@@ -91,7 +102,10 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "envs", tuple(self.envs))
         object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(self, "batch_sizes", tuple(int(b) for b in self.batch_sizes))
+        for name in ("n", "reps", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "batch_sizes",
+                           tuple(_integer("batch size", b) for b in self.batch_sizes))
         object.__setattr__(self, "policy_params", dict(self.policy_params))
 
     def validate(self) -> None:
@@ -117,6 +131,9 @@ class ExperimentConfig:
                     f"policy {p!r} needs contextual environments; the sweep "
                     "harness runs finite-armed presets (see replay for contextual use)"
                 )
+        for p in self.policy_params:
+            if p not in self.policies:
+                raise ConfigError(f"policy_params names {p!r}, which the sweep does not run")
         for b in self.batch_sizes:
             if b < 1:
                 raise ConfigError(f"batch size {b} must be >= 1")
@@ -369,6 +386,8 @@ def check_theorem_bounds(
     only its non-strict version gates; the upper inequality gates at the
     same slack.
     """
+    n, b, reps, master_seed = map(
+        _integer, ("n", "b", "reps", "master_seed"), (n, b, reps, master_seed))
     if b < 2:
         raise ConfigError("bound check needs b >= 2; at b=1 the sandwich collapses")
     if reps < 2:
@@ -402,10 +421,10 @@ def check_theorem_bounds(
 
 def _split_reps(reps: int, threads: int):
     """Contiguous chunks ``(lo, hi)`` of whole blocks of reps, at most one
-    per working process (the caller is one) and per block: an engine call
-    costs mostly per batch, whatever its rep count, so fewer and larger
-    chunks are cheaper, and a chunk of whole blocks draws what one call
-    over every rep would."""
+    per working process (the caller is one) and per block.  A chunk of
+    whole blocks draws what one call over every rep would.  Larger calls
+    were not measured cheaper here: stacked sweep calls broke even at about
+    1.5M rep-steps and lost at 3M (``STACK_STEPS``)."""
     blocks = -(-reps // BLOCK_REPS)
     per = -(-blocks // max(min(threads, blocks), 1)) * BLOCK_REPS
     return [(lo, min(lo + per, reps)) for lo in range(0, reps, per)]

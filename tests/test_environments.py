@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchband.core import DimensionMismatchError
+from batchband.core import DimensionMismatchError, Instance
 from batchband.environments import (
     BernoulliEnv,
     DataError,
@@ -92,6 +92,29 @@ def test_linear_env_norm_enforced():
         LinearContextualEnv(np.full(4, 1.0), k=2, context_dim=2)
     env = LinearContextualEnv(np.full(4, 0.5), k=2, context_dim=2)
     assert env.dim == 4
+
+
+@pytest.mark.parametrize("theta, k, context_dim, message", [
+    (np.full(4, 0.5), 1, 4, "need k >= 2 arms and context_dim >= 1"),
+    (np.full(2, 0.5), 2, 0, "need k >= 2 arms and context_dim >= 1"),
+    (np.full(3, 0.5), 2, 2, "weight vector must have length 4"),
+])
+def test_linear_env_rejects_bad_dimensions(theta, k, context_dim, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        LinearContextualEnv(theta, k=k, context_dim=context_dim)
+
+
+@pytest.mark.parametrize("build, field", [
+    (BernoulliEnv, "means"),
+    (lambda a: LinearContextualEnv(a, k=2, context_dim=1), "theta"),
+    (Instance, "theta"),
+], ids=["bernoulli", "linear", "instance"])
+def test_construction_leaves_the_callers_array_writeable(build, field):
+    callers = np.array([0.7, 0.5])
+    stored = getattr(build(callers), field)
+    assert callers.flags.writeable and not stored.flags.writeable
+    callers[0] = 0.1  # the object keeps the values it was built from
+    assert stored.tolist() == [0.7, 0.5]
 
 
 def test_linear_contexts_on_unit_sphere():

@@ -85,6 +85,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             small_config(**overrides).validate()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"envs": ()}, "envs, policies, and batch_sizes must be non-empty"),
+        ({"policies": ("ts",), "policy_params": {"UCB": {"ucb_c": 1.0}}},
+         "policy_params names 'UCB', which the sweep does not run"),
+        ({"batch_sizes": (1, 2.7)}, "batch size must be an integer, got 2.7"),
+        ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
+        ({"n": 40.0}, "n must be an integer, got 40.0"),
+        ({"reps": 3.0}, "reps must be an integer, got 3.0"),
+    ], ids=["no-envs", "params-for-another-policy", "float-batch-size", "float-seed",
+            "float-n", "float-reps"])
+    def test_bad_input_rejected_before_any_cell(self, monkeypatch, overrides, message):
+        monkeypatch.setattr(harness, "_run_cell", lambda p: pytest.fail("cell ran"))
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(small_config(**overrides))
+
+    def test_integer_fields_are_stored_as_ints(self):
+        cfg = small_config(n=np.int64(40), reps=True, master_seed=np.uint8(7),
+                           batch_sizes=(np.int32(4),))
+        assert [type(v) for v in (cfg.n, cfg.reps, cfg.master_seed, *cfg.batch_sizes)] == [int] * 4
+        assert (cfg.reps, cfg.master_seed) == (1, 7)
+
     def test_validation_happens_before_any_run(self):
         cfg = small_config(envs=("env1", "env99"))
         with pytest.raises(ConfigError):
@@ -378,6 +399,17 @@ class TestCheckTheoremBounds:
     def test_single_rep_rejected(self):
         with pytest.raises(ConfigError, match="reps"):
             check_theorem_bounds("ucb", "env1", n=100, b=5, reps=1)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"b": 2.5}, "b must be an integer, got 2.5"),
+        ({"reps": 4.5}, "reps must be an integer, got 4.5"),
+        ({"n": 100.0}, "n must be an integer, got 100.0"),
+        ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
+    ], ids=["float-b", "float-reps", "float-n", "float-seed"])
+    def test_non_integer_argument_rejected(self, overrides, message):
+        args = {"n": 100, "b": 5, "reps": 4, "master_seed": 1, **overrides}
+        with pytest.raises(ConfigError, match=message):
+            check_theorem_bounds("ucb", "env1", **args)
 
     def test_threads_do_not_change_estimates(self):
         r1 = check_theorem_bounds("ucb", "env2", n=60, b=6, reps=8,
