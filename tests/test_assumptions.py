@@ -4,7 +4,7 @@ from reference_runner import reference_run
 
 from batchband import assumptions
 from batchband.core import DecisionRule, DimensionMismatchError, Instance, derive_seed, make_grid
-from batchband.environments import preset
+from batchband.environments import make_linear_env, preset
 from batchband.policies import (
     FixedArmPolicy,
     ThompsonBetaPolicy,
@@ -38,6 +38,36 @@ def test_regret_curve_from_runs():
     assert np.all(c.stderr > 0)
     single = RegretCurve.from_runs(runs[:1])
     assert np.all(single.stderr == 0.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RegretCurve(np.zeros(3), np.zeros(2), reps=1), ValueError,
+     "values and stderr must be matching 1-D arrays"),
+    (lambda: RegretCurve(np.zeros((2, 3)), np.zeros((2, 3)), reps=1), ValueError,
+     "values and stderr must be matching 1-D arrays"),
+    (lambda: RegretCurve.from_runs(np.zeros(3)), ValueError, r"need a \(reps, n\) matrix"),
+    (lambda: check_sublinearity(RegretCurve(np.ones(3), np.zeros(3), 1), min_t=0),
+     ValueError, r"min_t 0 outside 1\.\.3"),
+    (lambda: check_sublinearity(RegretCurve(np.ones(3), np.zeros(3), 1), min_t=4),
+     ValueError, r"min_t 4 outside 1\.\.3"),
+    (lambda: check_lemma31([], Instance(np.array([0.7, 0.5]))), ValueError,
+     "need at least one rule"),
+    (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=1, reps=10), ValueError,
+     "need t >= 2"),
+    (lambda: check_monotone_envelope(UcbPolicy(2), preset("env1"), reps=1, t_max=20),
+     ValueError, "need at least 2 reps"),
+    (lambda: mean_rule_trace(UcbPolicy(2), make_linear_env(2, 2), n=5, reps=2),
+     UnsupportedPolicyError, "rule traces support Bernoulli environments only"),
+    (lambda: probe_informativeness(UcbPolicy(2), make_linear_env(2, 2), t=10, reps=10),
+     TypeError, "informativeness probe supports finite-armed environments"),
+    (lambda: check_monotone_envelope(UcbPolicy(2), make_linear_env(2, 2), reps=10, t_max=20),
+     UnsupportedPolicyError, "envelope check supports finite-armed environments"),
+], ids=["curve-shapes-differ", "curve-2d", "runs-1d", "min-t-0", "min-t-past-n",
+        "lemma31-no-rules", "probe-t-1", "envelope-one-rep", "trace-linear-env",
+        "probe-linear-env", "envelope-linear-env"])
+def test_checks_reject_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_regret_curve_from_runs_equals_regret_curve():
@@ -303,6 +333,24 @@ def test_envelope_skips_forced_init_window():
     rep = check_monotone_envelope(UcbPolicy(2), env, reps=20, t_max=60, master_seed=1)
     assert rep.evaluated_from == 3
     assert all(t >= 3 for t, _, _, _ in rep.violations)
+
+
+class _ZeroBound:
+    """A bound that every suboptimal pull fraction above zero exceeds."""
+
+    def per_arm(self, t):
+        return np.zeros((len(t), 2))
+
+
+def test_envelope_clears_violations_inside_the_init_window():
+    # ucb's second forced pull puts arm 1 at fraction 1/2 at t = 2, with no
+    # spread, so only the init window keeps it out of the violations
+    env = preset("env3")
+    rep = check_monotone_envelope(UcbPolicy(2), env, reps=20, t_max=30, master_seed=1,
+                                  bound=_ZeroBound())
+    assert rep.evaluated_from == 3
+    assert [t for t, *_ in rep.violations] == list(range(3, 31))
+    assert all(a == 1 for _, a, _, _ in rep.violations)
 
 
 def test_envelope_rejects_tied_instance():

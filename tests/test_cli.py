@@ -141,6 +141,10 @@ class TestSimulate:
         (["--delta", "abc"], "bad number 'abc'"),
         (["--policy", "ts", "--ucb-c", "5"], "--ucb-c applies to ucb"),
         (["--policy", "ucb,ts", "--switch-t", "3"], "--switch-t applies to two_phase"),
+        (["--policy", "two_phase", "--switch-t", "-1"], "switch_t must be non-negative"),
+        (["--bound", "foo"], "bound_from must be 'instance' or 'oracle'"),
+        (["--b", "0"], "batch size 0 must be >= 1"),
+        (["--threads", "0"], "threads must be >= 1"),
     ])
     def test_unrunnable_cell_exits_2_before_any_cell_runs(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -152,6 +156,18 @@ class TestSimulate:
                    "--threads", "1", "--out-dir", str(tmp_path), *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert ran == [] and not list(tmp_path.glob("*.csv"))
+
+    def test_zero_threads_from_the_environment_exits_2_before_any_cell_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr(harness, "_run_cell", ran.append)
+        monkeypatch.setenv("BATCHBAND_THREADS", "0")
+        rc = main(["simulate", "--n", "20", "--b", "5", "--reps", "2",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "BATCHBAND_THREADS must be >= 1" in capsys.readouterr().err
         assert ran == [] and not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("flags,message", [
@@ -419,6 +435,7 @@ class TestReplay:
         assert "line 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, flags, message", [
+        ("", [], "empty logged-data file"),
         ("action,reward,logging_prob\n", [], "empty logged dataset"),
         ("action,reward,logging_prob\n0,1.0,0.5\n\n1,0.0,0.5\n5,1.0,0.5\n", [],
          "line 3: expected 3 fields, got 0"),
@@ -559,6 +576,18 @@ class TestPresetsAndPlot:
         bad = tmp_path / "bad.csv"
         bad.write_text("cell,t,mean,stderr\nenv1|ucb|online|1,x,0.1,0.1\n")
         assert main(["plot", "--curves", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("cell,t,mean\nenv1|ucb|online|1,1,0.1\n",
+         "row 1: expected header cell,t,mean,stderr, got ['cell', 't', 'mean']"),
+        ("cell,t,mean,stderr\nenv1|ucb|online|1,1,0.1\n", "row 2: expected 4 columns, got 3"),
+    ], ids=["wrong-header", "short-row"])
+    def test_plot_bad_curves_exits_2_writing_nothing(self, tmp_path, capsys, text, message):
+        curves, svg = tmp_path / "curves.csv", tmp_path / "plot.svg"
+        curves.write_text(text)
+        assert main(["plot", "--curves", str(curves), "--out", str(svg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not svg.exists()
 
 
 class TestParser:

@@ -136,6 +136,8 @@ def test_decision_rule_validation():
         DecisionRule(np.array([-0.1, 1.1]))
     with pytest.raises(DimensionMismatchError):
         DecisionRule(np.array([]))
+    with pytest.raises(ValueError, match="rule probabilities must be finite"):
+        DecisionRule(np.array([np.nan, 1.0]))
     pm = DecisionRule(np.array([0.0, 1.0, 0.0]))
     assert pm.probs.tolist() == [0.0, 1.0, 0.0]
 

@@ -187,6 +187,16 @@ def test_a_stack_with_a_prefix_or_a_contextual_env_raises(second, prefix):
                      prefix=head)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"visibility": "delayed"}, "unknown visibility 'delayed'"),
+    ({"visibility": "short", "prefix": (np.zeros((4, 8), dtype=np.int64), np.full(4, 4))},
+     "a two-phase run needs batch feedback"),
+], ids=["unknown-visibility", "prefix-with-short-feedback"])
+def test_run_lockstep_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_lockstep(UcbPolicy(2), preset("env1"), make_grid(8, 4), [1, 2, 3, 4], **kwargs)
+
+
 @pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
 def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
     # env3 at b=10: some reps certify early, some late, some never.  The

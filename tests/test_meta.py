@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batchband.core import DimensionMismatchError, derive_seed, make_grid
-from batchband.environments import BernoulliEnv, preset
+from batchband.environments import BernoulliEnv, make_linear_env, preset
 from batchband.policies import BasePolicy, FixedArmPolicy, UcbPolicy, UniformPolicy
 from batchband.meta import (
     InsufficientDataError,
@@ -95,6 +95,12 @@ def test_bound_rejects_tied_best():
         MonotoneBound(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         bound_at([0.3, 0.7, 0.7], 10)
+
+
+@pytest.mark.parametrize("theta", [[0.5], [[0.7, 0.5]]], ids=["one-arm", "2-d"])
+def test_bound_rejects_fewer_than_two_arms_or_a_2d_instance(theta):
+    with pytest.raises(ValueError, match="need a 1-D instance with at least two arms"):
+        MonotoneBound(np.array(theta))
 
 
 def test_bound_rejects_bad_time():
@@ -318,6 +324,16 @@ def test_approx_rejects_bad_arguments():
             UcbPolicy(2), env, make_grid(100, 10), delta=0.01, seed=0,
             bound_from="other",
         )
+
+
+@pytest.mark.parametrize("run", [
+    lambda env, grid: delayed_start_run(UcbPolicy(2), UniformPolicy(2), lambda t: 1.0,
+                                        env, grid, 0),
+    lambda env, grid: approx_delayed_start_run(UcbPolicy(2), env, grid, 0.05, 0),
+], ids=["oracle", "certified"])
+def test_delayed_starts_reject_a_linear_env(run):
+    with pytest.raises(TypeError, match="finite-armed environments only"):
+        run(make_linear_env(2, 2, seed=1), make_grid(100, 10))
 
 
 # ---------------------------------------------------------------- arm counts

@@ -406,10 +406,24 @@ def test_policies_reject_bad_hyperparameters(build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TwoPhaseSwitchPolicy(2, 0, 2, 5), "arms outside range"),
+    (lambda: TwoPhaseSwitchPolicy(2, 0, 1, -1), "switch_t must be non-negative"),
+    (lambda: LinUcbPolicy(1, 3), "need k >= 2 and context_dim >= 1"),
+    (lambda: LinTsPolicy(2, 0), "need k >= 2 and context_dim >= 1"),
+], ids=["two-phase-arm-out-of-range", "two-phase-negative-switch", "linucb-one-arm",
+        "lints-no-context"])
+def test_policies_reject_bad_arms_switch_and_dimensions(build, message):
+    with pytest.raises(PolicyError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("name,params,message", [
     ("ucb", {"ucb_c": "abc"}, "ucb_c must be a number"),
     ("two_phase", {"switch_t": 2.7}, "switch_t must be an integer"),
     ("fixed", {"fixed_arm": 1.5}, "fixed_arm must be an integer"),
+    ("lints", {}, "lints needs a context dimension"),
+    ("two_phase", {}, "two_phase needs switch_t"),
 ])
 def test_make_policy_rejects_values_that_do_not_convert(name, params, message):
     with pytest.raises(PolicyError, match=message):
