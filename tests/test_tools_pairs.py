@@ -1,0 +1,61 @@
+"""The alternating-pairs protocol of the timing scripts in ``tools/``.
+
+``tools/pairs.py`` is not part of the package, so it is loaded from its
+file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
+"""
+
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_tools_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = _load("pairs")
+
+
+def test_pairs_alternate_which_side_runs_first():
+    calls = []
+    runs = pairs.run_pairs(3, ["a", "b"], {"parent": 0, "change": 1},
+                           lambda case, side, pair: calls.append((pair, case, side)) or pair)
+    assert calls == [
+        (0, "a", "parent"), (0, "a", "change"), (0, "b", "parent"), (0, "b", "change"),
+        (1, "a", "change"), (1, "a", "parent"), (1, "b", "change"), (1, "b", "parent"),
+        (2, "a", "parent"), (2, "a", "change"), (2, "b", "parent"), (2, "b", "change"),
+    ]
+    # each side's results are in pair order, whichever side ran first
+    assert runs == {case: {"parent": [0, 1, 2], "change": [0, 1, 2]} for case in "ab"}
+
+
+@pytest.mark.parametrize("better, expected", [("lower", 1), ("higher", 2)])
+def test_only_strict_wins_count_in_the_metrics_direction(better, expected):
+    change, parent = [1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 1.0, 0.5]  # one tie
+    assert pairs.wins(change, parent, better) == expected
+    summary = pairs.compare(parent, change, better)
+    assert summary["change_wins"] == f"{expected}/4"
+    assert summary["median_change_frac"] == statistics.median(change) / 1.5 - 1
+
+
+def test_summary_holds_median_and_quartiles():
+    summary = pairs.summarise([5.0, 1.0, 4.0, 2.0, 3.0])
+    assert summary == {"median": 3.0, "q1": 1.5, "q3": 4.5, "values": [5.0, 1.0, 4.0, 2.0, 3.0]}
+
+
+def test_src_lines_counts_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "batchband"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not a module\n")
+    assert pairs.src_lines(str(tmp_path)) == 3

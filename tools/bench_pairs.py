@@ -17,20 +17,18 @@ metric of ``BENCHMARK.json`` the summary holds each side's values, median and
 quartiles (``statistics.quantiles(values, n=4)``), how many pairs the change
 won (strictly better in the metric's direction) and the relative change of
 the medians.  It also records whether both trees wrote the same output
-digests for every seed, and each run's raw pass wall times.
+digests for every seed, each run's raw pass wall times, and each tree's
+``wc -l src/batchband/*.py`` total.  The pair protocol is ``tools/pairs.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
-import statistics
 import subprocess
 import sys
 
-import numpy as np
+from pairs import compare, host, order, run_pairs, src_lines, tree_parser, write_json
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -60,20 +58,11 @@ def bench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def summarise(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
-
-
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, help="source tree of the parent commit")
-    p.add_argument("--change", required=True, help="source tree of the change")
-    p.add_argument("--parent-commit", default="", help="recorded as given")
+    p = tree_parser(__doc__, change=None)
     p.add_argument("--workloads", default="fig1_sweep,sandwich,certified_start,replay_log")
     p.add_argument("--seeds", default="1-10", help="one seed per pair, e.g. 1501-1510")
     p.add_argument("--seconds", type=float, default=22)
-    p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
@@ -82,34 +71,19 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
-    workloads = args.workloads.split(",")
-    runs = {w: {side: [] for side in trees} for w in workloads}
-    for pair, seed in enumerate(seeds):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for w in workloads:
-            for side in order:
-                runs[w][side].append(bench_run(trees[side], w, seed, args.seconds))
-        print(f"pair {pair + 1}/{len(seeds)} done", file=sys.stderr)
+    runs = run_pairs(len(seeds), args.workloads.split(","), trees,
+                     lambda w, side, pair: bench_run(trees[side], w, seeds[pair], args.seconds))
 
     summary = {}
     for w, sides in runs.items():
         par, chg = sides["parent"], sides["change"]
-        metrics = {}
-        for name, direction in better.items():
-            pv = [r["metrics"][name] for r in par]
-            cv = [r["metrics"][name] for r in chg]
-            wins = sum((c < q) if direction == "lower" else (c > q) for c, q in zip(cv, pv))
-            metrics[name] = {
-                "parent": summarise(pv),
-                "change": summarise(cv),
-                "change_wins": f"{wins}/{len(pv)}",
-                "median_change_frac": statistics.median(cv) / statistics.median(pv) - 1,
-            }
         summary[w] = {
             "all_correct": all(r["correct"] for r in par + chg),
             "output_digests_equal_between_sides": all(
                 a["digests"] == b["digests"] for a, b in zip(par, chg)),
-            "metrics": metrics,
+            "metrics": {name: compare([r["metrics"][name] for r in par],
+                                      [r["metrics"][name] for r in chg], direction)
+                        for name, direction in better.items()},
             "raw_pass_wall_s": {side: [r["raw_pass_wall_s"] for r in rs]
                                 for side, rs in sides.items()},
         }
@@ -117,17 +91,14 @@ def main(argv=None) -> int:
     record = {
         "command": f"python3 bench/run_bench.py --workload <workload> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0, in each tree",
-        "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
-                f"numpy {np.__version__}",
+        "host": host(),
         "parent_commit": args.parent_commit,
-        "order": "in each pair every workload runs on both trees back to back; "
-                 "odd pairs run the parent first, even pairs the change first",
+        "order": order("workload"),
         "seeds": seeds,
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "workloads": summary,
     }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    write_json(record, args.out)
     for w, entry in summary.items():
         wall = entry["metrics"]["wall_s"]
         print(f"{w}: wall_s {wall['parent']['median']:.3f} -> {wall['change']['median']:.3f} "

@@ -16,21 +16,16 @@ every policy runs on both trees back to back; odd pairs run the parent
 first, even pairs the change first.  The summary per policy holds every
 value, the median and quartiles (``statistics.quantiles(values, n=4)``),
 how many pairs the change won, each side's verdicts per b, and whether the
-two trees agree bit for bit on the online and batch means.
+two trees agree bit for bit on the online and batch means.  The pair
+protocol is ``tools/pairs.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-import time
 
-import numpy as np
+from pairs import compare, host, order, run_child, run_pairs, tree_parser, write_json
 
 POLICIES = ("ucb", "ts")
 BATCH_SIZES = (2, 4, 8, 16, 32, 64)
@@ -51,50 +46,24 @@ print(json.dumps(out))
 """
 
 
-def time_grid(tree: str, policy: str) -> list:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, policy, json.dumps(BATCH_SIZES)],
-                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def summarise(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
-
-
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, help="source tree of the parent commit")
-    p.add_argument("--change", default=".", help="source tree of the change")
-    p.add_argument("--parent-commit", default="", help="recorded as given")
+    p = tree_parser(__doc__)
     p.add_argument("--pairs", type=int, default=3)
-    p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be >= 2 for quartiles")
 
     trees = {"parent": args.parent, "change": args.change}
-    runs = {pol: {side: [] for side in trees} for pol in POLICIES}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for pol in POLICIES:
-            for side in order:
-                runs[pol][side].append(time_grid(trees[side], pol))
-        print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+    runs = run_pairs(args.pairs, POLICIES, trees,
+                     lambda pol, side, pair: run_child(trees[side], CHILD, pol,
+                                                       json.dumps(BATCH_SIZES)))
 
     policies = {}
     for pol, sides in runs.items():
         grid_s = {side: [sum(c["s"] for c in run) for run in rs] for side, rs in sides.items()}
-        par, chg = grid_s["parent"], grid_s["change"]
         first = {side: rs[0] for side, rs in sides.items()}
         policies[pol] = {
-            "grid_s": {
-                "parent": summarise(par),
-                "change": summarise(chg),
-                "change_wins": f"{sum(c < q for c, q in zip(chg, par))}/{len(par)}",
-                "median_change_frac": statistics.median(chg) / statistics.median(par) - 1,
-            },
+            "grid_s": compare(grid_s["parent"], grid_s["change"]),
             "verdicts": {side: {c["b"]: c["verdicts"] for c in run} for side, run in first.items()},
             "online_and_batch_means_equal_between_sides": all(
                 [c["means"][:2] for c in run] == [c["means"][:2] for c in first["parent"]]
@@ -105,17 +74,13 @@ def main(argv=None) -> int:
     summary = {
         "what": "six check_theorem_bounds calls on env1, b in "
                 f"{list(BATCH_SIZES)}, n=2000, reps=1000, threads=1, parent vs change",
-        "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
-                f"numpy {np.__version__}",
+        "host": host(),
         "parent_commit": args.parent_commit,
-        "order": "in each pair every policy runs on both trees back to back; "
-                 "odd pairs run the parent first, even pairs the change first",
+        "order": order("policy"),
         "pairs": args.pairs,
         "policies": policies,
     }
-    with open(args.out, "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    write_json(summary, args.out)
     for pol, entry in policies.items():
         g = entry["grid_s"]
         print(f"{pol}: grid_s {g['parent']['median']:.2f} -> {g['change']['median']:.2f} "

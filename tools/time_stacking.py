@@ -28,20 +28,17 @@ In each pair every case runs on both sides back to back; odd pairs run
 each side's times, median and quartiles (``statistics.quantiles(values,
 n=4)``), how many pairs ``stacked`` won, the ratio of the medians, each
 side's peak resident set (``ru_maxrss``) and whether both sides wrote the
-same results and curves bytes.
+same results and curves bytes.  The pair protocol is ``tools/pairs.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 
-import numpy as np
+from pairs import host, run_child, run_pairs, summarise, wins, write_json
 
 SIDES = {"alone": 0, "stacked": 10**12}
 CASES = {
@@ -77,19 +74,6 @@ print(json.dumps({"wall_s": wall, "calls": calls[0], "peak_rss_mb": rss,
 """
 
 
-def time_run(stack_steps: int, reps: int, threads: int, case: dict) -> dict:
-    env = dict(os.environ, PYTHONPATH="src")
-    args = json.dumps([stack_steps, reps, threads, case])
-    proc = subprocess.run([sys.executable, "-c", CHILD, args], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def summarise(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--reps", default="16,64,128,256,512")
@@ -102,14 +86,9 @@ def main(argv=None) -> int:
     keys = [(case, reps, threads) for case in CASES
             for reps in map(int, args.reps.split(","))
             for threads in map(int, args.threads.split(","))]
-    runs = {key: {side: [] for side in SIDES} for key in keys}
-    for pair in range(args.pairs):
-        order = list(SIDES) if pair % 2 == 0 else list(reversed(SIDES))
-        for case, reps, threads in keys:
-            for side in order:
-                runs[case, reps, threads][side].append(
-                    time_run(SIDES[side], reps, threads, CASES[case]))
-        print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+    # the child takes [stack_steps, reps, threads, case] and runs on ./src
+    runs = run_pairs(args.pairs, keys, SIDES, lambda key, side, pair: run_child(
+        ".", CHILD, json.dumps([SIDES[side], *key[1:], CASES[key[0]]])))
 
     summary = []
     for (case, reps, threads), sides in runs.items():
@@ -118,7 +97,7 @@ def main(argv=None) -> int:
             "case": case, "reps": reps, "threads": threads,
             "engine_calls": {s: rs[0]["calls"] for s, rs in sides.items()},
             "wall_s": {"alone": summarise(alone), "stacked": summarise(stacked)},
-            "stacked_wins": f"{sum(s < a for s, a in zip(stacked, alone))}/{len(alone)}",
+            "stacked_wins": f"{wins(stacked, alone)}/{len(alone)}",
             "median_ratio_stacked_to_alone": statistics.median(stacked) / statistics.median(alone),
             "peak_rss_mb_median": {s: statistics.median(r["peak_rss_mb"] for r in rs)
                                    for s, rs in sides.items()},
@@ -128,14 +107,12 @@ def main(argv=None) -> int:
     record = {
         "command": f"python3 tools/time_stacking.py --reps {args.reps} "
                    f"--threads {args.threads} --pairs {args.pairs}",
-        "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
-                f"numpy {np.__version__}",
+        "host": host(),
         "sweeps": {case: {"envs": ["env1", "env2", "env3"], **spec}
                    for case, spec in CASES.items()},
         "results": summary,
     }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
+    write_json(record, args.out)
     return 0
 
 
