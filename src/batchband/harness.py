@@ -422,9 +422,10 @@ def check_theorem_bounds(
 def _split_reps(reps: int, threads: int):
     """Contiguous chunks ``(lo, hi)`` of whole blocks of reps, at most one
     per working process (the caller is one) and per block.  A chunk of
-    whole blocks draws what one call over every rep would.  Larger calls
-    were not measured cheaper here: stacked sweep calls broke even at about
-    1.5M rep-steps and lost at 3M (``STACK_STEPS``)."""
+    whole blocks draws what one call over every rep would.  At one thread,
+    n=2000 and 1,000 reps, one chunk beat four of 256 reps for ucb and tied
+    for ts (``BENCH_19.json``); stacked sweep calls broke even at about 1.5M
+    rep-steps and lost at 3M (``STACK_STEPS``)."""
     blocks = -(-reps // BLOCK_REPS)
     per = -(-blocks // max(min(threads, blocks), 1)) * BLOCK_REPS
     return [(lo, min(lo + per, reps)) for lo in range(0, reps, per)]
