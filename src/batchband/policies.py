@@ -12,13 +12,16 @@ A policy runs ``R`` reps in lockstep through three operations:
   drawing policy makes one draw for every rep of each block that holds any
   of ``rows``, whatever its other reps are doing.  The linear policies draw
   from ``rngs[r]``, one generator per rep, and read ``features``, one
-  ``(b, k, dim)`` feature tensor per row.  Only the finite-armed policies
+  ``(b, k, dim)`` feature tensor per row; LinTS also takes its ``(len(rows),
+  b, dim)`` standard normals as ``noise``, drawn by the caller, in place of
+  drawing them.  Only the finite-armed policies
   that are not adaptive take a keyword ``batches`` (default 1): one call
   then plays ``batches`` batches and returns ``(len(rows), batches * b)``
   actions, batch-major, the same as that many one-batch calls.
 * ``update_reps(states, actions, rewards)``: absorb ``(R, m)`` released
-  actions and rewards in place and return the states; the linear policies
-  take the chosen feature vectors, ``(R, m, dim)``, as actions.
+  actions and rewards, arrays or nested lists, in place and return the
+  states; the linear policies take the chosen feature vectors,
+  ``(R, m, dim)``, as actions.
 
 Every rep has seen the same amount of feedback, ``t_seen``.  ``draws``
 says whether ``act_reps`` consumes the generators; a policy that draws
@@ -26,7 +29,10 @@ nothing plays a pure function of its state and features.  ``adaptive``
 says whether ``act_reps`` reads the state at all; a policy that is not
 adaptive (uniform and fixed-arm play) ignores feedback, so ``b`` steps from
 any state are ``b`` steps from the initial one.  State is frozen within a
-batch, so the played rule is constant inside it.
+batch, so the played rule is constant inside it.  A state of one rep (a
+lone run, a replay) takes Python-float paths for UCB's index, TS's draws
+and short count updates: the same IEEE operations in the same order as
+the array paths, so the same bits.
 """
 
 from __future__ import annotations
@@ -112,6 +118,12 @@ class BasePolicy:
         raise NotImplementedError
 
 
+# Up to this many releases of one rep, adding them on Python floats beats
+# the two scatters (about 1.7 against 2.2 us for one release; they break
+# even between 16 and 32)
+_SCALAR_ADD_MAX = 16
+
+
 class _CountPolicy(BasePolicy):
     """Finite-armed policy whose state is pull counts and reward sums.
 
@@ -129,12 +141,21 @@ class _CountPolicy(BasePolicy):
         return RepCounts(np.zeros((reps, k)), np.zeros((reps, k)), offsets, 0)
 
     def update_reps(self, states, actions, rewards):
-        # one unbuffered scatter per array adds each release to its cell in
-        # step order, as a per-step loop would
-        flat = (actions + states.offsets).ravel()
-        np.add.at(states.counts.ravel(), flat, 1.0)
-        np.add.at(states.sums.ravel(), flat, rewards.ravel())
-        states.t_seen += actions.shape[1]
+        if len(states.counts) == 1 and len(actions[0]) <= _SCALAR_ADD_MAX:
+            # one rep: the same adds in step order, on Python floats
+            counts, sums = states.counts[0].tolist(), states.sums[0].tolist()
+            for a, r in zip(actions[0], rewards[0]):
+                counts[a] += 1.0
+                sums[a] += r
+            states.counts[0], states.sums[0] = counts, sums
+            states.t_seen += len(actions[0])
+        else:
+            # one unbuffered scatter per array adds each release to its cell
+            # in step order, as a per-step loop would
+            flat = np.ravel(actions + states.offsets)
+            np.add.at(states.counts.ravel(), flat, 1.0)
+            np.add.at(states.sums.ravel(), flat, np.ravel(rewards))
+            states.t_seen += np.shape(actions)[1]
         return states
 
 
@@ -162,6 +183,15 @@ class UcbPolicy(_CountPolicy):
         # t_seen; numpy's SIMD log need not match libm to the last bit
         counts = states.counts
         bonus = 2.0 * math.log(states.t_seen + 1)
+        if len(counts) == 1:
+            # one rep: the same IEEE operations in the same order on Python
+            # floats, without numpy's dispatch on (1, k) arrays
+            c = self.c
+            idx = [s / n + c * math.sqrt(bonus / n) if n else math.inf
+                   for s, n in zip(states.sums[0].tolist(), counts[0].tolist())]
+            arms = np.empty((len(rows), b), dtype=np.int64)
+            arms.fill(idx.index(max(idx)))
+            return arms
         if states.unpulled:
             states.unpulled = bool((counts == 0).any())
         if not states.unpulled:
@@ -213,11 +243,15 @@ class ThompsonBetaPolicy(_CountPolicy):
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
         k = self.k
         reps = len(states.counts)
-        if reps == 1 and b * k <= _SCALAR_BETA_MAX:
+        if len(rows) == reps == 1 and b * k <= _SCALAR_BETA_MAX:
             draw = rngs[0].beta
             n, s = states.counts[0].tolist(), states.sums[0].tolist()
-            flat = [draw(1.0 + s[a], 1.0 + n[a] - s[a]) for _ in range(b) for a in range(k)]
-            return np.array(flat).reshape(1, b, k).argmax(axis=2)
+            posterior = [(1.0 + s[a], 1.0 + n[a] - s[a]) for a in range(k)]
+            acts = []
+            for _ in range(b):
+                draws = [draw(x, y) for x, y in posterior]
+                acts.append(draws.index(max(draws)))
+            return np.array([acts])
         alpha = (1.0 + states.sums)[:, None]
         beta = (1.0 + states.counts - states.sums)[:, None]
         acts = np.empty((reps, b), dtype=np.int64)
@@ -340,7 +374,7 @@ class _LinearBase(BasePolicy):
             )
         feats_t = feats.transpose(0, 2, 1)
         states.V += feats_t @ feats
-        states.z += (feats_t @ rewards[..., None])[..., 0]
+        states.z += (feats_t @ np.asarray(rewards, dtype=float)[..., None])[..., 0]
         states.t_seen += feats.shape[1]
         states.factors = None
         return states
@@ -397,12 +431,13 @@ class LinTsPolicy(_LinearBase):
         Vinv = np.linalg.inv(V)
         return (Vinv @ z)[..., 0], np.linalg.cholesky(Vinv)
 
-    def act_reps(self, states, b, rngs, rows, features=None) -> np.ndarray:
+    def act_reps(self, states, b, rngs, rows, features=None, noise=None) -> np.ndarray:
         fs = self._features(features, rows, b)
         mean, chol = self._factors(states, rows)
-        noise = np.empty((len(rows), b, self.dim))
-        for i, r in enumerate(rows.tolist()):
-            rngs[r].standard_normal(out=noise[i])
+        if noise is None:
+            noise = np.empty((len(rows), b, self.dim))
+            for i, r in enumerate(rows.tolist()):
+                rngs[r].standard_normal(out=noise[i])
         draws = mean[:, None] + noise @ chol.transpose(0, 2, 1)
         return np.argmax(np.einsum("rbkd,rbd->rbk", fs, draws), axis=2)
 

@@ -16,23 +16,29 @@ often as the stream requires:
 
 * a policy that is not ``adaptive`` proposes for the whole log in one call
   and is never updated;
-* a policy that ``draws`` nothing proposes for a look-ahead window of
-  ``2 * k * need`` records, where ``need`` is what the pending batch still
-  lacks, keeps its first ``need`` matches and drops the rest, with nothing
-  drawn to rewind;
-* a drawing policy proposes for up to ``need`` records, which can never
-  take the history past its next update.
+* a policy that ``draws`` nothing, and LinTS, propose for a look-ahead
+  window of ``2 * k * need`` records, where ``need`` is what the pending
+  batch still lacks, keep the first ``need`` matches and drop the rest.
+  LinTS draws ``dim`` standard normals per proposal whatever its state, so
+  the evaluator draws them ahead, in record order and ``_NOISE_CHUNK``
+  records at a time, and a record proposed again from a later state gets
+  the same normals: the stream of one draw per record;
+* TS proposes for up to ``need`` records, which can never take the
+  history past its next update: numpy's Beta sampler uses a number of
+  variates that depends on its parameters, so its draws cannot be taken
+  ahead.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PROB_TOL, write_csv
 from .environments import DataError, LoggedData, _reject_rows, block_features
-from .policies import ThompsonBetaPolicy
+from .policies import LinTsPolicy, ThompsonBetaPolicy
 
 SUCCESS_THRESHOLD = 0.5
 
@@ -40,6 +46,9 @@ SUCCESS_THRESHOLD = 0.5
 # beats one numpy comparison (about 1 against 3 us for a single record; they
 # break even near 30)
 _LIST_WINDOW_MAX = 24
+
+# LinTS's standard normals are drawn this many records at a time
+_NOISE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -100,59 +109,69 @@ def replay_evaluate(
         Seeds the proposal stream, so results are reproducible given
         (dataset, policy configuration, seed).
     """
-    check_uniform_log(dataset, policy)
+    try:
+        b = operator.index(b)
+    except TypeError:
+        raise DataError(f"batch size must be an integer, got {b!r}") from None
     if b < 1:
         raise DataError(f"batch size {b} must be >= 1")
+    check_uniform_log(dataset, policy)
     k = policy.k
     logged, contexts = dataset.actions, dataset.contexts
-    contextual = hasattr(policy, "dim")
-    rngs = [np.random.default_rng(seed)]
-    rows = np.zeros(1, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    rngs, rows = [rng], np.zeros(1, dtype=np.int64)
     state = policy.init_reps(1)
     n = logged.size
 
-    def propose(i, m):
-        """Proposals for records ``[i, i + m)`` from the frozen state, and
-        their features when the policy reads them."""
-        if not contextual:
-            return policy.act_reps(state, m, rngs, rows)[0], None
-        feats = block_features(contexts[i : i + m], k)
-        return policy.act_reps(state, m, rngs, rows, feats[None])[0], feats
-
     if not policy.adaptive:
         # the state is never read, so the whole log is one proposal call
-        hits = propose(0, n)[0] == logged
+        hits = policy.act_reps(state, n, rngs, rows)[0] == logged
         successes = int(np.count_nonzero(dataset.rewards[hits] >= SUCCESS_THRESHOLD))
         return _result(policy, b, int(np.count_nonzero(hits)), successes)
 
+    contextual = hasattr(policy, "dim")
+    ahead = isinstance(policy, LinTsPolicy)
+    window = 1 if policy.draws and not ahead else 2 * k
+    if ahead:
+        # normals[j - base] holds record j's standard normals
+        base, normals = 0, rng.standard_normal((_NOISE_CHUNK, policy.dim))
     actions, rewards = logged.tolist(), dataset.rewards.tolist()
     matched = successes = 0
-    pending, pending_keys = [], []
+    keys, released = [], []
     i = 0
     while i < n:
-        need = b - len(pending)
-        m = min(need if policy.draws else 2 * k * need, n - i)
-        lo = i
-        proposals, feats = propose(lo, m)
-        if m <= _LIST_WINDOW_MAX:
-            hits = [j for j, a in enumerate(proposals.tolist(), lo) if a == actions[j]][:need]
-        else:
-            hits = ((proposals == logged[lo : lo + m]).nonzero()[0][:need] + lo).tolist()
-        i = hits[-1] + 1 if len(hits) == need else lo + m
-        if not hits:
-            continue
+        need = b - len(released)
+        lo, hi = i, min(i + need * window, n)
+        args = ()
         if contextual:
-            pending_keys.extend(feats[j - lo, actions[j]] for j in hits)
+            feats = block_features(contexts[lo:hi], k)
+            args = (feats[None],)
+        if ahead:
+            if hi > base + len(normals):
+                chunks = -(-(hi - base - len(normals)) // _NOISE_CHUNK)
+                fresh = rng.standard_normal((chunks * _NOISE_CHUNK, policy.dim))
+                base, normals = lo, np.concatenate([normals[lo - base :], fresh])
+            args += (normals[None, lo - base : hi - base],)
+        proposals = policy.act_reps(state, hi - lo, rngs, rows, *args)[0]
+        if hi - lo <= _LIST_WINDOW_MAX:
+            hits = []
+            for j, a in enumerate(proposals.tolist(), lo):
+                if a == actions[j]:
+                    hits.append(j)
+                    if len(hits) == need:
+                        break
+        else:
+            hits = ((proposals == logged[lo:hi]).nonzero()[0][:need] + lo).tolist()
+        i = hits[-1] + 1 if len(hits) == need else hi
+        for j in hits:
+            a, r = actions[j], rewards[j]
+            keys.append(feats[j - lo, a] if contextual else a)
+            released.append(r)
+            successes += r >= SUCCESS_THRESHOLD
         matched += len(hits)
-        successes += sum(rewards[j] >= SUCCESS_THRESHOLD for j in hits)
-        pending.extend(hits)
-        if len(pending) == b:
-            keys = pending_keys if contextual else [actions[j] for j in pending]
-            state = policy.update_reps(
-                state, np.array([keys]), np.array([[rewards[j] for j in pending]])
-            )
-            pending.clear()
-            pending_keys.clear()
+        if len(released) == b:
+            state = policy.update_reps(state, [keys], [released])
+            keys, released = [], []
     return _result(policy, b, matched, successes)
 
 

@@ -36,6 +36,7 @@ def make(name, env):
     k = env.k
     return {
         "ucb": lambda: UcbPolicy(k),
+        "ucb_c0": lambda: UcbPolicy(k, c=0.0),
         "ts": lambda: ThompsonBetaPolicy(k),
         "uniform": lambda: UniformPolicy(k),
         "fixed": lambda: FixedArmPolicy(k, arm=1),
@@ -53,16 +54,20 @@ def engine_run(policy, env, spec, b, seeds):
     return (run_short if spec == "short" else run_batch)(policy, env, grid, seeds)
 
 
-@pytest.mark.parametrize("spec,b", [("online", 1), ("batch", 3), ("batch", 8), ("short", 4)])
-@pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "fixed", "two_phase"])
+@pytest.mark.parametrize("spec,b", [("online", 1), ("batch", 3), ("batch", 8), ("short", 4),
+                                    ("lone", 1), ("lone", 3)])
+@pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "fixed", "two_phase", "ucb_c0"])
 def test_engine_matches_naive_reference(name, spec, b):
-    # a whole block and a short one
+    # a whole block and a short one; a lone run, one rep from a never-pulled
+    # start, takes the policies' one-rep paths
+    reps = 1 if spec == "lone" else BLOCK_REPS + 4
+    ref_name, c = ("ucb", 0.0) if name == "ucb_c0" else (name, 1.0)
     for env_name in ("env1", "env6"):
         env = preset(env_name)
-        seeds = [derive_seed(3, name, spec, b, env_name, i) for i in range(BLOCK_REPS + 4)]
+        seeds = [derive_seed(3, name, spec, b, env_name, i) for i in range(reps)]
         run = engine_run(make(name, env), env, spec, b, seeds)
-        ref = reference_run(name, env.means.tolist(), N, b, seeds, short=spec == "short",
-                            arm=1, switch_t=SWITCH_T)
+        ref = reference_run(ref_name, env.means.tolist(), N, b, seeds, short=spec == "short",
+                            c=c, arm=1, switch_t=SWITCH_T)
         for i, (actions, regret) in enumerate(ref):
             assert run.actions[i].tolist() == actions
             assert run.pseudo_regret[i].tolist() == regret
@@ -197,6 +202,13 @@ def test_run_lockstep_rejects_bad_arguments(kwargs, message):
         run_lockstep(UcbPolicy(2), preset("env1"), make_grid(8, 4), [1, 2, 3, 4], **kwargs)
 
 
+@pytest.mark.parametrize("name", ["ucb", "ts", "uniform"])
+def test_a_run_over_no_seeds_holds_no_reps(name):
+    env = preset("env1")
+    run = run_batch(make(name, env), env, make_grid(8, 2), [])
+    assert run.actions.shape == run.pseudo_regret.shape == (0, 8)
+
+
 @pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
 def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
     # env3 at b=10: some reps certify early, some late, some never.  The
@@ -321,3 +333,10 @@ def test_approx_delayed_start_matches_naive_reference(env_name, b):
     for i, (tau, actions) in enumerate(ref):
         assert run.phases[i].tau_hat == tau
         assert run.actions[i].tolist() == actions
+    # a lone run absorbs its whole phase 1 in one release at the hand-over,
+    # then one batch at a time, on the one-rep paths
+    for seed in seeds[:4]:
+        lone = approx_delayed_start_run(UcbPolicy(env.k), env, grid, 0.05, seed)
+        tau, actions = reference_approx_delayed_start(env.means.tolist(), grid.n, b, [seed],
+                                                      0.05)[0]
+        assert (lone.phase.tau_hat, lone.actions.tolist()) == (tau, actions)

@@ -130,6 +130,46 @@ def test_rep_rows_are_independent():
     assert pol.act_reps(st, 1, rngs, np.array([1])).tolist() == [[1]]
 
 
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("pol", [
+    UcbPolicy(2),
+    ThompsonBetaPolicy(2),
+    UniformPolicy(2),
+    FixedArmPolicy(2, arm=1),
+    TwoPhaseSwitchPolicy(2, good_arm=0, bad_arm=1, switch_t=1),
+])
+def test_one_rep_state_asked_for_no_rows_plays_and_draws_nothing(pol, b):
+    # a two-phase run asks only the reps that have handed over, which may
+    # be none of them
+    st = fed(pol, [(0, 1.0)])
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    acts = pol.act_reps(st, b, [rng], np.zeros(0, dtype=np.int64))
+    assert acts.shape == (0, b)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("m", [1, 5, 16, 17, 40])
+def test_one_rep_update_equals_its_row_of_a_many_rep_update(m):
+    # one rep adds a short release on Python floats, many reps scatter it;
+    # both add in step order, so rewards in tenths, whose sums round
+    # differently in another order, give the same bits; replay passes
+    # nested lists
+    pol = UcbPolicy(3)
+    rng = np.random.default_rng(m)
+    many, one, listed = pol.init_reps(2), pol.init_reps(1), pol.init_reps(1)
+    for _ in range(3):
+        acts = rng.integers(0, 3, size=(2, m))
+        rews = np.round(rng.random((2, m)), 1)
+        many = pol.update_reps(many, acts, rews)
+        one = pol.update_reps(one, acts[:1], rews[:1])
+        listed = pol.update_reps(listed, acts[:1].tolist(), rews[:1].tolist())
+    for st in (one, listed):
+        assert np.array_equal(st.counts, many.counts[:1])
+        assert np.array_equal(st.sums, many.sums[:1])
+        assert st.t_seen == many.t_seen == 3 * m
+
+
 # ---------------------------------------------------------------- ts
 
 

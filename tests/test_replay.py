@@ -28,6 +28,7 @@ from batchband.policies import (
     UniformPolicy,
 )
 from batchband.replay import (
+    _NOISE_CHUNK,
     REPLAY_CSV_HEADER,
     ReplayResult,
     check_uniform_log,
@@ -76,6 +77,12 @@ class TestHandExamples:
     def test_bad_batch_rejected(self):
         with pytest.raises(DataError, match="batch"):
             replay_evaluate(FixedArmPolicy(2, 0), rec([(0, 1.0)]), b=0, seed=0)
+
+    @pytest.mark.parametrize("b", [2.5, 2.0])
+    @pytest.mark.parametrize("policy", [UniformPolicy(2), UcbPolicy(2), ThompsonBetaPolicy(2)])
+    def test_non_integer_batch_rejected(self, policy, b):
+        with pytest.raises(DataError, match="batch size must be an integer"):
+            replay_evaluate(policy, rec([(0, 1.0), (1, 0.0)]), b=b, seed=0)
 
     def test_out_of_range_action_reports_line(self):
         dataset = rec([(0, 1.0), (3, 1.0)])
@@ -264,6 +271,38 @@ class TestProposalCalls:
         result = replay_evaluate(policy, dataset, b=3, seed=4)
         assert calls == [999]
         assert result.matched > 0
+
+
+class TestLinTsWindows:
+    """LinTS proposes over look-ahead windows with normals drawn ahead in
+    record order, in chunks of ``_NOISE_CHUNK`` records."""
+
+    @staticmethod
+    def log(rows):
+        return synth_logged_dataset(make_linear_env(4, 3, seed=8), rows, seed=41)
+
+    def test_one_call_per_window_not_per_record(self, monkeypatch):
+        calls = []
+        act_reps = LinTsPolicy.act_reps
+
+        def spy(self, *args):
+            calls.append(args[1])
+            return act_reps(self, *args)
+
+        monkeypatch.setattr(LinTsPolicy, "act_reps", spy)
+        n = 2400
+        result = replay_evaluate(LinTsPolicy(4, 3), self.log(n), b=1, seed=3)
+        # at b=1 a call ends at a match or after a window of 2k matchless records
+        assert result.matched <= len(calls) <= result.matched + n // 8 + 1
+        assert len(calls) < n // 3
+        assert max(calls) == 8
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 50, 300])
+    def test_matches_reference_across_noise_refills(self, b):
+        # the log spans three chunks; at b=300 one window spans more than one
+        data = self.log(2 * _NOISE_CHUNK + 300)
+        result = replay_evaluate(LinTsPolicy(4, 3), data, b=b, seed=11)
+        assert (result.matched, result.successes) == reference_replay("lints", 4, data, b, 11)
 
 
 class TestContextualTrend:

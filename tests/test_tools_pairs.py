@@ -1,11 +1,14 @@
-"""The alternating-pairs protocol of the timing scripts in ``tools/``.
+"""The alternating-pairs protocol of the timing scripts in ``tools/``, and a
+smoke run of ``tools/time_replay.py``.
 
 ``tools/pairs.py`` is not part of the package, so it is loaded from its
 file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
 """
 
 import importlib.util
+import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,3 +62,21 @@ def test_src_lines_counts_the_package_modules(tmp_path):
     (package / "b.py").write_text("z = 3\n")
     (package / "notes.txt").write_text("not a module\n")
     assert pairs.src_lines(str(tmp_path)) == 3
+
+
+def test_time_replay_runs_at_tiny_sizes(tmp_path):
+    # both sides are this tree, so every call must return the same result
+    root = str(TOOLS.parent)
+    out = tmp_path / "replay.json"
+    subprocess.run([sys.executable, str(TOOLS / "time_replay.py"), "--parent", root,
+                    "--change", root, "--pairs", "2", "--smoke", "--out", str(out)],
+                   check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    replays = [f"{name} b={b}" for name in ("ucb", "ts", "uniform", "linucb", "lints")
+               for b in (1, 50)]
+    assert list(record["calls"]) == replays + [
+        "lone ucb n=50", "lone ts n=50", "criterion4 2 runs n=100"]
+    for entry in record["calls"].values():
+        assert entry["results_equal_between_sides"]
+        assert len(entry["s"]["parent"]["values"]) == len(entry["s"]["change"]["values"]) == 2
+    assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
