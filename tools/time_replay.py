@@ -20,7 +20,9 @@ the tree's ``src``; the timed calls exclude imports and set-up:
 * ``criterion4``: 200 lone ucb runs on env3 at n=10,000, the batch of
   ``tests/test_acceptance.py::test_criterion_4_suboptimal_count_bound``.
 
-In each pair every case runs on both trees back to back; odd pairs run the
+Each lone run, and the first replay, follows one untimed warm-up call on
+other inputs, so that first-call costs stay out of the times.  In each
+pair every case runs on both trees back to back; odd pairs run the
 parent first, even pairs the change first.  Per timed call the summary holds
 each side's seconds, median and quartiles (``statistics.quantiles(values,
 n=4)``), how many pairs the change won and the relative change of the
@@ -58,6 +60,7 @@ if case == "replay":
                                   seed=derive_seed(seed, "log", "env1"))
     linear = make_linear_env(4, 5, seed=derive_seed(seed, "theta"))
     ctx = synth_logged_dataset(linear, sizes["ctx_rows"], seed=derive_seed(seed, "log", "linear"))
+    replay_evaluate(make_policy("ucb", 2), finite, 1, 0)  # warm-up, untimed
     for names, data, k, p in ((("ucb", "ts", "uniform"), finite, 2, None),
                               (("linucb", "lints"), ctx, 4, 5)):
         for name in names:
@@ -68,6 +71,7 @@ if case == "replay":
                     replay_evaluate(policy, data, b, rseed)))
 elif case == "lone":
     for policy in (UcbPolicy(2), ThompsonBetaPolicy(2)):
+        run_online(policy, preset("env1"), sizes["n"], seed + 1)  # warm-up, untimed
         timed(f"lone {policy.name} n={sizes['n']}",
               lambda: run_online(policy, preset("env1"), sizes["n"], seed).actions.tolist())
 else:
