@@ -9,6 +9,7 @@ feedback released at earlier batch boundaries.
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -121,8 +122,13 @@ def make_grid(n_raw: int, b: int) -> BatchGrid:
     Raises
     ------
     GridError
-        If ``b < 1`` or the truncated horizon is empty (``n_raw < b``).
+        If ``n_raw`` or ``b`` is not an integer (``operator.index`` refuses
+        it), ``b < 1`` or the truncated horizon is empty (``n_raw < b``).
     """
+    try:
+        n_raw, b = operator.index(n_raw), operator.index(b)
+    except TypeError:
+        raise GridError(f"horizon and batch size must be integers, got {n_raw!r} and {b!r}") from None
     if b < 1:
         raise GridError(f"batch size must be >= 1, got {b}")
     if n_raw < b:

@@ -30,9 +30,11 @@ says whether ``act_reps`` reads the state at all; a policy that is not
 adaptive (uniform and fixed-arm play) ignores feedback, so ``b`` steps from
 any state are ``b`` steps from the initial one.  State is frozen within a
 batch, so the played rule is constant inside it.  A state of one rep (a
-lone run, a replay) takes Python-float paths for UCB's index, TS's draws
-and short count updates: the same IEEE operations in the same order as
-the array paths, so the same bits.
+lone run, a replay) takes Python-float paths for TS's draws and short
+count updates: the same IEEE operations in the same order as the array
+paths, so the same bits.  UCB's one-rep state also runs ahead
+(``UcbPolicy.run_ahead``): over the batches its leader keeps, given the
+leader's rewards, in one call.
 """
 
 from __future__ import annotations
@@ -52,6 +54,14 @@ DEFAULT_LINUCB_ALPHA = 1.0
 # little more than one rep's own draw, while a larger block makes the
 # surplus reps of a padded run cost more.
 BLOCK_REPS = 16
+
+
+# A one-rep run or replay runs ahead (``UcbPolicy.run_ahead``) over windows
+# of this many batches, doubled after each window its leader keeps whole
+# and reset when the leader changes.  Starts of 4, 8, 16 and 32 asked 223,
+# 192, 165 and 141 windows per criterion-4 run (env3, n=10^4) and took its
+# 200 runs in 1.7-2.1 s alike (BENCH_21.json)
+RUN_AHEAD_START = 8
 
 
 class PolicyError(ValueError):
@@ -184,15 +194,6 @@ class UcbPolicy(_CountPolicy):
         # t_seen; numpy's SIMD log need not match libm to the last bit
         counts = states.counts
         bonus = 2.0 * math.log(states.t_seen + 1)
-        if len(counts) == 1:
-            # one rep: the same IEEE operations in the same order on Python
-            # floats, without numpy's dispatch on (1, k) arrays
-            c = self.c
-            idx = [s / n + c * math.sqrt(bonus / n) if n else math.inf
-                   for s, n in zip(states.sums[0].tolist(), counts[0].tolist())]
-            arms = np.empty((len(rows), b), dtype=np.int64)
-            arms.fill(idx.index(max(idx)))
-            return arms
         if states.unpulled:
             states.unpulled = bool((counts == 0).any())
         if not states.unpulled:
@@ -207,6 +208,49 @@ class UcbPolicy(_CountPolicy):
         if rows.size < arms.size:
             arms = arms[rows]
         return arms[:, None].repeat(b, axis=1)
+
+    def run_ahead(self, states, lead, rewards) -> int:
+        """Advance a one-rep state over the batches its leader keeps.
+
+        ``lead`` is the state's argmax, the arm ``act_reps`` plays, and
+        ``rewards`` ``(w, m)`` are the ``m`` rewards each of the next ``w``
+        batches would release if ``lead`` played it.  ``lead`` plays the
+        first batch, and batch ``j + 1`` while it is still the first
+        maximum after ``j`` batches: its index strictly above every lower
+        arm's and at least every higher arm's, an unpulled arm's being inf.
+        Absorbs the batches ``lead`` plays, up to ``w``, and returns how
+        many.  The bits are ``act_reps``' and ``update_reps``': the
+        leader's sums are one sequential cumsum from its running sum, each
+        bonus comes from ``math.log``, and numpy's ``/`` and ``sqrt`` are
+        correctly rounded.
+        """
+        w, m = rewards.shape
+        counts, sums = states.counts[0], states.sums[0]
+        path = np.empty(w * m + 1)
+        path[0] = sums[lead]
+        path[1:] = rewards.ravel()
+        path.cumsum(out=path)
+        others = counts.tolist()
+        del others[lead]
+        if w == 1 or 0.0 in others:
+            # an unpulled arm takes over after the leader's first batch
+            keep = 1
+        else:
+            # the states after 1..w-1 batches, one per row: only the
+            # leader's count and sum and the bonus move
+            t, pulls = states.t_seen + 1, int(counts[lead])
+            bonus = 2.0 * np.array(list(map(math.log, range(t + m, t + w * m, m))))
+            n, s = np.empty((w - 1, self.k)), np.empty((w - 1, self.k))
+            n[:], s[:] = counts, sums
+            n[:, lead] = np.arange(pulls + m, pulls + w * m, m)
+            s[:, lead] = path[m : w * m : m]
+            moved = (s / n + self.c * np.sqrt(bonus[:, None] / n)).argmax(axis=1) != lead
+            j = int(moved.argmax())
+            keep = j + 1 if moved[j] else w
+        counts[lead] += keep * m
+        sums[lead] = path[keep * m]
+        states.t_seen += keep * m
+        return keep
 
 
 def _blocks(rows, reps):

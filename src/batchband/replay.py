@@ -16,13 +16,18 @@ often as the stream requires:
 
 * a policy that is not ``adaptive`` proposes for the whole log in one call
   and is never updated;
-* a policy that ``draws`` nothing, and LinTS, propose for a look-ahead
-  window of ``2 * k * need`` records, where ``need`` is what the pending
-  batch still lacks, keep the first ``need`` matches and drop the rest.
-  LinTS draws ``dim`` standard normals per proposal whatever its state, so
-  the evaluator draws them ahead, in record order and ``_NOISE_CHUNK``
-  records at a time, and a record proposed again from a later state gets
-  the same normals: the stream of one draw per record;
+* UCB runs ahead while its leader holds: its leader matches exactly the
+  records that log it, so one ``run_ahead`` call takes the leader's next
+  records, found from per-arm record positions, as whole batches, and
+  stops at the batch after which another arm leads;
+* two-phase play, LinUCB and LinTS propose for a look-ahead window of
+  ``2 * k * need`` records, where ``need`` is what the pending batch still
+  lacks, keep the first ``need`` matches and drop the rest.  The linear
+  policies' features are built ``_NOISE_CHUNK`` records at a time, once
+  per record.  LinTS draws ``dim`` standard normals per proposal whatever
+  its state, so the evaluator draws them ahead with the features, in
+  record order, and a record proposed again from a later state gets the
+  same normals: the stream of one draw per record;
 * TS proposes for up to ``need`` records, which can never take the
   history past its next update: numpy's Beta sampler uses a number of
   variates that depends on its parameters, so its draws cannot be taken
@@ -38,7 +43,7 @@ import numpy as np
 
 from .core import PROB_TOL, write_csv
 from .environments import DataError, LoggedData, _reject_rows, block_features
-from .policies import LinTsPolicy, ThompsonBetaPolicy
+from .policies import RUN_AHEAD_START, LinTsPolicy, ThompsonBetaPolicy
 
 SUCCESS_THRESHOLD = 0.5
 
@@ -47,7 +52,8 @@ SUCCESS_THRESHOLD = 0.5
 # break even near 30)
 _LIST_WINDOW_MAX = 24
 
-# LinTS's standard normals are drawn this many records at a time
+# Contextual replay builds features, and LinTS draws its standard normals,
+# this many records at a time
 _NOISE_CHUNK = 1024
 
 
@@ -129,12 +135,19 @@ def replay_evaluate(
         successes = int(np.count_nonzero(dataset.rewards[hits] >= SUCCESS_THRESHOLD))
         return _result(policy, b, int(np.count_nonzero(hits)), successes)
 
+    if hasattr(policy, "run_ahead"):
+        return _result(policy, b, *_replay_ahead(policy, state, dataset, b, rows))
+
     contextual = hasattr(policy, "dim")
     ahead = isinstance(policy, LinTsPolicy)
     window = 1 if policy.draws and not ahead else 2 * k
-    if ahead:
-        # normals[j - base] holds record j's standard normals
-        base, normals = 0, rng.standard_normal((_NOISE_CHUNK, policy.dim))
+    if contextual:
+        # records base..end-1 have their features, and LinTS's normals, in
+        # feats[j - base] and normals[j - base], built _NOISE_CHUNK records
+        # at a time in record order
+        base = end = 0
+        feats = np.empty((0, k, policy.dim))
+        normals = np.empty((0, policy.dim))
     actions, rewards = logged.tolist(), dataset.rewards.tolist()
     matched = successes = 0
     keys, released = [], []
@@ -144,14 +157,16 @@ def replay_evaluate(
         lo, hi = i, min(i + need * window, n)
         args = ()
         if contextual:
-            feats = block_features(contexts[lo:hi], k)
-            args = (feats[None],)
-        if ahead:
-            if hi > base + len(normals):
-                chunks = -(-(hi - base - len(normals)) // _NOISE_CHUNK)
-                fresh = rng.standard_normal((chunks * _NOISE_CHUNK, policy.dim))
-                base, normals = lo, np.concatenate([normals[lo - base :], fresh])
-            args += (normals[None, lo - base : hi - base],)
+            if hi > end:
+                stop = min(end + -(-(hi - end) // _NOISE_CHUNK) * _NOISE_CHUNK, n)
+                feats = np.concatenate([feats[lo - base :], block_features(contexts[end:stop], k)])
+                if ahead:
+                    fresh = rng.standard_normal((stop - end, policy.dim))
+                    normals = np.concatenate([normals[lo - base :], fresh])
+                base, end = lo, stop
+            args = (feats[None, lo - base : hi - base],)
+            if ahead:
+                args += (normals[None, lo - base : hi - base],)
         proposals = policy.act_reps(state, hi - lo, rngs, rows, *args)[0]
         if hi - lo <= _LIST_WINDOW_MAX:
             hits = []
@@ -165,7 +180,7 @@ def replay_evaluate(
         i = hits[-1] + 1 if len(hits) == need else hi
         for j in hits:
             a, r = actions[j], rewards[j]
-            keys.append(feats[j - lo, a] if contextual else a)
+            keys.append(feats[j - base, a] if contextual else a)
             released.append(r)
             successes += r >= SUCCESS_THRESHOLD
         matched += len(hits)
@@ -173,6 +188,32 @@ def replay_evaluate(
             state = policy.update_reps(state, [keys], [released])
             keys, released = [], []
     return _result(policy, b, matched, successes)
+
+
+def _replay_ahead(policy, state, dataset: LoggedData, b: int, rows) -> tuple[int, int]:
+    """(matched, successes) of a policy that runs ahead while its leader
+    holds: the leader matches exactly the records that log it, so each
+    window takes the leader's next ``window * b`` records as its batches,
+    and a final partial batch is matched but never fed back."""
+    positions = [np.flatnonzero(dataset.actions == a) for a in range(policy.k)]
+    wins = dataset.rewards >= SUCCESS_THRESHOLD
+    matched = successes = i = 0
+    window = RUN_AHEAD_START
+    while True:
+        lead = int(policy.act_reps(state, 1, None, rows)[0, 0])
+        pos = positions[lead]
+        lo = int(pos.searchsorted(i))
+        take = pos[lo : lo + window * b]
+        w = len(take) // b
+        if not w:
+            # the leader never changes again: the rest of its records
+            return matched + len(take), successes + int(np.count_nonzero(wins[take]))
+        keep = policy.run_ahead(state, lead, dataset.rewards[take[: w * b]].reshape(w, b))
+        played = take[: keep * b]
+        matched += played.size
+        successes += int(np.count_nonzero(wins[played]))
+        i = int(played[-1]) + 1
+        window = 2 * window if keep == window else RUN_AHEAD_START
 
 
 def _result(policy, b, matched, successes) -> ReplayResult:

@@ -16,7 +16,9 @@ played rule is constant within a batch for every policy in this package.
 ``run_lockstep`` is the one run loop.  It advances all reps of a
 configuration together, batch by batch, with per-rep state held as arrays;
 a policy that ignores feedback plays its batches in one call instead,
-from the start, or from the last hand-over of a two-phase run.
+from the start, or from the last hand-over of a two-phase run, and a
+lone run of a policy that can ``run_ahead`` (UCB, on a Bernoulli
+environment) plays one call per window its leader holds.
 Each rep owns its reward generator; on a Bernoulli environment the
 finite-armed policies draw from block streams, one generator per block of
 ``BLOCK_REPS`` consecutive reps (``block_streams``), so a rep's trajectory
@@ -38,7 +40,7 @@ import numpy as np
 
 from .core import BatchGrid, DimensionMismatchError, derive_seed, make_grid
 from .environments import BernoulliEnv, LinearContextualEnv, block_features
-from .policies import BLOCK_REPS, rep_bincount
+from .policies import BLOCK_REPS, RUN_AHEAD_START, rep_bincount
 
 OPT_TOL = 1e-12
 
@@ -173,7 +175,10 @@ def run_lockstep(
     same in every call whose block of that rep holds the same seeds.  A
     policy that is not ``adaptive`` ignores feedback and gets none, and
     once every rep plays it, it plays every remaining batch in one
-    ``act_reps(..., batches=...)`` call.
+    ``act_reps(..., batches=...)`` call.  One rep on a Bernoulli
+    environment, of a policy with a ``run_ahead`` method, plays window by
+    window after its hand-over, if any, on the same uniforms: per window
+    its leader, then the batches the leader keeps.
 
     ``prefix`` is a two-phase run's first phase, ``(head, tau)``: rep ``i``
     plays ``head[i]`` up to its hand-over step ``tau[i]`` (a batch
@@ -237,8 +242,13 @@ def run_lockstep(
     # a policy that ignores feedback plays every batch after the last
     # hand-over in one call
     split = M if policy.adaptive or contextual else last // b
+    first = start // b
+    if state is not None and reps == 1 and not contextual and hasattr(policy, "run_ahead"):
+        fed = 1 if visibility == "short" else b
+        _run_ahead(policy, state, grid, first, fed, means, rewards[0], actions[0])
+        first = M
 
-    for j in range(start // b, split):
+    for j in range(first, split):
         lo, hi = j * b, (j + 1) * b
         if contextual:
             for r in all_rows:
@@ -300,6 +310,26 @@ def run_lockstep(
         tau=tau,
         features=chosen if contextual else None,
     )
+
+
+def _run_ahead(policy, state, grid: BatchGrid, j, fed, means, row, actions) -> None:
+    """Play a lone run's batches from ``j`` on, window by window: per window
+    its leader, and the batches the leader keeps (``policy.run_ahead``) on
+    the rewards of the first ``fed`` steps of each batch.  ``row`` holds
+    the uniforms and takes the rewards of the steps played."""
+    b, M = grid.b, grid.M
+    window, one = RUN_AHEAD_START, np.zeros(1, dtype=np.int64)
+    while j < M:
+        lead = int(policy.act_reps(state, 1, None, one)[0, 0])
+        w = min(window, M - j)
+        lo, hi = j * b, (j + w) * b
+        rews = (row[lo:hi] < means[lead]).astype(float).reshape(w, b)
+        keep = policy.run_ahead(state, lead, rews[:, :fed])
+        hi = lo + keep * b
+        row[lo:hi] = rews[:keep].ravel()
+        actions[lo:hi] = lead
+        j += keep
+        window = 2 * window if keep == window else RUN_AHEAD_START
 
 
 def _run(policy, env, grid: BatchGrid, seed, visibility: str):

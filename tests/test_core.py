@@ -44,6 +44,13 @@ def test_make_grid_rejects_bad_parameters():
         make_grid(0, 1)
 
 
+@pytest.mark.parametrize("n,b", [(2000.0, 1), (10.5, 2), (20, 2.0), (np.float64(10), 2)])
+def test_make_grid_rejects_a_horizon_or_batch_size_that_is_not_an_integer(n, b):
+    # a float was kept, or truncated, and the engine died on it later
+    with pytest.raises(GridError, match="must be integers"):
+        make_grid(n, b)
+
+
 def test_write_csv_cell_format(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, ["a", "b"], [([0.1, None, np.int64(4)], [np.float64(1 / 3), 3, "x,y"])])

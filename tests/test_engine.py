@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from reference_runner import reference_approx_delayed_start, reference_run
 
 from batchband.core import derive_seed, make_grid
-from batchband.environments import make_linear_env, preset
+from batchband.environments import make_linear_env, parse_env, preset
 from batchband.meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from batchband.policies import (
     FixedArmPolicy,
@@ -47,27 +47,35 @@ def make(name, env):
     }[name]()
 
 
-def engine_run(policy, env, spec, b, seeds):
+def engine_run(policy, env, spec, n, b, seeds):
     if spec == "online":
-        return run_online(policy, env, N, seeds)
-    grid = make_grid(N, b)
+        return run_online(policy, env, n, seeds)
+    grid = make_grid(n, b)
     return (run_short if spec == "short" else run_batch)(policy, env, grid, seeds)
 
 
+LONE_N = 2000
+LONE_ENVS = ("env1", "env3", "env6", "0.5,0.5,0.2")
+
+
 @pytest.mark.parametrize("spec,b", [("online", 1), ("batch", 3), ("batch", 8), ("short", 4),
-                                    ("lone", 1), ("lone", 3)])
+                                    ("lone", 1), ("lone", 3), ("lone", 10), ("lone_online", 1),
+                                    ("lone_short", 3), ("lone_short", 10)])
 @pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "fixed", "two_phase", "ucb_c0"])
 def test_engine_matches_naive_reference(name, spec, b):
     # a whole block and a short one; a lone run, one rep from a never-pulled
-    # start, takes the policies' one-rep paths
-    reps = 1 if spec == "lone" else BLOCK_REPS + 4
+    # start, takes the policies' one-rep paths, and lone UCB runs ahead
+    # over windows that double several times in 2000 steps, on a tied best
+    # pair too
+    lone = spec.startswith("lone")
+    reps, n, envs = (1, LONE_N, LONE_ENVS) if lone else (BLOCK_REPS + 4, N, ("env1", "env6"))
     ref_name, c = ("ucb", 0.0) if name == "ucb_c0" else (name, 1.0)
-    for env_name in ("env1", "env6"):
-        env = preset(env_name)
+    for env_name in envs:
+        env = parse_env(env_name)
         seeds = [derive_seed(3, name, spec, b, env_name, i) for i in range(reps)]
-        run = engine_run(make(name, env), env, spec, b, seeds)
-        ref = reference_run(ref_name, env.means.tolist(), N, b, seeds, short=spec == "short",
-                            c=c, arm=1, switch_t=SWITCH_T)
+        run = engine_run(make(name, env), env, spec.removeprefix("lone_"), n, b, seeds)
+        ref = reference_run(ref_name, env.means.tolist(), n, b, seeds,
+                            short=spec.endswith("short"), c=c, arm=1, switch_t=SWITCH_T)
         for i, (actions, regret) in enumerate(ref):
             assert run.actions[i].tolist() == actions
             assert run.pseudo_regret[i].tolist() == regret
@@ -318,6 +326,27 @@ def test_plain_uniform_run_asks_the_policy_once(monkeypatch, M):
     seeds = [derive_seed(19, "spy", i) for i in range(2 * BLOCK_REPS + 3)]
     run_batch(UniformPolicy(env.k), env, make_grid(3 * M, 3), seeds)
     assert calls == [M]
+
+
+def test_lone_ucb_run_asks_the_policy_per_window_not_per_batch(monkeypatch):
+    # a lone run asks for its leader and runs ahead once per window; on
+    # env3 at n=2000 about 110 windows (one per leader change, and one per
+    # doubling while a leader holds) for 2000 batches
+    calls = []
+    for method in ("act_reps", "run_ahead"):
+        real = getattr(UcbPolicy, method)
+
+        def spy(self, *args, real=real, method=method):
+            calls.append(method)
+            return real(self, *args)
+
+        monkeypatch.setattr(UcbPolicy, method, spy)
+    env = preset("env3")
+    for i in range(5):
+        calls.clear()
+        run = run_online(UcbPolicy(2), env, 2000, derive_seed(31, "spy", i))
+        assert run.actions.size == 2000
+        assert 0 < len(calls) <= 2000 // 5
 
 
 @pytest.mark.parametrize("b", [1, 3, 10])

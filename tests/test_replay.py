@@ -10,11 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_runner import reference_replay
 
-from batchband.core import PROB_TOL
+import batchband.replay as replay_module
+from batchband.core import PROB_TOL, derive_seed
 from batchband.environments import (
     DataError,
     LoggedData,
+    block_features,
     make_linear_env,
+    parse_env,
     preset,
     synth_logged_dataset,
 )
@@ -173,9 +176,12 @@ class TestDeterminism:
         assert a.matched > 0
 
 
-# every replay policy, built in the library, with the reference's settings
+# every replay policy, built in the library, with the reference's settings;
+# ``_c`` names UCB's exploration constant
 POLICIES = {
     "ucb": lambda k, p: UcbPolicy(k),
+    "ucb_c0": lambda k, p: UcbPolicy(k, c=0.0),
+    "ucb_c0.3": lambda k, p: UcbPolicy(k, c=0.3),
     "ts": lambda k, p: ThompsonBetaPolicy(k),
     "uniform": lambda k, p: UniformPolicy(k),
     "fixed": lambda k, p: FixedArmPolicy(k, 1),
@@ -186,16 +192,23 @@ POLICIES = {
 SETTINGS = dict(arm=1, good=0, bad=1, switch_t=40)
 
 
+def reference(name, k, dataset, b, seed):
+    """``reference_replay`` of the ``POLICIES`` entry ``name``."""
+    name, _, c = name.partition("_c")
+    return reference_replay(name, k, dataset, b, seed, c=float(c or 1.0), **SETTINGS)
+
+
 def logs(linear):
-    """Logs to replay: full logs of lengths that no window divides, and a
-    log in which arm 1 never appears, so a policy stuck on it scans the
-    rest of the log without a hit."""
+    """Logs to replay: full logs of lengths that no window divides, on
+    presets and on a tied best pair, and a log in which arm 1 never
+    appears, so a policy stuck on it scans the rest of the log without a
+    hit and UCB's forced pull of arm 1 never matches."""
     if linear:
         full = synth_logged_dataset(make_linear_env(4, 3, seed=5), 1201, seed=31)
         return [full, without_arm(full, 1)]
-    env1 = synth_logged_dataset(preset("env1"), 2001, seed=31)
-    env6 = synth_logged_dataset(preset("env6"), 2999, seed=31)
-    return [env1, env6, without_arm(env6, 1)]
+    full = [synth_logged_dataset(parse_env(name), rows, seed=31) for name, rows in (
+        ("env1", 2001), ("env3", 1999), ("env4", 2503), ("env6", 2999), ("0.5,0.5,0.2", 2201))]
+    return full + [without_arm(full[3], 1)]
 
 
 @st.composite
@@ -221,17 +234,17 @@ def fractional_log(seed, rows):
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("b", [1, 3, 50])
+    @pytest.mark.parametrize("b", [1, 3, 50, 2, 7])
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_matches_naive_per_record_replay(self, name, b):
+        # at b > 1 most replays end inside a batch, which is scored but
+        # never fed back
         linear = name.startswith("lin")
         for dataset in logs(linear):
             k = round(1 / dataset.probs[0])
             policy = POLICIES[name](k, dataset.contexts.shape[1])
             result = replay_evaluate(policy, dataset, b=b, seed=17)
-            assert (result.matched, result.successes) == reference_replay(
-                name, k, dataset, b, seed=17, **SETTINGS
-            )
+            assert (result.matched, result.successes) == reference(name, k, dataset, b, 17)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -247,9 +260,7 @@ class TestAgainstReference:
         k, pairs = log
         dataset = rec(pairs, k)
         result = replay_evaluate(POLICIES[name](k, 0), dataset, b=b, seed=seed)
-        assert (result.matched, result.successes) == reference_replay(
-            name, k, dataset, b, seed=seed, **SETTINGS
-        )
+        assert (result.matched, result.successes) == reference(name, k, dataset, b, seed)
 
 
 class TestProposalCalls:
@@ -271,6 +282,24 @@ class TestProposalCalls:
         result = replay_evaluate(policy, dataset, b=3, seed=4)
         assert calls == [999]
         assert result.matched > 0
+
+    def test_ucb_asks_per_window_its_leader_holds_not_per_match(self, monkeypatch):
+        # the benchmark's 25k-row env1 log at b=1: 12,474 matches, each a
+        # batch, and about 520 windows (one per leader change, and one per
+        # doubling while a leader holds), each one leader and one run ahead
+        calls = []
+        for method in ("act_reps", "run_ahead"):
+            real = getattr(UcbPolicy, method)
+
+            def spy(self, *args, real=real, method=method):
+                calls.append(method)
+                return real(self, *args)
+
+            monkeypatch.setattr(UcbPolicy, method, spy)
+        dataset = synth_logged_dataset(preset("env1"), 25_000, seed=derive_seed(1, "log", "env1"))
+        result = replay_evaluate(UcbPolicy(2), dataset, b=1, seed=0)
+        assert result.matched > 12_000
+        assert 0 < len(calls) <= result.matched // 8
 
 
 class TestLinTsWindows:
@@ -299,10 +328,28 @@ class TestLinTsWindows:
 
     @pytest.mark.parametrize("b", [1, 2, 7, 50, 300])
     def test_matches_reference_across_noise_refills(self, b):
-        # the log spans three chunks; at b=300 one window spans more than one
+        # the log spans three chunks of features and normals; at b=300 one
+        # window spans more than one
         data = self.log(2 * _NOISE_CHUNK + 300)
-        result = replay_evaluate(LinTsPolicy(4, 3), data, b=b, seed=11)
-        assert (result.matched, result.successes) == reference_replay("lints", 4, data, b, 11)
+        for policy in (LinUcbPolicy(4, 3), LinTsPolicy(4, 3)):
+            result = replay_evaluate(policy, data, b=b, seed=11)
+            assert (result.matched, result.successes) == reference_replay(
+                policy.name, 4, data, b, 11)
+
+    @pytest.mark.parametrize("policy", [LinUcbPolicy(4, 3), LinTsPolicy(4, 3)])
+    def test_features_are_built_once_per_record(self, monkeypatch, policy):
+        # windows past a match are proposed again from the next state, but
+        # their features are built once, a chunk at a time
+        rows = []
+
+        def spy(contexts, k):
+            rows.append(len(contexts))
+            return block_features(contexts, k)
+
+        monkeypatch.setattr(replay_module, "block_features", spy)
+        n = 2 * _NOISE_CHUNK + 300
+        replay_evaluate(policy, self.log(n), b=1, seed=5)
+        assert sum(rows) <= n + _NOISE_CHUNK
 
 
 class TestContextualTrend:
