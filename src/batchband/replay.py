@@ -53,8 +53,11 @@ SUCCESS_THRESHOLD = 0.5
 _LIST_WINDOW_MAX = 24
 
 # Contextual replay builds features, and LinTS draws its standard normals,
-# this many records at a time
-_NOISE_CHUNK = 1024
+# this many records at a time.  On the benchmark's 5k-row log (k=4, d=20)
+# chunks of 64 to 1,024 records replayed in the same time within the host's
+# noise, while the peak allocation of a linucb or lints replay at b=1 grew
+# from 0.5 MB at 128 records to 2.2-2.5 MB at 1,024 (tracemalloc)
+_NOISE_CHUNK = 128
 
 
 @dataclass(frozen=True)

@@ -328,8 +328,8 @@ class TestLinTsWindows:
 
     @pytest.mark.parametrize("b", [1, 2, 7, 50, 300])
     def test_matches_reference_across_noise_refills(self, b):
-        # the log spans three chunks of features and normals; at b=300 one
-        # window spans more than one
+        # the log spans more than four chunks of features and normals; at
+        # b=300 one window spans more than one
         data = self.log(2 * _NOISE_CHUNK + 300)
         for policy in (LinUcbPolicy(4, 3), LinTsPolicy(4, 3)):
             result = replay_evaluate(policy, data, b=b, seed=11)
