@@ -59,8 +59,9 @@ BLOCK_REPS = 16
 # A one-rep run or replay runs ahead (``UcbPolicy.run_ahead``) over windows
 # of this many batches, doubled after each window its leader keeps whole
 # and reset when the leader changes.  Starts of 4, 8, 16 and 32 asked 223,
-# 192, 165 and 141 windows per criterion-4 run (env3, n=10^4) and took its
-# 200 runs in 1.7-2.1 s alike (BENCH_21.json)
+# 192, 165 and 141 windows per criterion-4 run (env3, n=10^4), and 629 to
+# 379 in the 25k-row ucb replay at b=1, in times alike within the host's
+# noise (BENCH_21.json)
 RUN_AHEAD_START = 8
 
 

@@ -234,7 +234,7 @@ def fractional_log(seed, rows):
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("b", [1, 3, 50, 2, 7])
+    @pytest.mark.parametrize("b", [1, 2, 3, 7, 50])
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_matches_naive_per_record_replay(self, name, b):
         # at b > 1 most replays end inside a batch, which is scored but
@@ -328,9 +328,9 @@ class TestLinTsWindows:
 
     @pytest.mark.parametrize("b", [1, 2, 7, 50, 300])
     def test_matches_reference_across_noise_refills(self, b):
-        # the log spans more than four chunks of features and normals; at
-        # b=300 one window spans more than one
-        data = self.log(2 * _NOISE_CHUNK + 300)
+        # the log spans 19 chunks of features and normals; at b=300 one
+        # window spans more than one
+        data = self.log(16 * _NOISE_CHUNK + 300)
         for policy in (LinUcbPolicy(4, 3), LinTsPolicy(4, 3)):
             result = replay_evaluate(policy, data, b=b, seed=11)
             assert (result.matched, result.successes) == reference_replay(
