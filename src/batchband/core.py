@@ -31,6 +31,19 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def check_seed(seed, error=ValueError) -> int:
+    """``seed`` as an ``int``, or ``error`` unless ``operator.index`` takes it
+    and it is >= 0: None would seed from OS entropy, and a float would be
+    truncated or refused inside numpy."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise error(f"seed must be a non-negative integer, got {seed!r}") from None
+    if seed < 0:
+        raise error(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def write_csv(path, header, blocks) -> None:
     """Write ``header``, then each block of ``blocks``, to ``path``.
 

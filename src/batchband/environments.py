@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, Instance, write_csv
+from .core import DimensionMismatchError, Instance, check_seed, write_csv
 
 NORM_TOL = 1e-9
 
@@ -168,7 +168,7 @@ class LinearContextualEnv:
 
 def make_linear_env(k: int, context_dim: int, seed: int = 0) -> LinearContextualEnv:
     """Convenience constructor: a random unit-norm weight vector."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, DataError))
     raw = rng.standard_normal(k * context_dim)
     return LinearContextualEnv(raw / np.linalg.norm(raw), k=k, context_dim=context_dim)
 
@@ -226,7 +226,7 @@ def synth_logged_dataset(
 
     Contextual environments draw a fresh context per record.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, DataError))
     k = env.k
     probs = np.full(k, 1.0 / k)
     actions = rng.choice(k, size=n_records, p=probs)

@@ -30,8 +30,10 @@ says whether ``act_reps`` reads the state at all; a policy that is not
 adaptive (uniform and fixed-arm play) ignores feedback, so ``b`` steps from
 any state are ``b`` steps from the initial one.  State is frozen within a
 batch, so the played rule is constant inside it.  A state of one rep (a
-lone run, a replay) takes Python-float paths for TS's draws and short
-count updates: the same IEEE operations in the same order as the array
+lone run, a replay) takes Python-float paths for short count updates and
+for TS, whose one-rep posterior (``ts_posterior``) and first-maximum pick
+(``ts_arm``, ``ts_arms``) are written once here, for ``act_reps`` and for
+replay's TS loop: the same IEEE operations in the same order as the array
 paths, so the same bits.  UCB's one-rep state also runs ahead
 (``UcbPolicy.run_ahead``): over the batches its leader keeps, given the
 leader's rewards, in one call.
@@ -263,10 +265,38 @@ def _blocks(rows, reps):
     return [(i, i * BLOCK_REPS, min((i + 1) * BLOCK_REPS, reps)) for i in blocks]
 
 
-# Up to this many draws, k*b scalar ``Generator.beta`` calls (about 1.3 us
-# each) beat one array call (about 16 us), which consumes the generator
-# identically, in C order.
+# Up to this many draws, k*b scalar ``Generator.beta`` calls beat one array
+# call, which consumes the generator identically, in C order.  Swept over
+# both callers, lone ts runs and ts replay, on env1 and env4
+# (tools/sweep_scalar_beta.py, BENCH_22.json): 8 to 16 timed alike within
+# the rounds' spread for both, while always the array call took 1.3x
+# (lone) and 2.1x (replay) as long, and always scalar calls 1.3x
 _SCALAR_BETA_MAX = 12
+
+
+def ts_posterior(counts, sums) -> tuple[list, list]:
+    """One rep's Beta posterior ``(alphas, betas)``, ``1 + s`` and
+    ``1 + n - s`` per arm, from its counts and sums as Python floats: the
+    IEEE operations of the many-rep path, so the same bits."""
+    return [1.0 + s for s in sums], [1.0 + n - s for n, s in zip(counts, sums)]
+
+
+def ts_arm(draw, posterior) -> int:
+    """One TS step from a one-rep posterior: ``draw(alpha, beta)`` per arm,
+    in arm order, and the first arm of greatest draw, as ``argmax`` picks."""
+    draws = list(map(draw, *posterior))
+    return draws.index(max(draws))
+
+
+def ts_arms(rng, posterior, m: int) -> list:
+    """``m`` TS steps of one rep from its frozen posterior: up to
+    ``_SCALAR_BETA_MAX`` draws in all, one ``ts_arm`` per step, else one
+    array ``beta`` call, which draws the same variates in the same order."""
+    k = len(posterior[0])
+    if m * k <= _SCALAR_BETA_MAX:
+        draw = rng.beta
+        return [ts_arm(draw, posterior) for _ in range(m)]
+    return rng.beta(*posterior, size=(m, k)).argmax(axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -280,29 +310,23 @@ class ThompsonBetaPolicy(_CountPolicy):
     still gets a fresh draw.  A block draws its reps' ``(reps, b, k)``
     posterior samples in one call, rep by rep, step by step, arm by arm, so
     a rep's draws depend on its block's other posteriors too: the Beta
-    sampler rejects a varying number of candidates.
+    sampler rejects a varying number of candidates.  A lone rep plays
+    ``ts_arms`` on its ``ts_posterior``.
     """
 
     k: int
     name = "ts"
 
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
-        k = self.k
         reps = len(states.counts)
-        if len(rows) == reps == 1 and b * k <= _SCALAR_BETA_MAX:
-            draw = rngs[0].beta
-            n, s = states.counts[0].tolist(), states.sums[0].tolist()
-            posterior = [(1.0 + s[a], 1.0 + n[a] - s[a]) for a in range(k)]
-            acts = []
-            for _ in range(b):
-                draws = [draw(x, y) for x, y in posterior]
-                acts.append(draws.index(max(draws)))
-            return np.array([acts])
+        if len(rows) == reps == 1:
+            posterior = ts_posterior(states.counts[0].tolist(), states.sums[0].tolist())
+            return np.array([ts_arms(rngs[0], posterior, b)])
         alpha = (1.0 + states.sums)[:, None]
         beta = (1.0 + states.counts - states.sums)[:, None]
         acts = np.empty((reps, b), dtype=np.int64)
         for i, lo, hi in _blocks(rows, reps):
-            draws = rngs[i].beta(alpha[lo:hi], beta[lo:hi], size=(hi - lo, b, k))
+            draws = rngs[i].beta(alpha[lo:hi], beta[lo:hi], size=(hi - lo, b, self.k))
             acts[lo:hi] = draws.argmax(axis=2)
         return acts if len(rows) == reps else acts[rows]
 

@@ -28,10 +28,13 @@ often as the stream requires:
   its state, so the evaluator draws them ahead with the features, in
   record order, and a record proposed again from a later state gets the
   same normals: the stream of one draw per record;
-* TS proposes for up to ``need`` records, which can never take the
-  history past its next update: numpy's Beta sampler uses a number of
-  variates that depends on its parameters, so its draws cannot be taken
-  ahead.
+* TS runs in one loop on its posterior as Python floats (``_replay_ts``):
+  numpy's Beta sampler uses a number of variates that depends on its
+  parameters, so its draws cannot be taken ahead, but no record needs a
+  proposal call of its own.  While the pending batch lacks at most
+  ``_SCALAR_BETA_MAX // k`` matches each record draws its proposal with
+  ``ts_arm``; else one array call proposes for the ``need`` records that
+  can never take the history past its next update.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_TOL, write_csv
+from .core import PROB_TOL, check_seed, write_csv
 from .environments import DataError, LoggedData, _reject_rows, block_features
-from .policies import RUN_AHEAD_START, LinTsPolicy, ThompsonBetaPolicy
+from .policies import _SCALAR_BETA_MAX, RUN_AHEAD_START, LinTsPolicy, ThompsonBetaPolicy
+from .policies import ts_arm, ts_arms, ts_posterior
 
 SUCCESS_THRESHOLD = 0.5
 
@@ -116,7 +120,7 @@ def replay_evaluate(
         scored but never fed back (the stream ends first).
     seed
         Seeds the proposal stream, so results are reproducible given
-        (dataset, policy configuration, seed).
+        (dataset, policy configuration, seed); a non-negative integer.
     """
     try:
         b = operator.index(b)
@@ -127,7 +131,7 @@ def replay_evaluate(
     check_uniform_log(dataset, policy)
     k = policy.k
     logged, contexts = dataset.actions, dataset.contexts
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, DataError))
     rngs, rows = [rng], np.zeros(1, dtype=np.int64)
     state = policy.init_reps(1)
     n = logged.size
@@ -140,10 +144,11 @@ def replay_evaluate(
 
     if hasattr(policy, "run_ahead"):
         return _result(policy, b, *_replay_ahead(policy, state, dataset, b, rows))
+    if isinstance(policy, ThompsonBetaPolicy):
+        return _result(policy, b, *_replay_ts(k, dataset, b, rng))
 
     contextual = hasattr(policy, "dim")
     ahead = isinstance(policy, LinTsPolicy)
-    window = 1 if policy.draws and not ahead else 2 * k
     if contextual:
         # records base..end-1 have their features, and LinTS's normals, in
         # feats[j - base] and normals[j - base], built _NOISE_CHUNK records
@@ -157,7 +162,7 @@ def replay_evaluate(
     i = 0
     while i < n:
         need = b - len(released)
-        lo, hi = i, min(i + need * window, n)
+        lo, hi = i, min(i + need * 2 * k, n)
         args = ()
         if contextual:
             if hi > end:
@@ -217,6 +222,47 @@ def _replay_ahead(policy, state, dataset: LoggedData, b: int, rows) -> tuple[int
         successes += int(np.count_nonzero(wins[played]))
         i = int(played[-1]) + 1
         window = 2 * window if keep == window else RUN_AHEAD_START
+
+
+def _replay_ts(k: int, dataset: LoggedData, b: int, rng) -> tuple[int, int]:
+    """(matched, successes) of Thompson sampling in one loop over the
+    records, its posterior held as Python floats (``ts_posterior``).  While
+    the pending batch lacks at most ``_SCALAR_BETA_MAX // k`` matches, each
+    record draws its own proposal (``ts_arm``); else ``ts_arms`` proposes
+    for as many records as the batch lacks in one array call, which cannot
+    take the history past its next update.  A full batch adds its releases
+    in step order, as ``update_reps`` does."""
+    actions, rewards = dataset.actions.tolist(), dataset.rewards.tolist()
+    n, scalar, draw = len(actions), _SCALAR_BETA_MAX // k, rng.beta
+    counts, sums = [0.0] * k, [0.0] * k
+    posterior = ts_posterior(counts, sums)
+    pending = []
+    matched = successes = i = 0
+    while i < n:
+        need = b - len(pending)
+        if need > scalar:
+            hi = min(i + need, n)
+            proposals = ts_arms(rng, posterior, hi - i)
+            pending += [j for j, a in enumerate(proposals, i) if a == actions[j]]
+            i = hi
+        else:
+            for j in range(i, n):
+                if ts_arm(draw, posterior) == actions[j]:
+                    pending.append(j)
+                    if len(pending) == b:
+                        break
+            i = j + 1
+        if len(pending) == b:
+            for j in pending:
+                a, r = actions[j], rewards[j]
+                counts[a] += 1.0
+                sums[a] += r
+                successes += r >= SUCCESS_THRESHOLD
+            posterior = ts_posterior(counts, sums)
+            matched += b
+            pending = []
+    successes += sum(rewards[j] >= SUCCESS_THRESHOLD for j in pending)
+    return matched + len(pending), successes
 
 
 def _result(policy, b, matched, successes) -> ReplayResult:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchGrid, DimensionMismatchError, derive_seed, make_grid
+from .core import BatchGrid, DimensionMismatchError, check_seed, derive_seed, make_grid
 from .environments import BernoulliEnv, LinearContextualEnv, block_features
 from .policies import BLOCK_REPS, RUN_AHEAD_START, rep_bincount
 
@@ -121,10 +121,11 @@ class RunSet:
 
 
 def seed_list(seed) -> tuple[list, bool]:
-    """(seeds, single): a lone integer seed, or a sequence of per-rep seeds."""
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)], True
-    return [int(s) for s in seed], False
+    """(seeds, single): a lone seed, or a sequence of per-rep seeds, each a
+    non-negative integer (``check_seed``)."""
+    if np.ndim(seed) == 0:
+        return [check_seed(seed)], True
+    return [check_seed(s) for s in seed], False
 
 
 def block_streams(seeds, tag: str = "policy") -> list:

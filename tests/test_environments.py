@@ -164,6 +164,17 @@ def test_synth_logged_dataset_uniform_logging():
     assert (data.probs == 0.5).all()
 
 
+@pytest.mark.parametrize("seed", [None, 2.5, -1, "3"])
+@pytest.mark.parametrize("build", [
+    lambda seed: synth_logged_dataset(preset("env1"), 10, seed),
+    lambda seed: make_linear_env(2, 3, seed),
+], ids=["synth_logged_dataset", "make_linear_env"])
+def test_seed_must_be_a_non_negative_integer(build, seed):
+    # None drew from OS entropy, so the log could not be rebuilt
+    with pytest.raises(DataError, match="seed must be a non-negative integer"):
+        build(seed)
+
+
 def log(contexts=((),), actions=(0,), rewards=(1.0,), probs=(0.5,)):
     return LoggedData(np.array(contexts, dtype=float), np.array(actions), rewards, probs)
 

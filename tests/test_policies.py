@@ -16,6 +16,8 @@ from batchband.policies import (
     UniformPolicy,
     make_policy,
     rep_bincount,
+    ts_arm,
+    ts_posterior,
 )
 
 ONE = np.zeros(1, dtype=np.int64)
@@ -204,6 +206,22 @@ def test_ts_act_batch_first_row_matches_decide():
     long = act(pol, st, b=9, seed=7)
     assert short.tolist() == long[:4].tolist()
     assert act(pol, st, b=1, seed=7).tolist() == short[:1].tolist()
+
+
+@pytest.mark.parametrize("draws, arm", [
+    ([0.7, 0.7], 0), ([0.2, 0.9, 0.9, 0.9], 1), ([0.5, 0.1, 0.5], 0), ([0.1, 0.3], 1)])
+def test_ts_arm_draws_each_arm_in_order_and_plays_the_first_maximum(draws, arm):
+    # continuous draws almost never tie, so the tie rule is pinned on stubs
+    asked, stub = [], iter(draws)
+
+    def draw(alpha, beta):
+        asked.append((alpha, beta))
+        return next(stub)
+
+    counts, sums = [float(a) for a in range(len(draws))], [0.5] * len(draws)
+    posterior = ts_posterior(counts, sums)
+    assert ts_arm(draw, posterior) == arm
+    assert asked == [(1.5, 1.0 + n - 0.5) for n in counts]
 
 
 def test_ts_concentrates_on_better_arm():

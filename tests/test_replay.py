@@ -87,6 +87,13 @@ class TestHandExamples:
         with pytest.raises(DataError, match="batch size must be an integer"):
             replay_evaluate(policy, rec([(0, 1.0), (1, 0.0)]), b=b, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, 2.5, -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # None drew from OS entropy: three runs matched 101, 107 and 113
+        dataset = synth_logged_dataset(preset("env1"), 200, seed=1)
+        with pytest.raises(DataError, match="seed must be a non-negative integer"):
+            replay_evaluate(ThompsonBetaPolicy(2), dataset, b=1, seed=seed)
+
     def test_out_of_range_action_reports_line(self):
         dataset = rec([(0, 1.0), (3, 1.0)])
         with pytest.raises(DataError, match="line 3: action out of range"):
@@ -234,7 +241,9 @@ def fractional_log(seed, rows):
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("b", [1, 2, 3, 7, 50])
+    # b = 6 and 7 at k=2, and 3 and 4 at k=4, lie on both sides of TS's
+    # switch from one proposal per record to one array call per batch
+    @pytest.mark.parametrize("b", [1, 2, 3, 7, 50, 4, 6])
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_matches_naive_per_record_replay(self, name, b):
         # at b > 1 most replays end inside a batch, which is scored but
@@ -245,6 +254,19 @@ class TestAgainstReference:
             policy = POLICIES[name](k, dataset.contexts.shape[1])
             result = replay_evaluate(policy, dataset, b=b, seed=17)
             assert (result.matched, result.successes) == reference(name, k, dataset, b, 17)
+
+    @pytest.mark.parametrize("k, b", [(2, 6), (2, 7), (2, 12), (4, 3), (4, 4), (4, 12)])
+    def test_ts_matches_reference_where_whole_windows_match(self, k, b):
+        # arm 0 logs most records and pays best, so TS soon proposes it and
+        # a whole window of proposals often matches: a window one record too
+        # long, or an update one record late, then shows
+        rng = np.random.default_rng(3)
+        actions = np.where(rng.random(1500) < 0.85, 0, rng.integers(1, k, 1500))
+        rewards = (rng.random(1500) < np.where(actions == 0, 0.8, 0.3)).astype(float)
+        dataset = rec(list(zip(actions.tolist(), rewards.tolist())), k)
+        for seed in (0, 1):
+            result = replay_evaluate(ThompsonBetaPolicy(k), dataset, b=b, seed=seed)
+            assert (result.matched, result.successes) == reference("ts", k, dataset, b, seed)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -300,6 +322,18 @@ class TestProposalCalls:
         result = replay_evaluate(UcbPolicy(2), dataset, b=1, seed=0)
         assert result.matched > 12_000
         assert 0 < len(calls) <= result.matched // 8
+
+
+    def test_ts_draws_without_a_proposal_call_per_record(self, monkeypatch):
+        # the loop draws from its own posterior; the parent asked act_reps
+        # once per record at b=1
+        monkeypatch.setattr(ThompsonBetaPolicy, "act_reps",
+                            lambda *a: pytest.fail("act_reps called"))
+        monkeypatch.setattr(ThompsonBetaPolicy, "update_reps",
+                            lambda *a: pytest.fail("update_reps called"))
+        dataset = synth_logged_dataset(preset("env1"), 2400, seed=derive_seed(1, "log", "env1"))
+        result = replay_evaluate(ThompsonBetaPolicy(2), dataset, b=1, seed=0)
+        assert result.matched > 1000
 
 
 class TestLinTsWindows:

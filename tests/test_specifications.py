@@ -80,6 +80,13 @@ def test_seed_determinism_and_sensitivity():
     assert not np.array_equal(a.actions, c.actions)
 
 
+@pytest.mark.parametrize("seed", [[2.5, 3.7], [4, -1], None, 2.5, np.float64(3.0)])
+def test_seeds_must_be_non_negative_integers(seed):
+    # float per-rep seeds were truncated: [2.5, 3.7] ran seeds 2 and 3
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        run_online(ThompsonBetaPolicy(2), preset("env1"), 20, seed)
+
+
 def test_batch_size_one_equals_online_exactly():
     env = preset("env1")
     for pol_cls in (UcbPolicy, ThompsonBetaPolicy, UniformPolicy):

@@ -1,5 +1,5 @@
-"""The alternating-pairs protocol of the timing scripts in ``tools/``, and a
-smoke run of ``tools/time_replay.py``.
+"""The alternating-pairs protocol of the timing scripts in ``tools/``, and
+smoke runs of ``tools/time_replay.py`` and ``tools/sweep_scalar_beta.py``.
 
 ``tools/pairs.py`` is not part of the package, so it is loaded from its
 file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
@@ -7,6 +7,7 @@ file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
 
 import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = TOOLS.parent / "src"
 
 
 def _load(name):
@@ -73,10 +75,24 @@ def test_time_replay_runs_at_tiny_sizes(tmp_path):
                    check=True, capture_output=True)
     record = json.loads(out.read_text())
     replays = [f"{name} b={b}" for name in ("ucb", "ts", "uniform", "linucb", "lints")
-               for b in (1, 50)]
+               for b in (1, 50)] + [f"ts env4 b={b}" for b in (1, 7, 50)]
     assert list(record["calls"]) == replays + [
         "lone ucb n=50", "lone ts n=50", "criterion4 2 runs n=100"]
     for entry in record["calls"].values():
         assert entry["results_equal_between_sides"]
         assert len(entry["s"]["parent"]["values"]) == len(entry["s"]["change"]["values"]) == 2
     assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
+
+
+def test_scalar_beta_sweep_runs_at_tiny_sizes(tmp_path):
+    # every value of the switch draws the same variates, so every result holds
+    out = tmp_path / "sweep.json"
+    subprocess.run([sys.executable, str(TOOLS / "sweep_scalar_beta.py"), "--smoke",
+                    "--rounds", "2", "--values", "1,12,1000000000", "--out", str(out)],
+                   check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    record = json.loads(out.read_text())
+    assert record["results_equal_across_values"]
+    assert list(record["by_value"]) == ["1", "12", "1000000000"]
+    for entry in record["by_value"].values():
+        assert len(entry["case_s"]) == 8
+        assert len(entry["caller_rounds_s"]["replay"]["values"]) == 2

@@ -14,7 +14,9 @@ the tree's ``src``; the timed calls exclude imports and set-up:
   ``replay_log`` workload, each timed alone: ucb, ts and uniform on a
   25,000-row env1 log, linucb and lints on a 5,000-row contextual log
   (k=4, d=5), at b in {1, 50}, with the logs built as that workload builds
-  them for ``--seed``;
+  them for ``--seed``; and ts on a 25,000-row env4 log (k=4) at b in
+  {1, 7, 50}, on both sides of its switch from one proposal per record to
+  one array call per batch;
 * ``lone``: one lone ucb run and one lone ts run, ``run_online`` on env1 at
   n=2000 with an integer seed;
 * ``criterion4``: 200 lone ucb runs on env3 at n=10,000, the batch of
@@ -69,6 +71,12 @@ if case == "replay":
                 rseed = derive_seed(seed, "replay", name, b)
                 timed(f"{name} b={b}", lambda: (lambda r: [r.matched, r.successes])(
                     replay_evaluate(policy, data, b, rseed)))
+    four = synth_logged_dataset(parse_env("env4"), sizes["rows"],
+                                seed=derive_seed(seed, "log", "env4"))
+    for b in (1, 7, 50):
+        rseed = derive_seed(seed, "replay", "ts", "env4", b)
+        timed(f"ts env4 b={b}", lambda: (lambda r: [r.matched, r.successes])(
+            replay_evaluate(make_policy("ts", 4), four, b, rseed)))
 elif case == "lone":
     for policy in (UcbPolicy(2), ThompsonBetaPolicy(2)):
         run_online(policy, preset("env1"), sizes["n"], seed + 1)  # warm-up, untimed
@@ -108,8 +116,9 @@ def main(argv=None) -> int:
             }
 
     record = {
-        "what": "replay_evaluate per (policy, b) on the replay_log workload's logs, lone "
-                "ucb and ts runs and a criterion-4 batch of lone ucb runs, parent vs change",
+        "what": "replay_evaluate per (policy, b) on the replay_log workload's logs and of ts "
+                "on an env4 log, lone ucb and ts runs and a criterion-4 batch of lone ucb "
+                "runs, parent vs change",
         "host": host(),
         "parent_commit": args.parent_commit,
         "order": order("case"),
