@@ -170,7 +170,7 @@ def test_synth_logged_dataset_uniform_logging():
     lambda seed: make_linear_env(2, 3, seed),
 ], ids=["synth_logged_dataset", "make_linear_env"])
 def test_seed_must_be_a_non_negative_integer(build, seed):
-    # None drew from OS entropy, so the log could not be rebuilt
+    # None would draw from OS entropy, so the log could not be rebuilt
     with pytest.raises(DataError, match="seed must be a non-negative integer"):
         build(seed)
 

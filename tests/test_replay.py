@@ -89,7 +89,7 @@ class TestHandExamples:
 
     @pytest.mark.parametrize("seed", [None, 2.5, -1])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        # None drew from OS entropy: three runs matched 101, 107 and 113
+        # None would draw from OS entropy, so the replay could not be repeated
         dataset = synth_logged_dataset(preset("env1"), 200, seed=1)
         with pytest.raises(DataError, match="seed must be a non-negative integer"):
             replay_evaluate(ThompsonBetaPolicy(2), dataset, b=1, seed=seed)
@@ -323,10 +323,9 @@ class TestProposalCalls:
         assert result.matched > 12_000
         assert 0 < len(calls) <= result.matched // 8
 
-
     def test_ts_draws_without_a_proposal_call_per_record(self, monkeypatch):
-        # the loop draws from its own posterior; the parent asked act_reps
-        # once per record at b=1
+        # the loop draws from its own posterior, so no record, match or
+        # batch costs a policy call
         monkeypatch.setattr(ThompsonBetaPolicy, "act_reps",
                             lambda *a: pytest.fail("act_reps called"))
         monkeypatch.setattr(ThompsonBetaPolicy, "update_reps",

@@ -82,7 +82,7 @@ def test_seed_determinism_and_sensitivity():
 
 @pytest.mark.parametrize("seed", [[2.5, 3.7], [4, -1], None, 2.5, np.float64(3.0)])
 def test_seeds_must_be_non_negative_integers(seed):
-    # float per-rep seeds were truncated: [2.5, 3.7] ran seeds 2 and 3
+    # a float per-rep seed would be truncated: [2.5, 3.7] would run seeds 2 and 3
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         run_online(ThompsonBetaPolicy(2), preset("env1"), 20, seed)
 
