@@ -18,12 +18,21 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
 from .core import DimensionMismatchError, Instance, check_seed, write_csv
 
 NORM_TOL = 1e-9
+
+# Rows of a logged-data CSV parsed, or formatted, per chunk, so that a log is
+# never held whole as text.  On 100k-row logs (tools/time_log_io.py,
+# BENCH_23.json, medians of 10 pairs) 256 to 1,024 rows peaked lowest;
+# 2,048, 4,096 and 16,384 peaked 1.2, 3.4 and 6.9 MiB higher on a contextual
+# read, and 256 and 512 wrote an env1 log in 69 and 62 ms against 38-47 ms
+# for larger chunks
+_LOG_CHUNK = 1024
 
 
 class DataError(ValueError):
@@ -232,8 +241,10 @@ def synth_logged_dataset(
     actions = rng.choice(k, size=n_records, p=probs)
     if isinstance(env, LinearContextualEnv):
         contexts = env.sample_contexts(rng, n_records)
-        chosen = block_features(contexts, k)[np.arange(n_records), actions]
-        rewards = env.sample_rewards(chosen, rng)
+        # each context in its arm's columns: block_features' row of that arm
+        chosen = np.zeros((n_records, k, env.context_dim))
+        chosen[np.arange(n_records), actions] = contexts
+        rewards = env.sample_rewards(chosen.reshape(n_records, env.dim), rng)
     else:
         contexts = np.zeros((n_records, 0))
         rewards = env.sample_rewards(actions, rng)
@@ -245,13 +256,19 @@ def _csv_header(context_dim: int) -> list[str]:
 
 
 def write_logged_csv(data: LoggedData, path) -> None:
-    """Write a logged dataset to CSV with the standard header."""
+    """Write a logged dataset to CSV with the standard header, one block of
+    ``_LOG_CHUNK`` rows at a time."""
+    cols = (*data.contexts.T, data.actions, data.rewards, data.probs)
     write_csv(path, _csv_header(data.contexts.shape[1]),
-              [(*data.contexts.T, data.actions, data.rewards, data.probs)])
+              ([c[i : i + _LOG_CHUNK] for c in cols]
+               for i in range(0, data.actions.size, _LOG_CHUNK)))
 
 
 def read_logged_csv(path) -> LoggedData:
     """Read a logged-data CSV, validating the header and every row.
+
+    Rows are parsed ``_LOG_CHUNK`` at a time into column arrays, which are
+    joined at the end.
 
     Raises
     ------
@@ -267,7 +284,14 @@ def read_logged_csv(path) -> LoggedData:
         p = len(header) - 3
         if p < 0 or header != _csv_header(p):
             raise DataError(f"unexpected header {header!r}")
-        rows = list(reader)
+        cols = [np.concatenate(col, axis=-1) for col in zip(*_parse_chunks(reader, p))]
+    return LoggedData(cols[0].T, *cols[1:])
+
+
+def _parse_chunks(reader, p: int):
+    """Each chunk of ``reader``'s rows as ``[contexts (p, m), actions,
+    rewards, probs]``; the last chunk is short, and empty if the rows fill
+    whole chunks."""
 
     def parse(rows):
         ragged = [len(row) for row in rows if len(row) != p + 3]
@@ -277,13 +301,17 @@ def read_logged_csv(path) -> LoggedData:
         return [np.fromiter(map(t, c), np.int64 if t is int else float)
                 for t, c in zip([float] * p + [int, float, float], cols)]
 
-    try:
-        cols = parse(rows)
-    except (ValueError, OverflowError):
-        for i, row in enumerate(rows):  # name the line at fault
-            try:
-                parse([row])
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"line {i + 2}: {exc}") from exc
-        raise
-    return LoggedData(np.array(cols[:p]).reshape(p, len(rows)).T, *cols[p:])
+    for start in count(0, _LOG_CHUNK):
+        rows = list(islice(reader, _LOG_CHUNK))
+        try:
+            cols = parse(rows)
+        except (ValueError, OverflowError):
+            for i, row in enumerate(rows, start):  # name the line at fault
+                try:
+                    parse([row])
+                except (ValueError, OverflowError) as exc:
+                    raise DataError(f"line {i + 2}: {exc}") from exc
+            raise
+        yield [np.array(cols[:p]).reshape(p, len(rows)), *cols[p:]]
+        if len(rows) < _LOG_CHUNK:
+            return

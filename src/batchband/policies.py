@@ -29,14 +29,13 @@ nothing plays a pure function of its state and features.  ``adaptive``
 says whether ``act_reps`` reads the state at all; a policy that is not
 adaptive (uniform and fixed-arm play) ignores feedback, so ``b`` steps from
 any state are ``b`` steps from the initial one.  State is frozen within a
-batch, so the played rule is constant inside it.  A state of one rep (a
-lone run, a replay) takes Python-float paths for short count updates and
-for TS, whose one-rep posterior (``ts_posterior``) and first-maximum pick
-(``ts_arm``, ``ts_arms``) are written once here, for ``act_reps`` and for
-replay's TS loop: the same IEEE operations in the same order as the array
-paths, so the same bits.  UCB's one-rep state also runs ahead
-(``UcbPolicy.run_ahead``): over the batches its leader keeps, given the
-leader's rewards, in one call.
+batch, so the played rule is constant inside it.  TS on a state of one rep
+(a lone run, a replay) takes Python-float paths, whose one-rep posterior
+(``ts_posterior``) and first-maximum pick (``ts_arm``, ``ts_arms``) are
+written once here, for ``act_reps`` and for replay's TS loop: the same IEEE
+operations in the same order as the array paths, so the same bits.  UCB's
+one-rep state also runs ahead (``UcbPolicy.run_ahead``): over the batches
+its leader keeps, given the leader's rewards, in one call.
 """
 
 from __future__ import annotations
@@ -131,12 +130,6 @@ class BasePolicy:
         raise NotImplementedError
 
 
-# Up to this many releases of one rep, adding them on Python floats costs
-# no more than the two scatters (one release: about 3 against 4.5 us; 16
-# releases: about even from arrays, 4 against 7.5 us from replay's lists)
-_SCALAR_ADD_MAX = 16
-
-
 class _CountPolicy(BasePolicy):
     """Finite-armed policy whose state is pull counts and reward sums.
 
@@ -154,22 +147,13 @@ class _CountPolicy(BasePolicy):
         return RepCounts(np.zeros((reps, k)), np.zeros((reps, k)), offsets, 0)
 
     def update_reps(self, states, actions, rewards):
-        if len(states.counts) == 1 and len(actions[0]) <= _SCALAR_ADD_MAX:
-            # one rep: the same adds in step order, on Python floats
-            counts, sums = states.counts[0].tolist(), states.sums[0].tolist()
-            for a, r in zip(actions[0], rewards[0]):
-                counts[a] += 1.0
-                sums[a] += r
-            states.counts[0], states.sums[0] = counts, sums
-            states.t_seen += len(actions[0])
-        else:
-            # one unbuffered scatter per array adds each release to its cell
-            # in step order, as a per-step loop would
-            cells = actions + states.offsets
-            flat = cells.ravel()
-            np.add.at(states.counts.ravel(), flat, 1.0)
-            np.add.at(states.sums.ravel(), flat, np.asarray(rewards).ravel())
-            states.t_seen += cells.shape[1]
+        # one unbuffered scatter per array adds each release to its cell in
+        # step order, as a per-step loop would
+        cells = actions + states.offsets
+        flat = cells.ravel()
+        np.add.at(states.counts.ravel(), flat, 1.0)
+        np.add.at(states.sums.ravel(), flat, np.asarray(rewards).ravel())
+        states.t_seen += cells.shape[1]
         return states
 
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batchband.core import DimensionMismatchError, Instance
 from batchband.environments import (
+    _LOG_CHUNK,
     BernoulliEnv,
     DataError,
     LinearContextualEnv,
@@ -261,8 +264,24 @@ def logged_data(draw):
     )
 
 
+def boundary_log(n, p):
+    """``n`` rows of distinct values, so a row dropped, repeated or moved at a
+    chunk's edge shows."""
+    rows = np.arange(n, dtype=float)
+    return LoggedData(np.add.outer(rows, np.arange(p)) / 7.0, np.arange(n) % 3,
+                      rows / 3.0, np.full(n, 0.5))
+
+
+# logs of one chunk less a row, one chunk, and one chunk and a row, for
+# p = 0 and p > 0: they are read and written a chunk of rows at a time
 @settings(max_examples=60, deadline=None)
 @given(data=logged_data())
+@example(data=boundary_log(_LOG_CHUNK - 1, 0))
+@example(data=boundary_log(_LOG_CHUNK, 0))
+@example(data=boundary_log(_LOG_CHUNK + 1, 0))
+@example(data=boundary_log(_LOG_CHUNK - 1, 2))
+@example(data=boundary_log(_LOG_CHUNK, 2))
+@example(data=boundary_log(_LOG_CHUNK + 1, 2))
 def test_logged_csv_write_read_round_trips_exactly(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
     write_logged_csv(data, path)
@@ -272,10 +291,23 @@ def test_logged_csv_write_read_round_trips_exactly(tmp_path_factory, data):
         assert (a.shape, a.dtype, a.tolist()) == (b.shape, b.dtype, b.tolist())
 
 
-def test_read_logged_csv_reports_line_numbers(tmp_path):
+def log_text(bad_row, lead=1, p=0):
+    """A log's text: ``lead`` good rows, then ``bad_row`` at line ``lead + 2``."""
+    header = [f"context_{i}" for i in range(p)] + ["action", "reward", "logging_prob"]
+    return ",".join(header) + "\n" + ("0.5," * p + "0,1.0,0.5\n") * lead + bad_row + "\n"
+
+
+# a bad row in the second chunk of rows is named by its line in the file
+@pytest.mark.parametrize("bad_row, p, lead, message", [
+    ("1,oops,0.5", 0, 1, "line 3: could not convert string to float"),
+    ("1,1.0", 0, _LOG_CHUNK, f"line {_LOG_CHUNK + 2}: expected 3 fields, got 2"),
+    ("x,1,1.0,0.5", 1, _LOG_CHUNK + 5, f"line {_LOG_CHUNK + 7}: could not convert string"),
+    ("1.5,1.0,0.5", 0, 2 * _LOG_CHUNK - 1, f"line {2 * _LOG_CHUNK + 1}: invalid literal for int"),
+], ids=["reward", "ragged-row-in-chunk-2", "context-in-chunk-2", "action-in-chunk-2"])
+def test_read_logged_csv_reports_line_numbers(tmp_path, bad_row, p, lead, message):
     path = tmp_path / "bad.csv"
-    path.write_text("action,reward,logging_prob\n0,1.0,0.5\n1,oops,0.5\n")
-    with pytest.raises(DataError, match="line 3"):
+    path.write_text(log_text(bad_row, lead, p))
+    with pytest.raises(DataError, match=message):
         read_logged_csv(path)
     path.write_text("wrong,header\n")
     with pytest.raises(DataError, match="header"):
@@ -291,12 +323,14 @@ def test_read_logged_csv_reports_line_numbers(tmp_path):
         "action,reward,logging_prob\n0,1.0,0.5\n1,1.0,nan\n",
         "context_0,action,reward,logging_prob\n0.5,0,1.0,0.5\nnan,1,1.0,0.5\n",
         "context_0,action,reward,logging_prob\n0.5,0,1.0,0.5\ninf,1,1.0,0.5\n",
+        pytest.param(log_text("1,inf,0.5", _LOG_CHUNK + 5), id="reward-in-chunk-2"),
     ],
 )
 def test_read_logged_csv_rejects_non_finite_values(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(DataError, match="line 3"):
+    line = text.count("\n")  # the bad row is the last
+    with pytest.raises(DataError, match=f"line {line}: "):
         read_logged_csv(path)
 
 
@@ -310,7 +344,7 @@ def test_blank_row_is_malformed_at_its_own_line(tmp_path):
 def test_header_only_file_is_empty(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("context_0,action,reward,logging_prob\n")
-    with pytest.raises(DataError, match="empty"):
+    with pytest.raises(DataError, match="empty logged dataset"):
         read_logged_csv(path)
 
 
@@ -323,3 +357,39 @@ def test_read_logged_csv_rejects_bad_actions_naming_the_line(tmp_path, field, me
     path.write_text(f"action,reward,logging_prob\n0,1.0,0.5\n{field},1.0,0.5\n")
     with pytest.raises(DataError, match=message):
         read_logged_csv(path)
+
+
+def traced_peak(call):
+    """``call()`` and the peak of memory it allocated, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def column_bytes(data):
+    return sum(getattr(data, name).nbytes for name in ("contexts", "actions", "rewards", "probs"))
+
+
+# Beyond the columns it returns, a call may hold one chunk of rows (about
+# 1.1 MiB of text at 1,024 rows of p = 5), one more copy of the columns
+# while they are joined or frozen, and in synth_logged_dataset the
+# (n, k * p) features of the chosen arms (2.5 MiB at 16 chunks), which one
+# matrix-vector product must take whole to keep its bits.  Holding the whole
+# log as strings or as an (n, k, k * p) feature tensor, 10.9-13.0 MiB at 16
+# chunks, does not fit.
+LOG_IO_SLACK = 5 * 2**20
+
+
+@pytest.mark.parametrize("chunks", [4, 16])
+def test_logged_data_io_peaks_within_a_fixed_slack_of_its_columns(tmp_path, chunks):
+    env = make_linear_env(4, 5, seed=3)
+    path = tmp_path / "log.csv"
+    data, synth_peak = traced_peak(lambda: synth_logged_dataset(env, chunks * _LOG_CHUNK, 1))
+    _, write_peak = traced_peak(lambda: write_logged_csv(data, path))
+    back, read_peak = traced_peak(lambda: read_logged_csv(path))
+    beyond = {"synth": synth_peak - column_bytes(data), "write": write_peak,
+              "read": read_peak - column_bytes(back)}
+    assert max(beyond.values()) <= LOG_IO_SLACK, beyond

@@ -153,8 +153,8 @@ def test_one_rep_state_asked_for_no_rows_plays_and_draws_nothing(pol, b):
 
 @pytest.mark.parametrize("m", [1, 5, 16, 17, 40])
 def test_one_rep_update_equals_its_row_of_a_many_rep_update(m):
-    # one rep adds a short release on Python floats, many reps scatter it;
-    # both add in step order, so rewards in tenths, whose sums round
+    # one scatter adds each rep's release in step order, so a rep's row is
+    # the same alone or among others: rewards in tenths, whose sums round
     # differently in another order, give the same bits; replay passes
     # nested lists
     pol = UcbPolicy(3)

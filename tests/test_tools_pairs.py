@@ -1,5 +1,6 @@
 """The alternating-pairs protocol of the timing scripts in ``tools/``, and
-smoke runs of ``tools/time_replay.py`` and ``tools/sweep_scalar_beta.py``.
+smoke runs of ``tools/time_replay.py``, ``tools/time_log_io.py`` and
+``tools/sweep_scalar_beta.py``.
 
 ``tools/pairs.py`` is not part of the package, so it is loaded from its
 file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
@@ -81,6 +82,23 @@ def test_time_replay_runs_at_tiny_sizes(tmp_path):
     for entry in record["calls"].values():
         assert entry["results_equal_between_sides"]
         assert len(entry["s"]["parent"]["values"]) == len(entry["s"]["change"]["values"]) == 2
+    assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
+
+
+def test_time_log_io_runs_at_tiny_sizes(tmp_path):
+    # both sides are this tree, so every case must write, read and replay
+    # the same bytes
+    root = str(TOOLS.parent)
+    out = tmp_path / "log_io.json"
+    subprocess.run([sys.executable, str(TOOLS / "time_log_io.py"), "--parent", root,
+                    "--change", root, "--pairs", "2", "--smoke", "--out", str(out)],
+                   check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    assert list(record["cases"]) == [f"{what} {log}" for log in ("env1", "linear")
+                                     for what in ("write", "read", "replay")]
+    for entry in record["cases"].values():
+        assert entry["same_bytes_on_every_side"]
+        assert len(entry["peak_mib"]["change"]["values"]) == 2
     assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
 
 
