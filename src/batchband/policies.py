@@ -4,28 +4,28 @@ A policy runs ``R`` reps in lockstep through three operations:
 
 * ``init_reps(R)``: the state of ``R`` reps before any feedback, arrays
   with a leading rep axis.
-* ``act_reps(states, b, rngs, rows[, features])``: ``(len(rows), b)``
+* ``act_reps(states, b, rngs, rows[, contexts])``: ``(len(rows), b)``
   actions for the reps ``rows``, each rep playing ``b`` steps from its
   frozen state.  The finite-armed policies draw from block streams:
   ``rngs[i]`` is the one generator of block ``i``, the reps ``i * BLOCK_REPS``
   up to ``(i + 1) * BLOCK_REPS`` (the last block may be short), and a
   drawing policy makes one draw for every rep of each block that holds any
   of ``rows``, whatever its other reps are doing.  The linear policies draw
-  from ``rngs[r]``, one generator per rep, and read ``features``, one
-  ``(b, k, dim)`` feature tensor per row; LinTS also takes its ``(len(rows),
-  b, dim)`` standard normals as ``noise``, drawn by the caller, in place of
-  drawing them.  Only the finite-armed policies
+  from ``rngs[r]``, one generator per rep, and read ``contexts``, the
+  ``(len(rows), b, p)`` contexts of the rows' steps; LinTS also takes its
+  ``(len(rows), b, k * p)`` standard normals as ``noise``, drawn by the
+  caller, in place of drawing them.  Only the finite-armed policies
   that are not adaptive take a keyword ``batches`` (default 1): one call
   then plays ``batches`` batches and returns ``(len(rows), batches * b)``
   actions, batch-major, the same as that many one-batch calls.
-* ``update_reps(states, actions, rewards)``: absorb ``(R, m)`` released
-  actions and rewards, arrays or nested lists, in place and return the
-  states; the linear policies take the chosen feature vectors,
-  ``(R, m, dim)``, as actions.
+* ``update_reps(states, actions, rewards[, contexts])``: absorb ``(R, m)``
+  released actions and rewards, arrays or nested lists, in place and
+  return the states; the linear policies also take the released steps'
+  contexts, ``(R, m, p)``.
 
 Every rep has seen the same amount of feedback, ``t_seen``.  ``draws``
 says whether ``act_reps`` consumes the generators; a policy that draws
-nothing plays a pure function of its state and features.  ``adaptive``
+nothing plays a pure function of its state and contexts.  ``adaptive``
 says whether ``act_reps`` reads the state at all; a policy that is not
 adaptive (uniform and fixed-arm play) ignores feedback, so ``b`` steps from
 any state are ``b`` steps from the initial one.  State is frozen within a
@@ -99,8 +99,8 @@ class RepCounts:
 
 @dataclass(eq=False, slots=True)
 class RepRidge:
-    """Ridge statistics of ``R`` lockstep reps: design matrices ``V``
-    ``(R, d, d)`` and response vectors ``z`` ``(R, d)``.
+    """Per-arm ridge statistics of ``R`` lockstep reps: design blocks ``V``
+    ``(R, k, p, p)`` and response vectors ``z`` ``(R, k, p)``.
 
     ``factors`` holds what the policy derives from every rep's ``V`` and
     ``z``, stacked, or None; ``update_reps`` clears it, so a frozen state
@@ -123,7 +123,7 @@ class BasePolicy:
     def init_reps(self, reps: int):
         raise NotImplementedError
 
-    def act_reps(self, states, b, rngs, rows, features=None) -> np.ndarray:
+    def act_reps(self, states, b, rngs, rows, contexts=None) -> np.ndarray:
         raise NotImplementedError
 
     def update_reps(self, states, actions, rewards):
@@ -390,9 +390,12 @@ class TwoPhaseSwitchPolicy(_CountPolicy):
 class _LinearBase(BasePolicy):
     """Shared ridge bookkeeping for the linear policies.
 
-    Every rep's statistics are updated and factored at once, as stacked
-    arrays; each stacked ``matmul``, ``solve``, ``inv`` and ``cholesky``
-    computes a rep's slice as a lone run would, bit for bit.
+    On the disjoint model (Li et al. 2010) each arm keeps its own ``p x p``
+    design block, fed by the contexts of its own pulls.  Every rep's blocks
+    are updated and inverted at once, as stacked arrays, ``theta = V^-1 z``,
+    and ``_factor`` derives the policy's spread from ``V^-1``; each stacked
+    ``matmul``, ``inv`` and ``cholesky`` computes a rep's slice as a lone
+    run would, bit for bit.
     """
 
     def __post_init__(self):
@@ -406,36 +409,39 @@ class _LinearBase(BasePolicy):
         return self.k * self.context_dim
 
     def init_reps(self, reps: int) -> RepRidge:
-        d = self.dim
-        V = np.tile(self.ridge_lambda * np.eye(d), (reps, 1, 1))
-        return RepRidge(V, np.zeros((reps, d)), 0)
+        p = self.context_dim
+        V = np.tile(self.ridge_lambda * np.eye(p), (reps, self.k, 1, 1))
+        return RepRidge(V, np.zeros((reps, self.k, p)), 0)
 
-    def _features(self, features, rows, b):
-        if features is None:
-            raise PolicyError(f"{self.name} requires a feature set per step")
-        fs = np.asarray(features, dtype=float)
-        if fs.shape != (len(rows), b, self.k, self.dim):
-            raise DimensionMismatchError(
-                f"features must have shape ({len(rows)}, {b}, {self.k}, {self.dim})"
-            )
-        return fs
+    def _contexts(self, contexts, rows, b):
+        if contexts is None:
+            raise PolicyError(f"{self.name} requires a context per step")
+        xs = np.asarray(contexts, dtype=float)
+        if xs.shape != (len(rows), b, self.context_dim):
+            raise DimensionMismatchError(f"contexts must have shape ({len(rows)}, {b}, "
+                                         f"{self.context_dim})")
+        return xs
 
-    def update_reps(self, states, actions, rewards):
-        feats = np.asarray(actions, dtype=float)
-        if feats.ndim != 3 or feats.shape[2] != self.dim:
-            raise DimensionMismatchError(
-                "linear policies update from chosen feature vectors"
-            )
-        feats_t = feats.transpose(0, 2, 1)
-        states.V += feats_t @ feats
-        states.z += (feats_t @ np.asarray(rewards, dtype=float)[..., None])[..., 0]
-        states.t_seen += feats.shape[1]
+    def update_reps(self, states, actions, rewards, contexts):
+        acts, xs = np.asarray(actions), np.asarray(contexts, dtype=float)
+        if acts.ndim != 2 or xs.shape != (*acts.shape, self.context_dim):
+            raise DimensionMismatchError(f"{self.name} updates from (R, m) arms and "
+                                         f"(R, m, {self.context_dim}) contexts")
+        # step i's context in its arm's block, zeros elsewhere, as (R, k, p, m)
+        reps, m = acts.shape
+        owned = np.zeros((reps, m, self.k, self.context_dim))
+        owned[np.arange(reps)[:, None], np.arange(m), acts] = xs
+        owned = owned.transpose(0, 2, 3, 1)
+        states.V += owned @ xs[:, None]
+        states.z += (owned @ np.asarray(rewards, dtype=float)[:, None, :, None])[..., 0]
+        states.t_seen += m
         states.factors = None
         return states
 
     def _factors(self, states, rows):
         if states.factors is None:
-            states.factors = self._factor(states.V, states.z[..., None])
+            Vinv = np.linalg.inv(states.V)
+            states.factors = (Vinv @ states.z[..., None])[..., 0], self._factor(Vinv)
         return [f.take(rows, axis=0) for f in states.factors]
 
 
@@ -443,8 +449,9 @@ class _LinearBase(BasePolicy):
 class LinUcbPolicy(_LinearBase):
     """Disjoint-model linear UCB with a ridge estimate.
 
-    Scores each arm by ``<theta_hat, psi> + alpha * sqrt(psi' V^-1 psi)``
-    where ``V = lambda I + sum psi psi'`` and ``z = sum psi X``.
+    Scores arm ``a`` on context ``x`` by ``<theta_a, x> + alpha *
+    sqrt(x' V_a^-1 x)``, where ``V_a = lambda I + sum x x'`` and ``z_a =
+    sum x X`` run over arm ``a``'s pulls.
     """
 
     k: int
@@ -460,40 +467,40 @@ class LinUcbPolicy(_LinearBase):
             raise PolicyError(f"width multiplier must be finite and >= 0, got {self.alpha}")
 
     @staticmethod
-    def _factor(V, z):
-        return np.linalg.solve(V, z)[..., 0], np.linalg.inv(V)
+    def _factor(Vinv):
+        return Vinv
 
-    def act_reps(self, states, b, rngs, rows, features=None) -> np.ndarray:
-        fs = self._features(features, rows, b)
-        theta_hat, Vinv = self._factors(states, rows)
-        widths = np.sqrt(np.einsum("rbkd,rde,rbke->rbk", fs, Vinv, fs))
-        scores = (fs @ theta_hat[:, None, :, None])[..., 0]
+    def act_reps(self, states, b, rngs, rows, contexts=None) -> np.ndarray:
+        xs = self._contexts(contexts, rows, b)
+        theta, Vinv = self._factors(states, rows)
+        widths = np.sqrt(np.einsum("rbd,rkde,rbe->rbk", xs, Vinv, xs))
+        scores = xs @ theta.transpose(0, 2, 1)
         return np.argmax(scores + self.alpha * widths, axis=2)
 
 
 @dataclass(frozen=True)
 class LinTsPolicy(_LinearBase):
-    """Linear Thompson sampling from the ridge posterior N(V^-1 z, V^-1)."""
+    """Linear Thompson sampling from each arm's ridge posterior N(V_a^-1 z_a,
+    V_a^-1): arm ``a`` draws through the Cholesky factor of ``V_a^-1`` from
+    block ``a`` of a step's ``k * p`` standard normals."""
 
     k: int
     context_dim: int
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
     name = "lints"
 
-    @staticmethod
-    def _factor(V, z):
-        Vinv = np.linalg.inv(V)
-        return (Vinv @ z)[..., 0], np.linalg.cholesky(Vinv)
+    _factor = staticmethod(np.linalg.cholesky)
 
-    def act_reps(self, states, b, rngs, rows, features=None, noise=None) -> np.ndarray:
-        fs = self._features(features, rows, b)
-        mean, chol = self._factors(states, rows)
+    def act_reps(self, states, b, rngs, rows, contexts=None, noise=None) -> np.ndarray:
+        xs = self._contexts(contexts, rows, b)
+        theta, chol = self._factors(states, rows)
         if noise is None:
             noise = np.empty((len(rows), b, self.dim))
             for i, r in enumerate(rows.tolist()):
                 rngs[r].standard_normal(out=noise[i])
-        draws = mean[:, None] + noise @ chol.transpose(0, 2, 1)
-        return np.argmax(np.einsum("rbkd,rbd->rbk", fs, draws), axis=2)
+        blocks = noise.reshape(len(rows), b, self.k, self.context_dim)
+        draws = theta[:, None] + np.einsum("rkde,rbke->rbkd", chol, blocks)
+        return np.argmax(np.einsum("rbkd,rbd->rbk", draws, xs), axis=2)
 
 
 def _pop_number(params: dict, key: str, default=None, integral: bool = False):

@@ -23,11 +23,11 @@ often as the stream requires:
 * two-phase play, LinUCB and LinTS propose for a look-ahead window of
   ``2 * k * need`` records, where ``need`` is what the pending batch still
   lacks, keep the first ``need`` matches and drop the rest.  The linear
-  policies' features are built ``_NOISE_CHUNK`` records at a time, once
-  per record.  LinTS draws ``dim`` standard normals per proposal whatever
-  its state, so the evaluator draws them ahead with the features, in
-  record order, and a record proposed again from a later state gets the
-  same normals: the stream of one draw per record;
+  policies read the window's slice of the logged contexts.  LinTS draws
+  ``k * p`` standard normals per proposal whatever its state, so the
+  evaluator draws them ahead, ``_NOISE_CHUNK`` records at a time in record
+  order, and a record proposed again from a later state gets the same
+  normals: the stream of one draw per record;
 * TS runs in one loop on its posterior as Python floats (``_replay_ts``):
   numpy's Beta sampler uses a number of variates that depends on its
   parameters, so its draws cannot be taken ahead, but no record needs a
@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PROB_TOL, check_seed, write_csv
-from .environments import DataError, LoggedData, _reject_rows, block_features
+from .environments import DataError, LoggedData, _reject_rows
+from .environments import block_features  # noqa: F401  bench-pinned: bench/spans.py times it
 from .policies import _SCALAR_BETA_MAX, RUN_AHEAD_START, LinTsPolicy, ThompsonBetaPolicy
 from .policies import ts_arm, ts_arms, ts_posterior
 
@@ -56,11 +57,11 @@ SUCCESS_THRESHOLD = 0.5
 # break even near 30)
 _LIST_WINDOW_MAX = 24
 
-# Contextual replay builds features, and LinTS draws its standard normals,
-# this many records at a time.  On the benchmark's 5k-row log (k=4, d=20)
-# chunks of 64 to 1,024 records replayed in the same time within the host's
-# noise, while the peak allocation of a linucb or lints replay at b=1 grew
-# from 0.5 MB at 128 records to 2.2-2.5 MB at 1,024 (tracemalloc)
+# LinTS replay draws its standard normals this many records at a time.  On
+# the benchmark's 5k-row log (k=4, p=5) at b=1, chunks of 128 to 1,024
+# records replayed in alike times (medians of 5: 59-65 ms) and 64 in 70 ms,
+# while the peak allocation grew from 0.27 MB at 128 records to 0.70 MB at
+# 1,024 (tracemalloc)
 _NOISE_CHUNK = 128
 
 
@@ -88,8 +89,12 @@ def check_uniform_log(data: LoggedData, policy) -> None:
     """Raise ``DataError`` naming the first line of ``data`` that ``policy``
     cannot replay.  Replay is unbiased only on a uniform log (Li et al.
     2011): every action in ``[0, k)``, every logging_prob ``1/k``.
-    Beta-Bernoulli Thompson sampling also needs rewards in [0, 1]."""
-    k = policy.k
+    Beta-Bernoulli Thompson sampling also needs rewards in [0, 1], and a
+    linear policy contexts of its ``context_dim``."""
+    k, width = policy.k, data.contexts.shape[1]
+    if getattr(policy, "context_dim", width) != width:
+        raise DataError(f"{policy.name} reads contexts of width {policy.context_dim} "
+                        f"but the log's contexts have width {width}")
     _reject_rows(data.actions >= k, data.actions, f"action out of range for k={k}")
     _reject_rows(np.abs(data.probs - 1.0 / k) > PROB_TOL, data.probs,
                  f"logging_prob is not 1/k for a uniform log over k={k} arms")
@@ -147,34 +152,29 @@ def replay_evaluate(
     if isinstance(policy, ThompsonBetaPolicy):
         return _result(policy, b, *_replay_ts(k, dataset, b, rng))
 
-    contextual = hasattr(policy, "dim")
+    contextual = hasattr(policy, "context_dim")
     ahead = isinstance(policy, LinTsPolicy)
-    if contextual:
-        # records base..end-1 have their features, and LinTS's normals, in
-        # feats[j - base] and normals[j - base], built _NOISE_CHUNK records
-        # at a time in record order
+    if ahead:
+        # records base..end-1 have LinTS's normals in normals[j - base],
+        # drawn _NOISE_CHUNK records at a time in record order
         base = end = 0
-        feats = np.empty((0, k, policy.dim))
         normals = np.empty((0, policy.dim))
+    columns = (logged, dataset.rewards, contexts) if contextual else (logged, dataset.rewards)
     actions, rewards = logged.tolist(), dataset.rewards.tolist()
     matched = successes = 0
-    keys, released = [], []
+    pending = []
     i = 0
     while i < n:
-        need = b - len(released)
+        need = b - len(pending)
         lo, hi = i, min(i + need * 2 * k, n)
-        args = ()
-        if contextual:
+        args = (contexts[None, lo:hi],) if contextual else ()
+        if ahead:
             if hi > end:
                 stop = min(end + -(-(hi - end) // _NOISE_CHUNK) * _NOISE_CHUNK, n)
-                feats = np.concatenate([feats[lo - base :], block_features(contexts[end:stop], k)])
-                if ahead:
-                    fresh = rng.standard_normal((stop - end, policy.dim))
-                    normals = np.concatenate([normals[lo - base :], fresh])
+                fresh = rng.standard_normal((stop - end, policy.dim))
+                normals = np.concatenate([normals[lo - base :], fresh])
                 base, end = lo, stop
-            args = (feats[None, lo - base : hi - base],)
-            if ahead:
-                args += (normals[None, lo - base : hi - base],)
+            args += (normals[None, lo - base : hi - base],)
         proposals = policy.act_reps(state, hi - lo, rngs, rows, *args)[0]
         if hi - lo <= _LIST_WINDOW_MAX:
             hits = []
@@ -186,15 +186,12 @@ def replay_evaluate(
         else:
             hits = ((proposals == logged[lo:hi]).nonzero()[0][:need] + lo).tolist()
         i = hits[-1] + 1 if len(hits) == need else hi
-        for j in hits:
-            a, r = actions[j], rewards[j]
-            keys.append(feats[j - base, a] if contextual else a)
-            released.append(r)
-            successes += r >= SUCCESS_THRESHOLD
+        pending += hits
+        successes += sum(rewards[j] >= SUCCESS_THRESHOLD for j in hits)
         matched += len(hits)
-        if len(released) == b:
-            state = policy.update_reps(state, [keys], [released])
-            keys, released = [], []
+        if len(pending) == b:
+            state = policy.update_reps(state, *(col[None, pending] for col in columns))
+            pending = []
     return _result(policy, b, matched, successes)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BatchGrid, DimensionMismatchError, check_seed, derive_seed, make_grid
-from .environments import BernoulliEnv, LinearContextualEnv, block_features
+from .environments import BernoulliEnv, LinearContextualEnv
 from .policies import BLOCK_REPS, RUN_AHEAD_START, rep_bincount
 
 OPT_TOL = 1e-12
@@ -143,10 +143,13 @@ def whole_blocks(reps: int) -> int:
 
 
 def check_arms(policy, env) -> None:
-    """Raise ``DimensionMismatchError`` unless ``policy`` plays ``env``'s arms."""
-    if policy.k != env.k:
+    """Raise ``DimensionMismatchError``, naming both, unless ``policy`` plays
+    ``env``'s arms on contexts of its width (0 for a finite-armed pair)."""
+    want, have = getattr(policy, "context_dim", 0), getattr(env, "context_dim", 0)
+    if policy.k != env.k or want != have:
         raise DimensionMismatchError(
-            f"{policy.name} plays {policy.k} arms but the environment has {env.k}"
+            f"{policy.name} plays {policy.k} arms on contexts of width {want} but "
+            f"the {type(env).__name__} has {env.k} arms and contexts of width {have}"
         )
 
 
@@ -213,7 +216,7 @@ def run_lockstep(
     rewards = np.empty((reps, n))
     if contextual:
         contexts = np.empty((reps, n, env.context_dim))
-        chosen = np.empty((reps, n, env.dim))
+        chosen = np.zeros((reps, n, env.dim))
     else:
         uniforms = rewards  # each uniform is read once, then overwritten by its reward
         for rng, row in zip(rngs, uniforms):
@@ -254,14 +257,14 @@ def run_lockstep(
         if contextual:
             for r in all_rows:
                 contexts[r, lo:hi] = env.sample_contexts(rngs[r], b)
-            ctx = contexts[:, lo:hi].reshape(reps * b, -1)
-            feats = block_features(ctx, k).reshape(reps, b, k, -1)
-            acts = policy.act_reps(state, b, rngs, all_rows, feats)
-            chosen[:, lo:hi] = feats[all_rows[:, None], np.arange(b), acts]
+            ctx = contexts[:, lo:hi]
+            acts = policy.act_reps(state, b, rngs, all_rows, ctx)
+            # each context in its arm's block: block_features' row of that arm
+            chosen.reshape(reps, n, k, -1)[all_rows[:, None], np.arange(lo, hi), acts] = ctx
             for r in all_rows:
                 rewards[r, lo:hi] = env.sample_rewards(chosen[r, lo:hi], rngs[r])
             actions[:, lo:hi] = acts
-            acts, rews = chosen[:, lo:hi], rewards[:, lo:hi]
+            rews = rewards[:, lo:hi]
         else:
             if lo >= last:
                 acts = policy.act_reps(state, b, streams, all_rows)
@@ -275,9 +278,10 @@ def run_lockstep(
 
         if not policy.adaptive:
             continue
+        feedback = (acts, rews, ctx) if contextual else (acts, rews)
         if visibility == "short":
-            acts, rews = acts[:, :1], rews[:, :1]
-        state = policy.update_reps(state, acts, rews)
+            feedback = [f[:, :1] for f in feedback]
+        state = policy.update_reps(state, *feedback)
     if split < M:
         lo = split * b
         acts = policy.act_reps(state, b, streams, all_rows, batches=M - split)

@@ -1,4 +1,4 @@
-"""Naive per-step references for the finite-armed run engine and replay.
+"""Naive per-step references for the run engine and replay.
 
 Written from the policies' definitions, one step at a time, with no numpy
 beyond the generators, the linear policies' ridge algebra and the
@@ -9,9 +9,10 @@ step.  The policies draw from the block's generator,
 ``default_rng(derive_seed("policy", *block_seeds))``: per batch, for every
 rep of the block in rep order, TS draws one Beta per step and arm, in
 step-then-arm order, and uniform play one ``integers(0, k)`` per step.
-Replay makes one proposal per logged record, in record order, on one
-generator; the linear policies factor their ridge statistics afresh for
-every proposal.  The estimated delayed start checks one rep's 1-D counts
+The linear policies keep dense ``k * p`` ridge statistics, in the
+disjoint model's block layout, and factor them afresh for every proposal,
+in runs and in replay.  Replay makes one proposal per logged record, in
+record order, on one generator.  The estimated delayed start checks one rep's 1-D counts
 and means at each boundary.
 """
 
@@ -146,6 +147,40 @@ def _ridge_arm(name, feats, V, z, rng, alpha):
     return int(np.argmax(scores))
 
 
+def _dense_features(context, k):
+    """Arm ``a``'s ``k * p`` feature vector holds ``context`` in block ``a``."""
+    p = len(context)
+    feats = np.zeros((k, k * p))
+    for a in range(k):
+        feats[a, a * p : (a + 1) * p] = context
+    return feats
+
+
+def reference_linear_run(name, env, n, b, seeds, alpha=1.0, ridge_lambda=1.0):
+    """[actions] of each rep of a LinUCB or LinTS run on ``env`` over
+    ``seeds``, in the dense ``k * p`` layout.  Each rep owns
+    ``default_rng(seed)`` and per batch draws from it the batch's contexts
+    (``env.sample_contexts``), one proposal per step, and then the batch's
+    rewards (``env.sample_rewards``); the batch's feature vectors and
+    rewards are then fed back together."""
+    k, p = env.k, env.context_dim
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        V, z = ridge_lambda * np.eye(k * p), np.zeros(k * p)
+        actions = []
+        for _ in range(n // b):
+            feats = [_dense_features(c, k) for c in env.sample_contexts(rng, b)]
+            batch = [_ridge_arm(name, f, V, z, rng, alpha) for f in feats]
+            F = np.array([f[a] for f, a in zip(feats, batch)])
+            rewards = env.sample_rewards(F, rng)
+            V += F.T @ F
+            z += F.T @ rewards
+            actions += batch
+        out.append(actions)
+    return out
+
+
 def reference_replay(name, k, data, b, seed, c=1.0, arm=0, good=0, bad=1,
                      switch_t=0, alpha=1.0, ridge_lambda=1.0):
     """(matched, successes) of replaying ``data`` with ``name`` at batch
@@ -167,9 +202,7 @@ def reference_replay(name, k, data, b, seed, c=1.0, arm=0, good=0, bad=1,
         data.contexts, data.actions.tolist(), data.rewards.tolist()
     ):
         if linear:
-            feats = np.zeros((k, k * p))
-            for a in range(k):
-                feats[a, a * p : (a + 1) * p] = context
+            feats = _dense_features(context, k)
             proposal = _ridge_arm(name, feats, V, z, rng, alpha)
         elif name == "ucb":
             proposal = _ucb_arm(counts, sums, seen, c)

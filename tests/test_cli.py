@@ -449,6 +449,9 @@ class TestReplay:
          "line 3: ts needs rewards in [0, 1]"),
         ("action,reward,logging_prob\n0,1.0,0.5\n1,1.5,0.5\n", ["--policy", "ucb,ts"],
          "line 3: ts needs rewards in [0, 1]"),
+        # the CLI derives a linear policy's context width from the log
+        ("action,reward,logging_prob\n0,1.0,0.5\n1,0.0,0.5\n", ["--policy", "linucb"],
+         "linucb needs a context dimension"),
         # an empty --data overrides the test's own, as if none were given
         ("action,reward,logging_prob\n0,1.0,0.5\n", ["--data", ""],
          "replay needs --data"),

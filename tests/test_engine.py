@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_runner import reference_approx_delayed_start, reference_run
+from reference_runner import reference_approx_delayed_start, reference_linear_run, reference_run
 
-from batchband.core import derive_seed, make_grid
+from batchband.core import DimensionMismatchError, derive_seed, make_grid
 from batchband.environments import make_linear_env, parse_env, preset
 from batchband.meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from batchband.policies import (
@@ -114,6 +114,34 @@ def test_contextual_rep_i_of_a_lockstep_call_equals_its_lone_run(policy, b):
         lone = run_batch(policy, env, grid, [seed])
         for field in ("actions", "features", "pseudo_regret", "optimal_hits"):
             assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
+
+
+@pytest.mark.parametrize("policy", [LinUcbPolicy(4, 3), LinTsPolicy(4, 3)])
+@pytest.mark.parametrize("b", [1, 5])
+def test_contextual_engine_matches_dense_per_step_reference(policy, b):
+    # the engine's per-arm ridge blocks against dense k*p statistics
+    # factored afresh at every step
+    env = make_linear_env(4, 3, seed=11)
+    seeds = [derive_seed(17, "linear", b, i) for i in range(3)]
+    run = run_batch(policy, env, make_grid(120, b), seeds)
+    ref = reference_linear_run(policy.name, env, 120, b, seeds)
+    assert run.actions.tolist() == ref
+
+
+@pytest.mark.parametrize("policy, env, message", [
+    (UcbPolicy(2), make_linear_env(2, 2, seed=1),
+     "ucb plays 2 arms on contexts of width 0 but the LinearContextualEnv has 2 arms "
+     "and contexts of width 2"),
+    (LinUcbPolicy(2, 2), preset("env1"),
+     "linucb plays 2 arms on contexts of width 2 but the BernoulliEnv has 2 arms "
+     "and contexts of width 0"),
+    (LinUcbPolicy(4, 3), make_linear_env(4, 5, seed=1),
+     "linucb plays 4 arms on contexts of width 3 but the LinearContextualEnv has 4 arms "
+     "and contexts of width 5"),
+], ids=["finite-policy-on-linear-env", "linear-policy-on-bernoulli-env", "context-width"])
+def test_run_lockstep_rejects_an_unrunnable_pair_up_front(policy, env, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        run_lockstep(policy, env, make_grid(8, 4), [1, 2])
 
 
 @pytest.mark.parametrize("env_name", ["env1", "env6"])

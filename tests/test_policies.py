@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from batchband.environments import block_features
 from batchband.policies import (
     BLOCK_REPS,
     FixedArmPolicy,
@@ -31,10 +32,10 @@ def fed(pol, pairs, states=None):
     return pol.update_reps(states, acts, rews)
 
 
-def act(pol, states, b=1, seed=0, features=None):
+def act(pol, states, b=1, seed=0, contexts=None):
     """The lone rep's ``b`` actions, from a fresh generator."""
     rngs = [np.random.default_rng(seed)]
-    extra = () if features is None else (features[None],)
+    extra = () if contexts is None else (contexts[None],)
     return pol.act_reps(states, b, rngs, ONE, *extra)[0]
 
 
@@ -325,62 +326,64 @@ def test_count_policies_absorb_counts_and_sums(pol):
 # ---------------------------------------------------------------- linear
 
 
-def lin_fed(pol, feats, rewards, states=None):
+def lin_fed(pol, arms, contexts, rewards, states=None):
+    """One rep's state after absorbing ``(arm, context, reward)`` steps in
+    one release."""
     states = pol.init_reps(1) if states is None else states
-    return pol.update_reps(states, np.asarray(feats, dtype=float)[None],
-                           np.asarray(rewards, dtype=float)[None])
+    return pol.update_reps(states, np.asarray(arms)[None], np.asarray(rewards, dtype=float)[None],
+                           np.asarray(contexts, dtype=float)[None])
 
 
 def test_linucb_ridge_update_identity_case():
+    # one pull of arm 0 on context e_1 moves arm 0's block only
     pol = LinUcbPolicy(k=2, context_dim=2)
     st = pol.init_reps(1)
-    assert np.allclose(st.V[0], np.eye(4))
-    st = lin_fed(pol, [[1.0, 0.0, 0.0, 0.0]], [1.0], st)
-    assert np.allclose(st.V[0], np.diag([2.0, 1.0, 1.0, 1.0]))
-    assert np.allclose(st.z[0], [1.0, 0.0, 0.0, 0.0])
+    assert st.V.shape == (1, 2, 2, 2) and st.z.shape == (1, 2, 2)
+    assert np.array_equal(st.V[0], [np.eye(2), np.eye(2)])
+    st = lin_fed(pol, [0], [[1.0, 0.0]], [1.0], st)
+    assert np.array_equal(st.V[0], [np.diag([2.0, 1.0]), np.eye(2)])
+    assert np.array_equal(st.z[0], [[1.0, 0.0], [0.0, 0.0]])
     assert st.t_seen == 1
 
 
 def test_linucb_update_from_entries():
-    # two chosen feature vectors released together
+    # two pulls of different arms released together
     pol = LinUcbPolicy(k=2, context_dim=1)
-    st = lin_fed(pol, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.5])
-    assert np.allclose(st.V[0], np.diag([2.0, 2.0]))
-    assert np.allclose(st.z[0], [1.0, 0.5])
+    st = lin_fed(pol, [0, 1], [[1.0], [1.0]], [1.0, 0.5])
+    assert np.array_equal(st.V[0], [[[2.0]], [[2.0]]])
+    assert np.array_equal(st.z[0], [[1.0], [0.5]])
     with pytest.raises(ValueError):
-        pol.update_reps(st, np.zeros((1, 2, 3)), np.zeros((1, 2)))
+        pol.update_reps(st, np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2)),
+                        np.zeros((1, 2, 3)))
 
 
 def test_linucb_scores_hand_case():
-    # d = 2, one observation psi = e_1, X = 1; context 1.0 for both arms
+    # p = 1, one pull of arm 0 on context 1 with X = 1; context 1.0 for both arms
     pol = LinUcbPolicy(k=2, context_dim=1, alpha=1.0)
-    st = lin_fed(pol, [[1.0, 0.0]], [1.0])
-    fs = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-    # theta_hat = (0.5, 0); score_0 = 0.5 + sqrt(1/2) > score_1 = 0 + 1
-    assert act(pol, st, features=fs).tolist() == [0]
+    st = lin_fed(pol, [0], [[1.0]], [1.0])
+    # theta = (0.5, 0); score_0 = 0.5 + sqrt(1/2) > score_1 = 0 + 1
+    assert act(pol, st, contexts=np.array([[1.0]])).tolist() == [0]
 
 
 def test_linucb_act_batch_matches_decide_point_masses():
-    # a batch of feature sets is scored step by step from the frozen state
+    # a batch of contexts is scored step by step from the frozen state
     pol = LinUcbPolicy(k=3, context_dim=2)
     rng = np.random.default_rng(4)
-    feats = rng.standard_normal((5, 3, 6))
-    st = lin_fed(pol, rng.standard_normal((8, 6)) * 0.3, rng.standard_normal(8))
-    batch = act(pol, st, b=5, features=feats)
-    singles = [int(act(pol, st, features=feats[i : i + 1])[0]) for i in range(5)]
+    ctx = rng.standard_normal((5, 2))
+    st = lin_fed(pol, rng.integers(0, 3, 8), rng.standard_normal((8, 2)) * 0.3,
+                 rng.standard_normal(8))
+    batch = act(pol, st, b=5, contexts=ctx)
+    singles = [int(act(pol, st, contexts=ctx[i : i + 1])[0]) for i in range(5)]
     assert batch.tolist() == singles
 
 
 def test_lints_posterior_concentrates():
     pol = LinTsPolicy(k=2, context_dim=1)
     # arm 0 always rewards 1, arm 1 always 0, many observations
-    feats = np.zeros((400, 2))
-    feats[:200, 0] = 1.0
-    feats[200:, 1] = 1.0
+    arms = [0] * 200 + [1] * 200
     rewards = np.concatenate([np.ones(200), np.zeros(200)])
-    st = lin_fed(pol, feats, rewards)
-    fs = np.tile(np.array([[1.0, 0.0], [0.0, 1.0]]), (200, 1, 1))
-    acts = act(pol, st, b=200, seed=9, features=fs)
+    st = lin_fed(pol, arms, np.ones((400, 1)), rewards)
+    acts = act(pol, st, b=200, seed=9, contexts=np.ones((200, 1)))
     assert np.mean(acts == 0) > 0.95
 
 
@@ -389,7 +392,7 @@ def test_lints_requires_features():
     with pytest.raises(PolicyError):
         act(pol, pol.init_reps(1), b=2)
     with pytest.raises(ValueError):
-        act(pol, pol.init_reps(1), b=2, features=np.zeros((3, 2, 2)))
+        act(pol, pol.init_reps(1), b=2, contexts=np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
@@ -398,13 +401,14 @@ def test_ridge_factors_are_refreshed_by_update(cls):
     # fresh state built from them does
     pol = cls(k=3, context_dim=2)
     rng = np.random.default_rng(8)
-    feats = rng.standard_normal((6, 3, 6))
+    ctx = rng.standard_normal((6, 2))
     st = pol.init_reps(1)
-    act(pol, st, b=6, seed=3, features=feats)
-    st = lin_fed(pol, rng.standard_normal((5, 6)), rng.standard_normal(5), st)
+    act(pol, st, b=6, seed=3, contexts=ctx)
+    st = lin_fed(pol, rng.integers(0, 3, 5), rng.standard_normal((5, 2)),
+                 rng.standard_normal(5), st)
     fresh = RepRidge(st.V.copy(), st.z.copy(), st.t_seen)
-    assert (act(pol, st, b=6, seed=3, features=feats).tolist()
-            == act(pol, fresh, b=6, seed=3, features=feats).tolist())
+    assert (act(pol, st, b=6, seed=3, contexts=ctx).tolist()
+            == act(pol, fresh, b=6, seed=3, contexts=ctx).tolist())
 
 
 @pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
@@ -414,15 +418,50 @@ def test_ridge_factors_are_kept_per_rep(cls):
     pol = cls(k=3, context_dim=2)
     rng = np.random.default_rng(5)
     st = pol.init_reps(3)
-    st = pol.update_reps(st, rng.standard_normal((3, 4, 6)), rng.standard_normal((3, 4)))
-    feats = rng.standard_normal((3, 5, 3, 6))
+    st = pol.update_reps(st, rng.integers(0, 3, (3, 4)), rng.standard_normal((3, 4)),
+                         rng.standard_normal((3, 4, 2)))
+    ctx = rng.standard_normal((3, 5, 2))
     rows = np.arange(3)
     for _ in range(2):
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
-        got = pol.act_reps(st, 5, rngs, rows, feats)
+        got = pol.act_reps(st, 5, rngs, rows, ctx)
         for r in rows:
             lone = RepRidge(st.V[r : r + 1].copy(), st.z[r : r + 1].copy(), st.t_seen)
-            assert got[r].tolist() == act(pol, lone, b=5, seed=r + 1, features=feats[r]).tolist()
+            assert got[r].tolist() == act(pol, lone, b=5, seed=r + 1, contexts=ctx[r]).tolist()
+
+
+@pytest.mark.parametrize("ridge_lambda", [1.0, 3.0])
+@pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
+def test_per_arm_factors_match_the_dense_factorisation(cls, ridge_lambda):
+    # the same history in the dense (k*p)-wide layout of block_features: its
+    # inverse (and its inverse's Cholesky factor) is block diagonal, and
+    # each diagonal block is that arm's factor; arm 2 is never pulled, so
+    # its blocks stay the prior's
+    k, p, reps = 4, 3, 2
+    pol = cls(k=k, context_dim=p, ridge_lambda=ridge_lambda)
+    rng = np.random.default_rng(21)
+    arms = rng.choice([0, 1, 3], size=(reps, 3, 10))
+    ctx = rng.standard_normal((reps, 3, 10, p))
+    rewards = rng.standard_normal((reps, 3, 10))
+    st = pol.init_reps(reps)
+    for j in range(3):
+        st = pol.update_reps(st, arms[:, j], rewards[:, j], ctx[:, j])
+    theta, second = pol._factors(st, np.arange(reps))
+    for r in range(reps):
+        feats = block_features(ctx[r].reshape(-1, p), k)[np.arange(30), arms[r].ravel()]
+        V = ridge_lambda * np.eye(k * p) + feats.T @ feats
+        Vinv = np.linalg.inv(V)
+        dense = (np.linalg.solve(V, feats.T @ rewards[r].ravel()),
+                 Vinv if cls is LinUcbPolicy else np.linalg.cholesky(Vinv))
+        for a in (0, 1, 3):
+            cols = slice(a * p, (a + 1) * p)
+            np.testing.assert_allclose(theta[r, a], dense[0][cols], rtol=1e-12)
+            np.testing.assert_allclose(second[r, a], dense[1][cols, cols], rtol=1e-12)
+            off = np.delete(dense[1][cols], np.s_[a * p : (a + 1) * p], axis=1)
+            np.testing.assert_allclose(off, 0.0, atol=1e-15)
+        assert np.array_equal(theta[r, 2], np.zeros(p))
+        prior = np.eye(p) / ridge_lambda
+        assert np.array_equal(second[r, 2], prior if cls is LinUcbPolicy else np.sqrt(prior))
 
 
 # ---------------------------------------------------------------- registry

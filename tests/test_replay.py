@@ -15,7 +15,6 @@ from batchband.core import PROB_TOL, derive_seed
 from batchband.environments import (
     DataError,
     LoggedData,
-    block_features,
     make_linear_env,
     parse_env,
     preset,
@@ -93,6 +92,17 @@ class TestHandExamples:
         dataset = synth_logged_dataset(preset("env1"), 200, seed=1)
         with pytest.raises(DataError, match="seed must be a non-negative integer"):
             replay_evaluate(ThompsonBetaPolicy(2), dataset, b=1, seed=seed)
+
+    @pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
+    def test_linear_policy_on_a_log_of_other_context_width_rejected(self, cls):
+        wide = synth_logged_dataset(make_linear_env(4, 5, seed=1), 50, seed=2)
+        with pytest.raises(DataError, match=f"{cls.name} reads contexts of width 3 "
+                                            "but the log's contexts have width 5"):
+            replay_evaluate(cls(4, 3), wide, 1, 0)
+        bare = synth_logged_dataset(preset("env4"), 50, seed=2)
+        with pytest.raises(DataError, match="reads contexts of width 3 but the log's "
+                                            "contexts have width 0"):
+            replay_evaluate(cls(4, 3), bare, 1, 0)
 
     def test_out_of_range_action_reports_line(self):
         dataset = rec([(0, 1.0), (3, 1.0)])
@@ -361,7 +371,7 @@ class TestLinTsWindows:
 
     @pytest.mark.parametrize("b", [1, 2, 7, 50, 300])
     def test_matches_reference_across_noise_refills(self, b):
-        # the log spans 19 chunks of features and normals; at b=300 one
+        # the log spans 19 chunks of normals; at b=300 one
         # window spans more than one
         data = self.log(16 * _NOISE_CHUNK + 300)
         for policy in (LinUcbPolicy(4, 3), LinTsPolicy(4, 3)):
@@ -370,19 +380,13 @@ class TestLinTsWindows:
                 policy.name, 4, data, b, 11)
 
     @pytest.mark.parametrize("policy", [LinUcbPolicy(4, 3), LinTsPolicy(4, 3)])
-    def test_features_are_built_once_per_record(self, monkeypatch, policy):
-        # windows past a match are proposed again from the next state, but
-        # their features are built once, a chunk at a time
-        rows = []
-
-        def spy(contexts, k):
-            rows.append(len(contexts))
-            return block_features(contexts, k)
-
-        monkeypatch.setattr(replay_module, "block_features", spy)
+    def test_contexts_are_read_without_building_features(self, monkeypatch, policy):
+        # the policies read the log's contexts as they are: no record's
+        # dense k*p features are ever built
+        monkeypatch.setattr(replay_module, "block_features",
+                            lambda *a: pytest.fail("block_features called"))
         n = 2 * _NOISE_CHUNK + 300
-        replay_evaluate(policy, self.log(n), b=1, seed=5)
-        assert sum(rows) <= n + _NOISE_CHUNK
+        assert replay_evaluate(policy, self.log(n), b=1, seed=5).matched > 0
 
 
 class TestContextualTrend:

@@ -78,7 +78,8 @@ def test_time_replay_runs_at_tiny_sizes(tmp_path):
     replays = [f"{name} b={b}" for name in ("ucb", "ts", "uniform", "linucb", "lints")
                for b in (1, 50)] + [f"ts env4 b={b}" for b in (1, 7, 50)]
     assert list(record["calls"]) == replays + [
-        "lone ucb n=50", "lone ts n=50", "criterion4 2 runs n=100"]
+        "lone ucb n=50", "lone ts n=50", "criterion4 2 runs n=100"] + [
+        f"linear {name} b={b}" for name in ("linucb", "lints") for b in (1, 10)]
     for entry in record["calls"].values():
         assert entry["results_equal_between_sides"]
         assert len(entry["s"]["parent"]["values"]) == len(entry["s"]["change"]["values"]) == 2

@@ -20,7 +20,9 @@ the tree's ``src``; the timed calls exclude imports and set-up:
 * ``lone``: one lone ucb run and one lone ts run, ``run_online`` on env1 at
   n=2000 with an integer seed;
 * ``criterion4``: 200 lone ucb runs on env3 at n=10,000, the batch of
-  ``tests/test_acceptance.py::test_criterion_4_suboptimal_count_bound``.
+  ``tests/test_acceptance.py::test_criterion_4_suboptimal_count_bound``;
+* ``linear``: one lockstep ``run_batch`` of 100 reps of linucb and of lints
+  on ``make_linear_env(4, 5, 0)`` at n=1000, at b in {1, 10}.
 
 Each lone run, and the first replay, follows one untimed warm-up call on
 other inputs, so that first-call costs stay out of the times.  In each
@@ -30,7 +32,8 @@ each side's seconds, median and quartiles (``statistics.quantiles(values,
 n=4)``), how many pairs the change won and the relative change of the
 medians, and whether both trees returned the same result in every pair:
 ``(matched, successes)`` for a replay, the actions for a lone run, the
-suboptimal pull counts for criterion 4.  ``--smoke`` shrinks every size, to
+suboptimal pull counts for criterion 4, and a digest of the actions and
+pseudo-regrets for a linear run.  ``--smoke`` shrinks every size, to
 check the script.  The pair protocol is ``tools/pairs.py``.
 """
 
@@ -41,16 +44,18 @@ import sys
 
 from pairs import compare, host, order, run_child, run_pairs, src_lines, tree_parser, write_json
 
-SIZES = {"rows": 25_000, "ctx_rows": 5_000, "n": 2_000, "c4_runs": 200, "c4_n": 10_000}
-SMOKE = {"rows": 300, "ctx_rows": 200, "n": 50, "c4_runs": 2, "c4_n": 100}
-CASES = ("replay", "lone", "criterion4")
+SIZES = {"rows": 25_000, "ctx_rows": 5_000, "n": 2_000, "c4_runs": 200, "c4_n": 10_000,
+         "lin_reps": 100, "lin_n": 1_000}
+SMOKE = {"rows": 300, "ctx_rows": 200, "n": 50, "c4_runs": 2, "c4_n": 100,
+         "lin_reps": 3, "lin_n": 40}
+CASES = ("replay", "lone", "criterion4", "linear")
 
 # runs in the child: {label: {"s": seconds, "result": ...}} for one case
 CHILD = """
-import json, sys, time
-from batchband import (ThompsonBetaPolicy, UcbPolicy, derive_seed, make_linear_env,
-                       make_policy, parse_env, preset, replay_evaluate, run_online,
-                       synth_logged_dataset)
+import hashlib, json, sys, time
+from batchband import (LinTsPolicy, LinUcbPolicy, ThompsonBetaPolicy, UcbPolicy, derive_seed,
+                       make_grid, make_linear_env, make_policy, parse_env, preset,
+                       replay_evaluate, run_batch, run_online, synth_logged_dataset)
 case, seed, sizes = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
 out = {}
 def timed(label, fn):
@@ -82,6 +87,15 @@ elif case == "lone":
         run_online(policy, preset("env1"), sizes["n"], seed + 1)  # warm-up, untimed
         timed(f"lone {policy.name} n={sizes['n']}",
               lambda: run_online(policy, preset("env1"), sizes["n"], seed).actions.tolist())
+elif case == "linear":
+    env, n = make_linear_env(4, 5, 0), sizes["lin_n"]
+    seeds = [derive_seed(seed, "linear", i) for i in range(sizes["lin_reps"])]
+    run_batch(LinUcbPolicy(4, 5), env, make_grid(20, 1), seeds[:2])  # warm-up, untimed
+    for policy in (LinUcbPolicy(4, 5), LinTsPolicy(4, 5)):
+        for b in (1, 10):
+            timed(f"linear {policy.name} b={b}", lambda: (lambda run: hashlib.sha256(
+                run.actions.tobytes() + run.pseudo_regret.tobytes()).hexdigest())(
+                run_batch(policy, env, make_grid(n, b), seeds)))
 else:
     n, env = sizes["c4_n"], preset("env3")
     timed(f"criterion4 {sizes['c4_runs']} runs n={n}", lambda: [
@@ -117,8 +131,8 @@ def main(argv=None) -> int:
 
     record = {
         "what": "replay_evaluate per (policy, b) on the replay_log workload's logs and of ts "
-                "on an env4 log, lone ucb and ts runs and a criterion-4 batch of lone ucb "
-                "runs, parent vs change",
+                "on an env4 log, lone ucb and ts runs, a criterion-4 batch of lone ucb "
+                "runs and lockstep linucb and lints runs, parent vs change",
         "host": host(),
         "parent_commit": args.parent_commit,
         "order": order("case"),
