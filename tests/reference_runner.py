@@ -1,19 +1,20 @@
 """Naive per-step references for the run engine and replay.
 
 Written from the policies' definitions, one step at a time, with no numpy
-beyond the generators, the linear policies' ridge algebra and the
-certification check: the engine and the replay evaluator must reproduce
-them bit for bit.  A run's reps form blocks of ``BLOCK`` consecutive seeds.
-Each rep draws its reward uniforms from ``default_rng(seed)``, one per
-step.  The policies draw from the block's generator,
+beyond the generators, the linear policies' ridge algebra, the linear
+environment's draws and the certification check: the engine and the
+replay evaluator must reproduce them bit for bit.  A finite-armed run's
+reps form blocks of ``BLOCK`` consecutive seeds.  Each rep draws its
+reward uniforms from ``default_rng(seed)``, one per step.  The policies
+draw from the block's generator,
 ``default_rng(derive_seed("policy", *block_seeds))``: per batch, for every
 rep of the block in rep order, TS draws one Beta per step and arm, in
 step-then-arm order, and uniform play one ``integers(0, k)`` per step.
 The linear policies keep dense ``k * p`` ridge statistics, in the
 disjoint model's block layout, and factor them afresh for every proposal,
 in runs and in replay.  Replay makes one proposal per logged record, in
-record order, on one generator.  The estimated delayed start checks one rep's 1-D counts
-and means at each boundary.
+record order, on one generator.  The estimated delayed start checks one
+rep's 1-D counts and means at each boundary.
 """
 
 import math
