@@ -12,7 +12,8 @@ follow one scheme:
 
 Monte-Carlo checks derive per-rep seeds with ``derive_seed`` so results are
 reproducible and extendable, simulate every trajectory with the one engine
-(``run_online``), and share one reduction (``_mean_se``) and one
+(``run_online``), which keeps only what each check reads, and share one
+reduction (``_mean_se``, chunk by chunk in ``Curves``) and one
 two-standard-error verdict (``_verdict``) with the harness.
 """
 
@@ -26,9 +27,13 @@ from .core import PROB_TOL, DecisionRule, derive_seed, rule_value
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
 from .policies import UniformPolicy, rep_bincount
-from .specifications import block_streams, check_arms, run_online, whole_blocks
+from .specifications import Keep, Play, Steps, block_streams, check_arms, run_online, whole_blocks
 
 Z_ONE_SIDED_95 = 1.645
+
+# Pairs ``check_sublinearity`` judges per block of rows, so each of its
+# float work arrays holds 2 MiB whatever the horizon.
+_PAIR_CELLS = 2**18
 
 
 class UnsupportedPolicyError(TypeError):
@@ -83,6 +88,32 @@ class RegretCurve:
         return RegretCurve(*_mean_se(arr, axis=0), arr.shape[0])
 
 
+class Curves(Keep):
+    """Per group of rows ``(lo, hi)`` of a run, the per-step ``mean`` and
+    standard error (``stderr``) of cumulative regret over those rows
+    (``_mean_se``); ``hits`` and ``pulls`` hold every row's final optimal
+    hits and pull counts, and ``run`` the run's ``RunSet`` fields other than
+    its step arrays.  The run returns the keep itself."""
+
+    def __init__(self, groups):
+        self.groups = list(groups)
+
+    def start(self, run) -> None:
+        self.run = run
+        self.mean = [np.empty(run.n) for _ in self.groups]
+        self.stderr = [np.empty(run.n) for _ in self.groups]
+
+    def add(self, lo, part) -> None:
+        regret = part.pseudo_regret
+        hi = lo + regret.shape[1]
+        for (r0, r1), mean, se in zip(self.groups, self.mean, self.stderr):
+            mean[lo:hi], se[lo:hi] = _mean_se(regret[r0:r1], axis=0)
+        self.hits, self.pulls = part.optimal_hits[:, -1].copy(), part.pull_counts
+
+    def result(self):
+        return self
+
+
 @dataclass(eq=False)
 class SublinearityReport:
     holds: bool
@@ -105,10 +136,16 @@ def check_sublinearity(curve: RegretCurve, min_t: int = 1) -> SublinearityReport
     ts = np.arange(min_t, curve.n + 1, dtype=float)
     r = curve.values[min_t - 1 :] / ts
     se = curve.stderr[min_t - 1 :] / ts
-    pooled = 2.0 * np.sqrt(se[:, None] ** 2 + se[None, :] ** 2)
-    bad = r[:, None] <= r[None, :] - pooled
-    bad &= np.triu(np.ones(bad.shape, dtype=bool), k=1)
-    pairs = np.argwhere(bad) + min_t
+    m = r.size
+    rows, found = max(_PAIR_CELLS // m, 1), []
+    # a block of rows at a time, each against the columns from its first row
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        pooled = 2.0 * np.sqrt(se[lo:hi, None] ** 2 + se[None, lo:] ** 2)
+        bad = r[lo:hi, None] <= r[None, lo:] - pooled
+        bad &= np.arange(lo, m) > np.arange(lo, hi)[:, None]
+        found.append(np.argwhere(bad) + (lo + min_t))
+    pairs = np.concatenate(found)
     return SublinearityReport(holds=pairs.shape[0] == 0, pairs=pairs, min_t=min_t)
 
 
@@ -191,7 +228,7 @@ def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
     if isinstance(policy, UniformPolicy):
         return [DecisionRule(np.full(k, 1.0 / k))] * n
     seeds = _sim_seeds(policy, reps, master_seed, "trace")
-    actions = run_online(policy, env, n, seeds).actions[:reps]
+    actions = run_online(policy, env, n, seeds, keep=Play()).actions[:reps]
     return [DecisionRule(p) for p in rep_bincount(actions.T, k) / reps]
 
 
@@ -228,10 +265,8 @@ def check_negated_sublinearity(
             holds=False, verdict="boundary", d=0.0, stderr=0.0,
             mean_n=float("nan"), mean_m=float("nan"), b=1,
         )
-    regret = run_online(
-        policy, env, grid.n, _sim_seeds(policy, reps, master_seed, "neg_n")
-    ).pseudo_regret[:reps]
-    r_n, r_m = regret[:, -1], regret[:, grid.M - 1]
+    seeds = _sim_seeds(policy, reps, master_seed, "neg_n")
+    r_n, r_m = run_online(policy, env, grid.n, seeds, keep=Steps(grid.n - 1, grid.M - 1))[:reps].T
     d, se = (float(x) for x in _mean_se(r_n - grid.b * r_m))
     verdict = _verdict(d, se)
     return NegationReport(
@@ -342,7 +377,7 @@ def check_monotone_envelope(
     per_arm = bound.per_arm(np.arange(1, t_max + 1))  # (t_max, k)
     ts = np.arange(1, t_max + 1, dtype=float)
     seeds = _sim_seeds(policy, reps, master_seed, "envelope")
-    actions = run_online(policy, env, t_max, seeds).actions[:reps]
+    actions = run_online(policy, env, t_max, seeds, keep=Play()).actions[:reps]
     mean = np.empty((t_max, env.k))
     lower = np.empty((t_max, env.k))
     for a in range(env.k):

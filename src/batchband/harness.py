@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assumptions import RegretCurve, _mean_se, _sim_seeds, _verdict
+from .assumptions import Curves, RegretCurve, _mean_se, _sim_seeds, _verdict
 from .core import derive_seed, make_grid, write_csv
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from .policies import POLICY_NAMES, PolicyError, UniformPolicy, make_policy
-from .specifications import BLOCK_REPS, run_batch, run_online, whole_blocks
+from .specifications import BLOCK_REPS, Steps, run_batch, run_online, whole_blocks
 
 MODES = ("plain", "delayed_start", "approx_delayed_start")
 
@@ -266,28 +266,28 @@ def _run_cell(group):
              for e in env_specs for i in range(sim)]
     grid = make_grid(c.n, b)
     env = envs[0]
+    keep = Curves((i * sim, i * sim + c.reps) for i in range(len(envs)))
     if c.mode == "plain":
-        run = run_batch(policy, tuple((e, sim) for e in envs), grid, seeds)
+        run_batch(policy, tuple((e, sim) for e in envs), grid, seeds, keep=keep)
     elif c.mode == "delayed_start":
-        run = delayed_start_run(
+        keep.of(delayed_start_run(
             policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid, seeds,
-        )
+        ))
     else:
-        run = approx_delayed_start_run(
+        keep.of(approx_delayed_start_run(
             policy, env, grid, c.delta, seeds, bound_from=c.bound_from,
-        )
+        ))
 
-    results, opt = [], run.optimal_pulls
-    for i, env_spec in enumerate(env_specs):
-        lo, hi = i * sim, i * sim + c.reps
-        curve_mean, curve_stderr = _mean_se(run.pseudo_regret[lo:hi], axis=0)
+    results, run = [], keep.run
+    for env_spec, (lo, hi), curve_mean, curve_stderr in zip(
+            env_specs, keep.groups, keep.mean, keep.stderr):
         taus = run.tau[lo:hi]
         done = taus[taus >= 0]
         results.append(CellResult(
             env=env_spec, policy=run.policy, spec=run.spec, b=b, n=grid.n, reps=c.reps,
             mean_final=float(curve_mean[-1]), stderr_final=float(curve_stderr[-1]),
-            opt_frac=float((opt[lo:hi] / grid.n).mean()),
-            mean_pull_counts=run.pull_counts[lo:hi].sum(axis=0) / c.reps,
+            opt_frac=float((keep.hits[lo:hi] / grid.n).mean()),
+            mean_pull_counts=keep.pulls[lo:hi].sum(axis=0) / c.reps,
             tau_mean=float(np.mean(done)) if done.size else None,
             tau_none=int((taus < 0).sum()) if c.mode != "plain" else None,
             curve_mean=curve_mean, curve_stderr=curve_stderr,
@@ -296,7 +296,9 @@ def _run_cell(group):
 
 
 # With one working process an engine call holds up to this many simulated
-# rep-steps, about 33 bytes each at its peak, unless one cell needs more.
+# rep-steps, unless one cell needs more.  Reduced as it goes, a full call of
+# 16 ts cells of 32 reps at n=2048 peaks at 6.0 MiB, its chunks and curves
+# (tracemalloc), where whole run arrays took 33 bytes per rep-step, 34 MiB.
 # Stacking gained up to 768k rep-steps a call, was even at 1.5M and lost at
 # 3M; over two processes its fewer, coarser calls lost (BENCH_18.json).
 STACK_STEPS = 2**20
@@ -445,10 +447,9 @@ def _bound_chunk(payload):
     def seeds(tag):
         return [derive_seed(master_seed, key, tag, i) for i in range(lo, end)]
 
-    # only the kept columns outlive a run, so one run's arrays are alive at a time
-    online = run_online(policy, env, n, seeds("online")).pseudo_regret[:, [-1, grid.M - 1]]
-    batch = run_batch(policy, env, grid, seeds("batch")).final_regret
-    return np.column_stack([online[:, 0], batch, online[:, 1]])[: hi - lo]
+    online = run_online(policy, env, n, seeds("online"), keep=Steps(n - 1, grid.M - 1))
+    batch = run_batch(policy, env, grid, seeds("batch"), keep=Steps(n - 1))
+    return np.column_stack([online[:, 0], batch[:, 0], online[:, 1]])[: hi - lo]
 
 
 def regret_curve(policy, env, grid, reps: int, master_seed: int = 0) -> RegretCurve:
@@ -456,4 +457,5 @@ def regret_curve(policy, env, grid, reps: int, master_seed: int = 0) -> RegretCu
     ``grid``'s schedule, which at b=1 is the online run."""
     spec = "online" if grid.b == 1 else "batch"
     seeds = _sim_seeds(policy, reps, master_seed, "curve", spec, grid.n, grid.b)
-    return RegretCurve.from_runs(run_batch(policy, env, grid, seeds).pseudo_regret[:reps])
+    keep = run_batch(policy, env, grid, seeds, keep=Curves([(0, reps)]))
+    return RegretCurve(keep.mean[0], keep.stderr[0], reps)

@@ -20,11 +20,12 @@ Two meta-runners wrap a candidate policy:
   requested ``delta``.
 
 Phase 1 never reads the candidate, so both play it first, as a plain
-lockstep run of the naive policy on the engine's block streams: up to the
+lockstep run of the naive policy on the engine's block streams, kept as
+its actions and rewards alone (``specifications.Play``): up to the
 common hand-over boundary for the oracle start, whose bound depends on
 ``t`` alone, and up to ``n`` for the certified start.  Uniform play ignores
-feedback, so the engine plays that run in one policy call, one draw per
-block.  The certified start then finds every rep's hand-over at once: it
+feedback, so the engine plays each chunk of that run in one policy call,
+one draw per block.  The certified start then finds every rep's hand-over at once: it
 checks all boundaries of all reps still in phase 1, a fixed-size chunk of
 boundaries per ``check_phase`` call, and stops once every rep has
 certified.  The
@@ -44,7 +45,7 @@ import numpy as np
 from .core import BatchGrid, make_grid
 from .environments import BernoulliEnv
 from .policies import UniformPolicy, rep_bincount
-from .specifications import check_arms, run_lockstep, seed_list
+from .specifications import Play, check_arms, run_lockstep, seed_list
 
 # Boundaries certified per ``check_phase`` call; bounds the work arrays at
 # ``(reps, CHECK_CHUNK, k)`` whatever the horizon.
@@ -290,7 +291,7 @@ def delayed_start_run(
             break
     upto = grid.n if switch < 0 else switch
     head = (
-        run_lockstep(naive, env, make_grid(upto, grid.b), seeds).actions if upto
+        run_lockstep(naive, env, make_grid(upto, grid.b), seeds, keep=Play()).actions if upto
         else np.empty((len(seeds), 0), dtype=np.int64)
     )
     return _second_phase("delayed_start", candidate, env, grid, seeds, single,
@@ -322,7 +323,7 @@ def approx_delayed_start_run(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     seeds, single = seed_list(seed)
-    phase1 = run_lockstep(UniformPolicy(env.k), env, grid, seeds)
+    phase1 = run_lockstep(UniformPolicy(env.k), env, grid, seeds, keep=Play())
     truth = env.means if bound_from == "oracle" else None
     tau, seen = _certify(phase1.actions, phase1.rewards, grid.b, env.k, delta, truth)
     return _second_phase("approx_delayed_start", candidate, env, grid, seeds, single,

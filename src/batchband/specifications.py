@@ -14,10 +14,13 @@ Decisions inside a batch are made from the frozen pre-batch state, so the
 played rule is constant within a batch for every policy in this package.
 
 ``run_lockstep`` is the one run loop.  It advances all reps of a
-configuration together, batch by batch, with per-rep state held as arrays;
-a policy that ignores feedback plays its batches in one call instead,
-from the start, or from the last hand-over of a two-phase run, and a
-lone run of a policy that can ``run_ahead`` (UCB, on a Bernoulli
+configuration together, batch by batch, with per-rep state held as arrays,
+and hands each chunk of steps to a ``Keep``, which keeps what its caller
+reads: the whole ``RunSet`` (``Whole``), actions and rewards only
+(``Play``), the regret at a few steps (``Steps``) or per-step curves
+(``assumptions.Curves``).  A policy that ignores feedback plays each
+chunk's batches in one call instead, from the start, or from the last
+hand-over of a two-phase run, and a lone run of a policy that can ``run_ahead`` (UCB, on a Bernoulli
 environment) plays one call per window its leader holds.
 Each rep owns its reward generator; on a Bernoulli environment the
 finite-armed policies draw from block streams, one generator per block of
@@ -35,6 +38,7 @@ actions as a prefix with the per-rep hand-over steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +47,15 @@ from .environments import BernoulliEnv, LinearContextualEnv
 from .policies import BLOCK_REPS, RUN_AHEAD_START, rep_bincount
 
 OPT_TOL = 1e-12
+
+# Steps per rep in each chunk of a run (whole batches, at least one): the
+# engine draws, plays and reduces a chunk of every rep at a time and hands
+# it to the run's ``keep``.  Chunks of 128 to 2,048 steps timed alike for
+# check-bounds at reps=1,000 (ucb at n=100,000, ts at n=2,000), while the
+# ucb call's peak RSS read 43, 49, 59, 78 and 117 MiB; below 256 a chunk
+# pays one generator call per rep for fewer steps (tools/measure_memory.py,
+# BENCH_25.json).
+CHUNK = 256
 
 
 @dataclass(eq=False)
@@ -120,6 +133,86 @@ class RunSet:
         )
 
 
+class Chunk(NamedTuple):
+    """Steps ``lo..lo+w-1`` of every rep of a run, as ``Keep.add`` gets them."""
+
+    actions: np.ndarray
+    rewards: np.ndarray
+    pseudo_regret: np.ndarray | None = None
+    optimal_hits: np.ndarray | None = None
+    pull_counts: np.ndarray | None = None
+    features: np.ndarray | None = None
+
+
+class Keep:
+    """What ``run_lockstep`` returns, reduced as the run goes.
+
+    The engine calls ``start(run)`` with the run's ``RunSet`` before any
+    step, its arrays still None; then ``add(lo, part)`` per finished chunk
+    of steps ``lo..lo+w-1``, whose ``(R, w)`` arrays carry ``RunSet``'s
+    names: ``pseudo_regret`` and ``optimal_hits`` cumulative from step 0,
+    and ``pull_counts`` ``(R, k)`` the pulls up to the chunk's end; and
+    returns ``result()``.  When ``reduced`` is false those three are None.
+    ``of(run)`` is what the keep returns from a whole ``RunSet``.
+    """
+
+    reduced = True
+
+    def start(self, run) -> None:
+        self.run = run
+
+    def of(self, run):
+        self.start(run)
+        self.add(0, run)
+        return self.result()
+
+
+class Whole(Keep):
+    """Every array of the run: ``run_lockstep`` returns its ``RunSet``."""
+
+    def add(self, lo, part) -> None:
+        run = self.run
+        for name in ("actions", "rewards", "pseudo_regret", "optimal_hits", "features"):
+            arr = getattr(part, name)
+            if arr is None or arr.shape[1] == run.n:
+                setattr(run, name, arr)
+                continue
+            if getattr(run, name) is None:
+                setattr(run, name, np.empty((len(arr), run.n, *arr.shape[2:]), arr.dtype))
+            getattr(run, name)[:, lo : lo + arr.shape[1]] = arr
+        run.pull_counts = part.pull_counts
+
+    def result(self):
+        return self.run
+
+
+class Play(Whole):
+    """A ``RunSet`` of the reps' actions and rewards alone: the engine reduces
+    nothing, and ``pseudo_regret``, ``optimal_hits`` and ``pull_counts``
+    stay None."""
+
+    reduced = False
+
+
+class Steps(Keep):
+    """Every rep's cumulative regret at the 0-based ``steps``, an ``(R,
+    len(steps))`` array."""
+
+    def __init__(self, *steps):
+        self.steps = np.array(steps, dtype=np.int64)
+
+    def start(self, run) -> None:
+        self.out = np.empty((len(run.seeds), len(self.steps)))
+
+    def add(self, lo, part) -> None:
+        regret = part.pseudo_regret
+        at = np.flatnonzero((self.steps >= lo) & (self.steps < lo + regret.shape[1]))
+        self.out[:, at] = regret[:, self.steps[at] - lo]
+
+    def result(self):
+        return self.out
+
+
 def seed_list(seed) -> tuple[list, bool]:
     """(seeds, single): a lone seed, or a sequence of per-rep seeds, each a
     non-negative integer (``check_seed``)."""
@@ -166,11 +259,14 @@ def run_lockstep(
     seeds,
     visibility: str = "batch",
     prefix=None,
-) -> RunSet:
+    *,
+    keep: Keep | None = None,
+):
     """Run one rep per seed, all reps advancing batch by batch together.
 
     Rep ``i`` owns ``default_rng(seeds[i])``.  On a Bernoulli environment
-    it draws its reward uniforms up front, one ``random(n)`` call, and a
+    it draws its reward uniforms one chunk at a time, ``random(w)`` for a
+    chunk of ``w`` steps, the same stream as one ``random(n)`` call, and a
     drawing policy draws from ``block_streams(seeds)``, per batch one draw
     for each block that holds a rep it plays.  A contextual environment
     draws per batch and rep, on the rep's own generator, the batch's
@@ -178,19 +274,27 @@ def run_lockstep(
     rep's trajectory depends only on the seeds of its block: it is the
     same in every call whose block of that rep holds the same seeds.  A
     policy that is not ``adaptive`` ignores feedback and gets none, and
-    once every rep plays it, it plays every remaining batch in one
-    ``act_reps(..., batches=...)`` call.  One rep on a Bernoulli
+    once every rep plays it, it plays the remaining batches of each chunk
+    in one ``act_reps(..., batches=...)`` call.  One rep on a Bernoulli
     environment, of a policy with a ``run_ahead`` method, plays window by
     window after its hand-over, if any, on the same uniforms: per window
     its leader, then the batches the leader keeps.
+
+    The run walks the horizon in chunks of as many whole batches as fit in
+    ``CHUNK`` steps, or of one batch, never of one step (a one-step tail
+    joins the chunk before it); a lone run that runs ahead is one chunk of
+    all ``n`` steps.  Each finished chunk goes to ``keep`` (a ``Keep``;
+    ``Whole()`` by default, for the run's ``RunSet``), with running regret,
+    optimal-hit and pull totals carried across chunks, and the call returns
+    what ``keep`` returns.  So a caller that keeps little holds ``O(R * (k +
+    CHUNK) + n)`` memory.
 
     ``prefix`` is a two-phase run's first phase, ``(head, tau)``: rep ``i``
     plays ``head[i]`` up to its hand-over step ``tau[i]`` (a batch
     boundary, or -1 for none, when ``head`` covers all ``n`` steps), and
     ``policy`` plays it from there with the rep's whole history absorbed,
-    drawing from ``block_streams(seeds, "candidate")``.  Everything before
-    the earliest hand-over is copied in one step.  Two-phase runs use batch
-    feedback on a finite-armed environment.
+    drawing from ``block_streams(seeds, "candidate")``.  Two-phase runs use
+    batch feedback on a finite-armed environment.
 
     ``env`` may also be a stack, a tuple of ``(env, reps)`` pairs of
     Bernoulli envs of one arm count and no ``prefix``: the first ``reps``
@@ -212,15 +316,7 @@ def run_lockstep(
     reps = len(rngs)
     n, b, M = grid.n, grid.b, grid.M
     k = env.k
-    actions = np.empty((reps, n), dtype=np.int64)
-    rewards = np.empty((reps, n))
-    if contextual:
-        contexts = np.empty((reps, n, env.context_dim))
-        chosen = np.zeros((reps, n, env.dim))
-    else:
-        uniforms = rewards  # each uniform is read once, then overwritten by its reward
-        for rng, row in zip(rngs, uniforms):
-            rng.random(out=row)
+    if not contextual:
         # rep i reads its own env's row of means and gaps at acts + offsets[i]
         offsets = np.arange(0, reps * k, k)[:, None]
         means = np.concatenate([np.tile(e.means, r) for e, r in stack])
@@ -236,85 +332,114 @@ def run_lockstep(
         # rep i plays head[i] before step until[i]: all reps do before start, none from last
         until = np.where(tau < 0, n, tau)
         start, last = int(until.min(initial=n)), int(until.max(initial=0))
-        actions[:, :start] = head[:, :start]
-        rewards[:, :start] = uniforms[:, :start] < means[actions[:, :start] + offsets]
-    state = None
-    if start < n:
-        state = policy.init_reps(reps)
-        if start and policy.adaptive:
-            state = policy.update_reps(state, actions[:, :start], rewards[:, :start])
-    # a policy that ignores feedback plays every batch after the last
-    # hand-over in one call
+    state = policy.init_reps(reps) if start < n else None
+    # a policy that ignores feedback plays the batches after the last
+    # hand-over a chunk at a time
     split = M if policy.adaptive or contextual else last // b
-    first = start // b
-    if state is not None and reps == 1 and not contextual and hasattr(policy, "run_ahead"):
-        fed = 1 if visibility == "short" else b
-        _run_ahead(policy, state, grid, first, fed, means, rewards[0], actions[0])
-        first = M
+    lone = state is not None and reps == 1 and not contextual and hasattr(policy, "run_ahead")
+    # a lone run that runs ahead plays every batch from its hand-over in
+    # one chunk; any other run goes chunk by chunk
+    first, width = (M, n) if lone else (start // b, max(CHUNK // b, 1) * b)
+    cuts = list(range(0, n, width))
+    if n - cuts[-1] == 1 and len(cuts) > 1:
+        cuts.pop()  # _mean_se over one column need not match the whole reduction
+    keep = Whole() if keep is None else keep
+    keep.start(RunSet(
+        spec=_spec_tag(visibility, b), policy=policy.name, n=n, b=b, seeds=list(seeds),
+        actions=None, pseudo_regret=None, optimal_hits=None, pull_counts=None,
+        rewards=None, tau=tau,
+    ))
+    fed = 1 if visibility == "short" else b
+    regret, hits = np.zeros(reps), np.zeros(reps, dtype=np.int64)
+    pulls = np.zeros((reps, k), dtype=np.int64)
 
-    for j in range(first, split):
-        lo, hi = j * b, (j + 1) * b
+    def chunk(c0, c1) -> Chunk:
+        # steps c0..c1-1 of every rep, played and reduced; the arrays are
+        # this call's, so they are freed before the next chunk's are made
+        nonlocal state, regret, hits, pulls
+        w = c1 - c0
+        actions = np.empty((reps, w), dtype=np.int64)
+        rewards = np.empty((reps, w))
         if contextual:
-            for r in all_rows:
-                contexts[r, lo:hi] = env.sample_contexts(rngs[r], b)
-            ctx = contexts[:, lo:hi]
-            acts = policy.act_reps(state, b, rngs, all_rows, ctx)
-            # each context in its arm's block: block_features' row of that arm
-            chosen.reshape(reps, n, k, -1)[all_rows[:, None], np.arange(lo, hi), acts] = ctx
-            for r in all_rows:
-                rewards[r, lo:hi] = env.sample_rewards(chosen[r, lo:hi], rngs[r])
-            actions[:, lo:hi] = acts
-            rews = rewards[:, lo:hi]
+            contexts = np.empty((reps, w, env.context_dim))
+            chosen = np.zeros((reps, w, env.dim))
+            blocks = chosen.reshape(reps, w, k, env.context_dim)
         else:
-            if lo >= last:
-                acts = policy.act_reps(state, b, streams, all_rows)
+            uniforms = rewards  # each uniform is read once, then overwritten by its reward
+            for rng, row in zip(rngs, uniforms):
+                rng.random(out=row)
+        p = min(start, c1) - c0
+        if p > 0:
+            actions[:, :p] = head[:, c0 : c0 + p]
+            rewards[:, :p] = uniforms[:, :p] < means[actions[:, :p] + offsets]
+            if state is not None and policy.adaptive:
+                state = policy.update_reps(state, actions[:, :p], rewards[:, :p])
+        if lone:
+            _run_ahead(policy, state, grid, start // b, fed, means, rewards[0], actions[0])
+        for j in range(max(first * b, c0) // b, min(split, c1 // b)):
+            lo, hi = j * b - c0, (j + 1) * b - c0
+            if contextual:
+                for r in all_rows:
+                    contexts[r, lo:hi] = env.sample_contexts(rngs[r], b)
+                ctx = contexts[:, lo:hi]
+                acts = policy.act_reps(state, b, rngs, all_rows, ctx)
+                # each context in its arm's block: block_features' row of that arm
+                blocks[all_rows[:, None], np.arange(lo, hi), acts] = ctx
+                for r in all_rows:
+                    rewards[r, lo:hi] = env.sample_rewards(chosen[r, lo:hi], rngs[r])
+                actions[:, lo:hi] = acts
+                rews = rewards[:, lo:hi]
             else:
-                acts = head[:, lo:hi].copy()
-                rows = np.flatnonzero(until <= lo)
-                acts[rows] = policy.act_reps(state, b, streams, rows)
-            rews = (uniforms[:, lo:hi] < means[acts + offsets]).astype(float)
-            actions[:, lo:hi] = acts
-            rewards[:, lo:hi] = rews
+                if c0 + lo >= last:
+                    acts = policy.act_reps(state, b, streams, all_rows)
+                else:
+                    acts = head[:, c0 + lo : c0 + hi].copy()
+                    rows = np.flatnonzero(until <= c0 + lo)
+                    acts[rows] = policy.act_reps(state, b, streams, rows)
+                rews = (uniforms[:, lo:hi] < means[acts + offsets]).astype(float)
+                actions[:, lo:hi] = acts
+                rewards[:, lo:hi] = rews
 
-        if not policy.adaptive:
-            continue
-        feedback = (acts, rews, ctx) if contextual else (acts, rews)
-        if visibility == "short":
-            feedback = [f[:, :1] for f in feedback]
-        state = policy.update_reps(state, *feedback)
-    if split < M:
-        lo = split * b
-        acts = policy.act_reps(state, b, streams, all_rows, batches=M - split)
-        actions[:, lo:] = acts
-        rewards[:, lo:] = uniforms[:, lo:] < means[acts + offsets]
+            if not policy.adaptive:
+                continue
+            feedback = (acts, rews, ctx) if contextual else (acts, rews)
+            if visibility == "short":
+                feedback = [f[:, :1] for f in feedback]
+            state = policy.update_reps(state, *feedback)
+        lo = max(split * b, c0) - c0
+        if lo < w:
+            acts = policy.act_reps(state, b, streams, all_rows, batches=(w - lo) // b)
+            actions[:, lo:] = acts
+            rewards[:, lo:] = uniforms[:, lo:] < means[acts + offsets]
+        if not keep.reduced:
+            return Chunk(actions, rewards)
 
-    # reduce in place, in the order that holds the fewest (reps, n) arrays
-    pull_counts = rep_bincount(actions, k)
-    if contextual:
-        # one (b, p) @ (p, k) product per batch: BLAS may round a product
-        # differently when its shape changes
-        means = env.mean_matrix(contexts.reshape(reps, M, b, -1)).reshape(reps, n, k)
-        best = means.max(axis=2)
-        played = np.take_along_axis(means, actions[..., None], axis=2)[..., 0]
-        deltas = best - played
-        opt = (played >= best - OPT_TOL).astype(np.int64)
-    else:
-        deltas = gaps[actions + offsets]
-        opt = (deltas == 0.0).astype(np.int64)
-    return RunSet(
-        spec=_spec_tag(visibility, b),
-        policy=policy.name,
-        n=n,
-        b=b,
-        seeds=list(seeds),
-        actions=actions,
-        pseudo_regret=np.cumsum(deltas, axis=1, out=deltas),
-        optimal_hits=np.cumsum(opt, axis=1, out=opt),
-        pull_counts=pull_counts,
-        rewards=rewards,
-        tau=tau,
-        features=chosen if contextual else None,
-    )
+        # reduce in place, in the order that holds the fewest (reps, w) arrays
+        pulls += rep_bincount(actions, k)
+        if contextual:
+            # one (b, p) @ (p, k) product per batch: BLAS may round a product
+            # differently when its shape changes
+            mean = env.mean_matrix(contexts.reshape(reps, w // b, b, env.context_dim))
+            mean = mean.reshape(reps, w, k)
+            best = mean.max(axis=2)
+            played = np.take_along_axis(mean, actions[..., None], axis=2)[..., 0]
+            deltas = best - played
+            opt = (played >= best - OPT_TOL).astype(np.int64)
+        else:
+            deltas = gaps[actions + offsets]
+            opt = (deltas == 0.0).astype(np.int64)
+        if c0:
+            # the running totals enter as the chunk's first terms, so the sums
+            # round as one cumsum over the whole run would
+            deltas[:, 0] += regret
+            opt[:, 0] += hits
+        regret = np.cumsum(deltas, axis=1, out=deltas)[:, -1].copy()
+        hits = np.cumsum(opt, axis=1, out=opt)[:, -1].copy()
+        return Chunk(actions, rewards, deltas, opt, pulls, chosen if contextual else None)
+
+    for c0, c1 in zip(cuts, cuts[1:] + [n]):
+        keep.add(c0, chunk(c0, c1))
+    return keep.result()
 
 
 def _run_ahead(policy, state, grid: BatchGrid, j, fed, means, row, actions) -> None:
@@ -337,27 +462,28 @@ def _run_ahead(policy, state, grid: BatchGrid, j, fed, means, row, actions) -> N
         window = 2 * window if keep == window else RUN_AHEAD_START
 
 
-def _run(policy, env, grid: BatchGrid, seed, visibility: str):
+def _run(policy, env, grid: BatchGrid, seed, visibility: str, keep):
     seeds, single = seed_list(seed)
-    run = run_lockstep(policy, env, grid, seeds, visibility)
-    return run.record(0) if single else run
+    run = run_lockstep(policy, env, grid, seeds, visibility, keep=keep)
+    return run.record(0) if single and keep is None else run
 
 
-def run_online(policy, env, n: int, seed):
+def run_online(policy, env, n: int, seed, *, keep: Keep | None = None):
     """Run with every step's feedback visible immediately (batch size 1).
 
     ``seed`` is one integer, for a ``RunRecord``, or a sequence of per-rep
     seeds, run in lockstep into a ``RunSet``; the same holds for
-    ``run_batch`` and ``run_short``.
+    ``run_batch`` and ``run_short``.  With ``keep``, a run over a sequence
+    of seeds returns what ``keep`` reduces it to (``run_lockstep``).
     """
-    return _run(policy, env, make_grid(n, 1), seed, "batch")
+    return _run(policy, env, make_grid(n, 1), seed, "batch", keep)
 
 
-def run_batch(policy, env, grid: BatchGrid, seed):
+def run_batch(policy, env, grid: BatchGrid, seed, *, keep: Keep | None = None):
     """Run with feedback released once per batch boundary."""
-    return _run(policy, env, grid, seed, "batch")
+    return _run(policy, env, grid, seed, "batch", keep)
 
 
-def run_short(policy, env, grid: BatchGrid, seed):
+def run_short(policy, env, grid: BatchGrid, seed, *, keep: Keep | None = None):
     """Run releasing only the first entry of each batch."""
-    return _run(policy, env, grid, seed, "short")
+    return _run(policy, env, grid, seed, "short", keep)

@@ -135,6 +135,42 @@ def test_sublinearity_ucb_env1_holds_beyond_burn_in():
     assert rep.holds
 
 
+def _whole_matrix_pairs(curve, min_t):
+    """The violating pairs of the sublinearity rule over the whole (m, m)
+    matrix at once, in row-major order."""
+    ts = np.arange(min_t, curve.n + 1, dtype=float)
+    r = curve.values[min_t - 1 :] / ts
+    se = curve.stderr[min_t - 1 :] / ts
+    pooled = 2.0 * np.sqrt(se[:, None] ** 2 + se[None, :] ** 2)
+    bad = r[:, None] <= r[None, :] - pooled
+    bad &= np.triu(np.ones(bad.shape, dtype=bool), k=1)
+    return np.argwhere(bad) + min_t
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, assumptions._PAIR_CELLS])
+@pytest.mark.parametrize("seed", range(4))
+def test_sublinearity_in_row_blocks_equals_the_whole_matrix_rule(monkeypatch, cells, seed):
+    # noisy, tied and noiseless curves, so pairs violate within a block,
+    # across blocks, by ties at zero stderr and not at all
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 90))
+    t = np.arange(1, n + 1, dtype=float)
+    curves = [
+        RegretCurve(np.cumsum(rng.random(n)), rng.random(n) * 0.2, reps=5),
+        RegretCurve(np.round(t * rng.random(), 1), np.zeros(n), reps=5),
+        RegretCurve(np.sqrt(t), np.where(rng.random(n) < 0.5, 0.0, 0.05), reps=5),
+        RegretCurve(np.full(n, 2.0), np.zeros(n), reps=5),
+    ]
+    monkeypatch.setattr(assumptions, "_PAIR_CELLS", cells)
+    for curve in curves:
+        min_t = int(rng.integers(1, n + 1))
+        rep = check_sublinearity(curve, min_t=min_t)
+        want = _whole_matrix_pairs(curve, min_t)
+        assert rep.pairs.dtype == want.dtype and rep.pairs.shape == want.shape
+        assert np.array_equal(rep.pairs, want)
+        assert rep.holds == (want.shape[0] == 0)
+
+
 # ---------------------------------------------------------------- lemma 3.1
 
 
@@ -234,15 +270,18 @@ def test_negation_is_a_paired_test_on_one_online_run(monkeypatch, policy):
     runs = []
     real = assumptions.run_online
 
-    def spy(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
+    def spy(*args, keep=None):
+        runs.append((args, keep))
+        return real(*args, keep=keep)
 
     monkeypatch.setattr(assumptions, "run_online", spy)
     grid = make_grid(160, 8)
     rep = check_negated_sublinearity(policy, preset("env6"), grid, reps=12, master_seed=3)
-    assert len(runs) == 1 and runs[0].n == 160
-    regret = runs[0].pseudo_regret[:12]
+    # one online run over n, keeping the regret at steps n and M; the whole
+    # run on the same arguments holds the same values there
+    assert len(runs) == 1 and runs[0][0][2] == 160
+    assert runs[0][1].steps.tolist() == [159, grid.M - 1]
+    regret = real(*runs[0][0]).pseudo_regret[:12]
     r_n, r_m = regret[:, -1], regret[:, grid.M - 1]
     d, se = assumptions._mean_se(r_n - 8 * r_m)
     assert (rep.d, rep.stderr) == (d, se)

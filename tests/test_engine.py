@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_runner import reference_approx_delayed_start, reference_linear_run, reference_run
 
+from batchband import specifications
+from batchband.assumptions import Curves
 from batchband.core import DimensionMismatchError, derive_seed, make_grid
 from batchband.environments import make_linear_env, parse_env, preset
 from batchband.meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
@@ -26,7 +28,16 @@ from batchband.policies import (
     UcbPolicy,
     UniformPolicy,
 )
-from batchband.specifications import BLOCK_REPS, run_batch, run_lockstep, run_online, run_short
+from batchband.specifications import (
+    BLOCK_REPS,
+    Play,
+    Steps,
+    Whole,
+    run_batch,
+    run_lockstep,
+    run_online,
+    run_short,
+)
 
 N = 96
 SWITCH_T = 40
@@ -238,11 +249,19 @@ def test_run_lockstep_rejects_bad_arguments(kwargs, message):
         run_lockstep(UcbPolicy(2), preset("env1"), make_grid(8, 4), [1, 2, 3, 4], **kwargs)
 
 
-@pytest.mark.parametrize("name", ["ucb", "ts", "uniform"])
+@pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "linucb", "lints"])
 def test_a_run_over_no_seeds_holds_no_reps(name):
-    env = preset("env1")
-    run = run_batch(make(name, env), env, make_grid(8, 2), [])
+    if name in ("linucb", "lints"):
+        env = make_linear_env(2, 2)
+        policy = (LinUcbPolicy if name == "linucb" else LinTsPolicy)(2, 2)
+    else:
+        env = preset("env1")
+        policy = make(name, env)
+    run = run_batch(policy, env, make_grid(8, 2), [])
     assert run.actions.shape == run.pseudo_regret.shape == (0, 8)
+    assert run.pull_counts.shape == (0, 2)
+    if name in ("linucb", "lints"):
+        assert run.features.shape == (0, 8, 4)
 
 
 @pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
@@ -341,7 +360,8 @@ def test_one_call_for_non_adaptive_play_equals_per_batch_play(name, env_name, b)
 
 
 @pytest.mark.parametrize("M", [1, 7, 200])
-def test_plain_uniform_run_asks_the_policy_once(monkeypatch, M):
+def test_plain_uniform_run_asks_the_policy_once_per_chunk(monkeypatch, M):
+    # one call per chunk of the run, for every batch in it
     calls = []
     act_reps = UniformPolicy.act_reps
 
@@ -352,8 +372,12 @@ def test_plain_uniform_run_asks_the_policy_once(monkeypatch, M):
     monkeypatch.setattr(UniformPolicy, "act_reps", spy)
     env = preset("env6")
     seeds = [derive_seed(19, "spy", i) for i in range(2 * BLOCK_REPS + 3)]
-    run_batch(UniformPolicy(env.k), env, make_grid(3 * M, 3), seeds)
-    assert calls == [M]
+    for chunk in (specifications.CHUNK, 30, 2):
+        calls.clear()
+        monkeypatch.setattr(specifications, "CHUNK", chunk)
+        run_batch(UniformPolicy(env.k), env, make_grid(3 * M, 3), seeds)
+        per = max(chunk // 3, 1)
+        assert calls == [min(per, M - j) for j in range(0, M, per)]
 
 
 def test_lone_ucb_run_asks_the_policy_per_window_not_per_batch(monkeypatch):
@@ -397,3 +421,128 @@ def test_approx_delayed_start_matches_naive_reference(env_name, b):
         tau, actions = reference_approx_delayed_start(env.means.tolist(), grid.n, b, [seed],
                                                       0.05)[0]
         assert (lone.phase.tau_hat, lone.actions.tolist()) == (tau, actions)
+
+
+# A chunk wider than any horizon here: the run in one chunk, the whole-array path.
+WHOLE = 10**9
+FIELDS = ("actions", "rewards", "pseudo_regret", "optimal_hits", "pull_counts", "tau")
+
+
+class Widths(Whole):
+    """``Whole`` that also records the width of every chunk it is given."""
+
+    def start(self, run):
+        super().start(run)
+        self.widths = []
+
+    def add(self, lo, part):
+        self.widths.append(part.actions.shape[1])
+        super().add(lo, part)
+
+
+def at_chunk(monkeypatch, chunk, call):
+    monkeypatch.setattr(specifications, "CHUNK", chunk)
+    return call()
+
+
+@pytest.mark.parametrize("name,env_name,spec,n,b,chunk,reps", [
+    ("ucb", "env6", "batch", 98, 1, 8, 20),  # n not a multiple of the chunk
+    ("ts", "env6", "batch", 97, 1, 8, 20),  # a one-step tail joins the chunk before it
+    ("ucb", "env1", "batch", 3, 1, 2, 3),  # ... even when that leaves one chunk
+    ("ts", "env1", "batch", 60, 10, 4, 20),  # b wider than the chunk
+    ("uniform", "env6", "batch", 96, 4, 10, 20),  # b not dividing the chunk
+    ("two_phase", "env6", "batch", 95, 5, 12, 20),
+    ("fixed", "env1", "batch", 90, 3, 2, 5),
+    ("ucb", "env6", "short", 96, 4, 6, 20),
+    ("ts", "env6", "short", 99, 3, 7, 20),
+    ("ts", "env6", "batch", 97, 1, 8, 1),  # one rep, chunk by chunk
+    ("ucb", "env3", "batch", 2000, 1, 8, 1),  # one rep running ahead, over all n at once
+    ("ucb", "env3", "short", 999, 3, 8, 1),
+])
+def test_a_run_in_chunks_equals_the_run_in_one(monkeypatch, name, env_name, spec, n, b, chunk,
+                                               reps):
+    env = preset(env_name)
+    policy = make(name, env)
+    grid = make_grid(n, b)
+    seeds = [derive_seed(37, name, spec, n, b, i) for i in range(reps)]
+    runner = run_short if spec == "short" else run_batch
+
+    def run(chunk, keep=None):
+        return at_chunk(monkeypatch, chunk, lambda: runner(policy, env, grid, seeds, keep=keep))
+
+    keep = Widths()
+    whole, parts = run(WHOLE), run(chunk, keep)
+    for field in FIELDS:
+        assert np.array_equal(getattr(parts, field), getattr(whole, field))
+    width = n if reps == 1 and name == "ucb" else max(chunk // b, 1) * b
+    assert sum(keep.widths) == n
+    assert all(w % b == 0 and w <= width + 1 for w in keep.widths)
+    assert min(keep.widths) >= 2  # _mean_se over one step need not match the whole one's
+    # the reduced keeps hold what the whole run's arrays reduce to
+    groups = [(0, reps // 2), (reps // 2, reps)] if reps > 1 else [(0, 1)]
+    curves, ref = run(chunk, Curves(groups)), Curves(groups).of(whole)
+    for got, want in zip(curves.mean + curves.stderr, ref.mean + ref.stderr):
+        assert np.array_equal(got, want)
+    assert np.array_equal(curves.hits, whole.optimal_hits[:, -1])
+    assert np.array_equal(curves.pulls, whole.pull_counts)
+    steps = (n - 1, grid.M - 1, 0, n // 2)
+    assert np.array_equal(run(chunk, Steps(*steps)), whole.pseudo_regret[:, steps])
+    play = run(chunk, Play())
+    assert np.array_equal(play.actions, whole.actions)
+    assert np.array_equal(play.rewards, whole.rewards)
+    assert play.pseudo_regret is play.optimal_hits is play.pull_counts is None
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 16])
+def test_a_stack_in_chunks_equals_the_stack_in_one(monkeypatch, chunk):
+    envs = (preset("env4"), preset("env5"), preset("env6"))
+    stack = tuple(zip(envs, (BLOCK_REPS, 2 * BLOCK_REPS, BLOCK_REPS)))
+    seeds = [derive_seed(41, "stack", i) for i in range(4 * BLOCK_REPS)]
+    for name in ("ucb", "ts"):
+        policy = make(name, envs[0])
+
+        def run(chunk, policy=policy):
+            return at_chunk(monkeypatch, chunk,
+                            lambda: run_batch(policy, stack, make_grid(37, 1), seeds))
+
+        whole, parts = run(WHOLE), run(chunk)
+        for field in FIELDS:
+            assert np.array_equal(getattr(parts, field), getattr(whole, field))
+
+
+@pytest.mark.parametrize("b,chunk", [(1, 3), (10, 4), (10, 25), (3, 50)])
+@pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
+def test_two_phase_runs_in_chunks_equal_the_runs_in_one(monkeypatch, candidate, b, chunk):
+    # the prefix and the hand-overs fall inside chunks, on their edges and
+    # in the one-call tail of uniform play
+    env = preset("env3")
+    grid = make_grid(600, b)
+    seeds = [derive_seed(5, "meta", i) for i in range(BLOCK_REPS + 8)]
+
+    def runs(chunk):
+        return at_chunk(monkeypatch, chunk, lambda: [
+            approx_delayed_start_run(candidate, env, grid, 0.01, seeds),
+            delayed_start_run(candidate, UniformPolicy(2), MonotoneBound(env.means),
+                              env, grid, seeds),
+            approx_delayed_start_run(candidate, env, grid, 0.01, seeds[0]),
+        ])
+
+    for whole, parts in zip(runs(WHOLE), runs(chunk)):
+        for field in ("actions", "pseudo_regret", "optimal_hits", "pull_counts"):
+            assert np.array_equal(getattr(parts, field), getattr(whole, field))
+    assert len({p.tau_hat for p in runs(chunk)[0].phases}) > 2
+
+
+@pytest.mark.parametrize("b,chunk", [(1, 2), (1, 3), (4, 5), (4, 3)])
+@pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
+def test_contextual_runs_in_chunks_equal_the_runs_in_one(monkeypatch, cls, b, chunk):
+    env = make_linear_env(3, 2, seed=5)
+    seeds = [derive_seed(47, "linear", b, i) for i in range(4)]
+
+    def run(chunk):
+        return at_chunk(monkeypatch, chunk,
+                        lambda: run_batch(cls(3, 2), env, make_grid(41, b), seeds))
+
+    whole, parts = run(WHOLE), run(chunk)
+    for field in FIELDS + ("features",):
+        assert np.array_equal(getattr(parts, field), getattr(whole, field))

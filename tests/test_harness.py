@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import os
 import time
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import batchband.harness as harness
+from batchband import cli, specifications
 from batchband.core import derive_seed, make_grid
 from batchband.environments import preset
 from batchband.harness import (
@@ -196,9 +198,9 @@ class TestRunExperiment:
         # three envs of each arm count, so three cells per policy and batch size
         stacks = []
 
-        def spy(policy, env, grid, seeds):
+        def spy(policy, env, grid, seeds, **kwargs):
             stacks.append((len(env), len(seeds) * grid.n))
-            return run_batch(policy, env, grid, seeds)
+            return run_batch(policy, env, grid, seeds, **kwargs)
 
         monkeypatch.setattr(harness, "run_batch", spy)
         if stack_steps is not None:
@@ -429,16 +431,20 @@ class TestCheckTheoremBounds:
         policy = harness._cell_policy(name, env, 60, {})
         # reps 16..22: a draw-free chunk runs 7 reps, a drawing one its block
         finals = harness._bound_chunk((name, "env1", policy, 60, 5, 3, 16, 23))
-        assert [run.spec for run in runs] == ["online", "batch"]
-        online, batch = (run.pseudo_regret[:7] for run in runs)
+        # each run keeps the regret at the steps it names; the whole runs on
+        # the same arguments hold the same values there
+        assert [(fn.__name__, keep.steps.tolist()) for fn, _, keep, _ in runs] == [
+            ("run_online", [59, 11]), ("run_batch", [59])]
+        online, batch = (fn(*args).pseudo_regret[:7] for fn, args, _, _ in runs)
         assert np.array_equal(finals, np.column_stack([online[:, -1], batch[:, -1], online[:, 11]]))
 
 
 def _recording(fn, results):
-    """``fn`` that also appends each result it returns to ``results``."""
-    def spy(*args, **kwargs):
-        results.append(fn(*args, **kwargs))
-        return results[-1]
+    """``fn`` that also appends ``(fn, args, keep, result)`` to ``results``
+    for each call."""
+    def spy(*args, keep=None):
+        results.append((fn, args, keep, fn(*args, keep=keep)))
+        return results[-1][-1]
     return spy
 
 
@@ -591,3 +597,44 @@ class TestRegretCurve:
         seed = derive_seed(9, "curve", "online", 30, 1, 0)
         rec = run_online(UcbPolicy(2), env, 30, seed)
         assert np.array_equal(curve.values, rec.pseudo_regret)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, specifications.CHUNK])
+def test_output_csvs_do_not_depend_on_the_engine_chunk(tmp_path, monkeypatch, capsys, chunk):
+    # plain stacked cells, certified starts, a sandwich check and the
+    # assumption checks, at horizons of several chunks and a one-step tail
+    calls = [
+        ["simulate", "--env", "env1,env2,env6", "--policy", "ucb,ts,uniform,two_phase",
+         "--n", "41", "--b", "1,3,8", "--reps", "5", "--threads", "1"],
+        ["simulate", "--env", "env3", "--policy", "ucb,ts", "--mode", "approx_delayed_start",
+         "--n", "301", "--b", "1,4", "--reps", "5", "--threads", "1"],
+        ["check-bounds", "--policy", "ts", "--env", "env6", "--n", "61", "--b", "4",
+         "--reps", "20", "--threads", "1"],
+        ["check-assumptions", "--env", "env6", "--n", "61", "--b", "4", "--reps", "6",
+         "--min-t", "5"],
+    ]
+
+    def outputs(root):
+        for i, argv in enumerate(calls):
+            cli.main(argv + ["--out-dir", str(root / str(i))])
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*.csv"))}
+
+    default = outputs(tmp_path / "default")
+    assert len(default) == 6
+    monkeypatch.setattr(specifications, "CHUNK", chunk)
+    assert outputs(tmp_path / "chunked") == default
+    capsys.readouterr()
+
+
+def test_a_bound_chunk_holds_o_reps_times_chunk_memory():
+    # 64 reps at n=20,000 were 41 MiB of (R, n) run arrays; the reduced runs
+    # hold a few chunks of the kept columns
+    policy = UcbPolicy(2)
+    tracemalloc.start()
+    try:
+        finals = harness._bound_chunk(("ucb", "env1", policy, 20_000, 10, 0, 0, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert finals.shape == (64, 3)
+    assert peak < 4 * 2**20

@@ -1,6 +1,6 @@
 """The alternating-pairs protocol of the timing scripts in ``tools/``, and
-smoke runs of ``tools/time_replay.py``, ``tools/time_log_io.py`` and
-``tools/sweep_scalar_beta.py``.
+smoke runs of ``tools/time_replay.py``, ``tools/time_log_io.py``,
+``tools/measure_memory.py`` and ``tools/sweep_scalar_beta.py``.
 
 ``tools/pairs.py`` is not part of the package, so it is loaded from its
 file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
@@ -100,6 +100,25 @@ def test_time_log_io_runs_at_tiny_sizes(tmp_path):
     for entry in record["cases"].values():
         assert entry["same_bytes_on_every_side"]
         assert len(entry["peak_mib"]["change"]["values"]) == 2
+    assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
+
+
+def test_measure_memory_runs_at_tiny_sizes(tmp_path):
+    # both sides are this tree, and a swept chunk changes no output byte
+    root = str(TOOLS.parent)
+    out = tmp_path / "memory.json"
+    subprocess.run([sys.executable, str(TOOLS / "measure_memory.py"), "--parent", root,
+                    "--change", root, "--pairs", "2", "--smoke", "--chunks", "3",
+                    "--out", str(out)], check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    assert list(record["cases"]) == ["check-bounds ucb n=100000", "check-bounds ts n=2000",
+                                     "check-assumptions n=4000", "check-assumptions n=20000"]
+    for case, entry in record["cases"].items():
+        assert entry["same_bytes_on_every_side"]
+        sides = ["change", "chunk=3"] if case.endswith("20000") else ["parent", "change", "chunk=3"]
+        assert list(entry["peak_mib"]) == sides
+        assert all(len(entry["peak_mib"][side]["values"]) == 2 for side in sides)
+        assert ("change_vs_parent" in entry) == ("parent" in sides)
     assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
 
 
