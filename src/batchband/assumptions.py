@@ -27,7 +27,8 @@ from .core import PROB_TOL, DecisionRule, derive_seed, rule_value
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
 from .policies import UniformPolicy, rep_bincount
-from .specifications import Keep, Play, Steps, block_streams, check_arms, run_online, whole_blocks
+from .specifications import (Keep, Play, Steps, block_streams, check_arms, run_online,
+                             whole_blocks)
 
 Z_ONE_SIDED_95 = 1.645
 

@@ -20,8 +20,9 @@ reads: the whole ``RunSet`` (``Whole``), actions and rewards only
 (``Play``), the regret at a few steps (``Steps``) or per-step curves
 (``assumptions.Curves``).  A policy that ignores feedback plays each
 chunk's batches in one call instead, from the start, or from the last
-hand-over of a two-phase run, and a lone run of a policy that can ``run_ahead`` (UCB, on a Bernoulli
-environment) plays one call per window its leader holds.
+hand-over of a two-phase run, and a lone run of a policy that can
+``run_ahead`` (UCB, on a Bernoulli environment) plays one call per window
+its leader holds.
 Each rep owns its reward generator; on a Bernoulli environment the
 finite-armed policies draw from block streams, one generator per block of
 ``BLOCK_REPS`` consecutive reps (``block_streams``), so a rep's trajectory
@@ -353,7 +354,7 @@ def run_lockstep(
     regret, hits = np.zeros(reps), np.zeros(reps, dtype=np.int64)
     pulls = np.zeros((reps, k), dtype=np.int64)
 
-    def chunk(c0, c1) -> Chunk:
+    def play(c0, c1) -> Chunk:
         # steps c0..c1-1 of every rep, played and reduced; the arrays are
         # this call's, so they are freed before the next chunk's are made
         nonlocal state, regret, hits, pulls
@@ -438,7 +439,7 @@ def run_lockstep(
         return Chunk(actions, rewards, deltas, opt, pulls, chosen if contextual else None)
 
     for c0, c1 in zip(cuts, cuts[1:] + [n]):
-        keep.add(c0, chunk(c0, c1))
+        keep.add(c0, play(c0, c1))
     return keep.result()
 
 
@@ -474,7 +475,8 @@ def run_online(policy, env, n: int, seed, *, keep: Keep | None = None):
     ``seed`` is one integer, for a ``RunRecord``, or a sequence of per-rep
     seeds, run in lockstep into a ``RunSet``; the same holds for
     ``run_batch`` and ``run_short``.  With ``keep``, a run over a sequence
-    of seeds returns what ``keep`` reduces it to (``run_lockstep``).
+    of seeds returns what ``keep`` reduces it to (``run_lockstep``), as
+    ``run_batch`` does.
     """
     return _run(policy, env, make_grid(n, 1), seed, "batch", keep)
 
@@ -484,6 +486,6 @@ def run_batch(policy, env, grid: BatchGrid, seed, *, keep: Keep | None = None):
     return _run(policy, env, grid, seed, "batch", keep)
 
 
-def run_short(policy, env, grid: BatchGrid, seed, *, keep: Keep | None = None):
+def run_short(policy, env, grid: BatchGrid, seed):
     """Run releasing only the first entry of each batch."""
-    return _run(policy, env, grid, seed, "short", keep)
+    return _run(policy, env, grid, seed, "short", None)

@@ -465,10 +465,10 @@ def test_a_run_in_chunks_equals_the_run_in_one(monkeypatch, name, env_name, spec
     policy = make(name, env)
     grid = make_grid(n, b)
     seeds = [derive_seed(37, name, spec, n, b, i) for i in range(reps)]
-    runner = run_short if spec == "short" else run_batch
 
     def run(chunk, keep=None):
-        return at_chunk(monkeypatch, chunk, lambda: runner(policy, env, grid, seeds, keep=keep))
+        return at_chunk(monkeypatch, chunk,
+                        lambda: run_lockstep(policy, env, grid, seeds, spec, keep=keep))
 
     keep = Widths()
     whole, parts = run(WHOLE), run(chunk, keep)
