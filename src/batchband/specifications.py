@@ -154,7 +154,9 @@ class Keep:
     names: ``pseudo_regret`` and ``optimal_hits`` cumulative from step 0,
     and ``pull_counts`` ``(R, k)`` the pulls up to the chunk's end; and
     returns ``result()``.  When ``reduced`` is false those three are None.
-    ``of(run)`` is what the keep returns from a whole ``RunSet``.
+    The next chunk overwrites a part's step arrays, unless the part spans
+    the whole run, so a keep copies what it keeps of them.  ``of(run)`` is
+    what the keep returns from a whole ``RunSet``.
     """
 
     reduced = True
@@ -353,14 +355,16 @@ def run_lockstep(
     fed = 1 if visibility == "short" else b
     regret, hits = np.zeros(reps), np.zeros(reps, dtype=np.int64)
     pulls = np.zeros((reps, k), dtype=np.int64)
+    # every chunk plays and reduces in these arrays: fresh ones per chunk
+    # cost a page fault per page, as much again as playing a ucb chunk
+    wide = max(c1 - c0 for c0, c1 in zip(cuts, cuts[1:] + [n]))
+    buffers = [np.empty((reps, wide), dtype=dtype) for dtype in (np.int64, float) * 2]
 
     def play(c0, c1) -> Chunk:
-        # steps c0..c1-1 of every rep, played and reduced; the arrays are
-        # this call's, so they are freed before the next chunk's are made
+        # steps c0..c1-1 of every rep, played and reduced
         nonlocal state, regret, hits, pulls
         w = c1 - c0
-        actions = np.empty((reps, w), dtype=np.int64)
-        rewards = np.empty((reps, w))
+        actions, rewards, opt, deltas = (buf[:, :w] for buf in buffers)
         if contextual:
             contexts = np.empty((reps, w, env.context_dim))
             chosen = np.zeros((reps, w, env.dim))
@@ -415,7 +419,6 @@ def run_lockstep(
         if not keep.reduced:
             return Chunk(actions, rewards)
 
-        # reduce in place, in the order that holds the fewest (reps, w) arrays
         pulls += rep_bincount(actions, k)
         if contextual:
             # one (b, p) @ (p, k) product per batch: BLAS may round a product
@@ -424,11 +427,11 @@ def run_lockstep(
             mean = mean.reshape(reps, w, k)
             best = mean.max(axis=2)
             played = np.take_along_axis(mean, actions[..., None], axis=2)[..., 0]
-            deltas = best - played
-            opt = (played >= best - OPT_TOL).astype(np.int64)
+            np.subtract(best, played, out=deltas)
+            np.greater_equal(played, best - OPT_TOL, out=opt)
         else:
-            deltas = gaps[actions + offsets]
-            opt = (deltas == 0.0).astype(np.int64)
+            np.take(gaps, np.add(actions, offsets, out=opt), out=deltas)
+            np.equal(deltas, 0.0, out=opt)
         if c0:
             # the running totals enter as the chunk's first terms, so the sums
             # round as one cumsum over the whole run would
