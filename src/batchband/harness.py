@@ -297,7 +297,7 @@ def _run_cell(group):
 
 # With one working process an engine call holds up to this many simulated
 # rep-steps, unless one cell needs more.  Reduced as it goes, a full call of
-# 16 ts cells of 32 reps at n=2048 peaks at 6.0 MiB, its chunks and curves
+# 16 ts cells of 32 reps at n=2048 peaks at 6.9 MiB, its chunks and curves
 # (tracemalloc), where whole run arrays took 33 bytes per rep-step, 34 MiB.
 # Stacking gained up to 768k rep-steps a call, was even at 1.5M and lost at
 # 3M; over two processes its fewer, coarser calls lost (BENCH_18.json).

@@ -51,11 +51,11 @@ OPT_TOL = 1e-12
 
 # Steps per rep in each chunk of a run (whole batches, at least one): the
 # engine draws, plays and reduces a chunk of every rep at a time and hands
-# it to the run's ``keep``.  Chunks of 128 to 2,048 steps timed alike for
-# check-bounds at reps=1,000 (ucb at n=100,000, ts at n=2,000), while the
-# ucb call's peak RSS read 43, 49, 59, 78 and 117 MiB; below 256 a chunk
-# pays one generator call per rep for fewer steps (tools/measure_memory.py,
-# BENCH_25.json).
+# it to the run's ``keep``.  Chunks of 128 to 2,048 steps timed alike within
+# the host's noise for check-bounds at reps=1,000 (ucb at n=100,000, ts at
+# n=2,000), while the ucb call's peak RSS read 44, 49, 59, 80 and 127 MiB;
+# below 256 a chunk pays one generator call per rep for fewer steps
+# (tools/measure_memory.py, BENCH_25.json).
 CHUNK = 256
 
 
@@ -346,6 +346,7 @@ def run_lockstep(
     cuts = list(range(0, n, width))
     if n - cuts[-1] == 1 and len(cuts) > 1:
         cuts.pop()  # _mean_se over one column need not match the whole reduction
+    spans = list(zip(cuts, cuts[1:] + [n]))
     keep = Whole() if keep is None else keep
     keep.start(RunSet(
         spec=_spec_tag(visibility, b), policy=policy.name, n=n, b=b, seeds=list(seeds),
@@ -356,13 +357,12 @@ def run_lockstep(
     regret, hits = np.zeros(reps), np.zeros(reps, dtype=np.int64)
     pulls = np.zeros((reps, k), dtype=np.int64)
     # every chunk plays and reduces in these arrays: fresh ones per chunk
-    # cost a page fault per page, as much again as playing a ucb chunk
-    wide = max(c1 - c0 for c0, c1 in zip(cuts, cuts[1:] + [n]))
+    # cost a page fault per page, which made a 1,008-rep ucb run about 20%
+    # slower
+    wide = max(c1 - c0 for c0, c1 in spans)
     buffers = [np.empty((reps, wide), dtype=dtype) for dtype in (np.int64, float) * 2]
 
-    def play(c0, c1) -> Chunk:
-        # steps c0..c1-1 of every rep, played and reduced
-        nonlocal state, regret, hits, pulls
+    for c0, c1 in spans:
         w = c1 - c0
         actions, rewards, opt, deltas = (buf[:, :w] for buf in buffers)
         if contextual:
@@ -417,7 +417,8 @@ def run_lockstep(
             actions[:, lo:] = acts
             rewards[:, lo:] = uniforms[:, lo:] < means[acts + offsets]
         if not keep.reduced:
-            return Chunk(actions, rewards)
+            keep.add(c0, Chunk(actions, rewards))
+            continue
 
         pulls += rep_bincount(actions, k)
         if contextual:
@@ -439,10 +440,8 @@ def run_lockstep(
             opt[:, 0] += hits
         regret = np.cumsum(deltas, axis=1, out=deltas)[:, -1].copy()
         hits = np.cumsum(opt, axis=1, out=opt)[:, -1].copy()
-        return Chunk(actions, rewards, deltas, opt, pulls, chosen if contextual else None)
-
-    for c0, c1 in zip(cuts, cuts[1:] + [n]):
-        keep.add(c0, play(c0, c1))
+        keep.add(c0, Chunk(actions, rewards, deltas, opt, pulls,
+                           chosen if contextual else None))
     return keep.result()
 
 
