@@ -154,12 +154,13 @@ class Keep:
     names: ``pseudo_regret`` and ``optimal_hits`` cumulative from step 0,
     and ``pull_counts`` ``(R, k)`` the pulls up to the chunk's end; and
     returns ``result()``.  When ``reduced`` is false those three are None.
-    The next chunk overwrites a part's step arrays, unless the part spans
-    the whole run, so a keep copies what it keeps of them.  ``of(run)`` is
-    what the keep returns from a whole ``RunSet``.
+    The next chunk overwrites a part's step arrays, so a keep copies what it
+    keeps of them.  A keep that is not ``chunked`` gets the whole run as one
+    part.  ``of(run)`` is what the keep returns from a whole ``RunSet``.
     """
 
     reduced = True
+    chunked = True
 
     def start(self, run) -> None:
         self.run = run
@@ -171,19 +172,15 @@ class Keep:
 
 
 class Whole(Keep):
-    """Every array of the run: ``run_lockstep`` returns its ``RunSet``."""
+    """Every array of the run: ``run_lockstep`` returns its ``RunSet``.  It
+    keeps every step, so it takes the run as one chunk: chunks would only be
+    copied into whole arrays."""
+
+    chunked = False
 
     def add(self, lo, part) -> None:
-        run = self.run
-        for name in ("actions", "rewards", "pseudo_regret", "optimal_hits", "features"):
-            arr = getattr(part, name)
-            if arr is None or arr.shape[1] == run.n:
-                setattr(run, name, arr)
-                continue
-            if getattr(run, name) is None:
-                setattr(run, name, np.empty((len(arr), run.n, *arr.shape[2:]), arr.dtype))
-            getattr(run, name)[:, lo : lo + arr.shape[1]] = arr
-        run.pull_counts = part.pull_counts
+        for name in Chunk._fields:
+            setattr(self.run, name, getattr(part, name))
 
     def result(self):
         return self.run
@@ -285,12 +282,13 @@ def run_lockstep(
 
     The run walks the horizon in chunks of as many whole batches as fit in
     ``CHUNK`` steps, or of one batch, never of one step (a one-step tail
-    joins the chunk before it); a lone run that runs ahead is one chunk of
-    all ``n`` steps.  Each finished chunk goes to ``keep`` (a ``Keep``;
-    ``Whole()`` by default, for the run's ``RunSet``), with running regret,
-    optimal-hit and pull totals carried across chunks, and the call returns
-    what ``keep`` returns.  So a caller that keeps little holds ``O(R * (k +
-    CHUNK) + n)`` memory.
+    joins the chunk before it).  Each finished chunk goes to ``keep`` (a
+    ``Keep``; ``Whole()`` by default, for the run's ``RunSet``), with
+    running regret, optimal-hit and pull totals carried across chunks, and
+    the call returns what ``keep`` returns.  So a caller that keeps little
+    holds ``O(R * (k + CHUNK) + n)`` memory.  A lone run that runs ahead,
+    and a run for a keep that is not ``chunked``, is one chunk of all ``n``
+    steps.
 
     ``prefix`` is a two-phase run's first phase, ``(head, tau)``: rep ``i``
     plays ``head[i]`` up to its hand-over step ``tau[i]`` (a batch
@@ -340,14 +338,15 @@ def run_lockstep(
     # hand-over a chunk at a time
     split = M if policy.adaptive or contextual else last // b
     lone = state is not None and reps == 1 and not contextual and hasattr(policy, "run_ahead")
-    # a lone run that runs ahead plays every batch from its hand-over in
-    # one chunk; any other run goes chunk by chunk
-    first, width = (M, n) if lone else (start // b, max(CHUNK // b, 1) * b)
+    keep = Whole() if keep is None else keep
+    # a lone run that runs ahead plays every batch from its hand-over in one
+    # chunk, as does a run for a keep that is not chunked
+    first = M if lone else start // b
+    width = max(CHUNK // b, 1) * b if keep.chunked and not lone else n
     cuts = list(range(0, n, width))
     if n - cuts[-1] == 1 and len(cuts) > 1:
         cuts.pop()  # _mean_se over one column need not match the whole reduction
     spans = list(zip(cuts, cuts[1:] + [n]))
-    keep = Whole() if keep is None else keep
     keep.start(RunSet(
         spec=_spec_tag(visibility, b), policy=policy.name, n=n, b=b, seeds=list(seeds),
         actions=None, pseudo_regret=None, optimal_hits=None, pull_counts=None,

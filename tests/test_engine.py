@@ -32,7 +32,6 @@ from batchband.specifications import (
     BLOCK_REPS,
     Play,
     Steps,
-    Whole,
     run_batch,
     run_lockstep,
     run_online,
@@ -360,8 +359,7 @@ def test_one_call_for_non_adaptive_play_equals_per_batch_play(name, env_name, b)
 
 
 @pytest.mark.parametrize("M", [1, 7, 200])
-def test_plain_uniform_run_asks_the_policy_once_per_chunk(monkeypatch, M):
-    # one call per chunk of the run, for every batch in it
+def test_plain_uniform_run_asks_the_policy_once(monkeypatch, M):
     calls = []
     act_reps = UniformPolicy.act_reps
 
@@ -372,12 +370,8 @@ def test_plain_uniform_run_asks_the_policy_once_per_chunk(monkeypatch, M):
     monkeypatch.setattr(UniformPolicy, "act_reps", spy)
     env = preset("env6")
     seeds = [derive_seed(19, "spy", i) for i in range(2 * BLOCK_REPS + 3)]
-    for chunk in (specifications.CHUNK, 30, 2):
-        calls.clear()
-        monkeypatch.setattr(specifications, "CHUNK", chunk)
-        run_batch(UniformPolicy(env.k), env, make_grid(3 * M, 3), seeds)
-        per = max(chunk // 3, 1)
-        assert calls == [min(per, M - j) for j in range(0, M, per)]
+    run_batch(UniformPolicy(env.k), env, make_grid(3 * M, 3), seeds)
+    assert calls == [M]
 
 
 def test_lone_ucb_run_asks_the_policy_per_window_not_per_batch(monkeypatch):
@@ -423,13 +417,8 @@ def test_approx_delayed_start_matches_naive_reference(env_name, b):
         assert (lone.phase.tau_hat, lone.actions.tolist()) == (tau, actions)
 
 
-# A chunk wider than any horizon here: the run in one chunk, the whole-array path.
-WHOLE = 10**9
-FIELDS = ("actions", "rewards", "pseudo_regret", "optimal_hits", "pull_counts", "tau")
-
-
-class Widths(Whole):
-    """``Whole`` that also records the width of every chunk it is given."""
+class Widths(Curves):
+    """``Curves`` that also records the width of every chunk it is given."""
 
     def start(self, run):
         super().start(run)
@@ -443,6 +432,18 @@ class Widths(Whole):
 def at_chunk(monkeypatch, chunk, call):
     monkeypatch.setattr(specifications, "CHUNK", chunk)
     return call()
+
+
+def assert_keeps_reduce_the_whole_run(run, whole, groups, steps):
+    """``run(keep)`` in chunks keeps what the whole-array ``RunSet`` ``whole``
+    reduces to: per-group curves, final hits and pulls, and regret at
+    ``steps``."""
+    curves, ref = run(Curves(groups)), Curves(groups).of(whole)
+    for got, want in zip(curves.mean + curves.stderr, ref.mean + ref.stderr):
+        assert np.array_equal(got, want)
+    assert np.array_equal(curves.hits, whole.optimal_hits[:, -1])
+    assert np.array_equal(curves.pulls, whole.pull_counts)
+    assert np.array_equal(run(Steps(*steps)), whole.pseudo_regret[:, list(steps)])
 
 
 @pytest.mark.parametrize("name,env_name,spec,n,b,chunk,reps", [
@@ -459,90 +460,98 @@ def at_chunk(monkeypatch, chunk, call):
     ("ucb", "env3", "batch", 2000, 1, 8, 1),  # one rep running ahead, over all n at once
     ("ucb", "env3", "short", 999, 3, 8, 1),
 ])
-def test_a_run_in_chunks_equals_the_run_in_one(monkeypatch, name, env_name, spec, n, b, chunk,
-                                               reps):
+def test_a_run_in_chunks_keeps_what_the_whole_run_reduces_to(monkeypatch, name, env_name, spec,
+                                                             n, b, chunk, reps):
     env = preset(env_name)
     policy = make(name, env)
     grid = make_grid(n, b)
     seeds = [derive_seed(37, name, spec, n, b, i) for i in range(reps)]
 
-    def run(chunk, keep=None):
+    def run(keep):
         return at_chunk(monkeypatch, chunk,
                         lambda: run_lockstep(policy, env, grid, seeds, spec, keep=keep))
 
-    keep = Widths()
-    whole, parts = run(WHOLE), run(chunk, keep)
-    for field in FIELDS:
-        assert np.array_equal(getattr(parts, field), getattr(whole, field))
+    whole = run(None)  # Whole keeps every step, so it takes the run as one chunk
+    groups = [(0, reps // 2), (reps // 2, reps)] if reps > 1 else [(0, 1)]
+    keep = run(Widths(groups))
     width = n if reps == 1 and name == "ucb" else max(chunk // b, 1) * b
     assert sum(keep.widths) == n
     assert all(w % b == 0 and w <= width + 1 for w in keep.widths)
     assert min(keep.widths) >= 2  # _mean_se over one step need not match the whole one's
-    # the reduced keeps hold what the whole run's arrays reduce to
-    groups = [(0, reps // 2), (reps // 2, reps)] if reps > 1 else [(0, 1)]
-    curves, ref = run(chunk, Curves(groups)), Curves(groups).of(whole)
-    for got, want in zip(curves.mean + curves.stderr, ref.mean + ref.stderr):
-        assert np.array_equal(got, want)
-    assert np.array_equal(curves.hits, whole.optimal_hits[:, -1])
-    assert np.array_equal(curves.pulls, whole.pull_counts)
-    steps = (n - 1, grid.M - 1, 0, n // 2)
-    assert np.array_equal(run(chunk, Steps(*steps)), whole.pseudo_regret[:, steps])
-    play = run(chunk, Play())
+    assert_keeps_reduce_the_whole_run(run, whole, groups, (n - 1, grid.M - 1, 0, n // 2))
+    play = run(Play())
     assert np.array_equal(play.actions, whole.actions)
     assert np.array_equal(play.rewards, whole.rewards)
     assert play.pseudo_regret is play.optimal_hits is play.pull_counts is None
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 16])
-def test_a_stack_in_chunks_equals_the_stack_in_one(monkeypatch, chunk):
+def test_a_stack_in_chunks_keeps_what_the_whole_stack_reduces_to(monkeypatch, chunk):
     envs = (preset("env4"), preset("env5"), preset("env6"))
-    stack = tuple(zip(envs, (BLOCK_REPS, 2 * BLOCK_REPS, BLOCK_REPS)))
-    seeds = [derive_seed(41, "stack", i) for i in range(4 * BLOCK_REPS)]
+    sizes = (BLOCK_REPS, 2 * BLOCK_REPS, BLOCK_REPS)
+    stack = tuple(zip(envs, sizes))
+    seeds = [derive_seed(41, "stack", i) for i in range(sum(sizes))]
+    groups = [(0, 10), (BLOCK_REPS, BLOCK_REPS + 20), (3 * BLOCK_REPS, 4 * BLOCK_REPS)]
     for name in ("ucb", "ts"):
         policy = make(name, envs[0])
 
-        def run(chunk, policy=policy):
+        def run(keep, policy=policy):
             return at_chunk(monkeypatch, chunk,
-                            lambda: run_batch(policy, stack, make_grid(37, 1), seeds))
+                            lambda: run_batch(policy, stack, make_grid(37, 1), seeds, keep=keep))
 
-        whole, parts = run(WHOLE), run(chunk)
-        for field in FIELDS:
-            assert np.array_equal(getattr(parts, field), getattr(whole, field))
+        assert_keeps_reduce_the_whole_run(run, run(None), groups, (36, 0, 5))
 
 
 @pytest.mark.parametrize("b,chunk", [(1, 3), (10, 4), (10, 25), (3, 50)])
 @pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
-def test_two_phase_runs_in_chunks_equal_the_runs_in_one(monkeypatch, candidate, b, chunk):
-    # the prefix and the hand-overs fall inside chunks, on their edges and
-    # in the one-call tail of uniform play
+def test_two_phase_runs_in_chunks_keep_what_the_whole_runs_reduce_to(monkeypatch, candidate,
+                                                                     b, chunk):
+    # a certified start's second phase on its first phase's prefix: the
+    # hand-overs fall inside chunks, on their edges and, for uniform play,
+    # in the one-call tail of each chunk
     env = preset("env3")
     grid = make_grid(600, b)
     seeds = [derive_seed(5, "meta", i) for i in range(BLOCK_REPS + 8)]
+    whole = approx_delayed_start_run(candidate, env, grid, 0.01, seeds)
+    head = run_lockstep(UniformPolicy(2), env, grid, seeds, keep=Play()).actions
+    assert len({p.tau_hat for p in whole.phases}) > 2
 
-    def runs(chunk):
-        return at_chunk(monkeypatch, chunk, lambda: [
-            approx_delayed_start_run(candidate, env, grid, 0.01, seeds),
-            delayed_start_run(candidate, UniformPolicy(2), MonotoneBound(env.means),
-                              env, grid, seeds),
-            approx_delayed_start_run(candidate, env, grid, 0.01, seeds[0]),
-        ])
+    def run(keep):
+        return at_chunk(monkeypatch, chunk, lambda: run_lockstep(
+            candidate, env, grid, seeds, prefix=(head, whole.tau), keep=keep))
 
-    for whole, parts in zip(runs(WHOLE), runs(chunk)):
-        for field in ("actions", "pseudo_regret", "optimal_hits", "pull_counts"):
-            assert np.array_equal(getattr(parts, field), getattr(whole, field))
-    assert len({p.tau_hat for p in runs(chunk)[0].phases}) > 2
+    assert_keeps_reduce_the_whole_run(run, whole, [(0, BLOCK_REPS), (BLOCK_REPS, len(seeds))],
+                                      (599, 299, 0))
 
 
 @pytest.mark.parametrize("b,chunk", [(1, 2), (1, 3), (4, 5), (4, 3)])
 @pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
-def test_contextual_runs_in_chunks_equal_the_runs_in_one(monkeypatch, cls, b, chunk):
+def test_contextual_runs_in_chunks_keep_what_the_whole_runs_reduce_to(monkeypatch, cls, b,
+                                                                      chunk):
     env = make_linear_env(3, 2, seed=5)
+    grid = make_grid(41, b)
     seeds = [derive_seed(47, "linear", b, i) for i in range(4)]
 
-    def run(chunk):
+    def run(keep):
         return at_chunk(monkeypatch, chunk,
-                        lambda: run_batch(cls(3, 2), env, make_grid(41, b), seeds))
+                        lambda: run_batch(cls(3, 2), env, grid, seeds, keep=keep))
 
-    whole, parts = run(WHOLE), run(chunk)
-    for field in FIELDS + ("features",):
-        assert np.array_equal(getattr(parts, field), getattr(whole, field))
+    assert_keeps_reduce_the_whole_run(run, run(None), [(0, 1), (1, 4)], (grid.n - 1, 0, 20))
+
+
+@pytest.mark.parametrize("chunk", [2, 30])
+def test_a_reduced_uniform_run_asks_the_policy_once_per_chunk(monkeypatch, chunk):
+    calls = []
+    act_reps = UniformPolicy.act_reps
+
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs.get("batches", 1))
+        return act_reps(self, *args, **kwargs)
+
+    monkeypatch.setattr(UniformPolicy, "act_reps", spy)
+    env = preset("env6")
+    seeds = [derive_seed(19, "spy", i) for i in range(2 * BLOCK_REPS + 3)]
+    at_chunk(monkeypatch, chunk,
+             lambda: run_batch(UniformPolicy(env.k), env, make_grid(600, 3), seeds, keep=Steps(0)))
+    per = max(chunk // 3, 1)
+    assert calls == [min(per, 200 - j) for j in range(0, 200, per)]
