@@ -24,11 +24,11 @@ lockstep run of the naive policy on the engine's block streams, kept as
 its actions and rewards alone (``specifications.Play``): up to the
 common hand-over boundary for the oracle start, whose bound depends on
 ``t`` alone, and up to ``n`` for the certified start.  Uniform play ignores
-feedback, so the engine plays each chunk of that run in one policy call,
-one draw per block.  The certified start then finds every rep's hand-over
-at once: it checks all boundaries of all reps still in phase 1, a
-fixed-size chunk of boundaries per ``check_phase`` call, and stops once
-every rep has certified.  The engine replays that run as each rep's
+feedback, so the engine plays that run in one policy call, one draw per
+block.  The certified start then finds every rep's hand-over at once: it
+checks all boundaries of all reps still in phase 1, a fixed-size chunk of
+boundaries per ``check_phase`` call, and stops once every rep has
+certified.  The engine replays that run as each rep's
 prefix and lets the candidate, which draws from block streams of its own,
 play the rest.  A caller reporting ``reps`` results simulates whole blocks
 and drops the surplus (``specifications.whole_blocks``).

@@ -359,11 +359,13 @@ def run_lockstep(
     # cost a page fault per page, which made a 1,008-rep ucb run about 20%
     # slower
     wide = max(c1 - c0 for c0, c1 in spans)
-    buffers = [np.empty((reps, wide), dtype=dtype) for dtype in (np.int64, float) * 2]
+    # actions, rewards and, for a reduced keep, optimal hits and regret
+    buffers = [np.empty((reps, wide), dtype=dtype)
+               for dtype in (np.int64, float) * (2 if keep.reduced else 1)]
 
     for c0, c1 in spans:
         w = c1 - c0
-        actions, rewards, opt, deltas = (buf[:, :w] for buf in buffers)
+        actions, rewards, *work = (buf[:, :w] for buf in buffers)
         if contextual:
             contexts = np.empty((reps, w, env.context_dim))
             chosen = np.zeros((reps, w, env.dim))
@@ -419,6 +421,7 @@ def run_lockstep(
             keep.add(c0, Chunk(actions, rewards))
             continue
 
+        opt, deltas = work
         pulls += rep_bincount(actions, k)
         if contextual:
             # one (b, p) @ (p, k) product per batch: BLAS may round a product
