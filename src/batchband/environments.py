@@ -17,7 +17,7 @@ and the logging policy's probability for that action.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import count, islice
 
 import numpy as np
@@ -198,19 +198,21 @@ class LoggedData:
     ``actions`` ``(n,)`` int64, ``rewards`` ``(n,)`` float and ``probs``
     ``(n,)`` float, the logging policy's probability of each logged action.
     Construction is the one validation of a log: n >= 1, every value
-    finite, every action non-negative and every prob in (0, 1].
+    finite, every action non-negative and every prob in (0, 1].  It copies
+    the caller's columns, unless ``copy`` is false (``read_logged_csv``).
     """
 
     contexts: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     probs: np.ndarray
+    copy: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
-        contexts = np.array(self.contexts, dtype=float, order="C")
-        actions = np.array(self.actions).astype(np.int64, casting="same_kind")
-        rewards = np.array(self.rewards, dtype=float)
-        probs = np.array(self.probs, dtype=float)
+    def __post_init__(self, copy: bool) -> None:
+        contexts = np.array(self.contexts, dtype=float, order="C", copy=copy or None)
+        actions = np.asarray(self.actions).astype(np.int64, casting="same_kind", copy=copy)
+        rewards = np.array(self.rewards, dtype=float, copy=copy or None)
+        probs = np.array(self.probs, dtype=float, copy=copy or None)
         n = contexts.shape[0] if contexts.ndim == 2 else -1
         if any(c.shape != (n,) for c in (actions, rewards, probs)):
             raise DataError("columns must be contexts (n, p) and actions, rewards, probs (n,)")
@@ -267,8 +269,7 @@ def write_logged_csv(data: LoggedData, path) -> None:
 def read_logged_csv(path) -> LoggedData:
     """Read a logged-data CSV, validating the header and every row.
 
-    Rows are parsed ``_LOG_CHUNK`` at a time into column arrays, which are
-    joined at the end.
+    Rows are parsed ``_LOG_CHUNK`` at a time into columns that grow in place.
 
     Raises
     ------
@@ -284,8 +285,13 @@ def read_logged_csv(path) -> LoggedData:
         p = len(header) - 3
         if p < 0 or header != _csv_header(p):
             raise DataError(f"unexpected header {header!r}")
-        cols = [np.concatenate(col, axis=-1) for col in zip(*_parse_chunks(reader, p))]
-    return LoggedData(cols[0].T, *cols[1:])
+        cols = [np.empty((0, p)), *(np.empty(0, dtype=t) for t in (np.int64, float, float))]
+        for part in _parse_chunks(reader, p):
+            n = len(cols[1])
+            for col, new in zip(cols, (part[0].T, *part[1:])):
+                col.resize((n + len(new), *col.shape[1:]), refcheck=False)
+                col[n:] = new
+    return LoggedData(*cols, copy=False)
 
 
 def _parse_chunks(reader, p: int):

@@ -270,13 +270,11 @@ def _run_cell(group):
     if c.mode == "plain":
         run_batch(policy, tuple((e, sim) for e in envs), grid, seeds, keep=keep)
     elif c.mode == "delayed_start":
-        keep.of(delayed_start_run(
-            policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid, seeds,
-        ))
+        delayed_start_run(policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid,
+                          seeds, keep=keep)
     else:
-        keep.of(approx_delayed_start_run(
-            policy, env, grid, c.delta, seeds, bound_from=c.bound_from,
-        ))
+        approx_delayed_start_run(policy, env, grid, c.delta, seeds, bound_from=c.bound_from,
+                                 keep=keep)
 
     results, run = [], keep.run
     for env_spec, (lo, hi), curve_mean, curve_stderr in zip(

@@ -19,19 +19,16 @@ Two meta-runners wrap a candidate policy:
   beats uniform play and the failure probability ``2K/t^2`` is below the
   requested ``delta``.
 
-Phase 1 never reads the candidate, so both play it first, as a plain
-lockstep run of the naive policy on the engine's block streams, kept as
-its actions and rewards alone (``specifications.Play``): up to the
-common hand-over boundary for the oracle start, whose bound depends on
-``t`` alone, and up to ``n`` for the certified start.  Uniform play ignores
-feedback, so the engine plays that run in one policy call, one draw per
-block.  The certified start then finds every rep's hand-over at once: it
-checks all boundaries of all reps still in phase 1, a fixed-size chunk of
-boundaries per ``check_phase`` call, and stops once every rep has
-certified.  The engine replays that run as each rep's
-prefix and lets the candidate, which draws from block streams of its own,
-play the rest.  A caller reporting ``reps`` results simulates whole blocks
-and drops the surplus (``specifications.whole_blocks``).
+Phase 1 never reads the candidate and its naive policy ignores feedback,
+so a rep's phase 1 is its row of a plain lockstep run of the naive policy.
+The certified start finds every rep's hand-over from a plain uniform run
+reduced as it goes (``_Certify``), a fixed-size chunk of boundaries of the
+reps still in phase 1 per ``check_phase`` call.  Neither start stores
+phase 1: the engine plays the naive policy again, a chunk at a time, up to
+each rep's hand-over, and the candidate, which draws from block streams of
+its own, plays the rest, reduced by the caller's ``keep``.  A caller
+reporting ``reps`` results simulates whole blocks and drops the surplus
+(``specifications.whole_blocks``).
 """
 
 from __future__ import annotations
@@ -41,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchGrid, make_grid
+from .core import BatchGrid
 from .environments import BernoulliEnv
 from .policies import UniformPolicy, rep_bincount
-from .specifications import Play, check_arms, run_lockstep, seed_list
+from .specifications import Keep, run_lockstep, seed_list
 
 # Boundaries certified per ``check_phase`` call; bounds the work arrays at
 # ``(reps, CHECK_CHUNK, k)`` whatever the horizon.
@@ -176,51 +173,73 @@ def check_phase(counts, means, t, delta: float):
     return bool(stay[0]) if theta_hat.ndim == 1 else stay
 
 
-def _certify(actions, rewards, b: int, k: int, delta: float, truth=None):
-    """Every rep's certified hand-over from its phase-1 play.
-
-    ``actions`` and ``rewards`` ``(R, m)`` are phase-1 play on a grid of
-    batch size ``b``.  Rep ``r`` hands over at the first boundary ``t``
-    (0, b, ..., m) with ``t >= 2``, every arm pulled and ``check_phase``
-    passing on its counts and means there; with ``truth`` the true means
-    stand in for the pessimistic instance, and a tied best arm never
-    passes.  Returns ``(tau, seen)``: ``tau[r]`` is that boundary or -1,
-    and ``seen[:, r]`` the counts, means and ``theta_hat`` the check saw.
+class _Certify(Keep):
+    """Every rep's certified hand-over, found from its phase-1 play as the run
+    goes: rep ``r`` hands over at the first boundary ``t`` (0, b, ..., n)
+    with ``t >= 2``, every arm pulled and ``check_phase`` passing on its
+    counts and means there; with ``truth`` the true means stand in for the
+    pessimistic instance, and a tied best arm never passes.  Counts and sums
+    carry across chunks, and the open reps' totals at each boundary are held
+    up to the next multiple of ``CHECK_CHUNK`` boundaries, for one call.
+    ``result()`` is ``(tau, seen)``: ``tau[r]`` is that boundary or -1, and
+    ``seen[:, r]`` the counts, means and ``theta_hat`` the check saw.
     """
-    reps, m = actions.shape
-    tau, seen = np.full(reps, -1), np.zeros((3, reps, k))
-    if truth is not None and int((truth == truth.max()).sum()) != 1:
-        return tau, seen
-    counts, sums = np.zeros((reps, k)), np.zeros((reps, k))
-    todo = np.arange(reps)
-    for lo in range(0, m // b, CHECK_CHUNK):
-        hi = min(lo + CHECK_CHUNK, m // b)
-        times = np.arange(lo + 1, hi + 1) * b
-        # counts and sums at each of the chunk's boundaries, per open rep
-        acts = actions[todo, lo * b : hi * b].reshape(-1, b)
-        rews = rewards[todo, lo * b : hi * b].reshape(-1, b)
-        shape = (len(todo), hi - lo, k)
-        at_c = counts[todo, None] + rep_bincount(acts, k).reshape(shape).cumsum(axis=1)
-        at_s = sums[todo, None] + rep_bincount(acts, k, rews).reshape(shape).cumsum(axis=1)
-        counts[todo], sums[todo] = at_c[:, -1], at_s[:, -1]
+
+    reduced = False
+
+    def __init__(self, reps: int, b: int, k: int, delta: float, truth=None):
+        self.b, self.k, self.delta, self.truth = b, k, delta, truth
+        self.tau, self.seen = np.full(reps, -1), np.zeros((3, reps, k))
+        self.totals = np.zeros((2, reps, k))  # counts and sums
+        self.held, self.checked = [], 0  # boundaries held from batch ``checked`` on
+        tied = truth is not None and int((truth == truth.max()).sum()) != 1
+        self.todo = np.arange(0 if tied else reps)
+
+    def add(self, lo, part) -> None:
+        b, k = self.b, self.k
+        j0, j1 = lo // b, (lo + part.actions.shape[1]) // b
+        # the chunk's batches, split where CHECK_CHUNK boundaries are held
+        ends = [*range(j0 - j0 % CHECK_CHUNK + CHECK_CHUNK, j1, CHECK_CHUNK), j1]
+        for p0, p1 in zip([j0, *ends], ends):
+            todo = self.todo
+            if not todo.size:
+                return
+            acts, rews = (x[todo, (p0 - j0) * b : (p1 - j0) * b].reshape(-1, b)
+                          for x in (part.actions, part.rewards))
+            at = [total[todo, None] + steps.reshape(len(todo), p1 - p0, k).cumsum(axis=1)
+                  for total, steps in zip(self.totals, (rep_bincount(acts, k),
+                                                        rep_bincount(acts, k, rews)))]
+            self.totals[:, todo] = [a[:, -1] for a in at]
+            self.held.append(at)
+            if p1 % CHECK_CHUNK == 0:
+                self._check()
+
+    def _check(self) -> None:
+        """Check every held boundary of the open reps in one call."""
+        at_c, at_s = (x[0] if len(x) == 1 else np.concatenate(x, axis=1) for x in zip(*self.held))
+        times = np.arange(self.checked + 1, self.checked + at_c.shape[1] + 1) * self.b
+        self.held, self.checked = [], self.checked + at_c.shape[1]
         rows, cols = np.nonzero((at_c.min(axis=2) >= 1) & (times >= 2))
         if not rows.size:
-            continue
+            return
         c, t = at_c[rows, cols], times[cols]
         mu = at_s[rows, cols] / c
+        truth, delta = self.truth, self.delta
         stay = check_phase(c, mu, t, delta) if truth is None else _stays(truth, t, delta)
         # each rep's first passing boundary: the pairs run rep by rep
         hit, first = np.unique(rows[~stay], return_index=True)
         if not hit.size:
-            continue
-        pick, r = np.flatnonzero(~stay)[first], todo[hit]
+            return
+        pick, r = np.flatnonzero(~stay)[first], self.todo[hit]
         c, mu, t = c[pick], mu[pick], t[pick]
-        tau[r], seen[0, r], seen[1, r] = t, c, mu
-        seen[2, r] = truth if truth is not None else pessimistic_instance(c, mu, t)
-        todo = np.delete(todo, hit)
-        if not todo.size:
-            break
-    return tau, seen
+        self.tau[r], self.seen[0, r], self.seen[1, r] = t, c, mu
+        self.seen[2, r] = truth if truth is not None else pessimistic_instance(c, mu, t)
+        self.todo = np.delete(self.todo, hit)
+
+    def result(self):
+        if self.held:
+            self._check()
+        return self.tau, self.seen
 
 
 @dataclass(eq=False)
@@ -245,17 +264,19 @@ def _require_bernoulli(env) -> None:
         raise TypeError("delayed-start runners support finite-armed environments only")
 
 
-def _second_phase(label, candidate, env, grid, seeds, single, head, tau, delta=None, seen=None):
-    """The candidate's run from each rep's hand-over ``tau`` after phase-1 play
-    ``head``, with a ``PhaseState`` per rep from what the check ``seen``."""
-    run = run_lockstep(candidate, env, grid, seeds, prefix=(head, tau))
+def _second_phase(label, candidate, naive, env, grid, seeds, single, tau, keep,
+                  delta=None, seen=None):
+    """The candidate's run from each rep's hand-over ``tau`` after ``naive``'s
+    play, with a ``PhaseState`` per rep from what the check ``seen``."""
+    out = run_lockstep(candidate, env, grid, seeds, prefix=(naive, tau), keep=keep)
+    run = out if keep is None else keep.run
     run.phases = [
         PhaseState(True, None, delta) if tau < 0 else
         PhaseState(False, tau, delta, *(() if seen is None else seen[:, r]))
         for r, tau in enumerate(run.tau.tolist())
     ]
     run.policy = f"{label}({candidate.name})"
-    return run.record(0) if single else run
+    return run.record(0) if single and keep is None else out
 
 
 def delayed_start_run(
@@ -265,6 +286,7 @@ def delayed_start_run(
     env: BernoulliEnv,
     grid: BatchGrid,
     seed,
+    *, keep: Keep | None = None,
 ):
     """Oracle delayed start: switch at the first epoch where ``bound > 0``.
 
@@ -273,12 +295,13 @@ def delayed_start_run(
     true instance, and is asked for the epoch starts ``t + 1`` of the
     boundaries ``t < n``, a chunk at a time.  The naive policy plays (and
     history accrues on the batch schedule) before the switch; the candidate
-    then takes over with the full accumulated history.  ``seed`` is one
-    integer, for a ``RunRecord``, or a sequence of per-rep seeds, for a
-    ``RunSet`` of lockstep reps.
+    then takes over with the full accumulated history.  ``naive`` must
+    ignore feedback (uniform or fixed-arm play), else ``ValueError``.
+    ``seed`` is one integer, for a ``RunRecord``, or a sequence of per-rep
+    seeds, for a ``RunSet`` of lockstep reps, or with ``keep`` for what
+    ``keep`` reduces it to (``specifications.run_lockstep``).
     """
     _require_bernoulli(env)
-    check_arms(naive, env)
     seeds, single = seed_list(seed)
     switch = -1
     starts = np.arange(0, grid.n, grid.b)
@@ -288,13 +311,8 @@ def delayed_start_run(
         if fires.size:
             switch = int(times[fires[0]])
             break
-    upto = grid.n if switch < 0 else switch
-    head = (
-        run_lockstep(naive, env, make_grid(upto, grid.b), seeds, keep=Play()).actions if upto
-        else np.empty((len(seeds), 0), dtype=np.int64)
-    )
-    return _second_phase("delayed_start", candidate, env, grid, seeds, single,
-                         head, np.full(len(seeds), switch))
+    return _second_phase("delayed_start", candidate, naive, env, grid, seeds, single,
+                         np.full(len(seeds), switch), keep)
 
 
 def approx_delayed_start_run(
@@ -304,6 +322,7 @@ def approx_delayed_start_run(
     delta: float,
     seed,
     bound_from: str = "instance",
+    *, keep: Keep | None = None,
 ):
     """Estimated delayed start: certify the switch from data at batch ends.
 
@@ -312,9 +331,9 @@ def approx_delayed_start_run(
     phase 1.  ``bound_from`` picks
     what feeds the bound: ``"instance"`` uses the pessimistic estimate (the
     real algorithm), ``"oracle"`` substitutes the true means, a diagnostic
-    that isolates estimation error.  ``seed`` is one integer or a sequence,
-    as for ``delayed_start_run``; every rep's boundary is found from one
-    uniform run over the whole horizon.
+    that isolates estimation error.  ``seed`` and ``keep`` are as for
+    ``delayed_start_run``; every rep's boundary is found from one uniform
+    run over the whole horizon.
     """
     _require_bernoulli(env)
     if bound_from not in ("instance", "oracle"):
@@ -322,8 +341,9 @@ def approx_delayed_start_run(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     seeds, single = seed_list(seed)
-    phase1 = run_lockstep(UniformPolicy(env.k), env, grid, seeds, keep=Play())
+    naive = UniformPolicy(env.k)
     truth = env.means if bound_from == "oracle" else None
-    tau, seen = _certify(phase1.actions, phase1.rewards, grid.b, env.k, delta, truth)
-    return _second_phase("approx_delayed_start", candidate, env, grid, seeds, single,
-                         phase1.actions, tau, delta, seen)
+    tau, seen = run_lockstep(naive, env, grid, seeds,
+                             keep=_Certify(len(seeds), grid.b, env.k, delta, truth))
+    return _second_phase("approx_delayed_start", candidate, naive, env, grid, seeds, single,
+                         tau, keep, delta, seen)

@@ -31,9 +31,9 @@ Callers that report ``reps`` results from a drawing policy therefore
 simulate ``whole_blocks(reps)`` reps and drop the surplus.
 ``run_online``, ``run_batch`` and ``run_short`` call the engine with one
 seed or many, on one environment or a stack.  The delayed-start runners
-in ``meta`` play their first phase as a plain run of the naive policy,
-decide each rep's hand-over from it, and pass the engine that run's
-actions as a prefix with the per-rep hand-over steps.
+in ``meta`` decide each rep's hand-over and pass the engine their naive
+policy, which ignores feedback, as a prefix with the per-rep hand-over
+steps: the engine plays it again, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class Keep:
     returns ``result()``.  When ``reduced`` is false those three are None.
     The next chunk overwrites a part's step arrays, so a keep copies what it
     keeps of them.  A keep that is not ``chunked`` gets the whole run as one
-    part.  ``of(run)`` is what the keep returns from a whole ``RunSet``.
+    part.
     """
 
     reduced = True
@@ -164,11 +164,6 @@ class Keep:
 
     def start(self, run) -> None:
         self.run = run
-
-    def of(self, run):
-        self.start(run)
-        self.add(0, run)
-        return self.result()
 
 
 class Whole(Keep):
@@ -202,6 +197,7 @@ class Steps(Keep):
         self.steps = np.array(steps, dtype=np.int64)
 
     def start(self, run) -> None:
+        super().start(run)
         self.out = np.empty((len(run.seeds), len(self.steps)))
 
     def add(self, lo, part) -> None:
@@ -290,12 +286,12 @@ def run_lockstep(
     and a run for a keep that is not ``chunked``, is one chunk of all ``n``
     steps.
 
-    ``prefix`` is a two-phase run's first phase, ``(head, tau)``: rep ``i``
-    plays ``head[i]`` up to its hand-over step ``tau[i]`` (a batch
-    boundary, or -1 for none, when ``head`` covers all ``n`` steps), and
-    ``policy`` plays it from there with the rep's whole history absorbed,
-    drawing from ``block_streams(seeds, "candidate")``.  Two-phase runs use
-    batch feedback on a finite-armed environment.
+    ``prefix`` is a two-phase run's first phase, ``(naive, tau)``: rep
+    ``i`` plays its row of a plain run of ``naive``, a policy that ignores
+    feedback, up to its hand-over step ``tau[i]`` (a batch boundary, or -1
+    for none), and ``policy`` plays it from there with the rep's whole
+    history absorbed, drawing from ``block_streams(seeds, "candidate")``.
+    Two-phase runs use batch feedback on a finite-armed environment.
 
     ``env`` may also be a stack, a tuple of ``(env, reps)`` pairs of
     Bernoulli envs of one arm count and no ``prefix``: the first ``reps``
@@ -328,11 +324,17 @@ def run_lockstep(
     if prefix is None:
         tau, start, last = np.full(reps, -1), 0, 0
     else:
-        head, tau = prefix
+        naive, tau = prefix
+        check_arms(naive, env)
+        if naive.adaptive:
+            raise ValueError(f"a two-phase run's first phase needs a policy that ignores "
+                             f"feedback, not {naive.name}")
         tau = np.asarray(tau).copy()
-        # rep i plays head[i] before step until[i]: all reps do before start, none from last
+        # rep i plays naive before step until[i]: all reps do before start, none from last
         until = np.where(tau < 0, n, tau)
         start, last = int(until.min(initial=n)), int(until.max(initial=0))
+        naive_state = naive.init_reps(reps)
+        naive_streams = block_streams(seeds) if naive.draws else None
     state = policy.init_reps(reps) if start < n else None
     # a policy that ignores feedback plays the batches after the last
     # hand-over a chunk at a time
@@ -374,9 +376,12 @@ def run_lockstep(
             uniforms = rewards  # each uniform is read once, then overwritten by its reward
             for rng, row in zip(rngs, uniforms):
                 rng.random(out=row)
+        q = min(last, c1) - c0
+        if q > 0:
+            actions[:, :q] = naive.act_reps(naive_state, b, naive_streams, all_rows,
+                                            batches=q // b)
         p = min(start, c1) - c0
         if p > 0:
-            actions[:, :p] = head[:, c0 : c0 + p]
             rewards[:, :p] = uniforms[:, :p] < means[actions[:, :p] + offsets]
             if state is not None and policy.adaptive:
                 state = policy.update_reps(state, actions[:, :p], rewards[:, :p])
@@ -399,7 +404,7 @@ def run_lockstep(
                 if c0 + lo >= last:
                     acts = policy.act_reps(state, b, streams, all_rows)
                 else:
-                    acts = head[:, c0 + lo : c0 + hi].copy()
+                    acts = actions[:, lo:hi].copy()
                     rows = np.flatnonzero(until <= c0 + lo)
                     acts[rows] = policy.act_reps(state, b, streams, rows)
                 rews = (uniforms[:, lo:hi] < means[acts + offsets]).astype(float)

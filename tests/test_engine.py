@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from reference_runner import reference_approx_delayed_start, reference_linear_run, reference_run
 
 from batchband import specifications
-from batchband.assumptions import Curves
+from batchband.assumptions import Curves, _mean_se
 from batchband.core import DimensionMismatchError, derive_seed, make_grid
 from batchband.environments import make_linear_env, parse_env, preset
 from batchband.meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
@@ -232,7 +232,7 @@ def test_a_stack_of_envs_equals_lone_env_runs(name, env_names, b):
 ], ids=["prefix", "contextual"])
 def test_a_stack_with_a_prefix_or_a_contextual_env_raises(second, prefix):
     grid = make_grid(8, 4)
-    head = (np.zeros((4, 8), dtype=np.int64), np.full(4, 4)) if prefix else None
+    head = (UniformPolicy(2), np.full(4, 4)) if prefix else None
     with pytest.raises(ValueError, match="a stack of environments takes Bernoulli envs"):
         run_lockstep(UcbPolicy(2), ((preset("env1"), 2), (second, 2)), grid, [1, 2, 3, 4],
                      prefix=head)
@@ -240,7 +240,7 @@ def test_a_stack_with_a_prefix_or_a_contextual_env_raises(second, prefix):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"visibility": "delayed"}, "unknown visibility 'delayed'"),
-    ({"visibility": "short", "prefix": (np.zeros((4, 8), dtype=np.int64), np.full(4, 4))},
+    ({"visibility": "short", "prefix": (UniformPolicy(2), np.full(4, 4))},
      "a two-phase run needs batch feedback"),
 ], ids=["unknown-visibility", "prefix-with-short-feedback"])
 def test_run_lockstep_rejects_bad_arguments(kwargs, message):
@@ -349,13 +349,29 @@ def test_one_call_for_non_adaptive_play_equals_per_batch_play(name, env_name, b)
         ]
 
     policy, naive = make(name, env), UniformPolicy(env.k)
-    fast, slow = runs(policy, naive), runs(Adaptive(policy), Adaptive(naive))
+    fast, slow = runs(policy, naive), runs(Adaptive(policy), naive)
     if env_name == "env3":
         assert (fast[1].tau >= 0).all() and len(set(fast[1].tau.tolist())) > 2
     assert (fast[2].tau >= 0).all()
     for one, per in zip(fast, slow):
         for field in ("actions", "rewards", "pseudo_regret", "optimal_hits", "pull_counts", "tau"):
             assert np.array_equal(getattr(one, field), getattr(per, field))
+    # the naive play the engine replays, chunk by chunk, against per-step
+    # uniform play up to each rep's hand-over
+    ref = reference_run("uniform", env.means.tolist(), grid.n, b, seeds)
+    for run in fast[1:]:
+        for i, ((actions, regret), tau) in enumerate(zip(ref, run.tau.tolist())):
+            tau = grid.n if tau < 0 else tau
+            assert run.actions[i, :tau].tolist() == actions[:tau]
+            assert run.pseudo_regret[i, :tau].tolist() == regret[:tau]
+
+
+@pytest.mark.parametrize("naive", [UcbPolicy(2), ThompsonBetaPolicy(2), Adaptive(UniformPolicy(2))])
+def test_a_delayed_start_rejects_a_naive_policy_that_reads_feedback(naive):
+    env = preset("env3")
+    with pytest.raises(ValueError, match="first phase needs a policy that ignores feedback"):
+        delayed_start_run(UcbPolicy(2), naive, MonotoneBound(env.means), env, make_grid(60, 3),
+                          [1, 2])
 
 
 @pytest.mark.parametrize("M", [1, 7, 200])
@@ -438,9 +454,10 @@ def assert_keeps_reduce_the_whole_run(run, whole, groups, steps):
     """``run(keep)`` in chunks keeps what the whole-array ``RunSet`` ``whole``
     reduces to: per-group curves, final hits and pulls, and regret at
     ``steps``."""
-    curves, ref = run(Curves(groups)), Curves(groups).of(whole)
-    for got, want in zip(curves.mean + curves.stderr, ref.mean + ref.stderr):
-        assert np.array_equal(got, want)
+    curves = run(Curves(groups))
+    for (r0, r1), mean, stderr in zip(groups, curves.mean, curves.stderr):
+        want = _mean_se(whole.pseudo_regret[r0:r1], axis=0)
+        assert np.array_equal(mean, want[0]) and np.array_equal(stderr, want[1])
     assert np.array_equal(curves.hits, whole.optimal_hits[:, -1])
     assert np.array_equal(curves.pulls, whole.pull_counts)
     assert np.array_equal(run(Steps(*steps)), whole.pseudo_regret[:, list(steps)])
@@ -513,12 +530,11 @@ def test_two_phase_runs_in_chunks_keep_what_the_whole_runs_reduce_to(monkeypatch
     grid = make_grid(600, b)
     seeds = [derive_seed(5, "meta", i) for i in range(BLOCK_REPS + 8)]
     whole = approx_delayed_start_run(candidate, env, grid, 0.01, seeds)
-    head = run_lockstep(UniformPolicy(2), env, grid, seeds, keep=Play()).actions
     assert len({p.tau_hat for p in whole.phases}) > 2
 
     def run(keep):
         return at_chunk(monkeypatch, chunk, lambda: run_lockstep(
-            candidate, env, grid, seeds, prefix=(head, whole.tau), keep=keep))
+            candidate, env, grid, seeds, prefix=(UniformPolicy(2), whole.tau), keep=keep))
 
     assert_keeps_reduce_the_whole_run(run, whole, [(0, BLOCK_REPS), (BLOCK_REPS, len(seeds))],
                                       (599, 299, 0))

@@ -608,6 +608,8 @@ def test_output_csvs_do_not_depend_on_the_engine_chunk(tmp_path, monkeypatch, ca
          "--n", "41", "--b", "1,3,8", "--reps", "5", "--threads", "1"],
         ["simulate", "--env", "env3", "--policy", "ucb,ts", "--mode", "approx_delayed_start",
          "--n", "301", "--b", "1,4", "--reps", "5", "--threads", "1"],
+        ["simulate", "--env", "env3,env6", "--policy", "ucb,uniform", "--mode", "delayed_start",
+         "--n", "301", "--b", "1,4", "--reps", "5", "--threads", "1"],
         ["check-bounds", "--policy", "ts", "--env", "env6", "--n", "61", "--b", "4",
          "--reps", "20", "--threads", "1"],
         ["check-assumptions", "--env", "env6", "--n", "61", "--b", "4", "--reps", "6",
@@ -620,7 +622,7 @@ def test_output_csvs_do_not_depend_on_the_engine_chunk(tmp_path, monkeypatch, ca
         return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*.csv"))}
 
     default = outputs(tmp_path / "default")
-    assert len(default) == 6
+    assert len(default) == 8
     monkeypatch.setattr(specifications, "CHUNK", chunk)
     assert outputs(tmp_path / "chunked") == default
     capsys.readouterr()
@@ -638,3 +640,39 @@ def test_a_bound_chunk_holds_o_reps_times_chunk_memory():
         tracemalloc.stop()
     assert finals.shape == (64, 3)
     assert peak < 4 * 2**20
+
+
+def env3_ucb_cell(mode, n=20_000, b=10, reps=16):
+    """The ``_run_cell`` group of one env3 ucb cell of ``mode``."""
+    cfg = small_config(envs=("env3",), n=n, batch_sizes=(b,), reps=reps, mode=mode)
+    return (cfg, "ucb", b, UcbPolicy(2), whole_blocks(reps), ["env3"])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_sweep_cell_holds_o_reps_times_chunk_memory_in_every_mode(mode):
+    # the delayed starts traced 13.0 and 17.1 MiB when they stored phase 1
+    # and a whole phase-2 RunSet; the plain cell traces 1.2 MiB
+    tracemalloc.start()
+    try:
+        (row,) = harness._run_cell(env3_ucb_cell(mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.curve_mean.shape == (20_000,)
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["delayed_start", "approx_delayed_start"])
+def test_run_cell_calls_the_delayed_start_runners_by_their_harness_names(monkeypatch, mode):
+    # the benchmark times the runners by wrapping these names
+    calls = []
+    name = f"{'approx_' if mode.startswith('approx') else ''}delayed_start_run"
+    real = getattr(harness, name)
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["keep"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, spy)
+    harness._run_cell(env3_ucb_cell(mode, n=60, b=3, reps=2))
+    assert len(calls) == 1 and calls[0] is not None

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import batchband.meta as meta
+from batchband import specifications
 from batchband.core import DimensionMismatchError, derive_seed, make_grid
 from batchband.environments import BernoulliEnv, make_linear_env, preset
+from batchband.harness import ExperimentConfig, run_experiment
 from batchband.policies import BasePolicy, FixedArmPolicy, UcbPolicy, UniformPolicy
 from batchband.meta import (
     InsufficientDataError,
@@ -418,6 +421,57 @@ def test_certification_matches_scalar_checks_per_boundary(
         for got, want in ((phase.counts, counts), (phase.means, mean_hat),
                           (phase.theta_hat, theta_hat)):
             assert (got is None and want is None) or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("check_chunk,chunk,b", [(1, 2, 1), (7, 9, 1), (7, 21, 3), (40, 256, 3)])
+def test_certification_in_chunks_matches_scalar_checks_per_boundary(monkeypatch, check_chunk,
+                                                                    chunk, b):
+    # groups of checked boundaries that end inside the engine's chunks, on
+    # their edges and past several of them; each call checks one group
+    monkeypatch.setattr(meta, "CHECK_CHUNK", check_chunk)
+    monkeypatch.setattr(specifications, "CHUNK", chunk)
+    groups = []
+
+    def spy(counts, means, t, delta):
+        groups.append(set((np.asarray(t) - 1) // (b * check_chunk)))
+        return check_phase(counts, means, t, delta)
+
+    monkeypatch.setattr(meta, "check_phase", spy)
+    env = preset("env3")
+    grid = make_grid(600, b)
+    seeds = [derive_seed(3, "certify", i) for i in range(BLOCK_REPS + 3)]
+    run = approx_delayed_start_run(UcbPolicy(2), env, grid, 0.01, seeds)
+    phase1 = run_batch(UniformPolicy(2), env, grid, seeds)
+    ref = scan_certification(phase1.actions, phase1.rewards, b, 2, 0.01)
+    assert len({tau for tau, *_ in ref}) > 3
+    assert groups and all(len(g) == 1 for g in groups)
+    for phase, (tau, counts, mean_hat, theta_hat) in zip(run.phases, ref):
+        assert phase.tau_hat == tau
+        for got, want in ((phase.counts, counts), (phase.means, mean_hat),
+                          (phase.theta_hat, theta_hat)):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+
+# check_phase calls per certified cell at n=2000 and 10 reps when phase 1
+# was stored whole and its boundaries checked CHECK_CHUNK at a time
+STORED_HEAD_CHECKS = {("env1", 1): 8, ("env3", 1): 4, ("env6", 1): 8,
+                      ("env1", 10): 1, ("env3", 10): 1, ("env6", 100): 1}
+
+
+@pytest.mark.parametrize("env_name,b", list(STORED_HEAD_CHECKS))
+def test_a_certified_cell_calls_check_phase_no_more_often_than_a_stored_head(monkeypatch,
+                                                                           env_name, b):
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return check_phase(*args)
+
+    monkeypatch.setattr(meta, "check_phase", spy)
+    run_experiment(ExperimentConfig(envs=(env_name,), policies=("ucb",), n=2000,
+                                    batch_sizes=(b,), reps=10, master_seed=0,
+                                    mode="approx_delayed_start"))
+    assert 0 < len(calls) <= STORED_HEAD_CHECKS[env_name, b]
 
 
 def test_oracle_certification_never_passes_on_a_tied_best_arm():

@@ -112,7 +112,8 @@ def test_measure_memory_runs_at_tiny_sizes(tmp_path):
                     "--out", str(out)], check=True, capture_output=True)
     record = json.loads(out.read_text())
     assert list(record["cases"]) == ["check-bounds ucb n=100000", "check-bounds ts n=2000",
-                                     "check-assumptions n=4000", "check-assumptions n=20000"]
+                                     "check-assumptions n=4000", "check-assumptions n=20000",
+                                     "simulate approx_delayed_start", "simulate delayed_start"]
     for case, entry in record["cases"].items():
         assert entry["same_bytes_on_every_side"]
         sides = ["change", "chunk=3"]

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Peak RSS and wall time of long ``check-bounds`` and ``check-assumptions``
-calls on two source trees, and of the change at swept engine chunk widths.
+"""Peak RSS and wall time of long ``check-bounds``, ``check-assumptions`` and
+delayed-start ``simulate`` calls on two source trees, and of the change at
+swept engine chunk widths.
 
 Usage (from the repository root)::
 
@@ -21,7 +22,10 @@ the call wrote.  The cases:
   flags otherwise;
 * ``check-assumptions n=20000``: the same at n=20,000, on the change's
   sides only: the parent's ``(n, n)`` pair arrays alone would take
-  several GB.
+  several GB;
+* ``simulate approx_delayed_start`` and ``simulate delayed_start``:
+  ``simulate --env env3 --policy ucb --b 10 --threads 1 --n 20000 --reps
+  256`` in that ``--mode``, one sweep cell of each delayed start.
 
 The sides are the parent, the change, and one side per ``--chunks`` value:
 the change tree with ``specifications.CHUNK`` set to that value in the
@@ -56,6 +60,9 @@ CASES = {
                                  "assumptions.csv", True),
     "check-assumptions n=20000": ("check-assumptions", (20_000, 100), (200, 5),
                                   "assumptions.csv", False),
+    **{f"simulate {mode}": (f"simulate --env env3 --policy ucb --b 10 --threads 1 --mode {mode}",
+                            (20_000, 256), (100, 2), "curves.csv", True)
+       for mode in ("approx_delayed_start", "delayed_start")},
 }
 
 # runs in the child: {"s", "peak_mib", "code", "digest"} of one CLI call
@@ -125,8 +132,9 @@ def main(argv=None) -> int:
         cases[case] = entry
 
     record = {
-        "what": "peak RSS and wall time of long check-bounds and check-assumptions calls, "
-                "parent vs change and the change at each swept specifications.CHUNK",
+        "what": "peak RSS and wall time of long check-bounds, check-assumptions and "
+                "delayed-start simulate calls, parent vs change and the change at each "
+                "swept specifications.CHUNK",
         "host": host(),
         "parent_commit": args.parent_commit,
         "order": "in each pair every case runs on every side back to back, one process at "
