@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,11 +227,12 @@ def _map(fn, payloads, threads: int) -> list:
     payload the pool has not yet started.  Results come back in payload
     order, whichever process ran them.  If a payload the caller runs
     raises, the pool's unstarted payloads are cancelled before the error
-    propagates.
+    propagates.  The pool's modules are imported only when one starts.
     """
     workers = min(threads, len(payloads))
     if workers <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
         futures = [pool.submit(fn, p) for p in payloads[:-1]]
         try:

@@ -22,13 +22,13 @@ Two meta-runners wrap a candidate policy:
 Phase 1 never reads the candidate and its naive policy ignores feedback,
 so a rep's phase 1 is its row of a plain lockstep run of the naive policy.
 The certified start finds every rep's hand-over from a plain uniform run
-reduced as it goes (``_Certify``), a fixed-size chunk of boundaries of the
-reps still in phase 1 per ``check_phase`` call.  Neither start stores
-phase 1: the engine plays the naive policy again, a chunk at a time, up to
-each rep's hand-over, and the candidate, which draws from block streams of
-its own, plays the rest, reduced by the caller's ``keep``.  A caller
-reporting ``reps`` results simulates whole blocks and drops the surplus
-(``specifications.whole_blocks``).
+reduced as it goes (``_Certify``), at most ``CHECK_PAIRS`` (open rep,
+boundary) pairs per ``check_phase`` call, so the check's memory does not
+grow with reps.  Neither start stores phase 1: the engine plays the naive
+policy again, a chunk at a time, up to each rep's hand-over, and the
+candidate, which draws from block streams of its own, plays the rest,
+reduced by the caller's ``keep``.  A caller reporting ``reps`` results
+simulates whole blocks and drops the surplus (``specifications.whole_blocks``).
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ from .environments import BernoulliEnv
 from .policies import UniformPolicy, rep_bincount
 from .specifications import Keep, run_lockstep, seed_list
 
-# Boundaries certified per ``check_phase`` call; bounds the work arrays at
-# ``(reps, CHECK_CHUNK, k)`` whatever the horizon.
-CHECK_CHUNK = 256
+# (open rep, boundary) pairs per ``check_phase`` call, at least one boundary,
+# and boundaries per call of an oracle bound: the check's work arrays are
+# ``(CHECK_PAIRS, k)`` whatever the reps.  A 16-rep cell checks 256 boundaries
+# per call.  An env3 cell at n=20,000, b=10 and 256 reps peaked at 44-45 MiB
+# from 2^10 to 2^14 and 53 MiB at 2^16, in like time (``BENCH_28.json``).
+CHECK_PAIRS = 4096
 
 
 class InsufficientDataError(ValueError):
@@ -180,9 +183,10 @@ class _Certify(Keep):
     counts and means there; with ``truth`` the true means stand in for the
     pessimistic instance, and a tied best arm never passes.  Counts and sums
     carry across chunks, and the open reps' totals at each boundary are held
-    up to the next multiple of ``CHECK_CHUNK`` boundaries, for one call.
-    ``result()`` is ``(tau, seen)``: ``tau[r]`` is that boundary or -1, and
-    ``seen[:, r]`` the counts, means and ``theta_hat`` the check saw.
+    until they make ``CHECK_PAIRS`` (rep, boundary) pairs, or one boundary
+    when the open reps alone make more, for one call.  ``result()`` is
+    ``(tau, seen)``: ``tau[r]`` is that boundary or -1, and ``seen[:, r]``
+    the counts, means and ``theta_hat`` the check saw.
     """
 
     reduced = False
@@ -198,12 +202,12 @@ class _Certify(Keep):
     def add(self, lo, part) -> None:
         b, k = self.b, self.k
         j0, j1 = lo // b, (lo + part.actions.shape[1]) // b
-        # the chunk's batches, split where CHECK_CHUNK boundaries are held
-        ends = [*range(j0 - j0 % CHECK_CHUNK + CHECK_CHUNK, j1, CHECK_CHUNK), j1]
-        for p0, p1 in zip([j0, *ends], ends):
+        p0 = j0
+        while p0 < j1 and self.todo.size:
+            # the chunk's batches, split where the held pairs reach the budget
             todo = self.todo
-            if not todo.size:
-                return
+            end = self.checked + max(1, CHECK_PAIRS // todo.size)
+            p1 = min(end, j1)
             acts, rews = (x[todo, (p0 - j0) * b : (p1 - j0) * b].reshape(-1, b)
                           for x in (part.actions, part.rewards))
             at = [total[todo, None] + steps.reshape(len(todo), p1 - p0, k).cumsum(axis=1)
@@ -211,8 +215,9 @@ class _Certify(Keep):
                                                         rep_bincount(acts, k, rews)))]
             self.totals[:, todo] = [a[:, -1] for a in at]
             self.held.append(at)
-            if p1 % CHECK_CHUNK == 0:
+            if p1 == end:
                 self._check()
+            p0 = p1
 
     def _check(self) -> None:
         """Check every held boundary of the open reps in one call."""
@@ -305,8 +310,8 @@ def delayed_start_run(
     seeds, single = seed_list(seed)
     switch = -1
     starts = np.arange(0, grid.n, grid.b)
-    for lo in range(0, grid.M, CHECK_CHUNK):
-        times = starts[lo : lo + CHECK_CHUNK]
+    for lo in range(0, grid.M, CHECK_PAIRS):
+        times = starts[lo : lo + CHECK_PAIRS]
         fires = np.flatnonzero(np.broadcast_to(np.asarray(bound(times + 1)) > 0.0, times.shape))
         if fires.size:
             switch = int(times[fires[0]])

@@ -5,6 +5,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -339,6 +343,15 @@ class TestCheckBounds:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
+    def test_pooled_run_writes_the_bytes_of_one_thread(self, tmp_path):
+        # 48 reps make two chunks of whole blocks, so two threads fork
+        flags = ["check-bounds", "--policy", "ucb", "--env", "env1", "--n", "60",
+                 "--b", "5", "--reps", "48", "--seed", "6"]
+        d1, d2 = tmp_path / "t1", tmp_path / "t2"
+        assert main(flags + ["--threads", "1", "--out-dir", str(d1)]) == 0
+        assert main(flags + ["--threads", "2", "--out-dir", str(d2)]) == 0
+        assert (d1 / "bounds.csv").read_bytes() == (d2 / "bounds.csv").read_bytes()
+
     def test_adversarial_two_phase_exits_1(self, tmp_path):
         rc = main(["check-bounds", "--policy", "two_phase", "--env", "env2",
                    "--n", "20", "--b", "5", "--reps", "2", "--switch-t", "8",
@@ -606,3 +619,37 @@ class TestParser:
 
     def test_unknown_subcommand_exits_2(self):
         assert main(["transmogrify"]) == 2
+
+
+# runs in a fresh interpreter: which pool modules each step has loaded
+POOL_PROBE = """
+import json, sys
+def loaded():
+    return [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+out, steps = sys.argv[1], {}
+import batchband
+from batchband import cli
+from batchband.environments import preset, synth_logged_dataset, write_logged_csv
+steps["import"] = loaded()
+cli.main(["simulate", "--n", "30", "--reps", "2", "--threads", "1", "--out-dir", out])
+steps["simulate"] = loaded()
+write_logged_csv(synth_logged_dataset(preset("env1"), 200, seed=1), out + "/logs.csv")
+cli.main(["replay", "--data", out + "/logs.csv", "--b", "1,5", "--out-dir", out])
+steps["replay"] = loaded()
+cli.main(["check-bounds", "--n", "20", "--b", "5", "--reps", "48", "--threads", "2",
+          "--out-dir", out])
+steps["check-bounds --threads 2"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_single_process_runs_never_load_the_process_pool(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert steps == {"import": [], "simulate": [], "replay": [],
+                     "check-bounds --threads 2": ["concurrent.futures.process",
+                                                  "multiprocessing"]}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import os
 import time
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import batchband.harness as harness
-from batchband import cli, specifications
+from batchband import cli, meta, specifications
 from batchband.core import derive_seed, make_grid
 from batchband.environments import preset
 from batchband.harness import (
@@ -499,7 +500,8 @@ class TestWorkerCount:
         assert _split_reps(10, 3) == [(0, 10)]
 
     def test_pool_starts_no_more_workers_than_payloads(self, monkeypatch):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _SpyPool)
+        # ``_map`` imports the pool from its module only when it forks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
         monkeypatch.setattr(_SpyPool, "workers", [])
         check_theorem_bounds("ucb", "env1", n=20, b=5, reps=1000, threads=10_000)
         run_experiment(small_config(), threads=10_000)
@@ -599,6 +601,14 @@ class TestRegretCurve:
         assert np.array_equal(curve.values, rec.pseudo_regret)
 
 
+def cli_outputs(calls, root):
+    """The bytes of every CSV that the CLI ``calls`` write, each call in its
+    own directory under ``root``."""
+    for i, argv in enumerate(calls):
+        cli.main(argv + ["--out-dir", str(root / str(i))])
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*.csv"))}
+
+
 @pytest.mark.parametrize("chunk", [2, 3, specifications.CHUNK])
 def test_output_csvs_do_not_depend_on_the_engine_chunk(tmp_path, monkeypatch, capsys, chunk):
     # plain stacked cells, certified starts, a sandwich check and the
@@ -616,15 +626,26 @@ def test_output_csvs_do_not_depend_on_the_engine_chunk(tmp_path, monkeypatch, ca
          "--min-t", "5"],
     ]
 
-    def outputs(root):
-        for i, argv in enumerate(calls):
-            cli.main(argv + ["--out-dir", str(root / str(i))])
-        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*.csv"))}
-
-    default = outputs(tmp_path / "default")
+    default = cli_outputs(calls, tmp_path / "default")
     assert len(default) == 8
     monkeypatch.setattr(specifications, "CHUNK", chunk)
-    assert outputs(tmp_path / "chunked") == default
+    assert cli_outputs(calls, tmp_path / "chunked") == default
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget", [1, 40, 10**6])
+def test_delayed_start_csvs_do_not_depend_on_the_check_budget(tmp_path, monkeypatch, capsys,
+                                                             budget):
+    # one boundary per call, calls that grow as reps hand over, and one call
+    calls = [
+        ["simulate", "--env", "env3,env6", "--policy", "ucb,ts", "--mode", mode,
+         "--n", "301", "--b", "1,4", "--reps", "5", "--threads", "1"]
+        for mode in ("approx_delayed_start", "delayed_start")]
+
+    default = cli_outputs(calls, tmp_path / "default")
+    assert len(default) == 4
+    monkeypatch.setattr(meta, "CHECK_PAIRS", budget)
+    assert cli_outputs(calls, tmp_path / "budget") == default
     capsys.readouterr()
 
 
@@ -660,6 +681,20 @@ def test_a_sweep_cell_holds_o_reps_times_chunk_memory_in_every_mode(mode):
         tracemalloc.stop()
     assert row.curve_mean.shape == (20_000,)
     assert peak < 4 * 2**20
+
+
+def test_a_certified_cell_at_256_reps_traces_about_a_plain_cells_memory():
+    # the certification's check once held 256 boundaries of every open rep,
+    # 12.0 MiB traced here against 3.5 MiB plain
+    peaks = {}
+    for mode in ("plain", "approx_delayed_start"):
+        tracemalloc.start()
+        try:
+            harness._run_cell(env3_ucb_cell(mode, n=2000, b=10, reps=256))
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["approx_delayed_start"] < peaks["plain"] + 2 * 2**20
 
 
 @pytest.mark.parametrize("mode", ["delayed_start", "approx_delayed_start"])

@@ -423,17 +423,21 @@ def test_certification_matches_scalar_checks_per_boundary(
             assert (got is None and want is None) or np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("check_chunk,chunk,b", [(1, 2, 1), (7, 9, 1), (7, 21, 3), (40, 256, 3)])
-def test_certification_in_chunks_matches_scalar_checks_per_boundary(monkeypatch, check_chunk,
+@pytest.mark.parametrize("check_pairs,chunk,b", [(1, 2, 1), (7, 9, 1), (7, 21, 3), (40, 256, 3),
+                                                  (100, 9, 1), (760, 256, 3)])
+def test_certification_in_chunks_matches_scalar_checks_per_boundary(monkeypatch, check_pairs,
                                                                     chunk, b):
     # groups of checked boundaries that end inside the engine's chunks, on
-    # their edges and past several of them; each call checks one group
-    monkeypatch.setattr(meta, "CHECK_CHUNK", check_chunk)
+    # their edges and past several of them, of one boundary while the open
+    # reps exceed the budget, and growing as reps hand over; each call
+    # checks one contiguous run of boundaries after the last call's, within
+    # the budget unless it is a single boundary
+    monkeypatch.setattr(meta, "CHECK_PAIRS", check_pairs)
     monkeypatch.setattr(specifications, "CHUNK", chunk)
     groups = []
 
     def spy(counts, means, t, delta):
-        groups.append(set((np.asarray(t) - 1) // (b * check_chunk)))
+        groups.append((len(t), sorted(set(np.asarray(t) // b))))
         return check_phase(counts, means, t, delta)
 
     monkeypatch.setattr(meta, "check_phase", spy)
@@ -444,7 +448,13 @@ def test_certification_in_chunks_matches_scalar_checks_per_boundary(monkeypatch,
     phase1 = run_batch(UniformPolicy(2), env, grid, seeds)
     ref = scan_certification(phase1.actions, phase1.rewards, b, 2, 0.01)
     assert len({tau for tau, *_ in ref}) > 3
-    assert groups and all(len(g) == 1 for g in groups)
+    assert groups
+    last = 0
+    for pairs, boundaries in groups:
+        assert boundaries == list(range(boundaries[0], boundaries[-1] + 1))
+        assert boundaries[0] > last
+        assert pairs <= check_pairs or len(boundaries) == 1
+        last = boundaries[-1]
     for phase, (tau, counts, mean_hat, theta_hat) in zip(run.phases, ref):
         assert phase.tau_hat == tau
         for got, want in ((phase.counts, counts), (phase.means, mean_hat),
@@ -452,8 +462,25 @@ def test_certification_in_chunks_matches_scalar_checks_per_boundary(monkeypatch,
             assert (got is None and want is None) or np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("reps", [16, 40, 256])
+def test_no_certification_call_checks_more_pairs_than_the_budget(monkeypatch, reps):
+    calls = []
+
+    def spy(counts, means, t, delta):
+        calls.append((len(t), int(np.max(t))))
+        return check_phase(counts, means, t, delta)
+
+    monkeypatch.setattr(meta, "check_phase", spy)
+    seeds = [derive_seed(5, "budget", i) for i in range(reps)]
+    approx_delayed_start_run(UcbPolicy(2), preset("env3"), make_grid(1000, 1), 0.01, seeds)
+    assert calls and all(rows <= meta.CHECK_PAIRS for rows, _ in calls)
+    # the first call ends at budget / reps boundaries: 256 for a 16-rep
+    # cell, as when every call checked 256
+    assert calls[0][1] == meta.CHECK_PAIRS // reps
+
+
 # check_phase calls per certified cell at n=2000 and 10 reps when phase 1
-# was stored whole and its boundaries checked CHECK_CHUNK at a time
+# was stored whole and its boundaries checked 256 at a time
 STORED_HEAD_CHECKS = {("env1", 1): 8, ("env3", 1): 4, ("env6", 1): 8,
                       ("env1", 10): 1, ("env3", 10): 1, ("env6", 100): 1}
 
@@ -499,4 +526,16 @@ def test_oracle_switch_matches_scalar_bound_scan(means, b, n, which):
     grid = make_grid(n, b)
     want = next((t for t in range(0, grid.n, b) if bound(t + 1) > 0.0), None)
     rec = delayed_start_run(UcbPolicy(env.k), UniformPolicy(env.k), bound, env, grid, 4)
+    assert rec.phase.tau_hat == want
+
+
+@pytest.mark.parametrize("check_pairs", [1, 7])
+def test_oracle_switch_is_found_past_the_first_chunk_of_boundaries(monkeypatch, check_pairs):
+    # the bound is asked CHECK_PAIRS boundaries at a time
+    monkeypatch.setattr(meta, "CHECK_PAIRS", check_pairs)
+    env = preset("env3")
+    bound, grid = MonotoneBound(env.means), make_grid(600, 1)
+    want = next(t for t in range(grid.n) if bound(t + 1) > 0.0)
+    assert want > 5 * check_pairs
+    rec = delayed_start_run(UcbPolicy(2), UniformPolicy(2), bound, env, grid, 4)
     assert rec.phase.tau_hat == want

@@ -1,5 +1,6 @@
-"""The alternating-pairs protocol of the timing scripts in ``tools/``, and
-smoke runs of ``tools/time_replay.py``, ``tools/time_log_io.py``,
+"""The alternating-pairs protocol of the timing scripts in ``tools/``, the
+summary of ``tools/bench_pairs.py``, and smoke runs of
+``tools/time_replay.py``, ``tools/time_log_io.py``,
 ``tools/measure_memory.py`` and ``tools/sweep_scalar_beta.py``.
 
 ``tools/pairs.py`` is not part of the package, so it is loaded from its
@@ -29,6 +30,8 @@ def _load(name):
 
 
 pairs = _load("pairs")
+sys.modules.setdefault("pairs", pairs)  # as the scripts import it
+bench_pairs = _load("bench_pairs")
 
 
 def test_pairs_alternate_which_side_runs_first():
@@ -65,6 +68,46 @@ def test_src_lines_counts_the_package_modules(tmp_path):
     (package / "b.py").write_text("z = 3\n")
     (package / "notes.txt").write_text("not a module\n")
     assert pairs.src_lines(str(tmp_path)) == 3
+
+
+def _bench_record(tree, seed, setups, refs, wall):
+    """``tree``, whose ``.bench_results`` now holds one fake benchmark
+    result of workload ``w``."""
+    (tree / ".bench_results").mkdir(parents=True)
+    record = {
+        "result": {"correct": True, "metrics": {"wall_s": {"value": wall},
+                                                "setup_s": {"value": 0.1}}},
+        "detail": {"pass_wall_samples": [wall], "digests": {"a.csv": "x"},
+                   "setup_samples": setups, "setup_ref_import_s": refs},
+    }
+    path = tree / ".bench_results" / f"w-seed{seed}-trace0.json"
+    path.write_text(json.dumps(record))
+    return str(tree)
+
+
+def test_bench_pairs_records_raw_setup_times_and_their_medians(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: None)
+    sides = {"parent": ([0.3, 0.2, 0.4], [0.05, 0.04, 0.06]),
+             "change": ([0.1, 0.2, 0.15], [0.07, 0.06, 0.05])}
+    runs = {side: [bench_pairs.bench_run(_bench_record(tmp_path / f"{side}{seed}", seed, *[
+        [x + seed for x in xs] for xs in sides[side]], wall=seed), "w", seed, 1.0)
+        for seed in (0, 1)] for side in sides}
+    assert runs["parent"][1]["raw_setup_s"] == [1.3, 1.2, 1.4]
+    assert runs["change"][0]["raw_setup_ref_import_s"] == [0.07, 0.06, 0.05]
+    entry = bench_pairs.summarise_workload(runs["parent"], runs["change"],
+                                           {"wall_s": "lower", "setup_s": "lower"})
+    assert entry["all_correct"] and entry["output_digests_equal_between_sides"]
+    assert entry["raw_setup_s"]["parent"] == [[0.3, 0.2, 0.4], [1.3, 1.2, 1.4]]
+    assert entry["raw_setup_ref_import_s"]["change"] == [[0.07, 0.06, 0.05],
+                                                        [1.07, 1.06, 1.05]]
+    # per side, the median over runs of each run's median
+    unscaled = entry["setup_unscaled"]
+    assert unscaled["setup_s"]["parent"]["values"] == [0.3, 1.3]
+    assert unscaled["setup_s"]["change"]["median"] == statistics.median([0.15, 1.15])
+    assert unscaled["setup_s"]["change_wins"] == "2/2"
+    assert unscaled["setup_ref_import_s"]["parent"]["values"] == [0.05, 1.05]
+    assert unscaled["setup_ref_import_s"]["change_wins"] == "0/2"
+    assert entry["metrics"]["wall_s"]["change_wins"] == "0/2"
 
 
 def test_time_replay_runs_at_tiny_sizes(tmp_path):

@@ -18,13 +18,19 @@ quartiles (``statistics.quantiles(values, n=4)``), how many pairs the change
 won (strictly better in the metric's direction) and the relative change of
 the medians.  It also records whether both trees wrote the same output
 digests for every seed, each run's raw pass wall times, and each tree's
-``wc -l src/batchband/*.py`` total.  The pair protocol is ``tools/pairs.py``.
+``wc -l src/batchband/*.py`` total.  ``setup_s`` is a set-up time scaled by
+the time of the benchmark's reference imports in the same interpreter, so
+the summary also holds each run's raw set-up times and reference-import
+times, and per side the medians and quartiles of their per-run medians:
+a change to what batchband imports can move the reference too.  The pair
+protocol is ``tools/pairs.py``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -48,13 +54,35 @@ def bench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     path = os.path.join(tree, ".bench_results", f"{workload}-seed{seed}-trace0.json")
     with open(path) as fh:
         record = json.load(fh)
-    result = record["result"]
+    result, detail = record["result"], record["detail"]
     return {
         "seed": seed,
         "correct": result["correct"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-        "raw_pass_wall_s": record["detail"]["pass_wall_samples"],
-        "digests": record["detail"]["digests"],
+        "raw_pass_wall_s": detail["pass_wall_samples"],
+        "raw_setup_s": detail["setup_samples"],
+        "raw_setup_ref_import_s": detail["setup_ref_import_s"],
+        "digests": detail["digests"],
+    }
+
+
+def summarise_workload(par: list, chg: list, better: dict) -> dict:
+    """One workload's entry from its parent and change runs (``bench_run``
+    results in pair order); ``better`` maps each end-to-end metric to its
+    direction."""
+    sides = {"parent": par, "change": chg}
+    return {
+        "all_correct": all(r["correct"] for r in par + chg),
+        "output_digests_equal_between_sides": all(
+            a["digests"] == b["digests"] for a, b in zip(par, chg)),
+        "metrics": {name: compare([r["metrics"][name] for r in par],
+                                  [r["metrics"][name] for r in chg], direction)
+                    for name, direction in better.items()},
+        "setup_unscaled": {key: compare([statistics.median(r[f"raw_{key}"]) for r in par],
+                                        [statistics.median(r[f"raw_{key}"]) for r in chg])
+                           for key in ("setup_s", "setup_ref_import_s")},
+        **{f"raw_{key}": {side: [r[f"raw_{key}"] for r in rs] for side, rs in sides.items()}
+           for key in ("pass_wall_s", "setup_s", "setup_ref_import_s")},
     }
 
 
@@ -74,19 +102,8 @@ def main(argv=None) -> int:
     runs = run_pairs(len(seeds), args.workloads.split(","), trees,
                      lambda w, side, pair: bench_run(trees[side], w, seeds[pair], args.seconds))
 
-    summary = {}
-    for w, sides in runs.items():
-        par, chg = sides["parent"], sides["change"]
-        summary[w] = {
-            "all_correct": all(r["correct"] for r in par + chg),
-            "output_digests_equal_between_sides": all(
-                a["digests"] == b["digests"] for a, b in zip(par, chg)),
-            "metrics": {name: compare([r["metrics"][name] for r in par],
-                                      [r["metrics"][name] for r in chg], direction)
-                        for name, direction in better.items()},
-            "raw_pass_wall_s": {side: [r["raw_pass_wall_s"] for r in rs]
-                                for side, rs in sides.items()},
-        }
+    summary = {w: summarise_workload(sides["parent"], sides["change"], better)
+               for w, sides in runs.items()}
 
     record = {
         "command": f"python3 bench/run_bench.py --workload <workload> --seed <seed> "

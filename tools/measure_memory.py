@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Peak RSS and wall time of long ``check-bounds``, ``check-assumptions`` and
 delayed-start ``simulate`` calls on two source trees, and of the change at
-swept engine chunk widths.
+swept engine chunk widths and certification budgets.
 
 Usage (from the repository root)::
 
@@ -27,9 +27,12 @@ the call wrote.  The cases:
   ``simulate --env env3 --policy ucb --b 10 --threads 1 --n 20000 --reps
   256`` in that ``--mode``, one sweep cell of each delayed start.
 
-The sides are the parent, the change, and one side per ``--chunks`` value:
-the change tree with ``specifications.CHUNK`` set to that value in the
-child, which sweeps the constant.  Processes run one at a time: the parent's
+The sides are the parent, the change, one side per ``--chunks`` value: the
+change tree with ``specifications.CHUNK`` set to that value in the child,
+which sweeps the constant, and likewise one side per ``--budgets`` value,
+which sets ``meta.CHECK_PAIRS``.  ``--cases`` runs only the named cases
+(comma-separated) and ``--reps`` replaces every case's reps.  Processes
+run one at a time: the parent's
 ``check-bounds`` at n=100,000 takes about 3.3 GB.  In each pair every case
 runs on every side back to back, in the given order of sides on odd pairs
 and reversed on even pairs.  The summary holds, per case and side, the
@@ -65,13 +68,16 @@ CASES = {
        for mode in ("approx_delayed_start", "delayed_start")},
 }
 
+# swept constants: side label prefix -> (batchband module, name)
+SWEEPS = {"chunk": ("specifications", "CHUNK"), "check_pairs": ("meta", "CHECK_PAIRS")}
+
 # runs in the child: {"s", "peak_mib", "code", "digest"} of one CLI call
 CHILD = """
-import contextlib, hashlib, io, json, os, resource, sys, time
-from batchband import cli, specifications
+import contextlib, hashlib, importlib, io, json, os, resource, sys, time
+from batchband import cli
 a = json.loads(sys.argv[1])
-if a["chunk"]:
-    specifications.CHUNK = a["chunk"]
+for module, name, value in a["set"]:
+    setattr(importlib.import_module("batchband." + module), name, value)
 t0 = time.perf_counter()
 with contextlib.redirect_stdout(io.StringIO()):  # stdout carries the JSON
     code = cli.main(a["argv"] + ["--out-dir", a["out"]])
@@ -83,41 +89,50 @@ print(json.dumps({"s": s, "peak_mib": peak, "code": code, "digest": digest}))
 """
 
 
-def case_argv(case: str, smoke: bool) -> list:
+def case_argv(case: str, smoke: bool, reps: int = 0) -> list:
     args, full, small = CASES[case][:3]
-    n, reps = small if smoke else full
-    return args.split() + ["--n", str(n), "--reps", str(reps)]
+    n, case_reps = small if smoke else full
+    return args.split() + ["--n", str(n), "--reps", str(reps or case_reps)]
 
 
 def main(argv=None) -> int:
     p = tree_parser(__doc__)
     p.add_argument("--pairs", type=int, default=3)
     p.add_argument("--chunks", default="", help="comma-separated CHUNK values to sweep")
+    p.add_argument("--budgets", default="",
+                   help="comma-separated meta.CHECK_PAIRS values to sweep")
+    p.add_argument("--cases", default=",".join(CASES), help="comma-separated cases to run")
+    p.add_argument("--reps", type=int, default=0, help="reps of every case, in place of its own")
     p.add_argument("--smoke", action="store_true", help="tiny cases, to check the script")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be >= 2 for quartiles")
+    chosen = args.cases.split(",")
+    if set(chosen) - set(CASES):
+        p.error(f"unknown cases {sorted(set(chosen) - set(CASES))}")
 
-    sides = {"parent": (args.parent, 0), "change": (args.change, 0)}
-    sides.update({f"chunk={c}": (args.change, int(c)) for c in args.chunks.split(",") if c})
+    sides = {"parent": (args.parent, []), "change": (args.change, [])}
+    for label, values in (("chunk", args.chunks), ("check_pairs", args.budgets)):
+        sides.update({f"{label}={v}": (args.change, [[*SWEEPS[label], int(v)]])
+                      for v in values.split(",") if v})
     with tempfile.TemporaryDirectory() as work:
         def run(case, side, pair):
             if side == "parent" and not CASES[case][4]:
                 return None
             out = os.path.join(work, f"{side}-{pair}-{case.replace(' ', '_')}")
-            tree, chunk = sides[side]
+            tree, settings = sides[side]
             return run_child(tree, CHILD, json.dumps({
-                "argv": case_argv(case, args.smoke), "out": out, "csv": CASES[case][3],
-                "chunk": chunk}))
+                "argv": case_argv(case, args.smoke, args.reps), "out": out,
+                "csv": CASES[case][3], "set": settings}))
 
-        runs = run_pairs(args.pairs, list(CASES), sides, run)
+        runs = run_pairs(args.pairs, chosen, sides, run)
 
     cases = {}
     for case, by_side in runs.items():
         by_side = {side: rs for side, rs in by_side.items() if rs[0] is not None}
         results = [r for rs in by_side.values() for r in rs]
         entry = {
-            "argv": case_argv(case, args.smoke),
+            "argv": case_argv(case, args.smoke, args.reps),
             "s": {side: summarise([r["s"] for r in rs]) for side, rs in by_side.items()},
             "peak_mib": {side: summarise([r["peak_mib"] for r in rs])
                          for side, rs in by_side.items()},
@@ -134,7 +149,7 @@ def main(argv=None) -> int:
     record = {
         "what": "peak RSS and wall time of long check-bounds, check-assumptions and "
                 "delayed-start simulate calls, parent vs change and the change at each "
-                "swept specifications.CHUNK",
+                "swept specifications.CHUNK and meta.CHECK_PAIRS",
         "host": host(),
         "parent_commit": args.parent_commit,
         "order": "in each pair every case runs on every side back to back, one process at "
