@@ -10,7 +10,7 @@ follow one scheme:
 * ``fails`` / ``violated``: contradicted beyond two standard errors;
 * ``inconclusive``: the noise swamped the comparison.
 
-Monte-Carlo checks derive per-rep seeds with ``derive_seed`` so results are
+Monte-Carlo checks derive per-rep seeds with ``sim_seeds`` so results are
 reproducible and extendable, simulate every trajectory with the one engine
 (``run_online``), which keeps only what each check reads, and share one
 reduction (``_mean_se``, chunk by chunk in ``Curves``) and one
@@ -23,17 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_TOL, DecisionRule, derive_seed, rule_value
+from .core import PROB_TOL, DecisionRule, rule_value
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
 from .policies import UniformPolicy, rep_bincount
-from .specifications import (Keep, Play, Steps, block_streams, check_arms, run_online,
-                             whole_blocks)
+from .specifications import Keep, Play, Steps, block_streams, check_arms, run_online, sim_seeds
 
 Z_ONE_SIDED_95 = 1.645
 
 # Pairs ``check_sublinearity`` judges per block of rows, so each of its
-# float work arrays holds 2 MiB whatever the horizon.
+# float work arrays holds 2 MiB whatever the horizon: on a 4,000-step curve
+# a call traced 6.3 MiB (tools/time_fast_paths.py, BENCH_29.json).
 _PAIR_CELLS = 2**18
 
 
@@ -204,13 +204,6 @@ def _rep_rules(policy, states, streams):
     return probs
 
 
-def _sim_seeds(policy, reps: int, *key) -> list:
-    """Seeds ``derive_seed(*key, i)`` of the reps to simulate for ``reps``
-    results: whole blocks when ``policy`` draws."""
-    sim = whole_blocks(reps) if policy.draws else reps
-    return [derive_seed(*key, i) for i in range(sim)]
-
-
 def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
     """Per-step decision rules of an online run, averaged over repetitions.
 
@@ -228,7 +221,7 @@ def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
     k = env.k
     if isinstance(policy, UniformPolicy):
         return [DecisionRule(np.full(k, 1.0 / k))] * n
-    seeds = _sim_seeds(policy, reps, master_seed, "trace")
+    seeds = sim_seeds(policy.draws, reps, master_seed, "trace")
     actions = run_online(policy, env, n, seeds, keep=Play()).actions[:reps]
     return [DecisionRule(p) for p in rep_bincount(actions.T, k) / reps]
 
@@ -266,7 +259,7 @@ def check_negated_sublinearity(
             holds=False, verdict="boundary", d=0.0, stderr=0.0,
             mean_n=float("nan"), mean_m=float("nan"), b=1,
         )
-    seeds = _sim_seeds(policy, reps, master_seed, "neg_n")
+    seeds = sim_seeds(policy.draws, reps, master_seed, "neg_n")
     r_n, r_m = run_online(policy, env, grid.n, seeds, keep=Steps(grid.n - 1, grid.M - 1))[:reps].T
     d, se = (float(x) for x in _mean_se(r_n - grid.b * r_m))
     verdict = _verdict(d, se)
@@ -318,7 +311,7 @@ def probe_informativeness(
         raise ValueError("need 0 <= k_prime <= k <= t")
     opt = env.optimal_arm
     others = np.delete(np.arange(env.k), opt)
-    seeds = _sim_seeds(policy, reps, master_seed, "informativeness")
+    seeds = sim_seeds(policy.draws, reps, master_seed, "informativeness")
     # each rep's uniforms for both histories, drawn as the engine draws them
     uniforms = np.array([np.random.default_rng(s).random(2 * t) for s in seeds])
     streams = block_streams(seeds)
@@ -377,7 +370,7 @@ def check_monotone_envelope(
         raise ValueError("need at least 2 reps")
     per_arm = bound.per_arm(np.arange(1, t_max + 1))  # (t_max, k)
     ts = np.arange(1, t_max + 1, dtype=float)
-    seeds = _sim_seeds(policy, reps, master_seed, "envelope")
+    seeds = sim_seeds(policy.draws, reps, master_seed, "envelope")
     actions = run_online(policy, env, t_max, seeds, keep=Play()).actions[:reps]
     mean = np.empty((t_max, env.k))
     lower = np.empty((t_max, env.k))

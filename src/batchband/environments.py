@@ -7,7 +7,8 @@ Two environment families are supported:
   four-armed configurations.
 * ``LinearContextualEnv``: disjoint-arm linear model.  A context vector on
   the unit sphere is embedded one-hot per arm, the mean reward is the inner
-  product with a global weight vector, and the noise is standard Gaussian.
+  product with a global weight vector, and the noise is standard Gaussian,
+  all made from standard normals that its caller draws.
 
 Logged datasets for offline replay are plain CSV files with one row per
 round: context coordinates (if any), the logged action, the observed reward,
@@ -125,11 +126,12 @@ def block_features(contexts: np.ndarray, k: int) -> np.ndarray:
 class LinearContextualEnv:
     """Disjoint-arm linear environment.
 
-    Contexts are drawn uniformly on the unit sphere in ``context_dim``
-    dimensions.  Arm ``a``'s feature vector places the context in block
+    Contexts are uniform on the unit sphere in ``context_dim`` dimensions
+    (``contexts``).  Arm ``a``'s feature vector places the context in block
     ``a`` of a ``k * context_dim`` one-hot layout, so the weight vector has
     dimension ``k * context_dim`` and each arm effectively owns its own
-    weight block.  Rewards are the linear mean plus N(0, 1) noise.
+    weight block.  Rewards are the linear mean plus N(0, 1) noise
+    (``rewards``).
     """
 
     theta: np.ndarray
@@ -154,25 +156,20 @@ class LinearContextualEnv:
     def dim(self) -> int:
         return int(self.theta.size)
 
-    def sample_contexts(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """Draw ``m`` contexts uniformly on the unit sphere, shape (m, p)."""
-        raw = rng.standard_normal((m, self.context_dim))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    def contexts(self, normals: np.ndarray) -> np.ndarray:
+        """Unit contexts from standard normals ``(..., p)``; a zero row stays zero."""
+        norms = np.linalg.norm(normals, axis=-1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        return raw / norms
+        return normals / norms
 
     def mean_matrix(self, contexts: np.ndarray) -> np.ndarray:
         """Mean reward of every arm for contexts (..., m, p), shape (..., m, k)."""
         blocks = self.theta.reshape(self.k, self.context_dim)
         return np.asarray(contexts, dtype=float) @ blocks.T
 
-    def sample_rewards(
-        self, chosen_features: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Noisy rewards for already-chosen feature vectors, shape (m,)."""
-        chosen_features = np.asarray(chosen_features, dtype=float)
-        means = chosen_features @ self.theta
-        return means + rng.standard_normal(means.shape)
+    def rewards(self, chosen_features: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Rewards of chosen feature vectors ``(..., k * p)``: mean plus ``noise``."""
+        return np.asarray(chosen_features, dtype=float) @ self.theta + noise
 
 
 def make_linear_env(k: int, context_dim: int, seed: int = 0) -> LinearContextualEnv:
@@ -235,18 +232,19 @@ def synth_logged_dataset(
 ) -> LoggedData:
     """Generate a dataset logged by uniform play over the arms.
 
-    Contextual environments draw a fresh context per record.
+    Contextual environments draw a fresh context per record: every record's
+    context normals after the actions, then every record's reward noise.
     """
     rng = np.random.default_rng(check_seed(seed, DataError))
     k = env.k
     probs = np.full(k, 1.0 / k)
     actions = rng.choice(k, size=n_records, p=probs)
     if isinstance(env, LinearContextualEnv):
-        contexts = env.sample_contexts(rng, n_records)
+        contexts = env.contexts(rng.standard_normal((n_records, env.context_dim)))
         # each context in its arm's columns: block_features' row of that arm
         chosen = np.zeros((n_records, k, env.context_dim))
         chosen[np.arange(n_records), actions] = contexts
-        rewards = env.sample_rewards(chosen.reshape(n_records, env.dim), rng)
+        rewards = env.rewards(chosen.reshape(n_records, env.dim), rng.standard_normal(n_records))
     else:
         contexts = np.zeros((n_records, 0))
         rewards = env.sample_rewards(actions, rng)

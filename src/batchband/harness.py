@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assumptions import Curves, RegretCurve, _mean_se, _sim_seeds, _verdict
-from .core import derive_seed, make_grid, write_csv
+from .assumptions import Curves, RegretCurve, _mean_se, _verdict
+from .core import derive_seed, make_grid, write_csv  # noqa: F401  bench/spans.py wraps derive_seed
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from .policies import POLICY_NAMES, PolicyError, UniformPolicy, make_policy
-from .specifications import BLOCK_REPS, Steps, run_batch, run_online, whole_blocks
+from .specifications import BLOCK_REPS, Steps, run_batch, run_online, sim_seeds, whole_blocks
 
 MODES = ("plain", "delayed_start", "approx_delayed_start")
 
@@ -258,12 +258,13 @@ def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_fro
 
 def _run_cell(group):
     """A ``CellResult`` per env of ``group``, ``(config, policy name, b,
-    policy, sim, envs)``: cells of one policy, batch size and simulated rep
-    count, from one engine call; module-level so pools can pickle it."""
-    c, p, b, policy, sim, env_specs = group
+    policy, pads, envs)``: cells of one policy and batch size, padded when
+    ``pads``, from one engine call; module-level so pools can pickle it."""
+    c, p, b, policy, pads, env_specs = group
     envs = [parse_env(e) for e in env_specs]
-    seeds = [derive_seed(c.master_seed, _cell_key(e, p, c.mode, c.n, b, c.delta, c.bound_from), i)
-             for e in env_specs for i in range(sim)]
+    keys = [_cell_key(e, p, c.mode, c.n, b, c.delta, c.bound_from) for e in env_specs]
+    seeds = [s for key in keys for s in sim_seeds(pads, c.reps, c.master_seed, key)]
+    sim = len(seeds) // len(envs)
     grid = make_grid(c.n, b)
     env = envs[0]
     keep = Curves((i * sim, i * sim + c.reps) for i in range(len(envs)))
@@ -294,11 +295,11 @@ def _run_cell(group):
 
 
 # With one working process an engine call holds up to this many simulated
-# rep-steps, unless one cell needs more.  Reduced as it goes, a full call of
-# 16 ts cells of 32 reps at n=2048 peaks at 6.9 MiB, its chunks and curves
-# (tracemalloc), where whole run arrays took 33 bytes per rep-step, 34 MiB.
-# Stacking gained up to 768k rep-steps a call, was even at 1.5M and lost at
-# 3M; over two processes its fewer, coarser calls lost (BENCH_18.json).
+# rep-steps, unless one cell needs more; a full call of 16 ts cells of 32
+# reps at n=2048 peaks at 6.9 MiB.  Stacking gained up to 768k rep-steps a
+# call and lost over two processes (BENCH_18.json); calls of 0.2M to 3M at
+# 256 and 512 reps took 0.90-1.16 times their cells alone and peaked 4.9-12.7
+# MiB higher (tools/time_stacking.py --reps 256,512 --threads 1, BENCH_29.json).
 STACK_STEPS = 2**20
 
 
@@ -314,10 +315,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
     for e, p, b in c.cells():
         policy = _cell_policy(p, parse_env(e), c.n, c.policy_params.get(p, {}))
         # the delayed starts' first phase is uniform play, which draws
-        sim = whole_blocks(c.reps) if policy.draws or c.mode != "plain" else c.reps
+        pads = policy.draws or c.mode != "plain"
         group = open_groups.get((policy, b))
-        if group is None or (len(group[-1]) + 1) * sim * c.n > budget:
-            group = open_groups[policy, b] = (c, p, b, policy, sim, [])
+        if group is None or (len(group[-1]) + 1) * whole_blocks(c.reps, pads) * c.n > budget:
+            group = open_groups[policy, b] = (c, p, b, policy, pads, [])
             groups.append(group)
         group[-1].append(e)
     results = _map(_run_cell, groups, threads)
@@ -440,13 +441,10 @@ def _bound_chunk(payload):
     env = parse_env(env_spec)
     grid = make_grid(n, b)
     key = f"thm|{env_spec}|{policy_name}|{n}|{b}"
-    end = lo + whole_blocks(hi - lo) if policy.draws else hi
-
-    def seeds(tag):
-        return [derive_seed(master_seed, key, tag, i) for i in range(lo, end)]
-
-    online = run_online(policy, env, n, seeds("online"), keep=Steps(n - 1, grid.M - 1))
-    batch = run_batch(policy, env, grid, seeds("batch"), keep=Steps(n - 1))
+    on, batched = (sim_seeds(policy.draws, hi - lo, master_seed, key, tag, lo=lo)
+                   for tag in ("online", "batch"))
+    online = run_online(policy, env, n, on, keep=Steps(n - 1, grid.M - 1))
+    batch = run_batch(policy, env, grid, batched, keep=Steps(n - 1))
     return np.column_stack([online[:, 0], batch[:, 0], online[:, 1]])[: hi - lo]
 
 
@@ -454,6 +452,6 @@ def regret_curve(policy, env, grid, reps: int, master_seed: int = 0) -> RegretCu
     """Pointwise mean and stderr of cumulative pseudo-regret over reps of
     ``grid``'s schedule, which at b=1 is the online run."""
     spec = "online" if grid.b == 1 else "batch"
-    seeds = _sim_seeds(policy, reps, master_seed, "curve", spec, grid.n, grid.b)
+    seeds = sim_seeds(policy.draws, reps, master_seed, "curve", spec, grid.n, grid.b)
     keep = run_batch(policy, env, grid, seeds, keep=Curves([(0, reps)]))
     return RegretCurve(keep.mean[0], keep.stderr[0], reps)

@@ -10,11 +10,11 @@ A policy runs ``R`` reps in lockstep through three operations:
   ``rngs[i]`` is the one generator of block ``i``, the reps ``i * BLOCK_REPS``
   up to ``(i + 1) * BLOCK_REPS`` (the last block may be short), and a
   drawing policy makes one draw for every rep of each block that holds any
-  of ``rows``, whatever its other reps are doing.  The linear policies draw
-  from ``rngs[r]``, one generator per rep, and read ``contexts``, the
-  ``(len(rows), b, p)`` contexts of the rows' steps; LinTS also takes its
-  ``(len(rows), b, k * p)`` standard normals as ``noise``, drawn by the
-  caller, in place of drawing them.  Only the finite-armed policies
+  of ``rows``, whatever its other reps are doing.  The linear policies
+  read ``contexts``, the ``(len(rows), b, p)`` contexts of the rows' steps,
+  and touch no generator: LinTS proposes from ``noise``, the rows'
+  ``(len(rows), b, k * p)`` standard normals, which its caller draws, and
+  raises ``PolicyError`` without them.  Only the finite-armed policies
   that are not adaptive take a keyword ``batches`` (default 1): one call
   then plays ``batches`` batches and returns ``(len(rows), batches * b)``
   actions, batch-major, the same as that many one-batch calls.
@@ -24,18 +24,19 @@ A policy runs ``R`` reps in lockstep through three operations:
   contexts, ``(R, m, p)``.
 
 Every rep has seen the same amount of feedback, ``t_seen``.  ``draws``
-says whether ``act_reps`` consumes the generators; a policy that draws
-nothing plays a pure function of its state and contexts.  ``adaptive``
-says whether ``act_reps`` reads the state at all; a policy that is not
-adaptive (uniform and fixed-arm play) ignores feedback, so ``b`` steps from
-any state are ``b`` steps from the initial one.  State is frozen within a
-batch, so the played rule is constant inside it.  TS on a state of one rep
-(a lone run, a replay) takes Python-float paths, whose one-rep posterior
-(``ts_posterior``) and first-maximum pick (``ts_arm``, ``ts_arms``) are
-written once here, for ``act_reps`` and for replay's TS loop: the same IEEE
-operations in the same order as the array paths, so the same bits.  UCB's
-one-rep state also runs ahead (``UcbPolicy.run_ahead``): over the batches
-its leader keeps, given the leader's rewards, in one call.
+says whether a play consumes random numbers, from ``rngs`` or, for LinTS,
+from its caller; a policy that draws nothing plays a pure function of its
+state and contexts.  ``adaptive`` says whether ``act_reps`` reads the state
+at all; a policy that is not adaptive (uniform and fixed-arm play) ignores
+feedback, so ``b`` steps from any state are ``b`` steps from the initial
+one.  State is frozen within a batch, so the played rule is constant inside
+it.  TS on a state of one rep (a lone run, a replay) takes Python-float
+paths, whose one-rep posterior (``ts_posterior``) and first-maximum pick
+(``ts_arm``, ``ts_arms``) are written once here, for ``act_reps`` and for
+replay's TS loop: the same IEEE operations in the same order as the array
+paths, so the same bits.  UCB's one-rep state also runs ahead
+(``UcbPolicy.run_ahead``): over the batches its leader keeps, given the
+leader's rewards, in one call.
 """
 
 from __future__ import annotations
@@ -186,8 +187,9 @@ class UcbPolicy(_CountPolicy):
         if not states.unpulled:
             idx = states.sums / counts + self.c * np.sqrt(bonus / counts)
         else:
-            # entering errstate costs about as much as the index itself,
-            # so only while some count is still zero
+            # errstate only while a count is zero: entered on every call it took
+            # act_reps from 4.4-6.0 to 5.4-8.2 us at 1-100 reps, 6,579 calls a
+            # certified_start iteration (tools/time_fast_paths.py, BENCH_29.json)
             with np.errstate(divide="ignore", invalid="ignore"):
                 idx = states.sums / counts + self.c * np.sqrt(bonus / counts)
             idx[counts == 0] = math.inf
@@ -482,7 +484,8 @@ class LinUcbPolicy(_LinearBase):
 class LinTsPolicy(_LinearBase):
     """Linear Thompson sampling from each arm's ridge posterior N(V_a^-1 z_a,
     V_a^-1): arm ``a`` draws through the Cholesky factor of ``V_a^-1`` from
-    block ``a`` of a step's ``k * p`` standard normals."""
+    block ``a`` of a step's ``k * p`` standard normals, which the caller
+    draws and passes as ``noise``; it touches no generator."""
 
     k: int
     context_dim: int
@@ -493,11 +496,9 @@ class LinTsPolicy(_LinearBase):
 
     def act_reps(self, states, b, rngs, rows, contexts=None, noise=None) -> np.ndarray:
         xs = self._contexts(contexts, rows, b)
-        theta, chol = self._factors(states, rows)
         if noise is None:
-            noise = np.empty((len(rows), b, self.dim))
-            for i, r in enumerate(rows.tolist()):
-                rngs[r].standard_normal(out=noise[i])
+            raise PolicyError("lints proposes from (len(rows), b, k * p) normals its caller draws")
+        theta, chol = self._factors(states, rows)
         blocks = noise.reshape(len(rows), b, self.k, self.context_dim)
         draws = theta[:, None] + np.einsum("rkde,rbke->rbkd", chol, blocks)
         return np.argmax(np.einsum("rbkd,rbd->rbk", draws, xs), axis=2)

@@ -54,7 +54,8 @@ SUCCESS_THRESHOLD = 0.5
 
 # Up to this many records, comparing proposals with the log as Python lists
 # beats one numpy comparison (about 1 against 3 us for a single record; they
-# break even near 30)
+# break even near 30): the benchmark's contextual replays took 148 ms, 171 ms
+# with none (tools/time_fast_paths.py, 20 rounds, 16 won, BENCH_29.json)
 _LIST_WINDOW_MAX = 24
 
 # LinTS replay draws its standard normals this many records at a time.  On

@@ -28,7 +28,7 @@ finite-armed policies draw from block streams, one generator per block of
 ``BLOCK_REPS`` consecutive reps (``block_streams``), so a rep's trajectory
 depends on the other reps of its block, never on reps outside it.
 Callers that report ``reps`` results from a drawing policy therefore
-simulate ``whole_blocks(reps)`` reps and drop the surplus.
+simulate ``whole_blocks(reps)`` reps (``sim_seeds``) and drop the surplus.
 ``run_online``, ``run_batch`` and ``run_short`` call the engine with one
 seed or many, on one environment or a stack.  The delayed-start runners
 in ``meta`` decide each rep's hand-over and pass the engine their naive
@@ -186,6 +186,8 @@ class Play(Whole):
     nothing, and ``pseudo_regret``, ``optimal_hits`` and ``pull_counts``
     stay None."""
 
+    # reducing nothing pays: the certified start's keep skips it too, and its
+    # sweep took 97 ms, 104 reduced (tools/time_fast_paths.py, BENCH_29.json)
     reduced = False
 
 
@@ -226,9 +228,15 @@ def block_streams(seeds, tag: str = "policy") -> list:
     ]
 
 
-def whole_blocks(reps: int) -> int:
-    """``reps`` rounded up to whole blocks of ``BLOCK_REPS``."""
-    return -(-reps // BLOCK_REPS) * BLOCK_REPS
+def whole_blocks(reps: int, pads: bool = True) -> int:
+    """``reps`` rounded up to whole blocks of ``BLOCK_REPS`` if ``pads``."""
+    return -(-reps // BLOCK_REPS) * BLOCK_REPS if pads else reps
+
+
+def sim_seeds(pads: bool, reps: int, *key, lo: int = 0) -> list:
+    """Seeds ``derive_seed(*key, i)`` of the reps from ``lo`` that a run
+    simulates to report ``reps``: whole blocks when it ``pads``."""
+    return [derive_seed(*key, i) for i in range(lo, lo + whole_blocks(reps, pads))]
 
 
 def check_arms(policy, env) -> None:
@@ -264,17 +272,18 @@ def run_lockstep(
     it draws its reward uniforms one chunk at a time, ``random(w)`` for a
     chunk of ``w`` steps, the same stream as one ``random(n)`` call, and a
     drawing policy draws from ``block_streams(seeds)``, per batch one draw
-    for each block that holds a rep it plays.  A contextual environment
-    draws per batch and rep, on the rep's own generator, the batch's
-    contexts, the policy's draws and then Gaussian reward noise.  So a
-    rep's trajectory depends only on the seeds of its block: it is the
-    same in every call whose block of that rep holds the same seeds.  A
-    policy that is not ``adaptive`` ignores feedback and gets none, and
-    once every rep plays it, it plays the remaining batches of each chunk
-    in one ``act_reps(..., batches=...)`` call.  One rep on a Bernoulli
-    environment, of a policy with a ``run_ahead`` method, plays window by
-    window after its hand-over, if any, on the same uniforms: per window
-    its leader, then the batches the leader keeps.
+    for each block that holds a rep it plays.  On a contextual environment
+    rep ``i`` draws only standard normals, one call per chunk: the stream of
+    a call per batch of its contexts, LinTS's normals and reward noise, so
+    such a run never pads.  So a rep's trajectory depends only on the seeds
+    of its block: it is the same in every call whose block of that rep
+    holds the same seeds.  A policy that is not ``adaptive`` ignores
+    feedback and gets none, and once every rep plays it, it plays the
+    remaining batches of each chunk in one ``act_reps(..., batches=...)``
+    call.  One rep on a Bernoulli environment, of a policy with a
+    ``run_ahead`` method, plays window by window after its hand-over, if
+    any, on the same uniforms: per window its leader, then the batches the
+    leader keeps.
 
     The run walks the horizon in chunks of as many whole batches as fit in
     ``CHUNK`` steps, or of one batch, never of one step (a one-step tail
@@ -369,9 +378,13 @@ def run_lockstep(
         w = c1 - c0
         actions, rewards, *work = (buf[:, :w] for buf in buffers)
         if contextual:
-            contexts = np.empty((reps, w, env.context_dim))
+            # one draw per rep; per batch: contexts, LinTS's normals, noise
+            cw, drawn = env.context_dim, env.dim if policy.draws else 0
+            normals = np.empty((reps, w // b, b * (cw + drawn + 1)))
+            for rng, row in zip(rngs, normals):
+                rng.standard_normal(out=row)
+            contexts = env.contexts(normals[..., : b * cw].reshape(reps, w, cw))
             chosen = np.zeros((reps, w, env.dim))
-            blocks = chosen.reshape(reps, w, k, env.context_dim)
         else:
             uniforms = rewards  # each uniform is read once, then overwritten by its reward
             for rng, row in zip(rngs, uniforms):
@@ -390,16 +403,12 @@ def run_lockstep(
         for j in range(max(first * b, c0) // b, min(split, c1 // b)):
             lo, hi = j * b - c0, (j + 1) * b - c0
             if contextual:
-                for r in all_rows:
-                    contexts[r, lo:hi] = env.sample_contexts(rngs[r], b)
-                ctx = contexts[:, lo:hi]
-                acts = policy.act_reps(state, b, rngs, all_rows, ctx)
+                ctx, batch = contexts[:, lo:hi], normals[:, lo // b]
+                noise = (batch[:, b * cw : -b].reshape(reps, b, drawn),) if drawn else ()
+                acts = policy.act_reps(state, b, None, all_rows, ctx, *noise)
                 # each context in its arm's block: block_features' row of that arm
-                blocks[all_rows[:, None], np.arange(lo, hi), acts] = ctx
-                for r in all_rows:
-                    rewards[r, lo:hi] = env.sample_rewards(chosen[r, lo:hi], rngs[r])
-                actions[:, lo:hi] = acts
-                rews = rewards[:, lo:hi]
+                chosen.reshape(reps, w, k, cw)[all_rows[:, None], np.arange(lo, hi), acts] = ctx
+                rews = env.rewards(chosen[:, lo:hi], batch[:, -b:])
             else:
                 if c0 + lo >= last:
                     acts = policy.act_reps(state, b, streams, all_rows)
@@ -408,8 +417,8 @@ def run_lockstep(
                     rows = np.flatnonzero(until <= c0 + lo)
                     acts[rows] = policy.act_reps(state, b, streams, rows)
                 rews = (uniforms[:, lo:hi] < means[acts + offsets]).astype(float)
-                actions[:, lo:hi] = acts
-                rewards[:, lo:hi] = rews
+            actions[:, lo:hi] = acts
+            rewards[:, lo:hi] = rews
 
             if not policy.adaptive:
                 continue
@@ -431,8 +440,7 @@ def run_lockstep(
         if contextual:
             # one (b, p) @ (p, k) product per batch: BLAS may round a product
             # differently when its shape changes
-            mean = env.mean_matrix(contexts.reshape(reps, w // b, b, env.context_dim))
-            mean = mean.reshape(reps, w, k)
+            mean = env.mean_matrix(contexts.reshape(reps, w // b, b, cw)).reshape(reps, w, k)
             best = mean.max(axis=2)
             played = np.take_along_axis(mean, actions[..., None], axis=2)[..., 0]
             np.subtract(best, played, out=deltas)

@@ -2,8 +2,8 @@
 
 Written from the policies' definitions, one step at a time, with no numpy
 beyond the generators, the linear policies' ridge algebra, the linear
-environment's draws and the certification check: the engine and the
-replay evaluator must reproduce them bit for bit.  A finite-armed run's
+model's contexts and means and the certification check: the engine and
+the replay evaluator must reproduce them bit for bit.  A finite-armed run's
 reps form blocks of ``BLOCK`` consecutive seeds.  Each rep draws its
 reward uniforms from ``default_rng(seed)``, one per step.  The policies
 draw from the block's generator,
@@ -158,27 +158,31 @@ def _dense_features(context, k):
 
 
 def reference_linear_run(name, env, n, b, seeds, alpha=1.0, ridge_lambda=1.0):
-    """[actions] of each rep of a LinUCB or LinTS run on ``env`` over
-    ``seeds``, in the dense ``k * p`` layout.  Each rep owns
+    """[(actions, rewards)] of each rep of a LinUCB or LinTS run on ``env``
+    over ``seeds``, in the dense ``k * p`` layout.  Each rep owns
     ``default_rng(seed)`` and per batch draws from it the batch's contexts
-    (``env.sample_contexts``), one proposal per step, and then the batch's
-    rewards (``env.sample_rewards``); the batch's feature vectors and
-    rewards are then fed back together."""
+    (``b`` rows of ``p`` standard normals, each over its norm), one
+    proposal per step, and then the batch's reward noise (``b`` standard
+    normals); the batch's feature vectors and rewards are then fed back
+    together."""
     k, p = env.k, env.context_dim
     out = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         V, z = ridge_lambda * np.eye(k * p), np.zeros(k * p)
-        actions = []
+        actions, rewards = [], []
         for _ in range(n // b):
-            feats = [_dense_features(c, k) for c in env.sample_contexts(rng, b)]
+            raw = rng.standard_normal((b, p))
+            contexts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            feats = [_dense_features(c, k) for c in contexts]
             batch = [_ridge_arm(name, f, V, z, rng, alpha) for f in feats]
             F = np.array([f[a] for f, a in zip(feats, batch)])
-            rewards = env.sample_rewards(F, rng)
+            X = F @ env.theta + rng.standard_normal(b)
             V += F.T @ F
-            z += F.T @ rewards
+            z += F.T @ X
             actions += batch
-        out.append(actions)
+            rewards += X.tolist()
+        out.append((actions, rewards))
     return out
 
 

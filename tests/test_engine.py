@@ -30,6 +30,8 @@ from batchband.policies import (
 )
 from batchband.specifications import (
     BLOCK_REPS,
+    Chunk,
+    Keep,
     Play,
     Steps,
     run_batch,
@@ -135,7 +137,68 @@ def test_contextual_engine_matches_dense_per_step_reference(policy, b):
     seeds = [derive_seed(17, "linear", b, i) for i in range(3)]
     run = run_batch(policy, env, make_grid(120, b), seeds)
     ref = reference_linear_run(policy.name, env, 120, b, seeds)
-    assert run.actions.tolist() == ref
+    assert run.actions.tolist() == [actions for actions, _ in ref]
+
+
+@pytest.mark.parametrize("policy", [LinUcbPolicy(4, 3), LinTsPolicy(4, 3)])
+@pytest.mark.parametrize("b", [1, 5])
+def test_contextual_rewards_match_the_per_batch_reference_bit_for_bit(policy, b):
+    # the engine draws each rep's normals once per chunk; the reference
+    # draws the contexts, proposals and reward noise batch by batch, so a
+    # layout that splits the stream anywhere else moves the rewards
+    env = make_linear_env(4, 3, seed=11)
+    seeds = [derive_seed(19, "rewards", b, i) for i in range(5)]
+    run = run_batch(policy, env, make_grid(150, b), seeds)
+    ref = reference_linear_run(policy.name, env, 150, b, seeds)
+    assert run.rewards.tolist() == [rewards for _, rewards in ref]
+
+
+@pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
+@pytest.mark.parametrize("b", [1, 4])
+def test_a_linear_run_draws_once_per_rep_and_chunk(monkeypatch, cls, b):
+    # every generator call of the run is counted, LinTS's included, and
+    # the chunked run plays what the whole one does
+    env = make_linear_env(3, 2, seed=5)
+    grid = make_grid(41, b)
+    seeds = [derive_seed(53, "spy", i) for i in range(3)]
+    whole = run_batch(cls(3, 2), env, grid, seeds)
+    calls, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingRng(default_rng(seed),
+                                                                           calls))
+    parts = at_chunk(monkeypatch, 8, lambda: run_batch(cls(3, 2), env, grid, seeds,
+                                                       keep=Parts()))
+    assert len(parts) == 5
+    assert calls == ["standard_normal"] * (len(seeds) * len(parts))
+    for name in ("actions", "rewards"):
+        chunked = np.concatenate([getattr(part, name) for part in parts], axis=1)
+        assert np.array_equal(chunked, getattr(whole, name))
+
+
+class CountingRng:
+    """A generator that records the name of every attribute read from it."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+class Parts(Keep):
+    """A copy of every chunk's actions and rewards, in order."""
+
+    reduced = False
+
+    def start(self, run):
+        super().start(run)
+        self.parts = []
+
+    def add(self, lo, part):
+        self.parts.append(Chunk(part.actions.copy(), part.rewards.copy()))
+
+    def result(self):
+        return self.parts
 
 
 @pytest.mark.parametrize("policy, env, message", [

@@ -122,9 +122,10 @@ def test_construction_leaves_the_callers_array_writeable(build, field):
 
 def test_linear_contexts_on_unit_sphere():
     env = make_linear_env(k=3, context_dim=5, seed=1)
-    ctx = env.sample_contexts(np.random.default_rng(2), 200)
+    ctx = env.contexts(np.random.default_rng(2).standard_normal((200, 5)))
     assert ctx.shape == (200, 5)
     assert np.allclose(np.linalg.norm(ctx, axis=1), 1.0, atol=1e-9)
+    assert env.contexts(np.zeros((2, 3, 5))).tolist() == np.zeros((2, 3, 5)).tolist()
 
 
 def test_linear_features_block_layout():
@@ -140,7 +141,7 @@ def test_linear_features_block_layout():
 def test_linear_mean_matrix_agrees_with_features():
     env = make_linear_env(k=3, context_dim=4, seed=3)
     rng = np.random.default_rng(4)
-    ctx = env.sample_contexts(rng, 10)
+    ctx = env.contexts(rng.standard_normal((10, 4)))
     mm = env.mean_matrix(ctx)
     feats = block_features(ctx, env.k)
     assert np.allclose(mm, feats @ env.theta, atol=1e-12)
@@ -149,9 +150,9 @@ def test_linear_mean_matrix_agrees_with_features():
 def test_linear_rewards_noise_unit_variance():
     env = make_linear_env(k=2, context_dim=3, seed=5)
     rng = np.random.default_rng(6)
-    ctx = env.sample_contexts(rng, 20000)
+    ctx = env.contexts(rng.standard_normal((20000, 3)))
     feats = block_features(ctx, env.k)[:, 0, :]
-    rewards = env.sample_rewards(feats, rng)
+    rewards = env.rewards(feats, rng.standard_normal(20000))
     noise = rewards - feats @ env.theta
     assert abs(noise.mean()) < 0.02
     assert abs(noise.std() - 1.0) < 0.02

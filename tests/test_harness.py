@@ -666,7 +666,7 @@ def test_a_bound_chunk_holds_o_reps_times_chunk_memory():
 def env3_ucb_cell(mode, n=20_000, b=10, reps=16):
     """The ``_run_cell`` group of one env3 ucb cell of ``mode``."""
     cfg = small_config(envs=("env3",), n=n, batch_sizes=(b,), reps=reps, mode=mode)
-    return (cfg, "ucb", b, UcbPolicy(2), whole_blocks(reps), ["env3"])
+    return (cfg, "ucb", b, UcbPolicy(2), True, ["env3"])
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -36,7 +36,19 @@ def act(pol, states, b=1, seed=0, contexts=None):
     """The lone rep's ``b`` actions, from a fresh generator."""
     rngs = [np.random.default_rng(seed)]
     extra = () if contexts is None else (contexts[None],)
-    return pol.act_reps(states, b, rngs, ONE, *extra)[0]
+    return pol.act_reps(states, b, rngs, ONE, *extra, **lints_noise(pol, b, rngs))[0]
+
+
+def lints_noise(pol, b, rngs):
+    """LinTS's ``noise`` keyword: each row's ``(b, k * p)`` normals from one
+    ``standard_normal(out=...)`` call on that row's generator; no keyword
+    for any other policy."""
+    if not isinstance(pol, LinTsPolicy):
+        return {}
+    noise = np.empty((len(rngs), b, pol.dim))
+    for rng, row in zip(rngs, noise):
+        rng.standard_normal(out=row)
+    return {"noise": noise}
 
 
 # ---------------------------------------------------------------- ucb
@@ -395,6 +407,30 @@ def test_lints_requires_features():
         act(pol, pol.init_reps(1), b=2, contexts=np.zeros((3, 2)))
 
 
+class CountingRng:
+    """A generator that records the name of every attribute read from it."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+def test_lints_proposes_only_from_the_normals_it_is_given():
+    pol = LinTsPolicy(k=2, context_dim=1)
+    st, ctx, calls = pol.init_reps(2), np.ones((2, 3, 1)), []
+    rngs = [CountingRng(np.random.default_rng(s), calls) for s in (1, 2)]
+    with pytest.raises(PolicyError, match="normals"):
+        pol.act_reps(st, 3, rngs, np.arange(2), ctx)
+    noise = np.random.default_rng(3).standard_normal((2, 3, 2))
+    got = pol.act_reps(st, 3, rngs, np.arange(2), ctx, noise=noise)
+    # from the prior, arm a's draw is its normal: the larger normal wins
+    assert got.tolist() == noise.argmax(axis=2).tolist()
+    assert calls == []
+
+
 @pytest.mark.parametrize("cls", [LinUcbPolicy, LinTsPolicy])
 def test_ridge_factors_are_refreshed_by_update(cls):
     # act, update, act: the second act must see the updated V and z, as a
@@ -424,7 +460,7 @@ def test_ridge_factors_are_kept_per_rep(cls):
     rows = np.arange(3)
     for _ in range(2):
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
-        got = pol.act_reps(st, 5, rngs, rows, ctx)
+        got = pol.act_reps(st, 5, rngs, rows, ctx, **lints_noise(pol, 5, rngs))
         for r in rows:
             lone = RepRidge(st.V[r : r + 1].copy(), st.z[r : r + 1].copy(), st.t_seen)
             assert got[r].tolist() == act(pol, lone, b=5, seed=r + 1, contexts=ctx[r]).tolist()

@@ -180,3 +180,19 @@ def test_scalar_beta_sweep_runs_at_tiny_sizes(tmp_path):
     for entry in record["by_value"].values():
         assert len(entry["case_s"]) == 8
         assert len(entry["caller_rounds_s"]["replay"]["values"]) == 2
+
+
+def test_fast_path_timings_run_at_tiny_sizes(tmp_path):
+    # every path is forced off without changing a result, so each case's
+    # sides must agree
+    out = tmp_path / "fast_paths.json"
+    subprocess.run([sys.executable, str(TOOLS / "time_fast_paths.py"), "--smoke",
+                    "--out", str(out)],
+                   check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    record = json.loads(out.read_text())
+    for case in ("ucb_unpulled", "list_window", "play", "pair_cells"):
+        assert record[case]["results_equal"]
+    assert record["ucb_unpulled"]["act_reps_calls_per_certified_start_iteration"] > 0
+    for side in ("on", "off"):
+        assert len(record["play"][side]["values"]) == 2
+    assert all(record["pair_cells"][f"2**{e}"]["traced_peak_mib"] > 0 for e in (16, 18, 20))

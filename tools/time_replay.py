@@ -32,8 +32,8 @@ each side's seconds, median and quartiles (``statistics.quantiles(values,
 n=4)``), how many pairs the change won and the relative change of the
 medians, and whether both trees returned the same result in every pair:
 ``(matched, successes)`` for a replay, the actions for a lone run, the
-suboptimal pull counts for criterion 4, and a digest of the actions and
-pseudo-regrets for a linear run.  ``--smoke`` shrinks every size, to
+suboptimal pull counts for criterion 4, and a digest of the actions,
+pseudo-regrets and rewards for a linear run.  ``--smoke`` shrinks every size, to
 check the script.  The pair protocol is ``tools/pairs.py``.
 """
 
@@ -94,7 +94,8 @@ elif case == "linear":
     for policy in (LinUcbPolicy(4, 5), LinTsPolicy(4, 5)):
         for b in (1, 10):
             timed(f"linear {policy.name} b={b}", lambda: (lambda run: hashlib.sha256(
-                run.actions.tobytes() + run.pseudo_regret.tobytes()).hexdigest())(
+                run.actions.tobytes() + run.pseudo_regret.tobytes()
+                + run.rewards.tobytes()).hexdigest())(
                 run_batch(policy, env, make_grid(n, b), seeds)))
 else:
     n, env = sizes["c4_n"], preset("env3")
