@@ -19,6 +19,7 @@ two-standard-error verdict (``_verdict``) with the harness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,11 @@ from .specifications import Keep, Play, Steps, block_streams, check_arms, run_on
 Z_ONE_SIDED_95 = 1.645
 
 # Pairs ``check_sublinearity`` judges per block of rows, so each of its
-# float work arrays holds 2 MiB whatever the horizon: on a 4,000-step curve
-# a call traced 6.3 MiB (tools/time_fast_paths.py, BENCH_29.json).
-_PAIR_CELLS = 2**18
+# float work arrays holds 512 KiB whatever the horizon.  On 4,000- and
+# 20,000-step curves 2**16 and 2**18 timed alike (63 and 1,280 ms) and
+# traced 1.7 and 2.2 MiB against 6.3 and 7.0 MiB; 2**14 and 2**20 took
+# 1.15x or more (tools/time_fast_paths.py, BENCH_30.json).
+_PAIR_CELLS = 2**16
 
 
 class UnsupportedPolicyError(TypeError):
@@ -305,8 +308,8 @@ def probe_informativeness(
     check_arms(policy, env)
     if t < 2:
         raise ValueError("need t >= 2")
-    k = int(round(0.8 * t)) if k is None else int(k)
-    k_prime = int(round(0.2 * t)) if k_prime is None else int(k_prime)
+    k = int(round(0.8 * t)) if k is None else operator.index(k)
+    k_prime = int(round(0.2 * t)) if k_prime is None else operator.index(k_prime)
     if not 0 <= k_prime <= k <= t:
         raise ValueError("need 0 <= k_prime <= k <= t")
     opt = env.optimal_arm

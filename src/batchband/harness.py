@@ -450,7 +450,10 @@ def _bound_chunk(payload):
 
 def regret_curve(policy, env, grid, reps: int, master_seed: int = 0) -> RegretCurve:
     """Pointwise mean and stderr of cumulative pseudo-regret over reps of
-    ``grid``'s schedule, which at b=1 is the online run."""
+    ``grid``'s schedule, which at b=1 is the online run; ``ConfigError``
+    unless ``reps`` is an integer of at least 1."""
+    if _integer("reps", reps) < 1:
+        raise ConfigError("reps must be >= 1")
     spec = "online" if grid.b == 1 else "batch"
     seeds = sim_seeds(policy.draws, reps, master_seed, "curve", spec, grid.n, grid.b)
     keep = run_batch(policy, env, grid, seeds, keep=Curves([(0, reps)]))

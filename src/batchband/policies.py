@@ -30,13 +30,12 @@ state and contexts.  ``adaptive`` says whether ``act_reps`` reads the state
 at all; a policy that is not adaptive (uniform and fixed-arm play) ignores
 feedback, so ``b`` steps from any state are ``b`` steps from the initial
 one.  State is frozen within a batch, so the played rule is constant inside
-it.  TS on a state of one rep (a lone run, a replay) takes Python-float
-paths, whose one-rep posterior (``ts_posterior``) and first-maximum pick
-(``ts_arm``, ``ts_arms``) are written once here, for ``act_reps`` and for
-replay's TS loop: the same IEEE operations in the same order as the array
-paths, so the same bits.  UCB's one-rep state also runs ahead
-(``UcbPolicy.run_ahead``): over the batches its leader keeps, given the
-leader's rewards, in one call.
+it.  A lone run takes the same array paths on a state of one rep.  Replay's
+TS loop holds one rep's posterior as Python floats (``ts_posterior``) and picks
+the first maximum (``ts_arm``, ``ts_arms``): the same IEEE operations in
+the same order as ``act_reps``' array path, so the same bits.  For replay,
+UCB's one-rep state also runs ahead (``UcbPolicy.run_ahead``): over the
+batches its leader keeps, given the leader's rewards, in one call.
 """
 
 from __future__ import annotations
@@ -58,12 +57,11 @@ DEFAULT_LINUCB_ALPHA = 1.0
 BLOCK_REPS = 16
 
 
-# A one-rep run or replay runs ahead (``UcbPolicy.run_ahead``) over windows
-# of this many batches, doubled after each window its leader keeps whole
-# and reset when the leader changes.  Starts of 4, 8, 16 and 32 asked 223,
-# 192, 165 and 141 windows per criterion-4 run (env3, n=10^4), and 629 to
-# 379 in the 25k-row ucb replay at b=1, in times alike within the host's
-# noise (BENCH_21.json)
+# UCB replay runs ahead (``UcbPolicy.run_ahead``) over windows of this many
+# batches, doubled after each window its leader keeps whole and reset when
+# the leader changes.  Starts of 4, 8, 16 and 32 asked 629 to 379 windows
+# in the 25k-row ucb replay at b=1, in times alike within the host's noise
+# (BENCH_21.json)
 RUN_AHEAD_START = 8
 
 
@@ -253,10 +251,9 @@ def _blocks(rows, reps):
 
 # Up to this many draws, k*b scalar ``Generator.beta`` calls beat one array
 # call, which consumes the generator identically, in C order.  Swept over
-# both callers, lone ts runs and ts replay, on env1 and env4
-# (tools/sweep_scalar_beta.py, BENCH_22.json): 8 to 16 timed alike within
-# the rounds' spread for both, while always the array call took 1.3x
-# (lone) and 2.1x (replay) as long, and always scalar calls 1.3x
+# ts replay on env1 and env4 (tools/sweep_scalar_beta.py, BENCH_22.json):
+# 8 to 16 timed alike within the rounds' spread, while always the array
+# call took 2.1x as long, and always scalar calls 1.3x
 _SCALAR_BETA_MAX = 12
 
 
@@ -296,8 +293,7 @@ class ThompsonBetaPolicy(_CountPolicy):
     still gets a fresh draw.  A block draws its reps' ``(reps, b, k)``
     posterior samples in one call, rep by rep, step by step, arm by arm, so
     a rep's draws depend on its block's other posteriors too: the Beta
-    sampler rejects a varying number of candidates.  A lone rep plays
-    ``ts_arms`` on its ``ts_posterior``.
+    sampler rejects a varying number of candidates.
     """
 
     k: int
@@ -305,9 +301,6 @@ class ThompsonBetaPolicy(_CountPolicy):
 
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
         reps = len(states.counts)
-        if len(rows) == reps == 1:
-            posterior = ts_posterior(states.counts[0].tolist(), states.sums[0].tolist())
-            return np.array([ts_arms(rngs[0], posterior, b)])
         alpha = (1.0 + states.sums)[:, None]
         beta = (1.0 + states.counts - states.sums)[:, None]
         acts = np.empty((reps, b), dtype=np.int64)

@@ -20,9 +20,7 @@ reads: the whole ``RunSet`` (``Whole``), actions and rewards only
 (``Play``), the regret at a few steps (``Steps``) or per-step curves
 (``assumptions.Curves``).  A policy that ignores feedback plays each
 chunk's batches in one call instead, from the start, or from the last
-hand-over of a two-phase run, and a lone run of a policy that can
-``run_ahead`` (UCB, on a Bernoulli environment) plays one call per window
-its leader holds.
+hand-over of a two-phase run.  A lone run is a run of one rep.
 Each rep owns its reward generator; on a Bernoulli environment the
 finite-armed policies draw from block streams, one generator per block of
 ``BLOCK_REPS`` consecutive reps (``block_streams``), so a rep's trajectory
@@ -45,7 +43,7 @@ import numpy as np
 
 from .core import BatchGrid, DimensionMismatchError, check_seed, derive_seed, make_grid
 from .environments import BernoulliEnv, LinearContextualEnv
-from .policies import BLOCK_REPS, RUN_AHEAD_START, rep_bincount
+from .policies import BLOCK_REPS, rep_bincount
 
 OPT_TOL = 1e-12
 
@@ -280,10 +278,7 @@ def run_lockstep(
     holds the same seeds.  A policy that is not ``adaptive`` ignores
     feedback and gets none, and once every rep plays it, it plays the
     remaining batches of each chunk in one ``act_reps(..., batches=...)``
-    call.  One rep on a Bernoulli environment, of a policy with a
-    ``run_ahead`` method, plays window by window after its hand-over, if
-    any, on the same uniforms: per window its leader, then the batches the
-    leader keeps.
+    call.
 
     The run walks the horizon in chunks of as many whole batches as fit in
     ``CHUNK`` steps, or of one batch, never of one step (a one-step tail
@@ -291,9 +286,8 @@ def run_lockstep(
     ``Keep``; ``Whole()`` by default, for the run's ``RunSet``), with
     running regret, optimal-hit and pull totals carried across chunks, and
     the call returns what ``keep`` returns.  So a caller that keeps little
-    holds ``O(R * (k + CHUNK) + n)`` memory.  A lone run that runs ahead,
-    and a run for a keep that is not ``chunked``, is one chunk of all ``n``
-    steps.
+    holds ``O(R * (k + CHUNK) + n)`` memory.  A run for a keep that is not
+    ``chunked`` is one chunk of all ``n`` steps.
 
     ``prefix`` is a two-phase run's first phase, ``(naive, tau)``: rep
     ``i`` plays its row of a plain run of ``naive``, a policy that ignores
@@ -308,13 +302,15 @@ def run_lockstep(
     """
     if visibility not in ("batch", "short"):
         raise ValueError(f"unknown visibility {visibility!r}")
-    stack = env if isinstance(env, tuple) else ((env, len(seeds)),)
-    env = stack[0][0]
-    check_arms(policy, env)
-    if len(stack) > 1 and (prefix is not None or sum(r for _, r in stack) != len(seeds) or any(
-            not isinstance(e, BernoulliEnv) or e.k != env.k for e, _ in stack)):
+    stacked = isinstance(env, tuple)
+    stack = env if stacked else ((env, len(seeds)),)
+    if stacked and (not stack or prefix is not None or sum(r for _, r in stack) != len(seeds)
+                    or any(not isinstance(e, BernoulliEnv) or e.k != stack[0][0].k or r < 0
+                           for e, r in stack)):
         raise ValueError("a stack of environments takes Bernoulli envs of one arm count, "
                          "one seed per rep and no prefix")
+    env = stack[0][0]
+    check_arms(policy, env)
     contextual = isinstance(env, LinearContextualEnv)
     if prefix is not None and (contextual or visibility != "batch"):
         raise ValueError("a two-phase run needs batch feedback on a finite-armed environment")
@@ -348,12 +344,8 @@ def run_lockstep(
     # a policy that ignores feedback plays the batches after the last
     # hand-over a chunk at a time
     split = M if policy.adaptive or contextual else last // b
-    lone = state is not None and reps == 1 and not contextual and hasattr(policy, "run_ahead")
     keep = Whole() if keep is None else keep
-    # a lone run that runs ahead plays every batch from its hand-over in one
-    # chunk, as does a run for a keep that is not chunked
-    first = M if lone else start // b
-    width = max(CHUNK // b, 1) * b if keep.chunked and not lone else n
+    width = max(CHUNK // b, 1) * b if keep.chunked else n
     cuts = list(range(0, n, width))
     if n - cuts[-1] == 1 and len(cuts) > 1:
         cuts.pop()  # _mean_se over one column need not match the whole reduction
@@ -363,7 +355,6 @@ def run_lockstep(
         actions=None, pseudo_regret=None, optimal_hits=None, pull_counts=None,
         rewards=None, tau=tau,
     ))
-    fed = 1 if visibility == "short" else b
     regret, hits = np.zeros(reps), np.zeros(reps, dtype=np.int64)
     pulls = np.zeros((reps, k), dtype=np.int64)
     # every chunk plays and reduces in these arrays: fresh ones per chunk
@@ -398,9 +389,7 @@ def run_lockstep(
             rewards[:, :p] = uniforms[:, :p] < means[actions[:, :p] + offsets]
             if state is not None and policy.adaptive:
                 state = policy.update_reps(state, actions[:, :p], rewards[:, :p])
-        if lone:
-            _run_ahead(policy, state, grid, start // b, fed, means, rewards[0], actions[0])
-        for j in range(max(first * b, c0) // b, min(split, c1 // b)):
+        for j in range(max(start, c0) // b, min(split, c1 // b)):
             lo, hi = j * b - c0, (j + 1) * b - c0
             if contextual:
                 ctx, batch = contexts[:, lo:hi], normals[:, lo // b]
@@ -458,26 +447,6 @@ def run_lockstep(
         keep.add(c0, Chunk(actions, rewards, deltas, opt, pulls,
                            chosen if contextual else None))
     return keep.result()
-
-
-def _run_ahead(policy, state, grid: BatchGrid, j, fed, means, row, actions) -> None:
-    """Play a lone run's batches from ``j`` on, window by window: per window
-    its leader, and the batches the leader keeps (``policy.run_ahead``) on
-    the rewards of the first ``fed`` steps of each batch.  ``row`` holds
-    the uniforms and takes the rewards of the steps played."""
-    b, M = grid.b, grid.M
-    window, one = RUN_AHEAD_START, np.zeros(1, dtype=np.int64)
-    while j < M:
-        lead = int(policy.act_reps(state, 1, None, one)[0, 0])
-        w = min(window, M - j)
-        lo, hi = j * b, (j + w) * b
-        rews = (row[lo:hi] < means[lead]).astype(float).reshape(w, b)
-        keep = policy.run_ahead(state, lead, rews[:, :fed])
-        hi = lo + keep * b
-        row[lo:hi] = rews[:keep].ravel()
-        actions[lo:hi] = lead
-        j += keep
-        window = 2 * window if keep == window else RUN_AHEAD_START
 
 
 def _run(policy, env, grid: BatchGrid, seed, visibility: str, keep):

@@ -23,7 +23,7 @@ from batchband.assumptions import (
     mean_rule_trace,
     probe_informativeness,
 )
-from batchband.harness import regret_curve
+from batchband.harness import ConfigError, regret_curve
 from batchband.specifications import run_online
 
 
@@ -62,9 +62,20 @@ def test_regret_curve_from_runs():
      TypeError, "informativeness probe supports finite-armed environments"),
     (lambda: check_monotone_envelope(UcbPolicy(2), make_linear_env(2, 2), reps=10, t_max=20),
      UnsupportedPolicyError, "envelope check supports finite-armed environments"),
+    (lambda: regret_curve(UcbPolicy(2), preset("env1"), make_grid(10, 1), 0), ConfigError,
+     "reps must be >= 1"),
+    (lambda: regret_curve(UcbPolicy(2), preset("env1"), make_grid(10, 1), -1), ConfigError,
+     "reps must be >= 1"),
+    (lambda: regret_curve(UcbPolicy(2), preset("env1"), make_grid(10, 1), 2.5), ConfigError,
+     "reps must be an integer"),
+    (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=10, reps=10, k=7.9),
+     TypeError, "'float' object cannot be interpreted as an integer"),
+    (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=10, reps=10, k_prime=1.5),
+     TypeError, "'float' object cannot be interpreted as an integer"),
 ], ids=["curve-shapes-differ", "curve-2d", "runs-1d", "min-t-0", "min-t-past-n",
         "lemma31-no-rules", "probe-t-1", "envelope-one-rep", "trace-linear-env",
-        "probe-linear-env", "envelope-linear-env"])
+        "probe-linear-env", "envelope-linear-env", "curve-reps-0", "curve-reps-negative",
+        "curve-reps-float", "probe-k-float", "probe-k-prime-float"])
 def test_checks_reject_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -147,7 +158,7 @@ def _whole_matrix_pairs(curve, min_t):
     return np.argwhere(bad) + min_t
 
 
-@pytest.mark.parametrize("cells", [1, 7, 64, assumptions._PAIR_CELLS])
+@pytest.mark.parametrize("cells", [1, 7, 64, 2**18, assumptions._PAIR_CELLS])
 @pytest.mark.parametrize("seed", range(4))
 def test_sublinearity_in_row_blocks_equals_the_whole_matrix_rule(monkeypatch, cells, seed):
     # noisy, tied and noiseless curves, so pairs violate within a block,

@@ -75,10 +75,8 @@ LONE_ENVS = ("env1", "env3", "env6", "0.5,0.5,0.2")
                                     ("lone_short", 3), ("lone_short", 10)])
 @pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "fixed", "two_phase", "ucb_c0"])
 def test_engine_matches_naive_reference(name, spec, b):
-    # a whole block and a short one; a lone run, one rep from a never-pulled
-    # start, takes the policies' one-rep paths, and lone UCB runs ahead
-    # over windows that double several times in 2000 steps, on a tied best
-    # pair too
+    # a whole block and a short one, and a lone run: one rep from a
+    # never-pulled start over 2000 steps, on a tied best pair too
     lone = spec.startswith("lone")
     reps, n, envs = (1, LONE_N, LONE_ENVS) if lone else (BLOCK_REPS + 4, N, ("env1", "env6"))
     ref_name, c = ("ucb", 0.0) if name == "ucb_c0" else (name, 1.0)
@@ -301,6 +299,19 @@ def test_a_stack_with_a_prefix_or_a_contextual_env_raises(second, prefix):
                      prefix=head)
 
 
+@pytest.mark.parametrize("stack", [
+    ((preset("env1"), 5),),
+    ((preset("env1"), 15),),
+    ((preset("env1"), 15), (preset("env2"), -5)),
+    (),
+], ids=["one-env-short", "one-env-long", "negative-reps", "empty"])
+def test_a_stack_whose_reps_miss_the_seeds_raises(stack):
+    # each once raised numpy's or Python's own error, or ran and ignored the count
+    seeds = list(range(10)) if stack else []
+    with pytest.raises(ValueError, match="a stack of environments takes Bernoulli envs"):
+        run_lockstep(UcbPolicy(2), stack, make_grid(8, 4), seeds)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"visibility": "delayed"}, "unknown visibility 'delayed'"),
     ({"visibility": "short", "prefix": (UniformPolicy(2), np.full(4, 4))},
@@ -453,27 +464,6 @@ def test_plain_uniform_run_asks_the_policy_once(monkeypatch, M):
     assert calls == [M]
 
 
-def test_lone_ucb_run_asks_the_policy_per_window_not_per_batch(monkeypatch):
-    # a lone run asks for its leader and runs ahead once per window; on
-    # env3 at n=2000 about 110 windows (one per leader change, and one per
-    # doubling while a leader holds) for 2000 batches
-    calls = []
-    for method in ("act_reps", "run_ahead"):
-        real = getattr(UcbPolicy, method)
-
-        def spy(self, *args, real=real, method=method):
-            calls.append(method)
-            return real(self, *args)
-
-        monkeypatch.setattr(UcbPolicy, method, spy)
-    env = preset("env3")
-    for i in range(5):
-        calls.clear()
-        run = run_online(UcbPolicy(2), env, 2000, derive_seed(31, "spy", i))
-        assert run.actions.size == 2000
-        assert 0 < len(calls) <= 2000 // 5
-
-
 @pytest.mark.parametrize("b", [1, 3, 10])
 @pytest.mark.parametrize("env_name", ["env1", "env3", "env6"])
 def test_approx_delayed_start_matches_naive_reference(env_name, b):
@@ -488,7 +478,7 @@ def test_approx_delayed_start_matches_naive_reference(env_name, b):
         assert run.phases[i].tau_hat == tau
         assert run.actions[i].tolist() == actions
     # a lone run absorbs its whole phase 1 in one release at the hand-over,
-    # then one batch at a time, on the one-rep paths
+    # then one batch at a time
     for seed in seeds[:4]:
         lone = approx_delayed_start_run(UcbPolicy(env.k), env, grid, 0.05, seed)
         tau, actions = reference_approx_delayed_start(env.means.tolist(), grid.n, b, [seed],

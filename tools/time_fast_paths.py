@@ -26,9 +26,9 @@ equal:
   ``meta._Certify.reduced``, so the engine reduces the certification's
   phase-1 run as it does a ``Curves`` keep's;
 * ``pair_cells``: ``check_sublinearity`` on ucb's env1 regret curve at
-  n=4,000 over 64 reps, at ``assumptions._PAIR_CELLS`` of 2**16, 2**18
-  and 2**20, with the traced peak (``tracemalloc``) of one untimed call
-  at each size.
+  n=4,000 and at n=20,000, over 64 reps, at ``assumptions._PAIR_CELLS`` of
+  2**14, 2**16, 2**18 and 2**20, with the traced peak (``tracemalloc``) of
+  one untimed call at each size; the results are keyed ``n=<n>``.
 
 ``--rounds`` sets every case's rounds; ``--smoke`` shrinks every size, to
 check the script.  ``harness.STACK_STEPS`` has its own script,
@@ -55,10 +55,10 @@ from batchband.harness import regret_curve
 
 SIZES = {"rounds": {"ucb_unpulled": 5, "list_window": 10, "play": 20, "pair_cells": 5},
          "reps": (1, 10, 100), "calls": 2000, "ctx_rows": 5000, "n": 2000, "cert_reps": 10,
-         "curve_n": 4000, "curve_reps": 64}
+         "curve_n": (4000, 20000), "curve_reps": 64}
 SMOKE = {"rounds": {"ucb_unpulled": 2, "list_window": 2, "play": 2, "pair_cells": 2},
          "reps": (1, 3), "calls": 20, "ctx_rows": 200, "n": 200, "cert_reps": 2,
-         "curve_n": 300, "curve_reps": 4}
+         "curve_n": (300, 600), "curve_reps": 4}
 CERTIFIED = {"envs": ("env1", "env3", "env6"), "policies": ("ucb",), "batch_sizes": (1, 10, 100)}
 
 
@@ -158,10 +158,15 @@ def play(sizes, rounds):
 
 
 def pair_cells(sizes, rounds):
-    grid = make_grid(sizes["curve_n"], 1)
-    curve = regret_curve(UcbPolicy(2), preset("env1"), grid, sizes["curve_reps"], master_seed=1)
+    out = {f"n={n}": pair_cells_at(n, sizes["curve_reps"], rounds) for n in sizes["curve_n"]}
+    out["results_equal"] = all(v["results_equal"] for v in out.values())
+    return out
+
+
+def pair_cells_at(n, reps, rounds):
+    curve = regret_curve(UcbPolicy(2), preset("env1"), make_grid(n, 1), reps, master_seed=1)
     cells = assumptions._PAIR_CELLS
-    settings = {f"2**{e}": 2**e for e in (16, 18, 20)}
+    settings = {f"2**{e}": 2**e for e in (14, 16, 18, 20)}
 
     def run(label):
         assumptions._PAIR_CELLS = settings[label]

@@ -18,8 +18,10 @@ the tree's ``src``; the timed calls exclude imports and set-up:
   {1, 7, 50}, on both sides of its switch from one proposal per record to
   one array call per batch;
 * ``lone``: one lone ucb run and one lone ts run, ``run_online`` on env1 at
-  n=2000 with an integer seed;
-* ``criterion4``: 200 lone ucb runs on env3 at n=10,000, the batch of
+  n=2000 with an integer seed, which the engine plays as a lockstep run of
+  one rep;
+* ``criterion4``: one lockstep ``run_online`` call of ucb over 200 seeds on
+  env3 at n=10,000, the call of
   ``tests/test_acceptance.py::test_criterion_4_suboptimal_count_bound``;
 * ``linear``: one lockstep ``run_batch`` of 100 reps of linucb and of lints
   on ``make_linear_env(4, 5, 0)`` at n=1000, at b in {1, 10}.
@@ -99,9 +101,9 @@ elif case == "linear":
                 run_batch(policy, env, make_grid(n, b), seeds)))
 else:
     n, env = sizes["c4_n"], preset("env3")
-    timed(f"criterion4 {sizes['c4_runs']} runs n={n}", lambda: [
-        n - run_online(UcbPolicy(2), env, n, derive_seed(44, "c4", i)).optimal_pulls
-        for i in range(sizes["c4_runs"])])
+    seeds = [derive_seed(44, "c4", i) for i in range(sizes["c4_runs"])]
+    timed(f"criterion4 {sizes['c4_runs']} runs n={n}", lambda: (
+        n - run_online(UcbPolicy(2), env, n, seeds).optimal_pulls).tolist())
 print(json.dumps(out))
 """
 
@@ -132,8 +134,8 @@ def main(argv=None) -> int:
 
     record = {
         "what": "replay_evaluate per (policy, b) on the replay_log workload's logs and of ts "
-                "on an env4 log, lone ucb and ts runs, a criterion-4 batch of lone ucb "
-                "runs and lockstep linucb and lints runs, parent vs change",
+                "on an env4 log, lone ucb and ts runs, criterion 4's lockstep ucb call "
+                "and lockstep linucb and lints runs, parent vs change",
         "host": host(),
         "parent_commit": args.parent_commit,
         "order": order("case"),
