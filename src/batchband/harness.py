@@ -7,9 +7,10 @@
 reps and drops the surplus, so its first ``reps`` trajectories do not
 depend on ``reps``.  At one thread, plain cells of equal policy and batch
 size share engine calls (``STACK_STEPS``); over more, cells are split over
-``threads`` working processes, the caller included (see ``_map``).  Any
-thread count produces byte-identical output because seeds never depend on
-scheduling or stacking.
+``threads`` working processes, the caller and children it forks, each
+pulling the next cell when it is free (see ``_map``).  Any thread count
+produces byte-identical output because seeds never depend on scheduling
+or stacking.
 
 ``check_theorem_bounds`` estimates the three quantities of the regret
 sandwich for a batch specification: the online regret R_n, the batch
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import operator
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,35 +220,94 @@ def _cell_policy(name: str, env, n: int, params: dict):
     return make_policy(name, env.k, params=params, env_means=env.means)
 
 
+# payload indices per round of ``_map``: 1,024 indices of 4 bytes fill one
+# page, which an empty pipe always holds, so the caller writes a round's
+# indices before it forks and never waits on a full pipe
+_ROUND = 1024
+
+
 def _map(fn, payloads, threads: int) -> list:
     """``[fn(p) for p in payloads]`` over ``threads`` working processes, the
     caller included, and never more than there are payloads.
 
-    A pool of the other workers gets every payload but the last, which the
-    caller runs; the caller then works back from the end, taking each
-    payload the pool has not yet started.  Results come back in payload
-    order, whichever process ran them.  If a payload the caller runs
-    raises, the pool's unstarted payloads are cancelled before the error
-    propagates.  The pool's modules are imported only when one starts.
+    The other workers are children forked from the caller, so payloads reach
+    them by fork, not by pickle.  The caller writes every payload index to
+    one pipe, and each process reads the next index only when it is free:
+    nothing is prefetched, and no process idles while payloads remain.  Once
+    the pipe is empty, each child sends its ``{index: result}`` pickled once,
+    over a pipe of its own, and leaves by ``os._exit``.  Results come back
+    in payload order, whichever process ran them.  A payload that raises
+    makes its process drain the index pipe, so that no process starts
+    another; the caller waits for every child and re-raises the error of the
+    first failed payload, and a child that dies without a reply raises
+    ``RuntimeError``.  Where ``os.fork`` does not exist the caller runs every
+    payload: outputs never depend on the process count.
     """
-    workers = min(threads, len(payloads))
+    workers = min(threads, len(payloads)) if hasattr(os, "fork") else 1
     if workers <= 1:
         return [fn(p) for p in payloads]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(fn, p) for p in payloads[:-1]]
+    if len(payloads) > _ROUND:
+        return _map(fn, payloads[:_ROUND], threads) + _map(fn, payloads[_ROUND:], threads)
+    tasks, feed = os.pipe()
+    os.write(feed, np.arange(len(payloads), dtype="<u4").tobytes())
+    os.close(feed)
+    done, errors, replies = {}, [], {}  # replies: child pid -> read end of its pipe
+    try:
+        for _ in range(workers - 1):
+            reply, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit, so no caller code runs twice
+                code = 1
+                try:
+                    _pull(fn, payloads, tasks, done, errors)
+                    with open(out, "wb") as fh:
+                        fh.write(pickle.dumps((done, errors)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out)
+            replies[pid] = reply
+        _pull(fn, payloads, tasks, done, errors)
+        for pid, reply in replies.items():
+            with open(reply, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                errors.append((len(payloads), RuntimeError(
+                    f"worker process {pid} exited without a reply")))
+                continue
+            got, failed = pickle.loads(data)
+            done.update(got)
+            errors += failed
+    finally:
+        _drain(tasks)
+        for fd in (tasks, *replies.values()):
+            os.close(fd)
+        for pid in replies:
+            os.waitpid(pid, 0)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return [done[i] for i in range(len(payloads))]
+
+
+def _pull(fn, payloads, tasks: int, done: dict, errors: list) -> None:
+    """Run into ``done`` each payload whose index this process reads from the
+    pipe ``tasks``, one at a time, until the pipe is empty.  A payload that
+    raises goes into ``errors`` as ``(index, error)``, and the pipe is
+    drained so that no process starts another."""
+    while index := os.read(tasks, 4):
+        i = int.from_bytes(index, "little")
         try:
-            own = {len(futures): fn(payloads[-1])}
-            # the pool starts its payloads in order, so once one has
-            # started every earlier one has too
-            for i in reversed(range(len(futures))):
-                if not futures[i].cancel():
-                    break
-                own[i] = fn(payloads[i])
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-        return [own[i] if i in own else futures[i].result() for i in range(len(payloads))]
+            done[i] = fn(payloads[i])
+        except Exception as exc:
+            errors.append((i, exc))
+            _drain(tasks)
+
+
+def _drain(tasks: int) -> None:
+    """Empty the index pipe ``tasks``: every read takes whole indices, since
+    all were written before any was read."""
+    while os.read(tasks, 4096):
+        pass
 
 
 def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_from) -> str:
@@ -259,7 +320,7 @@ def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_fro
 def _run_cell(group):
     """A ``CellResult`` per env of ``group``, ``(config, policy name, b,
     policy, pads, envs)``: cells of one policy and batch size, padded when
-    ``pads``, from one engine call; module-level so pools can pickle it."""
+    ``pads``, from one engine call."""
     c, p, b, policy, pads, env_specs = group
     envs = [parse_env(e) for e in env_specs]
     keys = [_cell_key(e, p, c.mode, c.n, b, c.delta, c.bound_from) for e in env_specs]

@@ -24,10 +24,11 @@ so a rep's phase 1 is its row of a plain lockstep run of the naive policy.
 The certified start finds every rep's hand-over from a plain uniform run
 reduced as it goes (``_Certify``), at most ``CHECK_PAIRS`` (open rep,
 boundary) pairs per ``check_phase`` call, so the check's memory does not
-grow with reps.  Neither start stores phase 1: the engine plays the naive
-policy again, a chunk at a time, up to each rep's hand-over, and the
-candidate, which draws from block streams of its own, plays the rest,
-reduced by the caller's ``keep``.  A caller reporting ``reps`` results
+grow with reps; the run stops drawing once a check has closed every rep.
+Neither start stores phase 1: the engine plays the naive policy again, a
+chunk at a time, up to each rep's hand-over, and the candidate, which draws
+from block streams of its own, plays the rest, reduced by the caller's
+``keep``.  A caller reporting ``reps`` results
 simulates whole blocks and drops the surplus (``specifications.whole_blocks``).
 """
 
@@ -171,8 +172,11 @@ def check_phase(counts, means, t, delta: float):
     thetas = theta_hat.reshape(-1, theta_hat.shape[-1])
     others = thetas.copy()
     others[at] = -np.inf
-    # where intervals still overlap the ordering is uncertified
-    stay = (thetas[at] <= others.max(axis=1)) | _stays(thetas, t, delta)
+    # where intervals still overlap the ordering is uncertified; the bound
+    # is computed on the other rows alone, each with the same arithmetic
+    stay = thetas[at] <= others.max(axis=1)
+    rows = np.flatnonzero(~stay)
+    stay[rows] = _stays(thetas[rows], t if np.ndim(t) == 0 else np.asarray(t)[rows], delta)
     return bool(stay[0]) if theta_hat.ndim == 1 else stay
 
 
@@ -199,7 +203,9 @@ class _Certify(Keep):
         tied = truth is not None and int((truth == truth.max()).sum()) != 1
         self.todo = np.arange(0 if tied else reps)
 
-    def add(self, lo, part) -> None:
+    def add(self, lo, part) -> bool:
+        """Check the chunk's boundaries; true once no rep is open, so the
+        engine draws no further chunk."""
         b, k = self.b, self.k
         j0, j1 = lo // b, (lo + part.actions.shape[1]) // b
         p0 = j0
@@ -218,6 +224,7 @@ class _Certify(Keep):
             if p1 == end:
                 self._check()
             p0 = p1
+        return not self.todo.size
 
     def _check(self) -> None:
         """Check every held boundary of the open reps in one call."""
@@ -338,7 +345,7 @@ def approx_delayed_start_run(
     real algorithm), ``"oracle"`` substitutes the true means, a diagnostic
     that isolates estimation error.  ``seed`` and ``keep`` are as for
     ``delayed_start_run``; every rep's boundary is found from one uniform
-    run over the whole horizon.
+    run, which stops drawing once a check has closed every rep.
     """
     _require_bernoulli(env)
     if bound_from not in ("instance", "oracle"):

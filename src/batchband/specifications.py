@@ -152,9 +152,10 @@ class Keep:
     names: ``pseudo_regret`` and ``optimal_hits`` cumulative from step 0,
     and ``pull_counts`` ``(R, k)`` the pulls up to the chunk's end; and
     returns ``result()``.  When ``reduced`` is false those three are None.
-    The next chunk overwrites a part's step arrays, so a keep copies what it
-    keeps of them.  A keep that is not ``chunked`` gets the whole run as one
-    part.
+    An ``add`` that returns true ends the run: the engine draws no further
+    chunk.  The next chunk overwrites a part's step arrays, so a keep copies
+    what it keeps of them.  A keep that is not ``chunked`` gets the whole
+    run as one part.
     """
 
     reduced = True
@@ -284,9 +285,10 @@ def run_lockstep(
     ``CHUNK`` steps, or of one batch, never of one step (a one-step tail
     joins the chunk before it).  Each finished chunk goes to ``keep`` (a
     ``Keep``; ``Whole()`` by default, for the run's ``RunSet``), with
-    running regret, optimal-hit and pull totals carried across chunks, and
-    the call returns what ``keep`` returns.  So a caller that keeps little
-    holds ``O(R * (k + CHUNK) + n)`` memory.  A run for a keep that is not
+    running regret, optimal-hit and pull totals carried across chunks, until
+    the last chunk or one whose ``add`` returns true, and the call returns
+    what ``keep`` returns.  So a caller that keeps little holds ``O(R * (k +
+    CHUNK) + n)`` memory.  A run for a keep that is not
     ``chunked`` is one chunk of all ``n`` steps.
 
     ``prefix`` is a two-phase run's first phase, ``(naive, tau)``: rep
@@ -421,7 +423,8 @@ def run_lockstep(
             actions[:, lo:] = acts
             rewards[:, lo:] = uniforms[:, lo:] < means[acts + offsets]
         if not keep.reduced:
-            keep.add(c0, Chunk(actions, rewards))
+            if keep.add(c0, Chunk(actions, rewards)):
+                break
             continue
 
         opt, deltas = work
@@ -444,8 +447,9 @@ def run_lockstep(
             opt[:, 0] += hits
         regret = np.cumsum(deltas, axis=1, out=deltas)[:, -1].copy()
         hits = np.cumsum(opt, axis=1, out=opt)[:, -1].copy()
-        keep.add(c0, Chunk(actions, rewards, deltas, opt, pulls,
-                           chosen if contextual else None))
+        if keep.add(c0, Chunk(actions, rewards, deltas, opt, pulls,
+                              chosen if contextual else None)):
+            break
     return keep.result()
 
 

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import os
 import time
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -449,44 +447,46 @@ def _recording(fn, results):
     return spy
 
 
-class _SpyPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and starts
-    no payload, so the caller cancels every future and runs its payload in
-    this process."""
-
-    workers = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, payload):
-        return Future()
-
-
 def _tag_pid(payload):
-    """A payload of the ``_map`` tests: sleeps ``delay`` s and returns
-    ``(i, pid of the process that ran it)``."""
-    i, delay = payload
+    """A payload of the ``_map`` tests: appends ``i`` to the file ``log``,
+    sleeps ``delay`` s and returns ``(i, pid of the process that ran it)``."""
+    i, delay, log = payload
+    with open(log, "a") as fh:
+        fh.write(f"{i}\n")
     time.sleep(delay)
     return i, os.getpid()
 
 
-def _mark_or_fail(payload):
-    """A payload of the ``_map`` error tests: raises for ``i == fail``, else
-    leaves a file named ``i`` in ``marks``, sleeps ``delay`` s and returns
-    ``i``."""
-    i, fail, delay, marks = payload
-    if i == fail:
-        raise ValueError(f"payload {i} failed")
+def _fail_in(payload):
+    """A payload of the ``_map`` error tests: raises if it runs in the
+    caller (``in_caller``) or in a worker (not ``in_caller``); else leaves a
+    file named ``i`` in ``marks``, sleeps ``delay`` s and returns ``i``."""
+    i, caller, in_caller, delay, marks = payload
+    if (os.getpid() == caller) == in_caller:
+        raise ValueError(f"payload {i} failed in the {'caller' if in_caller else 'worker'}")
     (marks / str(i)).touch()
     time.sleep(delay)
     return i
+
+
+def _fail_after(payload):
+    """A payload that sleeps ``delay`` s and raises."""
+    i, delay = payload
+    time.sleep(delay)
+    raise ValueError(f"payload {i} failed")
+
+
+def _exit_in_worker(caller):
+    """A payload that ends any process but the caller without a reply."""
+    if os.getpid() != caller:
+        os._exit(3)
+    time.sleep(0.1)
+    return caller
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkerCount:
@@ -500,36 +500,86 @@ class TestWorkerCount:
         assert _split_reps(10, 3) == [(0, 10)]
 
     def test_pool_starts_no_more_workers_than_payloads(self, monkeypatch):
-        # ``_map`` imports the pool from its module only when it forks
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
-        monkeypatch.setattr(_SpyPool, "workers", [])
-        check_theorem_bounds("ucb", "env1", n=20, b=5, reps=1000, threads=10_000)
-        run_experiment(small_config(), threads=10_000)
-        check_theorem_bounds("ucb", "env1", n=20, b=5, reps=10, threads=10_000)
-        # the caller is one of the workers, so the pool has one fewer
-        assert _SpyPool.workers == [62, 1]
+        # a fork that starts no child: its "child" never replies, so each
+        # call that forks runs every payload in the caller and then raises
+        forks, fake = [], 2**30
+
+        def fork():
+            forks[-1] += 1
+            return fake + forks[-1]
+
+        def waitpid(pid, options):
+            return (pid, 0) if pid > fake else os_waitpid(pid, options)
+
+        os_waitpid = os.waitpid
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        calls = [lambda: check_theorem_bounds("ucb", "env1", n=20, b=5, reps=1000,
+                                              threads=10_000),
+                 lambda: run_experiment(small_config(), threads=10_000),
+                 lambda: check_theorem_bounds("ucb", "env1", n=20, b=5, reps=10,
+                                              threads=10_000)]
+        for call, payloads in zip(calls, (63, 2, 1)):
+            forks.append(0)
+            if payloads == 1:
+                call()
+            else:
+                with pytest.raises(RuntimeError, match="exited without a reply"):
+                    call()
+        # the caller is one of the workers, so it forks one fewer
+        assert forks == [62, 1, 0]
+        monkeypatch.undo()
+        _no_child_left()
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_caller_runs_a_suffix_and_results_keep_payload_order(self, threads):
-        results = harness._map(_tag_pid, [(i, 0.02) for i in range(8)], threads)
-        assert [i for i, _ in results] == list(range(8))
-        mine = [pid == os.getpid() for _, pid in results]
-        assert mine[-1]
-        # the caller takes payloads from the back until one has started
-        assert mine == sorted(mine)
+    def test_results_keep_payload_order_and_each_payload_runs_once(self, threads, tmp_path):
+        log = tmp_path / "ran"
+        results = harness._map(_tag_pid, [(i, 0.02, log) for i in range(12)], threads)
+        assert [i for i, _ in results] == list(range(12))
+        assert sorted(int(line) for line in log.read_text().split()) == list(range(12))
+        # every process pulled payloads, the caller among them
+        assert len({pid for _, pid in results}) == threads
+        assert os.getpid() in {pid for _, pid in results}
+        _no_child_left()
 
     def test_caller_error_surfaces_and_cancels_unstarted_payloads(self, tmp_path):
-        payloads = [(i, 7, 0.2, tmp_path) for i in range(8)]
-        with pytest.raises(ValueError, match="payload 7 failed"):
-            harness._map(_mark_or_fail, payloads, 2)
-        # without the cancel the pool's one worker would run all seven
-        assert len(list(tmp_path.iterdir())) < 7
+        payloads = [(i, os.getpid(), True, 0.2, tmp_path) for i in range(8)]
+        with pytest.raises(ValueError, match=r"payload \d failed in the caller"):
+            harness._map(_fail_in, payloads, 2)
+        # the caller drained the index pipe as its first payload failed,
+        # while the worker ran the one payload it had pulled, or two on a
+        # loaded host
+        assert len(list(tmp_path.iterdir())) <= 2
+        _no_child_left()
 
     def test_worker_error_surfaces(self, tmp_path):
-        # the caller's own payload sleeps, so the worker starts payload 0
-        payloads = [(i, 0, 0.2 if i == 7 else 0.0, tmp_path) for i in range(8)]
+        payloads = [(i, os.getpid(), False, 0.2, tmp_path) for i in range(8)]
+        with pytest.raises(ValueError, match=r"payload \d failed in the worker"):
+            harness._map(_fail_in, payloads, 2)
+        # the worker drained the index pipe as its first payload failed,
+        # while the caller ran the one payload it had pulled, or two on a
+        # loaded host
+        assert len(list(tmp_path.iterdir())) <= 2
+        _no_child_left()
+
+    def test_the_first_failed_payload_wins_and_a_worker_that_dies_raises(self):
+        # payload 0 is read first and fails last: after payload 1 whenever
+        # another process read that before the drain
         with pytest.raises(ValueError, match="payload 0 failed"):
-            harness._map(_mark_or_fail, payloads, 2)
+            harness._map(_fail_after, [(0, 0.2), (1, 0.0)], 2)
+        with pytest.raises(RuntimeError, match="exited without a reply"):
+            harness._map(_exit_in_worker, [os.getpid()] * 4, 2)
+        _no_child_left()
+
+    def test_payloads_beyond_one_round_of_indices_run_in_rounds(self):
+        payloads = list(range(-2 * harness._ROUND - 5, 0))
+        assert harness._map(abs, payloads, 3) == [-p for p in payloads]
+        _no_child_left()
+
+    def test_without_fork_the_caller_runs_every_payload(self, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "fork")
+        results = harness._map(_tag_pid, [(i, 0.0, tmp_path / "ran") for i in range(4)], 3)
+        assert results == [(i, os.getpid()) for i in range(4)]
 
 
 def _table_outputs(table):

@@ -184,6 +184,36 @@ def test_check_phase_per_row_times_match_single_checks():
         check_phase(counts[0], means[0], times[:1], 0.01)
 
 
+@pytest.mark.parametrize("per_row_times", [False, True])
+def test_the_bound_is_computed_only_on_rows_whose_intervals_do_not_overlap(monkeypatch,
+                                                                         per_row_times):
+    rng = np.random.default_rng(2)
+    counts = rng.integers(1, 400, size=(300, 3))
+    means = rng.random((300, 3))
+    t = rng.integers(2, 3000, size=300) if per_row_times else 1600
+    seen = []
+
+    def spy(theta, t, delta):
+        seen.append((theta.copy(), np.broadcast_to(t, theta.shape[:1]).copy()))
+        return stays(theta, t, delta)
+
+    stays = meta._stays
+    monkeypatch.setattr(meta, "_stays", spy)
+    got = check_phase(counts, means, t, 0.01)
+    theta = pessimistic_instance(counts, means, t)
+    rows = np.arange(len(theta))
+    leader = theta[rows, means.argmax(axis=1)]
+    others = np.where(np.arange(3) == means.argmax(axis=1)[:, None], -np.inf, theta)
+    overlap = leader <= others.max(axis=1)
+    assert 0 < overlap.sum() < overlap.size
+    # one call, on exactly the rows that do not overlap
+    assert len(seen) == 1
+    assert np.array_equal(seen[0][0], theta[~overlap])
+    assert np.array_equal(seen[0][1], np.broadcast_to(t, overlap.shape)[~overlap])
+    # each row's verdict is the one the bound gives it among all the rows
+    assert np.array_equal(got, overlap | stays(theta, t, 0.01))
+
+
 def test_check_phase_errors():
     with pytest.raises(InsufficientDataError):
         check_phase([5, 0], [0.5, 0.5], 100, 0.01)
@@ -477,6 +507,36 @@ def test_no_certification_call_checks_more_pairs_than_the_budget(monkeypatch, re
     # the first call ends at budget / reps boundaries: 256 for a 16-rep
     # cell, as when every call checked 256
     assert calls[0][1] == meta.CHECK_PAIRS // reps
+
+
+def test_the_certification_run_ends_at_the_check_that_closes_the_last_rep(monkeypatch):
+    chunks, checks = [], []
+
+    def add_spy(self, lo, part):
+        chunks.append((lo, lo + part.actions.shape[1], add(self, lo, part)))
+        return chunks[-1][-1]
+
+    def check_spy(counts, means, t, delta):
+        checks.append((len(chunks), int(np.max(t))))
+        return check_phase(counts, means, t, delta)
+
+    add = meta._Certify.add
+    monkeypatch.setattr(meta._Certify, "add", add_spy)
+    monkeypatch.setattr(meta, "check_phase", check_spy)
+    env, grid = preset("env3"), make_grid(2000, 1)
+    seeds = [derive_seed(7, "last hand-over", i) for i in range(BLOCK_REPS)]
+    run = approx_delayed_start_run(UcbPolicy(2), env, grid, 0.01, seeds)
+    # the hand-overs are those of a uniform run over the whole horizon
+    phase1 = run_batch(UniformPolicy(2), env, grid, seeds)
+    assert run.tau.tolist() == [tau for tau, *_ in scan_certification(
+        phase1.actions, phase1.rewards, 1, 2, 0.01)]
+    # every chunk before the last left a rep open, and the last check, the
+    # one that closed the last rep, ran in the last chunk drawn, well before
+    # the horizon
+    assert [done for *_, done in chunks] == [False] * (len(chunks) - 1) + [True]
+    lo, hi, _ = chunks[-1]
+    assert checks[-1][0] == len(chunks) - 1
+    assert run.tau.max() <= checks[-1][1] and lo < checks[-1][1] <= hi < grid.n
 
 
 # check_phase calls per certified cell at n=2000 and 10 reps when phase 1

@@ -1,7 +1,8 @@
 """The alternating-pairs protocol of the timing scripts in ``tools/``, the
 summary of ``tools/bench_pairs.py``, and smoke runs of
 ``tools/time_replay.py``, ``tools/time_log_io.py``,
-``tools/measure_memory.py`` and ``tools/sweep_scalar_beta.py``.
+``tools/measure_memory.py``, ``tools/sweep_scalar_beta.py`` and
+``tools/time_pool.py``.
 
 ``tools/pairs.py`` is not part of the package, so it is loaded from its
 file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
@@ -197,3 +198,19 @@ def test_fast_path_timings_run_at_tiny_sizes(tmp_path):
         assert len(record["play"][side]["values"]) == 2
     assert all(record["pair_cells"][f"n={n}"][f"2**{e}"]["traced_peak_mib"] > 0
                for n in (300, 600) for e in (14, 16, 18, 20))
+
+
+def test_pool_timings_run_at_tiny_sizes(tmp_path):
+    out = tmp_path / "pool.json"
+    subprocess.run([sys.executable, str(TOOLS / "time_pool.py"), "--parent", str(TOOLS.parent),
+                    "--change", str(TOOLS.parent), "--n", "64", "--reps", "2", "--pairs", "2",
+                    "--out", str(out)], cwd=TOOLS.parent, check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    assert record["same_bytes"]
+    for run in record["runs"]["parent"] + record["runs"]["change"]:
+        # 84 cells over the caller and one worker, each ending within the call
+        assert run["caller"]["cells"] + sum(w["cells"] for w in run["workers"]) == 84
+        assert len(run["workers"]) <= 1
+        assert max(w["end_s"] for w in [run["caller"], *run["workers"]]) <= run["wall_s"]
+    assert set(record["summary"]) == {"wall_s", "caller_end_s", "last_worker_end_s",
+                                      "caller_idle_s"}
