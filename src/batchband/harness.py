@@ -231,10 +231,13 @@ def _map(fn, payloads, threads: int) -> list:
     caller included, and never more than there are payloads.
 
     The other workers are children forked from the caller, so payloads reach
-    them by fork, not by pickle.  The caller writes every payload index to
-    one pipe, and each process reads the next index only when it is free:
-    nothing is prefetched, and no process idles while payloads remain.  Once
-    the pipe is empty, each child sends its ``{index: result}`` pickled once,
+    them by fork, not by pickle.  Each process first runs a payload of its
+    own, the caller payload 0 and child ``i`` payload ``i``, so which process
+    runs which of the first ``threads`` payloads never depends on when each
+    one starts.  The caller writes every other payload index to one pipe,
+    and each process reads the next index only when it is free: nothing is
+    prefetched, and no process idles while payloads remain.  Once the pipe
+    is empty, each child sends its ``{index: result}`` pickled once,
     over a pipe of its own, and leaves by ``os._exit``.  Results come back
     in payload order, whichever process ran them.  A payload that raises
     makes its process drain the index pipe, so that no process starts
@@ -249,17 +252,17 @@ def _map(fn, payloads, threads: int) -> list:
     if len(payloads) > _ROUND:
         return _map(fn, payloads[:_ROUND], threads) + _map(fn, payloads[_ROUND:], threads)
     tasks, feed = os.pipe()
-    os.write(feed, np.arange(len(payloads), dtype="<u4").tobytes())
+    os.write(feed, np.arange(workers, len(payloads), dtype="<u4").tobytes())
     os.close(feed)
     done, errors, replies = {}, [], {}  # replies: child pid -> read end of its pipe
     try:
-        for _ in range(workers - 1):
+        for first in range(1, workers):
             reply, out = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child leaves by os._exit, so no caller code runs twice
                 code = 1
                 try:
-                    _pull(fn, payloads, tasks, done, errors)
+                    _pull(fn, payloads, first, tasks, done, errors)
                     with open(out, "wb") as fh:
                         fh.write(pickle.dumps((done, errors)))
                     code = 0
@@ -267,7 +270,7 @@ def _map(fn, payloads, threads: int) -> list:
                     os._exit(code)
             os.close(out)
             replies[pid] = reply
-        _pull(fn, payloads, tasks, done, errors)
+        _pull(fn, payloads, 0, tasks, done, errors)
         for pid, reply in replies.items():
             with open(reply, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -289,18 +292,21 @@ def _map(fn, payloads, threads: int) -> list:
     return [done[i] for i in range(len(payloads))]
 
 
-def _pull(fn, payloads, tasks: int, done: dict, errors: list) -> None:
-    """Run into ``done`` each payload whose index this process reads from the
-    pipe ``tasks``, one at a time, until the pipe is empty.  A payload that
-    raises goes into ``errors`` as ``(index, error)``, and the pipe is
-    drained so that no process starts another."""
-    while index := os.read(tasks, 4):
-        i = int.from_bytes(index, "little")
+def _pull(fn, payloads, first: int, tasks: int, done: dict, errors: list) -> None:
+    """Run into ``done`` payload ``first`` and then each payload whose index
+    this process reads from the pipe ``tasks``, one at a time, until the
+    pipe is empty.  A payload that raises goes into ``errors`` as ``(index,
+    error)``, and the pipe is drained so that no process starts another."""
+    i = first
+    while True:
         try:
             done[i] = fn(payloads[i])
         except Exception as exc:
             errors.append((i, exc))
             _drain(tasks)
+        if not (index := os.read(tasks, 4)):
+            return
+        i = int.from_bytes(index, "little")
 
 
 def _drain(tasks: int) -> None:

@@ -33,9 +33,12 @@ one.  State is frozen within a batch, so the played rule is constant inside
 it.  A lone run takes the same array paths on a state of one rep.  Replay's
 TS loop holds one rep's posterior as Python floats (``ts_posterior``) and picks
 the first maximum (``ts_arm``, ``ts_arms``): the same IEEE operations in
-the same order as ``act_reps``' array path, so the same bits.  For replay,
-UCB's one-rep state also runs ahead (``UcbPolicy.run_ahead``): over the
-batches its leader keeps, given the leader's rewards, in one call.
+the same order as ``act_reps``' array path, so the same bits.  UCB's states
+also run ahead (``UcbPolicy.run_ahead_reps``): over the batches every rep's
+leader keeps, given the leaders' rewards, in one call that returns the leaders
+after them.  The engine runs a two-phase run's reps ahead once every rep has
+handed over; replay runs its one rep ahead through ``UcbPolicy.run_ahead``,
+the same batches and bits in fewer numpy calls.
 """
 
 from __future__ import annotations
@@ -178,26 +181,34 @@ class UcbPolicy(_CountPolicy):
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
         # the log is taken once with math.log because every rep shares
         # t_seen; numpy's SIMD log need not match libm to the last bit
-        counts = states.counts
-        bonus = 2.0 * math.log(states.t_seen + 1)
-        if states.unpulled:
-            states.unpulled = bool((counts == 0).any())
-        if not states.unpulled:
-            idx = states.sums / counts + self.c * np.sqrt(bonus / counts)
-        else:
-            # errstate only while a count is zero: entered on every call it took
-            # act_reps from 4.4-6.0 to 5.4-8.2 us at 1-100 reps, 6,579 calls a
-            # certified_start iteration (tools/time_fast_paths.py, BENCH_29.json)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                idx = states.sums / counts + self.c * np.sqrt(bonus / counts)
-            idx[counts == 0] = math.inf
-        arms = idx.argmax(axis=1)
+        arms = self._leaders(states, states.sums, states.counts, 2.0 * math.log(states.t_seen + 1))
         if rows.size < arms.size:
             arms = arms[rows]
         return arms[:, None].repeat(b, axis=1)
 
+    def _leaders(self, states, sums, counts, bonus) -> np.ndarray:
+        """The arm of first maximum index in each row of ``sums`` and
+        ``counts``, those of ``states`` or of states after it, ``bonus``
+        being ``2 ln t``; an unpulled arm's index is inf.  Once no count of
+        ``states`` is zero, no count of a state after it is either."""
+        if states.unpulled:
+            states.unpulled = bool((states.counts == 0).any())
+        if not states.unpulled:
+            idx = sums / counts + self.c * np.sqrt(bonus / counts)
+        else:
+            # errstate only while a count is zero: entered on every call it took
+            # act_reps from 4.4-6.0 to 5.4-8.2 us at 1-100 reps, 6,579 calls a
+            # certified_start iteration then and 984 since two-phase runs run
+            # ahead (tools/time_fast_paths.py, BENCH_29.json, BENCH_32.json)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                idx = sums / counts + self.c * np.sqrt(bonus / counts)
+            idx[counts == 0] = math.inf
+        return idx.argmax(axis=-1)
+
     def run_ahead(self, states, lead, rewards) -> int:
-        """Advance a one-rep state over the batches its leader keeps.
+        """Advance a one-rep state over the batches its leader keeps:
+        replay's form of ``run_ahead_reps``, the same batches and bits in
+        fewer numpy calls at one rep.
 
         ``lead`` is the state's argmax, the arm ``act_reps`` plays, and
         ``rewards`` ``(w, m)`` are the ``m`` rewards each of the next ``w``
@@ -238,6 +249,48 @@ class UcbPolicy(_CountPolicy):
         sums[lead] = path[keep * m]
         states.t_seen += keep * m
         return keep
+
+    def run_ahead_reps(self, states, lead, rewards) -> tuple[int, np.ndarray]:
+        """Advance ``R`` lockstep reps over the batches every rep's leader keeps.
+
+        ``lead`` ``(R,)`` holds each rep's leader, the arm ``act_reps``
+        plays, and ``rewards`` ``(R, w, m)`` the ``m`` rewards each of the
+        next ``w`` batches would release to rep ``r`` if ``lead[r]`` played
+        it.  The leaders play the first batch, and batch ``j + 1`` while
+        every rep's leader is still its first maximum after ``j`` batches.
+        Absorbs the batches the leaders play, up to ``w``, and returns how
+        many, with the leaders after them.  The bits are ``act_reps``' and
+        ``update_reps``': each leader's sums are one sequential cumsum from
+        its running sum, each bonus comes from ``math.log``, and numpy's
+        ``/`` and ``sqrt`` are correctly rounded.
+        """
+        reps, w, m = rewards.shape
+        # the leaders' cells in the flattened counts and sums, which
+        # update_reps writes through too
+        cells = lead + states.offsets[:, 0]
+        counts, sums = states.counts.ravel(), states.sums.ravel()
+        path = np.empty((reps, w * m + 1))
+        path[:, 0] = sums[cells]
+        path[:, 1:] = rewards.reshape(reps, w * m)
+        path.cumsum(axis=1, out=path)
+        pulls = counts[cells]
+        # the states after 1..w batches, one per row: only the leaders'
+        # counts and sums and the bonus move
+        t = states.t_seen + 1
+        bonus = np.array([2.0 * math.log(x) for x in range(t + m, t + (w + 1) * m, m)])
+        n, s = np.empty((w, reps * self.k)), np.empty((w, reps * self.k))
+        n[:], s[:] = counts, sums
+        n[:, cells] = pulls + np.arange(m, (w + 1) * m, m)[:, None]
+        s[:, cells] = path[:, m::m].T
+        leaders = self._leaders(states, s.reshape(w, reps, self.k), n.reshape(w, reps, self.k),
+                                bonus[:, None, None])
+        moved = (leaders != lead).ravel()
+        i = int(moved.argmax())
+        keep = i // reps + 1 if moved[i] else w
+        counts[cells] += keep * m
+        sums[cells] = path[:, keep * m]
+        states.t_seen += keep * m
+        return keep, leaders[keep - 1]
 
 
 def _blocks(rows, reps):

@@ -17,9 +17,10 @@ often as the stream requires:
 * a policy that is not ``adaptive`` proposes for the whole log in one call
   and is never updated;
 * UCB runs ahead while its leader holds: its leader matches exactly the
-  records that log it, so one ``run_ahead`` call takes the leader's next
-  records, found from per-arm record positions, as whole batches, and
-  stops at the batch after which another arm leads;
+  records that log it, so one ``run_ahead`` call, the one-rep form of the
+  engine's ``run_ahead_reps``, takes the leader's next records, found from
+  per-arm record positions, as whole batches, and stops at the batch after
+  which another arm leads;
 * two-phase play, LinUCB and LinTS propose for a look-ahead window of
   ``2 * k * need`` records, where ``need`` is what the pending batch still
   lacks, keep the first ``need`` matches and drop the rest.  The linear

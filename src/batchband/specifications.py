@@ -31,7 +31,9 @@ simulate ``whole_blocks(reps)`` reps (``sim_seeds``) and drop the surplus.
 seed or many, on one environment or a stack.  The delayed-start runners
 in ``meta`` decide each rep's hand-over and pass the engine their naive
 policy, which ignores feedback, as a prefix with the per-rep hand-over
-steps: the engine plays it again, a chunk at a time.
+steps: the engine plays it again, a chunk at a time.  Once every rep has
+handed over, a candidate that runs ahead (UCB) plays the batches its
+leaders hold in one call (``AHEAD_CELLS``); plain runs ask it batch by batch.
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ OPT_TOL = 1e-12
 # below 256 a chunk pays one generator call per rep for fewer steps
 # (tools/measure_memory.py, BENCH_25.json).
 CHUNK = 256
+
+# Once every rep of a two-phase run has handed over and its leaders have held
+# for ``AHEAD_MIN`` batches, a policy that runs ahead
+# (``UcbPolicy.run_ahead_reps``) plays windows of as many batches as they
+# have held, up to the chunk's end and ``AHEAD_CELLS`` (rep, batch) cells.
+# The benchmark's certified_start sweep took 116 ms against 155 ms with no
+# window (10/10 rounds), and 106 and 109 ms from 2 and 8 batches.  At 256 and
+# 1,024 reps a window costs about what the batches it spares cost: env3
+# delayed-start cells read 0.86-1.03 of no window's time at 2**12 cells and
+# 0.85-1.04 at 2**10 and 2**14, at traced peaks within 0.1 MiB, while from
+# 2 batches the 256-rep b=1 cell read 1.15 (tools/time_fast_paths.py,
+# BENCH_32.json)
+AHEAD_CELLS = 4096
+AHEAD_MIN = 4
 
 
 @dataclass(eq=False)
@@ -296,7 +312,9 @@ def run_lockstep(
     feedback, up to its hand-over step ``tau[i]`` (a batch boundary, or -1
     for none), and ``policy`` plays it from there with the rep's whole
     history absorbed, drawing from ``block_streams(seeds, "candidate")``.
-    Two-phase runs use batch feedback on a finite-armed environment.
+    Two-phase runs use batch feedback on a finite-armed environment.  Once
+    every rep has handed over, a policy with ``run_ahead_reps`` plays the
+    batches all its leaders hold in one call per window (``AHEAD_CELLS``).
 
     ``env`` may also be a stack, a tuple of ``(env, reps)`` pairs of
     Bernoulli envs of one arm count and no ``prefix``: the first ``reps``
@@ -346,6 +364,12 @@ def run_lockstep(
     # a policy that ignores feedback plays the batches after the last
     # hand-over a chunk at a time
     split = M if policy.adaptive or contextual else last // b
+    # one that runs ahead does so there over as many batches as every rep's
+    # leaders ``lead`` have ``held`` since any of them last moved; ``led`` is
+    # the last batch's leaders as bytes, the cheapest to compare
+    held, cap = 0, AHEAD_CELLS // max(reps, 1)
+    ahead = prefix is not None and hasattr(policy, "run_ahead_reps") and cap > 1
+    lead = led = None
     keep = Whole() if keep is None else keep
     width = max(CHUNK // b, 1) * b if keep.chunked else n
     cuts = list(range(0, n, width))
@@ -391,8 +415,10 @@ def run_lockstep(
             rewards[:, :p] = uniforms[:, :p] < means[actions[:, :p] + offsets]
             if state is not None and policy.adaptive:
                 state = policy.update_reps(state, actions[:, :p], rewards[:, :p])
-        for j in range(max(start, c0) // b, min(split, c1 // b)):
+        j, stop = max(start, c0) // b, min(split, c1 // b)
+        while j < stop:
             lo, hi = j * b - c0, (j + 1) * b - c0
+            j += 1
             if contextual:
                 ctx, batch = contexts[:, lo:hi], normals[:, lo // b]
                 noise = (batch[:, b * cw : -b].reshape(reps, b, drawn),) if drawn else ()
@@ -401,7 +427,27 @@ def run_lockstep(
                 chosen.reshape(reps, w, k, cw)[all_rows[:, None], np.arange(lo, hi), acts] = ctx
                 rews = env.rewards(chosen[:, lo:hi], batch[:, -b:])
             else:
-                if c0 + lo >= last:
+                if ahead and c0 + lo >= last:
+                    if lead is None:
+                        acts = policy.act_reps(state, b, streams, all_rows)
+                        lead = acts[:, 0]
+                        held = held + 1 if lead.tobytes() == led else 0
+                    else:
+                        acts = lead[:, None].repeat(b, axis=1)
+                    span = min(held, stop - j + 1, cap)
+                    if held >= AHEAD_MIN and span > 1:
+                        got = uniforms[:, lo : lo + span * b] < means[lead[:, None] + offsets]
+                        got = got.reshape(reps, span, b)
+                        kept, after = policy.run_ahead_reps(state, lead, got)
+                        hi = lo + kept * b
+                        actions[:, lo:hi] = lead[:, None]
+                        rewards[:, lo:hi] = got[:, :kept].reshape(reps, -1)
+                        held = held + kept if after.tobytes() == lead.tobytes() else 0
+                        lead = after
+                        j += kept - 1
+                        continue
+                    led, lead = lead.tobytes(), None
+                elif c0 + lo >= last:
                     acts = policy.act_reps(state, b, streams, all_rows)
                 else:
                     acts = actions[:, lo:hi].copy()

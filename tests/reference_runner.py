@@ -13,8 +13,9 @@ step-then-arm order, and uniform play one ``integers(0, k)`` per step.
 The linear policies keep dense ``k * p`` ridge statistics, in the
 disjoint model's block layout, and factor them afresh for every proposal,
 in runs and in replay.  Replay makes one proposal per logged record, in
-record order, on one generator.  The estimated delayed start checks one
-rep's 1-D counts and means at each boundary.
+record order, on one generator.  A two-phase run asks at each boundary
+whether a rep hands over; the estimated delayed start checks one rep's
+1-D counts and means there.
 """
 
 import math
@@ -96,27 +97,39 @@ def reference_run(name, means, n, b, seeds, short=False, c=1.0, arm=0, switch_t=
 
 
 def reference_approx_delayed_start(means, n, b, seeds, delta, c=1.0):
-    """[(tau, actions)] of each rep of the estimated delayed start of UCB.
+    """[(tau, actions)] of each rep of the estimated delayed start of UCB:
+    ``reference_two_phase`` leaving phase 1 at the first boundary ``t`` with
+    ``t >= 2``, every arm pulled and ``check_phase`` passing on the rep's
+    counts and means."""
+    def certifies(i, t, counts, sums):
+        if t < 2 or min(counts) < 1:
+            return False
+        mean_hat = [s / m for s, m in zip(sums, counts)]
+        return not check_phase(np.array(counts, dtype=float), np.array(mean_hat), t, delta)
 
-    A rep plays uniformly until the first boundary ``t`` (0, b, ..., n)
-    with ``t >= 2``, every arm pulled and ``check_phase`` passing on its
-    counts and means; from there UCB plays on the whole history.  ``tau``
-    is that ``t``, or None when phase 1 never ends.  Phase 1 is a plain
-    uniform run: per batch the block draws uniform play for all its reps,
-    whichever of them have handed over."""
+    return reference_two_phase(means, n, b, seeds, certifies, c)
+
+
+def reference_two_phase(means, n, b, seeds, hands_over, c=1.0):
+    """[(tau, actions)] of each rep of a two-phase run of uniform play and
+    then UCB.
+
+    Rep ``i`` plays uniformly until the first boundary ``t`` (0, b, ...,
+    n) at which ``hands_over(i, t, counts, sums)`` holds on its history;
+    from there UCB plays on the whole history.  ``tau`` is that ``t``, or
+    None when phase 1 never ends.  Phase 1 is a plain uniform run: per
+    batch the block draws uniform play for all its reps, whichever of them
+    have handed over."""
     k = len(means)
     out = []
     for gen, rngs in _blocks(seeds):
-        reps = len(rngs)
+        reps, first = len(rngs), len(out)
         counts, sums = [[0] * k for _ in rngs], [[0.0] * k for _ in rngs]
         taus, runs = [None] * reps, [[] for _ in rngs]
         for t in range(0, n + 1, b):
             for r in range(reps):
-                if taus[r] is None and t >= 2 and min(counts[r]) >= 1:
-                    mean_hat = [s / m for s, m in zip(sums[r], counts[r])]
-                    if not check_phase(np.array(counts[r], dtype=float),
-                                       np.array(mean_hat), t, delta):
-                        taus[r] = t
+                if taus[r] is None and hands_over(first + r, t, counts[r], sums[r]):
+                    taus[r] = t
             if t == n:
                 break
             draws = [[int(gen.integers(0, k)) for _ in range(b)] for _ in rngs]

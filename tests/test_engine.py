@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_runner import reference_approx_delayed_start, reference_linear_run, reference_run
+from reference_runner import (reference_approx_delayed_start, reference_linear_run, reference_run,
+                              reference_two_phase)
 
 from batchband import specifications
 from batchband.assumptions import Curves, _mean_se
@@ -484,6 +485,45 @@ def test_approx_delayed_start_matches_naive_reference(env_name, b):
         tau, actions = reference_approx_delayed_start(env.means.tolist(), grid.n, b, [seed],
                                                       0.05)[0]
         assert (lone.phase.tau_hat, lone.actions.tolist()) == (tau, actions)
+
+
+@pytest.mark.parametrize("budget", [None, 5])
+@pytest.mark.parametrize("reps", [1, 2 * BLOCK_REPS + 3])
+@pytest.mark.parametrize("b", [1, 3, 10])
+@pytest.mark.parametrize("env_name", ["env3", "0.9,0.3,0.2,0.1"])
+def test_two_phase_ucb_runs_ahead_as_the_reference_plays(monkeypatch, env_name, b, reps, budget):
+    # each rep hands over at its own boundary in the run's first quarter,
+    # and some rep's leader still moves after the last one, so the windows
+    # UCB runs ahead over get cut; a budget of 5 batches per window binds
+    env = parse_env(env_name)
+    grid = make_grid(1000, b)
+    seeds = [derive_seed(33, "ahead", env_name, b, i) for i in range(reps)]
+    taus = [b * (5 * i % (grid.M // 4) + 1) for i in range(reps)]
+    if budget:
+        monkeypatch.setattr(specifications, "AHEAD_CELLS", budget * reps)
+    windows, run_ahead = [], UcbPolicy.run_ahead_reps
+
+    def spy(self, states, lead, rewards):
+        out = run_ahead(self, states, lead, rewards)
+        windows.append((rewards.shape[1], out[0]))
+        return out
+
+    monkeypatch.setattr(UcbPolicy, "run_ahead_reps", spy)
+    prefix = (UniformPolicy(env.k), taus)
+    run = run_lockstep(UcbPolicy(env.k), env, grid, seeds, prefix=prefix)
+    ref = reference_two_phase(env.means.tolist(), grid.n, b, seeds,
+                              lambda i, t, counts, sums: t == taus[i])
+    assert [tau for tau, _ in ref] == taus
+    assert run.actions.tolist() == [actions for _, actions in ref]
+    assert any(kept < w for w, kept in windows)
+    assert min(w for w, _ in windows) > 1
+    assert max(w for w, _ in windows) == (budget or max(w for w, _ in windows))
+    # the same bits as batch-by-batch play, which a budget below the
+    # shortest window leaves
+    monkeypatch.setattr(specifications, "AHEAD_CELLS", reps)
+    plain = run_lockstep(UcbPolicy(env.k), env, grid, seeds, prefix=prefix)
+    for name in ("actions", "rewards", "pseudo_regret", "optimal_hits", "pull_counts"):
+        assert np.array_equal(getattr(run, name), getattr(plain, name))
 
 
 class Widths(Curves):

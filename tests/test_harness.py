@@ -501,7 +501,8 @@ class TestWorkerCount:
 
     def test_pool_starts_no_more_workers_than_payloads(self, monkeypatch):
         # a fork that starts no child: its "child" never replies, so each
-        # call that forks runs every payload in the caller and then raises
+        # call that forks runs every payload but the children's own first
+        # ones in the caller and then raises
         forks, fake = [], 2**30
 
         def fork():
@@ -542,13 +543,32 @@ class TestWorkerCount:
         assert os.getpid() in {pid for _, pid in results}
         _no_child_left()
 
+    def test_each_process_runs_its_own_first_payload_however_late_it_starts(
+            self, monkeypatch, tmp_path):
+        # a child that starts late would find the caller done with both
+        # payloads if it pulled its first one too
+        fork = os.fork
+
+        def late_fork():
+            pid = fork()
+            if pid == 0:
+                time.sleep(0.2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", late_fork)
+        results = harness._map(_tag_pid, [(i, 0.0, tmp_path / "ran") for i in range(2)], 2)
+        monkeypatch.undo()
+        assert [i for i, _ in results] == [0, 1]
+        assert results[0][1] == os.getpid() != results[1][1]
+        _no_child_left()
+
     def test_caller_error_surfaces_and_cancels_unstarted_payloads(self, tmp_path):
         payloads = [(i, os.getpid(), True, 0.2, tmp_path) for i in range(8)]
         with pytest.raises(ValueError, match=r"payload \d failed in the caller"):
             harness._map(_fail_in, payloads, 2)
         # the caller drained the index pipe as its first payload failed,
-        # while the worker ran the one payload it had pulled, or two on a
-        # loaded host
+        # while the worker ran its own first payload, or two on a loaded
+        # host
         assert len(list(tmp_path.iterdir())) <= 2
         _no_child_left()
 
@@ -557,14 +577,14 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match=r"payload \d failed in the worker"):
             harness._map(_fail_in, payloads, 2)
         # the worker drained the index pipe as its first payload failed,
-        # while the caller ran the one payload it had pulled, or two on a
-        # loaded host
+        # while the caller ran its own first payload, or two on a loaded
+        # host
         assert len(list(tmp_path.iterdir())) <= 2
         _no_child_left()
 
     def test_the_first_failed_payload_wins_and_a_worker_that_dies_raises(self):
-        # payload 0 is read first and fails last: after payload 1 whenever
-        # another process read that before the drain
+        # payload 0, the caller's own, fails last: after payload 1, the
+        # worker's
         with pytest.raises(ValueError, match="payload 0 failed"):
             harness._map(_fail_after, [(0, 0.2), (1, 0.0)], 2)
         with pytest.raises(RuntimeError, match="exited without a reply"):

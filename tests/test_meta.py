@@ -539,6 +539,23 @@ def test_the_certification_run_ends_at_the_check_that_closes_the_last_rep(monkey
     assert run.tau.max() <= checks[-1][1] and lo < checks[-1][1] <= hi < grid.n
 
 
+def test_a_certified_ucb_cell_asks_the_candidate_far_less_often_than_once_per_batch(monkeypatch):
+    # every rep hands over at step 656 and no leader moves after it: the
+    # candidate runs ahead over windows that double, not batch by batch
+    calls = []
+    for name in ("act_reps", "update_reps", "run_ahead_reps"):
+        def spy(self, *args, real=getattr(UcbPolicy, name)):
+            calls.append(real)
+            return real(self, *args)
+
+        monkeypatch.setattr(UcbPolicy, name, spy)
+    config = ExperimentConfig(n=2000, reps=BLOCK_REPS, master_seed=1, mode="delayed_start",
+                              envs=("env1",), policies=("ucb",), batch_sizes=(1,))
+    row = run_experiment(config).rows[0]
+    assert (row.tau_mean, row.tau_none) == (656, 0)
+    assert 0 < len(calls) <= (2000 - 656) // 20
+
+
 # check_phase calls per certified cell at n=2000 and 10 reps when phase 1
 # was stored whole and its boundaries checked 256 at a time
 STORED_HEAD_CHECKS = {("env1", 1): 8, ("env3", 1): 4, ("env6", 1): 8,

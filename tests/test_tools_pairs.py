@@ -191,9 +191,13 @@ def test_fast_path_timings_run_at_tiny_sizes(tmp_path):
                     "--out", str(out)],
                    check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     record = json.loads(out.read_text())
-    for case in ("ucb_unpulled", "list_window", "play", "pair_cells"):
+    for case in ("ucb_unpulled", "ucb_run_ahead", "list_window", "play", "pair_cells"):
         assert record[case]["results_equal"]
     assert record["ucb_unpulled"]["act_reps_calls_per_certified_start_iteration"] > 0
+    assert record["ucb_run_ahead"]["calls_per_certified_start_iteration"]["run_ahead_reps"] > 0
+    cells = [cell for key, cell in record["ucb_run_ahead"].items() if key.endswith("reps=32")]
+    assert len(cells) == 4 and all(cell[label]["traced_peak_mib"] > 0 for cell in cells
+                                   for label in ("off", "2**10", "2**12", "2**14"))
     for side in ("on", "off"):
         assert len(record["play"][side]["values"]) == 2
     assert all(record["pair_cells"][f"n={n}"][f"2**{e}"]["traced_peak_mib"] > 0

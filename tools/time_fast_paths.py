@@ -16,7 +16,18 @@ equal:
   of 2,000 calls per round; ``off`` enters ``np.errstate`` around every
   call, which the ``unpulled`` branch spares once no count is zero.  The
   case also counts the ``act_reps`` calls of one iteration of the
-  benchmark's ``certified_start`` workload (both modes, seed 1);
+  benchmark's ``certified_start`` workload (both modes, seed 1), which
+  fell from 6,579 when two-phase runs began to run ahead (``ucb_run_ahead``);
+* ``ucb_run_ahead``: the benchmark's ``certified_start`` sweep (both modes,
+  ucb on env1, env3 and env6 at b in {1, 10, 100}, n=2000, 10 reps) as it
+  is (``on``), with ``specifications.AHEAD_CELLS`` 0 (``off``: every batch
+  is one ``act_reps`` and one ``update_reps`` call) and with
+  ``specifications.AHEAD_MIN`` 2 and 8, with the ``UcbPolicy`` calls of one
+  iteration of it per method; and 256- and 1,024-rep ``delayed_start`` and
+  ``approx_delayed_start`` cells (ucb on env3, n=2000, b in {1, 10}) at
+  ``AHEAD_CELLS`` of 0, 2**10, 2**12 and 2**14, and 2**12 with
+  ``AHEAD_MIN`` 2, with the traced peak (``tracemalloc``) of one untimed
+  call at each;
 * ``list_window``: the replays of the benchmark's ``replay_log`` workload
   on its 5,000-row contextual log, linucb and lints at b in {1, 50},
   timed together; ``off`` sets ``replay._LIST_WINDOW_MAX`` to 0, so every
@@ -50,16 +61,19 @@ from pairs import compare, host, run_pairs, summarise, write_json
 from batchband import (ExperimentConfig, UcbPolicy, derive_seed, make_grid, make_linear_env,
                        make_policy, preset, replay_evaluate, run_experiment,
                        synth_logged_dataset)
-from batchband import assumptions, meta, replay
+from batchband import assumptions, meta, replay, specifications
 from batchband.harness import regret_curve
 
-SIZES = {"rounds": {"ucb_unpulled": 5, "list_window": 10, "play": 20, "pair_cells": 5},
+SIZES = {"rounds": {"ucb_unpulled": 5, "ucb_run_ahead": 10, "list_window": 10, "play": 20,
+                    "pair_cells": 5},
          "reps": (1, 10, 100), "calls": 2000, "ctx_rows": 5000, "n": 2000, "cert_reps": 10,
-         "curve_n": (4000, 20000), "curve_reps": 64}
-SMOKE = {"rounds": {"ucb_unpulled": 2, "list_window": 2, "play": 2, "pair_cells": 2},
+         "curve_n": (4000, 20000), "curve_reps": 64, "wide_reps": (256, 1024)}
+SMOKE = {"rounds": {"ucb_unpulled": 2, "ucb_run_ahead": 2, "list_window": 2, "play": 2,
+                    "pair_cells": 2},
          "reps": (1, 3), "calls": 20, "ctx_rows": 200, "n": 200, "cert_reps": 2,
-         "curve_n": (300, 600), "curve_reps": 4}
+         "curve_n": (300, 600), "curve_reps": 4, "wide_reps": (32,)}
 CERTIFIED = {"envs": ("env1", "env3", "env6"), "policies": ("ucb",), "batch_sizes": (1, 10, 100)}
+MODES = ("delayed_start", "approx_delayed_start")
 
 
 def timed(fn):
@@ -112,13 +126,77 @@ def ucb_unpulled(sizes, rounds):
 
     UcbPolicy.act_reps = spy
     try:
-        for mode in ("delayed_start", "approx_delayed_start"):
-            run_experiment(ExperimentConfig(n=sizes["n"], reps=sizes["cert_reps"], master_seed=1,
-                                            mode=mode, **CERTIFIED))
+        certified_start(sizes)
     finally:
         UcbPolicy.act_reps = act_reps
     out["act_reps_calls_per_certified_start_iteration"] = len(calls)
     out["results_equal"] = all(v["results_equal"] for k, v in out.items() if k.startswith("reps="))
+    return out
+
+
+def certified_start(sizes):
+    """One iteration of the benchmark's certified_start sweep: its tables' digests."""
+    return [rows_digest(run_experiment(ExperimentConfig(
+        n=sizes["n"], reps=sizes["cert_reps"], master_seed=1, mode=mode, **CERTIFIED)))
+        for mode in MODES]
+
+
+def ucb_run_ahead(sizes, rounds):
+    defaults = {"AHEAD_CELLS": specifications.AHEAD_CELLS,
+                "AHEAD_MIN": specifications.AHEAD_MIN}
+
+    def at(fn, **settings):
+        for name, value in settings.items():
+            setattr(specifications, name, value)
+        try:
+            return fn()
+        finally:
+            for name, value in defaults.items():
+                setattr(specifications, name, value)
+
+    sweeps = {"on": {}, "off": {"AHEAD_CELLS": 0}, "from 2": {"AHEAD_MIN": 2},
+              "from 8": {"AHEAD_MIN": 8}}
+    out = {"certified_start": sides(
+        lambda side: at(lambda: timed(lambda: certified_start(sizes)), **sweeps[side]),
+        rounds, tuple(sweeps))}
+    calls = {}
+    methods = {name: getattr(UcbPolicy, name)
+               for name in ("act_reps", "update_reps", "run_ahead_reps")}
+    for name, real in methods.items():
+        def spy(self, *args, name=name, real=real):
+            calls[name] = calls.get(name, 0) + 1
+            return real(self, *args)
+        setattr(UcbPolicy, name, spy)
+    try:
+        certified_start(sizes)
+    finally:
+        for name, real in methods.items():
+            setattr(UcbPolicy, name, real)
+    out["calls_per_certified_start_iteration"] = calls
+
+    widths = {"off": {"AHEAD_CELLS": 0}, "2**10": {"AHEAD_CELLS": 2**10},
+              "2**12": {"AHEAD_CELLS": 2**12}, "2**14": {"AHEAD_CELLS": 2**14},
+              "2**12 from 2": {"AHEAD_CELLS": 2**12, "AHEAD_MIN": 2}}
+    for reps in sizes["wide_reps"]:
+        for mode in MODES:
+            for b in (1, 10):
+                config = ExperimentConfig(n=sizes["n"], reps=reps, master_seed=1, mode=mode,
+                                          envs=("env3",), policies=("ucb",), batch_sizes=(b,))
+
+                def run(label, config=config):
+                    return at(lambda: timed(lambda: rows_digest(run_experiment(config))),
+                              **widths[label])
+
+                cell = sides(run, rounds, tuple(widths))
+                for label, settings in widths.items():
+                    tracemalloc.start()
+                    try:
+                        at(lambda: run_experiment(config), **settings)
+                        cell[label]["traced_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+                    finally:
+                        tracemalloc.stop()
+                out[f"{mode} env3 b={b} reps={reps}"] = cell
+    out["results_equal"] = all(v.get("results_equal", True) for v in out.values())
     return out
 
 
@@ -202,7 +280,7 @@ def sides(run, rounds, names=("on", "off")):
 def side_summary(runs, key):
     names = list(runs)
     out = {side: summarise([r[key] for r in runs[side]]) for side in names}
-    if names == ["on", "off"]:
+    if names[:2] == ["on", "off"]:
         out["on_against_off"] = compare([r[key] for r in runs["off"]],
                                         [r[key] for r in runs["on"]])
     results = [r["result"] for side in names for r in runs[side]]
@@ -210,8 +288,8 @@ def side_summary(runs, key):
     return out
 
 
-CASES = {"ucb_unpulled": ucb_unpulled, "list_window": list_window, "play": play,
-         "pair_cells": pair_cells}
+CASES = {"ucb_unpulled": ucb_unpulled, "ucb_run_ahead": ucb_run_ahead,
+         "list_window": list_window, "play": play, "pair_cells": pair_cells}
 
 
 def main(argv=None) -> int:
