@@ -37,8 +37,7 @@ the same order as ``act_reps``' array path, so the same bits.  UCB's states
 also run ahead (``UcbPolicy.run_ahead_reps``): over the batches every rep's
 leader keeps, given the leaders' rewards, in one call that returns the leaders
 after them.  The engine runs a two-phase run's reps ahead once every rep has
-handed over; replay runs its one rep ahead through ``UcbPolicy.run_ahead``,
-the same batches and bits in fewer numpy calls.
+handed over, and replay runs its one rep ahead.
 """
 
 from __future__ import annotations
@@ -60,9 +59,9 @@ DEFAULT_LINUCB_ALPHA = 1.0
 BLOCK_REPS = 16
 
 
-# UCB replay runs ahead (``UcbPolicy.run_ahead``) over windows of this many
-# batches, doubled after each window its leader keeps whole and reset when
-# the leader changes.  Starts of 4, 8, 16 and 32 asked 629 to 379 windows
+# UCB replay runs ahead (``UcbPolicy.run_ahead_reps``) over windows of this
+# many batches, doubled after each window its leader keeps whole and reset
+# when the leader changes.  Starts of 4, 8, 16 and 32 asked 629 to 379 windows
 # in the 25k-row ucb replay at b=1, in times alike within the host's noise
 # (BENCH_21.json)
 RUN_AHEAD_START = 8
@@ -204,51 +203,6 @@ class UcbPolicy(_CountPolicy):
                 idx = sums / counts + self.c * np.sqrt(bonus / counts)
             idx[counts == 0] = math.inf
         return idx.argmax(axis=-1)
-
-    def run_ahead(self, states, lead, rewards) -> int:
-        """Advance a one-rep state over the batches its leader keeps:
-        replay's form of ``run_ahead_reps``, the same batches and bits in
-        fewer numpy calls at one rep.
-
-        ``lead`` is the state's argmax, the arm ``act_reps`` plays, and
-        ``rewards`` ``(w, m)`` are the ``m`` rewards each of the next ``w``
-        batches would release if ``lead`` played it.  ``lead`` plays the
-        first batch, and batch ``j + 1`` while it is still the first
-        maximum after ``j`` batches: its index strictly above every lower
-        arm's and at least every higher arm's, an unpulled arm's being inf.
-        Absorbs the batches ``lead`` plays, up to ``w``, and returns how
-        many.  The bits are ``act_reps``' and ``update_reps``': the
-        leader's sums are one sequential cumsum from its running sum, each
-        bonus comes from ``math.log``, and numpy's ``/`` and ``sqrt`` are
-        correctly rounded.
-        """
-        w, m = rewards.shape
-        counts, sums = states.counts[0], states.sums[0]
-        path = np.empty(w * m + 1)
-        path[0] = sums[lead]
-        path[1:] = rewards.ravel()
-        path.cumsum(out=path)
-        others = counts.tolist()
-        del others[lead]
-        if w == 1 or 0.0 in others:
-            # an unpulled arm takes over after the leader's first batch
-            keep = 1
-        else:
-            # the states after 1..w-1 batches, one per row: only the
-            # leader's count and sum and the bonus move
-            t, pulls = states.t_seen + 1, int(counts[lead])
-            bonus = 2.0 * np.array(list(map(math.log, range(t + m, t + w * m, m))))
-            n, s = np.empty((w - 1, self.k)), np.empty((w - 1, self.k))
-            n[:], s[:] = counts, sums
-            n[:, lead] = np.arange(pulls + m, pulls + w * m, m)
-            s[:, lead] = path[m : w * m : m]
-            moved = (s / n + self.c * np.sqrt(bonus[:, None] / n)).argmax(axis=1) != lead
-            j = int(moved.argmax())
-            keep = j + 1 if moved[j] else w
-        counts[lead] += keep * m
-        sums[lead] = path[keep * m]
-        states.t_seen += keep * m
-        return keep
 
     def run_ahead_reps(self, states, lead, rewards) -> tuple[int, np.ndarray]:
         """Advance ``R`` lockstep reps over the batches every rep's leader keeps.

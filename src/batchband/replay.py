@@ -17,10 +17,10 @@ often as the stream requires:
 * a policy that is not ``adaptive`` proposes for the whole log in one call
   and is never updated;
 * UCB runs ahead while its leader holds: its leader matches exactly the
-  records that log it, so one ``run_ahead`` call, the one-rep form of the
-  engine's ``run_ahead_reps``, takes the leader's next records, found from
-  per-arm record positions, as whole batches, and stops at the batch after
-  which another arm leads;
+  records that log it, so one ``run_ahead_reps`` call on its one rep takes
+  the leader's next records, found from per-arm record positions, as whole
+  batches, stops at the batch after which another arm leads, and names the
+  leader after them;
 * two-phase play, LinUCB and LinTS propose for a look-ahead window of
   ``2 * k * need`` records, where ``need`` is what the pending batch still
   lacks, keep the first ``need`` matches and drop the rest.  The linear
@@ -149,7 +149,7 @@ def replay_evaluate(
         successes = int(np.count_nonzero(dataset.rewards[hits] >= SUCCESS_THRESHOLD))
         return _result(policy, b, int(np.count_nonzero(hits)), successes)
 
-    if hasattr(policy, "run_ahead"):
+    if hasattr(policy, "run_ahead_reps"):
         return _result(policy, b, *_replay_ahead(policy, state, dataset, b, rows))
     if isinstance(policy, ThompsonBetaPolicy):
         return _result(policy, b, *_replay_ts(k, dataset, b, rng))
@@ -206,16 +206,17 @@ def _replay_ahead(policy, state, dataset: LoggedData, b: int, rows) -> tuple[int
     wins = dataset.rewards >= SUCCESS_THRESHOLD
     matched = successes = i = 0
     window = RUN_AHEAD_START
+    lead = policy.act_reps(state, 1, None, rows)[:, 0]
     while True:
-        lead = int(policy.act_reps(state, 1, None, rows)[0, 0])
-        pos = positions[lead]
+        pos = positions[lead[0]]
         lo = int(pos.searchsorted(i))
         take = pos[lo : lo + window * b]
         w = len(take) // b
         if not w:
             # the leader never changes again: the rest of its records
             return matched + len(take), successes + int(np.count_nonzero(wins[take]))
-        keep = policy.run_ahead(state, lead, dataset.rewards[take[: w * b]].reshape(w, b))
+        got = dataset.rewards[take[: w * b]].reshape(1, w, b)
+        keep, lead = policy.run_ahead_reps(state, lead, got)
         played = take[: keep * b]
         matched += played.size
         successes += int(np.count_nonzero(wins[played]))

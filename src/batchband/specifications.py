@@ -61,15 +61,18 @@ CHUNK = 256
 # Once every rep of a two-phase run has handed over and its leaders have held
 # for ``AHEAD_MIN`` batches, a policy that runs ahead
 # (``UcbPolicy.run_ahead_reps``) plays windows of as many batches as they
-# have held, up to the chunk's end and ``AHEAD_CELLS`` (rep, batch) cells.
-# The benchmark's certified_start sweep took 116 ms against 155 ms with no
-# window (10/10 rounds), and 106 and 109 ms from 2 and 8 batches.  At 256 and
-# 1,024 reps a window costs about what the batches it spares cost: env3
-# delayed-start cells read 0.86-1.03 of no window's time at 2**12 cells and
-# 0.85-1.04 at 2**10 and 2**14, at traced peaks within 0.1 MiB, while from
-# 2 batches the 256-rep b=1 cell read 1.15 (tools/time_fast_paths.py,
-# BENCH_32.json)
-AHEAD_CELLS = 4096
+# have held, up to the chunk's end and ``AHEAD_CELLS`` (rep, batch) cells, so
+# runs of more than ``AHEAD_CELLS // 2`` reps play batch by batch.  The
+# benchmark's certified_start sweep took 121 ms against 173 ms with no window
+# (10/10 rounds), with 342 run-ahead calls; at 2**12 cells it made 303 in
+# 126 ms, and from 2 and 8 batches it took 122 and 127 ms, alike within the
+# rounds' spread, as on 256-rep cells (0.87-1.11 of no window).  At 1,024
+# reps a window costs what the batches it spares cost: env3 delayed-start
+# cells read 0.91-1.13 of no window's time at every budget and start, the
+# spread of no window against itself, and at 2**12 cells the delayed starts
+# peaked 0.1-0.35 MiB higher in fresh processes, so 2**10 keeps them batch
+# by batch (tools/time_fast_paths.py, tools/measure_memory.py, BENCH_32.json)
+AHEAD_CELLS = 1024
 AHEAD_MIN = 4
 
 

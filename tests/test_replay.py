@@ -318,9 +318,10 @@ class TestProposalCalls:
     def test_ucb_asks_per_window_its_leader_holds_not_per_match(self, monkeypatch):
         # the benchmark's 25k-row env1 log at b=1: 12,474 matches, each a
         # batch, and about 520 windows (one per leader change, and one per
-        # doubling while a leader holds), each one leader and one run ahead
+        # doubling while a leader holds), each one run ahead that names the
+        # next leader
         calls = []
-        for method in ("act_reps", "run_ahead"):
+        for method in ("act_reps", "run_ahead_reps"):
             real = getattr(UcbPolicy, method)
 
             def spy(self, *args, real=real, method=method):

@@ -25,12 +25,18 @@ the call wrote.  The cases:
   several GB;
 * ``simulate approx_delayed_start`` and ``simulate delayed_start``:
   ``simulate --env env3 --policy ucb --b 10 --threads 1 --n 20000 --reps
-  256`` in that ``--mode``, one sweep cell of each delayed start.
+  256`` in that ``--mode``, one sweep cell of each delayed start;
+* ``simulate <mode> b=<b> reps=1024``, run only when named in ``--cases``:
+  ``simulate --env env3 --policy ucb --b <b> --threads 1 --n 2000 --reps
+  1024`` for each delayed start and b in {1, 10}, where
+  ``specifications.AHEAD_CELLS`` decides whether a two-phase run runs
+  ahead.
 
 The sides are the parent, the change, one side per ``--chunks`` value: the
 change tree with ``specifications.CHUNK`` set to that value in the child,
 which sweeps the constant, and likewise one side per ``--budgets`` value,
-which sets ``meta.CHECK_PAIRS``.  ``--cases`` runs only the named cases
+which sets ``meta.CHECK_PAIRS``, and per ``--ahead`` value, which sets
+``specifications.AHEAD_CELLS``.  ``--cases`` runs only the named cases
 (comma-separated) and ``--reps`` replaces every case's reps.  Processes
 run one at a time: the parent's
 ``check-bounds`` at n=100,000 takes about 3.3 GB.  In each pair every case
@@ -67,9 +73,16 @@ CASES = {
                             (20_000, 256), (100, 2), "curves.csv", True)
        for mode in ("approx_delayed_start", "delayed_start")},
 }
+DEFAULT = tuple(CASES)
+CASES.update({
+    f"simulate {mode} b={b} reps=1024": (
+        f"simulate --env env3 --policy ucb --b {b} --threads 1 --mode {mode}",
+        (2000, 1024), (100, 2), "curves.csv", True)
+    for mode in ("approx_delayed_start", "delayed_start") for b in (1, 10)})
 
 # swept constants: side label prefix -> (batchband module, name)
-SWEEPS = {"chunk": ("specifications", "CHUNK"), "check_pairs": ("meta", "CHECK_PAIRS")}
+SWEEPS = {"chunk": ("specifications", "CHUNK"), "check_pairs": ("meta", "CHECK_PAIRS"),
+          "ahead_cells": ("specifications", "AHEAD_CELLS")}
 
 # runs in the child: {"s", "peak_mib", "code", "digest"} of one CLI call
 CHILD = """
@@ -101,7 +114,9 @@ def main(argv=None) -> int:
     p.add_argument("--chunks", default="", help="comma-separated CHUNK values to sweep")
     p.add_argument("--budgets", default="",
                    help="comma-separated meta.CHECK_PAIRS values to sweep")
-    p.add_argument("--cases", default=",".join(CASES), help="comma-separated cases to run")
+    p.add_argument("--ahead", default="",
+                   help="comma-separated specifications.AHEAD_CELLS values to sweep")
+    p.add_argument("--cases", default=",".join(DEFAULT), help="comma-separated cases to run")
     p.add_argument("--reps", type=int, default=0, help="reps of every case, in place of its own")
     p.add_argument("--smoke", action="store_true", help="tiny cases, to check the script")
     args = p.parse_args(argv)
@@ -112,7 +127,8 @@ def main(argv=None) -> int:
         p.error(f"unknown cases {sorted(set(chosen) - set(CASES))}")
 
     sides = {"parent": (args.parent, []), "change": (args.change, [])}
-    for label, values in (("chunk", args.chunks), ("check_pairs", args.budgets)):
+    for label, values in (("chunk", args.chunks), ("check_pairs", args.budgets),
+                          ("ahead_cells", args.ahead)):
         sides.update({f"{label}={v}": (args.change, [[*SWEEPS[label], int(v)]])
                       for v in values.split(",") if v})
     with tempfile.TemporaryDirectory() as work:
@@ -149,7 +165,8 @@ def main(argv=None) -> int:
     record = {
         "what": "peak RSS and wall time of long check-bounds, check-assumptions and "
                 "delayed-start simulate calls, parent vs change and the change at each "
-                "swept specifications.CHUNK and meta.CHECK_PAIRS",
+                "swept specifications.CHUNK, meta.CHECK_PAIRS and "
+                "specifications.AHEAD_CELLS",
         "host": host(),
         "parent_commit": args.parent_commit,
         "order": "in each pair every case runs on every side back to back, one process at "

@@ -21,12 +21,13 @@ equal:
 * ``ucb_run_ahead``: the benchmark's ``certified_start`` sweep (both modes,
   ucb on env1, env3 and env6 at b in {1, 10, 100}, n=2000, 10 reps) as it
   is (``on``), with ``specifications.AHEAD_CELLS`` 0 (``off``: every batch
-  is one ``act_reps`` and one ``update_reps`` call) and with
-  ``specifications.AHEAD_MIN`` 2 and 8, with the ``UcbPolicy`` calls of one
-  iteration of it per method; and 256- and 1,024-rep ``delayed_start`` and
-  ``approx_delayed_start`` cells (ucb on env3, n=2000, b in {1, 10}) at
-  ``AHEAD_CELLS`` of 0, 2**10, 2**12 and 2**14, and 2**12 with
-  ``AHEAD_MIN`` 2, with the traced peak (``tracemalloc``) of one untimed
+  is one ``act_reps`` and one ``update_reps`` call), with
+  ``specifications.AHEAD_MIN`` 2 and 8 and with ``AHEAD_CELLS`` 2**10 and
+  2**12, with the ``UcbPolicy`` calls of one iteration of it per method;
+  and 256- and 1,024-rep ``delayed_start`` and ``approx_delayed_start``
+  cells (ucb on env3, n=2000, b in {1, 10}) at ``AHEAD_CELLS`` of 0,
+  2**10, 2**12 and 2**14, 2**12 with ``AHEAD_MIN`` 2 and 8, and 2**10 with
+  ``AHEAD_MIN`` 8, with the traced peak (``tracemalloc``) of one untimed
   call at each;
 * ``list_window``: the replays of the benchmark's ``replay_log`` workload
   on its 5,000-row contextual log, linucb and lints at b in {1, 50},
@@ -155,7 +156,8 @@ def ucb_run_ahead(sizes, rounds):
                 setattr(specifications, name, value)
 
     sweeps = {"on": {}, "off": {"AHEAD_CELLS": 0}, "from 2": {"AHEAD_MIN": 2},
-              "from 8": {"AHEAD_MIN": 8}}
+              "from 8": {"AHEAD_MIN": 8}, "2**10": {"AHEAD_CELLS": 2**10},
+              "2**12": {"AHEAD_CELLS": 2**12}}
     out = {"certified_start": sides(
         lambda side: at(lambda: timed(lambda: certified_start(sizes)), **sweeps[side]),
         rounds, tuple(sweeps))}
@@ -176,7 +178,9 @@ def ucb_run_ahead(sizes, rounds):
 
     widths = {"off": {"AHEAD_CELLS": 0}, "2**10": {"AHEAD_CELLS": 2**10},
               "2**12": {"AHEAD_CELLS": 2**12}, "2**14": {"AHEAD_CELLS": 2**14},
-              "2**12 from 2": {"AHEAD_CELLS": 2**12, "AHEAD_MIN": 2}}
+              "2**12 from 2": {"AHEAD_CELLS": 2**12, "AHEAD_MIN": 2},
+              "2**12 from 8": {"AHEAD_CELLS": 2**12, "AHEAD_MIN": 8},
+              "2**10 from 8": {"AHEAD_CELLS": 2**10, "AHEAD_MIN": 8}}
     for reps in sizes["wide_reps"]:
         for mode in MODES:
             for b in (1, 10):
