@@ -12,12 +12,12 @@ pulling the next cell when it is free (see ``_map``).  Any thread count
 produces byte-identical output because seeds never depend on scheduling
 or stacking.
 
-``check_theorem_bounds`` estimates the three quantities of the regret
-sandwich for a batch specification: the online regret R_n, the batch
-regret R_n(b), and b times the online regret over the number of batches
-M, read off the same online run at step M.  Each inequality gets a
-2-standard-error verdict, and its gate passes unless that verdict is
-``violated``.
+``bound_reports`` reads the regret sandwich off a plain ``RegretTable``:
+no policy reads its horizon, so a pair's b=1 curve holds R_n(online) and,
+at step M = n // b, R_M(online) for each b cell's R_n(b).  Each inequality
+gets a 2-standard-error verdict, and its gate passes unless that verdict
+is ``violated``.  ``check_theorem_bounds`` reduces so a sweep over b in
+{1, b}.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assumptions import Curves, RegretCurve, _mean_se, _verdict
+from .assumptions import Curves, RegretCurve, _verdict
 from .core import derive_seed, make_grid, write_csv  # noqa: F401  bench/spans.py wraps derive_seed
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from .policies import POLICY_NAMES, PolicyError, UniformPolicy, make_policy
-from .specifications import BLOCK_REPS, Steps, run_batch, run_online, sim_seeds, whole_blocks
+from .specifications import run_batch, sim_seeds, whole_blocks
+from .specifications import run_online  # noqa: F401  bench/run_bench.py and bench/spans.py wrap it
 
 MODES = ("plain", "delayed_start", "approx_delayed_start")
 
@@ -437,17 +438,12 @@ class BoundReport:
         return all(iq.gate_pass for iq in self.inequalities)
 
 
-def check_theorem_bounds(
-    policy_name: str,
-    env_spec: str,
-    n: int,
-    b: int,
-    reps: int,
-    master_seed: int = 0,
-    policy_params: dict | None = None,
-    threads: int = 1,
-) -> BoundReport:
-    """Monte-Carlo check of R_n(online) <= R_n(batch b) <= b * R_M(online).
+def check_theorem_bounds(policy_name: str, env_spec: str, n: int, b: int, reps: int,
+                         master_seed: int = 0, policy_params: dict | None = None,
+                         threads: int = 1) -> BoundReport:
+    """Monte-Carlo check of R_n(online) <= R_n(batch b) <= b * R_M(online):
+    the ``bound_reports`` row of the sweep of ``policy_name`` on ``env_spec``
+    over b in {1, ``b``}, whose cells are ``run_experiment``'s own.
 
     Batch size 1 collapses all three quantities and is rejected.  The
     strict lower inequality is reported with a 2-standard-error verdict but
@@ -460,59 +456,44 @@ def check_theorem_bounds(
         raise ConfigError("bound check needs b >= 2; at b=1 the sandwich collapses")
     if reps < 2:
         raise ConfigError("bound check needs reps >= 2 for a standard error")
-    env = parse_env(env_spec)
-    policy = _cell_policy(policy_name, env, n, policy_params or {})
-    grid = make_grid(n, b)
-    n, m = grid.n, grid.M
-
-    payloads = [
-        (policy_name, env_spec, policy, n, b, master_seed, lo, hi)
-        for lo, hi in _split_reps(reps, threads)
-    ]
-    parts = _map(_bound_chunk, payloads, threads)
-    means, ses = _mean_se(np.concatenate(parts))
-    mean_on, mean_b, mean_m = (float(x) for x in means)
-    se_on, se_b, se_m = (float(x) for x in ses)
-
-    inequalities = [
-        BoundInequality("lower", "R_n(online)", f"R_n(b={b})",
-                        mean_on, mean_b, float(np.hypot(se_b, se_on))),
-        BoundInequality("upper", f"R_n(b={b})", f"{b}*R_{m}(online)",
-                        mean_b, b * mean_m, float(np.hypot(b * se_m, se_b))),
-    ]
-    return BoundReport(
-        policy=policy_name, env=env_spec, n=n, b=b, m=m, reps=reps,
-        mean_online=mean_on, se_online=se_on, mean_batch=mean_b, se_batch=se_b,
-        mean_m=mean_m, se_m=se_m, inequalities=inequalities,
-    )
+    config = ExperimentConfig(
+        envs=(env_spec,), policies=(policy_name,), n=n, batch_sizes=(1, b), reps=reps,
+        master_seed=master_seed, policy_params={policy_name: policy_params or {}})
+    return bound_reports(run_experiment(config, threads=threads))[0]
 
 
-def _split_reps(reps: int, threads: int):
-    """Contiguous chunks ``(lo, hi)`` of whole blocks of reps, at most one
-    per working process (the caller is one) and per block.  A chunk of
-    whole blocks draws what one call over every rep would.  At one thread,
-    n=2000 and 1,000 reps, one chunk beat four of 256 reps for ucb and tied
-    for ts (``BENCH_19.json``); stacked sweep calls broke even at about 1.5M
-    rep-steps and lost at 3M (``STACK_STEPS``)."""
-    blocks = -(-reps // BLOCK_REPS)
-    per = -(-blocks // max(min(threads, blocks), 1)) * BLOCK_REPS
-    return [(lo, min(lo + per, reps)) for lo in range(0, reps, per)]
-
-
-def _bound_chunk(payload):
-    """Regrets of reps ``lo..hi-1`` as a (reps, 3) array: online over n,
-    batch b over n, and online over M, read off the online run at step M
-    (no policy reads its horizon); one lockstep engine call per run, over
-    whole blocks from ``lo`` when the policy draws."""
-    policy_name, env_spec, policy, n, b, master_seed, lo, hi = payload
-    env = parse_env(env_spec)
-    grid = make_grid(n, b)
-    key = f"thm|{env_spec}|{policy_name}|{n}|{b}"
-    on, batched = (sim_seeds(policy.draws, hi - lo, master_seed, key, tag, lo=lo)
-                   for tag in ("online", "batch"))
-    online = run_online(policy, env, n, on, keep=Steps(n - 1, grid.M - 1))
-    batch = run_batch(policy, env, grid, batched, keep=Steps(n - 1))
-    return np.column_stack([online[:, 0], batch[:, 0], online[:, 1]])[: hi - lo]
+def bound_reports(table: RegretTable) -> list[BoundReport]:
+    """A ``BoundReport`` per (env, policy, b >= 2) cell of ``table``, in row
+    order: R_n(online) and R_M(online) off the pair's b=1 curve at the cell's
+    truncated n and at M = n // b, and R_n(b) the cell's final mean, each
+    inequality's error the ``hypot`` of its independent sides'.
+    ``ConfigError`` unless ``table`` is plain, of at least 2 reps, and has
+    the b=1 cell of each pair it has a b >= 2 cell of."""
+    c = table.config
+    if c.mode != "plain":
+        raise ConfigError(f"bound reports read plain tables, not mode {c.mode!r}")
+    if c.reps < 2:
+        raise ConfigError("bound reports need reps >= 2 for a standard error")
+    online = {(r.env, r.policy): r for r in table.rows if r.b == 1}
+    reports = []
+    for r in (r for r in table.rows if r.b > 1):
+        if (r.env, r.policy) not in online:
+            raise ConfigError(f"cell ({r.env}, {r.policy}, b={r.b}) has no b=1 cell "
+                              "to read R_n(online) off")
+        b, m, curve = r.b, r.n // r.b, online[r.env, r.policy]
+        mean_on, mean_m = curve.curve_mean[[r.n - 1, m - 1]].tolist()
+        se_on, se_m = curve.curve_stderr[[r.n - 1, m - 1]].tolist()
+        reports.append(BoundReport(
+            policy=r.policy, env=r.env, n=r.n, b=b, m=m, reps=r.reps,
+            mean_online=mean_on, se_online=se_on, mean_batch=r.mean_final,
+            se_batch=r.stderr_final, mean_m=mean_m, se_m=se_m, inequalities=[
+                BoundInequality("lower", "R_n(online)", f"R_n(b={b})", mean_on,
+                                r.mean_final, float(np.hypot(r.stderr_final, se_on))),
+                BoundInequality("upper", f"R_n(b={b})", f"{b}*R_{m}(online)", r.mean_final,
+                                b * mean_m, float(np.hypot(b * se_m, r.stderr_final))),
+            ],
+        ))
+    return reports
 
 
 def regret_curve(policy, env, grid, reps: int, master_seed: int = 0) -> RegretCurve:

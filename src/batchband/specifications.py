@@ -251,10 +251,10 @@ def whole_blocks(reps: int, pads: bool = True) -> int:
     return -(-reps // BLOCK_REPS) * BLOCK_REPS if pads else reps
 
 
-def sim_seeds(pads: bool, reps: int, *key, lo: int = 0) -> list:
-    """Seeds ``derive_seed(*key, i)`` of the reps from ``lo`` that a run
-    simulates to report ``reps``: whole blocks when it ``pads``."""
-    return [derive_seed(*key, i) for i in range(lo, lo + whole_blocks(reps, pads))]
+def sim_seeds(pads: bool, reps: int, *key) -> list:
+    """Seeds ``derive_seed(*key, i)`` of the reps that a run simulates to
+    report ``reps``: whole blocks when it ``pads``."""
+    return [derive_seed(*key, i) for i in range(whole_blocks(reps, pads))]
 
 
 def check_arms(policy, env) -> None:

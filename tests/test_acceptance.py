@@ -35,6 +35,7 @@ from batchband.environments import (
 )
 from batchband.harness import (
     ExperimentConfig,
+    bound_reports,
     check_theorem_bounds,
     run_experiment,
 )
@@ -110,6 +111,28 @@ def test_criterion_2_gap_dependence(fig1_sweep):
         f"criterion 2 PASS: gap-dependent batch penalty: env3 +{d3:.1f} vs "
         f"env1 +{d1:.1f} (z={z:.1f})"
     )
+
+
+def test_the_sweep_holds_the_upper_sandwich_on_every_row(fig1_sweep):
+    """b * R_M(online) bounds R_n(b) within 2 SE on all 72 (env, policy, b >= 2)
+    rows that the sweep's b=1 cells give, with no further run.  The lower
+    side is printed, not gated: rows whose true gap is near zero each read
+    below -2 SE at about the one-sided 2-SE rate, so a grid-wide gate needs
+    a measured multiplicity rule first."""
+    reports = bound_reports(fig1_sweep)
+    assert len(reports) == len(ALL_ENVS) * 2 * (len(SWEEP_BS) - 1) == 72
+    upper_z, lines = [], []
+    for r in reports:
+        lower, upper = r.inequalities
+        upper_z.append((upper.diff / upper.stderr, r.env, r.policy, r.b))
+        lines.append(f"{r.env} {r.policy} b={r.b}: lower z={lower.diff / lower.stderr:+.2f} "
+                     f"upper z={upper_z[-1][0]:+.2f}")
+        assert upper.gate_pass, (
+            f"upper sandwich FAIL: {r.env} {r.policy} b={r.b}: R_n(b)={upper.lhs:.2f} vs "
+            f"{upper.rhs_label}={upper.rhs:.2f} (slack 2se={2 * upper.stderr:.2f})")
+    print("\n".join(lines))
+    print(f"upper sandwich PASS on 72 rows; smallest margin {min(upper_z)[0]:+.2f} SE "
+          f"at {min(upper_z)[1:]}")
 
 
 def test_criterion_3_theorem_sandwich():

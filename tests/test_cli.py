@@ -343,8 +343,31 @@ class TestCheckBounds:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize("policy", ["ucb", "ts"])
+    def test_bounds_are_the_cells_that_simulate_writes(self, tmp_path, policy):
+        # n=103 truncates to 100 at b=5, so M=20; 20 reps are not whole blocks
+        run = ["--policy", policy, "--env", "env1", "--n", "103", "--reps", "20", "--seed", "9"]
+        assert main(["check-bounds", *run, "--b", "5", "--out-dir", str(tmp_path / "b")]) == 0
+        assert main(["simulate", *run, "--b", "1,5", "--out-dir", str(tmp_path / "s")]) == 0
+
+        def rows(path):
+            with open(path, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        lower, upper = rows(tmp_path / "b" / "bounds.csv")
+        batch = {r["b"]: r for r in rows(tmp_path / "s" / "results.csv")}["5"]
+        curve = {(r["cell"], r["t"]): r for r in rows(tmp_path / "s" / "curves.csv")}
+        r_n, r_m = (curve[f"env1|{policy}|online|1", t] for t in (batch["n"], "20"))
+        assert batch["n"] == "100"
+        assert [lower["lhs"], lower["rhs"], upper["lhs"]] == [
+            r_n["mean"], batch["mean_final_regret"], batch["mean_final_regret"]]
+        assert float(upper["rhs"]) == 5 * float(r_m["mean"])
+        se_b = float(batch["stderr_final_regret"])
+        assert float(lower["stderr"]) == np.hypot(se_b, float(r_n["stderr"]))
+        assert float(upper["stderr"]) == np.hypot(5 * float(r_m["stderr"]), se_b)
+
     def test_pooled_run_writes_the_bytes_of_one_thread(self, tmp_path):
-        # 48 reps make two chunks of whole blocks, so two threads fork
+        # a check runs two cells, so two threads fork
         flags = ["check-bounds", "--policy", "ucb", "--env", "env1", "--n", "60",
                  "--b", "5", "--reps", "48", "--seed", "6"]
         d1, d2 = tmp_path / "t1", tmp_path / "t2"

@@ -64,8 +64,8 @@ CASES = {
     ),
 }
 BOUNDS = {
-    "ucb": "2480ebcda5f4ea5657c0c2e998729eaa788cf60c5da317ae0eb23bfe7d2fb257",
-    "ts": "be86d55d0e9e1118c966b7f4cab022a028c755f06fc4ad9fadb0df17d68952a1",
+    "ucb": "ce0dfda3680c7df97808dcd8e294e9a10378c69472b2db9914279e6cc70cb47c",
+    "ts": "ecc0f831400ffe030d33b83a50f5c2cd0c6fa79c50e37cda1001abd708ece7e6",
 }
 for _policy, _digest in BOUNDS.items():
     for _threads in ("1", "2"):
@@ -165,7 +165,7 @@ DEMOS = {
     "batch_effect": "d053f9253706810b812b14d5aea72dd643c45cf7ba39e2e4e72f13d13839ca3d",
     "delayed_start": "216defecee31d0f04deba7c9dbd5df9814f652c8f2f4f61ce6a0f6d2b0e9cbf5",
     "offline_replay": "54bb547fb35d12e8abfed125f3f4168667ff180030df7838fe59e98389552ecd",
-    "theorem_sandwich": "c73aba44ad689890903daa8c3b1caeec662a3a529043320a1ae4e87744a4eaf5",
+    "theorem_sandwich": "a87615e9b97eebd645d19b6c353c9fdad7a03c030db97e8be4a8031709fd67ae",
 }
 
 

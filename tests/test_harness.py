@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import batchband.harness as harness
 from batchband import cli, meta, specifications
+from batchband.assumptions import _mean_se
 from batchband.core import derive_seed, make_grid
 from batchband.environments import preset
 from batchband.harness import (
@@ -22,7 +23,7 @@ from batchband.harness import (
     ConfigError,
     ExperimentConfig,
     _cell_key,
-    _split_reps,
+    bound_reports,
     check_theorem_bounds,
     regret_curve,
     resolve_threads,
@@ -422,20 +423,60 @@ class TestCheckTheoremBounds:
         assert r1.mean_m == r2.mean_m
 
     @pytest.mark.parametrize("name", ["ucb", "ts"])
-    def test_a_chunk_runs_online_once_and_reads_r_m_at_step_m(self, monkeypatch, name):
+    def test_a_check_runs_two_cells_and_reads_r_m_at_step_m(self, monkeypatch, name):
         runs = []
-        for runner in ("run_online", "run_batch"):
-            monkeypatch.setattr(harness, runner, _recording(getattr(harness, runner), runs))
-        env = preset("env1")
-        policy = harness._cell_policy(name, env, 60, {})
-        # reps 16..22: a draw-free chunk runs 7 reps, a drawing one its block
-        finals = harness._bound_chunk((name, "env1", policy, 60, 5, 3, 16, 23))
-        # each run keeps the regret at the steps it names; the whole runs on
-        # the same arguments hold the same values there
-        assert [(fn.__name__, keep.steps.tolist()) for fn, _, keep, _ in runs] == [
-            ("run_online", [59, 11]), ("run_batch", [59])]
-        online, batch = (fn(*args).pseudo_regret[:7] for fn, args, _, _ in runs)
-        assert np.array_equal(finals, np.column_stack([online[:, -1], batch[:, -1], online[:, 11]]))
+        monkeypatch.setattr(harness, "run_batch", _recording(harness.run_batch, runs))
+        # n=63 truncates to 60 at b=5, so M=12; 7 reps are not a whole block
+        report = check_theorem_bounds(name, "env1", n=63, b=5, reps=7, master_seed=3)
+        # one engine call per cell: the b=1 cell over n, the b cell over its grid
+        assert [(args[2].b, args[2].n) for _, args, _, _ in runs] == [(1, 63), (5, 60)]
+        (_, on_args, online, _), (_, b_args, batch, _) = runs
+        assert (report.n, report.m) == (60, 12)
+        assert [report.mean_online, report.mean_m, report.mean_batch] == [
+            online.mean[0][59], online.mean[0][11], batch.mean[0][-1]]
+        assert [report.se_online, report.se_m, report.se_batch] == [
+            online.stderr[0][59], online.stderr[0][11], batch.stderr[0][-1]]
+        # the whole runs on the same arguments hold the same values there
+        whole_online = run_batch(*on_args).pseudo_regret[:7]
+        whole_batch = run_batch(*b_args).pseudo_regret[:7]
+        means, ses = _mean_se(np.column_stack(
+            [whole_online[:, 59], whole_online[:, 11], whole_batch[:, -1]]))
+        assert [report.mean_online, report.mean_m, report.mean_batch] == means.tolist()
+        assert [report.se_online, report.se_m, report.se_batch] == ses.tolist()
+
+
+class TestBoundReports:
+    def test_each_b_cell_reads_its_pairs_b1_curve(self):
+        cfg = small_config(envs=("env1", "env6"), policies=("ucb", "ts"), n=41,
+                           batch_sizes=(4, 1, 8), reps=5)
+        table = run_experiment(cfg)
+        reports = bound_reports(table)
+        assert [(r.env, r.policy, r.b, r.n, r.m) for r in reports] == [
+            (e, p, b, n, n // b) for e in cfg.envs for p in cfg.policies
+            for b, n in ((4, 40), (8, 40))]
+        for r in reports:
+            online, cell = table.row(r.env, r.policy, 1), table.row(r.env, r.policy, r.b)
+            assert (r.mean_online, r.mean_m) == (online.curve_mean[39],
+                                                 online.curve_mean[r.m - 1])
+            assert (r.mean_batch, r.se_batch) == (cell.mean_final, cell.stderr_final)
+            upper = r.inequalities[1]
+            assert (upper.rhs, upper.stderr) == (
+                r.b * r.mean_m, np.hypot(r.b * r.se_m, r.se_batch))
+
+    @pytest.mark.parametrize("mode", ["delayed_start", "approx_delayed_start"])
+    def test_a_table_not_plain_is_rejected(self, mode):
+        table = run_experiment(small_config(mode=mode))
+        with pytest.raises(ConfigError, match=f"plain tables, not mode '{mode}'"):
+            bound_reports(table)
+
+    def test_a_table_of_one_rep_is_rejected(self):
+        with pytest.raises(ConfigError, match="reps >= 2"):
+            bound_reports(run_experiment(small_config(reps=1)))
+
+    def test_a_b_cell_without_its_b1_cell_is_rejected(self):
+        table = run_experiment(small_config(batch_sizes=(2, 4)))
+        with pytest.raises(ConfigError, match=r"\(env1, ucb, b=2\) has no b=1 cell"):
+            bound_reports(table)
 
 
 def _recording(fn, results):
@@ -490,15 +531,6 @@ def _no_child_left():
 
 
 class TestWorkerCount:
-    def test_chunks_are_whole_blocks_at_most_one_per_worker(self):
-        assert _split_reps(1000, 10_000) == [
-            (lo, min(lo + 16, 1000)) for lo in range(0, 1000, 16)
-        ]
-        assert _split_reps(100, 2) == [(0, 64), (64, 100)]
-        assert _split_reps(48, 2) == [(0, 32), (32, 48)]
-        assert _split_reps(24, 1) == [(0, 24)]
-        assert _split_reps(10, 3) == [(0, 10)]
-
     def test_pool_starts_no_more_workers_than_payloads(self, monkeypatch):
         # a fork that starts no child: its "child" never replies, so each
         # call that forks runs every payload but the children's own first
@@ -515,12 +547,13 @@ class TestWorkerCount:
         os_waitpid = os.waitpid
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "waitpid", waitpid)
+        # a check runs its b=1 cell and its b cell, at any rep count
         calls = [lambda: check_theorem_bounds("ucb", "env1", n=20, b=5, reps=1000,
                                               threads=10_000),
-                 lambda: run_experiment(small_config(), threads=10_000),
-                 lambda: check_theorem_bounds("ucb", "env1", n=20, b=5, reps=10,
-                                              threads=10_000)]
-        for call, payloads in zip(calls, (63, 2, 1)):
+                 lambda: check_theorem_bounds("ts", "env1", n=20, b=5, reps=10,
+                                              threads=10_000),
+                 lambda: run_experiment(small_config(batch_sizes=(4,)), threads=10_000)]
+        for call, payloads in zip(calls, (2, 2, 1)):
             forks.append(0)
             if payloads == 1:
                 call()
@@ -528,7 +561,7 @@ class TestWorkerCount:
                 with pytest.raises(RuntimeError, match="exited without a reply"):
                     call()
         # the caller is one of the workers, so it forks one fewer
-        assert forks == [62, 1, 0]
+        assert forks == [1, 1, 0]
         monkeypatch.undo()
         _no_child_left()
 
@@ -717,20 +750,6 @@ def test_delayed_start_csvs_do_not_depend_on_the_check_budget(tmp_path, monkeypa
     monkeypatch.setattr(meta, "CHECK_PAIRS", budget)
     assert cli_outputs(calls, tmp_path / "budget") == default
     capsys.readouterr()
-
-
-def test_a_bound_chunk_holds_o_reps_times_chunk_memory():
-    # 64 reps at n=20,000 were 41 MiB of (R, n) run arrays; the reduced runs
-    # hold a few chunks of the kept columns
-    policy = UcbPolicy(2)
-    tracemalloc.start()
-    try:
-        finals = harness._bound_chunk(("ucb", "env1", policy, 20_000, 10, 0, 0, 64))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert finals.shape == (64, 3)
-    assert peak < 4 * 2**20
 
 
 def env3_ucb_cell(mode, n=20_000, b=10, reps=16):

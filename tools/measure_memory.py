@@ -12,8 +12,10 @@ Usage (from the repository root)::
 
 Each case is one ``batchband.cli.main`` call in a fresh Python process whose
 ``PYTHONPATH`` is the side's tree's ``src``; the child records the call's
-wall time, the process's ``ru_maxrss``, the exit code and a hash of the CSV
-the call wrote.  The cases:
+wall time, the process's peak resident set, the exit code and a hash of the
+CSV the call wrote.  The peak is ``VmHWM`` from ``/proc/self/status``, or
+``ru_maxrss`` where that file is missing (``pairs.PEAK_MIB``): on Linux a
+child's ``ru_maxrss`` starts at the peak its parent had reached.  The cases:
 
 * ``check-bounds ucb n=100000``: ``check-bounds --policy ucb --env env1
   --n 100000 --b 10 --reps 1000 --threads 1``;
@@ -55,8 +57,8 @@ import os
 import sys
 import tempfile
 
-from pairs import (compare, host, run_child, run_pairs, src_lines, summarise, tree_parser,
-                   write_json)
+from pairs import (PEAK_MIB, compare, host, run_child, run_pairs, src_lines, summarise,
+                   tree_parser, write_json)
 
 # case: (CLI arguments but --n and --reps, (n, reps), (n, reps) under
 # --smoke, the CSV the call writes, whether the parent runs it)
@@ -85,8 +87,8 @@ SWEEPS = {"chunk": ("specifications", "CHUNK"), "check_pairs": ("meta", "CHECK_P
           "ahead_cells": ("specifications", "AHEAD_CELLS")}
 
 # runs in the child: {"s", "peak_mib", "code", "digest"} of one CLI call
-CHILD = """
-import contextlib, hashlib, importlib, io, json, os, resource, sys, time
+CHILD = PEAK_MIB + """
+import contextlib, hashlib, importlib, io, json, os, sys, time
 from batchband import cli
 a = json.loads(sys.argv[1])
 for module, name, value in a["set"]:
@@ -97,8 +99,7 @@ with contextlib.redirect_stdout(io.StringIO()):  # stdout carries the JSON
 s = time.perf_counter() - t0
 with open(os.path.join(a["out"], a["csv"]), "rb") as fh:
     digest = hashlib.sha256(fh.read()).hexdigest()
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"s": s, "peak_mib": peak, "code": code, "digest": digest}))
+print(json.dumps({"s": s, "peak_mib": peak_mib(), "code": code, "digest": digest}))
 """
 
 

@@ -60,6 +60,21 @@ def compare(parent: list, change: list, better: str = "lower") -> dict:
     }
 
 
+# child code that defines ``peak_mib()``, the calling process's peak resident
+# set in MiB: ``VmHWM`` from /proc/self/status, which exec resets, or, where
+# that file is missing, ``ru_maxrss``, which on Linux keeps the peak that the
+# forking parent had reached when the child exec'd
+PEAK_MIB = """
+import resource
+def peak_mib():
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+"""
+
+
 def run_child(tree: str, code: str, *args: str):
     """What ``code`` prints as JSON, run with ``args`` in a fresh Python
     process whose ``PYTHONPATH`` is the tree's ``src``."""

@@ -22,7 +22,10 @@ tree's ``src``:
   sizes of the workload (ucb, ts and uniform, or linucb and lints, at b in
   {1, 50}), timed and hashing ``replay.csv``.
 
-Every case records the process's ``ru_maxrss``.  The sides are the parent,
+Every case records the process's peak resident set: ``VmHWM`` from
+``/proc/self/status``, or ``ru_maxrss`` where that file is missing
+(``pairs.PEAK_MIB``), since on Linux a child's ``ru_maxrss`` starts at the
+peak its parent had reached.  The sides are the parent,
 the change, and one side per ``--chunks`` value: the change tree with
 ``environments._LOG_CHUNK`` set to that value in the child, which sweeps the
 constant.  In each pair every case runs on every side back to back, in the
@@ -41,17 +44,17 @@ import json
 import sys
 import tempfile
 
-from pairs import (compare, host, run_child, run_pairs, src_lines, summarise, tree_parser,
-                   write_json)
+from pairs import (PEAK_MIB, compare, host, run_child, run_pairs, src_lines, summarise,
+                   tree_parser, write_json)
 
 ROWS, SMOKE_ROWS = 100_000, 300
 POLICIES = {"env1": "ucb,ts,uniform", "linear": "linucb,lints"}
 CASES = tuple(f"{what} {log}" for log in POLICIES for what in ("write", "read", "replay"))
 
-# runs in the child: {"s": seconds, "peak_mib": ru_maxrss, "digest": sha256}
+# runs in the child: {"s": seconds, "peak_mib": peak RSS, "digest": sha256}
 # of one case; a write case writes to ``dest`` in ``work``
-CHILD = """
-import contextlib, hashlib, io, json, os, resource, sys, time
+CHILD = PEAK_MIB + """
+import contextlib, hashlib, io, json, os, sys, time
 from batchband import (cli, derive_seed, environments, make_linear_env, parse_env,
                        read_logged_csv, synth_logged_dataset, write_logged_csv)
 a = json.loads(sys.argv[1])
@@ -88,8 +91,7 @@ else:
     if code != 0:
         sys.exit(f"replay exited {code}")
     digest = sha(os.path.join(out, "replay.csv"))
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"s": s, "peak_mib": peak, "digest": digest}))
+print(json.dumps({"s": s, "peak_mib": peak_mib(), "digest": digest}))
 """
 
 

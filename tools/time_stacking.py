@@ -27,8 +27,11 @@ In each pair every case runs on both sides back to back; odd pairs run
 ``alone`` first, even pairs ``stacked`` first.  Per case the summary holds
 each side's times, median and quartiles (``statistics.quantiles(values,
 n=4)``), how many pairs ``stacked`` won, the ratio of the medians, each
-side's peak resident set (``ru_maxrss``) and whether both sides wrote the
-same results and curves bytes.  The pair protocol is ``tools/pairs.py``.
+side's peak resident set and whether both sides wrote the same results and
+curves bytes.  The peak is ``VmHWM`` from ``/proc/self/status``, or
+``ru_maxrss`` where that file is missing (``pairs.PEAK_MIB``): on Linux a
+child's ``ru_maxrss`` starts at the peak its parent had reached.  The pair
+protocol is ``tools/pairs.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import json
 import statistics
 import sys
 
-from pairs import host, run_child, run_pairs, summarise, wins, write_json
+from pairs import PEAK_MIB, host, run_child, run_pairs, summarise, wins, write_json
 
 SIDES = {"alone": 0, "stacked": 10**12}
 CASES = {
@@ -49,8 +52,8 @@ CASES = {
 
 # runs in the child: time one sweep, report seconds, engine calls, peak RSS
 # and a digest of both CSVs
-CHILD = """
-import hashlib, json, os, resource, sys, tempfile, time
+CHILD = PEAK_MIB + """
+import hashlib, json, os, sys, tempfile, time
 from batchband import harness
 from batchband.harness import ExperimentConfig, run_experiment
 stack_steps, reps, threads, case = json.loads(sys.argv[1])
@@ -68,8 +71,7 @@ with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name + ".csv")
         getattr(table, "to_" + name + "_csv")(path)
         digest.update(open(path, "rb").read())
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"wall_s": wall, "calls": calls[0], "peak_rss_mb": rss,
+print(json.dumps({"wall_s": wall, "calls": calls[0], "peak_rss_mb": peak_mib(),
                   "digest": digest.hexdigest()}))
 """
 
