@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,11 @@ def _verdict(diff: float, se: float) -> str:
     if diff < -2 * se:
         return "violated"
     return "inconclusive"
+
+
+def _interval(x: float, se: float) -> tuple[float, float]:
+    """The two-standard-error interval around ``x`` that ``_verdict`` reads."""
+    return x - 2 * se, x + 2 * se
 
 
 @dataclass(eq=False)
@@ -121,8 +127,13 @@ class Curves(Keep):
 @dataclass(eq=False)
 class SublinearityReport:
     holds: bool
-    pairs: np.ndarray  # (m, 2) timesteps (n1, n2) that violate
     min_t: int
+    blocks: object  # yields (first row, violation mask) per block; holds reads up to the first bad
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """``(m, 2)`` timesteps (n1, n2) that violate, found on first read."""
+        return np.concatenate([np.argwhere(bad) + (lo + self.min_t) for lo, bad in self.blocks()])
 
     def __bool__(self) -> bool:
         return self.holds
@@ -141,16 +152,17 @@ def check_sublinearity(curve: RegretCurve, min_t: int = 1) -> SublinearityReport
     r = curve.values[min_t - 1 :] / ts
     se = curve.stderr[min_t - 1 :] / ts
     m = r.size
-    rows, found = max(_PAIR_CELLS // m, 1), []
-    # a block of rows at a time, each against the columns from its first row
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        pooled = 2.0 * np.sqrt(se[lo:hi, None] ** 2 + se[None, lo:] ** 2)
-        bad = r[lo:hi, None] <= r[None, lo:] - pooled
-        bad &= np.arange(lo, m) > np.arange(lo, hi)[:, None]
-        found.append(np.argwhere(bad) + (lo + min_t))
-    pairs = np.concatenate(found)
-    return SublinearityReport(holds=pairs.shape[0] == 0, pairs=pairs, min_t=min_t)
+    rows = max(_PAIR_CELLS // m, 1)
+
+    def blocks():  # a block of rows at a time, each against the columns from its first row
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            pooled = 2.0 * np.sqrt(se[lo:hi, None] ** 2 + se[None, lo:] ** 2)
+            bad = r[lo:hi, None] <= r[None, lo:] - pooled
+            bad &= np.arange(lo, m) > np.arange(lo, hi)[:, None]
+            yield lo, bad
+
+    return SublinearityReport(not any(bad.any() for _, bad in blocks()), min_t, blocks)
 
 
 @dataclass(eq=False)
@@ -328,7 +340,7 @@ def probe_informativeness(
     v_hi, v_lo = (_rep_rules(policy, st, streams)[:reps] @ env.means for st in states)
     mean, se = (float(x) for x in _mean_se(v_hi - v_lo))
     verdict = "violated" if _verdict(mean, se) == "violated" else "consistent"
-    return InformativenessReport(mean, se, mean - 2 * se, mean + 2 * se, verdict, k, k_prime)
+    return InformativenessReport(mean, se, *_interval(mean, se), verdict, k, k_prime)
 
 
 @dataclass(eq=False)

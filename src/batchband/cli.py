@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 from .assumptions import (
     UnsupportedPolicyError,
+    _interval,
     check_lemma31,
     check_monotone_envelope,
     check_negated_sublinearity,
@@ -331,7 +332,7 @@ def cmd_check_assumptions(args) -> int:
     rate_se = float(curve.stderr[-1] / n)
     rows.append(
         ("sublinearity", f"{name}|{env_spec}|online|n={n}|t>={opts['min_t']}",
-         verdict, rate, rate - 2 * rate_se, rate + 2 * rate_se)
+         verdict, rate, *_interval(rate, rate_se))
     )
 
     trace_n = min(n, 200)
@@ -372,8 +373,7 @@ def cmd_check_assumptions(args) -> int:
     )
     rows.append(
         ("sublinearity-reversal", f"{name}|{env_spec}|b={opts['b']}",
-         _norm_verdict(neg.verdict), neg.d,
-         neg.d - 2 * neg.stderr, neg.d + 2 * neg.stderr)
+         _norm_verdict(neg.verdict), neg.d, *_interval(neg.d, neg.stderr))
     )
 
     gated = {"sublinearity", "monotone-envelope"}

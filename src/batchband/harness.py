@@ -5,19 +5,18 @@
 ``(master_seed, cell key, rep index)``, and aggregates into a
 ``RegretTable``.  Where a policy draws, a cell simulates whole blocks of
 reps and drops the surplus, so its first ``reps`` trajectories do not
-depend on ``reps``.  At one thread, plain cells of equal policy and batch
-size share engine calls (``STACK_STEPS``); over more, cells are split over
-``threads`` working processes, the caller and children it forks, each
-pulling the next cell when it is free (see ``_map``).  Any thread count
-produces byte-identical output because seeds never depend on scheduling
-or stacking.
+depend on ``reps``.  Plain cells of equal policy and batch size share
+engine calls (``STACK_STEPS``), whose groups are split over ``threads``
+working processes, the caller and children it forks, each pulling the next
+group when it is free (see ``_map``).  Any thread count produces
+byte-identical output because seeds never depend on scheduling or stacking.
 
 ``bound_reports`` reads the regret sandwich off a plain ``RegretTable``:
 no policy reads its horizon, so a pair's b=1 curve holds R_n(online) and,
 at step M = n // b, R_M(online) for each b cell's R_n(b).  Each inequality
 gets a 2-standard-error verdict, and its gate passes unless that verdict
-is ``violated``.  ``check_theorem_bounds`` reduces so a sweep over b in
-{1, b}.
+is ``violated``.  ``check_theorem_bounds`` is ``bound_reports`` of a
+sweep over b in {1, b}.
 """
 
 from __future__ import annotations
@@ -362,24 +361,24 @@ def _run_cell(group):
     return results
 
 
-# With one working process an engine call holds up to this many simulated
-# rep-steps, unless one cell needs more; a full call of 16 ts cells of 32
-# reps at n=2048 peaks at 6.9 MiB.  Stacking gained up to 768k rep-steps a
-# call and lost over two processes (BENCH_18.json); calls of 0.2M to 3M at
-# 256 and 512 reps took 0.90-1.16 times their cells alone and peaked 4.9-12.7
-# MiB higher (tools/time_stacking.py --reps 256,512 --threads 1, BENCH_29.json).
+# An engine call holds up to this many simulated rep-steps, unless one cell
+# needs more; a full call of 16 ts cells of 32 reps at n=2048 peaks at 6.9 MiB.
+# Calls of 0.2M to 3M at 256 and 512 reps took 0.90-1.16 times their cells alone
+# and peaked 4.9-12.7 MiB higher (tools/time_stacking.py, BENCH_29.json); with
+# every cell alone the benchmark's fig1_sweep took 1.41 times as long (30/30
+# rounds, BENCH_35.json)
 STACK_STEPS = 2**20
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
     """Run every configured cell and aggregate; output is thread-invariant.
 
-    At one thread, plain cells of equal policy and batch size are grouped,
-    in configured order, into one engine call while their simulated
-    rep-steps fit ``STACK_STEPS``; otherwise every cell is its own call."""
+    Plain cells of equal policy and batch size are grouped, in configured
+    order, into one engine call while their simulated rep-steps fit
+    ``STACK_STEPS``, at every thread count; other cells run alone."""
     config.validate()
     c, groups, open_groups = config, [], {}
-    budget = STACK_STEPS if threads == 1 and c.mode == "plain" else 0
+    budget = STACK_STEPS if c.mode == "plain" else 0
     for e, p, b in c.cells():
         policy = _cell_policy(p, parse_env(e), c.n, c.policy_params.get(p, {}))
         # the delayed starts' first phase is uniform play, which draws

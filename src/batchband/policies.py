@@ -32,8 +32,8 @@ feedback, so ``b`` steps from any state are ``b`` steps from the initial
 one.  State is frozen within a batch, so the played rule is constant inside
 it.  A lone run takes the same array paths on a state of one rep.  Replay's
 TS loop holds one rep's posterior as Python floats (``ts_posterior``) and picks
-the first maximum (``ts_arm``, ``ts_arms``): the same IEEE operations in
-the same order as ``act_reps``' array path, so the same bits.  UCB's states
+the first maximum (``ts_arm``): the same IEEE operations in the same order as
+``act_reps``' array path, so the same bits.  UCB's states
 also run ahead (``UcbPolicy.run_ahead_reps``): over the batches every rep's
 leader keeps, given the leaders' rewards, in one call that returns the leaders
 after them.  The engine runs a two-phase run's reps ahead once every rep has
@@ -87,15 +87,13 @@ class RepCounts:
 
     Counts are float64, exact below 2**53, so indices divide float by float.
     ``offsets`` ``(R, 1)`` holds ``r * k``, the start of rep ``r``'s row in
-    the flattened arrays.  ``unpulled`` stays true until no count is zero
-    any more.
+    the flattened arrays.
     """
 
     counts: np.ndarray
     sums: np.ndarray
     offsets: np.ndarray
     t_seen: int
-    unpulled: bool = True
 
 
 @dataclass(eq=False, slots=True)
@@ -180,28 +178,17 @@ class UcbPolicy(_CountPolicy):
     def act_reps(self, states, b, rngs, rows) -> np.ndarray:
         # the log is taken once with math.log because every rep shares
         # t_seen; numpy's SIMD log need not match libm to the last bit
-        arms = self._leaders(states, states.sums, states.counts, 2.0 * math.log(states.t_seen + 1))
+        arms = self._leaders(states.sums, states.counts, 2.0 * math.log(states.t_seen + 1))
         if rows.size < arms.size:
             arms = arms[rows]
         return arms[:, None].repeat(b, axis=1)
 
-    def _leaders(self, states, sums, counts, bonus) -> np.ndarray:
+    def _leaders(self, sums, counts, bonus) -> np.ndarray:
         """The arm of first maximum index in each row of ``sums`` and
-        ``counts``, those of ``states`` or of states after it, ``bonus``
-        being ``2 ln t``; an unpulled arm's index is inf.  Once no count of
-        ``states`` is zero, no count of a state after it is either."""
-        if states.unpulled:
-            states.unpulled = bool((states.counts == 0).any())
-        if not states.unpulled:
+        ``counts``, ``bonus`` being ``2 ln t``; an arm of no pulls has index inf."""
+        with np.errstate(divide="ignore", invalid="ignore"):
             idx = sums / counts + self.c * np.sqrt(bonus / counts)
-        else:
-            # errstate only while a count is zero: entered on every call it took
-            # act_reps from 4.4-6.0 to 5.4-8.2 us at 1-100 reps, 6,579 calls a
-            # certified_start iteration then and 984 since two-phase runs run
-            # ahead (tools/time_fast_paths.py, BENCH_29.json, BENCH_32.json)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                idx = sums / counts + self.c * np.sqrt(bonus / counts)
-            idx[counts == 0] = math.inf
+        idx[counts == 0] = math.inf
         return idx.argmax(axis=-1)
 
     def run_ahead_reps(self, states, lead, rewards) -> tuple[int, np.ndarray]:
@@ -236,7 +223,7 @@ class UcbPolicy(_CountPolicy):
         n[:], s[:] = counts, sums
         n[:, cells] = pulls + np.arange(m, (w + 1) * m, m)[:, None]
         s[:, cells] = path[:, m::m].T
-        leaders = self._leaders(states, s.reshape(w, reps, self.k), n.reshape(w, reps, self.k),
+        leaders = self._leaders(s.reshape(w, reps, self.k), n.reshape(w, reps, self.k),
                                 bonus[:, None, None])
         moved = (leaders != lead).ravel()
         i = int(moved.argmax())
@@ -256,14 +243,6 @@ def _blocks(rows, reps):
     return [(i, i * BLOCK_REPS, min((i + 1) * BLOCK_REPS, reps)) for i in blocks]
 
 
-# Up to this many draws, k*b scalar ``Generator.beta`` calls beat one array
-# call, which consumes the generator identically, in C order.  Swept over
-# ts replay on env1 and env4 (tools/sweep_scalar_beta.py, BENCH_22.json):
-# 8 to 16 timed alike within the rounds' spread, while always the array
-# call took 2.1x as long, and always scalar calls 1.3x
-_SCALAR_BETA_MAX = 12
-
-
 def ts_posterior(counts, sums) -> tuple[list, list]:
     """One rep's Beta posterior ``(alphas, betas)``, ``1 + s`` and
     ``1 + n - s`` per arm, from its counts and sums as Python floats: the
@@ -276,17 +255,6 @@ def ts_arm(draw, posterior) -> int:
     in arm order, and the first arm of greatest draw, as ``argmax`` picks."""
     draws = list(map(draw, *posterior))
     return draws.index(max(draws))
-
-
-def ts_arms(rng, posterior, m: int) -> list:
-    """``m`` TS steps of one rep from its frozen posterior: up to
-    ``_SCALAR_BETA_MAX`` draws in all, one ``ts_arm`` per step, else one
-    array ``beta`` call, which draws the same variates in the same order."""
-    k = len(posterior[0])
-    if m * k <= _SCALAR_BETA_MAX:
-        draw = rng.beta
-        return [ts_arm(draw, posterior) for _ in range(m)]
-    return rng.beta(*posterior, size=(m, k)).argmax(axis=1).tolist()
 
 
 @dataclass(frozen=True)

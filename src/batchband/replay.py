@@ -48,15 +48,21 @@ import numpy as np
 from .core import PROB_TOL, check_seed, write_csv
 from .environments import DataError, LoggedData, _reject_rows
 from .environments import block_features  # noqa: F401  bench-pinned: bench/spans.py times it
-from .policies import _SCALAR_BETA_MAX, RUN_AHEAD_START, LinTsPolicy, ThompsonBetaPolicy
-from .policies import ts_arm, ts_arms, ts_posterior
+from .policies import RUN_AHEAD_START, LinTsPolicy, ThompsonBetaPolicy, ts_arm, ts_posterior
 
 SUCCESS_THRESHOLD = 0.5
 
+# Up to this many draws, k*b scalar ``Generator.beta`` calls beat one array
+# call, which consumes the generator identically, in C order.  Swept over ts
+# replay (tools/sweep_scalar_beta.py, BENCH_22.json), 8 to 16 timed alike; with
+# the array call always, the benchmark's replay calls took 1.71 times as long
+# (30/30 rounds, BENCH_35.json)
+_SCALAR_BETA_MAX = 12
+
 # Up to this many records, comparing proposals with the log as Python lists
 # beats one numpy comparison (about 1 against 3 us for a single record; they
-# break even near 30): the benchmark's contextual replays took 148 ms, 171 ms
-# with none (tools/time_fast_paths.py, 20 rounds, 16 won, BENCH_29.json)
+# break even near 30); with none, the benchmark's replay calls took 1.02 times
+# as long, the lists winning 19/30 rounds (tools/time_fast_paths.py, BENCH_35.json)
 _LIST_WINDOW_MAX = 24
 
 # LinTS replay draws its standard normals this many records at a time.  On
@@ -228,10 +234,10 @@ def _replay_ts(k: int, dataset: LoggedData, b: int, rng) -> tuple[int, int]:
     """(matched, successes) of Thompson sampling in one loop over the
     records, its posterior held as Python floats (``ts_posterior``).  While
     the pending batch lacks at most ``_SCALAR_BETA_MAX // k`` matches, each
-    record draws its own proposal (``ts_arm``); else ``ts_arms`` proposes
-    for as many records as the batch lacks in one array call, which cannot
-    take the history past its next update.  A full batch adds its releases
-    in step order, as ``update_reps`` does."""
+    record draws its own proposal (``ts_arm``); else one array ``beta`` call
+    proposes for as many records as the batch lacks, which cannot take the
+    history past its next update.  A full batch adds its releases in step
+    order, as ``update_reps`` does."""
     actions, rewards = dataset.actions.tolist(), dataset.rewards.tolist()
     n, scalar, draw = len(actions), _SCALAR_BETA_MAX // k, rng.beta
     counts, sums = [0.0] * k, [0.0] * k
@@ -242,7 +248,7 @@ def _replay_ts(k: int, dataset: LoggedData, b: int, rng) -> tuple[int, int]:
         need = b - len(pending)
         if need > scalar:
             hi = min(i + need, n)
-            proposals = ts_arms(rng, posterior, hi - i)
+            proposals = rng.beta(*posterior, size=(hi - i, k)).argmax(axis=1).tolist()
             pending += [j for j, a in enumerate(proposals, i) if a == actions[j]]
             i = hi
         else:

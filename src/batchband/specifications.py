@@ -62,16 +62,16 @@ CHUNK = 256
 # for ``AHEAD_MIN`` batches, a policy that runs ahead
 # (``UcbPolicy.run_ahead_reps``) plays windows of as many batches as they
 # have held, up to the chunk's end and ``AHEAD_CELLS`` (rep, batch) cells, so
-# runs of more than ``AHEAD_CELLS // 2`` reps play batch by batch.  The
-# benchmark's certified_start sweep took 121 ms against 173 ms with no window
-# (10/10 rounds), with 342 run-ahead calls; at 2**12 cells it made 303 in
-# 126 ms, and from 2 and 8 batches it took 122 and 127 ms, alike within the
-# rounds' spread, as on 256-rep cells (0.87-1.11 of no window).  At 1,024
-# reps a window costs what the batches it spares cost: env3 delayed-start
-# cells read 0.91-1.13 of no window's time at every budget and start, the
-# spread of no window against itself, and at 2**12 cells the delayed starts
-# peaked 0.1-0.35 MiB higher in fresh processes, so 2**10 keeps them batch
-# by batch (tools/time_fast_paths.py, tools/measure_memory.py, BENCH_32.json)
+# runs of more than ``AHEAD_CELLS // 2`` reps play batch by batch.  With no
+# window the benchmark's certified_start calls took 1.38 times as long (30/30
+# rounds, BENCH_35.json); its sweep made 342 run-ahead calls, 303 in alike time
+# at 2**12 cells, and from 2 and 8 batches took 122 and 127 ms against 121,
+# alike within the rounds' spread, as on 256-rep cells (0.87-1.11 of no
+# window).  At 1,024 reps a window costs what the batches it spares cost: env3
+# delayed-start cells read 0.91-1.13 of no window's time at every budget and
+# start, the spread of no window against itself, and at 2**12 cells the delayed
+# starts peaked 0.1-0.35 MiB higher in fresh processes, so 2**10 keeps them
+# batch by batch (tools/time_fast_paths.py, tools/measure_memory.py, BENCH_32.json)
 AHEAD_CELLS = 1024
 AHEAD_MIN = 4
 
@@ -204,8 +204,8 @@ class Play(Whole):
     nothing, and ``pseudo_regret``, ``optimal_hits`` and ``pull_counts``
     stay None."""
 
-    # reducing nothing pays: the certified start's keep skips it too, and its
-    # sweep took 97 ms, 104 reduced (tools/time_fast_paths.py, BENCH_29.json)
+    # reducing nothing pays: the certified start's keep skips it too, and reduced,
+    # certified_start's calls took 1.05 times as long (20/30 rounds, BENCH_35.json)
     reduced = False
 
 

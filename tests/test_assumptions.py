@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from reference_runner import reference_run
@@ -112,6 +114,20 @@ def test_sublinearity_deterministic_linear_curve_fails():
     rep = check_sublinearity(c)
     assert not rep.holds
     assert rep.pairs.shape[0] == 3  # (1,2), (1,3), (2,3)
+
+
+def test_a_violated_verdict_holds_o_pair_cells_memory():
+    # a noiseless linear curve violates on every pair, about 8M at n=4,000;
+    # the verdict stops at the first block and builds no pair array
+    t = np.arange(1, 4001, dtype=float)
+    curve = RegretCurve(0.2 * t, np.zeros(t.size), reps=5)
+    tracemalloc.start()
+    try:
+        assert not check_sublinearity(curve, min_t=50).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_sublinearity_concave_curve_holds():

@@ -213,17 +213,19 @@ class TestRunExperiment:
         assert max(c for c, _ in stacks) == cells
         assert all(c == 1 or steps <= harness.STACK_STEPS for c, steps in stacks)
 
-    def test_cells_run_alone_over_more_than_one_thread(self, monkeypatch):
-        groups = []
+    def test_every_thread_count_hands_map_the_groups_of_one_thread(self, monkeypatch):
+        groups = {}
 
         def spy(fn, payloads, threads):
-            groups.extend(len(p[-1]) for p in payloads)
+            groups[threads] = [(p[1], p[2], p[-1]) for p in payloads]
             return [fn(p) for p in payloads]
 
         monkeypatch.setattr(harness, "_map", spy)
         cfg = small_config(envs=("env1", "env2", "env3"), policies=("ucb", "ts"))
-        assert len(run_experiment(cfg, threads=2).rows) == 12
-        assert groups == [1] * 12
+        for threads in (1, 2, 3):
+            assert len(run_experiment(cfg, threads=threads).rows) == 12
+        assert [len(envs) for _, _, envs in groups[1]] == [3, 3, 3, 3]
+        assert groups[2] == groups[3] == groups[1]
 
     def test_results_csv_bytes_stable_across_runs(self, tmp_path):
         cfg = small_config()

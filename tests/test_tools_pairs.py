@@ -1,8 +1,9 @@
 """The alternating-pairs protocol of the timing scripts in ``tools/``, the
 summary of ``tools/bench_pairs.py``, and smoke runs of
 ``tools/time_replay.py``, ``tools/time_log_io.py``,
-``tools/measure_memory.py``, ``tools/sweep_scalar_beta.py`` and
-``tools/time_pool.py``.
+``tools/measure_memory.py``, ``tools/sweep_scalar_beta.py``,
+``tools/time_fast_paths.py``, ``tools/time_pool.py`` and
+``tools/sandwich_table.py``.
 
 ``tools/pairs.py`` is not part of the package, so it is loaded from its
 file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
@@ -17,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from batchband import bound_reports, run_experiment
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 SRC = TOOLS.parent / "src"
@@ -191,9 +194,12 @@ def test_fast_path_timings_run_at_tiny_sizes(tmp_path):
                     "--out", str(out)],
                    check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     record = json.loads(out.read_text())
-    for case in ("ucb_unpulled", "ucb_run_ahead", "list_window", "play", "pair_cells"):
+    for case in ("switches", "ucb_run_ahead", "list_window", "play", "pair_cells"):
         assert record[case]["results_equal"]
-    assert record["ucb_unpulled"]["act_reps_calls_per_certified_start_iteration"] > 0
+    workloads = {k: v["workload"] for k, v in record["switches"].items() if k != "results_equal"}
+    assert workloads == {"AHEAD_CELLS": "certified_start", "_Certify.reduced": "certified_start",
+                         "_SCALAR_BETA_MAX": "replay_log", "_LIST_WINDOW_MAX": "replay_log",
+                         "STACK_STEPS": "fig1_sweep"}
     assert record["ucb_run_ahead"]["calls_per_certified_start_iteration"]["run_ahead_reps"] > 0
     cells = [cell for key, cell in record["ucb_run_ahead"].items() if key.endswith("reps=32")]
     assert len(cells) == 4 and all(cell[label]["traced_peak_mib"] > 0 for cell in cells
@@ -218,3 +224,24 @@ def test_pool_timings_run_at_tiny_sizes(tmp_path):
         assert max(w["end_s"] for w in [run["caller"], *run["workers"]]) <= run["wall_s"]
     assert set(record["summary"]) == {"wall_s", "caller_end_s", "last_worker_end_s",
                                       "caller_idle_s"}
+
+
+def test_sandwich_table_writes_the_bound_reports_of_the_grid(tmp_path):
+    # in-process: the grid at tiny sizes against bound_reports of the same table
+    tool = _load("sandwich_table")
+    out = tmp_path / "sandwich.json"
+    assert tool.main(["--seed", "3", "--reps", "2", "--n", "64", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert (record["seed"], record["reps"]) == (3, 2)
+    reports = bound_reports(run_experiment(tool.grid(64, 2, 3)))
+    assert len(record["rows"]) == len(reports) == 72
+    for row, report in zip(record["rows"], reports):
+        assert (row["env"], row["policy"], row["b"], row["n"], row["M"]) == (
+            report.env, report.policy, report.b, report.n, report.m)
+        for iq in report.inequalities:
+            got = row[iq.name]
+            assert (got["lhs"], got["rhs"], got["stderr"], got["verdict"]) == (
+                iq.lhs, iq.rhs, iq.stderr, iq.verdict)
+            assert got["z"] == (iq.diff / iq.stderr if iq.stderr else None)
+        assert row["bound_ratio"] == report.b * report.mean_m / report.mean_online
+        assert row["batch_ratio"] == report.mean_batch / report.mean_online

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Sweep ``policies._SCALAR_BETA_MAX`` over ts replay, the caller of its switch.
+"""Sweep ``replay._SCALAR_BETA_MAX`` over ts replay, the caller of its switch.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python3 tools/sweep_scalar_beta.py --rounds 5 --out sweep.json
 
-One-rep Thompson sampling draws ``m`` steps of ``k`` arms as ``m * k``
-scalar ``Generator.beta`` calls up to ``_SCALAR_BETA_MAX`` draws, else as
-one array call; both draw the same variates.  ``replay_evaluate`` of ts on
-a 25,000-row uniform log of env1 (k=2) and of env4 (k=4) takes the switch:
-it asks for one step per record while the pending batch lacks at most
-``_SCALAR_BETA_MAX // k`` matches, else for what it lacks.
+``replay_evaluate`` of ts on a 25,000-row uniform log of env1 (k=2) and of
+env4 (k=4) takes the switch: while the pending batch lacks at most
+``_SCALAR_BETA_MAX // k`` matches, each record draws its ``k`` variates as
+scalar ``Generator.beta`` calls, else one array call draws them for as
+many records as the batch lacks; both draw the same variates.
 
-Each value of ``--values`` is set in ``policies`` and ``replay`` of this
-process in turn (``10**9`` takes the scalar path always, 1 the array path
-always), and every case runs once per value per round, the values in a
-rotated order each round.  The summary holds, per value, each case's median
+Each value of ``--values`` is set in ``replay`` of this process in turn
+(``10**9`` takes the scalar path always, 1 the array path always), and
+every case runs once per value per round, the values in a rotated order
+each round.  The summary holds, per value, each case's median
 seconds over the rounds, the sum of those medians, the median and
 quartiles over the rounds of the seconds per round, and whether every
 value returned the same result as the first, ``(matched, successes)``.
@@ -32,7 +31,7 @@ import time
 from pairs import host, summarise, write_json
 
 from batchband import derive_seed, parse_env, replay_evaluate, synth_logged_dataset
-from batchband import policies, replay
+from batchband import replay
 from batchband.policies import ThompsonBetaPolicy
 
 SIZES = {"rows": 25_000, "replay_b": [1, 2, 3, 4, 6, 8, 12, 16, 32, 50]}
@@ -63,20 +62,20 @@ def main(argv=None) -> int:
     sizes = SMOKE if args.smoke else SIZES
     todo = cases(sizes, args.seed)
 
-    default = policies._SCALAR_BETA_MAX
+    default = replay._SCALAR_BETA_MAX
     times = {v: {label: [] for label in todo} for v in values}
     results = {v: {} for v in values}
     try:
         for rnd in range(args.rounds):
             for v in values[rnd % len(values):] + values[: rnd % len(values)]:
-                policies._SCALAR_BETA_MAX = replay._SCALAR_BETA_MAX = v
+                replay._SCALAR_BETA_MAX = v
                 for label, fn in todo.items():
                     t0 = time.perf_counter()
                     results[v][label] = fn()
                     times[v][label].append(time.perf_counter() - t0)
             print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr)
     finally:
-        policies._SCALAR_BETA_MAX = replay._SCALAR_BETA_MAX = default
+        replay._SCALAR_BETA_MAX = default
 
     # keyed by caller, as in BENCH_22.json, so the two sweeps compare
     by_value = {}
@@ -89,8 +88,8 @@ def main(argv=None) -> int:
             "case_s": medians,
         }
     record = {
-        "what": "_SCALAR_BETA_MAX swept over ts replay, set in-process in policies and "
-                "replay; medians over rounds",
+        "what": "_SCALAR_BETA_MAX swept over ts replay, set in-process in replay; "
+                "medians over rounds",
         "host": host(),
         "default": default,
         "rounds": args.rounds,

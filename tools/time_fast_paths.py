@@ -11,13 +11,15 @@ Round ``i`` runs both sides back to back, odd rounds ``on`` first and even
 rounds ``off`` first (``tools/pairs.py``), and each side's results must be
 equal:
 
-* ``ucb_unpulled``: ``UcbPolicy.act_reps`` on a 2-armed state whose arms
-  are all pulled, at 1, 10 and 100 reps, the best of 7 ``timeit`` repeats
-  of 2,000 calls per round; ``off`` enters ``np.errstate`` around every
-  call, which the ``unpulled`` branch spares once no count is zero.  The
-  case also counts the ``act_reps`` calls of one iteration of the
-  benchmark's ``certified_start`` workload (both modes, seed 1), which
-  fell from 6,579 when two-phase runs began to run ahead (``ucb_run_ahead``);
+* ``switches``: the CLI calls of one iteration of a benchmark workload,
+  taken from ``bench/run_bench.py``'s ``WORKLOADS`` (imported without
+  writing bytecode, at its full sizes and seed 1) and run through
+  ``batchband.cli.main``, with one switch as it is (``on``) and forced
+  off: ``specifications.AHEAD_CELLS`` 0 and ``meta._Certify.reduced`` true
+  on ``certified_start``, ``replay._SCALAR_BETA_MAX`` 0 and
+  ``replay._LIST_WINDOW_MAX`` 0 on ``replay_log``, and
+  ``harness.STACK_STEPS`` 0 on ``fig1_sweep``; each side's result is the
+  digest of every file the calls write;
 * ``ucb_run_ahead``: the benchmark's ``certified_start`` sweep (both modes,
   ucb on env1, env3 and env6 at b in {1, 10, 100}, n=2000, 10 reps) as it
   is (``on``), with ``specifications.AHEAD_CELLS`` 0 (``off``: every batch
@@ -43,7 +45,7 @@ equal:
   one untimed call at each size; the results are keyed ``n=<n>``.
 
 ``--rounds`` sets every case's rounds; ``--smoke`` shrinks every size, to
-check the script.  ``harness.STACK_STEPS`` has its own script,
+check the script.  ``harness.STACK_STEPS`` also has its own script,
 ``tools/time_stacking.py``.
 """
 
@@ -51,30 +53,42 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
+import io
 import sys
+import tempfile
 import time
-import timeit
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
-import numpy as np
 from pairs import compare, host, run_pairs, summarise, write_json
 
 from batchband import (ExperimentConfig, UcbPolicy, derive_seed, make_grid, make_linear_env,
                        make_policy, preset, replay_evaluate, run_experiment,
                        synth_logged_dataset)
-from batchband import assumptions, meta, replay, specifications
+from batchband import assumptions, cli, harness, meta, replay, specifications
 from batchband.harness import regret_curve
 
-SIZES = {"rounds": {"ucb_unpulled": 5, "ucb_run_ahead": 10, "list_window": 10, "play": 20,
+SIZES = {"rounds": {"switches": 30, "ucb_run_ahead": 10, "list_window": 10, "play": 20,
                     "pair_cells": 5},
-         "reps": (1, 10, 100), "calls": 2000, "ctx_rows": 5000, "n": 2000, "cert_reps": 10,
+         "bench": "FULL", "ctx_rows": 5000, "n": 2000, "cert_reps": 10,
          "curve_n": (4000, 20000), "curve_reps": 64, "wide_reps": (256, 1024)}
-SMOKE = {"rounds": {"ucb_unpulled": 2, "ucb_run_ahead": 2, "list_window": 2, "play": 2,
+SMOKE = {"rounds": {"switches": 2, "ucb_run_ahead": 2, "list_window": 2, "play": 2,
                     "pair_cells": 2},
-         "reps": (1, 3), "calls": 20, "ctx_rows": 200, "n": 200, "cert_reps": 2,
+         "bench": "SMOKE", "ctx_rows": 200, "n": 200, "cert_reps": 2,
          "curve_n": (300, 600), "curve_reps": 4, "wide_reps": (32,)}
 CERTIFIED = {"envs": ("env1", "env3", "env6"), "policies": ("ucb",), "batch_sizes": (1, 10, 100)}
 MODES = ("delayed_start", "approx_delayed_start")
+BENCH = Path(__file__).resolve().parents[1] / "bench" / "run_bench.py"
+# switch: (owner, attribute, value that forces its path off, benchmark workload)
+SWITCHES = {
+    "AHEAD_CELLS": (specifications, "AHEAD_CELLS", 0, "certified_start"),
+    "_Certify.reduced": (meta._Certify, "reduced", True, "certified_start"),
+    "_SCALAR_BETA_MAX": (replay, "_SCALAR_BETA_MAX", 0, "replay_log"),
+    "_LIST_WINDOW_MAX": (replay, "_LIST_WINDOW_MAX", 0, "replay_log"),
+    "STACK_STEPS": (harness, "STACK_STEPS", 0, "fig1_sweep"),
+}
 
 
 def timed(fn):
@@ -91,48 +105,48 @@ def rows_digest(table) -> str:
     return h.hexdigest()
 
 
-def ucb_unpulled(sizes, rounds):
-    policy = UcbPolicy(2)
-    states = {}
-    for reps in sizes["reps"]:
-        state = policy.init_reps(reps)
-        policy.update_reps(state, np.tile([0, 1, 0, 1], (reps, 1)),
-                           np.tile([1.0, 0.0, 0.0, 1.0], (reps, 1)))
-        policy.act_reps(state, 1, None, np.arange(reps))  # clears ``unpulled``
-        states[reps] = state
-
-    def call(reps, side):
-        state, rows = states[reps], np.arange(reps)
-        if side == "on":
-            def fn():
-                return policy.act_reps(state, 1, None, rows)
-        else:
-            def fn():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return policy.act_reps(state, 1, None, rows)
-        best = min(timeit.repeat(fn, number=sizes["calls"], repeat=7))
-        return {"us": best / sizes["calls"] * 1e6, "result": fn().tolist()}
-
-    out = {}
-    for reps in sizes["reps"]:
-        runs = run_pairs(rounds, [reps], ("on", "off"), lambda case, side, _: call(case, side))
-        out[f"reps={reps}"] = side_summary(runs[reps], "us")
-
-    calls = []
-    act_reps = UcbPolicy.act_reps
-
-    def spy(self, *args, **kwargs):
-        calls.append(1)
-        return act_reps(self, *args, **kwargs)
-
-    UcbPolicy.act_reps = spy
+def switches(sizes, rounds):
+    spec = importlib.util.spec_from_file_location("run_bench", BENCH)
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        certified_start(sizes)
+        spec.loader.exec_module(bench)
     finally:
-        UcbPolicy.act_reps = act_reps
-    out["act_reps_calls_per_certified_start_iteration"] = len(calls)
-    out["results_equal"] = all(v["results_equal"] for k, v in out.items() if k.startswith("reps="))
+        sys.dont_write_bytecode = dont_write
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads = {}
+        for name in dict.fromkeys(w for *_, w in SWITCHES.values()):
+            wl = workloads[name] = bench.WORKLOADS[name](1, getattr(bench, sizes["bench"]),
+                                                         Path(tmp, name))
+            wl.work.mkdir()
+            wl.setup()
+        for switch, (owner, attr, off, name) in SWITCHES.items():
+            wl, default = workloads[name], getattr(owner, attr)
+
+            def run(side, wl=wl, owner=owner, attr=attr, off=off, default=default):
+                setattr(owner, attr, default if side == "on" else off)
+                try:
+                    return timed(lambda: iteration(wl, Path(tmp, "out")))
+                finally:
+                    setattr(owner, attr, default)
+
+            cell = out[switch] = {"workload": name, "off_value": off, **sides(run, rounds)}
+            cell["off_over_on_median"] = cell["off"]["median"] / cell["on"]["median"]
+    out["results_equal"] = all(v["results_equal"] for v in out.values())
     return out
+
+
+def iteration(wl, out: Path) -> str:
+    """One iteration of workload ``wl``'s CLI calls: a digest of their exit
+    codes and of every file they write."""
+    h = hashlib.sha256()
+    for i, argv in enumerate(wl.calls(wl.threads)):
+        with redirect_stdout(io.StringIO()):
+            h.update(str(cli.main([*argv, "--out-dir", str(out / str(i))])).encode())
+        for path in sorted((out / str(i)).iterdir()):
+            h.update(path.name.encode() + path.read_bytes())
+    return h.hexdigest()
 
 
 def certified_start(sizes):
@@ -292,7 +306,7 @@ def side_summary(runs, key):
     return out
 
 
-CASES = {"ucb_unpulled": ucb_unpulled, "ucb_run_ahead": ucb_run_ahead,
+CASES = {"switches": switches, "ucb_run_ahead": ucb_run_ahead,
          "list_window": list_window, "play": play, "pair_cells": pair_cells}
 
 

@@ -13,11 +13,12 @@ One timed run is one ``run_experiment`` call in a fresh Python process whose
 ``PYTHONPATH`` is the tree's ``src``: envs env1-env6, ucb and ts, b in {1,
 2, 4, 8, 16, 32, 64}, ``--n`` steps (2000) and ``--reps`` reps (500, both
 ``simulate``'s defaults), over ``--threads`` working processes.  A wrapped
-``harness._run_cell`` appends, in whichever process runs a cell, that
-process's id and the cell's end time to a log.  Per run the script records
-the wall time of the call (imports excluded), and for the caller and for
-each other process the cells it ran and when, after the call started, its
-last cell ended: a process that ends early idled while another finished.
+``harness._run_cell`` appends, in whichever process runs a group of cells
+(one engine call), that process's id, the group's end time and its number
+of cells to a log.  Per run the script records the wall time of the call
+(imports excluded), and for the caller and for each other process the cells
+it ran and when, after the call started, its last group ended: a process
+that ends early idled while another finished.
 Per side the summary holds the medians and quartiles of the wall time and of
 the caller's and the last worker's end times, and whether both trees wrote
 the same results and curves bytes.  The pair protocol is ``tools/pairs.py``.
@@ -43,7 +44,7 @@ with tempfile.TemporaryDirectory() as tmp:
     def timed(group):
         out = run_cell(group)
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {time.monotonic()}\\n")
+            fh.write(f"{os.getpid()} {time.monotonic()} {len(group[-1])}\\n")
         return out
 
     harness._run_cell = timed
@@ -55,8 +56,8 @@ with tempfile.TemporaryDirectory() as tmp:
     wall = time.monotonic() - t0
     ends = {}
     for line in open(log):
-        pid, t = line.split()
-        ends.setdefault(int(pid), []).append(float(t) - t0)
+        pid, t, cells = line.split()
+        ends.setdefault(int(pid), []).append((float(t) - t0, int(cells)))
     digest = hashlib.sha256()
     for name in ("results", "curves"):
         path = os.path.join(tmp, name + ".csv")
@@ -66,8 +67,8 @@ caller = ends.pop(os.getpid(), [])
 workers = sorted(ends.values(), key=max)
 print(json.dumps({
     "wall_s": wall,
-    "caller": {"cells": len(caller), "end_s": max(caller, default=0.0)},
-    "workers": [{"cells": len(w), "end_s": max(w)} for w in workers],
+    "caller": {"cells": sum(c for _, c in caller), "end_s": max(caller, default=(0.0,))[0]},
+    "workers": [{"cells": sum(c for _, c in w), "end_s": max(w)[0]} for w in workers],
     "digest": digest.hexdigest(),
 }))
 """

@@ -10,11 +10,10 @@ Usage (from the repository root)::
 One timed run is one ``run_experiment`` call in a fresh Python process whose
 ``PYTHONPATH`` is ``src``, with ``harness.STACK_STEPS`` set to ``10**12``
 (``stacked``: every group of equal policy and batch size is one call) or to
-0 (``alone``: one cell per call, as before stacking).  The call groups its
-cells as at one thread, and a wrapped ``harness._map`` runs the groups over
-``--threads`` working processes, so both sides are timed at every thread
-count.  Its wall time excludes imports.  Three sweeps on env1, env2 and env3 (one arm count, so
-their cells stack three to a call):
+0 (``alone``: one cell per call, as before stacking), over ``--threads``
+working processes; a wrapped ``harness._map`` counts the engine calls.  Its
+wall time excludes imports.  Three sweeps on env1, env2 and env3 (one arm
+count, so their cells stack three to a call):
 
 * ``grid``: ucb and ts at b in {1, 10, 100} and n=2000, 18 cells in 6 stacks;
 * ``grid_n250``: the same at n=250, so a cell of ``8 * reps`` reps holds as
@@ -60,10 +59,10 @@ stack_steps, reps, threads, case = json.loads(sys.argv[1])
 harness.STACK_STEPS = stack_steps
 calls = []
 _map = harness._map
-harness._map = lambda fn, groups, _: calls.append(len(groups)) or _map(fn, groups, threads)
+harness._map = lambda fn, groups, threads: calls.append(len(groups)) or _map(fn, groups, threads)
 cfg = ExperimentConfig(envs=("env1", "env2", "env3"), reps=reps, master_seed=0, **case)
 t0 = time.perf_counter()
-table = run_experiment(cfg, threads=1)
+table = run_experiment(cfg, threads=threads)
 wall = time.perf_counter() - t0
 digest = hashlib.sha256()
 with tempfile.TemporaryDirectory() as tmp:
