@@ -364,9 +364,9 @@ def _run_cell(group):
 # An engine call holds up to this many simulated rep-steps, unless one cell
 # needs more; a full call of 16 ts cells of 32 reps at n=2048 peaks at 6.9 MiB.
 # Calls of 0.2M to 3M at 256 and 512 reps took 0.90-1.16 times their cells alone
-# and peaked 4.9-12.7 MiB higher (tools/time_stacking.py, BENCH_29.json); with
-# every cell alone the benchmark's fig1_sweep took 1.41 times as long (30/30
-# rounds, BENCH_35.json)
+# and peaked 4.9-12.7 MiB higher (BENCH_29.json); with every cell alone the
+# benchmark's fig1_sweep took 1.41 times as long (30/30 rounds, BENCH_35.json;
+# tools/time_fast_paths.py --cases switches re-measures it)
 STACK_STEPS = 2**20
 
 
@@ -376,6 +376,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
     Plain cells of equal policy and batch size are grouped, in configured
     order, into one engine call while their simulated rep-steps fit
     ``STACK_STEPS``, at every thread count; other cells run alone."""
+    if _integer("threads", threads) < 1:
+        raise ConfigError("threads must be >= 1")
     config.validate()
     c, groups, open_groups = config, [], {}
     budget = STACK_STEPS if c.mode == "plain" else 0

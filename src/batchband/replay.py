@@ -54,16 +54,10 @@ SUCCESS_THRESHOLD = 0.5
 
 # Up to this many draws, k*b scalar ``Generator.beta`` calls beat one array
 # call, which consumes the generator identically, in C order.  Swept over ts
-# replay (tools/sweep_scalar_beta.py, BENCH_22.json), 8 to 16 timed alike; with
-# the array call always, the benchmark's replay calls took 1.71 times as long
-# (30/30 rounds, BENCH_35.json)
+# replay, 8 to 16 timed alike (BENCH_22.json); with the array call always, the
+# benchmark's replay calls took 1.71 times as long (30/30 rounds, BENCH_35.json;
+# tools/time_fast_paths.py --cases switches re-measures it)
 _SCALAR_BETA_MAX = 12
-
-# Up to this many records, comparing proposals with the log as Python lists
-# beats one numpy comparison (about 1 against 3 us for a single record; they
-# break even near 30); with none, the benchmark's replay calls took 1.02 times
-# as long, the lists winning 19/30 rounds (tools/time_fast_paths.py, BENCH_35.json)
-_LIST_WINDOW_MAX = 24
 
 # LinTS replay draws its standard normals this many records at a time.  On
 # the benchmark's 5k-row log (k=4, p=5) at b=1, chunks of 128 to 1,024
@@ -168,7 +162,7 @@ def replay_evaluate(
         base = end = 0
         normals = np.empty((0, policy.dim))
     columns = (logged, dataset.rewards, contexts) if contextual else (logged, dataset.rewards)
-    actions, rewards = logged.tolist(), dataset.rewards.tolist()
+    rewards = dataset.rewards.tolist()
     matched = successes = 0
     pending = []
     i = 0
@@ -184,15 +178,7 @@ def replay_evaluate(
                 base, end = lo, stop
             args += (normals[None, lo - base : hi - base],)
         proposals = policy.act_reps(state, hi - lo, rngs, rows, *args)[0]
-        if hi - lo <= _LIST_WINDOW_MAX:
-            hits = []
-            for j, a in enumerate(proposals.tolist(), lo):
-                if a == actions[j]:
-                    hits.append(j)
-                    if len(hits) == need:
-                        break
-        else:
-            hits = ((proposals == logged[lo:hi]).nonzero()[0][:need] + lo).tolist()
+        hits = ((proposals == logged[lo:hi]).nonzero()[0][:need] + lo).tolist()
         i = hits[-1] + 1 if len(hits) == need else hi
         pending += hits
         successes += sum(rewards[j] >= SUCCESS_THRESHOLD for j in hits)

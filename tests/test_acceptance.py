@@ -2,8 +2,8 @@
 
 Run ``pytest tests/test_acceptance.py -v``; each criterion is one test, so
 the verbose PASSED/FAILED line is its verdict.  Criteria 1 and 2 share a
-single full-scale sweep fixture (the dominant cost, a few minutes single
-core); everything else runs in seconds.  Each test also prints a one-line
+single full-scale sweep fixture (the dominant cost, run over two working
+processes); everything else runs in seconds.  Each test also prints a one-line
 quantitative summary visible with ``-s`` or on failure.
 """
 
@@ -65,7 +65,8 @@ def fig1_sweep():
         reps=500,
         master_seed=2026,
     )
-    return run_experiment(cfg)
+    # outputs do not depend on the thread count (test_outputs_do_not_depend_on_threads)
+    return run_experiment(cfg, threads=2)
 
 
 def test_criterion_1_batch_trend_all_envs(fig1_sweep):

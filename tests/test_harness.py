@@ -533,6 +533,18 @@ def _no_child_left():
 
 
 class TestWorkerCount:
+    @pytest.mark.parametrize("threads,message", [
+        (0, "threads must be >= 1"),
+        (-3, "threads must be >= 1"),
+        (1.5, "threads must be an integer, got 1.5"),
+        ("2", "threads must be an integer, got '2'"),
+    ], ids=["zero", "negative", "float", "string"])
+    def test_bad_thread_count_rejected_before_any_cell_runs(self, threads, message):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(small_config(), threads=threads)
+        with pytest.raises(ConfigError, match=message):
+            check_theorem_bounds("ucb", "env1", n=100, b=5, reps=4, threads=threads)
+
     def test_pool_starts_no_more_workers_than_payloads(self, monkeypatch):
         # a fork that starts no child: its "child" never replies, so each
         # call that forks runs every payload but the children's own first

@@ -1,20 +1,24 @@
 """The alternating-pairs protocol of the timing scripts in ``tools/``, the
 summary of ``tools/bench_pairs.py``, and smoke runs of
 ``tools/time_replay.py``, ``tools/time_log_io.py``,
-``tools/measure_memory.py``, ``tools/sweep_scalar_beta.py``,
-``tools/time_fast_paths.py``, ``tools/time_pool.py`` and
-``tools/sandwich_table.py``.
+``tools/measure_memory.py``, ``tools/time_fast_paths.py``,
+``tools/time_pool.py``, ``tools/time_check_bounds.py`` and
+``tools/sandwich_table.py``; every other script in ``tools/`` fails
+``test_every_tool_script_is_run_by_a_test``.
 
 ``tools/pairs.py`` is not part of the package, so it is loaded from its
 file, as ``tests/test_bench_hooks.py`` loads the benchmark's files.
 """
 
 import importlib.util
+import inspect
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -172,20 +176,6 @@ def test_measure_memory_runs_at_tiny_sizes(tmp_path):
     assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
 
 
-def test_scalar_beta_sweep_runs_at_tiny_sizes(tmp_path):
-    # every value of the switch draws the same variates, so every result holds
-    out = tmp_path / "sweep.json"
-    subprocess.run([sys.executable, str(TOOLS / "sweep_scalar_beta.py"), "--smoke",
-                    "--rounds", "2", "--values", "1,12,1000000000", "--out", str(out)],
-                   check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
-    record = json.loads(out.read_text())
-    assert record["results_equal_across_values"]
-    assert list(record["by_value"]) == ["1", "12", "1000000000"]
-    for entry in record["by_value"].values():
-        assert len(entry["case_s"]) == 4
-        assert len(entry["caller_rounds_s"]["replay"]["values"]) == 2
-
-
 def test_fast_path_timings_run_at_tiny_sizes(tmp_path):
     # every path is forced off without changing a result, so each case's
     # sides must agree
@@ -194,18 +184,15 @@ def test_fast_path_timings_run_at_tiny_sizes(tmp_path):
                     "--out", str(out)],
                    check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     record = json.loads(out.read_text())
-    for case in ("switches", "ucb_run_ahead", "list_window", "play", "pair_cells"):
+    for case in ("switches", "ucb_run_ahead", "pair_cells"):
         assert record[case]["results_equal"]
     workloads = {k: v["workload"] for k, v in record["switches"].items() if k != "results_equal"}
     assert workloads == {"AHEAD_CELLS": "certified_start", "_Certify.reduced": "certified_start",
-                         "_SCALAR_BETA_MAX": "replay_log", "_LIST_WINDOW_MAX": "replay_log",
-                         "STACK_STEPS": "fig1_sweep"}
+                         "_SCALAR_BETA_MAX": "replay_log", "STACK_STEPS": "fig1_sweep"}
     assert record["ucb_run_ahead"]["calls_per_certified_start_iteration"]["run_ahead_reps"] > 0
     cells = [cell for key, cell in record["ucb_run_ahead"].items() if key.endswith("reps=32")]
     assert len(cells) == 4 and all(cell[label]["traced_peak_mib"] > 0 for cell in cells
                                    for label in ("off", "2**10", "2**12", "2**14"))
-    for side in ("on", "off"):
-        assert len(record["play"][side]["values"]) == 2
     assert all(record["pair_cells"][f"n={n}"][f"2**{e}"]["traced_peak_mib"] > 0
                for n in (300, 600) for e in (14, 16, 18, 20))
 
@@ -224,6 +211,21 @@ def test_pool_timings_run_at_tiny_sizes(tmp_path):
         assert max(w["end_s"] for w in [run["caller"], *run["workers"]]) <= run["wall_s"]
     assert set(record["summary"]) == {"wall_s", "caller_end_s", "last_worker_end_s",
                                       "caller_idle_s"}
+
+
+def test_check_bounds_timings_run_at_tiny_sizes(tmp_path):
+    # both sides are this tree, so their online and batch means must agree
+    root = str(TOOLS.parent)
+    out = tmp_path / "bounds.json"
+    subprocess.run([sys.executable, str(TOOLS / "time_check_bounds.py"), "--parent", root,
+                    "--change", root, "--pairs", "2", "--smoke", "--out", str(out)],
+                   check=True, capture_output=True)
+    record = json.loads(out.read_text())
+    assert list(record["policies"]) == ["ucb", "ts"]
+    for entry in record["policies"].values():
+        assert entry["online_and_batch_means_equal_between_sides"]
+        assert list(entry["verdicts"]["change"]) == ["2", "4"]
+        assert len(entry["grid_s"]["change"]["values"]) == 2
 
 
 def test_sandwich_table_writes_the_bound_reports_of_the_grid(tmp_path):
@@ -245,3 +247,20 @@ def test_sandwich_table_writes_the_bound_reports_of_the_grid(tmp_path):
             assert got["z"] == (iq.diff / iq.stderr if iq.stderr else None)
         assert row["bound_ratio"] == report.b * report.mean_m / report.mean_online
         assert row["batch_ratio"] == report.mean_batch / report.mean_online
+
+
+def test_every_tool_script_is_run_by_a_test():
+    # a test runs a script as a child, loads it, or calls a module this file
+    # loaded from it; ``pairs.py`` is the scripts' library
+    loaded = {m.__name__.removeprefix("_tools_"): name for name, m in globals().items()
+              if isinstance(m, types.ModuleType) and m.__name__.startswith("_tools_")}
+    sources = [inspect.getsource(test) for name, test in globals().items()
+               if name.startswith("test_")]
+
+    def run(stem):
+        return any(f'TOOLS / "{stem}.py"' in source or f'_load("{stem}")' in source
+                   or stem in loaded and re.search(rf"\b{loaded[stem]}\.\w+\(", source)
+                   for source in sources)
+
+    scripts = sorted(path.stem for path in TOOLS.glob("*.py"))
+    assert [stem for stem in scripts if stem != "pairs" and not run(stem)] == []

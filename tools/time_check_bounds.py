@@ -11,7 +11,8 @@ Usage (from the repository root)::
 One timed run is six ``check_theorem_bounds(policy, "env1", n=2000, b=b,
 reps=1000, master_seed=0, threads=1)`` calls, b in {2, 4, 8, 16, 32, 64},
 in a fresh Python process whose ``PYTHONPATH`` is the tree's ``src``; the
-calls' summed wall time (imports excluded) is ``grid_s``.  In each pair
+calls' summed wall time (imports excluded) is ``grid_s``.  ``--smoke`` runs
+two calls, b in {2, 4}, at n=50 and 4 reps, to check the script.  In each pair
 every policy runs on both trees back to back; odd pairs run the parent
 first, even pairs the change first.  The summary per policy holds every
 value, the median and quartiles (``statistics.quantiles(values, n=4)``),
@@ -28,16 +29,18 @@ import sys
 from pairs import compare, host, order, run_child, run_pairs, tree_parser, write_json
 
 POLICIES = ("ucb", "ts")
-BATCH_SIZES = (2, 4, 8, 16, 32, 64)
+SIZES = {"n": 2000, "reps": 1000, "batch_sizes": [2, 4, 8, 16, 32, 64]}
+SMOKE = {"n": 50, "reps": 4, "batch_sizes": [2, 4]}
 
-# runs in the child: time the six calls, report per-b seconds, verdicts and means
+# runs in the child: time the calls, report per-b seconds, verdicts and means
 CHILD = """
 import json, sys, time
 from batchband.harness import check_theorem_bounds
+sizes = json.loads(sys.argv[2])
 out = []
-for b in json.loads(sys.argv[2]):
+for b in sizes["batch_sizes"]:
     t0 = time.perf_counter()
-    r = check_theorem_bounds(sys.argv[1], "env1", n=2000, b=b, reps=1000,
+    r = check_theorem_bounds(sys.argv[1], "env1", n=sizes["n"], b=b, reps=sizes["reps"],
                              master_seed=0, threads=1)
     out.append({"b": b, "s": time.perf_counter() - t0,
                 "verdicts": [iq.verdict for iq in r.inequalities],
@@ -49,14 +52,16 @@ print(json.dumps(out))
 def main(argv=None) -> int:
     p = tree_parser(__doc__)
     p.add_argument("--pairs", type=int, default=3)
+    p.add_argument("--smoke", action="store_true", help="tiny sizes, to check the script")
     args = p.parse_args(argv)
+    sizes = SMOKE if args.smoke else SIZES
     if args.pairs < 2:
         p.error("--pairs must be >= 2 for quartiles")
 
     trees = {"parent": args.parent, "change": args.change}
     runs = run_pairs(args.pairs, POLICIES, trees,
                      lambda pol, side, pair: run_child(trees[side], CHILD, pol,
-                                                       json.dumps(BATCH_SIZES)))
+                                                       json.dumps(sizes)))
 
     policies = {}
     for pol, sides in runs.items():
@@ -72,8 +77,8 @@ def main(argv=None) -> int:
         }
 
     summary = {
-        "what": "six check_theorem_bounds calls on env1, b in "
-                f"{list(BATCH_SIZES)}, n=2000, reps=1000, threads=1, parent vs change",
+        "what": f"check_theorem_bounds calls on env1, b in {sizes['batch_sizes']}, "
+                f"n={sizes['n']}, reps={sizes['reps']}, threads=1, parent vs change",
         "host": host(),
         "parent_commit": args.parent_commit,
         "order": order("policy"),

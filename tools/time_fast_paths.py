@@ -16,9 +16,8 @@ equal:
   writing bytecode, at its full sizes and seed 1) and run through
   ``batchband.cli.main``, with one switch as it is (``on``) and forced
   off: ``specifications.AHEAD_CELLS`` 0 and ``meta._Certify.reduced`` true
-  on ``certified_start``, ``replay._SCALAR_BETA_MAX`` 0 and
-  ``replay._LIST_WINDOW_MAX`` 0 on ``replay_log``, and
-  ``harness.STACK_STEPS`` 0 on ``fig1_sweep``; each side's result is the
+  on ``certified_start``, ``replay._SCALAR_BETA_MAX`` 0 on ``replay_log``,
+  and ``harness.STACK_STEPS`` 0 on ``fig1_sweep``; each side's result is the
   digest of every file the calls write;
 * ``ucb_run_ahead``: the benchmark's ``certified_start`` sweep (both modes,
   ucb on env1, env3 and env6 at b in {1, 10, 100}, n=2000, 10 reps) as it
@@ -31,22 +30,13 @@ equal:
   2**10, 2**12 and 2**14, 2**12 with ``AHEAD_MIN`` 2 and 8, and 2**10 with
   ``AHEAD_MIN`` 8, with the traced peak (``tracemalloc``) of one untimed
   call at each;
-* ``list_window``: the replays of the benchmark's ``replay_log`` workload
-  on its 5,000-row contextual log, linucb and lints at b in {1, 50},
-  timed together; ``off`` sets ``replay._LIST_WINDOW_MAX`` to 0, so every
-  window compares as an array;
-* ``play``: the benchmark's ``approx_delayed_start`` sweep (ucb on env1,
-  env3 and env6 at b in {1, 10, 100}, n=2000, 10 reps); ``off`` sets
-  ``meta._Certify.reduced``, so the engine reduces the certification's
-  phase-1 run as it does a ``Curves`` keep's;
 * ``pair_cells``: ``check_sublinearity`` on ucb's env1 regret curve at
   n=4,000 and at n=20,000, over 64 reps, at ``assumptions._PAIR_CELLS`` of
   2**14, 2**16, 2**18 and 2**20, with the traced peak (``tracemalloc``) of
   one untimed call at each size; the results are keyed ``n=<n>``.
 
 ``--rounds`` sets every case's rounds; ``--smoke`` shrinks every size, to
-check the script.  ``harness.STACK_STEPS`` also has its own script,
-``tools/time_stacking.py``.
+check the script.
 """
 
 from __future__ import annotations
@@ -64,19 +54,15 @@ from pathlib import Path
 
 from pairs import compare, host, run_pairs, summarise, write_json
 
-from batchband import (ExperimentConfig, UcbPolicy, derive_seed, make_grid, make_linear_env,
-                       make_policy, preset, replay_evaluate, run_experiment,
-                       synth_logged_dataset)
+from batchband import ExperimentConfig, UcbPolicy, make_grid, preset, run_experiment
 from batchband import assumptions, cli, harness, meta, replay, specifications
 from batchband.harness import regret_curve
 
-SIZES = {"rounds": {"switches": 30, "ucb_run_ahead": 10, "list_window": 10, "play": 20,
-                    "pair_cells": 5},
-         "bench": "FULL", "ctx_rows": 5000, "n": 2000, "cert_reps": 10,
+SIZES = {"rounds": {"switches": 30, "ucb_run_ahead": 10, "pair_cells": 5},
+         "bench": "FULL", "n": 2000, "cert_reps": 10,
          "curve_n": (4000, 20000), "curve_reps": 64, "wide_reps": (256, 1024)}
-SMOKE = {"rounds": {"switches": 2, "ucb_run_ahead": 2, "list_window": 2, "play": 2,
-                    "pair_cells": 2},
-         "bench": "SMOKE", "ctx_rows": 200, "n": 200, "cert_reps": 2,
+SMOKE = {"rounds": {"switches": 2, "ucb_run_ahead": 2, "pair_cells": 2},
+         "bench": "SMOKE", "n": 200, "cert_reps": 2,
          "curve_n": (300, 600), "curve_reps": 4, "wide_reps": (32,)}
 CERTIFIED = {"envs": ("env1", "env3", "env6"), "policies": ("ucb",), "batch_sizes": (1, 10, 100)}
 MODES = ("delayed_start", "approx_delayed_start")
@@ -86,7 +72,6 @@ SWITCHES = {
     "AHEAD_CELLS": (specifications, "AHEAD_CELLS", 0, "certified_start"),
     "_Certify.reduced": (meta._Certify, "reduced", True, "certified_start"),
     "_SCALAR_BETA_MAX": (replay, "_SCALAR_BETA_MAX", 0, "replay_log"),
-    "_LIST_WINDOW_MAX": (replay, "_LIST_WINDOW_MAX", 0, "replay_log"),
     "STACK_STEPS": (harness, "STACK_STEPS", 0, "fig1_sweep"),
 }
 
@@ -218,41 +203,6 @@ def ucb_run_ahead(sizes, rounds):
     return out
 
 
-def list_window(sizes, rounds):
-    seed = 1
-    env = make_linear_env(4, 5, seed=derive_seed(seed, "theta"))
-    log = synth_logged_dataset(env, sizes["ctx_rows"], seed=derive_seed(seed, "log", "linear"))
-    window = replay._LIST_WINDOW_MAX
-
-    def run(side):
-        replay._LIST_WINDOW_MAX = window if side == "on" else 0
-        try:
-            return timed(lambda: [
-                (r.matched, r.successes) for r in (
-                    replay_evaluate(make_policy(name, 4, 5), log, b,
-                                    derive_seed(seed, "replay", name, b))
-                    for name in ("linucb", "lints") for b in (1, 50))])
-        finally:
-            replay._LIST_WINDOW_MAX = window
-
-    return sides(run, rounds)
-
-
-def play(sizes, rounds):
-    config = ExperimentConfig(n=sizes["n"], reps=sizes["cert_reps"], master_seed=1,
-                              mode="approx_delayed_start", **CERTIFIED)
-
-    def run(side):
-        meta._Certify.reduced = side == "off"
-        try:
-            seconds, table = timed(lambda: run_experiment(config))
-        finally:
-            meta._Certify.reduced = False
-        return seconds, rows_digest(table)
-
-    return sides(run, rounds)
-
-
 def pair_cells(sizes, rounds):
     out = {f"n={n}": pair_cells_at(n, sizes["curve_reps"], rounds) for n in sizes["curve_n"]}
     out["results_equal"] = all(v["results_equal"] for v in out.values())
@@ -306,8 +256,7 @@ def side_summary(runs, key):
     return out
 
 
-CASES = {"switches": switches, "ucb_run_ahead": ucb_run_ahead,
-         "list_window": list_window, "play": play, "pair_cells": pair_cells}
+CASES = {"switches": switches, "ucb_run_ahead": ucb_run_ahead, "pair_cells": pair_cells}
 
 
 def main(argv=None) -> int:
