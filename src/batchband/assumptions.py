@@ -29,7 +29,7 @@ from .core import PROB_TOL, DecisionRule, rule_value
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
 from .policies import UniformPolicy, rep_bincount
-from .specifications import Keep, Play, Steps, block_streams, check_arms, run_online, sim_seeds
+from .specifications import Keep, Steps, block_streams, check_arms, run_online, sim_seeds
 
 Z_ONE_SIDED_95 = 1.645
 
@@ -37,7 +37,7 @@ Z_ONE_SIDED_95 = 1.645
 # float work arrays holds 512 KiB whatever the horizon.  On 4,000- and
 # 20,000-step curves 2**16 and 2**18 timed alike (63 and 1,280 ms) and
 # traced 1.7 and 2.2 MiB against 6.3 and 7.0 MiB; 2**14 and 2**20 took
-# 1.15x or more (tools/time_fast_paths.py, BENCH_30.json).
+# 1.15x or more (BENCH_30.json).
 _PAIR_CELLS = 2**16
 
 
@@ -237,7 +237,7 @@ def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
     if isinstance(policy, UniformPolicy):
         return [DecisionRule(np.full(k, 1.0 / k))] * n
     seeds = sim_seeds(policy.draws, reps, master_seed, "trace")
-    actions = run_online(policy, env, n, seeds, keep=Play()).actions[:reps]
+    actions = run_online(policy, env, n, seeds).actions[:reps]
     return [DecisionRule(p) for p in rep_bincount(actions.T, k) / reps]
 
 
@@ -386,7 +386,7 @@ def check_monotone_envelope(
     per_arm = bound.per_arm(np.arange(1, t_max + 1))  # (t_max, k)
     ts = np.arange(1, t_max + 1, dtype=float)
     seeds = sim_seeds(policy.draws, reps, master_seed, "envelope")
-    actions = run_online(policy, env, t_max, seeds, keep=Play()).actions[:reps]
+    actions = run_online(policy, env, t_max, seeds).actions[:reps]
     mean = np.empty((t_max, env.k))
     lower = np.empty((t_max, env.k))
     for a in range(env.k):

@@ -28,11 +28,10 @@ from .core import DimensionMismatchError, Instance, check_seed, write_csv
 NORM_TOL = 1e-9
 
 # Rows of a logged-data CSV parsed, or formatted, per chunk, so that a log is
-# never held whole as text.  On 100k-row logs (tools/time_log_io.py,
-# BENCH_23.json, medians of 10 pairs) 256 to 1,024 rows peaked lowest;
-# 2,048, 4,096 and 16,384 peaked 1.2, 3.4 and 6.9 MiB higher on a contextual
-# read, and 256 and 512 wrote an env1 log in 69 and 62 ms against 38-47 ms
-# for larger chunks
+# never held whole as text.  On 100k-row logs (BENCH_23.json, medians of 10
+# pairs) 256 to 1,024 rows peaked lowest; 2,048, 4,096 and 16,384 peaked 1.2,
+# 3.4 and 6.9 MiB higher on a contextual read, and 256 and 512 wrote an env1
+# log in 69 and 62 ms against 38-47 ms for larger chunks
 _LOG_CHUNK = 1024
 
 

@@ -21,6 +21,7 @@ sweep over b in {1, b}.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 import pickle
@@ -86,7 +87,7 @@ class ExperimentConfig:
     ``policies`` are registry names.  ``mode`` selects plain runs or one of
     the delayed-start wrappers (``delta`` and ``bound_from`` apply to the
     approximate one).  ``n``, ``reps``, ``master_seed`` and the batch sizes
-    must be integers.
+    must be integers and ``delta`` a real number, which enters seeds as a float.
     """
 
     envs: tuple
@@ -107,6 +108,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "batch_sizes",
                            tuple(_integer("batch size", b) for b in self.batch_sizes))
+        if not isinstance(self.delta, numbers.Real):
+            raise ConfigError(f"delta must be a real number, got {self.delta!r}")
+        object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "policy_params", dict(self.policy_params))
 
     def validate(self) -> None:
@@ -141,6 +145,8 @@ class ExperimentConfig:
             if self.n < b:
                 raise ConfigError(f"horizon {self.n} shorter than batch {b}")
         for e in self.envs:
+            if not isinstance(e, str):
+                raise ConfigError(f"env {e!r} must be a preset name or a mean list")
             try:
                 env = parse_env(e)
                 if self.mode == "delayed_start":
@@ -366,7 +372,7 @@ def _run_cell(group):
 # Calls of 0.2M to 3M at 256 and 512 reps took 0.90-1.16 times their cells alone
 # and peaked 4.9-12.7 MiB higher (BENCH_29.json); with every cell alone the
 # benchmark's fig1_sweep took 1.41 times as long (30/30 rounds, BENCH_35.json;
-# tools/time_fast_paths.py --cases switches re-measures it)
+# tools/time_fast_paths.py re-measures it)
 STACK_STEPS = 2**20
 
 

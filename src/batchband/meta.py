@@ -193,6 +193,9 @@ class _Certify(Keep):
     the counts, means and ``theta_hat`` the check saw.
     """
 
+    # reduced, certified_start's calls took 1.04 times as long (20/30 rounds,
+    # BENCH_37.json; tools/time_fast_paths.py re-measures it) and would hold two
+    # more (reps, CHUNK) buffers, 4 MiB at 1,024 reps
     reduced = False
 
     def __init__(self, reps: int, b: int, k: int, delta: float, truth=None):

@@ -56,7 +56,7 @@ SUCCESS_THRESHOLD = 0.5
 # call, which consumes the generator identically, in C order.  Swept over ts
 # replay, 8 to 16 timed alike (BENCH_22.json); with the array call always, the
 # benchmark's replay calls took 1.71 times as long (30/30 rounds, BENCH_35.json;
-# tools/time_fast_paths.py --cases switches re-measures it)
+# tools/time_fast_paths.py re-measures it)
 _SCALAR_BETA_MAX = 12
 
 # LinTS replay draws its standard normals this many records at a time.  On

@@ -16,11 +16,10 @@ played rule is constant within a batch for every policy in this package.
 ``run_lockstep`` is the one run loop.  It advances all reps of a
 configuration together, batch by batch, with per-rep state held as arrays,
 and hands each chunk of steps to a ``Keep``, which keeps what its caller
-reads: the whole ``RunSet`` (``Whole``), actions and rewards only
-(``Play``), the regret at a few steps (``Steps``) or per-step curves
-(``assumptions.Curves``).  A policy that ignores feedback plays each
-chunk's batches in one call instead, from the start, or from the last
-hand-over of a two-phase run.  A lone run is a run of one rep.
+reads: the whole ``RunSet`` (``Whole``), the regret at a few steps
+(``Steps``) or per-step curves (``assumptions.Curves``).  A policy that
+ignores feedback plays each chunk's batches in one call instead, from the
+start, or from the last hand-over of a two-phase run.  A lone run is a run of one rep.
 Each rep owns its reward generator; on a Bernoulli environment the
 finite-armed policies draw from block streams, one generator per block of
 ``BLOCK_REPS`` consecutive reps (``block_streams``), so a rep's trajectory
@@ -33,7 +32,8 @@ in ``meta`` decide each rep's hand-over and pass the engine their naive
 policy, which ignores feedback, as a prefix with the per-rep hand-over
 steps: the engine plays it again, a chunk at a time.  Once every rep has
 handed over, a candidate that runs ahead (UCB) plays the batches its
-leaders hold in one call (``AHEAD_CELLS``); plain runs ask it batch by batch.
+leaders have held for two batches in one call (``AHEAD_CELLS``); plain runs
+ask it batch by batch.
 """
 
 from __future__ import annotations
@@ -55,25 +55,24 @@ OPT_TOL = 1e-12
 # the host's noise for check-bounds at reps=1,000 (ucb at n=100,000, ts at
 # n=2,000), while the ucb call's peak RSS read 44, 49, 59, 80 and 127 MiB;
 # below 256 a chunk pays one generator call per rep for fewer steps
-# (tools/measure_memory.py, BENCH_25.json).
+# (BENCH_25.json).
 CHUNK = 256
 
 # Once every rep of a two-phase run has handed over and its leaders have held
-# for ``AHEAD_MIN`` batches, a policy that runs ahead
-# (``UcbPolicy.run_ahead_reps``) plays windows of as many batches as they
-# have held, up to the chunk's end and ``AHEAD_CELLS`` (rep, batch) cells, so
-# runs of more than ``AHEAD_CELLS // 2`` reps play batch by batch.  With no
-# window the benchmark's certified_start calls took 1.38 times as long (30/30
-# rounds, BENCH_35.json); its sweep made 342 run-ahead calls, 303 in alike time
-# at 2**12 cells, and from 2 and 8 batches took 122 and 127 ms against 121,
-# alike within the rounds' spread, as on 256-rep cells (0.87-1.11 of no
-# window).  At 1,024 reps a window costs what the batches it spares cost: env3
-# delayed-start cells read 0.91-1.13 of no window's time at every budget and
-# start, the spread of no window against itself, and at 2**12 cells the delayed
-# starts peaked 0.1-0.35 MiB higher in fresh processes, so 2**10 keeps them
-# batch by batch (tools/time_fast_paths.py, tools/measure_memory.py, BENCH_32.json)
+# for two batches, a policy that runs ahead (``UcbPolicy.run_ahead_reps``)
+# plays windows of as many batches as they have held, up to the chunk's end and
+# ``AHEAD_CELLS`` (rep, batch) cells, so runs of more than ``AHEAD_CELLS // 2``
+# reps play batch by batch.  With no window the benchmark's certified_start
+# calls took 1.38 times as long (30/30 rounds, BENCH_35.json;
+# tools/time_fast_paths.py re-measures it).  Its sweep made 342 run-ahead
+# calls, 303 in alike time at 2**12 cells, and from 2, 4 and 8 held batches
+# took 122, 121 and 127 ms, alike within the rounds' spread, as on 256-rep
+# cells (0.87-1.11 of no window).  At 1,024 reps a window costs what the
+# batches it spares cost: env3 delayed-start cells read 0.91-1.13 of no
+# window's time at every budget and start, the spread of no window against
+# itself, and at 2**12 cells the delayed starts peaked 0.1-0.35 MiB higher in
+# fresh processes, so 2**10 keeps them batch by batch (BENCH_32.json)
 AHEAD_CELLS = 1024
-AHEAD_MIN = 4
 
 
 @dataclass(eq=False)
@@ -199,16 +198,6 @@ class Whole(Keep):
         return self.run
 
 
-class Play(Whole):
-    """A ``RunSet`` of the reps' actions and rewards alone: the engine reduces
-    nothing, and ``pseudo_regret``, ``optimal_hits`` and ``pull_counts``
-    stay None."""
-
-    # reducing nothing pays: the certified start's keep skips it too, and reduced,
-    # certified_start's calls took 1.05 times as long (20/30 rounds, BENCH_35.json)
-    reduced = False
-
-
 class Steps(Keep):
     """Every rep's cumulative regret at the 0-based ``steps``, an ``(R,
     len(steps))`` array."""
@@ -317,7 +306,8 @@ def run_lockstep(
     history absorbed, drawing from ``block_streams(seeds, "candidate")``.
     Two-phase runs use batch feedback on a finite-armed environment.  Once
     every rep has handed over, a policy with ``run_ahead_reps`` plays the
-    batches all its leaders hold in one call per window (``AHEAD_CELLS``).
+    batches all its leaders have held for two batches in one call per window
+    (``AHEAD_CELLS``).
 
     ``env`` may also be a stack, a tuple of ``(env, reps)`` pairs of
     Bernoulli envs of one arm count and no ``prefix``: the first ``reps``
@@ -438,7 +428,7 @@ def run_lockstep(
                     else:
                         acts = lead[:, None].repeat(b, axis=1)
                     span = min(held, stop - j + 1, cap)
-                    if held >= AHEAD_MIN and span > 1:
+                    if span > 1:
                         got = uniforms[:, lo : lo + span * b] < means[lead[:, None] + offsets]
                         got = got.reshape(reps, span, b)
                         kept, after = policy.run_ahead_reps(state, lead, got)

@@ -33,7 +33,6 @@ from batchband.specifications import (
     BLOCK_REPS,
     Chunk,
     Keep,
-    Play,
     Steps,
     run_batch,
     run_lockstep,
@@ -589,10 +588,6 @@ def test_a_run_in_chunks_keeps_what_the_whole_run_reduces_to(monkeypatch, name, 
     assert all(w % b == 0 and w <= width + 1 for w in keep.widths)
     assert min(keep.widths) >= 2  # _mean_se over one step need not match the whole one's
     assert_keeps_reduce_the_whole_run(run, whole, groups, (n - 1, grid.M - 1, 0, n // 2))
-    play = run(Play())
-    assert np.array_equal(play.actions, whole.actions)
-    assert np.array_equal(play.rewards, whole.rewards)
-    assert play.pseudo_regret is play.optimal_hits is play.pull_counts is None
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 16])

@@ -95,8 +95,11 @@ class TestConfigValidation:
         ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
         ({"n": 40.0}, "n must be an integer, got 40.0"),
         ({"reps": 3.0}, "reps must be an integer, got 3.0"),
+        ({"delta": "0.1"}, "delta must be a real number, got '0.1'"),
+        ({"delta": None}, "delta must be a real number, got None"),
+        ({"envs": (1,)}, "env 1 must be a preset name or a mean list"),
     ], ids=["no-envs", "params-for-another-policy", "float-batch-size", "float-seed",
-            "float-n", "float-reps"])
+            "float-n", "float-reps", "text-delta", "no-delta", "integer-env"])
     def test_bad_input_rejected_before_any_cell(self, monkeypatch, overrides, message):
         monkeypatch.setattr(harness, "_run_cell", lambda p: pytest.fail("cell ran"))
         with pytest.raises(ConfigError, match=message):
@@ -107,6 +110,20 @@ class TestConfigValidation:
                            batch_sizes=(np.int32(4),))
         assert [type(v) for v in (cfg.n, cfg.reps, cfg.master_seed, *cfg.batch_sizes)] == [int] * 4
         assert (cfg.reps, cfg.master_seed) == (1, 7)
+
+    def test_numpy_numbers_give_the_bytes_of_python_ones(self):
+        # delta's text enters the approximate start's seeds, so np.float64(0.05),
+        # whose repr is not 0.05's, must seed as 0.05 does
+        def rows(n, b, reps, seed, delta):
+            table = run_experiment(ExperimentConfig(
+                envs=("env3",), policies=("ucb",), n=n, batch_sizes=(b,), reps=reps,
+                master_seed=seed, mode="approx_delayed_start", delta=delta))
+            assert type(table.config.delta) is float
+            return [(r.mean_final, r.stderr_final, r.tau_mean, r.tau_none,
+                     r.curve_mean.tobytes(), r.curve_stderr.tobytes()) for r in table.rows]
+
+        assert rows(np.int64(300), np.int32(10), np.uint16(4), np.int64(0), np.float64(0.05)) \
+            == rows(300, 10, 4, 0, 0.05)
 
     def test_validation_happens_before_any_run(self):
         cfg = small_config(envs=("env1", "env99"))

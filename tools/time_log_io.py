@@ -5,8 +5,7 @@ Usage (from the repository root)::
 
     git archive <parent-rev> | tar -x -C /tmp/parent
     python3 tools/time_log_io.py --parent /tmp/parent --change . \\
-        --parent-commit <parent-rev> --pairs 10 --chunks 1024,4096,16384 \\
-        --out log_io.json
+        --parent-commit <parent-rev> --pairs 10 --out log_io.json
 
 Two logs are built once, by the change tree: a 100,000-row env1 log and a
 100,000-row contextual log (k=4, d=5), as the ``replay_log`` benchmark
@@ -25,15 +24,12 @@ tree's ``src``:
 Every case records the process's peak resident set: ``VmHWM`` from
 ``/proc/self/status``, or ``ru_maxrss`` where that file is missing
 (``pairs.PEAK_MIB``), since on Linux a child's ``ru_maxrss`` starts at the
-peak its parent had reached.  The sides are the parent,
-the change, and one side per ``--chunks`` value: the change tree with
-``environments._LOG_CHUNK`` set to that value in the child, which sweeps the
-constant.  In each pair every case runs on every side back to back, in the
-given order of sides on odd pairs and reversed on even pairs.  The summary
-holds, per case and side, the median and quartiles of seconds and of peak
-MiB; parent against change, how many pairs the change won; and whether
-every side wrote the same log, read the same columns and wrote the same
-``replay.csv`` in every pair.
+peak its parent had reached.  In each pair every case runs on both sides
+back to back, the parent first on odd pairs and the change first on even
+pairs.  The summary holds, per case and side, the median and quartiles of
+seconds and of peak MiB; parent against change, how many pairs the change
+won; and whether both sides wrote the same log, read the same columns and
+wrote the same ``replay.csv`` in every pair.
 ``--smoke`` shrinks the logs, to check the script.  The pair protocol is
 ``tools/pairs.py``.
 """
@@ -44,8 +40,8 @@ import json
 import sys
 import tempfile
 
-from pairs import (PEAK_MIB, compare, host, run_child, run_pairs, src_lines, summarise,
-                   tree_parser, write_json)
+from pairs import (PEAK_MIB, compare, host, order, run_child, run_pairs, src_lines,
+                   summarise, tree_parser, write_json)
 
 ROWS, SMOKE_ROWS = 100_000, 300
 POLICIES = {"env1": "ucb,ts,uniform", "linear": "linucb,lints"}
@@ -55,11 +51,9 @@ CASES = tuple(f"{what} {log}" for log in POLICIES for what in ("write", "read", 
 # of one case; a write case writes to ``dest`` in ``work``
 CHILD = PEAK_MIB + """
 import contextlib, hashlib, io, json, os, sys, time
-from batchband import (cli, derive_seed, environments, make_linear_env, parse_env,
-                       read_logged_csv, synth_logged_dataset, write_logged_csv)
+from batchband import (cli, derive_seed, make_linear_env, parse_env, read_logged_csv,
+                       synth_logged_dataset, write_logged_csv)
 a = json.loads(sys.argv[1])
-if a["chunk"]:
-    environments._LOG_CHUNK = a["chunk"]
 what, log = a["case"].split()
 path = os.path.join(a["work"], f"log_{log}.csv")
 def sha(path):
@@ -99,25 +93,23 @@ def main(argv=None) -> int:
     p = tree_parser(__doc__)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--chunks", default="", help="comma-separated _LOG_CHUNK values to sweep")
     p.add_argument("--smoke", action="store_true", help="tiny logs, to check the script")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be >= 2 for quartiles")
 
     rows = SMOKE_ROWS if args.smoke else ROWS
-    sides = {"parent": (args.parent, 0), "change": (args.change, 0)}
-    sides.update({f"chunk={c}": (args.change, int(c)) for c in args.chunks.split(",") if c})
+    sides = {"parent": args.parent, "change": args.change}
     with tempfile.TemporaryDirectory() as work:
-        def child(tree, case, chunk=0, dest="written.csv"):
+        def child(tree, case, dest="written.csv"):
             return run_child(tree, CHILD, json.dumps({
-                "case": case, "work": work, "chunk": chunk, "seed": args.seed, "rows": rows,
+                "case": case, "work": work, "seed": args.seed, "rows": rows,
                 "dest": dest, "policies": POLICIES[case.split()[1]]}))
 
-        for log in POLICIES:  # the logs that every side reads
+        for log in POLICIES:  # the logs that both sides read
             child(args.change, f"write {log}", dest=f"log_{log}.csv")
         runs = run_pairs(args.pairs, CASES, sides,
-                         lambda case, side, pair: child(sides[side][0], case, sides[side][1]))
+                         lambda case, side, pair: child(sides[side], case))
 
     cases = {}
     for case, by_side in runs.items():
@@ -135,11 +127,10 @@ def main(argv=None) -> int:
 
     record = {
         "what": "write, read and batchband replay of 100k-row env1 and contextual logs, "
-                "parent vs change and the change at each swept _LOG_CHUNK",
+                "parent vs change",
         "host": host(),
         "parent_commit": args.parent_commit,
-        "order": "in each pair every case runs on every side back to back; odd pairs "
-                 "in the order " + ", ".join(sides) + ", even pairs reversed",
+        "order": order("case"),
         "pairs": args.pairs,
         "seed": args.seed,
         "rows": rows,
