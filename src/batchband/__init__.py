@@ -27,7 +27,6 @@ from .harness import (
     RegretTable,
     bound_reports,
     check_theorem_bounds,
-    regret_curve,
     run_experiment,
 )
 from .meta import (
@@ -86,7 +85,6 @@ __all__ = [
     "parse_env",
     "preset",
     "read_logged_csv",
-    "regret_curve",
     "relative_cr",
     "replay_evaluate",
     "rule_value",

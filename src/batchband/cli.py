@@ -34,6 +34,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .assumptions import (
+    RegretCurve,
     UnsupportedPolicyError,
     _interval,
     check_lemma31,
@@ -51,7 +52,6 @@ from .harness import (
     _cell_policy,
     _reject_repeats,
     check_theorem_bounds,
-    regret_curve,
     resolve_threads,
     run_experiment,
 )
@@ -325,11 +325,14 @@ def cmd_check_assumptions(args) -> int:
     policy = _cell_policy(name, env, n, params)
     rows = []
 
-    curve = regret_curve(policy, env, make_grid(n, 1), reps, master_seed=seed)
-    sub = check_sublinearity(curve, min_t=opts["min_t"])
+    # the online cell of simulate and check-bounds at these flags
+    online = run_experiment(ExperimentConfig(
+        envs=(env_spec,), policies=(name,), n=n, batch_sizes=(1,), reps=reps,
+        master_seed=seed, policy_params={name: params})).rows[0]
+    sub = check_sublinearity(RegretCurve(online.curve_mean, online.curve_stderr, reps),
+                             min_t=opts["min_t"])
     verdict = "consistent" if sub.holds else "violated"
-    rate = float(curve.values[-1] / n)
-    rate_se = float(curve.stderr[-1] / n)
+    rate, rate_se = online.mean_final / n, online.stderr_final / n
     rows.append(
         ("sublinearity", f"{name}|{env_spec}|online|n={n}|t>={opts['min_t']}",
          verdict, rate, *_interval(rate, rate_se))

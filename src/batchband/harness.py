@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assumptions import Curves, RegretCurve, _verdict
+from .assumptions import Curves, _verdict
 from .core import derive_seed, make_grid, write_csv  # noqa: F401  bench/spans.py wraps derive_seed
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
@@ -501,15 +501,3 @@ def bound_reports(table: RegretTable) -> list[BoundReport]:
             ],
         ))
     return reports
-
-
-def regret_curve(policy, env, grid, reps: int, master_seed: int = 0) -> RegretCurve:
-    """Pointwise mean and stderr of cumulative pseudo-regret over reps of
-    ``grid``'s schedule, which at b=1 is the online run; ``ConfigError``
-    unless ``reps`` is an integer of at least 1."""
-    if _integer("reps", reps) < 1:
-        raise ConfigError("reps must be >= 1")
-    spec = "online" if grid.b == 1 else "batch"
-    seeds = sim_seeds(policy.draws, reps, master_seed, "curve", spec, grid.n, grid.b)
-    keep = run_batch(policy, env, grid, seeds, keep=Curves([(0, reps)]))
-    return RegretCurve(keep.mean[0], keep.stderr[0], reps)

@@ -43,6 +43,7 @@ handed over, and replay runs its one rep ahead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,10 +476,9 @@ class LinTsPolicy(_LinearBase):
 def _pop_number(params: dict, key: str, default=None, integral: bool = False):
     """Pop ``key`` as a float, or as an int when ``integral``, or raise ``PolicyError``."""
     value = params.pop(key, default)
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise PolicyError(f"{key} must be a number, got {value!r}") from None
+    if not isinstance(value, numbers.Real):
+        raise PolicyError(f"{key} must be a number, got {value!r}")
+    x = float(value)
     if integral and not x.is_integer():
         raise PolicyError(f"{key} must be an integer, got {value!r}")
     return int(x) if integral else x

@@ -95,14 +95,6 @@ class RunRecord:
     pull_counts: np.ndarray
     phase: object | None = None
 
-    @property
-    def final_regret(self) -> float:
-        return float(self.pseudo_regret[-1])
-
-    @property
-    def optimal_pulls(self) -> int:
-        return int(self.optimal_hits[-1])
-
 
 @dataclass(eq=False)
 class RunSet:
@@ -130,14 +122,6 @@ class RunSet:
     tau: np.ndarray
     features: np.ndarray | None = None
     phases: list | None = None
-
-    @property
-    def final_regret(self) -> np.ndarray:
-        return self.pseudo_regret[:, -1].copy()
-
-    @property
-    def optimal_pulls(self) -> np.ndarray:
-        return self.optimal_hits[:, -1].copy()
 
     def record(self, i: int) -> RunRecord:
         """Rep ``i`` as a single-run record."""

@@ -165,7 +165,7 @@ def test_criterion_4_suboptimal_count_bound():
     threshold = 4.0 * math.log(n) / 0.36 + 8.0
     # UCB draws nothing, so each rep of one lockstep call is its lone run
     run = run_online(UcbPolicy(2), env, n, [derive_seed(44, "c4", i) for i in range(reps)])
-    counts = n - run.optimal_pulls
+    counts = n - run.optimal_hits[:, -1]
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert mean <= threshold + Z95 * se, (

@@ -25,7 +25,7 @@ from batchband.assumptions import (
     mean_rule_trace,
     probe_informativeness,
 )
-from batchband.harness import ConfigError, regret_curve
+from batchband.harness import ExperimentConfig, _cell_key, run_experiment
 from batchband.specifications import run_online
 
 
@@ -64,36 +64,29 @@ def test_regret_curve_from_runs():
      TypeError, "informativeness probe supports finite-armed environments"),
     (lambda: check_monotone_envelope(UcbPolicy(2), make_linear_env(2, 2), reps=10, t_max=20),
      UnsupportedPolicyError, "envelope check supports finite-armed environments"),
-    (lambda: regret_curve(UcbPolicy(2), preset("env1"), make_grid(10, 1), 0), ConfigError,
-     "reps must be >= 1"),
-    (lambda: regret_curve(UcbPolicy(2), preset("env1"), make_grid(10, 1), -1), ConfigError,
-     "reps must be >= 1"),
-    (lambda: regret_curve(UcbPolicy(2), preset("env1"), make_grid(10, 1), 2.5), ConfigError,
-     "reps must be an integer"),
     (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=10, reps=10, k=7.9),
      TypeError, "'float' object cannot be interpreted as an integer"),
     (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=10, reps=10, k_prime=1.5),
      TypeError, "'float' object cannot be interpreted as an integer"),
 ], ids=["curve-shapes-differ", "curve-2d", "runs-1d", "min-t-0", "min-t-past-n",
         "lemma31-no-rules", "probe-t-1", "envelope-one-rep", "trace-linear-env",
-        "probe-linear-env", "envelope-linear-env", "curve-reps-0", "curve-reps-negative",
-        "curve-reps-float", "probe-k-float", "probe-k-prime-float"])
+        "probe-linear-env", "envelope-linear-env", "probe-k-float", "probe-k-prime-float"])
 def test_checks_reject_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
 
 
 def test_regret_curve_from_runs_equals_regret_curve():
-    # one reduction: the same trajectories give the same bits either way
-    env = preset("env6")
-    grid = make_grid(300, 1)
-    seeds = [derive_seed(4, "curve", "online", grid.n, grid.b, i) for i in range(50)]
-    runs = run_online(UcbPolicy(4), env, grid.n, seeds).pseudo_regret
-    got = RegretCurve.from_runs(runs)
-    want = regret_curve(UcbPolicy(4), env, grid, 50, master_seed=4)
-    assert got.reps == want.reps == 50
-    assert got.values.tobytes() == want.values.tobytes()
-    assert got.stderr.tobytes() == want.stderr.tobytes()
+    # one reduction: a sweep cell's curve is the same bits as its reps' runs
+    cfg = ExperimentConfig(envs=("env6",), policies=("ucb",), n=300, batch_sizes=(1,),
+                           reps=50, master_seed=4)
+    cell = run_experiment(cfg).rows[0]
+    key = _cell_key("env6", "ucb", "plain", 300, 1, cfg.delta, cfg.bound_from)
+    seeds = [derive_seed(4, key, i) for i in range(50)]
+    got = RegretCurve.from_runs(run_online(UcbPolicy(4), preset("env6"), 300, seeds).pseudo_regret)
+    assert got.reps == cell.reps == 50
+    assert got.values.tobytes() == cell.curve_mean.tobytes()
+    assert got.stderr.tobytes() == cell.curve_stderr.tobytes()
 
 
 def test_regret_curve_of_identical_reps_has_no_spread():

@@ -418,11 +418,37 @@ class TestCheckAssumptions:
         def no_check(*args, **kwargs):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(cli, "regret_curve", no_check)
+        monkeypatch.setattr(cli, "run_experiment", no_check)
         rc = main(["check-assumptions", *flags, "--out-dir", str(tmp_path)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "assumptions.csv").exists()
+
+    @pytest.mark.parametrize("policy", ["ucb", "ts"])
+    def test_sublinearity_reads_the_online_cell_of_simulate(self, tmp_path, policy):
+        # one online cell per (env, policy, n, reps, seed): the sublinearity
+        # row and check-bounds' R_n(online) are simulate's b=1 cell, bit for bit
+        n = 120
+        run = ["--policy", policy, "--env", "env3", "--n", str(n), "--reps", "20",
+               "--seed", "11"]
+        assert main(["simulate", *run, "--b", "1", "--out-dir", str(tmp_path / "s")]) == 0
+        assert main(["check-bounds", *run, "--b", "6", "--out-dir", str(tmp_path / "b")]) == 0
+        assert main(["check-assumptions", *run, "--min-t", "10",
+                     "--out-dir", str(tmp_path / "a")]) in (0, 1)
+
+        def rows(path):
+            with open(path, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        (cell,) = rows(tmp_path / "s" / "results.csv")
+        sub = {r["check"]: r for r in rows(tmp_path / "a" / "assumptions.csv")}["sublinearity"]
+        lower = rows(tmp_path / "b" / "bounds.csv")[0]
+        rate = float(cell["mean_final_regret"]) / n
+        rate_se = float(cell["stderr_final_regret"]) / n
+        assert float(sub["statistic"]) == rate
+        assert [float(sub["ci_low"]), float(sub["ci_high"])] == [
+            rate - 2 * rate_se, rate + 2 * rate_se]
+        assert lower["lhs"] == cell["mean_final_regret"]
 
     def test_linear_regret_policy_exits_1(self, tmp_path):
         rc = main(["check-assumptions", "--policy", "two_phase", "--env", "env2",

@@ -75,12 +75,12 @@ for _policy, _digest in BOUNDS.items():
             0,
             {"bounds.csv": _digest},
         )
-# regret curves, rule traces, the informativeness probe, the envelope check
-# (ucb only) and the b-fold reversal
+# the online cell's regret curve, rule traces, the informativeness probe, the
+# envelope check (ucb only) and the b-fold reversal
 ASSUMPTIONS = {
-    "ucb": (0, "5a17b54ce38f58ffba0dff0d0e0254e9e9ca44d1e8586922bcc85c8a0b2dfc34"),
-    "ts": (1, "f03ac5a8735fd7c89c8b5530a0d29a0e5fc27ef987b76be5cc07d8e18de84214"),
-    "uniform": (0, "df99c1ff8449334d2fd663814a925df7f2917e9a613c8342eb5a288ff1c9e07d"),
+    "ucb": (0, "f3c0d5e443492752a43ef8b098806ba9557091ee1420436571e4b9b553ac85e5"),
+    "ts": (1, "ec8ddf2f71d0b5dee560095092175f0aa5af4dc5d4303244cdbd27a1b5f23734"),
+    "uniform": (0, "6b3426304654c11c17a83cdb73adfdcc61bc4330c80b4bbe1c7bd8693fe7481a"),
     "two_phase": (1, "a201d85060755196743cc158a9da8fa23b1a77e89c4696eae4756a399c4a4e21"),
 }
 for _policy, (_code, _digest) in ASSUMPTIONS.items():

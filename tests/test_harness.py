@@ -25,11 +25,10 @@ from batchband.harness import (
     _cell_key,
     bound_reports,
     check_theorem_bounds,
-    regret_curve,
     resolve_threads,
     run_experiment,
 )
-from batchband.policies import FixedArmPolicy, UcbPolicy, UniformPolicy
+from batchband.policies import UcbPolicy
 from batchband.specifications import run_batch, run_online, whole_blocks
 
 
@@ -98,8 +97,10 @@ class TestConfigValidation:
         ({"delta": "0.1"}, "delta must be a real number, got '0.1'"),
         ({"delta": None}, "delta must be a real number, got None"),
         ({"envs": (1,)}, "env 1 must be a preset name or a mean list"),
+        ({"policy_params": {"ucb": {"ucb_c": "1.5"}}},
+         "policy 'ucb' on env 'env1': ucb_c must be a number, got '1.5'"),
     ], ids=["no-envs", "params-for-another-policy", "float-batch-size", "float-seed",
-            "float-n", "float-reps", "text-delta", "no-delta", "integer-env"])
+            "float-n", "float-reps", "text-delta", "no-delta", "integer-env", "text-policy-param"])
     def test_bad_input_rejected_before_any_cell(self, monkeypatch, overrides, message):
         monkeypatch.setattr(harness, "_run_cell", lambda p: pytest.fail("cell ran"))
         with pytest.raises(ConfigError, match=message):
@@ -267,7 +268,7 @@ class TestRunExperiment:
         finals = []
         for i in range(3):
             seed = derive_seed(cfg.master_seed, key, i)
-            finals.append(run_batch(UcbPolicy(2), env, grid, seed).final_regret)
+            finals.append(run_batch(UcbPolicy(2), env, grid, seed).pseudo_regret[-1])
         assert table.rows[0].mean_final == pytest.approx(np.mean(finals), abs=1e-12)
 
     def test_extending_reps_preserves_earlier_trajectories(self):
@@ -280,7 +281,7 @@ class TestRunExperiment:
         key = _cell_key("env1", "ucb", "plain", cfg4.n, 4, cfg4.delta, cfg4.bound_from)
         rep3 = run_batch(
             UcbPolicy(2), env, grid, derive_seed(cfg4.master_seed, key, 3)
-        ).final_regret
+        ).pseudo_regret[-1]
         recovered = t4.rows[0].mean_final * 4 - rep3
         assert recovered / 3 == pytest.approx(t3.rows[0].mean_final, abs=1e-9)
 
@@ -709,30 +710,28 @@ def test_outputs_do_not_depend_on_threads(policy, mode, reps, seed):
 
 
 class TestRegretCurve:
+    """The per-step curve of a sweep cell, which every check reads."""
+
     def test_best_fixed_arm_has_zero_curve(self):
-        env = preset("env1")
-        grid = make_grid(50, 5)
-        curve = regret_curve(FixedArmPolicy(2, 0), env, grid, reps=4)
-        assert np.all(curve.values == 0.0)
-        assert np.all(curve.stderr == 0.0)
+        cfg = small_config(policies=("fixed",), n=50, batch_sizes=(5,), reps=4,
+                           master_seed=0, policy_params={"fixed": {"fixed_arm": 0}})
+        cell = run_experiment(cfg).rows[0]
+        assert np.all(cell.curve_mean == 0.0)
+        assert np.all(cell.curve_stderr == 0.0)
 
     def test_uniform_env1_rate_is_half_gap(self):
-        env = preset("env1")
-        grid = make_grid(400, 1)
-        curve = regret_curve(UniformPolicy(2), env, grid,
-                             reps=400, master_seed=5)
-        assert curve.values[-1] == pytest.approx(40.0, abs=0.5)
-        mid = curve.values[199]
-        assert mid == pytest.approx(20.0, abs=0.4)
+        cfg = small_config(policies=("uniform",), n=400, batch_sizes=(1,), reps=400,
+                           master_seed=5)
+        curve = run_experiment(cfg).rows[0].curve_mean
+        assert curve[-1] == pytest.approx(40.0, abs=0.5)
+        assert curve[199] == pytest.approx(20.0, abs=0.4)
 
     def test_single_rep_matches_direct_run(self):
-        env = preset("env2")
-        grid = make_grid(30, 1)
-        policy = UcbPolicy(2)
-        curve = regret_curve(policy, env, grid, reps=1, master_seed=9)
-        seed = derive_seed(9, "curve", "online", 30, 1, 0)
-        rec = run_online(UcbPolicy(2), env, 30, seed)
-        assert np.array_equal(curve.values, rec.pseudo_regret)
+        cfg = small_config(envs=("env2",), n=30, batch_sizes=(1,), reps=1, master_seed=9)
+        cell = run_experiment(cfg).rows[0]
+        key = _cell_key("env2", "ucb", "plain", 30, 1, cfg.delta, cfg.bound_from)
+        rec = run_online(UcbPolicy(2), preset("env2"), 30, derive_seed(9, key, 0))
+        assert np.array_equal(cell.curve_mean, rec.pseudo_regret)
 
 
 def cli_outputs(calls, root):

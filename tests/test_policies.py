@@ -592,6 +592,9 @@ def test_policies_reject_bad_hyperparameters(build):
     ("fixed", {"fixed_arm": 1.5}, "fixed_arm must be an integer"),
     ("lints", {}, "lints needs a context dimension"),
     ("two_phase", {}, "two_phase needs switch_t"),
+    ("ucb", {"ucb_c": "1.5"}, "ucb_c must be a number, got '1.5'"),
+    ("two_phase", {"switch_t": "3"}, "switch_t must be a number, got '3'"),
+    ("fixed", {"fixed_arm": "0"}, "fixed_arm must be a number, got '0'"),
 ])
 def test_make_policy_rejects_values_that_do_not_convert(name, params, message):
     with pytest.raises(PolicyError, match=message):

@@ -42,9 +42,9 @@ class SpyPolicy(BasePolicy):
 def test_point_mass_on_worst_regret_is_linear():
     env = preset("env1")
     rec = run_online(FixedArmPolicy(2, arm=1), env, 10, seed=0)
-    assert rec.final_regret == pytest.approx(2.0, abs=1e-12)
+    assert rec.pseudo_regret[-1] == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(rec.pseudo_regret, 0.2 * np.arange(1, 11))
-    assert rec.optimal_pulls == 0
+    assert rec.optimal_hits[-1] == 0
     assert rec.pull_counts.tolist() == [0, 10]
 
 
@@ -52,7 +52,7 @@ def test_point_mass_on_best_regret_is_zero():
     env = preset("env3")
     rec = run_online(FixedArmPolicy(2, arm=0), env, 50, seed=0)
     assert np.all(rec.pseudo_regret == 0.0)
-    assert rec.optimal_pulls == 50
+    assert rec.optimal_hits[-1] == 50
 
 
 def test_run_record_identities_property():
@@ -64,7 +64,7 @@ def test_run_record_identities_property():
             assert np.all(np.diff(rec.pseudo_regret) >= -1e-15)
             assert np.all((rec.actions >= 0) & (rec.actions < env.k))
             # regret decomposition: R_n = sum_a gap_a * T_a(n), exactly
-            assert rec.final_regret == pytest.approx(
+            assert rec.pseudo_regret[-1] == pytest.approx(
                 float(env.gap_vector() @ rec.pull_counts), abs=1e-9
             )
             assert rec.optimal_hits[-1] <= rec.n
@@ -194,7 +194,7 @@ def test_contextual_run_smoke():
     rec = run_batch(LinUcbPolicy(3, 2), env, make_grid(60, 6), seed=8)
     assert rec.pull_counts.sum() == 60
     assert np.all(np.diff(rec.pseudo_regret) >= -1e-12)
-    assert 0 <= rec.optimal_pulls <= 60
+    assert 0 <= rec.optimal_hits[-1] <= 60
     rec2 = run_batch(LinUcbPolicy(3, 2), env, make_grid(60, 6), seed=8)
     assert np.array_equal(rec.actions, rec2.actions)
 

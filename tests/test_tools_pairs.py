@@ -252,6 +252,32 @@ def test_every_tool_and_bench_record_that_src_or_readme_names_exists():
     assert sorted(name for name in named if not (root / name).is_file()) == []
 
 
+def test_every_name_that_readme_imports_or_cites_resolves():
+    # a README that imports or cites a name the package lost documents an API
+    # that is gone; ``replay.csv`` and the like name files, not attributes
+    text = (TOOLS.parent / "README.md").read_text()
+    imports = re.findall(r"^from batchband[\w.]* import (?:\([^)]*\)|.*)$", text, re.M)
+    assert imports
+    for line in imports:
+        exec(line, {})
+    modules = {path.stem for path in (SRC / "batchband").glob("*.py")} - {"__init__"}
+    cited = re.findall(rf"`(?:batchband\.)?((?:{'|'.join(modules)})(?:\.\w+)+)`", text)
+    assert {"harness.STACK_STEPS", "meta.CHECK_PAIRS", "specifications.CHUNK"} <= set(cited)
+
+    def resolves(name):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"batchband.{module}")
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+
+    files = ("csv", "json", "svg")
+    assert [name for name in cited
+            if name.rsplit(".", 1)[1] not in files and not resolves(name)] == []
+
+
 def test_every_tool_script_is_run_by_a_test():
     # a test runs a script as a child, loads it, or calls a module this file
     # loaded from it; ``pairs.py`` is the scripts' library

@@ -103,7 +103,7 @@ else:
     n, env = sizes["c4_n"], preset("env3")
     seeds = [derive_seed(44, "c4", i) for i in range(sizes["c4_runs"])]
     timed(f"criterion4 {sizes['c4_runs']} runs n={n}", lambda: (
-        n - run_online(UcbPolicy(2), env, n, seeds).optimal_pulls).tolist())
+        n - run_online(UcbPolicy(2), env, n, seeds).optimal_hits[:, -1]).tolist())
 print(json.dumps(out))
 """
 
