@@ -12,9 +12,10 @@ follow one scheme:
 
 Monte-Carlo checks derive per-rep seeds with ``sim_seeds`` so results are
 reproducible and extendable, simulate every trajectory with the one engine
-(``run_online``), which keeps only what each check reads, and share one
-reduction (``_mean_se``, chunk by chunk in ``Curves``) and one
-two-standard-error verdict (``_verdict``) with the harness.
+(``run_online``), which keeps only what each check reads, and reduce with
+``core``'s mean/stderr reduction (``_mean_se``) and two-standard-error
+verdict (``_verdict``), as the harness does.  ``check_sublinearity`` judges
+a per-step mean curve with its standard errors, such as a sweep cell's.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import PROB_TOL, DecisionRule, rule_value
+from .core import PROB_TOL, DecisionRule, _interval, _mean_se, _verdict, rule_value
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
 from .policies import UniformPolicy, rep_bincount
-from .specifications import Keep, Steps, block_streams, check_arms, run_online, sim_seeds
+from .specifications import Steps, block_streams, check_arms, run_online, sim_seeds
 
 Z_ONE_SIDED_95 = 1.645
 
@@ -43,85 +44,6 @@ _PAIR_CELLS = 2**16
 
 class UnsupportedPolicyError(TypeError):
     """Raised when a check has no registered bound for the given policy."""
-
-
-def _mean_se(samples, axis=0):
-    """Mean and standard error ``std(ddof=1) / sqrt(R)`` over the rep axis;
-    the error is zero for a single rep."""
-    reps = samples.shape[axis]
-    mean = samples.mean(axis=axis)
-    if reps < 2:
-        return mean, np.zeros_like(mean)
-    return mean, samples.std(axis=axis, ddof=1) / np.sqrt(reps)
-
-
-def _verdict(diff: float, se: float) -> str:
-    """Two-standard-error verdict on ``diff > 0``; with no noise, the sign."""
-    if se == 0.0:
-        return "holds" if diff > 0 else ("boundary" if diff == 0.0 else "violated")
-    if diff > 2 * se:
-        return "holds"
-    if diff < -2 * se:
-        return "violated"
-    return "inconclusive"
-
-
-def _interval(x: float, se: float) -> tuple[float, float]:
-    """The two-standard-error interval around ``x`` that ``_verdict`` reads."""
-    return x - 2 * se, x + 2 * se
-
-
-@dataclass(eq=False)
-class RegretCurve:
-    """Mean cumulative pseudo-regret per step, with standard errors."""
-
-    values: np.ndarray
-    stderr: np.ndarray
-    reps: int
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        self.stderr = np.asarray(self.stderr, dtype=float)
-        if self.values.shape != self.stderr.shape or self.values.ndim != 1:
-            raise ValueError("values and stderr must be matching 1-D arrays")
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    @staticmethod
-    def from_runs(per_run_regret: np.ndarray) -> "RegretCurve":
-        """Aggregate a (reps, n) matrix of cumulative regret trajectories."""
-        arr = np.asarray(per_run_regret, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("need a (reps, n) matrix")
-        return RegretCurve(*_mean_se(arr, axis=0), arr.shape[0])
-
-
-class Curves(Keep):
-    """Per group of rows ``(lo, hi)`` of a run, the per-step ``mean`` and
-    standard error (``stderr``) of cumulative regret over those rows
-    (``_mean_se``); ``hits`` and ``pulls`` hold every row's final optimal
-    hits and pull counts, and ``run`` the run's ``RunSet`` fields other than
-    its step arrays.  The run returns the keep itself."""
-
-    def __init__(self, groups):
-        self.groups = list(groups)
-
-    def start(self, run) -> None:
-        self.run = run
-        self.mean = [np.empty(run.n) for _ in self.groups]
-        self.stderr = [np.empty(run.n) for _ in self.groups]
-
-    def add(self, lo, part) -> None:
-        regret = part.pseudo_regret
-        hi = lo + regret.shape[1]
-        for (r0, r1), mean, se in zip(self.groups, self.mean, self.stderr):
-            mean[lo:hi], se[lo:hi] = _mean_se(regret[r0:r1], axis=0)
-        self.hits, self.pulls = part.optimal_hits[:, -1].copy(), part.pull_counts
-
-    def result(self):
-        return self
 
 
 @dataclass(eq=False)
@@ -139,18 +61,24 @@ class SublinearityReport:
         return self.holds
 
 
-def check_sublinearity(curve: RegretCurve, min_t: int = 1) -> SublinearityReport:
+def check_sublinearity(mean, stderr, min_t: int = 1) -> SublinearityReport:
     """Check that per-step regret ratios R_t / t strictly decrease.
 
-    A pair (n1 < n2) violates when the ratio at n1 is no larger than at n2
-    beyond pooled noise: ``r_n1 <= r_n2 - 2 se_pool``.  With zero standard
-    errors this flags plain equality, so deterministic linear curves fail.
+    ``mean`` and ``stderr`` are matching 1-D arrays: the mean cumulative
+    regret at steps 1..n and its standard errors.  A pair (n1 < n2)
+    violates when the ratio at n1 is no larger than at n2 beyond pooled
+    noise: ``r_n1 <= r_n2 - 2 se_pool``.  With zero standard errors this
+    flags plain equality, so deterministic linear curves fail.
     """
-    if not 1 <= min_t <= curve.n:
-        raise ValueError(f"min_t {min_t} outside 1..{curve.n}")
-    ts = np.arange(min_t, curve.n + 1, dtype=float)
-    r = curve.values[min_t - 1 :] / ts
-    se = curve.stderr[min_t - 1 :] / ts
+    mean, stderr = np.asarray(mean, dtype=float), np.asarray(stderr, dtype=float)
+    if mean.shape != stderr.shape or mean.ndim != 1:
+        raise ValueError("mean and stderr must be matching 1-D arrays")
+    n = mean.size
+    if not 1 <= min_t <= n:
+        raise ValueError(f"min_t {min_t} outside 1..{n}")
+    ts = np.arange(min_t, n + 1, dtype=float)
+    r = mean[min_t - 1 :] / ts
+    se = stderr[min_t - 1 :] / ts
     m = r.size
     rows = max(_PAIR_CELLS // m, 1)
 

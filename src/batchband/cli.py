@@ -34,9 +34,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .assumptions import (
-    RegretCurve,
     UnsupportedPolicyError,
-    _interval,
     check_lemma31,
     check_monotone_envelope,
     check_negated_sublinearity,
@@ -44,7 +42,7 @@ from .assumptions import (
     mean_rule_trace,
     probe_informativeness,
 )
-from .core import derive_seed, make_grid, write_csv
+from .core import _interval, derive_seed, make_grid, write_csv
 from .environments import PRESETS, DataError, parse_env, read_logged_csv
 from .harness import (
     ConfigError,
@@ -316,6 +314,9 @@ def cmd_check_assumptions(args) -> int:
         ("b", 1 <= opts["b"] <= n, f"in 1..{n}"),
         ("min_t", 1 <= opts["min_t"] <= n, f"in 1..{n}"),
         ("probe_t", opts["probe_t"] >= 2, ">= 2"),
+        *((flag, opts[flag] <= sys.maxsize,
+           f"at most {sys.maxsize}, the largest size numpy indexes")
+          for flag in ("n", "reps", "probe_t")),
     ):
         if not ok:
             flag_name = "--" + flag.replace("_", "-")
@@ -329,8 +330,7 @@ def cmd_check_assumptions(args) -> int:
     online = run_experiment(ExperimentConfig(
         envs=(env_spec,), policies=(name,), n=n, batch_sizes=(1,), reps=reps,
         master_seed=seed, policy_params={name: params})).rows[0]
-    sub = check_sublinearity(RegretCurve(online.curve_mean, online.curve_stderr, reps),
-                             min_t=opts["min_t"])
+    sub = check_sublinearity(online.curve_mean, online.curve_stderr, min_t=opts["min_t"])
     verdict = "consistent" if sub.holds else "violated"
     rate, rate_se = online.mean_final / n, online.stderr_final / n
     rows.append(

@@ -1,4 +1,7 @@
-"""Shared primitives: seed derivation, batch grids, decision rules, CSV.
+"""Shared primitives: seed derivation, batch grids, decision rules, CSV, and
+the one mean/stderr reduction (``_mean_se``) and two-standard-error verdict
+(``_verdict``, ``_interval``) that the sweep, the sandwich and the verifiers
+read.
 
 Everything downstream (policies, runners, verifiers) speaks in terms of the
 types defined here.  A run over horizon ``n`` is partitioned into ``M``
@@ -212,3 +215,29 @@ def rule_value(rule: DecisionRule, instance: Instance) -> float:
             f"rule has {rule.k} arms, instance has {instance.dim}"
         )
     return float(rule.probs @ instance.theta)
+
+
+def _mean_se(samples, axis=0):
+    """Mean and standard error ``std(ddof=1) / sqrt(R)`` over the rep axis;
+    the error is zero for a single rep."""
+    reps = samples.shape[axis]
+    mean = samples.mean(axis=axis)
+    if reps < 2:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=axis, ddof=1) / np.sqrt(reps)
+
+
+def _verdict(diff: float, se: float) -> str:
+    """Two-standard-error verdict on ``diff > 0``; with no noise, the sign."""
+    if se == 0.0:
+        return "holds" if diff > 0 else ("boundary" if diff == 0.0 else "violated")
+    if diff > 2 * se:
+        return "holds"
+    if diff < -2 * se:
+        return "violated"
+    return "inconclusive"
+
+
+def _interval(x: float, se: float) -> tuple[float, float]:
+    """The two-standard-error interval around ``x`` that ``_verdict`` reads."""
+    return x - 2 * se, x + 2 * se

@@ -25,16 +25,17 @@ import numbers
 import operator
 import os
 import pickle
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assumptions import Curves, _verdict
-from .core import derive_seed, make_grid, write_csv  # noqa: F401  bench/spans.py wraps derive_seed
+from .core import _verdict, make_grid, write_csv
+from .core import derive_seed  # noqa: F401  bench/spans.py wraps it
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from .policies import POLICY_NAMES, PolicyError, UniformPolicy, make_policy
-from .specifications import run_batch, sim_seeds, whole_blocks
+from .specifications import Curves, run_batch, sim_seeds, whole_blocks
 from .specifications import run_online  # noqa: F401  bench/run_bench.py and bench/spans.py wrap it
 
 MODES = ("plain", "delayed_start", "approx_delayed_start")
@@ -117,6 +118,10 @@ class ExperimentConfig:
         """Reject, before any cell runs, a configuration some cell cannot run."""
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        for name in ("n", "reps"):
+            if getattr(self, name) > sys.maxsize:
+                raise ConfigError(
+                    f"{name} must be at most {sys.maxsize}, the largest size numpy indexes")
         if not self.envs or not self.policies or not self.batch_sizes:
             raise ConfigError("envs, policies, and batch_sizes must be non-empty")
         _reject_repeats("env", self.envs)

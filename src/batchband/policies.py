@@ -478,7 +478,10 @@ def _pop_number(params: dict, key: str, default=None, integral: bool = False):
     value = params.pop(key, default)
     if not isinstance(value, numbers.Real):
         raise PolicyError(f"{key} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise PolicyError(f"{key} is too large for a float") from None
     if integral and not x.is_integer():
         raise PolicyError(f"{key} must be an integer, got {value!r}")
     return int(x) if integral else x

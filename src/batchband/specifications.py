@@ -17,7 +17,7 @@ played rule is constant within a batch for every policy in this package.
 configuration together, batch by batch, with per-rep state held as arrays,
 and hands each chunk of steps to a ``Keep``, which keeps what its caller
 reads: the whole ``RunSet`` (``Whole``), the regret at a few steps
-(``Steps``) or per-step curves (``assumptions.Curves``).  A policy that
+(``Steps``) or per-step curves (``Curves``).  A policy that
 ignores feedback plays each chunk's batches in one call instead, from the
 start, or from the last hand-over of a two-phase run.  A lone run is a run of one rep.
 Each rep owns its reward generator; on a Bernoulli environment the
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BatchGrid, DimensionMismatchError, check_seed, derive_seed, make_grid
+from .core import BatchGrid, DimensionMismatchError, _mean_se, check_seed, derive_seed, make_grid
 from .environments import BernoulliEnv, LinearContextualEnv
 from .policies import BLOCK_REPS, rep_bincount
 
@@ -200,6 +200,32 @@ class Steps(Keep):
 
     def result(self):
         return self.out
+
+
+class Curves(Keep):
+    """Per group of rows ``(lo, hi)`` of a run, the per-step ``mean`` and
+    standard error (``stderr``) of cumulative regret over those rows
+    (``_mean_se``); ``hits`` and ``pulls`` hold every row's final optimal
+    hits and pull counts, and ``run`` the run's ``RunSet`` fields other than
+    its step arrays.  The run returns the keep itself."""
+
+    def __init__(self, groups):
+        self.groups = list(groups)
+
+    def start(self, run) -> None:
+        super().start(run)
+        self.mean = [np.empty(run.n) for _ in self.groups]
+        self.stderr = [np.empty(run.n) for _ in self.groups]
+
+    def add(self, lo, part) -> None:
+        regret = part.pseudo_regret
+        hi = lo + regret.shape[1]
+        for (r0, r1), mean, se in zip(self.groups, self.mean, self.stderr):
+            mean[lo:hi], se[lo:hi] = _mean_se(regret[r0:r1], axis=0)
+        self.hits, self.pulls = part.optimal_hits[:, -1].copy(), part.pull_counts
+
+    def result(self):
+        return self
 
 
 def seed_list(seed) -> tuple[list, bool]:

@@ -22,6 +22,7 @@ from batchband.cli import main as cli_main
 from batchband.core import (
     DecisionRule,
     Instance,
+    _mean_se,
     derive_seed,
     make_grid,
     rule_value,
@@ -325,15 +326,12 @@ def test_criterion_7_invariant_suites():
         assert abs(float(gap @ row.mean_pull_counts) - row.mean_final) < 1e-9
 
     # negative control: linear-regret policy fails sublinearity
-    from batchband.assumptions import RegretCurve
-
     env2 = preset("env2")
     mat = np.stack(
         [run_online(FixedArmPolicy(2, 1), env2, 60, seed=s).pseudo_regret
          for s in range(5)]
     )
-    curve = RegretCurve.from_runs(mat)
-    assert not check_sublinearity(curve).holds
+    assert not check_sublinearity(*_mean_se(mat)).holds
 
     # negative control: reversed inequality holds for the two-phase policy
     neg = check_negated_sublinearity(

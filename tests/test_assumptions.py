@@ -5,7 +5,14 @@ import pytest
 from reference_runner import reference_run
 
 from batchband import assumptions
-from batchband.core import DecisionRule, DimensionMismatchError, Instance, derive_seed, make_grid
+from batchband.core import (
+    DecisionRule,
+    DimensionMismatchError,
+    Instance,
+    _mean_se,
+    derive_seed,
+    make_grid,
+)
 from batchband.environments import make_linear_env, preset
 from batchband.policies import (
     FixedArmPolicy,
@@ -16,7 +23,6 @@ from batchband.policies import (
 )
 from batchband.assumptions import (
     EnvelopeReport,
-    RegretCurve,
     UnsupportedPolicyError,
     check_lemma31,
     check_monotone_envelope,
@@ -32,25 +38,14 @@ from batchband.specifications import run_online
 # ---------------------------------------------------------------- regret curve
 
 
-def test_regret_curve_from_runs():
-    runs = np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
-    c = RegretCurve.from_runs(runs)
-    assert np.allclose(c.values, [2.0, 3.0, 4.0])
-    assert c.reps == 2
-    assert np.all(c.stderr > 0)
-    single = RegretCurve.from_runs(runs[:1])
-    assert np.all(single.stderr == 0.0)
-
-
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: RegretCurve(np.zeros(3), np.zeros(2), reps=1), ValueError,
-     "values and stderr must be matching 1-D arrays"),
-    (lambda: RegretCurve(np.zeros((2, 3)), np.zeros((2, 3)), reps=1), ValueError,
-     "values and stderr must be matching 1-D arrays"),
-    (lambda: RegretCurve.from_runs(np.zeros(3)), ValueError, r"need a \(reps, n\) matrix"),
-    (lambda: check_sublinearity(RegretCurve(np.ones(3), np.zeros(3), 1), min_t=0),
+    (lambda: check_sublinearity(np.zeros(3), np.zeros(2)), ValueError,
+     "mean and stderr must be matching 1-D arrays"),
+    (lambda: check_sublinearity(np.zeros((2, 3)), np.zeros((2, 3))), ValueError,
+     "mean and stderr must be matching 1-D arrays"),
+    (lambda: check_sublinearity(np.ones(3), np.zeros(3), min_t=0),
      ValueError, r"min_t 0 outside 1\.\.3"),
-    (lambda: check_sublinearity(RegretCurve(np.ones(3), np.zeros(3), 1), min_t=4),
+    (lambda: check_sublinearity(np.ones(3), np.zeros(3), min_t=4),
      ValueError, r"min_t 4 outside 1\.\.3"),
     (lambda: check_lemma31([], Instance(np.array([0.7, 0.5]))), ValueError,
      "need at least one rule"),
@@ -68,7 +63,7 @@ def test_regret_curve_from_runs():
      TypeError, "'float' object cannot be interpreted as an integer"),
     (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=10, reps=10, k_prime=1.5),
      TypeError, "'float' object cannot be interpreted as an integer"),
-], ids=["curve-shapes-differ", "curve-2d", "runs-1d", "min-t-0", "min-t-past-n",
+], ids=["curve-shapes-differ", "curve-2d", "min-t-0", "min-t-past-n",
         "lemma31-no-rules", "probe-t-1", "envelope-one-rep", "trace-linear-env",
         "probe-linear-env", "envelope-linear-env", "probe-k-float", "probe-k-prime-float"])
 def test_checks_reject_bad_input(call, error, message):
@@ -83,10 +78,10 @@ def test_regret_curve_from_runs_equals_regret_curve():
     cell = run_experiment(cfg).rows[0]
     key = _cell_key("env6", "ucb", "plain", 300, 1, cfg.delta, cfg.bound_from)
     seeds = [derive_seed(4, key, i) for i in range(50)]
-    got = RegretCurve.from_runs(run_online(UcbPolicy(4), preset("env6"), 300, seeds).pseudo_regret)
-    assert got.reps == cell.reps == 50
-    assert got.values.tobytes() == cell.curve_mean.tobytes()
-    assert got.stderr.tobytes() == cell.curve_stderr.tobytes()
+    mean, stderr = _mean_se(run_online(UcbPolicy(4), preset("env6"), 300, seeds).pseudo_regret)
+    assert cell.reps == 50
+    assert mean.tobytes() == cell.curve_mean.tobytes()
+    assert stderr.tobytes() == cell.curve_stderr.tobytes()
 
 
 def test_regret_curve_of_identical_reps_has_no_spread():
@@ -94,8 +89,7 @@ def test_regret_curve_of_identical_reps_has_no_spread():
     # (sum of squares minus squared sum) cancelled to stderrs up to 2.9e-6
     runs = run_online(FixedArmPolicy(4, 1), preset("env6"), 2000, list(range(500)))
     assert (runs.pseudo_regret == runs.pseudo_regret[0]).all()
-    c = RegretCurve.from_runs(runs.pseudo_regret)
-    assert c.stderr.max() < 1e-12
+    assert _mean_se(runs.pseudo_regret)[1].max() < 1e-12
 
 
 # ---------------------------------------------------------------- sublinearity
@@ -103,8 +97,7 @@ def test_regret_curve_of_identical_reps_has_no_spread():
 
 def test_sublinearity_deterministic_linear_curve_fails():
     # R = (1, 2, 3): every ratio equals 1, flagged at equality
-    c = RegretCurve(np.array([1.0, 2.0, 3.0]), np.zeros(3), reps=1)
-    rep = check_sublinearity(c)
+    rep = check_sublinearity(np.array([1.0, 2.0, 3.0]), np.zeros(3))
     assert not rep.holds
     assert rep.pairs.shape[0] == 3  # (1,2), (1,3), (2,3)
 
@@ -113,10 +106,9 @@ def test_a_violated_verdict_holds_o_pair_cells_memory():
     # a noiseless linear curve violates on every pair, about 8M at n=4,000;
     # the verdict stops at the first block and builds no pair array
     t = np.arange(1, 4001, dtype=float)
-    curve = RegretCurve(0.2 * t, np.zeros(t.size), reps=5)
     tracemalloc.start()
     try:
-        assert not check_sublinearity(curve, min_t=50).holds
+        assert not check_sublinearity(0.2 * t, np.zeros(t.size), min_t=50).holds
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -125,25 +117,22 @@ def test_a_violated_verdict_holds_o_pair_cells_memory():
 
 def test_sublinearity_concave_curve_holds():
     t = np.arange(1, 101)
-    c = RegretCurve(np.sqrt(t), np.zeros(100), reps=1)
-    rep = check_sublinearity(c)
+    rep = check_sublinearity(np.sqrt(t), np.zeros(100))
     assert rep.holds and rep.pairs.shape[0] == 0
 
 
 def test_sublinearity_noise_makes_equal_ratios_inconclusive_not_violating():
     t = np.arange(1, 51, dtype=float)
-    c = RegretCurve(t.copy(), np.full(50, 0.5), reps=100)
-    rep = check_sublinearity(c)
+    rep = check_sublinearity(t, np.full(50, 0.5))
     # linear in expectation but noisy: pooled 2-se slack absorbs equality
     assert rep.holds
 
 
 def test_sublinearity_min_t_excludes_early_noise():
     vals = np.array([0.1, 0.4, 0.7, 0.9, 1.05, 1.15])
-    c = RegretCurve(vals, np.zeros(6), reps=1)
     # ratios: .1 .2 .233 .225 .21 .192 -> early ratios increase
-    assert not check_sublinearity(c).holds
-    assert check_sublinearity(c, min_t=3).holds
+    assert not check_sublinearity(vals, np.zeros(6)).holds
+    assert check_sublinearity(vals, np.zeros(6), min_t=3).holds
 
 
 def test_sublinearity_ucb_env1_holds_beyond_burn_in():
@@ -151,16 +140,16 @@ def test_sublinearity_ucb_env1_holds_beyond_burn_in():
     runs = np.stack(
         [run_online(UcbPolicy(2), env, 400, seed=i).pseudo_regret for i in range(80)]
     )
-    rep = check_sublinearity(RegretCurve.from_runs(runs), min_t=50)
+    rep = check_sublinearity(*_mean_se(runs), min_t=50)
     assert rep.holds
 
 
-def _whole_matrix_pairs(curve, min_t):
+def _whole_matrix_pairs(mean, stderr, min_t):
     """The violating pairs of the sublinearity rule over the whole (m, m)
     matrix at once, in row-major order."""
-    ts = np.arange(min_t, curve.n + 1, dtype=float)
-    r = curve.values[min_t - 1 :] / ts
-    se = curve.stderr[min_t - 1 :] / ts
+    ts = np.arange(min_t, mean.size + 1, dtype=float)
+    r = mean[min_t - 1 :] / ts
+    se = stderr[min_t - 1 :] / ts
     pooled = 2.0 * np.sqrt(se[:, None] ** 2 + se[None, :] ** 2)
     bad = r[:, None] <= r[None, :] - pooled
     bad &= np.triu(np.ones(bad.shape, dtype=bool), k=1)
@@ -176,16 +165,16 @@ def test_sublinearity_in_row_blocks_equals_the_whole_matrix_rule(monkeypatch, ce
     n = int(rng.integers(1, 90))
     t = np.arange(1, n + 1, dtype=float)
     curves = [
-        RegretCurve(np.cumsum(rng.random(n)), rng.random(n) * 0.2, reps=5),
-        RegretCurve(np.round(t * rng.random(), 1), np.zeros(n), reps=5),
-        RegretCurve(np.sqrt(t), np.where(rng.random(n) < 0.5, 0.0, 0.05), reps=5),
-        RegretCurve(np.full(n, 2.0), np.zeros(n), reps=5),
+        (np.cumsum(rng.random(n)), rng.random(n) * 0.2),
+        (np.round(t * rng.random(), 1), np.zeros(n)),
+        (np.sqrt(t), np.where(rng.random(n) < 0.5, 0.0, 0.05)),
+        (np.full(n, 2.0), np.zeros(n)),
     ]
     monkeypatch.setattr(assumptions, "_PAIR_CELLS", cells)
     for curve in curves:
         min_t = int(rng.integers(1, n + 1))
-        rep = check_sublinearity(curve, min_t=min_t)
-        want = _whole_matrix_pairs(curve, min_t)
+        rep = check_sublinearity(*curve, min_t=min_t)
+        want = _whole_matrix_pairs(*curve, min_t)
         assert rep.pairs.dtype == want.dtype and rep.pairs.shape == want.shape
         assert np.array_equal(rep.pairs, want)
         assert rep.holds == (want.shape[0] == 0)
@@ -303,7 +292,7 @@ def test_negation_is_a_paired_test_on_one_online_run(monkeypatch, policy):
     assert runs[0][1].steps.tolist() == [159, grid.M - 1]
     regret = real(*runs[0][0]).pseudo_regret[:12]
     r_n, r_m = regret[:, -1], regret[:, grid.M - 1]
-    d, se = assumptions._mean_se(r_n - 8 * r_m)
+    d, se = _mean_se(r_n - 8 * r_m)
     assert (rep.d, rep.stderr) == (d, se)
     assert (rep.mean_n, rep.mean_m) == (r_n.mean(), r_m.mean())
 

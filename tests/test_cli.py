@@ -27,6 +27,9 @@ from batchband.environments import (
     write_logged_csv,
 )
 
+# a size numpy cannot index: each use of it must exit 2 before any run
+HUGE = "1" + "0" * 400
+
 
 @pytest.fixture
 def logs(tmp_path):
@@ -149,6 +152,10 @@ class TestSimulate:
         (["--bound", "foo"], "bound_from must be 'instance' or 'oracle'"),
         (["--b", "0"], "batch size 0 must be >= 1"),
         (["--threads", "0"], "threads must be >= 1"),
+        (["--n", HUGE], f"n must be at most {sys.maxsize}"),
+        (["--policy", "two_phase", "--n", HUGE], f"n must be at most {sys.maxsize}"),
+        (["--policy", "two_phase", "--switch-t", HUGE], "switch_t is too large for a float"),
+        (["--reps", HUGE], f"reps must be at most {sys.maxsize}"),
     ])
     def test_unrunnable_cell_exits_2_before_any_cell_runs(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -330,6 +337,14 @@ class TestCheckBounds:
     def test_batch_one_exits_2(self, tmp_path):
         assert main(["check-bounds", "--b", "1", "--out-dir", str(tmp_path)]) == 2
 
+    def test_a_horizon_numpy_cannot_index_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "_run_cell", lambda group: pytest.fail("a cell ran"))
+        assert main(["check-bounds", "--n", HUGE, "--out-dir", str(tmp_path)]) == 2
+        assert f"n must be at most {sys.maxsize}" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--policy", "ts", "--switch-t", "3"], "--switch-t applies to two_phase"),
         (["--policy", "two_phase", "--ucb-c", "2"], "--ucb-c applies to ucb"),
@@ -411,6 +426,8 @@ class TestCheckAssumptions:
         (["--env", "0.5,0.5"], "bound needs a unique best arm"),
         (["--policy", "ts", "--ucb-c", "5"], "--ucb-c applies to ucb"),
         (["--switch-t", "3"], "--switch-t applies to two_phase"),
+        (["--n", HUGE], f"--n at most {sys.maxsize}, the largest size numpy indexes"),
+        (["--n", "60", "--reps", "3", "--probe-t", HUGE], f"--probe-t at most {sys.maxsize}"),
     ])
     def test_bad_flag_exits_2_before_any_check(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -692,13 +709,25 @@ print(json.dumps(steps))
 """
 
 
-def test_no_step_loads_the_process_pool_modules(tmp_path):
-    # a forking run starts its workers with os.fork and pipes
+def fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this package's source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", POOL_PROBE, str(tmp_path)], env=env,
-                          capture_output=True, text=True, check=True)
-    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_no_step_loads_the_process_pool_modules(tmp_path):
+    # a forking run starts its workers with os.fork and pipes
+    steps = json.loads(fresh_python(POOL_PROBE, str(tmp_path)).strip().splitlines()[-1])
     assert steps == {"import": [], "simulate": [], "replay": [],
                      "check-bounds --threads 2": []}
+
+
+def test_importing_the_package_does_not_load_the_verifiers():
+    # the sweep's reduction and verdict live in core and specifications, so
+    # only the CLI and direct users load the assumption verifiers
+    code = "import sys, batchband; print('batchband.assumptions' in sys.modules)"
+    assert fresh_python(code).strip() == "False"

@@ -12,6 +12,7 @@ from batchband.core import (
     DimensionMismatchError,
     GridError,
     Instance,
+    _mean_se,
     make_grid,
     rule_value,
     write_csv,
@@ -122,6 +123,14 @@ def test_write_csv_matches_the_row_wise_csv_writer(table):
         write_csv(got, header, blocks)
         reference_write_csv(want, header, blocks)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_mean_se_over_reps():
+    runs = np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
+    mean, se = _mean_se(runs)
+    assert np.allclose(mean, [2.0, 3.0, 4.0])
+    assert np.all(se > 0)
+    assert np.all(_mean_se(runs[:1])[1] == 0.0)
 
 
 def test_rule_value_fifty_fifty():

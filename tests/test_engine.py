@@ -16,8 +16,7 @@ from reference_runner import (reference_approx_delayed_start, reference_linear_r
                               reference_two_phase)
 
 from batchband import specifications
-from batchband.assumptions import Curves, _mean_se
-from batchband.core import DimensionMismatchError, derive_seed, make_grid
+from batchband.core import DimensionMismatchError, _mean_se, derive_seed, make_grid
 from batchband.environments import make_linear_env, parse_env, preset
 from batchband.meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from batchband.policies import (
@@ -32,6 +31,7 @@ from batchband.policies import (
 from batchband.specifications import (
     BLOCK_REPS,
     Chunk,
+    Curves,
     Keep,
     Steps,
     run_batch,

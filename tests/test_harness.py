@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 import batchband.harness as harness
 from batchband import cli, meta, specifications
-from batchband.assumptions import _mean_se
-from batchband.core import derive_seed, make_grid
+from batchband.core import _mean_se, derive_seed, make_grid
 from batchband.environments import preset
 from batchband.harness import (
     MODES,
