@@ -39,11 +39,15 @@ N = 800
 REPS = 80
 
 
+def online_runs(policy, env, n: int, reps: int, *key):
+    """``reps`` online runs over ``n`` steps on the seeds ``derive_seed(*key, i)``."""
+    # one lockstep call; neither audited policy draws, so each rep is its lone run
+    return run_online(policy, env, n, [derive_seed(*key, i) for i in range(reps)])
+
+
 def curve_for(policy, env, n: int, reps: int, tag: str):
     """Per-step mean cumulative regret over ``reps`` runs and its standard errors."""
-    # one lockstep call; neither audited policy draws, so each rep is its lone run
-    seeds = [derive_seed(9, "audit", tag, i) for i in range(reps)]
-    regret = run_online(policy, env, n, seeds).pseudo_regret
+    regret = online_runs(policy, env, n, reps, 9, "audit", tag).pseudo_regret
     return regret.mean(axis=0), regret.std(axis=0, ddof=1) / np.sqrt(reps)
 
 
@@ -58,10 +62,14 @@ def main() -> None:
     print(f"sublinear regret growth: {'holds' if sub.holds else 'violated'}")
     print(f"  per-step regret falls to {ucb_mean[-1] / N:.4f} at t={N}")
 
-    envelope = check_monotone_envelope(ucb, env, reps=REPS, t_max=N, master_seed=11)
+    actions = online_runs(ucb, env, N, REPS, 11, "envelope").actions
+    envelope = check_monotone_envelope(ucb, env, actions)
     print(f"suboptimal-pull envelope: {envelope.verdict}")
 
-    rev = check_negated_sublinearity(ucb, env, make_grid(N, 8), reps=40, master_seed=12)
+    # R_n and R_M of each rep, read off one online run over n
+    grid = make_grid(N, 8)
+    regret = online_runs(ucb, env, grid.n, 40, 12, "neg_n").pseudo_regret
+    rev = check_negated_sublinearity(regret[:, -1], regret[:, grid.M - 1], grid.b)
     print(f"b-fold reversal probe (is R_n > b * R_M?): {rev.verdict}")
     print(f"  ('violated' is the healthy outcome: d = {rev.d:+.1f}, no reversal)\n")
 

@@ -10,12 +10,11 @@ follow one scheme:
 * ``fails`` / ``violated``: contradicted beyond two standard errors;
 * ``inconclusive``: the noise swamped the comparison.
 
-Monte-Carlo checks derive per-rep seeds with ``sim_seeds`` so results are
-reproducible and extendable, simulate every trajectory with the one engine
-(``run_online``), which keeps only what each check reads, and reduce with
-``core``'s mean/stderr reduction (``_mean_se``) and two-standard-error
-verdict (``_verdict``), as the harness does.  ``check_sublinearity`` judges
-a per-step mean curve with its standard errors, such as a sweep cell's.
+The Monte-Carlo checks are statistics on the arrays of one online run, which
+check-assumptions reads off the b=1 sweep cell (``specifications.Readings``),
+and reduce with ``core``'s mean/stderr reduction (``_mean_se``) and
+two-standard-error verdict (``_verdict``), as the harness does.  Only the
+informativeness probe simulates, from fixed histories on its own seeds.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .core import PROB_TOL, DecisionRule, _interval, _mean_se, _verdict, rule_va
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
 from .policies import UniformPolicy, rep_bincount
-from .specifications import Steps, block_streams, check_arms, run_online, sim_seeds
+from .specifications import block_streams, check_arms, sim_seeds
 
 Z_ONE_SIDED_95 = 1.645
 
@@ -147,26 +146,28 @@ def _rep_rules(policy, states, streams):
     return probs
 
 
-def mean_rule_trace(policy, env, n: int, reps: int, master_seed: int = 0):
-    """Per-step decision rules of an online run, averaged over repetitions.
+def _check_actions(actions, k: int) -> np.ndarray:
+    """``actions`` as a non-empty ``(reps, steps)`` array of arms ``0..k-1``, or ``ValueError``."""
+    actions = np.asarray(actions)
+    if (actions.ndim != 2 or not actions.size or actions.dtype.kind not in "iu"
+            or actions.min() < 0 or actions.max() >= k):
+        raise ValueError(f"actions must be a non-empty (reps, steps) array of arms in 0..{k - 1}")
+    return actions
 
-    Every finite-armed policy but uniform play realises a point mass on the
-    arm it plays, so the mean rule at step ``t``, the marginal action
-    distribution that ``check_lemma31`` judges, is the arm frequency at
-    ``t`` of one ``run_online`` on the seeds ``derive_seed(master_seed,
-    "trace", i)``.  Uniform play's rule is the flat ``1/k``, unsimulated.
+
+def mean_rule_trace(policy, actions):
+    """Per-step decision rules of an online run, averaged over its reps.
+
+    ``actions`` holds the run's arms, one row per rep.  Every finite-armed
+    policy but uniform play realises a point mass on the arm it plays, so
+    the mean rule at step ``t``, the marginal action distribution that
+    ``check_lemma31`` judges, is the arm frequency in column ``t``.  Uniform
+    play's rule is the flat ``1/k``, whatever it played.
     """
-    if not isinstance(env, BernoulliEnv):
-        raise UnsupportedPolicyError("rule traces support Bernoulli environments only")
-    if n < 1 or reps < 1:
-        raise ValueError("need n >= 1 and reps >= 1")
-    check_arms(policy, env)
-    k = env.k
+    actions, k = _check_actions(actions, policy.k), policy.k
     if isinstance(policy, UniformPolicy):
-        return [DecisionRule(np.full(k, 1.0 / k))] * n
-    seeds = sim_seeds(policy.draws, reps, master_seed, "trace")
-    actions = run_online(policy, env, n, seeds).actions[:reps]
-    return [DecisionRule(p) for p in rep_bincount(actions.T, k) / reps]
+        return [DecisionRule(np.full(k, 1.0 / k))] * actions.shape[1]
+    return [DecisionRule(p) for p in rep_bincount(actions.T, k) / len(actions)]
 
 
 @dataclass(eq=False)
@@ -185,30 +186,25 @@ class NegationReport:
         return self.holds
 
 
-def check_negated_sublinearity(
-    policy, env, grid, reps: int, master_seed: int = 0
-) -> NegationReport:
+def check_negated_sublinearity(r_n, r_m, b: int) -> NegationReport:
     """Test R_n > b * R_M strictly, paired within each rep.
 
-    One online run over n gives each rep both R_n and R_M, read at step M
-    (no policy reads its horizon); the statistic is the mean of the per-rep
-    differences ``R_n - b * R_M`` with its standard error.  Batch size 1 is
-    a degenerate identity and is reported as boundary without simulation.
+    ``r_n`` and ``r_m`` are matching 1-D arrays of each rep's cumulative
+    regret at steps n and M of one online run, which gives both since no
+    policy reads its horizon.  The statistic is the mean of the per-rep
+    differences ``R_n - b * R_M`` with its standard error.  At batch size 1
+    every difference is 0, a degenerate identity reported as boundary.
     """
-    if reps < 2:
+    r_n, r_m = np.asarray(r_n, dtype=float), np.asarray(r_m, dtype=float)
+    if r_n.shape != r_m.shape or r_n.ndim != 1:
+        raise ValueError("r_n and r_m must be matching 1-D arrays")
+    if r_n.size < 2:
         raise ValueError("need at least 2 reps for a standard error")
-    if grid.b == 1:
-        return NegationReport(
-            holds=False, verdict="boundary", d=0.0, stderr=0.0,
-            mean_n=float("nan"), mean_m=float("nan"), b=1,
-        )
-    seeds = sim_seeds(policy.draws, reps, master_seed, "neg_n")
-    r_n, r_m = run_online(policy, env, grid.n, seeds, keep=Steps(grid.n - 1, grid.M - 1))[:reps].T
-    d, se = (float(x) for x in _mean_se(r_n - grid.b * r_m))
+    d, se = (float(x) for x in _mean_se(r_n - b * r_m))
     verdict = _verdict(d, se)
     return NegationReport(
         holds=verdict == "holds", verdict=verdict, d=d, stderr=se,
-        mean_n=float(r_n.mean()), mean_m=float(r_m.mean()), b=grid.b,
+        mean_n=float(r_n.mean()), mean_m=float(r_m.mean()), b=b,
     )
 
 
@@ -283,15 +279,14 @@ class EnvelopeReport:
         return self.verdict == "consistent"
 
 
-def check_monotone_envelope(
-    policy, env, reps: int, t_max: int, master_seed: int = 0, bound=None
-) -> EnvelopeReport:
+def check_monotone_envelope(policy, env, actions, bound=None) -> EnvelopeReport:
     """Check suboptimal pull fractions against the closed-form bound terms.
 
     The per-arm term ``min(1, 4 ln(t+1)/(t Delta_a^2) + 8/t)`` bounds the
     expected cumulative pull fraction ``T_a(t) / t`` of suboptimal arm
-    ``a``.  The check runs the shipped policy trajectory by trajectory and
-    flags any (t, a) where the empirical mean fraction, lowered by 1.645
+    ``a``.  ``actions`` holds the arms ``policy`` played on ``env`` in an
+    online run, one row per rep, up to step ``t_max``.  The check flags any
+    (t, a) where the mean fraction over the reps, lowered by 1.645
     one-sided standard errors, still exceeds the term.
 
     Only the index policy has a registered bound; passing any other policy
@@ -309,14 +304,13 @@ def check_monotone_envelope(
                 "no envelope bound registered for this policy; pass bound= explicitly"
             )
         bound = MonotoneBound(env.means)  # validates the unique best arm
+    actions = _check_actions(actions, env.k)
+    reps, t_max = actions.shape
     if reps < 2:
         raise ValueError("need at least 2 reps")
     per_arm = bound.per_arm(np.arange(1, t_max + 1))  # (t_max, k)
     ts = np.arange(1, t_max + 1, dtype=float)
-    seeds = sim_seeds(policy.draws, reps, master_seed, "envelope")
-    actions = run_online(policy, env, t_max, seeds).actions[:reps]
-    mean = np.empty((t_max, env.k))
-    lower = np.empty((t_max, env.k))
+    mean, lower = np.empty((2, t_max, env.k))
     for a in range(env.k):
         frac = np.cumsum(actions == a, axis=1) / ts  # (reps, t_max)
         mean[:, a], se = _mean_se(frac, axis=0)

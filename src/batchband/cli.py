@@ -48,6 +48,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     _cell_policy,
+    _cell_seeds,
     _reject_repeats,
     check_theorem_bounds,
     resolve_threads,
@@ -57,6 +58,7 @@ from .meta import MonotoneBound
 from .plotting import curves_csv_to_plot_data, table_to_plot_data, write_plot_svg
 from .policies import POLICY_NAMES, make_policy
 from .replay import check_uniform_log, relative_cr, replay_evaluate, write_replay_csv
+from .specifications import Readings, run_online
 
 ASSUMPTIONS_CSV_HEADER = ["check", "subject", "verdict", "statistic", "ci_low", "ci_high"]
 BOUNDS_CSV_HEADER = [
@@ -324,27 +326,27 @@ def cmd_check_assumptions(args) -> int:
     if name == "ucb":
         MonotoneBound(env.means)  # the envelope check needs a unique best arm
     policy = _cell_policy(name, env, n, params)
+    grid, trace_n = make_grid(n, opts["b"]), min(n, 200)
     rows = []
 
-    # the online cell of simulate and check-bounds at these flags
-    online = run_experiment(ExperimentConfig(
-        envs=(env_spec,), policies=(name,), n=n, batch_sizes=(1,), reps=reps,
-        master_seed=seed, policy_params={name: params})).rows[0]
-    sub = check_sublinearity(online.curve_mean, online.curve_stderr, min_t=opts["min_t"])
+    # every simulated row reads the online cell of simulate and check-bounds
+    # at these flags, from one run on that cell's seeds
+    config = ExperimentConfig((env_spec,), (name,), n, (1,), reps, seed)
+    cell = run_online(policy, env, n, _cell_seeds(config, env_spec, name, 1, policy.draws),
+                      keep=Readings(reps, min(n, 500), (grid.n - 1, grid.M - 1)))
+    actions, mean, stderr = cell.actions[:reps], cell.mean[0], cell.stderr[0]
+    sub = check_sublinearity(mean, stderr, min_t=opts["min_t"])
     verdict = "consistent" if sub.holds else "violated"
-    rate, rate_se = online.mean_final / n, online.stderr_final / n
+    rate, rate_se = float(mean[-1]) / n, float(stderr[-1]) / n
     rows.append(
         ("sublinearity", f"{name}|{env_spec}|online|n={n}|t>={opts['min_t']}",
          verdict, rate, *_interval(rate, rate_se))
     )
 
-    trace_n = min(n, 200)
-    rules = mean_rule_trace(policy, env, trace_n, reps, derive_seed(seed, "trace"))
-    lem = check_lemma31(rules[env.k :], env.instance())
-    final_prefix = float(lem.prefix_values[-1])
+    lem = check_lemma31(mean_rule_trace(policy, actions[:, :trace_n])[env.k :], env.instance())
     rows.append(
         ("averaging-prefix", f"{name}|{env_spec}|online|n={trace_n}|t>{env.k}",
-         _norm_verdict(lem.prefix_verdict), final_prefix, None, None)
+         _norm_verdict(lem.prefix_verdict), float(lem.prefix_values[-1]), None, None)
     )
     rows.append(
         ("averaging-pointwise", f"{name}|{env_spec}|online|n={trace_n}|t>{env.k}",
@@ -361,19 +363,13 @@ def cmd_check_assumptions(args) -> int:
     )
 
     if name == "ucb":
-        envl = check_monotone_envelope(
-            policy, env, reps=max(reps, 100), t_max=min(n, 500),
-            master_seed=derive_seed(seed, "envelope"),
-        )
+        envl = check_monotone_envelope(policy, env, actions)
         rows.append(
             ("monotone-envelope", f"{name}|{env_spec}|t<={envl.t_max}",
              envl.verdict, len(envl.violations), None, None)
         )
 
-    grid = make_grid(n, opts["b"])
-    neg = check_negated_sublinearity(
-        policy, env, grid, reps=min(reps, 60), master_seed=derive_seed(seed, "neg")
-    )
+    neg = check_negated_sublinearity(*cell.regret[:reps].T, grid.b)
     rows.append(
         ("sublinearity-reversal", f"{name}|{env_spec}|b={opts['b']}",
          _norm_verdict(neg.verdict), neg.d, *_interval(neg.d, neg.stderr))

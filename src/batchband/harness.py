@@ -327,11 +327,13 @@ def _drain(tasks: int) -> None:
         pass
 
 
-def _cell_key(env: str, policy: str, mode: str, n: int, b: int, delta, bound_from) -> str:
-    """Seed key of a cell: ``delta`` and ``bound_from`` enter it only in the
-    mode that reads them."""
-    key = f"{env}|{policy}|{mode}|{n}|{b}"
-    return f"{key}|{delta!r}|{bound_from}" if mode == "approx_delayed_start" else key
+def _cell_seeds(c: ExperimentConfig, env: str, p: str, b: int, pads: bool) -> list:
+    """The seeds that ``c``'s cell ``(env, p, b)`` simulates, whole blocks of
+    reps if it ``pads`` (``sim_seeds``), on a key that ``c.delta`` and
+    ``c.bound_from`` enter only in the mode that reads them."""
+    key = f"{env}|{p}|{c.mode}|{c.n}|{b}"
+    key += f"|{c.delta!r}|{c.bound_from}" if c.mode == "approx_delayed_start" else ""
+    return sim_seeds(pads, c.reps, c.master_seed, key)
 
 
 def _run_cell(group):
@@ -340,8 +342,7 @@ def _run_cell(group):
     ``pads``, from one engine call."""
     c, p, b, policy, pads, env_specs = group
     envs = [parse_env(e) for e in env_specs]
-    keys = [_cell_key(e, p, c.mode, c.n, b, c.delta, c.bound_from) for e in env_specs]
-    seeds = [s for key in keys for s in sim_seeds(pads, c.reps, c.master_seed, key)]
+    seeds = [s for e in env_specs for s in _cell_seeds(c, e, p, b, pads)]
     sim = len(seeds) // len(envs)
     grid = make_grid(c.n, b)
     env = envs[0]

@@ -484,7 +484,7 @@ def _pop_number(params: dict, key: str, default=None, integral: bool = False):
         raise PolicyError(f"{key} is too large for a float") from None
     if integral and not x.is_integer():
         raise PolicyError(f"{key} must be an integer, got {value!r}")
-    return int(x) if integral else x
+    return int(value if isinstance(value, numbers.Integral) else x) if integral else x
 
 
 POLICY_NAMES = ("ucb", "ts", "linucb", "lints", "uniform", "two_phase", "fixed")

@@ -16,8 +16,8 @@ played rule is constant within a batch for every policy in this package.
 ``run_lockstep`` is the one run loop.  It advances all reps of a
 configuration together, batch by batch, with per-rep state held as arrays,
 and hands each chunk of steps to a ``Keep``, which keeps what its caller
-reads: the whole ``RunSet`` (``Whole``), the regret at a few steps
-(``Steps``) or per-step curves (``Curves``).  A policy that
+reads: the whole ``RunSet`` (``Whole``), per-step curves (``Curves``), or
+those with an action prefix and step readings (``Readings``).  A policy that
 ignores feedback plays each chunk's batches in one call instead, from the
 start, or from the last hand-over of a two-phase run.  A lone run is a run of one rep.
 Each rep owns its reward generator; on a Bernoulli environment the
@@ -182,26 +182,6 @@ class Whole(Keep):
         return self.run
 
 
-class Steps(Keep):
-    """Every rep's cumulative regret at the 0-based ``steps``, an ``(R,
-    len(steps))`` array."""
-
-    def __init__(self, *steps):
-        self.steps = np.array(steps, dtype=np.int64)
-
-    def start(self, run) -> None:
-        super().start(run)
-        self.out = np.empty((len(run.seeds), len(self.steps)))
-
-    def add(self, lo, part) -> None:
-        regret = part.pseudo_regret
-        at = np.flatnonzero((self.steps >= lo) & (self.steps < lo + regret.shape[1]))
-        self.out[:, at] = regret[:, self.steps[at] - lo]
-
-    def result(self):
-        return self.out
-
-
 class Curves(Keep):
     """Per group of rows ``(lo, hi)`` of a run, the per-step ``mean`` and
     standard error (``stderr``) of cumulative regret over those rows
@@ -226,6 +206,32 @@ class Curves(Keep):
 
     def result(self):
         return self
+
+
+class Readings(Curves):
+    """The ``Curves`` of rows ``0..reps-1``, with every row's ``actions`` up
+    to step ``cap``, ``(R, cap)``, and cumulative ``regret`` at the 0-based
+    ``steps``, ``(R, len(steps))``.  ``ValueError`` before the run's first
+    step unless ``cap`` is in ``0..n`` and each step in ``0..n-1``."""
+
+    def __init__(self, reps: int, cap: int, steps=()):
+        super().__init__([(0, reps)])
+        self.cap, self.steps = cap, np.array(steps, dtype=np.int64)
+
+    def start(self, run) -> None:
+        if not 0 <= self.cap <= run.n or ((self.steps < 0) | (self.steps >= run.n)).any():
+            raise ValueError(f"readings need a cap in 0..{run.n} and steps in 0..{run.n - 1}, "
+                             f"got cap {self.cap} and steps {self.steps.tolist()}")
+        super().start(run)
+        self.actions = np.empty((len(run.seeds), self.cap), dtype=np.int64)
+        self.regret = np.empty((len(run.seeds), len(self.steps)))
+
+    def add(self, lo, part) -> None:
+        super().add(lo, part)
+        hi = lo + part.actions.shape[1]
+        self.actions[:, lo:hi] = part.actions[:, : max(self.cap - lo, 0)]
+        at = np.flatnonzero((self.steps >= lo) & (self.steps < hi))
+        self.regret[:, at] = part.pseudo_regret[:, self.steps[at] - lo]
 
 
 def seed_list(seed) -> tuple[list, bool]:

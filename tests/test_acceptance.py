@@ -49,7 +49,7 @@ from batchband.policies import (
     UniformPolicy,
 )
 from batchband.replay import replay_evaluate
-from batchband.specifications import run_batch, run_online, run_short
+from batchband.specifications import Readings, run_batch, run_online, run_short
 
 Z95 = 1.645
 ALL_ENVS = ("env1", "env2", "env3", "env4", "env5", "env6")
@@ -333,11 +333,13 @@ def test_criterion_7_invariant_suites():
     )
     assert not check_sublinearity(*_mean_se(mat)).holds
 
-    # negative control: reversed inequality holds for the two-phase policy
-    neg = check_negated_sublinearity(
-        TwoPhaseSwitchPolicy(2, good_arm=0, bad_arm=1, switch_t=20),
-        env2, make_grid(40, 2), reps=4, master_seed=9,
-    )
+    # negative control: reversed inequality holds for the two-phase policy,
+    # read at steps n and M of one online run
+    grid = make_grid(40, 2)
+    seeds = [derive_seed(9, "neg_n", i) for i in range(4)]
+    readings = run_online(TwoPhaseSwitchPolicy(2, good_arm=0, bad_arm=1, switch_t=20), env2,
+                          grid.n, seeds, keep=Readings(4, 0, (grid.n - 1, grid.M - 1)))
+    neg = check_negated_sublinearity(*readings.regret.T, grid.b)
     assert neg.verdict == "holds"
     assert neg.d == pytest.approx(6.0)
 

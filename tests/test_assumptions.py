@@ -31,8 +31,21 @@ from batchband.assumptions import (
     mean_rule_trace,
     probe_informativeness,
 )
-from batchband.harness import ExperimentConfig, _cell_key, run_experiment
-from batchband.specifications import run_online
+from batchband.harness import ExperimentConfig, _cell_seeds, run_experiment
+from batchband.specifications import Readings, run_online, sim_seeds
+
+
+def online_actions(policy, env, n, reps, *key):
+    """The first ``reps`` rows of the actions of one online run over ``n``
+    steps on the seeds ``sim_seeds(policy.draws, reps, *key)``."""
+    return run_online(policy, env, n, sim_seeds(policy.draws, reps, *key)).actions[:reps]
+
+
+def online_readings(policy, env, grid, reps, *key):
+    """Each of the first ``reps`` reps' regret at steps n and M of ``grid``,
+    read off one online run over n on ``sim_seeds(policy.draws, reps, *key)``."""
+    seeds, keep = sim_seeds(policy.draws, reps, *key), Readings(reps, 0, (grid.n - 1, grid.M - 1))
+    return run_online(policy, env, grid.n, seeds, keep=keep).regret[:reps].T
 
 
 # ---------------------------------------------------------------- regret curve
@@ -51,21 +64,46 @@ from batchband.specifications import run_online
      "need at least one rule"),
     (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=1, reps=10), ValueError,
      "need t >= 2"),
-    (lambda: check_monotone_envelope(UcbPolicy(2), preset("env1"), reps=1, t_max=20),
+    (lambda: check_monotone_envelope(UcbPolicy(2), preset("env1"), np.zeros((1, 20), int)),
      ValueError, "need at least 2 reps"),
-    (lambda: mean_rule_trace(UcbPolicy(2), make_linear_env(2, 2), n=5, reps=2),
-     UnsupportedPolicyError, "rule traces support Bernoulli environments only"),
     (lambda: probe_informativeness(UcbPolicy(2), make_linear_env(2, 2), t=10, reps=10),
      TypeError, "informativeness probe supports finite-armed environments"),
-    (lambda: check_monotone_envelope(UcbPolicy(2), make_linear_env(2, 2), reps=10, t_max=20),
+    (lambda: check_monotone_envelope(UcbPolicy(2), make_linear_env(2, 2), np.zeros((10, 20), int)),
      UnsupportedPolicyError, "envelope check supports finite-armed environments"),
     (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=10, reps=10, k=7.9),
      TypeError, "'float' object cannot be interpreted as an integer"),
     (lambda: probe_informativeness(UcbPolicy(2), preset("env1"), t=10, reps=10, k_prime=1.5),
      TypeError, "'float' object cannot be interpreted as an integer"),
+    (lambda: check_negated_sublinearity(np.zeros(3), np.zeros(4), 2), ValueError,
+     "r_n and r_m must be matching 1-D arrays"),
+    (lambda: check_negated_sublinearity(np.zeros((2, 3)), np.zeros((2, 3)), 2), ValueError,
+     "r_n and r_m must be matching 1-D arrays"),
+    (lambda: mean_rule_trace(UcbPolicy(2), np.zeros(5, int)), ValueError,
+     r"actions must be a non-empty \(reps, steps\) array of arms in 0\.\.1"),
+    (lambda: mean_rule_trace(UcbPolicy(2), np.full((3, 5), 2)), ValueError,
+     r"array of arms in 0\.\.1"),
+    (lambda: mean_rule_trace(UcbPolicy(2), np.full((3, 5), -1)), ValueError,
+     r"array of arms in 0\.\.1"),
+    (lambda: mean_rule_trace(UcbPolicy(2), np.zeros((3, 5))), ValueError,
+     r"array of arms in 0\.\.1"),
+    (lambda: check_monotone_envelope(UcbPolicy(4), preset("env6"), np.zeros((2, 3, 5), int)),
+     ValueError, r"actions must be a non-empty \(reps, steps\) array of arms in 0\.\.3"),
+    (lambda: check_monotone_envelope(UcbPolicy(4), preset("env6"), np.full((4, 5), 4)),
+     ValueError, r"array of arms in 0\.\.3"),
+    (lambda: run_online(UcbPolicy(2), preset("env1"), 100, [1, 2, 3], keep=Readings(3, 101)),
+     ValueError, r"readings need a cap in 0\.\.100 and steps in 0\.\.99, got cap 101"),
+    (lambda: run_online(UcbPolicy(2), preset("env1"), 100, [1, 2, 3],
+                        keep=Readings(3, 10, (99, 150))),
+     ValueError, r"got cap 10 and steps \[99, 150\]"),
+    (lambda: run_online(UcbPolicy(2), preset("env1"), 100, [1, 2, 3],
+                        keep=Readings(3, 10, (99, -1))),
+     ValueError, r"got cap 10 and steps \[99, -1\]"),
 ], ids=["curve-shapes-differ", "curve-2d", "min-t-0", "min-t-past-n",
-        "lemma31-no-rules", "probe-t-1", "envelope-one-rep", "trace-linear-env",
-        "probe-linear-env", "envelope-linear-env", "probe-k-float", "probe-k-prime-float"])
+        "lemma31-no-rules", "probe-t-1", "envelope-one-rep",
+        "probe-linear-env", "envelope-linear-env", "probe-k-float", "probe-k-prime-float",
+        "negation-shapes-differ", "negation-2d", "trace-1d", "trace-arm-past-k",
+        "trace-negative-arm", "trace-float-actions", "envelope-3d", "envelope-arm-past-k",
+        "readings-cap-past-n", "readings-step-past-n", "readings-negative-step"])
 def test_checks_reject_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -76,8 +114,8 @@ def test_regret_curve_from_runs_equals_regret_curve():
     cfg = ExperimentConfig(envs=("env6",), policies=("ucb",), n=300, batch_sizes=(1,),
                            reps=50, master_seed=4)
     cell = run_experiment(cfg).rows[0]
-    key = _cell_key("env6", "ucb", "plain", 300, 1, cfg.delta, cfg.bound_from)
-    seeds = [derive_seed(4, key, i) for i in range(50)]
+    seeds = [derive_seed(4, "env6|ucb|plain|300|1", i) for i in range(50)]
+    assert _cell_seeds(cfg, "env6", "ucb", 1, False) == seeds
     mean, stderr = _mean_se(run_online(UcbPolicy(4), preset("env6"), 300, seeds).pseudo_regret)
     assert cell.reps == 50
     assert mean.tobytes() == cell.curve_mean.tobytes()
@@ -231,7 +269,7 @@ def test_negation_two_phase_switcher_holds():
     env = preset("env1")
     grid = make_grid(200, 10)  # M = 20 < switch point
     pol = TwoPhaseSwitchPolicy(2, good_arm=0, bad_arm=1, switch_t=100)
-    rep = check_negated_sublinearity(pol, env, grid, reps=5, master_seed=0)
+    rep = check_negated_sublinearity(*online_readings(pol, env, grid, 5, 0, "neg_n"), grid.b)
     assert rep.holds and rep.verdict == "holds"
     # closed forms: R_200 = 0.2 * 100 = 20, R_20 = 0
     assert rep.mean_n == pytest.approx(20.0, abs=1e-12)
@@ -243,7 +281,7 @@ def test_negation_constant_worst_equality_fails_strictness():
     env = preset("env1")
     grid = make_grid(100, 5)
     pol = FixedArmPolicy(2, arm=1)
-    rep = check_negated_sublinearity(pol, env, grid, reps=3)
+    rep = check_negated_sublinearity(*online_readings(pol, env, grid, 3, 0, "neg_n"), grid.b)
     # R_n = 0.2 n exactly: d = 0.2*100 - 5*0.2*20 = 0
     assert rep.verdict == "violated"
     assert not rep.holds
@@ -251,47 +289,39 @@ def test_negation_constant_worst_equality_fails_strictness():
 
 
 def test_negation_b1_boundary_excluded():
+    # at b = 1, M = n: every rep's difference is 0, with no spread
     env = preset("env1")
     rep = check_negated_sublinearity(
-        UcbPolicy(2), env, make_grid(50, 1), reps=2
-    )
+        *online_readings(UcbPolicy(2), env, make_grid(50, 1), 2, 0, "neg_n"), 1)
     assert rep.verdict == "boundary" and not rep.holds
+    assert (rep.d, rep.stderr) == (0.0, 0.0)
 
 
 def test_negation_rejects_single_rep():
-    env = preset("env1")
     for b in (1, 5):
         with pytest.raises(ValueError, match="reps"):
-            check_negated_sublinearity(UcbPolicy(2), env, make_grid(50, b), reps=1)
+            check_negated_sublinearity(np.array([3.0]), np.array([1.0]), b)
 
 
 def test_negation_learning_policy_fails_to_negate():
     env = preset("env3")
+    grid = make_grid(400, 20)
     rep = check_negated_sublinearity(
-        UcbPolicy(2), env, make_grid(400, 20), reps=30, master_seed=4
-    )
+        *online_readings(UcbPolicy(2), env, grid, 30, 4, "neg_n"), grid.b)
     assert rep.verdict in ("violated", "inconclusive")
     assert not rep.holds
 
 
 @pytest.mark.parametrize("policy", [UcbPolicy(4), ThompsonBetaPolicy(4), UniformPolicy(4)])
-def test_negation_is_a_paired_test_on_one_online_run(monkeypatch, policy):
-    runs = []
-    real = assumptions.run_online
-
-    def spy(*args, keep=None):
-        runs.append((args, keep))
-        return real(*args, keep=keep)
-
-    monkeypatch.setattr(assumptions, "run_online", spy)
+def test_negation_is_a_paired_test_on_one_online_run(policy):
+    # the readings at steps n and M of one online run over n are the whole
+    # run's regret there, and the statistic their paired differences' mean
     grid = make_grid(160, 8)
-    rep = check_negated_sublinearity(policy, preset("env6"), grid, reps=12, master_seed=3)
-    # one online run over n, keeping the regret at steps n and M; the whole
-    # run on the same arguments holds the same values there
-    assert len(runs) == 1 and runs[0][0][2] == 160
-    assert runs[0][1].steps.tolist() == [159, grid.M - 1]
-    regret = real(*runs[0][0]).pseudo_regret[:12]
-    r_n, r_m = regret[:, -1], regret[:, grid.M - 1]
+    seeds = sim_seeds(policy.draws, 12, 3, "neg_n")
+    r_n, r_m = online_readings(policy, preset("env6"), grid, 12, 3, "neg_n")
+    regret = run_online(policy, preset("env6"), 160, seeds).pseudo_regret[:12]
+    assert np.array_equal(r_n, regret[:, -1]) and np.array_equal(r_m, regret[:, grid.M - 1])
+    rep = check_negated_sublinearity(r_n, r_m, 8)
     d, se = _mean_se(r_n - 8 * r_m)
     assert (rep.d, rep.stderr) == (d, se)
     assert (rep.mean_n, rep.mean_m) == (r_n.mean(), r_m.mean())
@@ -346,7 +376,9 @@ def test_informativeness_defaults_and_validation():
 
 def test_envelope_ucb_consistent_on_env3():
     env = preset("env3")
-    rep = check_monotone_envelope(UcbPolicy(2), env, reps=150, t_max=800, master_seed=3)
+    actions = online_actions(UcbPolicy(2), env, 800, 150, 3, "envelope")
+    rep = check_monotone_envelope(UcbPolicy(2), env, actions)
+    assert (rep.reps, rep.t_max) == (150, 800)
     assert isinstance(rep, EnvelopeReport)
     assert rep.verdict == "consistent"
     assert rep.violations == []
@@ -354,11 +386,11 @@ def test_envelope_ucb_consistent_on_env3():
 
 
 def test_envelope_rejects_unregistered_policy():
-    env = preset("env1")
+    env, actions = preset("env1"), np.zeros((10, 50), int)
     with pytest.raises(UnsupportedPolicyError):
-        check_monotone_envelope(ThompsonBetaPolicy(2), env, reps=10, t_max=50)
+        check_monotone_envelope(ThompsonBetaPolicy(2), env, actions)
     with pytest.raises(UnsupportedPolicyError):
-        check_monotone_envelope(UniformPolicy(2), env, reps=10, t_max=50)
+        check_monotone_envelope(UniformPolicy(2), env, actions)
 
 
 def test_envelope_uniform_negative_control_violates():
@@ -367,10 +399,8 @@ def test_envelope_uniform_negative_control_violates():
     from batchband.meta import MonotoneBound
 
     env = preset("env3")
-    rep = check_monotone_envelope(
-        UniformPolicy(2), env, reps=120, t_max=400, master_seed=5,
-        bound=MonotoneBound(env.means),
-    )
+    actions = online_actions(UniformPolicy(2), env, 400, 120, 5, "envelope")
+    rep = check_monotone_envelope(UniformPolicy(2), env, actions, bound=MonotoneBound(env.means))
     assert rep.verdict == "violated"
     assert all(t > 100 for t, _, _, _ in rep.violations)
     assert any(abs(frac - 0.5) < 0.1 for _, _, frac, _ in rep.violations)
@@ -378,7 +408,8 @@ def test_envelope_uniform_negative_control_violates():
 
 def test_envelope_skips_forced_init_window():
     env = preset("env3")
-    rep = check_monotone_envelope(UcbPolicy(2), env, reps=20, t_max=60, master_seed=1)
+    actions = online_actions(UcbPolicy(2), env, 60, 20, 1, "envelope")
+    rep = check_monotone_envelope(UcbPolicy(2), env, actions)
     assert rep.evaluated_from == 3
     assert all(t >= 3 for t, _, _, _ in rep.violations)
 
@@ -394,8 +425,8 @@ def test_envelope_clears_violations_inside_the_init_window():
     # ucb's second forced pull puts arm 1 at fraction 1/2 at t = 2, with no
     # spread, so only the init window keeps it out of the violations
     env = preset("env3")
-    rep = check_monotone_envelope(UcbPolicy(2), env, reps=20, t_max=30, master_seed=1,
-                                  bound=_ZeroBound())
+    actions = online_actions(UcbPolicy(2), env, 30, 20, 1, "envelope")
+    rep = check_monotone_envelope(UcbPolicy(2), env, actions, bound=_ZeroBound())
     assert rep.evaluated_from == 3
     assert [t for t, *_ in rep.violations] == list(range(3, 31))
     assert all(a == 1 for _, a, _, _ in rep.violations)
@@ -406,49 +437,47 @@ def test_envelope_rejects_tied_instance():
 
     env = BernoulliEnv(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        check_monotone_envelope(UcbPolicy(2), env, reps=10, t_max=50)
+        check_monotone_envelope(UcbPolicy(2), env, np.zeros((10, 50), int))
 
 
 def test_rule_trace_records_forced_init_point_masses():
-    env = preset("env1")
-    rules = mean_rule_trace(UcbPolicy(2), env, n=4, reps=5, master_seed=2)
+    actions = online_actions(UcbPolicy(2), preset("env1"), 4, 5, 2, "trace")
+    rules = mean_rule_trace(UcbPolicy(2), actions)
     assert len(rules) == 4
     assert rules[0].probs.tolist() == [1.0, 0.0]
     assert rules[1].probs.tolist() == [0.0, 1.0]
 
 
 def test_rule_trace_thompson_starts_symmetric_then_learns():
-    env = preset("env1")
-    rules = mean_rule_trace(ThompsonBetaPolicy(2), env, n=10, reps=400, master_seed=3)
+    actions = online_actions(ThompsonBetaPolicy(2), preset("env1"), 10, 400, 3, "trace")
+    rules = mean_rule_trace(ThompsonBetaPolicy(2), actions)
     assert abs(rules[0].probs[0] - 0.5) < 0.08
     assert rules[9].probs[0] > 0.62
 
 
 def test_rule_trace_deterministic():
-    env = preset("env2")
-    a = mean_rule_trace(ThompsonBetaPolicy(2), env, n=5, reps=20, master_seed=7)
-    b = mean_rule_trace(ThompsonBetaPolicy(2), env, n=5, reps=20, master_seed=7)
+    a, b = (mean_rule_trace(ThompsonBetaPolicy(2), online_actions(
+        ThompsonBetaPolicy(2), preset("env2"), 5, 20, 7, "trace")) for _ in range(2))
     assert all(np.array_equal(x.probs, y.probs) for x, y in zip(a, b))
 
 
 def test_rule_trace_rejects_bad_args():
-    env = preset("env1")
     with pytest.raises(ValueError):
-        mean_rule_trace(UcbPolicy(2), env, n=0, reps=5)
+        mean_rule_trace(UcbPolicy(2), np.zeros((5, 0), int))
 
 
 @pytest.mark.parametrize("name", ["ucb", "ts", "two_phase"])
 def test_rule_trace_is_the_per_step_reference_action_frequency(name):
     # the mean rule of step t is the arm frequency in column t of the kept
-    # reps of the per-step reference run, on the trace seeds padded to whole
-    # blocks for a drawing policy
+    # reps of the per-step reference run, on seeds padded to whole blocks for
+    # a drawing policy
     env, n, reps, master = preset("env6"), 30, 20, 11
     policy = {"ucb": UcbPolicy(4), "ts": ThompsonBetaPolicy(4),
               "two_phase": TwoPhaseSwitchPolicy(4, good_arm=0, bad_arm=3, switch_t=15)}[name]
     sim = 32 if name == "ts" else reps
     seeds = [derive_seed(master, "trace", i) for i in range(sim)]
     runs = reference_run(name, env.means.tolist(), n, 1, seeds, switch_t=15)[:reps]
-    rules = mean_rule_trace(policy, env, n=n, reps=reps, master_seed=master)
+    rules = mean_rule_trace(policy, online_actions(policy, env, n, reps, master, "trace"))
     assert len(rules) == n
     for t, rule in enumerate(rules):
         want = [sum(acts[t] == a for acts, _ in runs) / reps for a in range(4)]
@@ -459,9 +488,8 @@ def test_rule_trace_of_uniform_play_is_flat_and_unsimulated(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("uniform play's trace simulated")
 
-    monkeypatch.setattr(assumptions, "run_online", no_run)
     monkeypatch.setattr(UniformPolicy, "init_reps", no_run)
-    rules = mean_rule_trace(UniformPolicy(4), preset("env6"), n=7, reps=12, master_seed=3)
+    rules = mean_rule_trace(UniformPolicy(4), np.zeros((12, 7), int))
     assert len(rules) == 7
     assert all(rule.probs.tolist() == [0.25] * 4 for rule in rules)
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchband import cli, harness
+from batchband import cli, harness, specifications
 from batchband.cli import main
 from batchband.environments import (
     LoggedData,
@@ -26,6 +26,7 @@ from batchband.environments import (
     synth_logged_dataset,
     write_logged_csv,
 )
+from batchband.specifications import Readings
 
 # a size numpy cannot index: each use of it must exit 2 before any run
 HUGE = "1" + "0" * 400
@@ -435,11 +436,27 @@ class TestCheckAssumptions:
         def no_check(*args, **kwargs):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(cli, "run_experiment", no_check)
+        monkeypatch.setattr(cli, "run_online", no_check)
         rc = main(["check-assumptions", *flags, "--out-dir", str(tmp_path)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "assumptions.csv").exists()
+
+    @pytest.mark.parametrize("policy", ["ucb", "ts", "uniform", "two_phase"])
+    def test_one_engine_run_serves_every_simulated_row(self, tmp_path, monkeypatch, policy):
+        runs = []
+        real = specifications.run_lockstep
+
+        def spy(*args, **kwargs):
+            runs.append(kwargs["keep"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(specifications, "run_lockstep", spy)
+        assert main(["check-assumptions", "--policy", policy, "--env", "env3", "--n", "120",
+                     "--reps", "20", "--out-dir", str(tmp_path)]) in (0, 1)
+        (keep,) = runs
+        assert isinstance(keep, Readings) and keep.groups == [(0, 20)]
+        assert keep.cap == 120 and keep.steps.tolist() == [119, 14]
 
     @pytest.mark.parametrize("policy", ["ucb", "ts"])
     def test_sublinearity_reads_the_online_cell_of_simulate(self, tmp_path, policy):

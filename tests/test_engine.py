@@ -33,7 +33,7 @@ from batchband.specifications import (
     Chunk,
     Curves,
     Keep,
-    Steps,
+    Readings,
     run_batch,
     run_lockstep,
     run_online,
@@ -544,15 +544,22 @@ def at_chunk(monkeypatch, chunk, call):
 
 def assert_keeps_reduce_the_whole_run(run, whole, groups, steps):
     """``run(keep)`` in chunks keeps what the whole-array ``RunSet`` ``whole``
-    reduces to: per-group curves, final hits and pulls, and regret at
-    ``steps``."""
+    reduces to: per-group curves, final hits and pulls, and ``Readings``'
+    curve of the first group's rows, action prefix and regret at ``steps``."""
     curves = run(Curves(groups))
     for (r0, r1), mean, stderr in zip(groups, curves.mean, curves.stderr):
         want = _mean_se(whole.pseudo_regret[r0:r1], axis=0)
         assert np.array_equal(mean, want[0]) and np.array_equal(stderr, want[1])
     assert np.array_equal(curves.hits, whole.optimal_hits[:, -1])
     assert np.array_equal(curves.pulls, whole.pull_counts)
-    assert np.array_equal(run(Steps(*steps)), whole.pseudo_regret[:, list(steps)])
+    reps = groups[0][1]  # every caller's first group starts at row 0
+    want = _mean_se(whole.pseudo_regret[:reps], axis=0)
+    for cap in (0, 2 * whole.n // 3, whole.n):
+        readings = run(Readings(reps, cap, steps))
+        assert np.array_equal(readings.mean[0], want[0])
+        assert np.array_equal(readings.stderr[0], want[1])
+        assert np.array_equal(readings.actions, whole.actions[:, :cap])
+        assert np.array_equal(readings.regret, whole.pseudo_regret[:, list(steps)])
 
 
 @pytest.mark.parametrize("name,env_name,spec,n,b,chunk,reps", [
@@ -656,6 +663,7 @@ def test_a_reduced_uniform_run_asks_the_policy_once_per_chunk(monkeypatch, chunk
     env = preset("env6")
     seeds = [derive_seed(19, "spy", i) for i in range(2 * BLOCK_REPS + 3)]
     at_chunk(monkeypatch, chunk,
-             lambda: run_batch(UniformPolicy(env.k), env, make_grid(600, 3), seeds, keep=Steps(0)))
+             lambda: run_batch(UniformPolicy(env.k), env, make_grid(600, 3), seeds,
+                                 keep=Curves([(0, 1)])))
     per = max(chunk // 3, 1)
     assert calls == [min(per, 200 - j) for j in range(0, 200, per)]

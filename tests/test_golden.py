@@ -75,12 +75,12 @@ for _policy, _digest in BOUNDS.items():
             0,
             {"bounds.csv": _digest},
         )
-# the online cell's regret curve, rule traces, the informativeness probe, the
-# envelope check (ucb only) and the b-fold reversal
+# the online cell's regret curve, rule trace, envelope check (ucb only) and
+# b-fold reversal, all read off one run, and the informativeness probe
 ASSUMPTIONS = {
-    "ucb": (0, "f3c0d5e443492752a43ef8b098806ba9557091ee1420436571e4b9b553ac85e5"),
-    "ts": (1, "ec8ddf2f71d0b5dee560095092175f0aa5af4dc5d4303244cdbd27a1b5f23734"),
-    "uniform": (0, "6b3426304654c11c17a83cdb73adfdcc61bc4330c80b4bbe1c7bd8693fe7481a"),
+    "ucb": (0, "a1913940c187adb21877bae237f1303b2e65b996a240e76bfd33a16a3bd0ea44"),
+    "ts": (1, "a45264867ba07d6ee2696a2d806330fa6088de16d6838859dc102e5dfa09cbb3"),
+    "uniform": (0, "9269bf3cf5a6aee4768f62d178db69825b9bbe9a656e05f59d8b66616357e671"),
     "two_phase": (1, "a201d85060755196743cc158a9da8fa23b1a77e89c4696eae4756a399c4a4e21"),
 }
 for _policy, (_code, _digest) in ASSUMPTIONS.items():

@@ -21,7 +21,7 @@ from batchband.harness import (
     MODES,
     ConfigError,
     ExperimentConfig,
-    _cell_key,
+    _cell_seeds,
     bound_reports,
     check_theorem_bounds,
     resolve_threads,
@@ -263,10 +263,9 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         env = preset("env1")
         grid = make_grid(cfg.n, 4)
-        key = _cell_key("env1", "ucb", "plain", cfg.n, 4, cfg.delta, cfg.bound_from)
         finals = []
         for i in range(3):
-            seed = derive_seed(cfg.master_seed, key, i)
+            seed = derive_seed(cfg.master_seed, "env1|ucb|plain|40|4", i)
             finals.append(run_batch(UcbPolicy(2), env, grid, seed).pseudo_regret[-1])
         assert table.rows[0].mean_final == pytest.approx(np.mean(finals), abs=1e-12)
 
@@ -277,12 +276,25 @@ class TestRunExperiment:
         t4 = run_experiment(cfg4)
         env = preset("env1")
         grid = make_grid(cfg4.n, 4)
-        key = _cell_key("env1", "ucb", "plain", cfg4.n, 4, cfg4.delta, cfg4.bound_from)
         rep3 = run_batch(
-            UcbPolicy(2), env, grid, derive_seed(cfg4.master_seed, key, 3)
+            UcbPolicy(2), env, grid, _cell_seeds(cfg4, "env1", "ucb", 4, False)[3]
         ).pseudo_regret[-1]
         recovered = t4.rows[0].mean_final * 4 - rep3
         assert recovered / 3 == pytest.approx(t3.rows[0].mean_final, abs=1e-9)
+
+    @pytest.mark.parametrize("mode,key", [
+        ("plain", "env1|ucb|plain|40|4"),
+        ("delayed_start", "env1|ucb|delayed_start|40|4"),
+        ("approx_delayed_start", "env1|ucb|approx_delayed_start|40|4|0.05|oracle"),
+    ])
+    def test_cell_seeds_key_delta_and_bound_from_only_in_the_mode_that_reads_them(
+        self, mode, key
+    ):
+        cfg = small_config(mode=mode, delta=0.05, bound_from="oracle")
+        assert _cell_seeds(cfg, "env1", "ucb", 4, False) == [
+            derive_seed(7, key, i) for i in range(3)]
+        assert _cell_seeds(cfg, "env1", "ucb", 4, True) == [
+            derive_seed(7, key, i) for i in range(whole_blocks(3))]
 
     def test_regret_decomposition_matches_pull_counts(self):
         cfg = small_config(envs=("env4",), policies=("ucb", "ts"),
@@ -728,8 +740,8 @@ class TestRegretCurve:
     def test_single_rep_matches_direct_run(self):
         cfg = small_config(envs=("env2",), n=30, batch_sizes=(1,), reps=1, master_seed=9)
         cell = run_experiment(cfg).rows[0]
-        key = _cell_key("env2", "ucb", "plain", 30, 1, cfg.delta, cfg.bound_from)
-        rec = run_online(UcbPolicy(2), preset("env2"), 30, derive_seed(9, key, 0))
+        seed = derive_seed(9, "env2|ucb|plain|30|1", 0)
+        rec = run_online(UcbPolicy(2), preset("env2"), 30, seed)
         assert np.array_equal(cell.curve_mean, rec.pseudo_regret)
 
 

@@ -596,10 +596,18 @@ def test_policies_reject_bad_hyperparameters(build):
     ("two_phase", {"switch_t": "3"}, "switch_t must be a number, got '3'"),
     ("fixed", {"fixed_arm": "0"}, "fixed_arm must be a number, got '0'"),
     ("ucb", {"ucb_c": 10**400}, "ucb_c is too large for a float"),
+    ("two_phase", {"switch_t": 10**400}, "switch_t is too large for a float"),
 ])
 def test_make_policy_rejects_values_that_do_not_convert(name, params, message):
     with pytest.raises(PolicyError, match=message):
         make_policy(name, 3, params=params, env_means=np.array([0.7, 0.5, 0.3]))
+
+
+@pytest.mark.parametrize("switch_t", [2**53 + 1, np.int64(2**62 + 1)])
+def test_make_policy_keeps_an_integral_parameter_exact(switch_t):
+    # a float holds integers exactly only up to 2**53: 2**53 + 1 became 2**53
+    policy = make_policy("two_phase", 2, params={"switch_t": switch_t}, env_means=[0.7, 0.5])
+    assert type(policy.switch_t) is int and policy.switch_t == int(switch_t)
 
 
 @pytest.mark.parametrize("name,params", [
