@@ -29,7 +29,7 @@ from .core import PROB_TOL, DecisionRule, _interval, _mean_se, _verdict, rule_va
 from .environments import BernoulliEnv
 from .meta import MonotoneBound
 from .policies import UniformPolicy, rep_bincount
-from .specifications import block_streams, check_arms, sim_seeds
+from .specifications import check_arms, policy_streams, sim_seeds
 
 Z_ONE_SIDED_95 = 1.645
 
@@ -135,7 +135,7 @@ def check_lemma31(rules, instance) -> Lemma31Report:
 
 def _rep_rules(policy, states, streams):
     """Each rep's realised rule for its next step, shape ``(R, k)``: a point
-    mass on the arm ``act_reps`` plays from the block ``streams``, or the
+    mass on the arm ``act_reps`` plays from the spans ``streams``, or the
     flat rule of uniform play."""
     reps, k = len(states.counts), policy.k
     if isinstance(policy, UniformPolicy):
@@ -250,10 +250,11 @@ def probe_informativeness(
         raise ValueError("need 0 <= k_prime <= k <= t")
     opt = env.optimal_arm
     others = np.delete(np.arange(env.k), opt)
-    seeds = sim_seeds(policy.draws, reps, master_seed, "informativeness")
+    seeds = sim_seeds(reps, master_seed, "informativeness")
     # each rep's uniforms for both histories, drawn as the engine draws them
     uniforms = np.array([np.random.default_rng(s).random(2 * t) for s in seeds])
-    streams = block_streams(seeds)
+    # uniform play's rule is flat: only an adaptive policy's draws are read
+    streams = policy_streams(policy, seeds, [reps]) if policy.adaptive else lambda j: None
     states = []
     for u, n_opt in zip(np.hsplit(uniforms, 2), (k, k_prime)):
         acts = np.concatenate([np.full(n_opt, opt), np.resize(others, t - n_opt)])
@@ -261,7 +262,7 @@ def probe_informativeness(
             policy.init_reps(len(seeds)), np.broadcast_to(acts, u.shape),
             (u < env.means[acts]).astype(float),
         ))
-    v_hi, v_lo = (_rep_rules(policy, st, streams)[:reps] @ env.means for st in states)
+    v_hi, v_lo = (_rep_rules(policy, st, streams(j)) @ env.means for j, st in enumerate(states))
     mean, se = (float(x) for x in _mean_se(v_hi - v_lo))
     verdict = "violated" if _verdict(mean, se) == "violated" else "consistent"
     return InformativenessReport(mean, se, *_interval(mean, se), verdict, k, k_prime)

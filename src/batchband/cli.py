@@ -332,9 +332,9 @@ def cmd_check_assumptions(args) -> int:
     # every simulated row reads the online cell of simulate and check-bounds
     # at these flags, from one run on that cell's seeds
     config = ExperimentConfig((env_spec,), (name,), n, (1,), reps, seed)
-    cell = run_online(policy, env, n, _cell_seeds(config, env_spec, name, 1, policy.draws),
+    cell = run_online(policy, env, n, _cell_seeds(config, env_spec, name, 1),
                       keep=Readings(reps, min(n, 500), (grid.n - 1, grid.M - 1)))
-    actions, mean, stderr = cell.actions[:reps], cell.mean[0], cell.stderr[0]
+    actions, mean, stderr = cell.actions, cell.mean[0], cell.stderr[0]
     sub = check_sublinearity(mean, stderr, min_t=opts["min_t"])
     verdict = "consistent" if sub.holds else "violated"
     rate, rate_se = float(mean[-1]) / n, float(stderr[-1]) / n

@@ -3,13 +3,12 @@
 ``run_experiment`` sweeps (environment x policy x batch size) cells, runs
 ``reps`` independent trajectories per cell with seeds derived from
 ``(master_seed, cell key, rep index)``, and aggregates into a
-``RegretTable``.  Where a policy draws, a cell simulates whole blocks of
-reps and drops the surplus, so its first ``reps`` trajectories do not
-depend on ``reps``.  Plain cells of equal policy and batch size share
-engine calls (``STACK_STEPS``), whose groups are split over ``threads``
-working processes, the caller and children it forks, each pulling the next
-group when it is free (see ``_map``).  Any thread count produces
-byte-identical output because seeds never depend on scheduling or stacking.
+``RegretTable``; a cell's first trajectories do not depend on ``reps``.
+Plain cells of equal policy and batch size share engine calls
+(``STACK_STEPS``), whose groups are split over ``threads`` working
+processes, the caller and children it forks, each pulling the next group
+when it is free (see ``_map``).  Any thread count produces byte-identical
+output because seeds never depend on scheduling or stacking.
 
 ``bound_reports`` reads the regret sandwich off a plain ``RegretTable``:
 no policy reads its horizon, so a pair's b=1 curve holds R_n(online) and,
@@ -35,7 +34,7 @@ from .core import derive_seed  # noqa: F401  bench/spans.py wraps it
 from .environments import parse_env
 from .meta import MonotoneBound, approx_delayed_start_run, delayed_start_run
 from .policies import POLICY_NAMES, PolicyError, UniformPolicy, make_policy
-from .specifications import Curves, run_batch, sim_seeds, whole_blocks
+from .specifications import Curves, run_batch, sim_seeds
 from .specifications import run_online  # noqa: F401  bench/run_bench.py and bench/spans.py wrap it
 
 MODES = ("plain", "delayed_start", "approx_delayed_start")
@@ -327,28 +326,26 @@ def _drain(tasks: int) -> None:
         pass
 
 
-def _cell_seeds(c: ExperimentConfig, env: str, p: str, b: int, pads: bool) -> list:
-    """The seeds that ``c``'s cell ``(env, p, b)`` simulates, whole blocks of
-    reps if it ``pads`` (``sim_seeds``), on a key that ``c.delta`` and
-    ``c.bound_from`` enter only in the mode that reads them."""
+def _cell_seeds(c: ExperimentConfig, env: str, p: str, b: int) -> list:
+    """The seeds of ``c``'s cell ``(env, p, b)``, one per rep (``sim_seeds``),
+    on a key that ``c.delta`` and ``c.bound_from`` enter only in the mode
+    that reads them."""
     key = f"{env}|{p}|{c.mode}|{c.n}|{b}"
     key += f"|{c.delta!r}|{c.bound_from}" if c.mode == "approx_delayed_start" else ""
-    return sim_seeds(pads, c.reps, c.master_seed, key)
+    return sim_seeds(c.reps, c.master_seed, key)
 
 
 def _run_cell(group):
     """A ``CellResult`` per env of ``group``, ``(config, policy name, b,
-    policy, pads, envs)``: cells of one policy and batch size, padded when
-    ``pads``, from one engine call."""
-    c, p, b, policy, pads, env_specs = group
+    policy, envs)``: cells of one policy and batch size, from one engine call."""
+    c, p, b, policy, env_specs = group
     envs = [parse_env(e) for e in env_specs]
-    seeds = [s for e in env_specs for s in _cell_seeds(c, e, p, b, pads)]
-    sim = len(seeds) // len(envs)
+    seeds = [s for e in env_specs for s in _cell_seeds(c, e, p, b)]
     grid = make_grid(c.n, b)
     env = envs[0]
-    keep = Curves((i * sim, i * sim + c.reps) for i in range(len(envs)))
+    keep = Curves((i * c.reps, (i + 1) * c.reps) for i in range(len(envs)))
     if c.mode == "plain":
-        run_batch(policy, tuple((e, sim) for e in envs), grid, seeds, keep=keep)
+        run_batch(policy, tuple((e, c.reps) for e in envs), grid, seeds, keep=keep)
     elif c.mode == "delayed_start":
         delayed_start_run(policy, UniformPolicy(env.k), MonotoneBound(env.means), env, grid,
                           seeds, keep=keep)
@@ -395,11 +392,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> RegretTable:
     budget = STACK_STEPS if c.mode == "plain" else 0
     for e, p, b in c.cells():
         policy = _cell_policy(p, parse_env(e), c.n, c.policy_params.get(p, {}))
-        # the delayed starts' first phase is uniform play, which draws
-        pads = policy.draws or c.mode != "plain"
         group = open_groups.get((policy, b))
-        if group is None or (len(group[-1]) + 1) * whole_blocks(c.reps, pads) * c.n > budget:
-            group = open_groups[policy, b] = (c, p, b, policy, pads, [])
+        if group is None or (len(group[-1]) + 1) * c.reps * c.n > budget:
+            group = open_groups[policy, b] = (c, p, b, policy, [])
             groups.append(group)
         group[-1].append(e)
     results = _map(_run_cell, groups, threads)

@@ -27,9 +27,7 @@ boundary) pairs per ``check_phase`` call, so the check's memory does not
 grow with reps; the run stops drawing once a check has closed every rep.
 Neither start stores phase 1: the engine plays the naive policy again, a
 chunk at a time, up to each rep's hand-over, and the candidate, which draws
-from block streams of its own, plays the rest, reduced by the caller's
-``keep``.  A caller reporting ``reps`` results
-simulates whole blocks and drops the surplus (``specifications.whole_blocks``).
+from streams of its own, plays the rest, reduced by the caller's ``keep``.
 """
 
 from __future__ import annotations

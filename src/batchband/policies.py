@@ -6,11 +6,11 @@ A policy runs ``R`` reps in lockstep through three operations:
   with a leading rep axis.
 * ``act_reps(states, b, rngs, rows[, contexts])``: ``(len(rows), b)``
   actions for the reps ``rows``, each rep playing ``b`` steps from its
-  frozen state.  The finite-armed policies draw from block streams:
-  ``rngs[i]`` is the one generator of block ``i``, the reps ``i * BLOCK_REPS``
-  up to ``(i + 1) * BLOCK_REPS`` (the last block may be short), and a
-  drawing policy makes one draw for every rep of each block that holds any
-  of ``rows``, whatever its other reps are doing.  The linear policies
+  frozen state.  The finite-armed policies draw from ``rngs``, spans
+  ``(generator, lo, hi)`` of one generator for reps ``lo..hi-1``
+  (``specifications.policy_streams``), and a drawing policy makes one draw
+  for every rep of each span that holds any of ``rows``, whatever its other
+  reps are doing.  The linear policies
   read ``contexts``, the ``(len(rows), b, p)`` contexts of the rows' steps,
   and touch no generator: LinTS proposes from ``noise``, the rows'
   ``(len(rows), b, k * p)`` standard normals, which its caller draws, and
@@ -53,12 +53,6 @@ from .core import DimensionMismatchError
 DEFAULT_UCB_C = 1.0
 DEFAULT_RIDGE_LAMBDA = 1.0
 DEFAULT_LINUCB_ALPHA = 1.0
-
-# Reps per policy stream block.  One array draw per block and batch costs
-# little more than one rep's own draw, while a larger block makes the
-# surplus reps of a padded run cost more.
-BLOCK_REPS = 16
-
 
 # UCB replay runs ahead (``UcbPolicy.run_ahead_reps``) over windows of this
 # many batches, doubled after each window its leader keeps whole and reset
@@ -187,8 +181,8 @@ class UcbPolicy(_CountPolicy):
     def _leaders(self, sums, counts, bonus) -> np.ndarray:
         """The arm of first maximum index in each row of ``sums`` and
         ``counts``, ``bonus`` being ``2 ln t``; an arm of no pulls has index inf."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            idx = sums / counts + self.c * np.sqrt(bonus / counts)
+        pulled = np.maximum(counts, 1.0)  # a pulled arm's bits are its own
+        idx = sums / pulled + self.c * np.sqrt(bonus / pulled)
         idx[counts == 0] = math.inf
         return idx.argmax(axis=-1)
 
@@ -235,13 +229,13 @@ class UcbPolicy(_CountPolicy):
         return keep, leaders[keep - 1]
 
 
-def _blocks(rows, reps):
-    """Index ``(i, lo, hi)`` of each block of ``reps`` reps holding any of ``rows``."""
+def _spans(rngs, rows, reps):
+    """The spans ``(generator, lo, hi)`` of ``rngs``, in rep order, that
+    hold any of the sorted ``rows`` of ``reps``."""
     if len(rows) == reps:
-        blocks = range(-(-reps // BLOCK_REPS))
-    else:
-        blocks = np.unique(rows // BLOCK_REPS).tolist()
-    return [(i, i * BLOCK_REPS, min((i + 1) * BLOCK_REPS, reps)) for i in blocks]
+        return rngs
+    held = np.searchsorted([lo for _, lo, _ in rngs], rows, side="right") - 1
+    return [rngs[i] for i in np.unique(held).tolist()]
 
 
 def ts_posterior(counts, sums) -> tuple[list, list]:
@@ -266,10 +260,10 @@ class ThompsonBetaPolicy(_CountPolicy):
     successes and failures read from the shared counts and sums.  Each step
     samples one mean per arm from the posterior and plays the argmax; under
     batch feedback the posterior is frozen, but every step in the batch
-    still gets a fresh draw.  A block draws its reps' ``(reps, b, k)``
+    still gets a fresh draw.  A span draws its reps' ``(reps, b, k)``
     posterior samples in one call, rep by rep, step by step, arm by arm, so
-    a rep's draws depend on its block's other posteriors too: the Beta
-    sampler rejects a varying number of candidates.
+    a rep's draws depend on the posteriors of the span's reps before it too:
+    the Beta sampler rejects a varying number of candidates.
     """
 
     k: int
@@ -280,8 +274,8 @@ class ThompsonBetaPolicy(_CountPolicy):
         alpha = (1.0 + states.sums)[:, None]
         beta = (1.0 + states.counts - states.sums)[:, None]
         acts = np.empty((reps, b), dtype=np.int64)
-        for i, lo, hi in _blocks(rows, reps):
-            draws = rngs[i].beta(alpha[lo:hi], beta[lo:hi], size=(hi - lo, b, self.k))
+        for gen, lo, hi in _spans(rngs, rows, reps):
+            draws = gen.beta(alpha[lo:hi], beta[lo:hi], size=(hi - lo, b, self.k))
             acts[lo:hi] = draws.argmax(axis=2)
         return acts if len(rows) == reps else acts[rows]
 
@@ -290,7 +284,7 @@ class ThompsonBetaPolicy(_CountPolicy):
 class UniformPolicy(_CountPolicy):
     """Plays every arm with equal probability, ignoring feedback.
 
-    A block draws its reps' actions for ``batches`` batches as one
+    A span draws its reps' actions for ``batches`` batches as one
     ``integers(0, k, size=(batches, reps, b))`` call, batch-major: the same
     stream as one ``size=(reps, b)`` call per batch, since the generator
     keeps a spare 32-bit half between calls.
@@ -303,8 +297,8 @@ class UniformPolicy(_CountPolicy):
     def act_reps(self, states, b, rngs, rows, *, batches=1) -> np.ndarray:
         reps = len(states.counts)
         acts = np.empty((reps, batches, b), dtype=np.int64)
-        for i, lo, hi in _blocks(rows, reps):
-            draws = rngs[i].integers(0, self.k, size=(batches, hi - lo, b))
+        for gen, lo, hi in _spans(rngs, rows, reps):
+            draws = gen.integers(0, self.k, size=(batches, hi - lo, b))
             acts[lo:hi] = draws.transpose(1, 0, 2)
         acts = acts.reshape(reps, batches * b)
         return acts if len(rows) == reps else acts[rows]

@@ -139,7 +139,7 @@ def replay_evaluate(
     k = policy.k
     logged, contexts = dataset.actions, dataset.contexts
     rng = np.random.default_rng(check_seed(seed, DataError))
-    rngs, rows = [rng], np.zeros(1, dtype=np.int64)
+    rngs, rows = [(rng, 0, 1)], np.zeros(1, dtype=np.int64)
     state = policy.init_reps(1)
     n = logged.size
 

@@ -20,12 +20,10 @@ reads: the whole ``RunSet`` (``Whole``), per-step curves (``Curves``), or
 those with an action prefix and step readings (``Readings``).  A policy that
 ignores feedback plays each chunk's batches in one call instead, from the
 start, or from the last hand-over of a two-phase run.  A lone run is a run of one rep.
-Each rep owns its reward generator; on a Bernoulli environment the
-finite-armed policies draw from block streams, one generator per block of
-``BLOCK_REPS`` consecutive reps (``block_streams``), so a rep's trajectory
-depends on the other reps of its block, never on reps outside it.
-Callers that report ``reps`` results from a drawing policy therefore
-simulate ``whole_blocks(reps)`` reps (``sim_seeds``) and drop the surplus.
+Each rep owns its reward generator; on a Bernoulli environment uniform play
+draws from a generator of each rep's own and Thompson sampling from one per
+cell (a stacked env's reps) set to a position of each batch's own
+(``policy_streams``), so no rep's trajectory depends on the reps after it.
 ``run_online``, ``run_batch`` and ``run_short`` call the engine with one
 seed or many, on one environment or a stack.  The delayed-start runners
 in ``meta`` decide each rep's hand-over and pass the engine their naive
@@ -45,7 +43,7 @@ import numpy as np
 
 from .core import BatchGrid, DimensionMismatchError, _mean_se, check_seed, derive_seed, make_grid
 from .environments import BernoulliEnv, LinearContextualEnv
-from .policies import BLOCK_REPS, rep_bincount
+from .policies import rep_bincount
 
 OPT_TOL = 1e-12
 
@@ -73,6 +71,10 @@ CHUNK = 256
 # itself, and at 2**12 cells the delayed starts peaked 0.1-0.35 MiB higher in
 # fresh processes, so 2**10 keeps them batch by batch (BENCH_32.json)
 AHEAD_CELLS = 1024
+
+# Batch ``j`` of a cell's policy stream starts at PCG64 word ``j * STRIDE``
+# (``advance``), so batches of fewer words never overlap
+STRIDE = 2**40
 
 
 @dataclass(eq=False)
@@ -242,24 +244,33 @@ def seed_list(seed) -> tuple[list, bool]:
     return [check_seed(s) for s in seed], False
 
 
-def block_streams(seeds, tag: str = "policy") -> list:
-    """One policy generator per block of ``BLOCK_REPS`` consecutive seeds,
-    seeded from ``tag`` and that block's own seeds only."""
-    return [
-        np.random.default_rng(derive_seed(tag, *seeds[lo : lo + BLOCK_REPS]))
-        for lo in range(0, len(seeds), BLOCK_REPS)
-    ]
+def policy_streams(policy, seeds, cells, tag: str = "policy"):
+    """The spans ``(generator, lo, hi)`` that ``policy`` draws reps
+    ``lo..hi-1`` of batch ``j`` from, as a function of ``j``: None if it
+    draws nothing; else one per cell of ``cells`` reps each, in seed order,
+    from ``derive_seed(tag, seeds[lo])``, set to its start and advanced ``j *
+    STRIDE`` words, or, if it is not ``adaptive``, one continuous per rep."""
+    if not policy.draws:
+        return lambda j: None
+    sizes = cells if policy.adaptive else [1] * len(seeds)
+    spans = [(np.random.default_rng(derive_seed(tag, seeds[hi - r])), hi - r, hi)
+             for r, hi in zip(sizes, np.cumsum(sizes).tolist()) if r]
+    if not policy.adaptive:
+        return lambda j: spans
+    starts = [gen.bit_generator.state for gen, _, _ in spans]
+
+    def at(j):
+        for (gen, _, _), start in zip(spans, starts):
+            gen.bit_generator.state = start
+            gen.bit_generator.advance(j * STRIDE)
+        return spans
+
+    return at
 
 
-def whole_blocks(reps: int, pads: bool = True) -> int:
-    """``reps`` rounded up to whole blocks of ``BLOCK_REPS`` if ``pads``."""
-    return -(-reps // BLOCK_REPS) * BLOCK_REPS if pads else reps
-
-
-def sim_seeds(pads: bool, reps: int, *key) -> list:
-    """Seeds ``derive_seed(*key, i)`` of the reps that a run simulates to
-    report ``reps``: whole blocks when it ``pads``."""
-    return [derive_seed(*key, i) for i in range(whole_blocks(reps, pads))]
+def sim_seeds(reps: int, *key) -> list:
+    """Seeds ``derive_seed(*key, i)`` of ``reps`` reps."""
+    return [derive_seed(*key, i) for i in range(reps)]
 
 
 def check_arms(policy, env) -> None:
@@ -294,16 +305,16 @@ def run_lockstep(
     Rep ``i`` owns ``default_rng(seeds[i])``.  On a Bernoulli environment
     it draws its reward uniforms one chunk at a time, ``random(w)`` for a
     chunk of ``w`` steps, the same stream as one ``random(n)`` call, and a
-    drawing policy draws from ``block_streams(seeds)``, per batch one draw
-    for each block that holds a rep it plays.  On a contextual environment
-    rep ``i`` draws only standard normals, one call per chunk: the stream of
-    a call per batch of its contexts, LinTS's normals and reward noise, so
-    such a run never pads.  So a rep's trajectory depends only on the seeds
-    of its block: it is the same in every call whose block of that rep
-    holds the same seeds.  A policy that is not ``adaptive`` ignores
-    feedback and gets none, and once every rep plays it, it plays the
-    remaining batches of each chunk in one ``act_reps(..., batches=...)``
-    call.
+    drawing policy draws from ``policy_streams``, a cell being the run or a
+    stacked env's reps: per batch one draw for each span holding a rep it
+    plays.  On a contextual environment rep ``i`` draws only standard
+    normals, one call per chunk: the stream of a call per batch of its
+    contexts, LinTS's normals and reward noise.  So a rep's trajectory is
+    the same in every call whose cell starts with the same seeds up to its
+    own, and equals its lone run unless TS plays it.  A policy that is not
+    ``adaptive`` ignores feedback and gets none, and once every rep plays
+    it, it plays the remaining batches of each chunk in one ``act_reps(...,
+    batches=...)`` call.
 
     The run walks the horizon in chunks of as many whole batches as fit in
     ``CHUNK`` steps, or of one batch, never of one step (a one-step tail
@@ -319,7 +330,7 @@ def run_lockstep(
     ``i`` plays its row of a plain run of ``naive``, a policy that ignores
     feedback, up to its hand-over step ``tau[i]`` (a batch boundary, or -1
     for none), and ``policy`` plays it from there with the rep's whole
-    history absorbed, drawing from ``block_streams(seeds, "candidate")``.
+    history absorbed, drawing from ``policy_streams`` on the tag "candidate".
     Two-phase runs use batch feedback on a finite-armed environment.  Once
     every rep has handed over, a policy with ``run_ahead_reps`` plays the
     batches all its leaders have held for two batches in one call per window
@@ -353,7 +364,7 @@ def run_lockstep(
         means = np.concatenate([np.tile(e.means, r) for e, r in stack])
         gaps = np.concatenate([np.tile(e.gap_vector(), r) for e, r in stack])
         tag = "policy" if prefix is None else "candidate"
-        streams = block_streams(seeds, tag) if policy.draws else None
+        draw_at = policy_streams(policy, seeds, [r for _, r in stack], tag)
     all_rows = np.arange(reps)
     if prefix is None:
         tau, start, last = np.full(reps, -1), 0, 0
@@ -368,7 +379,7 @@ def run_lockstep(
         until = np.where(tau < 0, n, tau)
         start, last = int(until.min(initial=n)), int(until.max(initial=0))
         naive_state = naive.init_reps(reps)
-        naive_streams = block_streams(seeds) if naive.draws else None
+        naive_spans = policy_streams(naive, seeds, ())(0)
     state = policy.init_reps(reps) if start < n else None
     # a policy that ignores feedback plays the batches after the last
     # hand-over a chunk at a time
@@ -417,7 +428,7 @@ def run_lockstep(
                 rng.random(out=row)
         q = min(last, c1) - c0
         if q > 0:
-            actions[:, :q] = naive.act_reps(naive_state, b, naive_streams, all_rows,
+            actions[:, :q] = naive.act_reps(naive_state, b, naive_spans, all_rows,
                                             batches=q // b)
         p = min(start, c1) - c0
         if p > 0:
@@ -427,6 +438,7 @@ def run_lockstep(
         j, stop = max(start, c0) // b, min(split, c1 // b)
         while j < stop:
             lo, hi = j * b - c0, (j + 1) * b - c0
+            spans = None if contextual else draw_at(j)
             j += 1
             if contextual:
                 ctx, batch = contexts[:, lo:hi], normals[:, lo // b]
@@ -438,7 +450,7 @@ def run_lockstep(
             else:
                 if ahead and c0 + lo >= last:
                     if lead is None:
-                        acts = policy.act_reps(state, b, streams, all_rows)
+                        acts = policy.act_reps(state, b, spans, all_rows)
                         lead = acts[:, 0]
                         held = held + 1 if lead.tobytes() == led else 0
                     else:
@@ -457,11 +469,11 @@ def run_lockstep(
                         continue
                     led, lead = lead.tobytes(), None
                 elif c0 + lo >= last:
-                    acts = policy.act_reps(state, b, streams, all_rows)
+                    acts = policy.act_reps(state, b, spans, all_rows)
                 else:
                     acts = actions[:, lo:hi].copy()
                     rows = np.flatnonzero(until <= c0 + lo)
-                    acts[rows] = policy.act_reps(state, b, streams, rows)
+                    acts[rows] = policy.act_reps(state, b, spans, rows)
                 rews = (uniforms[:, lo:hi] < means[acts + offsets]).astype(float)
             actions[:, lo:hi] = acts
             rewards[:, lo:hi] = rews
@@ -474,7 +486,7 @@ def run_lockstep(
             state = policy.update_reps(state, *feedback)
         lo = max(split * b, c0) - c0
         if lo < w:
-            acts = policy.act_reps(state, b, streams, all_rows, batches=(w - lo) // b)
+            acts = policy.act_reps(state, b, draw_at(split), all_rows, batches=(w - lo) // b)
             actions[:, lo:] = acts
             rewards[:, lo:] = uniforms[:, lo:] < means[acts + offsets]
         if not keep.reduced:

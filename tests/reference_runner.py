@@ -4,12 +4,13 @@ Written from the policies' definitions, one step at a time, with no numpy
 beyond the generators, the linear policies' ridge algebra, the linear
 model's contexts and means and the certification check: the engine and
 the replay evaluator must reproduce them bit for bit.  A finite-armed run's
-reps form blocks of ``BLOCK`` consecutive seeds.  Each rep draws its
-reward uniforms from ``default_rng(seed)``, one per step.  The policies
-draw from the block's generator,
-``default_rng(derive_seed("policy", *block_seeds))``: per batch, for every
-rep of the block in rep order, TS draws one Beta per step and arm, in
-step-then-arm order, and uniform play one ``integers(0, k)`` per step.
+reps form one cell.  Each rep draws its reward uniforms from
+``default_rng(seed)``, one per step.  Uniform play draws one ``integers(0,
+k)`` per step from the rep's own ``default_rng(derive_seed("policy",
+seed))``.  TS draws batch ``j`` from a fresh
+``default_rng(derive_seed("policy", seeds[0]))`` advanced ``j * STRIDE``
+draws: for every rep in rep order, one Beta per step and arm, in
+step-then-arm order.
 The linear policies keep dense ``k * p`` ridge statistics, in the
 disjoint model's block layout, and factor them afresh for every proposal,
 in runs and in replay.  Replay makes one proposal per logged record, in
@@ -25,15 +26,20 @@ import numpy as np
 from batchband.core import derive_seed
 from batchband.meta import check_phase
 
-BLOCK = 16
+STRIDE = 2**40
 
 
-def _blocks(seeds):
-    """(block generator, rep generators) of each block of ``seeds``."""
-    for lo in range(0, len(seeds), BLOCK):
-        block = seeds[lo : lo + BLOCK]
-        gen = np.random.default_rng(derive_seed("policy", *block))
-        yield gen, [np.random.default_rng(s) for s in block]
+def _batch_generator(seeds, j):
+    """TS's generator for batch ``j`` of the cell ``seeds``."""
+    gen = np.random.default_rng(derive_seed("policy", seeds[0]))
+    gen.bit_generator.advance(j * STRIDE)
+    return gen
+
+
+def _own_generators(seeds):
+    """Each rep's reward generator and its uniform play's generator."""
+    return ([np.random.default_rng(s) for s in seeds],
+            [np.random.default_rng(derive_seed("policy", s)) for s in seeds])
 
 
 def _ucb_arm(counts, sums, seen, c):
@@ -52,48 +58,46 @@ def _ts_arm(alpha, beta, rng):
 
 def reference_run(name, means, n, b, seeds, short=False, c=1.0, arm=0, switch_t=0):
     """[(actions, regret)] of each rep of a run over ``seeds``."""
-    k, best = len(means), max(means)
-    out = []
-    for gen, rngs in _blocks(seeds):
-        reps = len(rngs)
-        counts, sums = [[0] * k for _ in rngs], [[0.0] * k for _ in rngs]
-        alpha, beta = [[1.0] * k for _ in rngs], [[1.0] * k for _ in rngs]
-        totals = [0.0] * reps
-        runs = [([], []) for _ in rngs]
-        seen = 0
-        for _ in range(n // b):
-            batches = []
-            for r in range(reps):
-                if name == "ts":
-                    batch = [_ts_arm(alpha[r], beta[r], gen) for _ in range(b)]
-                elif name == "uniform":
-                    batch = [int(gen.integers(0, k)) for _ in range(b)]
+    k, best, reps = len(means), max(means), len(seeds)
+    rngs, own = _own_generators(seeds)
+    counts, sums = [[0] * k for _ in rngs], [[0.0] * k for _ in rngs]
+    alpha, beta = [[1.0] * k for _ in rngs], [[1.0] * k for _ in rngs]
+    totals = [0.0] * reps
+    runs = [([], []) for _ in rngs]
+    seen = 0
+    for j in range(n // b):
+        gen = _batch_generator(seeds, j) if name == "ts" else None
+        batches = []
+        for r in range(reps):
+            if name == "ts":
+                batch = [_ts_arm(alpha[r], beta[r], gen) for _ in range(b)]
+            elif name == "uniform":
+                batch = [int(own[r].integers(0, k)) for _ in range(b)]
+            else:
+                if name == "ucb":
+                    pick = _ucb_arm(counts[r], sums[r], seen, c)
+                elif name == "two_phase":
+                    good, bad = means.index(best), means.index(min(means))
+                    pick = good if seen + 1 <= switch_t else bad
                 else:
-                    if name == "ucb":
-                        pick = _ucb_arm(counts[r], sums[r], seen, c)
-                    elif name == "two_phase":
-                        good, bad = means.index(best), means.index(min(means))
-                        pick = good if seen + 1 <= switch_t else bad
-                    else:
-                        pick = arm
-                    batch = [pick] * b
-                batches.append(batch)
-            fed = 1 if short else b
-            for r, batch in enumerate(batches):
-                actions, regret = runs[r]
-                for i, (a, u) in enumerate(zip(batch, rngs[r].random(b))):
-                    reward = 1.0 if u < means[a] else 0.0
-                    totals[r] += best - means[a]
-                    actions.append(a)
-                    regret.append(totals[r])
-                    if i < fed:
-                        counts[r][a] += 1
-                        sums[r][a] += reward
-                        alpha[r][a] += reward
-                        beta[r][a] += 1.0 - reward
-            seen += fed
-        out.extend(runs)
-    return out
+                    pick = arm
+                batch = [pick] * b
+            batches.append(batch)
+        fed = 1 if short else b
+        for r, batch in enumerate(batches):
+            actions, regret = runs[r]
+            for i, (a, u) in enumerate(zip(batch, rngs[r].random(b))):
+                reward = 1.0 if u < means[a] else 0.0
+                totals[r] += best - means[a]
+                actions.append(a)
+                regret.append(totals[r])
+                if i < fed:
+                    counts[r][a] += 1
+                    sums[r][a] += reward
+                    alpha[r][a] += reward
+                    beta[r][a] += 1.0 - reward
+        seen += fed
+    return runs
 
 
 def reference_approx_delayed_start(means, n, b, seeds, delta, c=1.0):
@@ -117,33 +121,28 @@ def reference_two_phase(means, n, b, seeds, hands_over, c=1.0):
     Rep ``i`` plays uniformly until the first boundary ``t`` (0, b, ...,
     n) at which ``hands_over(i, t, counts, sums)`` holds on its history;
     from there UCB plays on the whole history.  ``tau`` is that ``t``, or
-    None when phase 1 never ends.  Phase 1 is a plain uniform run: per
-    batch the block draws uniform play for all its reps, whichever of them
-    have handed over."""
-    k = len(means)
-    out = []
-    for gen, rngs in _blocks(seeds):
-        reps, first = len(rngs), len(out)
-        counts, sums = [[0] * k for _ in rngs], [[0.0] * k for _ in rngs]
-        taus, runs = [None] * reps, [[] for _ in rngs]
-        for t in range(0, n + 1, b):
-            for r in range(reps):
-                if taus[r] is None and hands_over(first + r, t, counts[r], sums[r]):
-                    taus[r] = t
-            if t == n:
-                break
-            draws = [[int(gen.integers(0, k)) for _ in range(b)] for _ in rngs]
-            for r in range(reps):
-                if taus[r] is None:
-                    batch = draws[r]
-                else:
-                    batch = [_ucb_arm(counts[r], sums[r], t, c)] * b
-                for a, u in zip(batch, rngs[r].random(b)):
-                    runs[r].append(a)
-                    counts[r][a] += 1
-                    sums[r][a] += 1.0 if u < means[a] else 0.0
-        out.extend(zip(taus, runs))
-    return out
+    None when phase 1 never ends.  Phase 1 is a plain uniform run: each
+    rep draws its uniform play from its own generator."""
+    k, reps = len(means), len(seeds)
+    rngs, own = _own_generators(seeds)
+    counts, sums = [[0] * k for _ in rngs], [[0.0] * k for _ in rngs]
+    taus, runs = [None] * reps, [[] for _ in rngs]
+    for t in range(0, n + 1, b):
+        for r in range(reps):
+            if taus[r] is None and hands_over(r, t, counts[r], sums[r]):
+                taus[r] = t
+        if t == n:
+            break
+        for r in range(reps):
+            if taus[r] is None:
+                batch = [int(own[r].integers(0, k)) for _ in range(b)]
+            else:
+                batch = [_ucb_arm(counts[r], sums[r], t, c)] * b
+            for a, u in zip(batch, rngs[r].random(b)):
+                runs[r].append(a)
+                counts[r][a] += 1
+                sums[r][a] += 1.0 if u < means[a] else 0.0
+    return list(zip(taus, runs))
 
 
 def _ridge_arm(name, feats, V, z, rng, alpha):

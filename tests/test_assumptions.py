@@ -36,16 +36,16 @@ from batchband.specifications import Readings, run_online, sim_seeds
 
 
 def online_actions(policy, env, n, reps, *key):
-    """The first ``reps`` rows of the actions of one online run over ``n``
-    steps on the seeds ``sim_seeds(policy.draws, reps, *key)``."""
-    return run_online(policy, env, n, sim_seeds(policy.draws, reps, *key)).actions[:reps]
+    """The actions of one online run over ``n`` steps on the seeds
+    ``sim_seeds(reps, *key)``."""
+    return run_online(policy, env, n, sim_seeds(reps, *key)).actions
 
 
 def online_readings(policy, env, grid, reps, *key):
-    """Each of the first ``reps`` reps' regret at steps n and M of ``grid``,
-    read off one online run over n on ``sim_seeds(policy.draws, reps, *key)``."""
-    seeds, keep = sim_seeds(policy.draws, reps, *key), Readings(reps, 0, (grid.n - 1, grid.M - 1))
-    return run_online(policy, env, grid.n, seeds, keep=keep).regret[:reps].T
+    """Each rep's regret at steps n and M of ``grid``, read off one online
+    run over n on ``sim_seeds(reps, *key)``."""
+    seeds, keep = sim_seeds(reps, *key), Readings(reps, 0, (grid.n - 1, grid.M - 1))
+    return run_online(policy, env, grid.n, seeds, keep=keep).regret.T
 
 
 # ---------------------------------------------------------------- regret curve
@@ -115,7 +115,7 @@ def test_regret_curve_from_runs_equals_regret_curve():
                            reps=50, master_seed=4)
     cell = run_experiment(cfg).rows[0]
     seeds = [derive_seed(4, "env6|ucb|plain|300|1", i) for i in range(50)]
-    assert _cell_seeds(cfg, "env6", "ucb", 1, False) == seeds
+    assert _cell_seeds(cfg, "env6", "ucb", 1) == seeds
     mean, stderr = _mean_se(run_online(UcbPolicy(4), preset("env6"), 300, seeds).pseudo_regret)
     assert cell.reps == 50
     assert mean.tobytes() == cell.curve_mean.tobytes()
@@ -317,9 +317,9 @@ def test_negation_is_a_paired_test_on_one_online_run(policy):
     # the readings at steps n and M of one online run over n are the whole
     # run's regret there, and the statistic their paired differences' mean
     grid = make_grid(160, 8)
-    seeds = sim_seeds(policy.draws, 12, 3, "neg_n")
+    seeds = sim_seeds(12, 3, "neg_n")
     r_n, r_m = online_readings(policy, preset("env6"), grid, 12, 3, "neg_n")
-    regret = run_online(policy, preset("env6"), 160, seeds).pseudo_regret[:12]
+    regret = run_online(policy, preset("env6"), 160, seeds).pseudo_regret
     assert np.array_equal(r_n, regret[:, -1]) and np.array_equal(r_m, regret[:, grid.M - 1])
     rep = check_negated_sublinearity(r_n, r_m, 8)
     d, se = _mean_se(r_n - 8 * r_m)
@@ -468,15 +468,13 @@ def test_rule_trace_rejects_bad_args():
 
 @pytest.mark.parametrize("name", ["ucb", "ts", "two_phase"])
 def test_rule_trace_is_the_per_step_reference_action_frequency(name):
-    # the mean rule of step t is the arm frequency in column t of the kept
-    # reps of the per-step reference run, on seeds padded to whole blocks for
-    # a drawing policy
+    # the mean rule of step t is the arm frequency in column t of the reps
+    # of the per-step reference run
     env, n, reps, master = preset("env6"), 30, 20, 11
     policy = {"ucb": UcbPolicy(4), "ts": ThompsonBetaPolicy(4),
               "two_phase": TwoPhaseSwitchPolicy(4, good_arm=0, bad_arm=3, switch_t=15)}[name]
-    sim = 32 if name == "ts" else reps
-    seeds = [derive_seed(master, "trace", i) for i in range(sim)]
-    runs = reference_run(name, env.means.tolist(), n, 1, seeds, switch_t=15)[:reps]
+    seeds = [derive_seed(master, "trace", i) for i in range(reps)]
+    runs = reference_run(name, env.means.tolist(), n, 1, seeds, switch_t=15)
     rules = mean_rule_trace(policy, online_actions(policy, env, n, reps, master, "trace"))
     assert len(rules) == n
     for t, rule in enumerate(rules):

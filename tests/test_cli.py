@@ -361,7 +361,7 @@ class TestCheckBounds:
 
     @pytest.mark.parametrize("policy", ["ucb", "ts"])
     def test_bounds_are_the_cells_that_simulate_writes(self, tmp_path, policy):
-        # n=103 truncates to 100 at b=5, so M=20; 20 reps are not whole blocks
+        # n=103 truncates to 100 at b=5, so M=20
         run = ["--policy", policy, "--env", "env1", "--n", "103", "--reps", "20", "--seed", "9"]
         assert main(["check-bounds", *run, "--b", "5", "--out-dir", str(tmp_path / "b")]) == 0
         assert main(["simulate", *run, "--b", "1,5", "--out-dir", str(tmp_path / "s")]) == 0

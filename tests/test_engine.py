@@ -1,11 +1,12 @@
 """The lockstep run engine against a naive per-step reference and itself.
 
-Policies that draw nothing (ucb, fixed, two_phase, linucb) and LinTS, which
-draws from each rep's own generator, make every rep of a lockstep call
-equal its lone run.  TS and uniform play, and the uniform first phase of
-the delayed starts, draw from one stream per block of ``BLOCK_REPS`` reps,
-so for them a rep equals its row in any call that holds its whole block:
-a call over more reps, or over its block and the blocks after it.
+Policies that draw nothing (ucb, fixed, two_phase, linucb), LinTS, which
+draws from each rep's own generator, and uniform play, which draws from a
+generator of the rep's own too, make every rep of a lockstep call equal its
+lone run; so does the uniform first phase of the delayed starts.  TS draws
+from one stream per cell, set to a position of its own for each batch, so
+for TS a rep equals its row in any call whose cell starts with the same
+seeds up to that rep's.
 """
 
 import numpy as np
@@ -29,7 +30,6 @@ from batchband.policies import (
     UniformPolicy,
 )
 from batchband.specifications import (
-    BLOCK_REPS,
     Chunk,
     Curves,
     Keep,
@@ -75,10 +75,10 @@ LONE_ENVS = ("env1", "env3", "env6", "0.5,0.5,0.2")
                                     ("lone_short", 3), ("lone_short", 10)])
 @pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "fixed", "two_phase", "ucb_c0"])
 def test_engine_matches_naive_reference(name, spec, b):
-    # a whole block and a short one, and a lone run: one rep from a
-    # never-pulled start over 2000 steps, on a tied best pair too
+    # a cell of 20 reps, and a lone run: one rep from a never-pulled start
+    # over 2000 steps, on a tied best pair too
     lone = spec.startswith("lone")
-    reps, n, envs = (1, LONE_N, LONE_ENVS) if lone else (BLOCK_REPS + 4, N, ("env1", "env6"))
+    reps, n, envs = (1, LONE_N, LONE_ENVS) if lone else (20, N, ("env1", "env6"))
     ref_name, c = ("ucb", 0.0) if name == "ucb_c0" else (name, 1.0)
     for env_name in envs:
         env = parse_env(env_name)
@@ -93,18 +93,16 @@ def test_engine_matches_naive_reference(name, spec, b):
 
 @pytest.mark.parametrize("name", ["ucb", "ts", "uniform"])
 def test_rep_i_of_a_lockstep_call_equals_its_lone_run(name):
-    # for ts and uniform, "lone" is the rep's row in a call over all 64 seeds
+    # for ts, "lone" is the rep's row in a call over all 64 seeds
     env = preset("env6")
     grid = make_grid(60, 4)
     seeds = [derive_seed(11, "prefix", i) for i in range(64)]
-    if name == "ucb":
-        lone = [run_batch(make(name, env), env, grid, s) for s in seeds]
-        counts = (1, 7, 64)
-    else:
+    if name == "ts":
         full = run_batch(make(name, env), env, grid, seeds)
         lone = [full.record(i) for i in range(64)]
-        counts = (16, 32, 48)
-    for reps in counts:
+    else:
+        lone = [run_batch(make(name, env), env, grid, s) for s in seeds]
+    for reps in (1, 7, 17, 64):
         run = run_batch(make(name, env), env, grid, seeds[:reps])
         assert len(run.seeds) == reps
         for i in range(reps):
@@ -221,7 +219,7 @@ def test_online_run_over_m_steps_is_the_prefix_of_the_run_over_n(name, env_name)
     # no policy reads its horizon, so the sandwich check and the b-fold
     # reversal read R_M(online) off the online run over n at step M
     env = preset(env_name)
-    seeds = [derive_seed(23, "horizon", env_name, i) for i in range(2 * BLOCK_REPS + 5)]
+    seeds = [derive_seed(23, "horizon", env_name, i) for i in range(37)]
     full = run_online(make(name, env), env, N, seeds)
     for m in (1, 7, SWITCH_T - 1, SWITCH_T + 1, N - 1):
         run = run_online(make(name, env), env, m, seeds)
@@ -233,11 +231,11 @@ def test_online_run_over_m_steps_is_the_prefix_of_the_run_over_n(name, env_name)
 @given(
     name=st.sampled_from(["ucb", "ts", "uniform", "linucb", "lints"]),
     reps=st.integers(1, 12),
-    blocks=st.integers(1, 2),
+    more=st.integers(1, 20),
     b=st.sampled_from([1, 2, 5]),
     master=st.integers(0, 2**32 - 1),
 )
-def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, blocks, b, master):
+def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, more, b, master):
     if name in ("linucb", "lints"):
         env = make_linear_env(3, 2, seed=master % 7)
         policy = (LinUcbPolicy if name == "linucb" else LinTsPolicy)(3, 2)
@@ -247,34 +245,27 @@ def test_rep_i_of_any_lockstep_call_equals_its_lone_run(name, reps, blocks, b, m
         policy = make(name, env)
         fields = ("actions", "pseudo_regret", "optimal_hits", "pull_counts")
     grid = make_grid(30, b)
-    if name not in ("ts", "uniform"):
-        seeds = [derive_seed(master, "lockstep", i) for i in range(reps)]
-        run = run_batch(policy, env, grid, seeds)
-        for i, seed in enumerate(seeds):
-            lone = run_batch(policy, env, grid, [seed])
-            for field in fields:
-                assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
+    seeds = [derive_seed(master, "lockstep", i) for i in range(reps + more)]
+    run = run_batch(policy, env, grid, seeds[:reps])
+    if name == "ts":
+        # a cell stream: the first reps of a call over more reps
+        longer = run_batch(policy, env, grid, seeds)
+        for field in fields:
+            assert np.array_equal(getattr(run, field), getattr(longer, field)[:reps])
         return
-    # block streams: ``blocks`` whole blocks, then ``reps`` more reps; the
-    # whole blocks alone, and the blocks after the first alone, give the
-    # same rows as the longer call
-    whole = blocks * BLOCK_REPS
-    seeds = [derive_seed(master, "lockstep", i) for i in range(whole + reps)]
-    run = run_batch(policy, env, grid, seeds)
-    head = run_batch(policy, env, grid, seeds[:whole])
-    tail = run_batch(policy, env, grid, seeds[BLOCK_REPS:])
-    for field in fields:
-        assert np.array_equal(getattr(head, field), getattr(run, field)[:whole])
-        assert np.array_equal(getattr(tail, field), getattr(run, field)[BLOCK_REPS:])
+    for i, seed in enumerate(seeds[:reps]):
+        lone = run_batch(policy, env, grid, [seed])
+        for field in fields:
+            assert np.array_equal(getattr(run, field)[i], getattr(lone, field)[0])
 
 
 @pytest.mark.parametrize("b", [1, 4])
 @pytest.mark.parametrize("env_names", [("env1", "env2", "env3"), ("env4", "env5", "env6")])
 @pytest.mark.parametrize("name", ["ucb", "ts", "uniform", "fixed", "two_phase"])
 def test_a_stack_of_envs_equals_lone_env_runs(name, env_names, b):
-    # whole blocks per env, so a drawing policy's blocks hold one env's reps
+    # each env's reps are a cell of their own, whatever their count
     envs = [preset(e) for e in env_names]
-    sizes = (BLOCK_REPS, 2 * BLOCK_REPS, BLOCK_REPS)
+    sizes = (5, 17, 10)
     grid = make_grid(N, b)
     policy = make(name, envs[0])
     seeds = [derive_seed(29, "stack", name, b, i) for i in range(sum(sizes))]
@@ -340,11 +331,12 @@ def test_a_run_over_no_seeds_holds_no_reps(name):
 @pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
 def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
     # env3 at b=10: some reps certify early, some late, some never.  The
-    # uniform first phase draws from block streams, so "lone" is the rep's
-    # row in a call over its whole block and more reps.
+    # uniform first phase and a uniform candidate draw from each rep's own
+    # streams, so every rep equals its lone run; a ts candidate draws from a
+    # cell stream, so for it "lone" is the rep's row in a call over more reps.
     env = preset("env3")
     grid = make_grid(600, 10)
-    seeds = [derive_seed(5, "meta", i) for i in range(BLOCK_REPS + 8)]
+    seeds = [derive_seed(5, "meta", i) for i in range(24)]
 
     def both(seeds):
         return [
@@ -353,8 +345,11 @@ def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
                               env, grid, seeds),
         ]
 
-    runs = both(seeds[:BLOCK_REPS])
-    lone = [[run.record(i) for i in range(BLOCK_REPS)] for run in both(seeds)]
+    runs = both(seeds[:16])
+    if candidate.name == "ts":
+        lone = [[run.record(i) for i in range(16)] for run in both(seeds)]
+    else:
+        lone = list(zip(*(both(seed) for seed in seeds[:16])))
     taus = {p.tau_hat for p in runs[0].phases}
     assert None in taus and len(taus) > 2
     for run, recs in zip(runs, lone):
@@ -368,15 +363,65 @@ def test_delayed_starts_in_lockstep_equal_lone_runs(candidate):
                 assert (x is None and y is None) or np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
-def test_delayed_starts_play_a_plain_uniform_run_before_the_hand_over(candidate):
-    # phase 1 is a plain run of the naive policy on the block streams, and
-    # the candidate draws from streams of its own, so up to its hand-over
-    # (all n steps when it never hands over) each rep plays its row of the
-    # plain uniform run, however many reps of its block have handed over
+@pytest.mark.parametrize("kind", ["ts", "uniform", "delayed_start", "approx_delayed_start"])
+def test_growing_reps_leaves_the_first_reps_unchanged(kind):
+    # plain ts and uniform runs, and both delayed starts of a ts candidate,
+    # whose reps hand over at different boundaries on env3
     env = preset("env3")
     grid = make_grid(600, 10)
-    seeds = [derive_seed(5, "meta", i) for i in range(BLOCK_REPS + 8)]
+    seeds = [derive_seed(43, "grow", i) for i in range(40)]
+
+    def run(reps):
+        if kind == "delayed_start":
+            return delayed_start_run(ThompsonBetaPolicy(2), UniformPolicy(2),
+                                     MonotoneBound(env.means), env, grid, seeds[:reps])
+        if kind == "approx_delayed_start":
+            return approx_delayed_start_run(ThompsonBetaPolicy(2), env, grid, 0.01, seeds[:reps])
+        return run_batch(make(kind, env), env, grid, seeds[:reps])
+
+    first = run(10)
+    for reps in (17, 40):
+        more = run(reps)
+        for field in ("actions", "rewards", "pseudo_regret", "optimal_hits", "pull_counts", "tau"):
+            assert np.array_equal(getattr(more, field)[:10], getattr(first, field))
+
+
+class CountingBeta:
+    """A generator that counts its ``beta`` calls."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def beta(self, *args, **kwargs):
+        self.calls.append(kwargs["size"][0])
+        return self.rng.beta(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("sizes", [(40,), (25, 15)])
+def test_ts_draws_once_per_cell_and_batch(monkeypatch, sizes):
+    # one Beta call per cell and batch, each for all the cell's reps
+    envs = [preset("env1"), preset("env2")][: len(sizes)]
+    seeds = [derive_seed(47, "beta", i) for i in range(sum(sizes))]
+    calls, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: CountingBeta(default_rng(seed), calls))
+    env = tuple(zip(envs, sizes)) if len(sizes) > 1 else envs[0]
+    run_batch(ThompsonBetaPolicy(2), env, make_grid(60, 4), seeds)
+    assert calls == list(sizes) * 15
+
+
+@pytest.mark.parametrize("candidate", [UcbPolicy(2), ThompsonBetaPolicy(2), UniformPolicy(2)])
+def test_delayed_starts_play_a_plain_uniform_run_before_the_hand_over(candidate):
+    # phase 1 is a plain run of the naive policy on its streams, and the
+    # candidate draws from streams of its own, so up to its hand-over (all n
+    # steps when it never hands over) each rep plays its row of the plain
+    # uniform run, however many other reps have handed over
+    env = preset("env3")
+    grid = make_grid(600, 10)
+    seeds = [derive_seed(5, "meta", i) for i in range(24)]
     plain = run_batch(UniformPolicy(2), env, grid, seeds)
     runs = [
         approx_delayed_start_run(candidate, env, grid, 0.01, seeds),
@@ -406,11 +451,15 @@ class Adaptive:
 @pytest.mark.parametrize("b", [1, 3, 10])
 @pytest.mark.parametrize("env_name", ["env3", "env6"])
 @pytest.mark.parametrize("name", ["uniform", "fixed"])
-def test_one_call_for_non_adaptive_play_equals_per_batch_play(name, env_name, b):
+def test_one_call_for_non_adaptive_play_equals_per_batch_play(monkeypatch, name, env_name, b):
     # at n=2000 every env3 rep certifies, at its own boundary, so the
     # certified start steps batch by batch up to the last hand-over and
     # plays the rest in one call; the oracle start hands over at one common
-    # boundary on both envs
+    # boundary on both envs.  Asked batch by batch, the policy draws from
+    # the streams of its own layout.
+    streams = specifications.policy_streams
+    monkeypatch.setattr(specifications, "policy_streams",
+                        lambda policy, *args: streams(getattr(policy, "policy", policy), *args))
     env = preset(env_name)
     grid = make_grid(2000, b)
     seeds = [derive_seed(17, name, env_name, b, i) for i in range(24)]
@@ -459,7 +508,7 @@ def test_plain_uniform_run_asks_the_policy_once(monkeypatch, M):
 
     monkeypatch.setattr(UniformPolicy, "act_reps", spy)
     env = preset("env6")
-    seeds = [derive_seed(19, "spy", i) for i in range(2 * BLOCK_REPS + 3)]
+    seeds = [derive_seed(19, "spy", i) for i in range(35)]
     run_batch(UniformPolicy(env.k), env, make_grid(3 * M, 3), seeds)
     assert calls == [M]
 
@@ -471,7 +520,7 @@ def test_approx_delayed_start_matches_naive_reference(env_name, b):
     # certification sees every rep, a subset, and reps not yet ready
     env = preset(env_name)
     grid = make_grid(600, b)
-    seeds = [derive_seed(9, "approx", env_name, b, i) for i in range(BLOCK_REPS + 2)]
+    seeds = [derive_seed(9, "approx", env_name, b, i) for i in range(18)]
     run = approx_delayed_start_run(UcbPolicy(env.k), env, grid, 0.05, seeds)
     ref = reference_approx_delayed_start(env.means.tolist(), grid.n, b, seeds, 0.05)
     for i, (tau, actions) in enumerate(ref):
@@ -487,7 +536,7 @@ def test_approx_delayed_start_matches_naive_reference(env_name, b):
 
 
 @pytest.mark.parametrize("budget", [None, 5])
-@pytest.mark.parametrize("reps", [1, 2 * BLOCK_REPS + 3])
+@pytest.mark.parametrize("reps", [1, 35])
 @pytest.mark.parametrize("b", [1, 3, 10])
 @pytest.mark.parametrize("env_name", ["env3", "0.9,0.3,0.2,0.1"])
 def test_two_phase_ucb_runs_ahead_as_the_reference_plays(monkeypatch, env_name, b, reps, budget):
@@ -496,7 +545,7 @@ def test_two_phase_ucb_runs_ahead_as_the_reference_plays(monkeypatch, env_name, 
     # UCB runs ahead over get cut; a budget of 5 batches per window binds
     env = parse_env(env_name)
     grid = make_grid(1000, b)
-    seeds = [derive_seed(33, "ahead", env_name, b, i) for i in range(reps)]
+    seeds = [derive_seed(35, "ahead", env_name, b, i) for i in range(reps)]
     taus = [b * (5 * i % (grid.M // 4) + 1) for i in range(reps)]
     if budget:
         monkeypatch.setattr(specifications, "AHEAD_CELLS", budget * reps)
@@ -600,11 +649,11 @@ def test_a_run_in_chunks_keeps_what_the_whole_run_reduces_to(monkeypatch, name, 
 @pytest.mark.parametrize("chunk", [2, 3, 16])
 def test_a_stack_in_chunks_keeps_what_the_whole_stack_reduces_to(monkeypatch, chunk):
     envs = (preset("env4"), preset("env5"), preset("env6"))
-    sizes = (BLOCK_REPS, 2 * BLOCK_REPS, BLOCK_REPS)
+    sizes = (7, 20, 13)
     stack = tuple(zip(envs, sizes))
     seeds = [derive_seed(41, "stack", i) for i in range(sum(sizes))]
-    groups = [(0, 10), (BLOCK_REPS, BLOCK_REPS + 20), (3 * BLOCK_REPS, 4 * BLOCK_REPS)]
-    for name in ("ucb", "ts"):
+    groups = [(0, 5), (7, 27), (27, 40)]
+    for name in ("ucb", "ts", "uniform"):
         policy = make(name, envs[0])
 
         def run(keep, policy=policy):
@@ -623,7 +672,7 @@ def test_two_phase_runs_in_chunks_keep_what_the_whole_runs_reduce_to(monkeypatch
     # in the one-call tail of each chunk
     env = preset("env3")
     grid = make_grid(600, b)
-    seeds = [derive_seed(5, "meta", i) for i in range(BLOCK_REPS + 8)]
+    seeds = [derive_seed(5, "meta", i) for i in range(24)]
     whole = approx_delayed_start_run(candidate, env, grid, 0.01, seeds)
     assert len({p.tau_hat for p in whole.phases}) > 2
 
@@ -631,7 +680,7 @@ def test_two_phase_runs_in_chunks_keep_what_the_whole_runs_reduce_to(monkeypatch
         return at_chunk(monkeypatch, chunk, lambda: run_lockstep(
             candidate, env, grid, seeds, prefix=(UniformPolicy(2), whole.tau), keep=keep))
 
-    assert_keeps_reduce_the_whole_run(run, whole, [(0, BLOCK_REPS), (BLOCK_REPS, len(seeds))],
+    assert_keeps_reduce_the_whole_run(run, whole, [(0, 10), (10, len(seeds))],
                                       (599, 299, 0))
 
 
@@ -661,7 +710,7 @@ def test_a_reduced_uniform_run_asks_the_policy_once_per_chunk(monkeypatch, chunk
 
     monkeypatch.setattr(UniformPolicy, "act_reps", spy)
     env = preset("env6")
-    seeds = [derive_seed(19, "spy", i) for i in range(2 * BLOCK_REPS + 3)]
+    seeds = [derive_seed(19, "spy", i) for i in range(35)]
     at_chunk(monkeypatch, chunk,
              lambda: run_batch(UniformPolicy(env.k), env, make_grid(600, 3), seeds,
                                  keep=Curves([(0, 1)])))

@@ -1,6 +1,6 @@
 """Pinned output bytes and exit codes of small CLI runs.
 
-Every generator, each rep's own and each block's policy stream, is
+Every generator, each rep's own and each cell's policy stream, is
 consumed in a fixed order (README, "Seed contract"), whatever the engine
 does to run reps together, so these bytes may change only with a
 deliberate change of the random streams or of a reduction, which must say
@@ -38,34 +38,34 @@ CASES = {
         ["simulate", "--env", "env1,env6", "--policy", "ucb,ts,uniform,two_phase",
          "--n", "120", "--b", "1,3,8", "--reps", "6", "--seed", "5", "--plot", *SIM],
         0,
-        {"results.csv": "192b25bc8712c5f8fb71a1a8ff632ffdd9f5e07d32411967c6f4ca52462ad8db",
-         "curves.csv": "2743a6385c7a405a454a1177aa96965fe996d7b1a68d664999cf0815a844fe5b",
-         "plot.svg": "b6abaea8dc9e2ad7865d22d9bfc26b9d32ece4bea96ff450411ebaaf738378d8"},
+        {"results.csv": "a86989ec33e20b5b309412ff2abb7c42f1d08a88598bd24b652b54d2a5861044",
+         "curves.csv": "201a83f538d78cc369dc78dd0afa4f6ffaf404ed7830c4d9390c9dfaa0c1a8cb",
+         "plot.svg": "8b9aeead2fce11b7ecf3ceb21f061de0dc12fe583e76ace8e41110329609d7bb"},
     ),
     "delayed_start": (
         ["simulate", "--mode", "delayed_start", *DELAYED],
         0,
-        {"results.csv": "f2abf2f2aa34fe5a30238191fc0529a59dc0d0dbd97ae8666ebaad9006b04d3c",
-         "curves.csv": "14c728edeb507352223f197e1cd5fee8f9ab87e384db85045132ecffcb2fe3d3"},
+        {"results.csv": "c0d7d431543217b0a5b2ac031614bef1db79f5d5346d7adc4f87697312431a9f",
+         "curves.csv": "16a9be19e33b7dad362c456381131a1ca7aa057e21e9ce85b0711bf16bd619ab"},
     ),
     "approx_delayed_start": (
         ["simulate", "--mode", "approx_delayed_start", *DELAYED],
         0,
-        {"results.csv": "3da3b37246bc1c3f3526e63eac6ae0544644172130a365b56afab248c0181310",
-         "curves.csv": "21cd2180838b7ca6b736ea9557b6741f542c58f9fb66d2a7aa9523388b5b1b05"},
+        {"results.csv": "b51962cda6e364c6cf33684d7e37688318d4d3c5e173fea7d7e00ed4416f895b",
+         "curves.csv": "79995a5166e8a19d4b27f8760ee0d77624962190af6329568597f1ac4cbb5f01"},
     ),
     # an inline env's label holds a comma, so the csv module quotes it
     "quoted_label": (
         ["simulate", "--env", "0.7,0.5;env3", "--policy", "ucb,ts", "--n", "60",
          "--b", "1,4", "--reps", "5", "--seed", "2", *SIM],
         0,
-        {"results.csv": "1782591169cd6acd031cf80bbd766177210e7dc5b48b948d9610a7855eeeaaee",
-         "curves.csv": "b8f67ac1a22ea12c26fe9e31f53c12968eaf06b3a43c0addce0a92de17bb9a3d"},
+        {"results.csv": "7e9251c13814de5198d09a60a57dd09c137227f8b5da3b40cdf0243c561584d7",
+         "curves.csv": "a2d074288ac55e878c9e365c9d81cee5ddd2a1e72ccc41989ad79b0d1f97aeb7"},
     ),
 }
 BOUNDS = {
     "ucb": "ce0dfda3680c7df97808dcd8e294e9a10378c69472b2db9914279e6cc70cb47c",
-    "ts": "ecc0f831400ffe030d33b83a50f5c2cd0c6fa79c50e37cda1001abd708ece7e6",
+    "ts": "3f6fffd40da30976dc6ca5b69b394e21024b95ed4e1948f6d18754610b21740a",
 }
 for _policy, _digest in BOUNDS.items():
     for _threads in ("1", "2"):
@@ -79,8 +79,8 @@ for _policy, _digest in BOUNDS.items():
 # b-fold reversal, all read off one run, and the informativeness probe
 ASSUMPTIONS = {
     "ucb": (0, "a1913940c187adb21877bae237f1303b2e65b996a240e76bfd33a16a3bd0ea44"),
-    "ts": (1, "a45264867ba07d6ee2696a2d806330fa6088de16d6838859dc102e5dfa09cbb3"),
-    "uniform": (0, "9269bf3cf5a6aee4768f62d178db69825b9bbe9a656e05f59d8b66616357e671"),
+    "ts": (1, "522df9255964dd64e975bb24e64957c22b4e4fccada1b3eca74fdbab61fd14e7"),
+    "uniform": (0, "850dc1788722b40b8dcc44bd8da24874155e41e6f63580458faf794d7106f0e7"),
     "two_phase": (1, "a201d85060755196743cc158a9da8fa23b1a77e89c4696eae4756a399c4a4e21"),
 }
 for _policy, (_code, _digest) in ASSUMPTIONS.items():
@@ -162,8 +162,8 @@ def test_contextual_library_runs_are_pinned(name):
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = {
     "assumption_audit": "14590e6a85e463918c753fed489ee848ef869a2d3f7d3d328a538e4664aa337a",
-    "batch_effect": "d053f9253706810b812b14d5aea72dd643c45cf7ba39e2e4e72f13d13839ca3d",
-    "delayed_start": "216defecee31d0f04deba7c9dbd5df9814f652c8f2f4f61ce6a0f6d2b0e9cbf5",
+    "batch_effect": "d304e370aca49a285bf549d18226f9ca75717f6747ce4c03949845a877fcb107",
+    "delayed_start": "9a3200e4e87f4888b60979f1280e8bc4dc26521c347ea71b4c7989289f50d8fa",
     "offline_replay": "54bb547fb35d12e8abfed125f3f4168667ff180030df7838fe59e98389552ecd",
     "theorem_sandwich": "a87615e9b97eebd645d19b6c353c9fdad7a03c030db97e8be4a8031709fd67ae",
 }

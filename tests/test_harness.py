@@ -28,7 +28,7 @@ from batchband.harness import (
     run_experiment,
 )
 from batchband.policies import UcbPolicy
-from batchband.specifications import run_batch, run_online, whole_blocks
+from batchband.specifications import run_batch, run_online
 
 
 def small_config(**overrides):
@@ -197,7 +197,7 @@ class TestRunExperiment:
     def test_stacked_cells_equal_one_env_runs(self, monkeypatch, reps):
         # at reps=100 a call holds two cells' rep-steps, so the four 2-armed envs split
         if reps == 100:
-            monkeypatch.setattr(harness, "STACK_STEPS", 2 * whole_blocks(reps) * 40)
+            monkeypatch.setattr(harness, "STACK_STEPS", 2 * reps * 40)
         envs = ("env1", "env2", "env3", "env4", "0.6,0.4")
         cfg = small_config(envs=envs, policies=("ucb", "ts", "uniform", "two_phase"), reps=reps)
         lone = [r for e in envs for r in run_experiment(replace(cfg, envs=(e,))).rows]
@@ -277,7 +277,7 @@ class TestRunExperiment:
         env = preset("env1")
         grid = make_grid(cfg4.n, 4)
         rep3 = run_batch(
-            UcbPolicy(2), env, grid, _cell_seeds(cfg4, "env1", "ucb", 4, False)[3]
+            UcbPolicy(2), env, grid, _cell_seeds(cfg4, "env1", "ucb", 4)[3]
         ).pseudo_regret[-1]
         recovered = t4.rows[0].mean_final * 4 - rep3
         assert recovered / 3 == pytest.approx(t3.rows[0].mean_final, abs=1e-9)
@@ -291,10 +291,7 @@ class TestRunExperiment:
         self, mode, key
     ):
         cfg = small_config(mode=mode, delta=0.05, bound_from="oracle")
-        assert _cell_seeds(cfg, "env1", "ucb", 4, False) == [
-            derive_seed(7, key, i) for i in range(3)]
-        assert _cell_seeds(cfg, "env1", "ucb", 4, True) == [
-            derive_seed(7, key, i) for i in range(whole_blocks(3))]
+        assert _cell_seeds(cfg, "env1", "ucb", 4) == [derive_seed(7, key, i) for i in range(3)]
 
     def test_regret_decomposition_matches_pull_counts(self):
         cfg = small_config(envs=("env4",), policies=("ucb", "ts"),
@@ -457,7 +454,7 @@ class TestCheckTheoremBounds:
     def test_a_check_runs_two_cells_and_reads_r_m_at_step_m(self, monkeypatch, name):
         runs = []
         monkeypatch.setattr(harness, "run_batch", _recording(harness.run_batch, runs))
-        # n=63 truncates to 60 at b=5, so M=12; 7 reps are not a whole block
+        # n=63 truncates to 60 at b=5, so M=12
         report = check_theorem_bounds(name, "env1", n=63, b=5, reps=7, master_seed=3)
         # one engine call per cell: the b=1 cell over n, the b cell over its grid
         assert [(args[2].b, args[2].n) for _, args, _, _ in runs] == [(1, 63), (5, 60)]
@@ -468,8 +465,8 @@ class TestCheckTheoremBounds:
         assert [report.se_online, report.se_m, report.se_batch] == [
             online.stderr[0][59], online.stderr[0][11], batch.stderr[0][-1]]
         # the whole runs on the same arguments hold the same values there
-        whole_online = run_batch(*on_args).pseudo_regret[:7]
-        whole_batch = run_batch(*b_args).pseudo_regret[:7]
+        whole_online = run_batch(*on_args).pseudo_regret
+        whole_batch = run_batch(*b_args).pseudo_regret
         means, ses = _mean_se(np.column_stack(
             [whole_online[:, 59], whole_online[:, 11], whole_batch[:, -1]]))
         assert [report.mean_online, report.mean_m, report.mean_batch] == means.tolist()
@@ -705,9 +702,9 @@ def _bound_outputs(report):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_outputs_do_not_depend_on_threads(policy, mode, reps, seed):
-    # every example starts pools; rep counts that are not whole blocks make
-    # the last chunk pad its block
-    # at one thread env1 and env2 stack in plain mode, env4 has more arms
+    # every example starts pools, at rep counts that are not multiples of
+    # 16, the block an earlier seed layout padded to; at one thread env1 and
+    # env2 stack in plain mode, env4 has more arms
     cfg = small_config(envs=("env1", "env2", "env4"), policies=(policy, "ucb"), mode=mode,
                        reps=reps, master_seed=seed)
     tables = [_table_outputs(run_experiment(cfg, threads=t)) for t in (1, 2, 3)]
@@ -796,7 +793,7 @@ def test_delayed_start_csvs_do_not_depend_on_the_check_budget(tmp_path, monkeypa
 def env3_ucb_cell(mode, n=20_000, b=10, reps=16):
     """The ``_run_cell`` group of one env3 ucb cell of ``mode``."""
     cfg = small_config(envs=("env3",), n=n, batch_sizes=(b,), reps=reps, mode=mode)
-    return (cfg, "ucb", b, UcbPolicy(2), True, ["env3"])
+    return (cfg, "ucb", b, UcbPolicy(2), ["env3"])
 
 
 @pytest.mark.parametrize("mode", MODES)

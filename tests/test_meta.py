@@ -19,7 +19,7 @@ from batchband.meta import (
     delayed_start_run,
     pessimistic_instance,
 )
-from batchband.specifications import BLOCK_REPS, run_batch
+from batchband.specifications import run_batch
 
 ENV3 = np.array([0.7, 0.1])
 
@@ -421,7 +421,7 @@ def scan_certification(actions, rewards, b, k, delta, truth=None):
     at=st.integers(0, 3),
     b=st.sampled_from([1, 3, 10]),
     n=st.sampled_from([60, 600]),
-    reps=st.integers(1, BLOCK_REPS + 4).filter(lambda r: r % BLOCK_REPS),
+    reps=st.integers(1, 20),
     delta=st.sampled_from([1e-5, 0.01, 0.3]),
     bound_from=st.sampled_from(["instance", "oracle"]),
     master=st.integers(0, 2**32 - 1),
@@ -473,7 +473,7 @@ def test_certification_in_chunks_matches_scalar_checks_per_boundary(monkeypatch,
     monkeypatch.setattr(meta, "check_phase", spy)
     env = preset("env3")
     grid = make_grid(600, b)
-    seeds = [derive_seed(3, "certify", i) for i in range(BLOCK_REPS + 3)]
+    seeds = [derive_seed(3, "certify", i) for i in range(19)]
     run = approx_delayed_start_run(UcbPolicy(2), env, grid, 0.01, seeds)
     phase1 = run_batch(UniformPolicy(2), env, grid, seeds)
     ref = scan_certification(phase1.actions, phase1.rewards, b, 2, 0.01)
@@ -524,7 +524,7 @@ def test_the_certification_run_ends_at_the_check_that_closes_the_last_rep(monkey
     monkeypatch.setattr(meta._Certify, "add", add_spy)
     monkeypatch.setattr(meta, "check_phase", check_spy)
     env, grid = preset("env3"), make_grid(2000, 1)
-    seeds = [derive_seed(7, "last hand-over", i) for i in range(BLOCK_REPS)]
+    seeds = [derive_seed(7, "last hand-over", i) for i in range(16)]
     run = approx_delayed_start_run(UcbPolicy(2), env, grid, 0.01, seeds)
     # the hand-overs are those of a uniform run over the whole horizon
     phase1 = run_batch(UniformPolicy(2), env, grid, seeds)
@@ -549,7 +549,7 @@ def test_a_certified_ucb_cell_asks_the_candidate_far_less_often_than_once_per_ba
             return real(self, *args)
 
         monkeypatch.setattr(UcbPolicy, name, spy)
-    config = ExperimentConfig(n=2000, reps=BLOCK_REPS, master_seed=1, mode="delayed_start",
+    config = ExperimentConfig(n=2000, reps=16, master_seed=1, mode="delayed_start",
                               envs=("env1",), policies=("ucb",), batch_sizes=(1,))
     row = run_experiment(config).rows[0]
     assert (row.tau_mean, row.tau_none) == (656, 0)

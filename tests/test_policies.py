@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from batchband.environments import block_features
 from batchband.policies import (
-    BLOCK_REPS,
     FixedArmPolicy,
     LinTsPolicy,
     LinUcbPolicy,
@@ -36,9 +35,9 @@ def fed(pol, pairs, states=None):
 
 def act(pol, states, b=1, seed=0, contexts=None):
     """The lone rep's ``b`` actions, from a fresh generator."""
-    rngs = [np.random.default_rng(seed)]
+    rng = np.random.default_rng(seed)
     extra = () if contexts is None else (contexts[None],)
-    return pol.act_reps(states, b, rngs, ONE, *extra, **lints_noise(pol, b, rngs))[0]
+    return pol.act_reps(states, b, [(rng, 0, 1)], ONE, *extra, **lints_noise(pol, b, [rng]))[0]
 
 
 def lints_noise(pol, b, rngs):
@@ -90,13 +89,13 @@ def test_ucb_rule_pure_function_of_state():
     # generator draws (within-batch stasis)
     pol = UcbPolicy(2)
     st = fed(pol, [(0, 1.0), (1, 1.0), (0, 0.0)])
-    rngs = [np.random.default_rng(s) for s in range(3)]
-    before = [g.bit_generator.state for g in rngs]
-    acts = pol.act_reps(st, 16, rngs, ONE)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    acts = pol.act_reps(st, 16, [(rng, 0, 1)], ONE)
     assert not pol.draws
     assert len(set(acts[0].tolist())) == 1
     assert {int(act(pol, st, seed=s)[0]) for s in range(3)} == set(acts[0].tolist())
-    assert [g.bit_generator.state for g in rngs] == before
+    assert rng.bit_generator.state == before
 
 
 def test_ucb_exploration_constant_zero_is_greedy():
@@ -182,7 +181,7 @@ def test_rep_rows_are_independent():
     st = pol.init_reps(3)
     st = pol.update_reps(st, np.array([[0, 1], [0, 1], [0, 1]]),
                          np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    rngs = [np.random.default_rng(0)] * 3
+    rngs = [(np.random.default_rng(0), 0, 3)]
     assert pol.act_reps(st, 2, rngs, np.arange(3)).tolist() == [[0, 0], [1, 1], [0, 0]]
     assert pol.act_reps(st, 1, rngs, np.array([1])).tolist() == [[1]]
 
@@ -201,7 +200,7 @@ def test_one_rep_state_asked_for_no_rows_plays_and_draws_nothing(pol, b):
     st = fed(pol, [(0, 1.0)])
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    acts = pol.act_reps(st, b, [rng], np.zeros(0, dtype=np.int64))
+    acts = pol.act_reps(st, b, [(rng, 0, 1)], np.zeros(0, dtype=np.int64))
     assert acts.shape == (0, b)
     assert rng.bit_generator.state == before
 
@@ -314,20 +313,24 @@ def test_fixed_arm_policy():
 @pytest.mark.parametrize("cls", [UniformPolicy, FixedArmPolicy])
 def test_one_call_over_batches_equals_one_call_per_batch(cls, k, b):
     # the engine asks a policy that ignores feedback once for all remaining
-    # batches, so numpy's bounded integers must consume a block stream as
+    # batches, so numpy's bounded integers must consume a span's stream as
     # one call per batch would, spare 32-bit halves included, and leave it
-    # where those calls would
+    # where those calls would; on spans of one rep and of many
     pol = UniformPolicy(k) if cls is UniformPolicy else FixedArmPolicy(k, arm=k - 1)
-    reps = 2 * BLOCK_REPS + 5  # the last block is short
+    reps, cuts = 37, (0, 1, 2, 20, 37)
     st = pol.init_reps(reps)
-    for rows in (np.arange(reps), np.array([3, 2 * BLOCK_REPS + 1])):
+
+    def spans(m):
+        return [(np.random.default_rng([k, b, m, i]), lo, hi)
+                for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+
+    for rows in (np.arange(reps), np.array([1, 3, 33])):
         for m in (1, 2, 7):
-            one = [np.random.default_rng([k, b, m, i]) for i in range(3)]
-            per = [np.random.default_rng([k, b, m, i]) for i in range(3)]
+            one, per = spans(m), spans(m)
             got = pol.act_reps(st, b, one, rows, batches=m)
             want = np.concatenate([pol.act_reps(st, b, per, rows) for _ in range(m)], axis=1)
             assert np.array_equal(got, want)
-            assert [g.random() for g in one] == [g.random() for g in per]
+            assert [g.random() for g, _, _ in one] == [g.random() for g, _, _ in per]
 
 
 def test_two_phase_switches_on_visible_length():

@@ -173,7 +173,7 @@ def test_ucb_batch_rule_constant_within_batches():
 
 def test_ts_single_batch_draws_from_prior():
     # one batch covering the horizon: every draw comes from Beta(1,1), on
-    # the stream of the lone rep's block
+    # the lone rep's cell stream at batch 0's position, its start
     env = preset("env1")
     n = 64
     rec = run_batch(ThompsonBetaPolicy(2), env, make_grid(n, n), seed=21)
